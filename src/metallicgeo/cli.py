@@ -5,9 +5,11 @@
     metallicgeo curvature (SPEC | --zoo NAME) --point x0,x1,...
 
 Exit codes: 0 successful run (for verify: every asserted, non-skipped check
-passed), 1 at least one asserted identity failed, 2 spec parse error
-(file, line and offset are printed), 3 numerical failure (singular metric
-or a point outside the chart).
+passed), 1 at least one asserted identity failed, 2 invalid input (a spec
+parse error, with file, line and offset printed, or a chart, structure
+parameter or differencing step the engine rejects), 3 numerical failure
+(singular metric, a point outside the chart, or an expression evaluated
+outside its domain).
 
 JSON reports are deterministic for a fixed spec and seed: fields are
 emitted in a fixed order and every residual is rounded to 6 significant
@@ -25,9 +27,10 @@ import time
 import numpy as np
 
 from . import __version__, zoo
-from .diffcalc import DiffScheme
+from .diffcalc import ORDER1, ORDER2, DiffScheme
+from .exprdsl import EvalDomainError
 from .geometry import ChartBoundsError, SingularMetricError
-from .identities import run_suite, star_curvature
+from .identities import run_suite
 from .connections import connection_report
 from .metallic import StructureBundle, Tolerances
 from .specfile import SpecFileError, build_bundle, parse_spec, spec_sha256
@@ -49,7 +52,20 @@ def _sig6(x):
     return x
 
 
+class InputError(Exception):
+    """A chart, structure parameter or step that the engine rejects (exit 2)."""
+
+
 def _bundle_from_args(args) -> tuple[StructureBundle, dict]:
+    try:
+        return _build_bundle(args)
+    except SpecFileError:
+        raise
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _build_bundle(args) -> tuple[StructureBundle, dict]:
     if args.zoo:
         q = args.q if args.q is not None else zoo.DEFAULT_Q
         fx = zoo.get(args.zoo, q)
@@ -93,9 +109,8 @@ def _base_report(bundle: StructureBundle, source: dict) -> dict:
         "params": {"p": bundle.params.p, "q": bundle.params.q,
                    "dimension": bundle.chart.dimension},
         "seed": bundle.chart.seed,
-        "scheme": {"h1": bundle.scheme.h1, "order1": bundle.scheme.order1,
-                   "h2": bundle.scheme.h2, "order2": bundle.scheme.order2,
-                   "richardson2": bundle.scheme.richardson2},
+        "scheme": {"h1": bundle.scheme.h1, "order1": ORDER1,
+                   "h2": bundle.scheme.h2, "order2": ORDER2, "richardson2": True},
         "tolerances": {"alg": bundle.tolerances.alg, "d1": bundle.tolerances.d1,
                        "d2": bundle.tolerances.d2, "d3": bundle.tolerances.d3},
     }
@@ -178,17 +193,16 @@ def cmd_curvature(args) -> int:
     bundle.chart.require_inside(point, reach=2 * bundle.scheme.h2)
     ctx = bundle.context(point)
     pack = ctx.curvature
-    star = star_curvature(bundle, point)
     report = _base_report(bundle, source)
     report["point"] = [float(v) for v in point]
     report["curvature"] = {
         "riemann_lowered": pack.Rdown.tolist(),
         "ricci": pack.ricci.tolist(),
         "scalar": pack.scalar,
-        "H": star.H.tolist(),
-        "ricci_star": star.Sstar.tolist(),
-        "scalar_star": star.scalar_star,
-        "norm_nabla_jm_sq": star.norm_covJ_sq,
+        "H": ctx.H.tolist(),
+        "ricci_star": ctx.Sstar.tolist(),
+        "scalar_star": ctx.scalar_star,
+        "norm_nabla_jm_sq": ctx.norm_covJ_sq,
         "symmetry_residuals": pack.symmetry_residuals(),
     }
     report["timing_s"] = time.time() - t0
@@ -198,11 +212,11 @@ def cmd_curvature(args) -> int:
         np.set_printoptions(precision=6, suppress=False)
         print(f"point: {point.tolist()}")
         print(f"scalar curvature:  {pack.scalar:.6g}")
-        print(f"scalar* curvature: {star.scalar_star:.6g}")
-        print(f"|nabla J_M|^2:     {star.norm_covJ_sq:.6g}")
+        print(f"scalar* curvature: {ctx.scalar_star:.6g}")
+        print(f"|nabla J_M|^2:     {ctx.norm_covJ_sq:.6g}")
         print("ricci:"); print(np.array2string(pack.ricci))
-        print("ricci*:"); print(np.array2string(star.Sstar))
-        print("H:"); print(np.array2string(star.H))
+        print("ricci*:"); print(np.array2string(ctx.Sstar))
+        print("H:"); print(np.array2string(ctx.H))
         print("riemann (lowered):"); print(np.array2string(pack.Rdown))
     return EXIT_OK
 
@@ -252,10 +266,10 @@ def main(argv=None) -> int:
         name = getattr(args, "spec", None) or "<spec>"
         print(f"parse error: {name}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (SingularMetricError, ChartBoundsError) as exc:
+    except (SingularMetricError, ChartBoundsError, EvalDomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -8,28 +8,35 @@ Both connections deform Levi-Civita by a (1,2)-tensor S:
   equals (p/3q) g(Y, (nabla_X J_M) Z) exactly (so it is metric iff the
   bundle is metallic Kahler or p = 0);
 * second type: the deformation pairing is skew in the outer arguments
-  (X, Z). On an almost metallic Kahler bundle it degenerates to S = 0,
-  i.e. Levi-Civita itself. On a nearly metallic Kahler bundle the closed
-  form S(X, Y) = -(1/q) JMhat (nabla_X J_M) Y is used; note that this
-  deformation does NOT annihilate w (one computes nabla~ w = 4 nabla w
-  from the deformation-pairing expansion), so its w-residual is reported
-  without being asserted while the derived 4 nabla w consistency is. No
-  closed form exists outside those two classes, so the constructor skips.
+  (X, Z). On a metallic Kahler bundle it is S = 0, Levi-Civita itself,
+  which preserves w because nabla J_M = 0. On a nearly metallic Kahler
+  bundle the closed form S(X, Y) = -(1/q) JMhat (nabla_X J_M) Y is used;
+  note that this deformation does NOT annihilate w (one computes
+  nabla~ w = 4 nabla w from the deformation-pairing expansion), so its
+  w-residual is reported without being asserted while the derived
+  4 nabla w consistency is. Levi-Civita does not preserve w on an almost
+  metallic Kahler bundle that is not metallic Kahler, and no closed form
+  is derived there or outside the two classes above, so the constructor
+  raises GateError and the connection is reported as skipped.
 
-Coefficients are kept as (Levi-Civita, deformation) pairs so torsion and
-the symmetry checks are exact algebra over the computed nabla J_M.
+`connection_terms` computes every per-point quantity of one connection
+once: S, the pairing, nabla~ w, nabla~ g and the kind-specific terms. The
+JSON block of `connection_report` and the identity records of
+`connection_identity_results` both read from it. A connection is
+Levi-Civita plus its deformation, so `first_type` and `second_type` return
+S alone, and torsion and the symmetry checks are exact algebra over the
+computed nabla J_M.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import max_abs
-from .metallic import StructureBundle, VERDICT_ALMOST_KAHLER, VERDICT_KAHLER, VERDICT_NONE
+from .identities import Identity, _diff, _result, _running_max, _skip, evaluate, not_hermitian
+from .metallic import StructureBundle, VERDICT_ALMOST_KAHLER, VERDICT_KAHLER
 
-__all__ = ["AffineConnection", "first_type", "second_type", "connection_report",
+__all__ = ["first_type", "second_type", "connection_terms", "connection_report",
            "connection_identity_results", "GateError"]
 
 
@@ -37,72 +44,92 @@ class GateError(RuntimeError):
     """The bundle's classification does not admit this connection."""
 
 
-@dataclass(frozen=True)
-class AffineConnection:
-    """Total coefficients = Levi-Civita + deformation, at one point."""
-
-    kind: str
-    gamma_lc: np.ndarray      # gamma[h, i, j]
-    deformation: np.ndarray   # S[h, i, j] with S(d_i, d_j) = S[h, i, j] d_h
-
-    @property
-    def gamma_total(self) -> np.ndarray:
-        return self.gamma_lc + self.deformation
-
-    @property
-    def torsion(self) -> np.ndarray:
-        # Levi-Civita is symmetric, so torsion is carried by the deformation
-        return self.deformation - np.swapaxes(self.deformation, 1, 2)
-
-
-def _hermitian_gate(bundle: StructureBundle):
-    if bundle.classification().verdict == VERDICT_NONE:
-        raise GateError("connection needs an almost metallic Hermitian bundle")
-
-
-def first_type(bundle: StructureBundle, point) -> AffineConnection:
-    """Deformation (1/3q) JMhat (nabla J_M); gate: almost metallic Hermitian."""
-    _hermitian_gate(bundle)
-    ctx = bundle.context(point)
-    q = bundle.params.q
-    S = (1.0 / (3.0 * q)) * np.einsum("ht,itj->hij", ctx.Jhat, ctx.covJ)
-    return AffineConnection(kind="first", gamma_lc=ctx.gamma, deformation=S)
-
-
-def second_type(bundle: StructureBundle, point) -> AffineConnection:
-    """Second-type connection where a closed form exists.
-
-    Almost metallic Kahler: S = 0 (Levi-Civita exactly). Nearly metallic
-    Kahler: S = -(1/q) JMhat (nabla J_M). Anything else: GateError.
-    """
+def _second_form(bundle: StructureBundle) -> str:
+    """'levi' (S = 0) on metallic Kahler, 'nearly' for the nearly closed form."""
     cls = bundle.classification()
-    ctx = bundle.context(point)
-    if cls.verdict in (VERDICT_ALMOST_KAHLER, VERDICT_KAHLER):
-        return AffineConnection(kind="second", gamma_lc=ctx.gamma,
-                                deformation=np.zeros_like(ctx.gamma))
+    if cls.verdict == VERDICT_KAHLER:
+        return "levi"
     if cls.nearly:
-        q = bundle.params.q
-        S = -(1.0 / q) * np.einsum("ht,itj->hij", ctx.Jhat, ctx.covJ)
-        return AffineConnection(kind="second", gamma_lc=ctx.gamma, deformation=S)
+        return "nearly"
+    if cls.verdict == VERDICT_ALMOST_KAHLER:
+        raise GateError("second-type connection: Levi-Civita preserves w only when "
+                        "nabla J_M = 0, and no closed form is derived for almost metallic "
+                        "Kähler bundles that are not metallic Kähler")
     raise GateError("second-type connection has a closed form only on almost "
                     "metallic Kähler or nearly metallic Kähler bundles")
 
 
-def _omega_residual(ctx, S: np.ndarray) -> np.ndarray:
-    """(nabla~_i w)_jk = (nabla_i w)_jk - w(S(X,Y), Z) - w(Y, S(X,Z))."""
-    w = ctx.omega
-    return ctx.cov_omega - np.einsum("tij,tk->ijk", S, w) - np.einsum("tik,jt->ijk", S, w)
+def first_type(bundle: StructureBundle, point) -> np.ndarray:
+    """Deformation S[h, i, j] = (1/3q) JMhat (nabla J_M); gate: almost metallic Hermitian."""
+    reason = not_hermitian(bundle)
+    if reason:
+        raise GateError(f"connection {reason}")
+    ctx = bundle.context(point)
+    q = bundle.params.q
+    return (1.0 / (3.0 * q)) * np.einsum("ht,itj->hij", ctx.Jhat, ctx.covJ)
 
 
-def _metric_residual(ctx, S: np.ndarray) -> np.ndarray:
-    """(nabla~_i g)_jk for a metric-compatible Levi-Civita part."""
-    g = ctx.g
-    return -np.einsum("tij,tk->ijk", S, g) - np.einsum("tik,jt->ijk", S, g)
+def second_type(bundle: StructureBundle, point) -> np.ndarray:
+    """Deformation S[h, i, j] of the second-type connection where a closed form exists.
+
+    Metallic Kahler: S = 0 (Levi-Civita exactly). Nearly metallic Kahler:
+    S = -(1/q) JMhat (nabla J_M). Anything else: GateError.
+    """
+    form = _second_form(bundle)
+    ctx = bundle.context(point)
+    if form == "levi":
+        return np.zeros_like(ctx.gamma)
+    q = bundle.params.q
+    return -(1.0 / q) * np.einsum("ht,itj->hij", ctx.Jhat, ctx.covJ)
 
 
-def _pairing(ctx, S: np.ndarray) -> np.ndarray:
-    """S_J[i, j, k] = g(S(d_i, d_j), J_M d_k) = S[t, i, j] w[k, t]."""
-    return np.einsum("tij,kt->ijk", S, ctx.omega)
+def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
+    """Every per-point term of the `kind` ("first" or "second") connection.
+
+    S is the deformation S[h, i, j], SJ the pairing S_J[i, j, k] =
+    g(S(d_i, d_j), J_M d_k), nw and ng the residuals (nabla~_i w)_jk and
+    (nabla~_i g)_jk, sym the pairing's defining symmetry (zero when it
+    holds), expansion nabla~ w recomputed through the pairing and scale_w
+    the largest term of nabla~ w. First type adds thm = (p/3q) g(Y,
+    (nabla_X J_M) Z); second type adds four = nabla~ w - 4 nabla w and, for
+    the nearly closed form, ratio = S + 3 S_first.
+    """
+    S = (first_type if kind == "first" else second_type)(bundle, point)
+    ctx = bundle.context(point)
+    w, g = ctx.omega, ctx.g
+    SJ = np.einsum("tij,kt->ijk", S, w)
+    nw = ctx.cov_omega - np.einsum("tij,tk->ijk", S, w) - np.einsum("tik,jt->ijk", S, w)
+    terms = {
+        # Levi-Civita is symmetric, so torsion is carried by the deformation
+        "S": S, "torsion": S - np.swapaxes(S, 1, 2), "SJ": SJ, "nw": nw,
+        "ng": -np.einsum("tij,tk->ijk", S, g) - np.einsum("tik,jt->ijk", S, g),
+        "sym": SJ + np.einsum("ijk->ikj" if kind == "first" else "ijk->kji", SJ),
+        "expansion": ctx.cov_omega + SJ - np.einsum("ijk->ikj", SJ),
+        "scale_w": max(max_abs(ctx.cov_omega), max_abs(SJ)),
+    }
+    if kind == "first":
+        terms["thm"] = (bundle.params.p / (3.0 * bundle.params.q)) * np.einsum(
+            "jt,itk->ijk", g, ctx.covJ)
+    else:
+        terms["four"] = nw - 4.0 * ctx.cov_omega
+        if _second_form(bundle) == "nearly":
+            terms["ratio"] = S + 3.0 * first_type(bundle, point)
+    return terms
+
+
+# (report key, terms -> array whose largest entry over the points is reported)
+_REPORT_ROWS = (
+    ("deformation_norm", lambda t: t["S"]),
+    ("torsion_norm", lambda t: t["torsion"]),
+    ("nabla_omega_residual", lambda t: t["nw"]),
+    ("nabla_g_residual", lambda t: t["ng"]),
+    ("pairing_symmetry_residual", lambda t: t["sym"]),
+    ("expansion_consistency", lambda t: t["nw"] - t["expansion"]),
+)
+_KIND_REPORT_ROWS = {
+    "first": (("metric_theorem_residual", lambda t: t["ng"] - t["thm"]),),
+    "second": (("omega_vs_4covomega", lambda t: t["four"]),),
+}
 
 
 def connection_report(bundle: StructureBundle, points=None) -> dict:
@@ -113,130 +140,74 @@ def connection_report(bundle: StructureBundle, points=None) -> dict:
     expansion, plus the first-type metric theorem residual and, when both
     connections exist with nonzero deformation, the -1/3 deformation ratio.
     """
-    p, q = bundle.params.p, bundle.params.q
     out: dict = {"connections": {}, "notes": []}
     pts = bundle.sample_points if points is None else np.asarray(points, dtype=float)
-    builders = {"first": first_type, "second": second_type}
-    deform_gap = 0.0
-    both = True
-    for kind, build in builders.items():
+    for kind in ("first", "second"):
         try:
-            rows = {
-                "deformation_norm": 0.0,
-                "torsion_norm": 0.0,
-                "nabla_omega_residual": 0.0,
-                "nabla_g_residual": 0.0,
-                "pairing_symmetry_residual": 0.0,
-                "expansion_consistency": 0.0,
-            }
-            if kind == "first":
-                rows["metric_theorem_residual"] = 0.0
-            if kind == "second":
-                rows["omega_vs_4covomega"] = 0.0
-            for pt in pts:
-                conn = build(bundle, pt)
-                ctx = bundle.context(pt)
-                S = conn.deformation
-                SJ = _pairing(ctx, S)
-                rows["deformation_norm"] = max(rows["deformation_norm"], max_abs(S))
-                rows["torsion_norm"] = max(rows["torsion_norm"], max_abs(conn.torsion))
-                nw = _omega_residual(ctx, S)
-                rows["nabla_omega_residual"] = max(rows["nabla_omega_residual"], max_abs(nw))
-                ng = _metric_residual(ctx, S)
-                rows["nabla_g_residual"] = max(rows["nabla_g_residual"], max_abs(ng))
-                if kind == "first":
-                    sym = SJ + np.einsum("ijk->ikj", SJ)
-                    thm = (p / (3.0 * q)) * np.einsum("jt,itk->ijk", ctx.g, ctx.covJ)
-                    rows["metric_theorem_residual"] = max(
-                        rows["metric_theorem_residual"], max_abs(ng - thm))
-                else:
-                    sym = SJ + np.einsum("ijk->kji", SJ)
-                    rows["omega_vs_4covomega"] = max(
-                        rows["omega_vs_4covomega"], max_abs(nw - 4.0 * ctx.cov_omega))
-                rows["pairing_symmetry_residual"] = max(
-                    rows["pairing_symmetry_residual"], max_abs(sym))
-                # expansion: nabla~ w recomputed through the pairing must agree
-                expansion = ctx.cov_omega + SJ - np.einsum("ijk->ikj", SJ)
-                rows["expansion_consistency"] = max(
-                    rows["expansion_consistency"], max_abs(nw - expansion))
-                if kind == "second" and bundle.classification().nearly \
-                        and bundle.classification().verdict != VERDICT_KAHLER:
-                    S1 = first_type(bundle, pt).deformation
-                    deform_gap = max(deform_gap, max_abs(S + 3.0 * S1))
-            out["connections"][kind] = rows
+            terms = [connection_terms(bundle, kind, pt) for pt in pts]
         except GateError as exc:
             out["connections"][kind] = {"skipped": str(exc)}
             out["notes"].append(f"{kind}: {exc}")
-            both = False
-    cls = bundle.classification()
-    if both and cls.nearly and cls.verdict != VERDICT_KAHLER:
-        out["deformation_ratio_residual"] = deform_gap  # |S2 + 3 S1|
+            continue
+        out["connections"][kind] = {
+            key: _running_max(max_abs(fn(t)) for t in terms)
+            for key, fn in _REPORT_ROWS + _KIND_REPORT_ROWS[kind]
+        }
+        if "ratio" in terms[0]:
+            out["deformation_ratio_residual"] = _running_max(max_abs(t["ratio"]) for t in terms)
     return out
+
+
+def _preserves_omega(t: dict) -> tuple:
+    return max_abs(t["nw"]), t["scale_w"]
+
+
+def _pairing_symmetry(t: dict) -> tuple:
+    return max_abs(t["sym"]), max_abs(t["SJ"])
+
+
+FIRST_TYPE_IDENTITIES = (
+    Identity("first-type-preserves-omega", None, "d1", _preserves_omega),
+    Identity("first-type-pairing-skew", None, "alg", _pairing_symmetry),
+    Identity("first-type-metric-theorem", None, "d1", lambda t: _diff(t["ng"], t["thm"])),
+    Identity("first-type-expansion-consistency", None, "alg",
+             lambda t: (max_abs(t["nw"] - t["expansion"]), max_abs(t["nw"]))),
+)
+SECOND_TYPE_SKEW = (
+    Identity("second-type-pairing-outer-skew", None, "d1", _pairing_symmetry),
+)
+SECOND_TYPE_LEVI = (
+    Identity("second-type-equals-levi-civita", None, "alg", lambda t: (max_abs(t["S"]), 1.0)),
+    Identity("second-type-preserves-omega", None, "d1", _preserves_omega),
+)
+SECOND_TYPE_NEARLY = (
+    Identity("second-type-omega-residual", None, "d1", _preserves_omega, asserted=False,
+             note="report-only: the nearly-case closed form does not "
+                  "annihilate w; see second-type-omega-is-4covomega"),
+    Identity("second-type-omega-is-4covomega", None, "alg",
+             lambda t: (max_abs(t["four"]), max_abs(t["nw"])),
+             note="derived consistency of the nearly-case closed form"),
+)
 
 
 def connection_identity_results(bundle: StructureBundle, points=None) -> list:
     """The connection suite as IdentityResult records (shared gating rules)."""
-    from .identities import IdentityResult, _result, _skip
-
-    tol = bundle.tolerances
-    cls = bundle.classification()
-    results = []
+    reason = not_hermitian(bundle)
+    if reason:
+        return [_skip("first-type-preserves-omega", reason),
+                _skip("second-type-connection", reason)]
     pts = bundle.sample_points if points is None else np.asarray(points, dtype=float)
-
-    if cls.verdict == VERDICT_NONE:
-        return [_skip("first-type-preserves-omega", "needs an almost metallic Hermitian bundle"),
-                _skip("second-type-connection", "needs an almost metallic Hermitian bundle")]
-
-    fw, fsym, fthm, fexp = [], [], [], []
-    for pt in pts:
-        conn = first_type(bundle, pt)
-        ctx = bundle.context(pt)
-        S = conn.deformation
-        SJ = _pairing(ctx, S)
-        nw = _omega_residual(ctx, S)
-        scale_w = max(max_abs(ctx.cov_omega), max_abs(SJ))
-        fw.append((max_abs(nw), scale_w))
-        fsym.append((max_abs(SJ + np.einsum("ijk->ikj", SJ)), max_abs(SJ)))
-        ng = _metric_residual(ctx, S)
-        thm = (bundle.params.p / (3.0 * bundle.params.q)) * np.einsum(
-            "jt,itk->ijk", ctx.g, ctx.covJ)
-        fthm.append((max_abs(ng - thm), max(max_abs(ng), max_abs(thm))))
-        expansion = ctx.cov_omega + SJ - np.einsum("ijk->ikj", SJ)
-        fexp.append((max_abs(nw - expansion), max_abs(nw)))
-    results.append(_result("first-type-preserves-omega", fw, tol.d1))
-    results.append(_result("first-type-pairing-skew", fsym, tol.alg))
-    results.append(_result("first-type-metric-theorem", fthm, tol.d1))
-    results.append(_result("first-type-expansion-consistency", fexp, tol.alg))
-
+    results = evaluate(bundle, FIRST_TYPE_IDENTITIES,
+                       values=[connection_terms(bundle, "first", pt) for pt in pts])
     try:
-        sw, ssym, sratio, sfour = [], [], [], []
-        levi = cls.verdict in (VERDICT_ALMOST_KAHLER, VERDICT_KAHLER)
-        for pt in pts:
-            conn = second_type(bundle, pt)
-            ctx = bundle.context(pt)
-            S = conn.deformation
-            SJ = _pairing(ctx, S)
-            nw = _omega_residual(ctx, S)
-            sw.append((max_abs(nw), max(max_abs(ctx.cov_omega), max_abs(SJ))))
-            ssym.append((max_abs(SJ + np.einsum("ijk->kji", SJ)), max_abs(SJ)))
-            if levi:
-                sratio.append((max_abs(S), 1.0))
-            else:
-                S1 = first_type(bundle, pt).deformation
-                sratio.append((max_abs(S + 3.0 * S1), max_abs(S)))
-                sfour.append((max_abs(nw - 4.0 * ctx.cov_omega), max_abs(nw)))
-        results.append(_result("second-type-pairing-outer-skew", ssym, tol.d1))
-        if levi:
-            results.append(_result("second-type-equals-levi-civita", sratio, tol.alg))
-            results.append(_result("second-type-preserves-omega", sw, tol.d1))
-        else:
-            results.append(_result("second-type-deformation-ratio", sratio, 1e-10,
-                                   note="second deformation = -3 x first"))
-            results.append(_result("second-type-omega-residual", sw, tol.d1, asserted=False,
-                                   note="report-only: the nearly-case closed form does not "
-                                        "annihilate w; see second-type-omega-is-4covomega"))
-            results.append(_result("second-type-omega-is-4covomega", sfour, tol.alg,
-                                   note="derived consistency of the nearly-case closed form"))
+        form = _second_form(bundle)
     except GateError as exc:
-        results.append(_skip("second-type-connection", str(exc)))
-    return results
+        return results + [_skip("second-type-connection", str(exc))]
+    second = [connection_terms(bundle, "second", pt) for pt in pts]
+    results += evaluate(bundle, SECOND_TYPE_SKEW, values=second)
+    if form == "levi":
+        return results + evaluate(bundle, SECOND_TYPE_LEVI, values=second)
+    ratio = _result("second-type-deformation-ratio",
+                    [(max_abs(t["ratio"]), max_abs(t["S"])) for t in second], 1e-10,
+                    note="second deformation = -3 x first")
+    return results + [ratio] + evaluate(bundle, SECOND_TYPE_NEARLY, values=second)

@@ -15,10 +15,9 @@ Conventions (fixed once, used by every checker in the package):
   covcov[a, b, ...] = (nabla_a nabla_b T)_...
 
 Differencing is central, in two tiers: first derivatives use step h1 at
-order1 (default order 4), nested outer derivatives use step h2 = h1^(5/6)
-at order2 (default order 2) with optional Richardson extrapolation
-(default on for the outer tier; needed to push curvature truncation error
-well below the curvature tolerance tier).
+order 4, nested outer derivatives use step h2 = h1^(5/6) at order 2 with
+Richardson extrapolation over h2 and h2/2 (needed to push curvature
+truncation error well below the curvature tolerance tier).
 
 Everything here is a pure function of (field, point); per-point caches are
 built once and read-only afterwards, so evaluation across sample points
@@ -31,11 +30,10 @@ from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
-from .geometry import Chart, ChartBoundsError, inverse_metric, max_abs
+from .geometry import Chart, inverse_metric, max_abs
 
 __all__ = [
     "DiffScheme",
-    "ConnectionCoefficients",
     "CurvaturePack",
     "partial",
     "partial_all",
@@ -46,37 +44,31 @@ __all__ = [
     "exterior_derivative_2form",
     "nijenhuis",
     "PointContext",
-    "metric_compat_residual",
 ]
 
 DEFAULT_H1 = 1e-3
+ORDER1 = 4  # first tier: order-4 central stencil at h1
+ORDER2 = 2  # outer tier: order-2 central stencil at h2 and h2/2, Richardson-combined
 
 
 @dataclass(frozen=True)
 class DiffScheme:
-    """Finite-difference policy: steps, orders and Richardson flags per tier."""
+    """Finite-difference steps of the two tiers."""
 
     h1: float = DEFAULT_H1
-    order1: int = 4
     h2: float = DEFAULT_H1 ** (5.0 / 6.0)  # 10^-2.5 at the default h1
-    order2: int = 2
-    richardson1: bool = False
-    richardson2: bool = True
 
     def __post_init__(self):
         if self.h1 <= 0 or self.h2 <= 0:
             raise ValueError("steps must be positive")
-        if self.order1 not in (2, 4) or self.order2 not in (2, 4):
-            raise ValueError("central differences of order 2 or 4 only")
 
     @classmethod
-    def with_h(cls, h1: float, **kw) -> "DiffScheme":
-        return cls(h1=h1, h2=h1 ** (5.0 / 6.0), **kw)
+    def with_h(cls, h1: float) -> "DiffScheme":
+        return cls(h1=h1, h2=h1 ** (5.0 / 6.0))
 
     def reach(self, stage: int = 1) -> float:
         """Farthest stencil excursion from the base point for one derivative."""
-        h, order = (self.h1, self.order1) if stage == 1 else (self.h2, self.order2)
-        return h * (2 if order == 4 else 1)
+        return 2 * self.h1 if stage == 1 else self.h2
 
     def check_chart(self, chart: Chart):
         if self.h2 >= chart.margin / 2.0:
@@ -102,29 +94,17 @@ def _central(fn, point, axis, h, order):
 def partial(fn, point, axis: int, scheme: DiffScheme | None = None, stage: int = 1, chart: Chart | None = None):
     """Central-difference partial derivative of a (possibly array-valued) field.
 
-    stage 1 uses (h1, order1, richardson1); stage 2 the outer-tier settings.
-    With Richardson the error is two orders better than the base stencil.
+    stage 1 is the order-4 stencil at h1; stage 2 Richardson-extrapolates
+    the order-2 stencil at h2 and h2/2, which is accurate to order 4.
     """
     scheme = scheme or DiffScheme()
-    h, order, rich = (
-        (scheme.h1, scheme.order1, scheme.richardson1)
-        if stage == 1
-        else (scheme.h2, scheme.order2, scheme.richardson2)
-    )
     if chart is not None:
-        reach = h * (2 if order == 4 else 1)
-        if not chart.contains(point, margin=0.0):
-            raise ChartBoundsError(f"point {np.asarray(point).tolist()} is outside the chart")
-        if not chart.contains(point, margin=reach):
-            raise ChartBoundsError(
-                f"point {np.asarray(point).tolist()} is too close to the boundary for step {h:g}"
-            )
-    if not rich:
-        return _central(fn, point, axis, h, order)
-    coarse = _central(fn, point, axis, h, order)
-    fine = _central(fn, point, axis, h / 2.0, order)
-    w = 2.0**order
-    return (w * fine - coarse) / (w - 1.0)
+        chart.require_inside(point, scheme.reach(stage))
+    if stage == 1:
+        return _central(fn, point, axis, scheme.h1, ORDER1)
+    coarse = _central(fn, point, axis, scheme.h2, ORDER2)
+    fine = _central(fn, point, axis, scheme.h2 / 2.0, ORDER2)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def partial_all(fn, point, scheme: DiffScheme | None = None, stage: int = 1, chart: Chart | None = None):
@@ -136,19 +116,8 @@ def partial_all(fn, point, scheme: DiffScheme | None = None, stage: int = 1, cha
     )
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Connection coefficients at a point; torsion is zero for Levi-Civita."""
-
-    gamma: np.ndarray  # gamma[h, i, j]
-
-    @property
-    def torsion(self) -> np.ndarray:
-        return self.gamma - np.swapaxes(self.gamma, 1, 2)
-
-
-def christoffel(g_fn, point, scheme: DiffScheme | None = None, chart: Chart | None = None) -> ConnectionCoefficients:
-    """Levi-Civita coefficients from first derivatives of the metric."""
+def christoffel(g_fn, point, scheme: DiffScheme | None = None, chart: Chart | None = None) -> np.ndarray:
+    """Levi-Civita coefficients gamma[h, i, j] from first derivatives of the metric."""
     point = np.asarray(point, dtype=float)
     g = np.asarray(g_fn(point), dtype=float)
     ginv = inverse_metric(g, point)
@@ -159,7 +128,7 @@ def christoffel(g_fn, point, scheme: DiffScheme | None = None, chart: Chart | No
         dg.transpose(0, 1, 2) + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2),
     )
     # dg[i,t,j] + dg[j,t,i] - dg[t,i,j] arranged as [i,t,j]
-    return ConnectionCoefficients(gamma=gamma)
+    return gamma
 
 
 def _cov_correct(value: np.ndarray, sig: str, gamma: np.ndarray) -> np.ndarray:
@@ -193,21 +162,10 @@ def covariant_derivative(
     if gamma is None:
         if g_fn is None:
             raise ValueError("need gamma or a metric field")
-        gamma = christoffel(g_fn, point, scheme, chart=chart).gamma
+        gamma = christoffel(g_fn, point, scheme, chart=chart)
     dT = partial_all(fn, point, scheme, stage=stage, chart=chart)
     value = np.asarray(fn(point), dtype=float)
-    if not sig:
-        return dT
     return dT + _cov_correct(value, sig, gamma)
-
-
-def covariant_derivative_field(fn, sig: str, g_fn, scheme: DiffScheme | None = None):
-    """Wrap nabla T as a new field (signature 'd' + sig), evaluable anywhere."""
-
-    def cov_fn(point):
-        return covariant_derivative(fn, sig, point, g_fn=g_fn, scheme=scheme, stage=1)
-
-    return cov_fn, "d" + sig
 
 
 def second_covariant_derivative(
@@ -216,13 +174,16 @@ def second_covariant_derivative(
     """Two added covariant slots, outer first: out[a, b, ...] = (nabla_a nabla_b T)_...
 
     The inner derivative is evaluated as a field with the first-tier stencil;
-    the outer differencing uses the second tier (wider step, optional
-    Richardson) so the nested stencil stays inside the chart.
+    the outer differencing uses the second tier (wider step, Richardson) so
+    the nested stencil stays inside the chart.
     """
     scheme = scheme or DiffScheme()
-    inner_fn, inner_sig = covariant_derivative_field(fn, sig, g_fn, scheme)
+
+    def inner_fn(p):
+        return covariant_derivative(fn, sig, p, g_fn=g_fn, scheme=scheme, stage=1)
+
     return covariant_derivative(
-        inner_fn, inner_sig, point, g_fn=g_fn, scheme=scheme, stage=2, chart=chart
+        inner_fn, "d" + sig, point, g_fn=g_fn, scheme=scheme, stage=2, chart=chart
     )
 
 
@@ -254,7 +215,7 @@ def riemann(g_fn, point, scheme: DiffScheme | None = None, chart: Chart | None =
     point = np.asarray(point, dtype=float)
 
     def gamma_fn(p):
-        return christoffel(g_fn, p, scheme).gamma
+        return christoffel(g_fn, p, scheme)
 
     dGamma = partial_all(gamma_fn, point, scheme, stage=2, chart=chart)  # [k, h, i, j]
     gamma = gamma_fn(point)
@@ -298,25 +259,6 @@ def nijenhuis(j_fn, point, scheme: DiffScheme | None = None, chart: Chart | None
     term1 = np.einsum("ti,thj->ijh", J, dJ)
     term3 = np.einsum("jti,ht->ijh", dJ, J)
     return term1 - np.einsum("ijh->jih", term1) + term3 - np.einsum("ijh->jih", term3)
-
-
-def metric_compat_residual(g_fn, point, h: float, order: int = 2) -> float:
-    """Metric-compatibility residual of the step-h connection.
-
-    The connection is built from order-`order` differences at step h while
-    the partial derivatives of g are taken from a high-accuracy reference
-    stencil (order 4 with Richardson at the default step). Computing both
-    sides from the same stencil would cancel identically, so this is the
-    quantity whose truncation error actually shrinks with h.
-    """
-    point = np.asarray(point, dtype=float)
-    coarse = DiffScheme.with_h(h, order1=order, richardson1=False)
-    ref = DiffScheme(richardson1=True)
-    gamma = christoffel(g_fn, point, coarse).gamma
-    dg_ref = partial_all(g_fn, point, ref, stage=1)
-    g = np.asarray(g_fn(point), dtype=float)
-    corr = np.einsum("tai,tj->aij", gamma, g) + np.einsum("taj,ti->aij", gamma, g)
-    return max_abs(dg_ref - corr)
 
 
 class PointContext:
@@ -369,7 +311,7 @@ class PointContext:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return christoffel(self.g_fn, self.point, self.scheme, chart=self.chart).gamma
+        return christoffel(self.g_fn, self.point, self.scheme, chart=self.chart)
 
     @cached_property
     def dJ(self) -> np.ndarray:
@@ -447,15 +389,18 @@ class PointContext:
     # --- second derivatives ---
 
     @cached_property
+    def cov_ricci(self) -> np.ndarray:
+        """cov_ricci[a, j, i] = (nabla_a S)_ji, outer-tier differencing of the Ricci field."""
+
+        def ricci_fn(pt):
+            return riemann(self.g_fn, pt, self.scheme).ricci
+
+        return covariant_derivative(ricci_fn, "dd", self.point, gamma=self.gamma,
+                                    scheme=self.scheme, stage=2, chart=self.chart)
+
+    @cached_property
     def covcov_omega(self) -> np.ndarray:
         """covcov[a, b, i, m] = (nabla_a nabla_b w)_im."""
         return second_covariant_derivative(
             self.omega_fn, "dd", self.point, self.g_fn, self.scheme, chart=self.chart
-        )
-
-    @cached_property
-    def covcovJ(self) -> np.ndarray:
-        """covcov[a, b, h, i] = (nabla_a nabla_b J)_i^h."""
-        return second_covariant_derivative(
-            self.j_fn, "ud", self.point, self.g_fn, self.scheme, chart=self.chart
         )

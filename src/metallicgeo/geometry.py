@@ -1,4 +1,4 @@
-"""Charts, tensor fields and pointwise multilinear algebra.
+"""Charts, tensor fields and the inverse metric.
 
 Index conventions used throughout the package:
 
@@ -28,11 +28,7 @@ __all__ = [
     "ChartBoundsError",
     "Chart",
     "TensorField",
-    "PointFrame",
     "inverse_metric",
-    "contract",
-    "raise_index",
-    "lower_index",
     "max_abs",
 ]
 
@@ -108,16 +104,12 @@ class Chart:
 
     def require_inside(self, point, reach: float = 0.0):
         """Raise ChartBoundsError unless point +- reach stays inside the bounds."""
+        if not self.contains(point):
+            raise ChartBoundsError(f"point {np.asarray(point, dtype=float).tolist()} is outside the chart")
         if not self.contains(point, margin=reach):
             raise ChartBoundsError(
-                f"point {np.asarray(point, dtype=float).tolist()} is within {reach:g} of the chart boundary"
-            )
-
-    def validate_scheme_margin(self, step: float):
-        # sample points must keep >= 2x the finite-difference step from the bounds
-        if self.margin < 2.0 * step:
-            raise ValueError(
-                f"chart margin {self.margin:g} is smaller than twice the differencing step {step:g}"
+                f"point {np.asarray(point, dtype=float).tolist()} is too close to the boundary"
+                f" for reach {reach:g}"
             )
 
     def sample_points(self) -> np.ndarray:
@@ -152,18 +144,9 @@ class TensorField:
     sig: str
     fn: Callable[[np.ndarray], np.ndarray]
     symmetric_pairs: tuple = ()
-    antisymmetric_pairs: tuple = ()
 
     def __call__(self, point) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(point, dtype=float)), dtype=float)
-
-    @property
-    def rank_cov(self) -> int:
-        return self.sig.count("d")
-
-    @property
-    def rank_con(self) -> int:
-        return self.sig.count("u")
 
     def validate_on(self, points, sym_tol: float = 1e-12):
         """Check declared symmetries (and shape) at every given point."""
@@ -174,9 +157,6 @@ class TensorField:
             for a, b in self.symmetric_pairs:
                 if max_abs(arr - np.swapaxes(arr, a, b)) > sym_tol:
                     raise GeometryError(f"field {self.name!r} is not symmetric in axes ({a},{b}) at {p.tolist()}")
-            for a, b in self.antisymmetric_pairs:
-                if max_abs(arr + np.swapaxes(arr, a, b)) > sym_tol:
-                    raise GeometryError(f"field {self.name!r} is not antisymmetric in axes ({a},{b}) at {p.tolist()}")
 
 
 def inverse_metric(g: np.ndarray, point=None) -> np.ndarray:
@@ -188,57 +168,3 @@ def inverse_metric(g: np.ndarray, point=None) -> np.ndarray:
     if max_abs(g @ ginv - np.eye(g.shape[0])) > 1e-10:
         raise SingularMetricError(point if point is not None else np.full(g.shape[0], np.nan))
     return ginv
-
-
-def contract(arr: np.ndarray, sig: str, ax1: int, ax2: int, metric: np.ndarray | None = None):
-    """Einstein contraction of two slots.
-
-    One slot must be contravariant and the other covariant; alternatively a
-    metric (inverse metric for two 'd' slots, metric for two 'u' slots) may
-    be supplied to pair like slots. Returns (array, signature).
-    """
-    arr = np.asarray(arr, dtype=float)
-    if ax1 == ax2:
-        raise ValueError("cannot contract a slot with itself")
-    ax1, ax2 = sorted((ax1, ax2))
-    kinds = sig[ax1] + sig[ax2]
-    if kinds in ("ud", "du"):
-        out = np.trace(arr, axis1=ax1, axis2=ax2)
-    elif metric is not None:
-        moved = np.moveaxis(arr, (ax1, ax2), (-2, -1))
-        out = np.einsum("...ab,ab->...", moved, metric)
-    else:
-        raise ValueError(f"slot kinds {kinds!r} need a metric to be paired")
-    new_sig = "".join(c for i, c in enumerate(sig) if i not in (ax1, ax2))
-    return out, new_sig
-
-
-def lower_index(arr: np.ndarray, sig: str, axis: int, g: np.ndarray):
-    """Lower one contravariant slot with the metric."""
-    if sig[axis] != "u":
-        raise ValueError(f"axis {axis} is not contravariant")
-    out = np.moveaxis(np.tensordot(np.asarray(arr, float), g, axes=([axis], [0])), -1, axis)
-    return out, sig[:axis] + "d" + sig[axis + 1 :]
-
-
-def raise_index(arr: np.ndarray, sig: str, axis: int, ginv: np.ndarray):
-    """Raise one covariant slot with the inverse metric."""
-    if sig[axis] != "d":
-        raise ValueError(f"axis {axis} is not covariant")
-    out = np.moveaxis(np.tensordot(np.asarray(arr, float), ginv, axes=([axis], [0])), -1, axis)
-    return out, sig[:axis] + "u" + sig[axis + 1 :]
-
-
-class PointFrame:
-    """Metric data and cached tensor values at one chart point."""
-
-    def __init__(self, point, g: np.ndarray):
-        self.point = np.asarray(point, dtype=float)
-        self.g = np.asarray(g, dtype=float)
-        self.ginv = inverse_metric(self.g, self.point)
-        self.values: dict[str, np.ndarray] = {}
-
-    def value(self, fld: TensorField) -> np.ndarray:
-        if fld.name not in self.values:
-            self.values[fld.name] = fld(self.point)
-        return self.values[fld.name]

@@ -9,6 +9,11 @@ report-only: they evaluate statements whose classical coefficients are
 known to close only for special parameter values, so their pass flags are
 informational and do not drive exit codes.
 
+Each identity is one `Identity` record: its gate, its tolerance tier and
+the residual with its scale at one point. `evaluate` applies the gates,
+walks the sample points and aggregates, so every checker below is its
+table plus, where an identity does not fit a record, a few explicit lines.
+
 Conventions: see diffcalc. In particular H_ji = R_hji^t (J_M)_t^h and
 S*_ji = -H_jt (J_M)_i^t, the arrangement under which the contracted
 commutation chain
@@ -21,23 +26,21 @@ d_a w_bc + d_b w_ca + d_c w_ab.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .geometry import max_abs
-from .metallic import (
-    StructureBundle,
-    VERDICT_ALMOST_KAHLER,
-    VERDICT_KAHLER,
-    VERDICT_NONE,
-)
+from .metallic import StructureBundle, VERDICT_KAHLER, VERDICT_NONE
 
 __all__ = [
     "IdentityResult",
-    "StarCurvaturePack",
-    "star_curvature",
+    "Identity",
+    "evaluate",
+    "not_hermitian",
+    "not_kahler",
+    "not_nearly",
     "check_covderiv_identities",
     "check_f_properties",
     "check_f_nijenhuis_balance",
@@ -48,6 +51,7 @@ __all__ = [
     "check_ricci_hyperbolic",
     "check_ricci_star_hyperbolic",
     "check_scalar_star",
+    "check_star_pack",
     "check_nearly_nijenhuis",
     "check_exterior_cross",
     "run_suite",
@@ -103,20 +107,71 @@ def _result(id_: str, pairs: Iterable[tuple], tol: float, asserted: bool = True,
     )
 
 
-def _hermitian(bundle) -> bool:
-    return bundle.classification().verdict != VERDICT_NONE
+# --- gates: the reason a bundle is outside a hypothesis class, "" inside it ---
 
 
-def _almost_kahler(bundle) -> bool:
-    return bundle.classification().verdict in (VERDICT_ALMOST_KAHLER, VERDICT_KAHLER)
+def _gate(admits: Callable, reason: str) -> Callable[[StructureBundle], str]:
+    return lambda bundle: "" if admits(bundle.classification()) else reason
 
 
-def _metallic_kahler(bundle) -> bool:
-    return bundle.classification().verdict == VERDICT_KAHLER
+not_hermitian = _gate(lambda cls: cls.verdict != VERDICT_NONE,
+                      "needs an almost metallic Hermitian bundle")
+not_kahler = _gate(lambda cls: cls.verdict == VERDICT_KAHLER, "needs a metallic Kähler bundle")
+not_nearly = _gate(lambda cls: cls.nearly, "needs a nearly metallic Kähler bundle")
 
 
-def _nearly(bundle) -> bool:
-    return bundle.classification().nearly
+@dataclass(frozen=True)
+class Identity:
+    """One residual check: fn(point value) -> (residual, scale) at each sample point.
+
+    gate returns why the bundle is outside the identity's hypothesis class
+    ("" when it is inside; None means no gate); tier names the Tolerances
+    field that holds the tolerance.
+    """
+
+    id: str
+    gate: Optional[Callable[[StructureBundle], str]]
+    tier: str
+    fn: Callable
+    asserted: bool = True
+    note: str = ""
+
+
+def evaluate(bundle: StructureBundle, identities, points=None, values=None) -> list:
+    """Gate, evaluate and aggregate identity records in table order.
+
+    The records read the PointContext of each sample point, or the
+    per-point `values` when the caller supplies them (in point order).
+    """
+    out = []
+    for ident in identities:
+        reason = ident.gate(bundle) if ident.gate else ""
+        if reason:
+            out.append(_skip(ident.id, reason))
+            continue
+        if values is None:
+            values = bundle.contexts(points)
+        out.append(_result(ident.id, [ident.fn(v) for v in values],
+                           getattr(bundle.tolerances, ident.tier), ident.asserted, ident.note))
+    return out
+
+
+def _diff(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Residual of lhs = rhs with the larger side's norm as its scale."""
+    return max_abs(lhs - rhs), max(max_abs(lhs), max_abs(rhs))
+
+
+def _skew_part(M: np.ndarray) -> tuple:
+    """Residual of M = -M^T with the norm of M as its scale."""
+    return max_abs(M + M.T), max_abs(M)
+
+
+def _running_max(values) -> float:
+    """Largest value, 0 for none; reduces in point order."""
+    out = 0.0
+    for v in values:
+        out = max(out, v)
+    return out
 
 
 def _cartan_sum(F: np.ndarray) -> np.ndarray:
@@ -136,19 +191,16 @@ def check_covderiv_identities(bundle: StructureBundle, points=None) -> list:
     additionally needs skew compatibility; on a non-hyperbolic bundle it is
     still evaluated so the failure scale is visible in the report.
     """
-    tol = bundle.tolerances.d1
-    ex_pairs, sk_pairs = [], []
-    for ctx in bundle.contexts(points):
-        lhs = np.einsum("aht,tj->ajh", ctx.covJ, ctx.J)
-        rhs = np.einsum("ht,atj->ajh", ctx.Jhat, ctx.covJ)
-        ex_pairs.append((max_abs(lhs - rhs), max(max_abs(lhs), max_abs(rhs))))
-        sk = ctx.F + np.einsum("ajk->akj", ctx.F)
-        sk_pairs.append((max_abs(sk), max_abs(ctx.F)))
-    return [
-        _result("covderiv-conjugate-exchange", ex_pairs, tol),
-        _result("covderiv-skew-adjoint", sk_pairs, tol,
-                note="requires skew compatibility" if not _hermitian(bundle) else ""),
-    ]
+    exchange, skew = evaluate(bundle, (
+        Identity("covderiv-conjugate-exchange", None, "d1",
+                 lambda ctx: _diff(np.einsum("aht,tj->ajh", ctx.covJ, ctx.J),
+                                   np.einsum("ht,atj->ajh", ctx.Jhat, ctx.covJ))),
+        Identity("covderiv-skew-adjoint", None, "d1",
+                 lambda ctx: (max_abs(ctx.F + np.einsum("ajk->akj", ctx.F)), max_abs(ctx.F))),
+    ), points)
+    if not_hermitian(bundle):
+        skew = replace(skew, note="requires skew compatibility")
+    return [exchange, skew]
 
 
 def check_f_properties(bundle: StructureBundle, mode: str, points=None) -> list:
@@ -158,36 +210,32 @@ def check_f_properties(bundle: StructureBundle, mode: str, points=None) -> list:
     nearly mode: F(J_M X, Y, J_M Z) = (3q/2) F(Y,X,Z) and
     F(J_M X, J_M Y, Z) = -p F(Y,X, JMhat Z) + (3q/2) F(Y,X,Z).
     """
-    if mode not in ("hermitian", "nearly"):
-        raise ValueError("mode must be 'hermitian' or 'nearly'")
-    p, q = bundle.params.p, bundle.params.q
-    tol = bundle.tolerances.d1
-    if mode == "hermitian" and not _hermitian(bundle):
-        return [_skip("f-skew-last-args", "needs an almost metallic Hermitian bundle"),
-                _skip("f-structure-pair-rescale", "needs an almost metallic Hermitian bundle")]
-    if mode == "nearly" and not _nearly(bundle):
-        return [_skip("f-nearly-outer-rescale", "needs a nearly metallic Kähler bundle"),
-                _skip("f-nearly-double-structure", "needs a nearly metallic Kähler bundle")]
-    a_pairs, b_pairs = [], []
-    for ctx in bundle.contexts(points):
-        F, J, Jhat = ctx.F, ctx.J, ctx.Jhat
-        if mode == "hermitian":
-            sk = F + np.einsum("ijk->ikj", F)
-            a_pairs.append((max_abs(sk), max_abs(F)))
-            lhs = np.einsum("iab,aj,bk->ijk", F, J, J)
-            rhs = 1.5 * q * np.einsum("ikj->ijk", F)
-        else:
-            lhs1 = np.einsum("ajc,ai,ck->ijk", F, J, J)
-            rhs1 = 1.5 * q * np.einsum("jik->ijk", F)
-            a_pairs.append((max_abs(lhs1 - rhs1), max(max_abs(lhs1), max_abs(rhs1))))
-            lhs = np.einsum("abk,ai,bj->ijk", F, J, J)
-            rhs = -p * np.einsum("jit,tk->ijk", F, Jhat) + 1.5 * q * np.einsum("jik->ijk", F)
-        b_pairs.append((max_abs(lhs - rhs), max(max_abs(lhs), max_abs(rhs))))
     if mode == "hermitian":
-        return [_result("f-skew-last-args", a_pairs, tol),
-                _result("f-structure-pair-rescale", b_pairs, tol)]
-    return [_result("f-nearly-outer-rescale", a_pairs, tol),
-            _result("f-nearly-double-structure", b_pairs, tol)]
+        return evaluate(bundle, (
+            Identity("f-skew-last-args", not_hermitian, "d1",
+                     lambda ctx: (max_abs(ctx.F + np.einsum("ijk->ikj", ctx.F)), max_abs(ctx.F))),
+            Identity("f-structure-pair-rescale", not_hermitian, "d1",
+                     lambda ctx: _diff(np.einsum("iab,aj,bk->ijk", ctx.F, ctx.J, ctx.J),
+                                       1.5 * ctx.q * np.einsum("ikj->ijk", ctx.F))),
+        ), points)
+    if mode == "nearly":
+        return evaluate(bundle, (
+            Identity("f-nearly-outer-rescale", not_nearly, "d1",
+                     lambda ctx: _diff(np.einsum("ajc,ai,ck->ijk", ctx.F, ctx.J, ctx.J),
+                                       1.5 * ctx.q * np.einsum("jik->ijk", ctx.F))),
+            Identity("f-nearly-double-structure", not_nearly, "d1",
+                     lambda ctx: _diff(np.einsum("abk,ai,bj->ijk", ctx.F, ctx.J, ctx.J),
+                                       -ctx.p * np.einsum("jit,tk->ijk", ctx.F, ctx.Jhat)
+                                       + 1.5 * ctx.q * np.einsum("jik->ijk", ctx.F))),
+        ), points)
+    raise ValueError("mode must be 'hermitian' or 'nearly'")
+
+
+def _balance(ctx) -> tuple:
+    cart = _cartan_sum(ctx.F)
+    left = 3.0 * ctx.q * ctx.F + np.einsum("ai,jkt,at->ijk", ctx.Jhat, ctx.N, ctx.g)
+    right = np.einsum("ibc,bj,ck->ijk", cart, ctx.J, ctx.J) - 1.5 * ctx.q * cart
+    return _diff(left, right)
 
 
 def check_f_nijenhuis_balance(bundle: StructureBundle, points=None) -> IdentityResult:
@@ -200,18 +248,8 @@ def check_f_nijenhuis_balance(bundle: StructureBundle, points=None) -> IdentityR
     (equal to minus the coordinate dw on a skew-compatible bundle). A
     nontrivial cancellation when N and dw are both large.
     """
-    id_ = "f-nijenhuis-dw-balance"
-    if not _hermitian(bundle):
-        return _skip(id_, "needs an almost metallic Hermitian bundle")
-    p, q = bundle.params.p, bundle.params.q
-    pairs = []
-    for ctx in bundle.contexts(points):
-        F, J, Jhat, g, N = ctx.F, ctx.J, ctx.Jhat, ctx.g, ctx.N
-        cart = _cartan_sum(F)
-        left = 3.0 * q * F + np.einsum("ai,jkt,at->ijk", Jhat, N, g)
-        right = np.einsum("ibc,bj,ck->ijk", cart, J, J) - 1.5 * q * cart
-        pairs.append((max_abs(left - right), max(max_abs(left), max_abs(right))))
-    return _result(id_, pairs, bundle.tolerances.d1)
+    return evaluate(bundle, [Identity("f-nijenhuis-dw-balance", not_hermitian, "d1", _balance)],
+                    points)[0]
 
 
 def check_exterior_cross(bundle: StructureBundle, points=None) -> IdentityResult:
@@ -219,11 +257,11 @@ def check_exterior_cross(bundle: StructureBundle, points=None) -> IdentityResult
 
     Two independent computation paths for the same 3-form content. With the
     conventions of this package the coordinate dw equals MINUS the displayed
-    cyclic sum; both orientations are measured and the matching one is
-    reported in the note.
+    cyclic sum; both orientations are measured over all points and the
+    matching one is reported in the note.
     """
     id_ = "dw-cartan-cross-check"
-    if not _hermitian(bundle):
+    if not_hermitian(bundle):
         return _skip(id_, "the cyclic-sum form needs skew compatibility")
     plus_pairs, minus_pairs = [], []
     for ctx in bundle.contexts(points):
@@ -249,21 +287,35 @@ def check_curvature_commutation(bundle: StructureBundle, points=None) -> list:
         R(X,Y) J_M Z = J_M R(X,Y) Z,
         R(J_M X, J_M Y) Z = -p R(J_M X, Y) Z + (3q/2) R(X,Y) Z.
     """
-    ids = ("curvature-structure-commute", "curvature-structure-pair")
-    if not _metallic_kahler(bundle):
-        return [_skip(i, "needs a metallic Kähler bundle") for i in ids]
-    p, q = bundle.params.p, bundle.params.q
-    tol = bundle.tolerances.d2
-    a_pairs, b_pairs = [], []
-    for ctx in bundle.contexts(points):
-        J, Rup = ctx.J, ctx.curvature.Rup
-        lhs = np.einsum("ti,kjth->kjih", J, Rup)
-        rhs = np.einsum("kjit,ht->kjih", Rup, J)
-        a_pairs.append((max_abs(lhs - rhs), max_abs(Rup)))
-        lhs2 = np.einsum("ak,bj,abih->kjih", J, J, Rup)
-        rhs2 = -p * np.einsum("ak,ajih->kjih", J, Rup) + 1.5 * q * Rup
-        b_pairs.append((max_abs(lhs2 - rhs2), max(max_abs(lhs2), max_abs(rhs2))))
-    return [_result(ids[0], a_pairs, tol), _result(ids[1], b_pairs, tol)]
+    return evaluate(bundle, (
+        Identity("curvature-structure-commute", not_kahler, "d2",
+                 lambda ctx: (max_abs(np.einsum("ti,kjth->kjih", ctx.J, ctx.curvature.Rup)
+                                      - np.einsum("kjit,ht->kjih", ctx.curvature.Rup, ctx.J)),
+                              max_abs(ctx.curvature.Rup))),
+        Identity("curvature-structure-pair", not_kahler, "d2",
+                 lambda ctx: _diff(np.einsum("ak,bj,abih->kjih", ctx.J, ctx.J, ctx.curvature.Rup),
+                                   -ctx.p * np.einsum("ak,ajih->kjih", ctx.J, ctx.curvature.Rup)
+                                   + 1.5 * ctx.q * ctx.curvature.Rup)),
+    ), points)
+
+
+def _ricci_pair(ctx, row: str) -> tuple:
+    """One of the three Ricci contractions reported by check_ricci_pair_identities."""
+    p, q = ctx.p, ctx.q
+    S, J, Jhat, Rup = ctx.curvature.ricci, ctx.J, ctx.Jhat, ctx.curvature.Rup
+    SXJY = np.einsum("ia,aj->ij", S, J)
+    if row == "pair":
+        SJJ = np.einsum("ab,ai,bj->ij", S, J, J)
+        c1 = p * p - 9 * q * q * p * p / 4 + 9 * q * q / 4
+        c2 = 3 * p * q / 2 - 9 * q * q * p / 4
+        r1 = SJJ - c1 * S - c2 * SXJY
+        return max_abs(r1), max(max_abs(SJJ), max_abs(c1 * S), max_abs(c2 * SXJY))
+    TR = np.einsum("bj,ibtm,tm->ij", J, Rup, Jhat)
+    if row == "trace-stated":
+        r2 = (1 + 1.5 * q) * S - p * SXJY + (2.0 / (3 * q)) * TR
+        return max_abs(r2), max(max_abs((1 + 1.5 * q) * S), max_abs((2.0 / (3 * q)) * TR))
+    r3 = S + (2.0 / (3 * q)) * TR + p * SXJY - 1.5 * q * SXJY
+    return max_abs(r3), max(max_abs(S), max_abs((2.0 / (3 * q)) * TR))
 
 
 def check_ricci_pair_identities(bundle: StructureBundle, points=None) -> list:
@@ -276,32 +328,42 @@ def check_ricci_pair_identities(bundle: StructureBundle, points=None) -> list:
     the trace identity in their stated forms, and the derivation-level
     variant of the trace identity.
     """
-    ids = ("ricci-structure-pair(stated)", "ricci-trace-form(stated)",
-           "ricci-trace-form(derived)")
-    if not _metallic_kahler(bundle):
-        return [_skip(i, "needs a metallic Kähler bundle") for i in ids]
-    p, q = bundle.params.p, bundle.params.q
-    tol = bundle.tolerances.d2
     note = "report-only: the stated coefficients close only for special (p, q)"
-    pr1, pr2, dv2 = [], [], []
-    for ctx in bundle.contexts(points):
-        S, J, Jhat, Rup = ctx.curvature.ricci, ctx.J, ctx.Jhat, ctx.curvature.Rup
-        SJJ = np.einsum("ab,ai,bj->ij", S, J, J)
-        SXJY = np.einsum("ia,aj->ij", S, J)
-        c1 = p * p - 9 * q * q * p * p / 4 + 9 * q * q / 4
-        c2 = 3 * p * q / 2 - 9 * q * q * p / 4
-        r1 = SJJ - c1 * S - c2 * SXJY
-        pr1.append((max_abs(r1), max(max_abs(SJJ), max_abs(c1 * S), max_abs(c2 * SXJY))))
-        TR = np.einsum("bj,ibtm,tm->ij", J, Rup, Jhat)
-        r2 = (1 + 1.5 * q) * S - p * SXJY + (2.0 / (3 * q)) * TR
-        pr2.append((max_abs(r2), max(max_abs((1 + 1.5 * q) * S), max_abs((2.0 / (3 * q)) * TR))))
-        r3 = S + (2.0 / (3 * q)) * TR + p * SXJY - 1.5 * q * SXJY
-        dv2.append((max_abs(r3), max(max_abs(S), max_abs((2.0 / (3 * q)) * TR))))
-    return [
-        _result(ids[0], pr1, tol, asserted=False, note=note),
-        _result(ids[1], pr2, tol, asserted=False, note=note),
-        _result(ids[2], dv2, tol, asserted=False, note=note),
-    ]
+    return evaluate(bundle, (
+        Identity("ricci-structure-pair(stated)", not_kahler, "d2",
+                 lambda ctx: _ricci_pair(ctx, "pair"), asserted=False, note=note),
+        Identity("ricci-trace-form(stated)", not_kahler, "d2",
+                 lambda ctx: _ricci_pair(ctx, "trace-stated"), asserted=False, note=note),
+        Identity("ricci-trace-form(derived)", not_kahler, "d2",
+                 lambda ctx: _ricci_pair(ctx, "trace-derived"), asserted=False, note=note),
+    ), points)
+
+
+def _no_room_for_nested_stencil(bundle: StructureBundle) -> str:
+    """Metallic Kahler gate plus a chart margin that holds the triple stencil."""
+    reason = not_kahler(bundle)
+    if reason:
+        return reason
+    sch = bundle.scheme
+    need = 2.0 * (sch.reach(2) + sch.reach(1) + sch.reach(1))
+    if bundle.chart.margin < need:
+        return f"chart margin {bundle.chart.margin:g} below nested reach {need:g}"
+    return ""
+
+
+def _ricci_cycle(ctx, derived: bool) -> tuple:
+    p, q = ctx.p, ctx.q
+    covS, J, Jhat = ctx.cov_ricci, ctx.J, ctx.Jhat
+    a = 1 + 1.5 * q
+    covS_J = np.einsum("zxa,ay->zxy", covS, J)       # (nabla_Z S)(X, J_M Y)
+    lhs = a * covS - p * covS_J                       # [z, x, y]
+    rhs_common = a * np.einsum("xzy->zxy", covS) - p * np.einsum("xza,ay->zxy", covS, J)
+    # (nabla_{J_M Y} S)(X, B) = J[a, y] covS[a, x, b]
+    covS_JY = np.einsum("ay,axb->yxb", J, covS)
+    term_hat = np.einsum("yxb,bz->zxy", covS_JY, Jhat)
+    last = np.einsum("yxz->zxy", covS_JY) if derived else term_hat
+    r = lhs - (rhs_common + (2.0 / (3 * q) + 1) * term_hat - p * last)
+    return max_abs(r), max(max_abs(lhs), max_abs(rhs_common), max_abs(term_hat), 0.0)
 
 
 def check_ricci_derivative_cycle(bundle: StructureBundle, points=None) -> list:
@@ -313,92 +375,38 @@ def check_ricci_derivative_cycle(bundle: StructureBundle, points=None) -> list:
         + (2/3q + 1)(nabla_{J_M Y} S)(X, JMhat Z) - p (nabla_{J_M Y} S)(X, JMhat Z),
     and the derivation-level variant with (nabla_{J_M Y} S)(X, Z) in the
     last term. Triple differencing: loosest tier, report-only, and skipped
-    when the chart margin cannot hold the nested stencil.
+    when the chart margin cannot hold the nested stencil. Both rows read
+    the cached nabla S of each point context.
     """
-    ids = ("ricci-derivative-cycle(stated)", "ricci-derivative-cycle(derived)")
-    if not _metallic_kahler(bundle):
-        return [_skip(i, "needs a metallic Kähler bundle") for i in ids]
-    sch = bundle.scheme
-    need = 2.0 * (sch.reach(2) + sch.reach(1) + sch.reach(1))
-    if bundle.chart.margin < need:
-        return [_skip(i, f"chart margin {bundle.chart.margin:g} below nested reach {need:g}")
-                for i in ids]
-    p, q = bundle.params.p, bundle.params.q
-    tol = bundle.tolerances.d3
     note = "report-only: statement and derivation disagree in one argument"
-
-    from .diffcalc import covariant_derivative, riemann
-
-    def ricci_fn(pt):
-        return riemann(bundle.g, pt, sch).ricci
-
-    pr, dv = [], []
-    for ctx in bundle.contexts(points):
-        covS = covariant_derivative(ricci_fn, "dd", ctx.point, gamma=ctx.gamma,
-                                    scheme=sch, stage=2, chart=bundle.chart)
-        J, Jhat = ctx.J, ctx.Jhat
-        a = 1 + 1.5 * q
-        covS_J = np.einsum("zxa,ay->zxy", covS, J)       # (nabla_Z S)(X, J_M Y)
-        lhs = a * covS - p * covS_J                       # [z, x, y]
-        rhs_common = a * np.einsum("xzy->zxy", covS) - p * np.einsum("xza,ay->zxy", covS, J)
-        # (nabla_{J_M Y} S)(X, B) = J[a, y] covS[a, x, b]
-        covS_JY = np.einsum("ay,axb->yxb", J, covS)
-        term_hat = np.einsum("yxb,bz->zxy", covS_JY, Jhat)
-        term_plain = np.einsum("yxz->zxy", covS_JY)
-        r_pr = lhs - (rhs_common + (2.0 / (3 * q) + 1) * term_hat - p * term_hat)
-        r_dv = lhs - (rhs_common + (2.0 / (3 * q) + 1) * term_hat - p * term_plain)
-        scale = max(max_abs(lhs), max_abs(rhs_common), max_abs(term_hat), 0.0)
-        pr.append((max_abs(r_pr), scale))
-        dv.append((max_abs(r_dv), scale))
-    return [
-        _result(ids[0], pr, tol, asserted=False, note=note),
-        _result(ids[1], dv, tol, asserted=False, note=note),
-    ]
+    return evaluate(bundle, (
+        Identity("ricci-derivative-cycle(stated)", _no_room_for_nested_stencil, "d3",
+                 lambda ctx: _ricci_cycle(ctx, derived=False), asserted=False, note=note),
+        Identity("ricci-derivative-cycle(derived)", _no_room_for_nested_stencil, "d3",
+                 lambda ctx: _ricci_cycle(ctx, derived=True), asserted=False, note=note),
+    ), points)
 
 
 # --- star curvature and the nearly-tier identities --------------------------------
 
 
-@dataclass(frozen=True)
-class StarCurvaturePack:
-    """H, Ricci-star, scalar-star and the squared structure gradient at a point."""
-
-    H: np.ndarray
-    Sstar: np.ndarray
-    scalar_star: float
-    norm_covJ_sq: float
-    h_antisymmetry: float        # relative residual
-    star_contraction: float      # relative residual of S* JMhat = -(3/2) q H
-
-
-def star_curvature(bundle: StructureBundle, point) -> StarCurvaturePack:
-    """Star-curvature quantities at one point, with their algebraic residuals."""
-    ctx = bundle.context(point)
-    q = bundle.params.q
-    h_scale = max(1.0, max_abs(ctx.H))
-    anti = max_abs(ctx.H + ctx.H.T) / h_scale
+def _star_contraction(ctx) -> tuple:
     lhs = np.einsum("jt,ti->ji", ctx.Sstar, ctx.Jhat)
-    contraction = max_abs(lhs + 1.5 * q * ctx.H) / max(1.0, max_abs(lhs))
-    return StarCurvaturePack(
-        H=ctx.H, Sstar=ctx.Sstar, scalar_star=ctx.scalar_star,
-        norm_covJ_sq=ctx.norm_covJ_sq, h_antisymmetry=anti,
-        star_contraction=contraction,
-    )
+    return max_abs(lhs + 1.5 * ctx.q * ctx.H), max(max_abs(lhs), max_abs(1.5 * ctx.q * ctx.H))
 
 
 def check_star_pack(bundle: StructureBundle, points=None) -> list:
     """H antisymmetry (curvature tier) and the purely algebraic conjugate
     contraction S*_jt (JMhat)_i^t = -(3/2) q H_ji (algebraic tier)."""
-    anti_pairs, alg_pairs = [], []
-    q = bundle.params.q
-    for ctx in bundle.contexts(points):
-        anti_pairs.append((max_abs(ctx.H + ctx.H.T), max_abs(ctx.H)))
-        lhs = np.einsum("jt,ti->ji", ctx.Sstar, ctx.Jhat)
-        alg_pairs.append((max_abs(lhs + 1.5 * q * ctx.H), max(max_abs(lhs), max_abs(1.5 * q * ctx.H))))
-    return [
-        _result("h-antisymmetry", anti_pairs, bundle.tolerances.d2),
-        _result("star-conjugate-contraction", alg_pairs, bundle.tolerances.alg),
-    ]
+    return evaluate(bundle, (
+        Identity("h-antisymmetry", None, "d2", lambda ctx: _skew_part(ctx.H)),
+        Identity("star-conjugate-contraction", None, "alg", _star_contraction),
+    ), points)
+
+
+def _divergence_omega(ctx) -> np.ndarray:
+    """nabla^m nabla_j w_im from nested covariant differencing of w."""
+    return np.einsum("tjim,mt->ji", ctx.covcov_omega, ctx.ginv)
 
 
 def check_divergence_ricci_chain(bundle: StructureBundle, points=None) -> IdentityResult:
@@ -411,50 +419,63 @@ def check_divergence_ricci_chain(bundle: StructureBundle, points=None) -> Identi
     reported (its vanishing is equivalent to S J_M = -(2/3q) S* JMhat) but
     not asserted.
     """
-    id_ = "divergence-ricci-chain"
-    if not _nearly(bundle):
-        return _skip(id_, "needs a nearly metallic Kähler bundle")
-    q = bundle.params.q
-    pairs = []
-    obs = 0.0
-    for ctx in bundle.contexts(points):
-        lhs = np.einsum("tjim,mt->ji", ctx.covcov_omega, ctx.ginv)
-        rhs = np.einsum("jt,ti->ji", ctx.curvature.ricci, ctx.J) \
-            + (2.0 / (3 * q)) * np.einsum("jt,ti->ji", ctx.Sstar, ctx.Jhat)
-        pairs.append((max_abs(lhs - rhs), max(max_abs(lhs), max_abs(rhs))))
-        obs = max(obs, max_abs(lhs))
-    return _result(id_, pairs, bundle.tolerances.d2,
-                   note=f"observed |nabla^m nabla_j w_im| = {obs:.6g} (reported, not asserted)")
+    chain = evaluate(bundle, [Identity(
+        "divergence-ricci-chain", not_nearly, "d2",
+        lambda ctx: _diff(_divergence_omega(ctx),
+                          np.einsum("jt,ti->ji", ctx.curvature.ricci, ctx.J)
+                          + (2.0 / (3 * ctx.q)) * np.einsum("jt,ti->ji", ctx.Sstar, ctx.Jhat)))],
+        points)[0]
+    if chain.skipped:
+        return chain
+    obs = _running_max(max_abs(_divergence_omega(ctx)) for ctx in bundle.contexts(points))
+    return replace(chain, note=f"observed |nabla^m nabla_j w_im| = {obs:.6g} (reported, not asserted)")
 
 
 def check_ricci_hyperbolic(bundle: StructureBundle, points=None) -> IdentityResult:
     """S_ti (J_M)_j^t = -S_jt (J_M)_i^t on a nearly metallic Kahler bundle."""
-    id_ = "ricci-hyperbolic"
-    if not _nearly(bundle):
-        return _skip(id_, "needs a nearly metallic Kähler bundle")
-    pairs = []
-    for ctx in bundle.contexts(points):
-        M = np.einsum("jt,ti->ji", ctx.curvature.ricci, ctx.J)
-        pairs.append((max_abs(M + M.T), max_abs(M)))
-    return _result(id_, pairs, bundle.tolerances.d2)
+    return evaluate(bundle, [Identity(
+        "ricci-hyperbolic", not_nearly, "d2",
+        lambda ctx: _skew_part(np.einsum("jt,ti->ji", ctx.curvature.ricci, ctx.J)))], points)[0]
+
+
+def _ricci_star_hyperbolic(ctx) -> tuple:
+    A = np.einsum("jm,mi->ji", ctx.Sstar, ctx.Jhat)
+    B = -np.einsum("mi,mj->ji", ctx.Sstar, ctx.Jhat)
+    return max_abs(A - B), max_abs(A)
 
 
 def check_ricci_star_hyperbolic(bundle: StructureBundle, points=None) -> list:
     """S*_jm (JMhat)_i^m = -S*_mi (JMhat)_j^m, plus the intermediate
     cancellation of the two curvature contractions behind it."""
-    ids = ("ricci-star-hyperbolic", "star-contraction-cancel")
-    if not _nearly(bundle):
-        return [_skip(i, "needs a nearly metallic Kähler bundle") for i in ids]
-    main, cancel = [], []
-    for ctx in bundle.contexts(points):
-        A = np.einsum("jm,mi->ji", ctx.Sstar, ctx.Jhat)
-        B = -np.einsum("mi,mj->ji", ctx.Sstar, ctx.Jhat)
-        main.append((max_abs(A - B), max_abs(A)))
-        cancel.append((max_abs(A + A.T), max_abs(A)))
-    return [
-        _result(ids[0], main, bundle.tolerances.d2),
-        _result(ids[1], cancel, bundle.tolerances.d2),
-    ]
+    return evaluate(bundle, (
+        Identity("ricci-star-hyperbolic", not_nearly, "d2", _ricci_star_hyperbolic),
+        Identity("star-contraction-cancel", not_nearly, "d2",
+                 lambda ctx: _skew_part(np.einsum("jm,mi->ji", ctx.Sstar, ctx.Jhat))),
+    ), points)
+
+
+def _ricci_sym_and_w_up(ctx) -> tuple:
+    # the Ricci tensor is symmetric by theorem; its raw finite-difference
+    # asymmetry is measured by the curvature invariants, so the mixed trace
+    # is taken against the symmetric part (and the raw value observed)
+    ricci_sym = 0.5 * (ctx.curvature.ricci + ctx.curvature.ricci.T)
+    w_up = np.einsum("ji,tm,im->jt", ctx.ginv, ctx.ginv, ctx.omega)
+    return ricci_sym, w_up
+
+
+def _scalar_star_relation(ctx) -> tuple:
+    p, q = ctx.p, ctx.q
+    ricci_sym, w_up = _ricci_sym_and_w_up(ctx)
+    s_omega = float(np.einsum("jt,jt->", ricci_sym, w_up))
+    lhs = ctx.scalar_star
+    rhs = 1.5 * q * ctx.curvature.scalar + p * s_omega - ctx.norm_covJ_sq
+    scale = max(abs(lhs), abs(1.5 * q * ctx.curvature.scalar), abs(ctx.norm_covJ_sq))
+    return abs(lhs - rhs), scale
+
+
+def _ricci_omega_trace(ctx) -> tuple:
+    ricci_sym, w_up = _ricci_sym_and_w_up(ctx)
+    return abs(float(np.einsum("jt,jt->", ricci_sym, w_up))), max_abs(ricci_sym)
 
 
 def check_scalar_star(bundle: StructureBundle, points=None) -> list:
@@ -464,39 +485,21 @@ def check_scalar_star(bundle: StructureBundle, points=None) -> list:
 
     left and right sides from independent pipelines. The mixed trace
     S_jt w^jt pairs a symmetric with an antisymmetric tensor and must
-    vanish on any bundle; it is asserted as a sub-check.
+    vanish on any bundle; it is asserted as a sub-check whose raw residual
+    must stay below a fixed 1e-10.
     """
-    ids = ("scalar-star-relation", "ricci-omega-trace-zero")
-    if not _nearly(bundle):
-        return [_skip(i, "needs a nearly metallic Kähler bundle") for i in ids]
-    p, q = bundle.params.p, bundle.params.q
-    rel_pairs, tr_pairs = [], []
-    raw_obs = 0.0
-    for ctx in bundle.contexts(points):
-        # the Ricci tensor is symmetric by theorem; its raw finite-difference
-        # asymmetry is measured by the curvature invariants, so the mixed trace
-        # is taken against the symmetric part (and the raw value observed)
-        ricci_sym = 0.5 * (ctx.curvature.ricci + ctx.curvature.ricci.T)
-        w_up = np.einsum("ji,tm,im->jt", ctx.ginv, ctx.ginv, ctx.omega)
-        s_omega = float(np.einsum("jt,jt->", ricci_sym, w_up))
-        raw_obs = max(raw_obs, abs(float(np.einsum("jt,jt->", ctx.curvature.ricci, w_up))))
-        lhs = ctx.scalar_star
-        rhs = 1.5 * q * ctx.curvature.scalar + p * s_omega - ctx.norm_covJ_sq
-        scale = max(abs(lhs), abs(1.5 * q * ctx.curvature.scalar), abs(ctx.norm_covJ_sq))
-        rel_pairs.append((abs(lhs - rhs), scale))
-        tr_pairs.append((abs(s_omega), max_abs(ricci_sym)))
-    return [
-        _result(ids[0], rel_pairs, bundle.tolerances.d3),
-        IdentityResult(
-            id=ids[1],
-            max_residual=max(r for r, _ in tr_pairs),
-            scale=max(s for _, s in tr_pairs),
-            tolerance=1e-10,
-            passed=max(r for r, _ in tr_pairs) < 1e-10,
-            per_point=tuple(r for r, _ in tr_pairs),
-            note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}",
-        ),
-    ]
+    relation = evaluate(bundle, [Identity("scalar-star-relation", not_nearly, "d3",
+                                          _scalar_star_relation)], points)[0]
+    id_ = "ricci-omega-trace-zero"
+    if relation.skipped:
+        return [relation, _skip(id_, relation.note)]
+    contexts = bundle.contexts(points)
+    raw_obs = _running_max(abs(float(np.einsum("jt,jt->", ctx.curvature.ricci,
+                                               _ricci_sym_and_w_up(ctx)[1])))
+                           for ctx in contexts)
+    trace = _result(id_, [_ricci_omega_trace(ctx) for ctx in contexts], 1e-10,
+                    note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")
+    return [relation, replace(trace, passed=trace.max_residual < 1e-10)]
 
 
 def check_nearly_nijenhuis(bundle: StructureBundle, points=None) -> list:
@@ -507,53 +510,40 @@ def check_nearly_nijenhuis(bundle: StructureBundle, points=None) -> list:
     bracket formula (plain partials) against the covariant-derivative form,
     plus the coordinate trace (nabla_i J_M)_j^i = 0.
     """
-    ids = ("nijenhuis-covderiv-form", "structure-divergence-free")
-    if not _nearly(bundle):
-        return [_skip(i, "needs a nearly metallic Kähler bundle") for i in ids]
-    p = bundle.params.p
-    tol = bundle.tolerances.d1
-    cross, trace = [], []
-    for ctx in bundle.contexts(points):
-        n2 = 2.0 * (p * np.einsum("ihj->ijh", ctx.covJ)
-                    - 2.0 * np.einsum("ht,itj->ijh", ctx.J, ctx.covJ))
-        cross.append((max_abs(ctx.N - n2), max(max_abs(ctx.N), max_abs(n2))))
-        tr = np.einsum("iij->j", ctx.covJ)
-        trace.append((max_abs(tr), max_abs(ctx.covJ)))
-    return [_result(ids[0], cross, tol), _result(ids[1], trace, tol)]
+    return evaluate(bundle, (
+        Identity("nijenhuis-covderiv-form", not_nearly, "d1",
+                 lambda ctx: _diff(ctx.N, 2.0 * (ctx.p * np.einsum("ihj->ijh", ctx.covJ)
+                                                  - 2.0 * np.einsum("ht,itj->ijh", ctx.J, ctx.covJ)))),
+        Identity("structure-divergence-free", not_nearly, "d1",
+                 lambda ctx: (max_abs(np.einsum("iij->j", ctx.covJ)), max_abs(ctx.covJ))),
+    ), points)
 
 
 # --- suites ----------------------------------------------------------------------
 
 
-def _flatten(*items):
-    out = []
-    for it in items:
-        out.extend(it if isinstance(it, list) else [it])
-    return out
-
-
 def suite_metallic(bundle: StructureBundle, points=None) -> list:
-    return _flatten(
-        check_covderiv_identities(bundle, points),
-        check_f_properties(bundle, "hermitian", points),
+    return [
+        *check_covderiv_identities(bundle, points),
+        *check_f_properties(bundle, "hermitian", points),
         check_f_nijenhuis_balance(bundle, points),
         check_exterior_cross(bundle, points),
-        check_curvature_commutation(bundle, points),
-        check_ricci_pair_identities(bundle, points),
-        check_ricci_derivative_cycle(bundle, points),
-    )
+        *check_curvature_commutation(bundle, points),
+        *check_ricci_pair_identities(bundle, points),
+        *check_ricci_derivative_cycle(bundle, points),
+    ]
 
 
 def suite_nearly(bundle: StructureBundle, points=None) -> list:
-    return _flatten(
-        check_f_properties(bundle, "nearly", points),
-        check_nearly_nijenhuis(bundle, points),
-        check_star_pack(bundle, points),
+    return [
+        *check_f_properties(bundle, "nearly", points),
+        *check_nearly_nijenhuis(bundle, points),
+        *check_star_pack(bundle, points),
         check_divergence_ricci_chain(bundle, points),
         check_ricci_hyperbolic(bundle, points),
-        check_ricci_star_hyperbolic(bundle, points),
-        check_scalar_star(bundle, points),
-    )
+        *check_ricci_star_hyperbolic(bundle, points),
+        *check_scalar_star(bundle, points),
+    ]
 
 
 def suite_connections(bundle: StructureBundle, points=None) -> list:

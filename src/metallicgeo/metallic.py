@@ -19,7 +19,7 @@ residuals, and the built-in fixtures use p = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -30,22 +30,12 @@ from .geometry import Chart, TensorField, max_abs
 
 __all__ = [
     "MetallicParams",
-    "ComplexMetallicMean",
-    "metallic_mean",
     "jm_from_j_matrix",
-    "j_from_jm_matrix",
-    "conjugate_matrix",
     "jm_from_j",
-    "j_from_jm",
-    "conjugates",
     "StructureBundle",
     "Tolerances",
     "ClassificationReport",
     "classify",
-    "check_hyperbolic",
-    "hyperbolicity_quartet",
-    "fundamental_form",
-    "f_tensor",
     "VERDICT_NONE",
     "VERDICT_HERMITIAN",
     "VERDICT_ALMOST_KAHLER",
@@ -79,24 +69,6 @@ class MetallicParams:
         return math.sqrt(6.0 * self.q - self.p * self.p) / 2.0
 
 
-@dataclass(frozen=True)
-class ComplexMetallicMean:
-    """The upper complex root of z^2 - p z + (3/2) q = 0."""
-
-    real: float
-    imag: float
-
-    @property
-    def value(self) -> complex:
-        return complex(self.real, self.imag)
-
-
-def metallic_mean(p: float, q: float) -> ComplexMetallicMean:
-    """Root with positive imaginary part; validates (p, q) admissibility."""
-    params = MetallicParams(p, q)
-    return ComplexMetallicMean(real=params.p / 2.0, imag=params.coeff)
-
-
 # --- pointwise matrix algebra -----------------------------------------------
 
 
@@ -108,33 +80,6 @@ def jm_from_j_matrix(J: np.ndarray, params: MetallicParams, sign: int = +1) -> n
     return (params.p / 2.0) * np.eye(J.shape[0]) + sign * params.coeff * J
 
 
-def j_from_jm_matrix(JM: np.ndarray, params: MetallicParams, sign: int = +1) -> np.ndarray:
-    """Inverse affine map: J = sign * (2 / sqrt(6q - p^2)) (J_M - (p/2) I)."""
-    JM = np.asarray(JM, dtype=float)
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return sign * (JM - (params.p / 2.0) * np.eye(JM.shape[0])) / params.coeff
-
-
-def conjugate_matrix(M: np.ndarray, params: Optional[MetallicParams] = None) -> np.ndarray:
-    """Conjugate structure: pI - J_M for metallic inputs, -J when params is None."""
-    M = np.asarray(M, dtype=float)
-    if params is None:
-        return -M
-    return params.p * np.eye(M.shape[0]) - M
-
-
-def polynomial_residual(JM: np.ndarray, params: MetallicParams) -> float:
-    JM = np.asarray(JM, dtype=float)
-    eye = np.eye(JM.shape[0])
-    return max_abs(JM @ JM - params.p * JM + 1.5 * params.q * eye)
-
-
-def almost_complex_residual(J: np.ndarray) -> float:
-    J = np.asarray(J, dtype=float)
-    return max_abs(J @ J + np.eye(J.shape[0]))
-
-
 # --- field-level wrappers ----------------------------------------------------
 
 
@@ -143,20 +88,6 @@ def jm_from_j(j_field: TensorField, params: MetallicParams, sign: int = +1) -> T
         return jm_from_j_matrix(j_field(pt), params, sign)
 
     return TensorField(name=f"{j_field.name}->metallic", sig="ud", fn=fn)
-
-
-def j_from_jm(jm_field: TensorField, params: MetallicParams, sign: int = +1) -> TensorField:
-    def fn(pt):
-        return j_from_jm_matrix(jm_field(pt), params, sign)
-
-    return TensorField(name=f"{jm_field.name}->complex", sig="ud", fn=fn)
-
-
-def conjugates(structure: TensorField, params: Optional[MetallicParams] = None) -> TensorField:
-    def fn(pt):
-        return conjugate_matrix(structure(pt), params)
-
-    return TensorField(name=f"{structure.name}-conjugate", sig="ud", fn=fn)
 
 
 # --- tolerances ----------------------------------------------------------------
@@ -195,7 +126,6 @@ class StructureBundle:
         self.tolerances = tolerances or Tolerances()
         self.name = name or "bundle"
         self.scheme.check_chart(chart)
-        chart.validate_scheme_margin(self.scheme.h2)
         self._contexts: dict = {}
         self._classification: Optional[ClassificationReport] = None
 
@@ -203,10 +133,6 @@ class StructureBundle:
     def from_j(cls, chart, g, j_field, params, sign=+1, **kw) -> "StructureBundle":
         return cls(chart, g, jm_from_j(j_field, params, sign), params,
                    source_j=j_field, sign=sign, **kw)
-
-    @cached_property
-    def jhat(self) -> TensorField:
-        return conjugates(self.jm, self.params)
 
     @cached_property
     def sample_points(self) -> np.ndarray:
@@ -231,69 +157,6 @@ class StructureBundle:
         return self._classification
 
 
-# --- structure-level checks ------------------------------------------------------
-
-
-def check_hyperbolic(bundle: StructureBundle, points=None) -> dict:
-    """Max residuals of the two hyperbolic-compatibility forms over basis pairs.
-
-    Direct form: g(J_M X, Y) + g(X, J_M Y); derived form:
-    g(J_M X, J_M Y) + p g(X, J_M Y) - (3/2) q g(X, Y). Their joint vanishing
-    is reported as a fact about the data, not assumed.
-    """
-    p, q = bundle.params.p, bundle.params.q
-    tol = bundle.tolerances.alg
-    r_direct = 0.0
-    r_derived = 0.0
-    for ctx in bundle.contexts(points):
-        w = ctx.omega
-        r_direct = max(r_direct, max_abs(w + w.T))
-        pair = np.einsum("ai,bm,ab->im", ctx.J, ctx.J, ctx.g)
-        r_derived = max(r_derived, max_abs(pair + p * w.T - 1.5 * q * ctx.g))
-    return {
-        "direct": r_direct,
-        "derived": r_derived,
-        "vanish_together": bool((r_direct < tol) == (r_derived < tol)),
-    }
-
-
-def hyperbolicity_quartet(bundle: StructureBundle, points=None) -> dict:
-    """Skew-compatibility residuals for J, its conjugate, J_M and its conjugate.
-
-    The source J is reconstructed from J_M when the bundle was not built
-    from one.
-    """
-    j_field = bundle.source_j or j_from_jm(bundle.jm, bundle.params, +1)
-    out = {}
-    pts = bundle.sample_points if points is None else np.asarray(points, dtype=float)
-    for label, fld in (
-        ("J", j_field),
-        ("J-conjugate", conjugates(j_field)),
-        ("JM", bundle.jm),
-        ("JM-conjugate", bundle.jhat),
-    ):
-        worst = 0.0
-        for pt in pts:
-            g = bundle.g(pt)
-            A = fld(pt)
-            w = np.einsum("ti,tm->im", A, g)
-            worst = max(worst, max_abs(w + w.T))
-        out[label] = worst
-    return out
-
-
-def fundamental_form(bundle: StructureBundle, point) -> tuple[np.ndarray, float]:
-    """w components at a point and the skewness residual (same array as the
-    direct hyperbolic residual, by construction)."""
-    ctx = bundle.context(point)
-    return ctx.omega, max_abs(ctx.omega + ctx.omega.T)
-
-
-def f_tensor(bundle: StructureBundle, point) -> np.ndarray:
-    """F[i, j, k] = g((nabla_i J_M) d_j, d_k) at a point."""
-    return bundle.context(point).F
-
-
 # --- classification -----------------------------------------------------------
 
 
@@ -304,7 +167,6 @@ class ClassificationReport:
     residuals: dict
     near_boundary: tuple
     theorem_dN_equiv_covJ: bool  # closedness+integrability vs parallel structure
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def as_dict(self) -> dict:
         return {
@@ -316,7 +178,29 @@ class ClassificationReport:
         }
 
 
-def classify(bundle: StructureBundle, points=None, tolerances: Optional[Tolerances] = None) -> ClassificationReport:
+def _hyperbolic_derived(ctx) -> float:
+    """g(J_M X, J_M Y) + p g(X, J_M Y) - (3/2) q g(X, Y), the derived compatibility form."""
+    pair = np.einsum("ai,bm,ab->im", ctx.J, ctx.J, ctx.g)
+    return max_abs(pair + ctx.p * ctx.omega.T - 1.5 * ctx.q * ctx.g)
+
+
+# (residual name, tolerance tier, ctx -> residual at that point)
+RESIDUALS = (
+    ("polynomial", "alg",
+     lambda ctx: max_abs(ctx.J @ ctx.J - ctx.p * ctx.J + 1.5 * ctx.q * np.eye(ctx.n))),
+    ("conjugate_polynomial", "alg",
+     lambda ctx: max_abs(ctx.Jhat @ ctx.Jhat - ctx.p * ctx.Jhat + 1.5 * ctx.q * np.eye(ctx.n))),
+    ("hyperbolic_direct", "alg", lambda ctx: max_abs(ctx.omega + ctx.omega.T)),
+    ("hyperbolic_derived", "alg", _hyperbolic_derived),
+    ("omega_skewness", "alg", lambda ctx: max_abs(ctx.omega + ctx.omega.T)),
+    ("max_domega", "d1", lambda ctx: max_abs(ctx.domega)),
+    ("max_nijenhuis", "d1", lambda ctx: max_abs(ctx.N)),
+    ("max_cov_jm", "d1", lambda ctx: max_abs(ctx.covJ)),
+    ("max_sym_cov_jm", "d1", lambda ctx: max_abs(ctx.sym_covJ)),
+)
+
+
+def classify(bundle: StructureBundle, points=None) -> ClassificationReport:
     """Compute every classification residual and pick the most specific verdict.
 
     Verdict ladder: polynomial identity + skew compatibility give almost
@@ -327,36 +211,11 @@ def classify(bundle: StructureBundle, points=None, tolerances: Optional[Toleranc
     case. Residuals within a factor 10 of their threshold are flagged as
     near-boundary rather than silently classified.
     """
-    tol = tolerances or bundle.tolerances
-    p, q = bundle.params.p, bundle.params.q
-    res = {
-        "polynomial": 0.0,
-        "conjugate_polynomial": 0.0,
-        "hyperbolic_direct": 0.0,
-        "hyperbolic_derived": 0.0,
-        "omega_skewness": 0.0,
-        "max_domega": 0.0,
-        "max_nijenhuis": 0.0,
-        "max_cov_jm": 0.0,
-        "max_sym_cov_jm": 0.0,
-    }
+    tol = bundle.tolerances
+    res = {name: 0.0 for name, _, _ in RESIDUALS}
     for ctx in bundle.contexts(points):
-        eye = np.eye(ctx.n)
-        res["polynomial"] = max(res["polynomial"], max_abs(ctx.J @ ctx.J - p * ctx.J + 1.5 * q * eye))
-        res["conjugate_polynomial"] = max(
-            res["conjugate_polynomial"], max_abs(ctx.Jhat @ ctx.Jhat - p * ctx.Jhat + 1.5 * q * eye)
-        )
-        skew = max_abs(ctx.omega + ctx.omega.T)
-        res["hyperbolic_direct"] = max(res["hyperbolic_direct"], skew)
-        res["omega_skewness"] = max(res["omega_skewness"], skew)
-        pair = np.einsum("ai,bm,ab->im", ctx.J, ctx.J, ctx.g)
-        res["hyperbolic_derived"] = max(
-            res["hyperbolic_derived"], max_abs(pair + p * ctx.omega.T - 1.5 * q * ctx.g)
-        )
-        res["max_domega"] = max(res["max_domega"], max_abs(ctx.domega))
-        res["max_nijenhuis"] = max(res["max_nijenhuis"], max_abs(ctx.N))
-        res["max_cov_jm"] = max(res["max_cov_jm"], max_abs(ctx.covJ))
-        res["max_sym_cov_jm"] = max(res["max_sym_cov_jm"], max_abs(ctx.sym_covJ))
+        for name, _, fn in RESIDUALS:
+            res[name] = max(res[name], fn(ctx))
 
     hermitian = res["polynomial"] < tol.alg and res["hyperbolic_direct"] < tol.alg
     closed = hermitian and res["max_domega"] < tol.d1
@@ -375,19 +234,9 @@ def classify(bundle: StructureBundle, points=None, tolerances: Optional[Toleranc
     else:
         verdict = VERDICT_HERMITIAN
 
-    thresholds = {
-        "polynomial": tol.alg,
-        "conjugate_polynomial": tol.alg,
-        "hyperbolic_direct": tol.alg,
-        "hyperbolic_derived": tol.alg,
-        "omega_skewness": tol.alg,
-        "max_domega": tol.d1,
-        "max_nijenhuis": tol.d1,
-        "max_cov_jm": tol.d1,
-        "max_sym_cov_jm": tol.d1,
-    }
     near = tuple(
-        k for k, v in res.items() if thresholds[k] / 10.0 <= v <= thresholds[k] * 10.0
+        name for name, tier, _ in RESIDUALS
+        if getattr(tol, tier) / 10.0 <= res[name] <= getattr(tol, tier) * 10.0
     )
     return ClassificationReport(
         verdict=verdict,
@@ -395,5 +244,4 @@ def classify(bundle: StructureBundle, points=None, tolerances: Optional[Toleranc
         residuals=res,
         near_boundary=near,
         theorem_dN_equiv_covJ=((closed and integrable) == parallel),
-        tolerances=tol,
     )

@@ -40,7 +40,7 @@ from .diffcalc import DiffScheme
 from .geometry import Chart, TensorField
 from .metallic import MetallicParams, StructureBundle, Tolerances
 
-__all__ = ["SpecFileError", "ManifoldSpec", "parse_spec", "load_spec", "build_bundle", "spec_sha256"]
+__all__ = ["SpecFileError", "ManifoldSpec", "parse_spec", "build_bundle", "spec_sha256"]
 
 
 class SpecFileError(ValueError):
@@ -203,11 +203,6 @@ def parse_spec(text: str) -> ManifoldSpec:
             raise SpecFileError(1, 1, f"expression {src!r} references x{expr.max_coord()}"
                                        f" but the dimension is {n}")
     return spec
-
-
-def load_spec(path) -> ManifoldSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
 
 
 def spec_sha256(text: str) -> str:

@@ -276,16 +276,14 @@ def names() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def get(name: str, q: float = DEFAULT_Q, validated: bool = True) -> Fixture:
+def get(name: str, q: float = DEFAULT_Q) -> Fixture:
     """Fetch (and on first use validate) a fixture by name."""
     if name not in _BUILDERS:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(names())}")
-    fx = _BUILDERS[name](q)
-    if validated:
-        fx.validate()
-        if name == "negative":
-            cls = fx.bundle.classification()
-            worst = max(cls.residuals["max_domega"], cls.residuals["max_nijenhuis"])
-            if worst <= 1e-2:
-                raise AssertionError("negative fixture is not negative enough")
+    fx = _BUILDERS[name](q).validate()
+    if name == "negative":
+        cls = fx.bundle.classification()
+        worst = max(cls.residuals["max_domega"], cls.residuals["max_nijenhuis"])
+        if worst <= 1e-2:
+            raise AssertionError("negative fixture is not negative enough")
     return fx

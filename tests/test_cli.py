@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from metallicgeo.cli import main, report_json
 
 
@@ -83,6 +85,36 @@ def test_curvature_point_outside_chart_exit_3(capsys):
     code, _, err = run(capsys, "curvature", "--zoo", "s2", "--point", "5,5")
     assert code == 3
     assert "chart" in err or "boundary" in err
+    code, _, err = run(capsys, "curvature", "--zoo", "s2", "--point", "5,0")
+    assert code == 3
+    assert "outside the chart" in err
+
+
+SPEC_2D = (
+    "dimension = {dim}\nq = {q}\nbounds = {bounds}\nstructure = JM\n"
+    "g[0][0] = {g00}\ng[1][1] = 1\njm[0][1] = -1\njm[1][0] = 1\n"
+)
+GOOD = dict(dim=2, q="0.6666666666666666", bounds="-1 1, -1 1", g00="1")
+
+
+@pytest.mark.parametrize("spec,argv,code,message", [
+    (dict(GOOD, g00="ln(x0)"), [], 3, "ln(x0)"),
+    (dict(GOOD, dim=3, bounds="-1 1, -1 1, -1 1"), [], 2, "even integer"),
+    (dict(GOOD, q="-1"), [], 2, "q must be strictly positive"),
+    (None, ["classify", "--zoo", "s2", "--q", "-1"], 2, "q must be strictly positive"),
+    (None, ["verify", "--zoo", "s2", "--h", "0.05"], 2, "half the chart margin"),
+], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big"])
+def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
+    if spec is not None:
+        path = tmp_path / "bad.spec"
+        path.write_text(SPEC_2D.format(**spec))
+        argv = ["classify", str(path)]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert message in err
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.startswith("numerical failure:")
 
 
 def test_classify_singular_metric_exit_3(tmp_path, capsys):

@@ -9,33 +9,59 @@ from metallicgeo.connections import (
     first_type,
     second_type,
 )
-from metallicgeo.geometry import max_abs
+from metallicgeo.geometry import Chart, TensorField, max_abs
+from metallicgeo.identities import run_suite
+from metallicgeo.metallic import MetallicParams, StructureBundle, VERDICT_ALMOST_KAHLER
 
 
 def by_id(results):
     return {r.id: r for r in results}
 
 
+def symplectic_shear_bundle():
+    """Almost metallic Kähler but not metallic Kähler, on flat-chart R^4.
+
+    g = P^T P and J = P^-1 J0 P with P = I + 0.5 sin(x2) e1 e0^T + 0.3 x0 e3 e2^T.
+    Each shear stays inside one block of J0, so w = P^T J0^T P is the
+    constant standard form (closed), while the Nijenhuis tensor is not zero.
+    """
+    J0 = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+    def shear(pt):
+        P = np.eye(4)
+        P[1, 0] = 0.5 * np.sin(pt[2])
+        P[3, 2] = 0.3 * pt[0]
+        return P
+
+    g = TensorField(name="shear-metric", sig="dd", fn=lambda pt: shear(pt).T @ shear(pt),
+                    symmetric_pairs=((0, 1),))
+    j_field = TensorField(name="J-shear", sig="ud",
+                          fn=lambda pt: np.linalg.solve(shear(pt), J0 @ shear(pt)))
+    chart = Chart(dimension=4, bounds=((-1.0, 1.0),) * 4, grid=2, margin=0.1)
+    return StructureBundle.from_j(chart, g, j_field, MetallicParams(0.0, 2.0 / 3.0),
+                                  name="symplectic-shear")
+
+
 def test_first_type_equals_levi_civita_on_flat():
     bundle = zoo.get("flat-k1").bundle
-    conn = first_type(bundle, np.array([0.3, -0.2]))
-    assert max_abs(conn.deformation) < 1e-12
-    assert max_abs(conn.torsion) < 1e-12
-    assert np.allclose(conn.gamma_total, conn.gamma_lc)
+    S = first_type(bundle, np.array([0.3, -0.2]))
+    assert max_abs(S) < 1e-12
+    assert max_abs(S - np.swapaxes(S, 1, 2)) < 1e-12  # torsion
 
 
 def test_first_type_deformation_formula_s6():
     bundle = zoo.get("s6").bundle
     pt = np.zeros(6)
-    conn = first_type(bundle, pt)
+    S = first_type(bundle, pt)
     ctx = bundle.context(pt)
     q = bundle.params.q
     expected = (1.0 / (3.0 * q)) * np.einsum("ht,itj->hij", ctx.Jhat, ctx.covJ)
-    assert max_abs(conn.deformation - expected) < 1e-10
+    assert max_abs(S - expected) < 1e-10
     # torsion carried by the antisymmetrized deformation
-    expected_torsion = expected - np.swapaxes(expected, 1, 2)
-    assert max_abs(conn.torsion - expected_torsion) < 1e-10
-    assert max_abs(conn.torsion) > 0.01
+    torsion = S - np.swapaxes(S, 1, 2)
+    assert max_abs(torsion) > 0.01
+    rep = connection_report(bundle, [pt])
+    assert rep["connections"]["first"]["torsion_norm"] == max_abs(torsion)
 
 
 def test_first_type_gate():
@@ -46,15 +72,14 @@ def test_first_type_gate():
 
 def test_second_type_levi_civita_branch_on_s2():
     bundle = zoo.get("s2").bundle
-    conn = second_type(bundle, np.array([0.2, 0.1]))
-    assert max_abs(conn.deformation) == 0.0
+    assert max_abs(second_type(bundle, np.array([0.2, 0.1]))) == 0.0
 
 
 def test_second_type_nearly_branch_is_minus_three_first():
     bundle = zoo.get("s6").bundle
     pt = np.zeros(6)
-    s1 = first_type(bundle, pt).deformation
-    s2 = second_type(bundle, pt).deformation
+    s1 = first_type(bundle, pt)
+    s2 = second_type(bundle, pt)
     assert max_abs(s2 + 3.0 * s1) < 1e-10
     assert max_abs(s2) > 0.01
 
@@ -112,3 +137,18 @@ def test_connection_report_negative_second_skipped():
     rep = connection_report(zoo.get("negative").bundle)
     assert "skipped" in rep["connections"]["second"]
     assert rep["connections"]["first"]["nabla_omega_residual"] < 1e-5
+
+
+def test_second_type_skipped_on_almost_kahler_not_kahler():
+    bundle = symplectic_shear_bundle()
+    cls = bundle.classification()
+    assert cls.verdict == VERDICT_ALMOST_KAHLER
+    assert cls.residuals["max_nijenhuis"] > 0.1
+    with pytest.raises(GateError, match="Levi-Civita preserves w only when nabla J_M = 0"):
+        second_type(bundle, bundle.sample_points[0])
+    results = by_id(run_suite(bundle, "connections"))
+    assert results["second-type-connection"].skipped
+    assert "Levi-Civita" in results["second-type-connection"].note
+    assert results["first-type-preserves-omega"].passed
+    assert not [r.id for r in results.values() if r.asserted and not r.skipped and not r.passed]
+    assert "skipped" in connection_report(bundle)["connections"]["second"]

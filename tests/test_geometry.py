@@ -3,13 +3,10 @@ import pytest
 
 from metallicgeo.geometry import (
     Chart,
+    ChartBoundsError,
     SingularMetricError,
     TensorField,
-    contract,
     inverse_metric,
-    lower_index,
-    max_abs,
-    raise_index,
 )
 
 
@@ -60,78 +57,13 @@ def test_inverse_metric_singular_names_point():
     assert "0.5" in str(err.value)
 
 
-def test_contract_trace_identity():
-    n = 6
-    eye = np.eye(n)
-    val, sig = contract(eye, "ud", 0, 1)
-    assert val == n and sig == ""
-
-
-def test_contract_trace_complex_structure_zero():
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    val, _ = contract(J, "ud", 0, 1)
-    assert val == 0.0
-
-
-def test_contract_symmetric_times_antisymmetric_zero():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(4, 4))
-    S = A + A.T
-    B = rng.normal(size=(4, 4))
-    W = B - B.T
-    outer = np.einsum("jt,ab->jtab", S, W)
-    once, sig = contract(outer, "dduu", 0, 2)
-    twice, _ = contract(once, "du", 0, 1)
-    assert abs(twice) < 1e-12
-
-
-def test_contract_like_slots_need_metric():
-    with pytest.raises(ValueError):
-        contract(np.eye(2), "dd", 0, 1)
-    val, sig = contract(np.eye(2), "dd", 0, 1, metric=np.eye(2))
-    assert val == 2.0 and sig == ""
-
-
-def test_lower_structure_with_identity_metric():
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])  # J[h, i]
-    lowered, sig = lower_index(J, "ud", 0, np.eye(2))
-    # w_im = J_i^t delta_tm: lowered[m, i] arrangement keeps axis order
-    assert sig == "dd"
-    assert np.allclose(lowered, J)
-
-
-def test_double_raise_matches_definition():
-    rng = np.random.default_rng(1)
-    w = rng.normal(size=(3, 3))
-    w = w - w.T
-    A = rng.normal(size=(3, 3))
-    g = A @ A.T + 3 * np.eye(3)
-    ginv = np.linalg.inv(g)
-    up1, sig1 = raise_index(w, "dd", 0, ginv)
-    up2, sig2 = raise_index(up1, "ud", 1, ginv)
-    assert sig2 == "uu"
-    assert np.allclose(up2, np.einsum("hi,lm,im->hl", ginv, ginv, w))
-
-
-def test_raise_lower_round_trip_many_random_tensors():
-    rng = np.random.default_rng(7)
-    for _ in range(120):
-        n = int(rng.choice([2, 4, 6]))
-        rank = int(rng.integers(1, 4))
-        sig = "".join(rng.choice(["u", "d"]) for _ in range(rank))
-        T = rng.normal(size=(n,) * rank)
-        A = rng.normal(size=(n, n))
-        g = A @ A.T + n * np.eye(n)
-        ginv = np.linalg.inv(g)
-        axis = int(rng.integers(0, rank))
-        if sig[axis] == "d":
-            up, s2 = raise_index(T, sig, axis, ginv)
-            back, s3 = lower_index(up, s2, axis, g)
-        else:
-            dn, s2 = lower_index(T, sig, axis, g)
-            back, s3 = raise_index(dn, s2, axis, ginv)
-        assert s3 == sig
-        assert max_abs(back - T) < 1e-10
+def test_chart_require_inside_names_the_failure():
+    chart = Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=3, margin=0.1)
+    chart.require_inside((0.99, 0.0), reach=0.005)
+    with pytest.raises(ChartBoundsError, match="outside the chart"):
+        chart.require_inside((5.0, 0.0), reach=0.005)
+    with pytest.raises(ChartBoundsError, match="too close to the boundary"):
+        chart.require_inside((0.999, 0.0), reach=0.005)
 
 
 def test_tensorfield_validates_declared_symmetry():

@@ -18,7 +18,6 @@ from metallicgeo.identities import (
     check_scalar_star,
     check_star_pack,
     run_suite,
-    star_curvature,
 )
 from metallicgeo.metallic import MetallicParams, StructureBundle
 
@@ -162,26 +161,26 @@ def test_ricci_derivative_cycle_zero_on_flat():
 
 
 def test_star_curvature_flat_all_zero():
-    pack = star_curvature(zoo.get("flat-k1").bundle, np.array([0.2, -0.1]))
-    assert max_abs(pack.H) < 1e-10
-    assert max_abs(pack.Sstar) < 1e-10
-    assert abs(pack.scalar_star) < 1e-10
-    assert abs(pack.norm_covJ_sq) < 1e-12
+    ctx = zoo.get("flat-k1").bundle.context(np.array([0.2, -0.1]))
+    assert max_abs(ctx.H) < 1e-10
+    assert max_abs(ctx.Sstar) < 1e-10
+    assert abs(ctx.scalar_star) < 1e-10
+    assert abs(ctx.norm_covJ_sq) < 1e-12
 
 
 def test_star_curvature_s6_values():
     """Closed-form constants of the unit 6-sphere at q = 2/3: S* = g,
     scalar* = 6, |nabla J|^2 = 24."""
     bundle = zoo.get("s6").bundle
-    pt = np.zeros(6)
-    pack = star_curvature(bundle, pt)
-    ctx = bundle.context(pt)
-    assert max_abs(pack.H + ctx.omega) < 1e-6          # H = -w on the round sphere
-    assert max_abs(pack.Sstar - ctx.g) < 1e-6
-    assert pack.scalar_star == pytest.approx(6.0, abs=1e-6)
-    assert pack.norm_covJ_sq == pytest.approx(24.0, abs=1e-8)
-    assert pack.h_antisymmetry < 1e-4
-    assert pack.star_contraction < 1e-8
+    ctx = bundle.context(np.zeros(6))
+    q = bundle.params.q
+    assert max_abs(ctx.H + ctx.omega) < 1e-6          # H = -w on the round sphere
+    assert max_abs(ctx.Sstar - ctx.g) < 1e-6
+    assert ctx.scalar_star == pytest.approx(6.0, abs=1e-6)
+    assert ctx.norm_covJ_sq == pytest.approx(24.0, abs=1e-8)
+    assert max_abs(ctx.H + ctx.H.T) / max(1.0, max_abs(ctx.H)) < 1e-4
+    lhs = np.einsum("jt,ti->ji", ctx.Sstar, ctx.Jhat)
+    assert max_abs(lhs + 1.5 * q * ctx.H) / max(1.0, max_abs(lhs)) < 1e-8
 
 
 def test_star_pack_checks_on_s6():

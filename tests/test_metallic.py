@@ -12,19 +12,15 @@ from metallicgeo.metallic import (
     VERDICT_KAHLER,
     VERDICT_NEARLY,
     VERDICT_NONE,
-    check_hyperbolic,
-    classify,
-    conjugate_matrix,
-    f_tensor,
-    fundamental_form,
-    hyperbolicity_quartet,
-    j_from_jm_matrix,
     jm_from_j_matrix,
-    metallic_mean,
-    polynomial_residual,
 )
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def polynomial_residual(JM, params):
+    eye = np.eye(JM.shape[0])
+    return max_abs(JM @ JM - params.p * JM + 1.5 * params.q * eye)
 
 
 def quadratic_root_oracle(p, q):
@@ -44,21 +40,19 @@ def test_params_admissibility():
 
 
 def test_metallic_mean_golden_case():
-    m = metallic_mean(1.0, 1.0)
-    assert m.real == pytest.approx(0.5)
-    assert m.imag == pytest.approx(math.sqrt(5.0) / 2.0)
+    # the metallic mean is the root p/2 + i coeff of z^2 - p z + (3/2) q
+    assert MetallicParams(1.0, 1.0).coeff == pytest.approx(math.sqrt(5.0) / 2.0)
 
 
 def test_metallic_mean_reduces_to_i():
-    m = metallic_mean(0.0, 2.0 / 3.0)
-    assert m.value == pytest.approx(1j)
+    assert MetallicParams(0.0, 2.0 / 3.0).coeff == pytest.approx(1.0)
 
 
 def test_metallic_mean_against_quadratic_oracle():
     for p, q in [(2.0, 1.0), (0.5, 0.3), (-1.0, 2.0)]:
-        m = metallic_mean(p, q)
-        assert m.value == pytest.approx(quadratic_root_oracle(p, q), abs=1e-12)
-        assert m.value ** 2 - p * m.value + 1.5 * q == pytest.approx(0.0, abs=1e-12)
+        m = complex(p / 2.0, MetallicParams(p, q).coeff)
+        assert m == pytest.approx(quadratic_root_oracle(p, q), abs=1e-12)
+        assert m ** 2 - p * m + 1.5 * q == pytest.approx(0.0, abs=1e-12)
 
 
 def test_jm_from_j_q_two_thirds_is_identity_map():
@@ -79,18 +73,7 @@ def test_signs_give_mutual_conjugates():
     params = MetallicParams(1.0, 1.0)
     plus = jm_from_j_matrix(J2, params, +1)
     minus = jm_from_j_matrix(J2, params, -1)
-    assert np.allclose(minus, conjugate_matrix(plus, params))
-
-
-def test_j_from_jm_inverts_affine_map():
-    params = MetallicParams(1.0, 1.0)
-    JM = 0.5 * np.eye(2) + (math.sqrt(5.0) / 2.0) * J2
-    assert np.allclose(j_from_jm_matrix(JM, params, +1), J2)
-
-
-def test_j_from_jm_fixed_point_q_two_thirds():
-    params = MetallicParams(0.0, 2.0 / 3.0)
-    assert np.allclose(j_from_jm_matrix(J2, params, +1), J2)
+    assert np.allclose(minus, params.p * np.eye(2) - plus)
 
 
 def test_round_trip_random_structures():
@@ -106,25 +89,22 @@ def test_round_trip_random_structures():
         J = Q @ Jstd @ Q.T
         JM = jm_from_j_matrix(J, params, +1)
         assert polynomial_residual(JM, params) < 1e-12
-        back = j_from_jm_matrix(JM, params, +1)
+        back = (JM - (p / 2.0) * np.eye(n)) / params.coeff
         assert max_abs(back - J) < 1e-12
 
 
 def test_conjugate_involution_and_product():
     params = MetallicParams(1.0, 1.0)
     JM = jm_from_j_matrix(J2, params, +1)
-    hat = conjugate_matrix(JM, params)
-    assert np.allclose(conjugate_matrix(hat, params), JM)  # involution
+    hat = params.p * np.eye(2) - JM
     assert np.allclose(JM @ hat, 1.5 * np.eye(2))          # (3/2) q I with q = 1
     assert np.allclose(hat @ JM, 1.5 * np.eye(2))
     assert polynomial_residual(hat, params) < 1e-12
 
 
 def test_check_hyperbolic_flat_skew_case():
-    fx = zoo.get("flat-k1")
-    res = check_hyperbolic(fx.bundle)
-    assert res["direct"] < 1e-12 and res["derived"] < 1e-12
-    assert res["vanish_together"]
+    res = zoo.get("flat-k1").bundle.classification().residuals
+    assert res["hyperbolic_direct"] < 1e-12 and res["hyperbolic_derived"] < 1e-12
 
 
 def test_check_hyperbolic_p_nonzero_fails_with_p_scale():
@@ -132,35 +112,38 @@ def test_check_hyperbolic_p_nonzero_fails_with_p_scale():
     from metallicgeo.zoo import fixture_flat
 
     fx = fixture_flat(1, q=1.0, p=1.0)
-    res = check_hyperbolic(fx.bundle)
-    assert res["direct"] == pytest.approx(1.0, abs=1e-12)  # p * delta diagonal
-    assert fx.bundle.classification().verdict == VERDICT_NONE
+    cls = fx.bundle.classification()
+    assert cls.residuals["hyperbolic_direct"] == pytest.approx(1.0, abs=1e-12)  # p * delta diagonal
+    assert cls.verdict == VERDICT_NONE
 
 
 def test_check_hyperbolic_s6():
-    res = check_hyperbolic(zoo.get("s6").bundle)
-    assert res["direct"] < 1e-8 and res["derived"] < 1e-8
+    res = zoo.get("s6").bundle.classification().residuals
+    assert res["hyperbolic_direct"] < 1e-8 and res["hyperbolic_derived"] < 1e-8
 
 
 def test_hyperbolicity_quartet_vanishes_for_p_zero():
-    quartet = hyperbolicity_quartet(zoo.get("s2").bundle)
-    assert set(quartet) == {"J", "J-conjugate", "JM", "JM-conjugate"}
-    assert all(v < 1e-8 for v in quartet.values())
+    # J, its conjugate -J, J_M and its conjugate pI - J_M are all skew-compatible
+    bundle = zoo.get("s2").bundle
+    for ctx in bundle.contexts():
+        J = bundle.source_j(ctx.point)
+        for A in (J, -J, ctx.J, ctx.Jhat):
+            w = np.einsum("ti,tm->im", A, ctx.g)
+            assert max_abs(w + w.T) < 1e-8
 
 
 def test_fundamental_form_flat():
-    bundle = zoo.get("flat-k1").bundle
-    w, skew = fundamental_form(bundle, np.array([0.2, 0.3]))
-    assert skew < 1e-12
+    ctx = zoo.get("flat-k1").bundle.context(np.array([0.2, 0.3]))
+    w = ctx.omega
+    assert max_abs(w + w.T) < 1e-12
     # w(e0, e1) = g(J e0, e1) = +1 for the standard rotation structure
     assert w[0, 1] == pytest.approx(1.0)
     assert np.allclose(w, J2.T)  # w[i, m] = (J_M)_i^t delta_tm lays out J transposed
 
 
 def test_fundamental_form_skew_on_random_vectors_s6():
-    bundle = zoo.get("s6").bundle
+    w = zoo.get("s6").bundle.context(np.zeros(6)).omega
     rng = np.random.default_rng(0)
-    w, _ = fundamental_form(bundle, np.zeros(6))
     for _ in range(20):
         x = rng.normal(size=6)
         assert abs(x @ w @ x) < 1e-8
@@ -176,14 +159,12 @@ def test_fundamental_form_index_round_trip():
 
 def test_f_tensor_zero_on_flat():
     bundle = zoo.get("flat-k2").bundle
-    assert max_abs(f_tensor(bundle, np.array([0.1, 0.2, -0.3, 0.4]))) < 1e-12
+    assert max_abs(bundle.context(np.array([0.1, 0.2, -0.3, 0.4])).F) < 1e-12
 
 
 def test_f_tensor_skew_and_matches_cov_omega_s2():
-    bundle = zoo.get("s2").bundle
-    pt = np.array([0.4, -0.2])
-    F = f_tensor(bundle, pt)
-    ctx = bundle.context(pt)
+    ctx = zoo.get("s2").bundle.context(np.array([0.4, -0.2]))
+    F = ctx.F
     assert max_abs(F + np.einsum("ijk->ikj", F)) < 1e-5
     assert max_abs(F - ctx.cov_omega) < 1e-5
 

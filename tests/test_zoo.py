@@ -132,15 +132,13 @@ def test_unknown_fixture_raises():
 
 
 def test_metric_fields_validate_at_every_sample_point():
-    from metallicgeo.geometry import PointFrame
-
     for name in zoo.names():
         bundle = zoo.get(name).bundle
         bundle.g.validate_on(bundle.sample_points, sym_tol=1e-12)
         for pt in bundle.sample_points:
-            frame = PointFrame(pt, bundle.g(pt))  # raises if g ginv != I at 1e-10
-            assert max_abs(frame.g @ frame.ginv - np.eye(bundle.chart.dimension)) < 1e-10
-            assert max_abs(frame.value(bundle.jm) - bundle.jm(pt)) == 0.0
+            ctx = bundle.context(pt)  # ginv raises if g ginv != I at 1e-10
+            assert max_abs(ctx.g @ ctx.ginv - np.eye(bundle.chart.dimension)) < 1e-10
+            assert max_abs(ctx.J - bundle.jm(pt)) == 0.0
 
 
 def test_curvature_invariants_every_sample_point_every_fixture():
