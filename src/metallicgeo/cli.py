@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .exprdsl import EvalDomainError
 from .geometry import ChartBoundsError, SingularMetricError
 from .identities import run_suite
 from .connections import connection_report
-from .metallic import StructureBundle, Tolerances
+from .metallic import StructureBundle
 from .specfile import SpecFileError, build_bundle, parse_spec, spec_sha256
 
 EXIT_OK = 0
@@ -75,30 +76,17 @@ def _build_bundle(args) -> tuple[StructureBundle, dict]:
         text = open(args.spec, "r", encoding="utf-8").read()
         bundle = build_bundle(parse_spec(text))
         source = {"kind": "file", "name": args.spec, "sha256": spec_sha256(text)}
+    tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
+    tol = {k: v for k, v in tol.items() if v is not None}
     overrides = {}
+    if args.seed is not None:
+        overrides["chart"] = replace(bundle.chart, seed=args.seed)
     if args.h is not None:
-        overrides["scheme"] = DiffScheme.with_h(args.h)
-    tol_kw = {}
-    if args.tol_alg is not None:
-        tol_kw["alg"] = args.tol_alg
-    if args.tol_d1 is not None:
-        tol_kw["d1"] = args.tol_d1
-    if args.tol_d2 is not None:
-        tol_kw["d2"] = args.tol_d2
-    if tol_kw:
-        base = bundle.tolerances
-        overrides["tolerances"] = Tolerances(
-            alg=tol_kw.get("alg", base.alg), d1=tol_kw.get("d1", base.d1),
-            d2=tol_kw.get("d2", base.d2), d3=base.d3)
-    if overrides or args.seed is not None:
-        chart = bundle.chart
-        if args.seed is not None:
-            from dataclasses import replace
-            chart = replace(chart, seed=args.seed)
-        bundle = StructureBundle(
-            chart, bundle.g, bundle.jm, bundle.params, source_j=bundle.source_j,
-            sign=bundle.sign, scheme=overrides.get("scheme", bundle.scheme),
-            tolerances=overrides.get("tolerances", bundle.tolerances), name=bundle.name)
+        overrides["scheme"] = DiffScheme(args.h)
+    if tol:
+        overrides["tolerances"] = replace(bundle.tolerances, **tol)
+    if overrides:
+        bundle = replace(bundle, **overrides)
     return bundle, source
 
 
@@ -116,11 +104,8 @@ def _base_report(bundle: StructureBundle, source: dict) -> dict:
     }
 
 
-def report_json(report: dict, include_timing: bool = True) -> str:
-    out = dict(report)
-    if not include_timing:
-        out.pop("timing_s", None)
-    return json.dumps(_sig6(out), ensure_ascii=True, indent=2) + "\n"
+def report_json(report: dict) -> str:
+    return json.dumps(_sig6(report), ensure_ascii=True, indent=2) + "\n"
 
 
 def _print_classification(cls_dict: dict, stream):
@@ -190,7 +175,6 @@ def cmd_curvature(args) -> int:
         print(f"error: point has {point.size} coordinates, chart dimension is "
               f"{bundle.chart.dimension}", file=sys.stderr)
         return EXIT_NUMERIC
-    bundle.chart.require_inside(point, reach=2 * bundle.scheme.h2)
     ctx = bundle.context(point)
     pack = ctx.curvature
     report = _base_report(bundle, source)

@@ -132,7 +132,7 @@ _KIND_REPORT_ROWS = {
 }
 
 
-def connection_report(bundle: StructureBundle, points=None) -> dict:
+def connection_report(bundle: StructureBundle) -> dict:
     """Tabulated residuals for every constructible connection on the bundle.
 
     Per connection: deformation and torsion norms, the w- and g-residuals,
@@ -141,10 +141,9 @@ def connection_report(bundle: StructureBundle, points=None) -> dict:
     connections exist with nonzero deformation, the -1/3 deformation ratio.
     """
     out: dict = {"connections": {}, "notes": []}
-    pts = bundle.sample_points if points is None else np.asarray(points, dtype=float)
     for kind in ("first", "second"):
         try:
-            terms = [connection_terms(bundle, kind, pt) for pt in pts]
+            terms = [connection_terms(bundle, kind, pt) for pt in bundle.sample_points]
         except GateError as exc:
             out["connections"][kind] = {"skipped": str(exc)}
             out["notes"].append(f"{kind}: {exc}")
@@ -190,20 +189,19 @@ SECOND_TYPE_NEARLY = (
 )
 
 
-def connection_identity_results(bundle: StructureBundle, points=None) -> list:
+def connection_identity_results(bundle: StructureBundle) -> list:
     """The connection suite as IdentityResult records (shared gating rules)."""
     reason = not_hermitian(bundle)
     if reason:
         return [_skip("first-type-preserves-omega", reason),
                 _skip("second-type-connection", reason)]
-    pts = bundle.sample_points if points is None else np.asarray(points, dtype=float)
     results = evaluate(bundle, FIRST_TYPE_IDENTITIES,
-                       values=[connection_terms(bundle, "first", pt) for pt in pts])
+                       values=[connection_terms(bundle, "first", pt) for pt in bundle.sample_points])
     try:
         form = _second_form(bundle)
     except GateError as exc:
         return results + [_skip("second-type-connection", str(exc))]
-    second = [connection_terms(bundle, "second", pt) for pt in pts]
+    second = [connection_terms(bundle, "second", pt) for pt in bundle.sample_points]
     results += evaluate(bundle, SECOND_TYPE_SKEW, values=second)
     if form == "levi":
         return results + evaluate(bundle, SECOND_TYPE_LEVI, values=second)

@@ -17,11 +17,15 @@ Conventions (fixed once, used by every checker in the package):
 Differencing is central, in two tiers: first derivatives use step h1 at
 order 4, nested outer derivatives use step h2 = h1^(5/6) at order 2 with
 Richardson extrapolation over h2 and h2/2 (needed to push curvature
-truncation error well below the curvature tolerance tier).
+truncation error well below the curvature tolerance tier). The bundle
+checks the scheme's `reach` once per point, when it builds the
+PointContext, so the functions here take no chart and check no bounds.
 
 Everything here is a pure function of (field, point); per-point caches are
 built once and read-only afterwards, so evaluation across sample points
-can proceed in parallel with a deterministic reduction order.
+can proceed in parallel with a deterministic reduction order. A
+PointContext hands its cached base-point values (gamma, the field value)
+to `covariant_derivative` instead of letting it recompute them.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "partial_all",
     "christoffel",
     "covariant_derivative",
-    "second_covariant_derivative",
     "riemann",
     "exterior_derivative_2form",
     "nijenhuis",
@@ -49,31 +52,43 @@ __all__ = [
 DEFAULT_H1 = 1e-3
 ORDER1 = 4  # first tier: order-4 central stencil at h1
 ORDER2 = 2  # outer tier: order-2 central stencil at h2 and h2/2, Richardson-combined
+SKEW_TOL = 1e-8  # relative antisymmetry a 2-form needs before it is differentiated
 
 
 @dataclass(frozen=True)
 class DiffScheme:
-    """Finite-difference steps of the two tiers."""
+    """Finite-difference steps of the two tiers; h2 follows from h1."""
 
     h1: float = DEFAULT_H1
-    h2: float = DEFAULT_H1 ** (5.0 / 6.0)  # 10^-2.5 at the default h1
 
     def __post_init__(self):
-        if self.h1 <= 0 or self.h2 <= 0:
+        if self.h1 <= 0:
             raise ValueError("steps must be positive")
 
-    @classmethod
-    def with_h(cls, h1: float) -> "DiffScheme":
-        return cls(h1=h1, h2=h1 ** (5.0 / 6.0))
+    @property
+    def h2(self) -> float:
+        return self.h1 ** (5.0 / 6.0)  # 10^-2.5 at the default h1
 
-    def reach(self, stage: int = 1) -> float:
-        """Farthest stencil excursion from the base point for one derivative."""
-        return 2 * self.h1 if stage == 1 else self.h2
+    @property
+    def reach(self) -> float:
+        """Farthest excursion from the base point of the stencils a PointContext nests.
+
+        Riemann and nabla nabla w put a first-tier stencil (2 h1) at every
+        node of an outer one (h2). The reach is never below 2 h2, the bound
+        the chart margin is also held to. nabla Ricci nests one level deeper
+        and is gated by its identities instead.
+        """
+        return max(2 * self.h2, self.h2 + 2 * self.h1)
 
     def check_chart(self, chart: Chart):
         if self.h2 >= chart.margin / 2.0:
             raise ValueError(
                 f"step h2={self.h2:g} must stay below half the chart margin {chart.margin:g}"
+            )
+        if self.reach >= chart.margin:
+            raise ValueError(
+                f"nested stencil reach {self.reach:g} (h2 + 2 h1) must stay below the chart"
+                f" margin {chart.margin:g}"
             )
 
 
@@ -91,15 +106,13 @@ def _central(fn, point, axis, h, order):
     ) / (12.0 * h)
 
 
-def partial(fn, point, axis: int, scheme: DiffScheme | None = None, stage: int = 1, chart: Chart | None = None):
+def partial(fn, point, axis: int, scheme: DiffScheme | None = None, stage: int = 1):
     """Central-difference partial derivative of a (possibly array-valued) field.
 
     stage 1 is the order-4 stencil at h1; stage 2 Richardson-extrapolates
     the order-2 stencil at h2 and h2/2, which is accurate to order 4.
     """
     scheme = scheme or DiffScheme()
-    if chart is not None:
-        chart.require_inside(point, scheme.reach(stage))
     if stage == 1:
         return _central(fn, point, axis, scheme.h1, ORDER1)
     coarse = _central(fn, point, axis, scheme.h2, ORDER2)
@@ -107,21 +120,18 @@ def partial(fn, point, axis: int, scheme: DiffScheme | None = None, stage: int =
     return (4.0 * fine - coarse) / 3.0
 
 
-def partial_all(fn, point, scheme: DiffScheme | None = None, stage: int = 1, chart: Chart | None = None):
+def partial_all(fn, point, scheme: DiffScheme | None = None, stage: int = 1):
     """Stack of partial derivatives along every coordinate: out[a, ...] = d_a fn."""
     point = np.asarray(point, dtype=float)
-    return np.stack(
-        [partial(fn, point, a, scheme, stage=stage, chart=chart) for a in range(point.size)],
-        axis=0,
-    )
+    return np.stack([partial(fn, point, a, scheme, stage=stage) for a in range(point.size)], axis=0)
 
 
-def christoffel(g_fn, point, scheme: DiffScheme | None = None, chart: Chart | None = None) -> np.ndarray:
+def christoffel(g_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
     """Levi-Civita coefficients gamma[h, i, j] from first derivatives of the metric."""
     point = np.asarray(point, dtype=float)
     g = np.asarray(g_fn(point), dtype=float)
     ginv = inverse_metric(g, point)
-    dg = partial_all(g_fn, point, scheme, stage=1, chart=chart)  # dg[a, i, j]
+    dg = partial_all(g_fn, point, scheme, stage=1)  # dg[a, i, j]
     gamma = 0.5 * np.einsum(
         "ht,itj->hij",
         ginv,
@@ -149,42 +159,16 @@ def _cov_correct(value: np.ndarray, sig: str, gamma: np.ndarray) -> np.ndarray:
     return corr
 
 
-def covariant_derivative(
-    fn, sig: str, point, gamma: np.ndarray | None = None, g_fn=None,
-    scheme: DiffScheme | None = None, stage: int = 1, chart: Chart | None = None,
-) -> np.ndarray:
+def covariant_derivative(fn, sig: str, point, gamma: np.ndarray, value: np.ndarray,
+                         scheme: DiffScheme, stage: int = 1) -> np.ndarray:
     """Covariant derivative, one covariant slot prepended: out[a, ...] = (nabla_a T)_...
 
-    Supply either the connection coefficients at the point or a metric field
-    to derive them from.
+    gamma and value are the connection coefficients and fn's value at the
+    point, which every caller already holds; only the stencil nodes around
+    the point evaluate fn.
     """
-    point = np.asarray(point, dtype=float)
-    if gamma is None:
-        if g_fn is None:
-            raise ValueError("need gamma or a metric field")
-        gamma = christoffel(g_fn, point, scheme, chart=chart)
-    dT = partial_all(fn, point, scheme, stage=stage, chart=chart)
-    value = np.asarray(fn(point), dtype=float)
+    dT = partial_all(fn, point, scheme, stage=stage)
     return dT + _cov_correct(value, sig, gamma)
-
-
-def second_covariant_derivative(
-    fn, sig: str, point, g_fn, scheme: DiffScheme | None = None, chart: Chart | None = None
-) -> np.ndarray:
-    """Two added covariant slots, outer first: out[a, b, ...] = (nabla_a nabla_b T)_...
-
-    The inner derivative is evaluated as a field with the first-tier stencil;
-    the outer differencing uses the second tier (wider step, Richardson) so
-    the nested stencil stays inside the chart.
-    """
-    scheme = scheme or DiffScheme()
-
-    def inner_fn(p):
-        return covariant_derivative(fn, sig, p, g_fn=g_fn, scheme=scheme, stage=1)
-
-    return covariant_derivative(
-        inner_fn, "d" + sig, point, g_fn=g_fn, scheme=scheme, stage=2, chart=chart
-    )
 
 
 @dataclass(frozen=True)
@@ -209,7 +193,7 @@ class CurvaturePack:
         }
 
 
-def riemann(g_fn, point, scheme: DiffScheme | None = None, chart: Chart | None = None) -> CurvaturePack:
+def riemann(g_fn, point, scheme: DiffScheme | None = None) -> CurvaturePack:
     """Curvature from outer differencing of the Christoffel field."""
     scheme = scheme or DiffScheme()
     point = np.asarray(point, dtype=float)
@@ -217,7 +201,7 @@ def riemann(g_fn, point, scheme: DiffScheme | None = None, chart: Chart | None =
     def gamma_fn(p):
         return christoffel(g_fn, p, scheme)
 
-    dGamma = partial_all(gamma_fn, point, scheme, stage=2, chart=chart)  # [k, h, i, j]
+    dGamma = partial_all(gamma_fn, point, scheme, stage=2)  # [k, h, i, j]
     gamma = gamma_fn(point)
     # R_kji^h = d_k G^h_ji - d_j G^h_ki + G^t_ji G^h_kt - G^t_ki G^h_jt
     Rup = (
@@ -234,20 +218,18 @@ def riemann(g_fn, point, scheme: DiffScheme | None = None, chart: Chart | None =
     return CurvaturePack(Rup=Rup, Rdown=Rdown, ricci=ricci, scalar=scalar)
 
 
-def exterior_derivative_2form(
-    omega_fn, point, scheme: DiffScheme | None = None, chart: Chart | None = None, skew_tol: float = 1e-8
-) -> np.ndarray:
+def exterior_derivative_2form(omega_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
     """dw[a, b, c] = d_a w_bc + d_b w_ca + d_c w_ab; input must be antisymmetric."""
     point = np.asarray(point, dtype=float)
     w = np.asarray(omega_fn(point), dtype=float)
-    if max_abs(w + w.T) > skew_tol * max(1.0, max_abs(w)):
+    if max_abs(w + w.T) > SKEW_TOL * max(1.0, max_abs(w)):
         raise ValueError("exterior derivative needs an antisymmetric 2-form")
-    dw = partial_all(omega_fn, point, scheme, stage=1, chart=chart)  # dw[a, b, c]
+    dw = partial_all(omega_fn, point, scheme, stage=1)  # dw[a, b, c]
     out = dw + np.einsum("bca->abc", dw) + np.einsum("cab->abc", dw)
     return out
 
 
-def nijenhuis(j_fn, point, scheme: DiffScheme | None = None, chart: Chart | None = None) -> np.ndarray:
+def nijenhuis(j_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
     """Bracket-formula Nijenhuis tensor of a (1,1) field, N[i, j, h] = N_ij^h.
 
     Computed from plain partials; antisymmetry in (i, j) is structural.
@@ -255,7 +237,7 @@ def nijenhuis(j_fn, point, scheme: DiffScheme | None = None, chart: Chart | None
     """
     point = np.asarray(point, dtype=float)
     J = np.asarray(j_fn(point), dtype=float)  # J[h, i]
-    dJ = partial_all(j_fn, point, scheme, stage=1, chart=chart)  # dJ[a, h, i]
+    dJ = partial_all(j_fn, point, scheme, stage=1)  # dJ[a, h, i]
     term1 = np.einsum("ti,thj->ijh", J, dJ)
     term3 = np.einsum("jti,ht->ijh", dJ, J)
     return term1 - np.einsum("ijh->jih", term1) + term3 - np.einsum("ijh->jih", term3)
@@ -268,15 +250,13 @@ class PointContext:
     immutable after the caches fill, so contexts may be shared freely.
     """
 
-    def __init__(self, g_fn, j_fn, p: float, q: float, point, scheme: DiffScheme | None = None,
-                 chart: Chart | None = None):
+    def __init__(self, g_fn, j_fn, p: float, q: float, point, scheme: DiffScheme | None = None):
         self.g_fn = g_fn
         self.j_fn = j_fn
         self.p = float(p)
         self.q = float(q)
         self.point = np.asarray(point, dtype=float)
         self.scheme = scheme or DiffScheme()
-        self.chart = chart
         self.n = self.point.size
 
     # --- algebra at the point ---
@@ -311,11 +291,11 @@ class PointContext:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return christoffel(self.g_fn, self.point, self.scheme, chart=self.chart)
+        return christoffel(self.g_fn, self.point, self.scheme)
 
     @cached_property
     def dJ(self) -> np.ndarray:
-        return partial_all(self.j_fn, self.point, self.scheme, stage=1, chart=self.chart)
+        return partial_all(self.j_fn, self.point, self.scheme, stage=1)
 
     @cached_property
     def covJ(self) -> np.ndarray:
@@ -335,9 +315,8 @@ class PointContext:
     @cached_property
     def cov_omega(self) -> np.ndarray:
         """(nabla_a w)_im computed directly from the w field (independent of F)."""
-        return covariant_derivative(
-            self.omega_fn, "dd", self.point, gamma=self.gamma, scheme=self.scheme, chart=self.chart
-        )
+        return covariant_derivative(self.omega_fn, "dd", self.point, self.gamma, self.omega,
+                                    self.scheme)
 
     @cached_property
     def domega(self) -> np.ndarray:
@@ -348,17 +327,17 @@ class PointContext:
             w = self.omega_fn(pt)
             return 0.5 * (w - w.T)
 
-        return exterior_derivative_2form(skew_fn, self.point, self.scheme, chart=self.chart)
+        return exterior_derivative_2form(skew_fn, self.point, self.scheme)
 
     @cached_property
     def N(self) -> np.ndarray:
-        return nijenhuis(self.j_fn, self.point, self.scheme, chart=self.chart)
+        return nijenhuis(self.j_fn, self.point, self.scheme)
 
     # --- curvature ---
 
     @cached_property
     def curvature(self) -> CurvaturePack:
-        return riemann(self.g_fn, self.point, self.scheme, chart=self.chart)
+        return riemann(self.g_fn, self.point, self.scheme)
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -395,12 +374,21 @@ class PointContext:
         def ricci_fn(pt):
             return riemann(self.g_fn, pt, self.scheme).ricci
 
-        return covariant_derivative(ricci_fn, "dd", self.point, gamma=self.gamma,
-                                    scheme=self.scheme, stage=2, chart=self.chart)
+        return covariant_derivative(ricci_fn, "dd", self.point, self.gamma, self.curvature.ricci,
+                                    self.scheme, stage=2)
 
     @cached_property
     def covcov_omega(self) -> np.ndarray:
-        """covcov[a, b, i, m] = (nabla_a nabla_b w)_im."""
-        return second_covariant_derivative(
-            self.omega_fn, "dd", self.point, self.g_fn, self.scheme, chart=self.chart
-        )
+        """covcov[a, b, i, m] = (nabla_a nabla_b w)_im.
+
+        The inner nabla w is a field evaluated with the first-tier stencil;
+        the outer differencing uses the second tier (wider step, Richardson).
+        """
+        scheme = self.scheme
+
+        def cov_omega_fn(pt):
+            return covariant_derivative(self.omega_fn, "dd", pt, christoffel(self.g_fn, pt, scheme),
+                                        self.omega_fn(pt), scheme)
+
+        return covariant_derivative(cov_omega_fn, "ddd", self.point, self.gamma, self.cov_omega,
+                                    scheme, stage=2)

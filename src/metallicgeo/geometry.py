@@ -32,7 +32,7 @@ __all__ = [
     "max_abs",
 ]
 
-DET_TOL = 1e-10
+DET_TOL = 1e-10  # times Hadamard's bound on |det g|; see inverse_metric
 
 
 class GeometryError(RuntimeError):
@@ -44,7 +44,8 @@ class SingularMetricError(GeometryError):
 
     def __init__(self, point):
         self.point = np.asarray(point, dtype=float)
-        super().__init__(f"singular metric (|det g| <= {DET_TOL:g}) at point {self.point.tolist()}")
+        super().__init__(f"singular metric (|det g| <= {DET_TOL:g} x product of its row norms)"
+                         f" at point {self.point.tolist()}")
 
 
 class ChartBoundsError(GeometryError):
@@ -160,9 +161,14 @@ class TensorField:
 
 
 def inverse_metric(g: np.ndarray, point=None) -> np.ndarray:
-    """Invert the metric at a point; product with the input is the identity within 1e-10."""
+    """Invert the metric at a point; product with the input is the identity within 1e-10.
+
+    The metric counts as singular when |det g| is at most DET_TOL times
+    Hadamard's bound, the product of the row norms: both scale alike under
+    g -> c g, so the test does not depend on the units of the coordinates.
+    """
     g = np.asarray(g, dtype=float)
-    if abs(np.linalg.det(g)) <= DET_TOL:
+    if abs(np.linalg.det(g)) <= DET_TOL * np.prod(np.linalg.norm(g, axis=1)):
         raise SingularMetricError(point if point is not None else np.full(g.shape[0], np.nan))
     ginv = np.linalg.inv(g)
     if max_abs(g @ ginv - np.eye(g.shape[0])) > 1e-10:

@@ -137,7 +137,7 @@ class Identity:
     note: str = ""
 
 
-def evaluate(bundle: StructureBundle, identities, points=None, values=None) -> list:
+def evaluate(bundle: StructureBundle, identities, values=None) -> list:
     """Gate, evaluate and aggregate identity records in table order.
 
     The records read the PointContext of each sample point, or the
@@ -150,7 +150,7 @@ def evaluate(bundle: StructureBundle, identities, points=None, values=None) -> l
             out.append(_skip(ident.id, reason))
             continue
         if values is None:
-            values = bundle.contexts(points)
+            values = bundle.contexts()
         out.append(_result(ident.id, [ident.fn(v) for v in values],
                            getattr(bundle.tolerances, ident.tier), ident.asserted, ident.note))
     return out
@@ -182,7 +182,7 @@ def _cartan_sum(F: np.ndarray) -> np.ndarray:
 # --- first-derivative identities -------------------------------------------------
 
 
-def check_covderiv_identities(bundle: StructureBundle, points=None) -> list:
+def check_covderiv_identities(bundle: StructureBundle) -> list:
     """Two facts about nabla J_M on a skew-compatible bundle.
 
     (i) (nabla_X J_M) J_M Y = (pI - J_M)(nabla_X J_M) Y is algebraic: it only
@@ -197,13 +197,13 @@ def check_covderiv_identities(bundle: StructureBundle, points=None) -> list:
                                    np.einsum("ht,atj->ajh", ctx.Jhat, ctx.covJ))),
         Identity("covderiv-skew-adjoint", None, "d1",
                  lambda ctx: (max_abs(ctx.F + np.einsum("ajk->akj", ctx.F)), max_abs(ctx.F))),
-    ), points)
+    ))
     if not_hermitian(bundle):
         skew = replace(skew, note="requires skew compatibility")
     return [exchange, skew]
 
 
-def check_f_properties(bundle: StructureBundle, mode: str, points=None) -> list:
+def check_f_properties(bundle: StructureBundle, mode: str) -> list:
     """Structure-rescaling properties of F(X, Y, Z) = g((nabla_X J_M) Y, Z).
 
     hermitian mode: F(X,Y,Z) = -F(X,Z,Y) and F(X, J_M Y, J_M Z) = (3/2) q F(X,Z,Y).
@@ -217,7 +217,7 @@ def check_f_properties(bundle: StructureBundle, mode: str, points=None) -> list:
             Identity("f-structure-pair-rescale", not_hermitian, "d1",
                      lambda ctx: _diff(np.einsum("iab,aj,bk->ijk", ctx.F, ctx.J, ctx.J),
                                        1.5 * ctx.q * np.einsum("ikj->ijk", ctx.F))),
-        ), points)
+        ))
     if mode == "nearly":
         return evaluate(bundle, (
             Identity("f-nearly-outer-rescale", not_nearly, "d1",
@@ -227,7 +227,7 @@ def check_f_properties(bundle: StructureBundle, mode: str, points=None) -> list:
                      lambda ctx: _diff(np.einsum("abk,ai,bj->ijk", ctx.F, ctx.J, ctx.J),
                                        -ctx.p * np.einsum("jit,tk->ijk", ctx.F, ctx.Jhat)
                                        + 1.5 * ctx.q * np.einsum("jik->ijk", ctx.F))),
-        ), points)
+        ))
     raise ValueError("mode must be 'hermitian' or 'nearly'")
 
 
@@ -238,7 +238,7 @@ def _balance(ctx) -> tuple:
     return _diff(left, right)
 
 
-def check_f_nijenhuis_balance(bundle: StructureBundle, points=None) -> IdentityResult:
+def check_f_nijenhuis_balance(bundle: StructureBundle) -> IdentityResult:
     """Balance between F, the Nijenhuis tensor and the covariant cyclic sum:
 
         3q F(X,Y,Z) + g(JMhat X, N(Y,Z))
@@ -248,11 +248,10 @@ def check_f_nijenhuis_balance(bundle: StructureBundle, points=None) -> IdentityR
     (equal to minus the coordinate dw on a skew-compatible bundle). A
     nontrivial cancellation when N and dw are both large.
     """
-    return evaluate(bundle, [Identity("f-nijenhuis-dw-balance", not_hermitian, "d1", _balance)],
-                    points)[0]
+    return evaluate(bundle, [Identity("f-nijenhuis-dw-balance", not_hermitian, "d1", _balance)])[0]
 
 
-def check_exterior_cross(bundle: StructureBundle, points=None) -> IdentityResult:
+def check_exterior_cross(bundle: StructureBundle) -> IdentityResult:
     """Coordinate exterior derivative vs the covariant cyclic sum.
 
     Two independent computation paths for the same 3-form content. With the
@@ -264,7 +263,7 @@ def check_exterior_cross(bundle: StructureBundle, points=None) -> IdentityResult
     if not_hermitian(bundle):
         return _skip(id_, "the cyclic-sum form needs skew compatibility")
     plus_pairs, minus_pairs = [], []
-    for ctx in bundle.contexts(points):
+    for ctx in bundle.contexts():
         cart = _cartan_sum(ctx.F)
         dw = ctx.domega
         scale = max(max_abs(dw), max_abs(cart))
@@ -281,7 +280,7 @@ def check_exterior_cross(bundle: StructureBundle, points=None) -> IdentityResult
 # --- curvature-tier identities ---------------------------------------------------
 
 
-def check_curvature_commutation(bundle: StructureBundle, points=None) -> list:
+def check_curvature_commutation(bundle: StructureBundle) -> list:
     """Parallel-structure curvature identities:
 
         R(X,Y) J_M Z = J_M R(X,Y) Z,
@@ -296,7 +295,7 @@ def check_curvature_commutation(bundle: StructureBundle, points=None) -> list:
                  lambda ctx: _diff(np.einsum("ak,bj,abih->kjih", ctx.J, ctx.J, ctx.curvature.Rup),
                                    -ctx.p * np.einsum("ak,ajih->kjih", ctx.J, ctx.curvature.Rup)
                                    + 1.5 * ctx.q * ctx.curvature.Rup)),
-    ), points)
+    ))
 
 
 def _ricci_pair(ctx, row: str) -> tuple:
@@ -318,7 +317,7 @@ def _ricci_pair(ctx, row: str) -> tuple:
     return max_abs(r3), max(max_abs(S), max_abs((2.0 / (3 * q)) * TR))
 
 
-def check_ricci_pair_identities(bundle: StructureBundle, points=None) -> list:
+def check_ricci_pair_identities(bundle: StructureBundle) -> list:
     """Ricci contractions of the parallel-structure identities, report-only.
 
     The classical statements of both contractions rely on substituting the
@@ -336,7 +335,7 @@ def check_ricci_pair_identities(bundle: StructureBundle, points=None) -> list:
                  lambda ctx: _ricci_pair(ctx, "trace-stated"), asserted=False, note=note),
         Identity("ricci-trace-form(derived)", not_kahler, "d2",
                  lambda ctx: _ricci_pair(ctx, "trace-derived"), asserted=False, note=note),
-    ), points)
+    ))
 
 
 def _no_room_for_nested_stencil(bundle: StructureBundle) -> str:
@@ -345,7 +344,8 @@ def _no_room_for_nested_stencil(bundle: StructureBundle) -> str:
     if reason:
         return reason
     sch = bundle.scheme
-    need = 2.0 * (sch.reach(2) + sch.reach(1) + sch.reach(1))
+    # an outer stencil (h2) and two first-tier ones (2 h1 each), with a factor 2 to spare
+    need = 2.0 * (sch.h2 + 2.0 * sch.h1 + 2.0 * sch.h1)
     if bundle.chart.margin < need:
         return f"chart margin {bundle.chart.margin:g} below nested reach {need:g}"
     return ""
@@ -366,7 +366,7 @@ def _ricci_cycle(ctx, derived: bool) -> tuple:
     return max_abs(r), max(max_abs(lhs), max_abs(rhs_common), max_abs(term_hat), 0.0)
 
 
-def check_ricci_derivative_cycle(bundle: StructureBundle, points=None) -> list:
+def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
     """Second-Bianchi-style cycle for nabla S on a metallic Kahler bundle.
 
     As stated:
@@ -384,7 +384,7 @@ def check_ricci_derivative_cycle(bundle: StructureBundle, points=None) -> list:
                  lambda ctx: _ricci_cycle(ctx, derived=False), asserted=False, note=note),
         Identity("ricci-derivative-cycle(derived)", _no_room_for_nested_stencil, "d3",
                  lambda ctx: _ricci_cycle(ctx, derived=True), asserted=False, note=note),
-    ), points)
+    ))
 
 
 # --- star curvature and the nearly-tier identities --------------------------------
@@ -395,13 +395,13 @@ def _star_contraction(ctx) -> tuple:
     return max_abs(lhs + 1.5 * ctx.q * ctx.H), max(max_abs(lhs), max_abs(1.5 * ctx.q * ctx.H))
 
 
-def check_star_pack(bundle: StructureBundle, points=None) -> list:
+def check_star_pack(bundle: StructureBundle) -> list:
     """H antisymmetry (curvature tier) and the purely algebraic conjugate
     contraction S*_jt (JMhat)_i^t = -(3/2) q H_ji (algebraic tier)."""
     return evaluate(bundle, (
         Identity("h-antisymmetry", None, "d2", lambda ctx: _skew_part(ctx.H)),
         Identity("star-conjugate-contraction", None, "alg", _star_contraction),
-    ), points)
+    ))
 
 
 def _divergence_omega(ctx) -> np.ndarray:
@@ -409,7 +409,7 @@ def _divergence_omega(ctx) -> np.ndarray:
     return np.einsum("tjim,mt->ji", ctx.covcov_omega, ctx.ginv)
 
 
-def check_divergence_ricci_chain(bundle: StructureBundle, points=None) -> IdentityResult:
+def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
     """Contracted commutation chain on a nearly metallic Kahler bundle:
 
         nabla^m nabla_j w_im  =  S_jt (J_M)_i^t + (2/3q) S*_jt (JMhat)_i^t,
@@ -423,19 +423,19 @@ def check_divergence_ricci_chain(bundle: StructureBundle, points=None) -> Identi
         "divergence-ricci-chain", not_nearly, "d2",
         lambda ctx: _diff(_divergence_omega(ctx),
                           np.einsum("jt,ti->ji", ctx.curvature.ricci, ctx.J)
-                          + (2.0 / (3 * ctx.q)) * np.einsum("jt,ti->ji", ctx.Sstar, ctx.Jhat)))],
-        points)[0]
+                          + (2.0 / (3 * ctx.q)) * np.einsum("jt,ti->ji", ctx.Sstar, ctx.Jhat)))
+    ])[0]
     if chain.skipped:
         return chain
-    obs = _running_max(max_abs(_divergence_omega(ctx)) for ctx in bundle.contexts(points))
+    obs = _running_max(max_abs(_divergence_omega(ctx)) for ctx in bundle.contexts())
     return replace(chain, note=f"observed |nabla^m nabla_j w_im| = {obs:.6g} (reported, not asserted)")
 
 
-def check_ricci_hyperbolic(bundle: StructureBundle, points=None) -> IdentityResult:
+def check_ricci_hyperbolic(bundle: StructureBundle) -> IdentityResult:
     """S_ti (J_M)_j^t = -S_jt (J_M)_i^t on a nearly metallic Kahler bundle."""
     return evaluate(bundle, [Identity(
         "ricci-hyperbolic", not_nearly, "d2",
-        lambda ctx: _skew_part(np.einsum("jt,ti->ji", ctx.curvature.ricci, ctx.J)))], points)[0]
+        lambda ctx: _skew_part(np.einsum("jt,ti->ji", ctx.curvature.ricci, ctx.J)))])[0]
 
 
 def _ricci_star_hyperbolic(ctx) -> tuple:
@@ -444,14 +444,14 @@ def _ricci_star_hyperbolic(ctx) -> tuple:
     return max_abs(A - B), max_abs(A)
 
 
-def check_ricci_star_hyperbolic(bundle: StructureBundle, points=None) -> list:
+def check_ricci_star_hyperbolic(bundle: StructureBundle) -> list:
     """S*_jm (JMhat)_i^m = -S*_mi (JMhat)_j^m, plus the intermediate
     cancellation of the two curvature contractions behind it."""
     return evaluate(bundle, (
         Identity("ricci-star-hyperbolic", not_nearly, "d2", _ricci_star_hyperbolic),
         Identity("star-contraction-cancel", not_nearly, "d2",
                  lambda ctx: _skew_part(np.einsum("jm,mi->ji", ctx.Sstar, ctx.Jhat))),
-    ), points)
+    ))
 
 
 def _ricci_sym_and_w_up(ctx) -> tuple:
@@ -478,7 +478,7 @@ def _ricci_omega_trace(ctx) -> tuple:
     return abs(float(np.einsum("jt,jt->", ricci_sym, w_up))), max_abs(ricci_sym)
 
 
-def check_scalar_star(bundle: StructureBundle, points=None) -> list:
+def check_scalar_star(bundle: StructureBundle) -> list:
     """Scalar vs scalar-star relation on a nearly metallic Kahler bundle:
 
         S*_c = (3/2) q S_c + p S_jt w^jt - |nabla J_M|^2,
@@ -489,11 +489,11 @@ def check_scalar_star(bundle: StructureBundle, points=None) -> list:
     must stay below a fixed 1e-10.
     """
     relation = evaluate(bundle, [Identity("scalar-star-relation", not_nearly, "d3",
-                                          _scalar_star_relation)], points)[0]
+                                          _scalar_star_relation)])[0]
     id_ = "ricci-omega-trace-zero"
     if relation.skipped:
         return [relation, _skip(id_, relation.note)]
-    contexts = bundle.contexts(points)
+    contexts = bundle.contexts()
     raw_obs = _running_max(abs(float(np.einsum("jt,jt->", ctx.curvature.ricci,
                                                _ricci_sym_and_w_up(ctx)[1])))
                            for ctx in contexts)
@@ -502,7 +502,7 @@ def check_scalar_star(bundle: StructureBundle, points=None) -> list:
     return [relation, replace(trace, passed=trace.max_residual < 1e-10)]
 
 
-def check_nearly_nijenhuis(bundle: StructureBundle, points=None) -> list:
+def check_nearly_nijenhuis(bundle: StructureBundle) -> list:
     """Two independent pipelines for N on a nearly metallic Kahler bundle:
 
         N(X, Y) = 2 (p I - 2 J_M)(nabla_X J_M) Y,
@@ -516,40 +516,40 @@ def check_nearly_nijenhuis(bundle: StructureBundle, points=None) -> list:
                                                   - 2.0 * np.einsum("ht,itj->ijh", ctx.J, ctx.covJ)))),
         Identity("structure-divergence-free", not_nearly, "d1",
                  lambda ctx: (max_abs(np.einsum("iij->j", ctx.covJ)), max_abs(ctx.covJ))),
-    ), points)
+    ))
 
 
 # --- suites ----------------------------------------------------------------------
 
 
-def suite_metallic(bundle: StructureBundle, points=None) -> list:
+def suite_metallic(bundle: StructureBundle) -> list:
     return [
-        *check_covderiv_identities(bundle, points),
-        *check_f_properties(bundle, "hermitian", points),
-        check_f_nijenhuis_balance(bundle, points),
-        check_exterior_cross(bundle, points),
-        *check_curvature_commutation(bundle, points),
-        *check_ricci_pair_identities(bundle, points),
-        *check_ricci_derivative_cycle(bundle, points),
+        *check_covderiv_identities(bundle),
+        *check_f_properties(bundle, "hermitian"),
+        check_f_nijenhuis_balance(bundle),
+        check_exterior_cross(bundle),
+        *check_curvature_commutation(bundle),
+        *check_ricci_pair_identities(bundle),
+        *check_ricci_derivative_cycle(bundle),
     ]
 
 
-def suite_nearly(bundle: StructureBundle, points=None) -> list:
+def suite_nearly(bundle: StructureBundle) -> list:
     return [
-        *check_f_properties(bundle, "nearly", points),
-        *check_nearly_nijenhuis(bundle, points),
-        *check_star_pack(bundle, points),
-        check_divergence_ricci_chain(bundle, points),
-        check_ricci_hyperbolic(bundle, points),
-        *check_ricci_star_hyperbolic(bundle, points),
-        *check_scalar_star(bundle, points),
+        *check_f_properties(bundle, "nearly"),
+        *check_nearly_nijenhuis(bundle),
+        *check_star_pack(bundle),
+        check_divergence_ricci_chain(bundle),
+        check_ricci_hyperbolic(bundle),
+        *check_ricci_star_hyperbolic(bundle),
+        *check_scalar_star(bundle),
     ]
 
 
-def suite_connections(bundle: StructureBundle, points=None) -> list:
+def suite_connections(bundle: StructureBundle) -> list:
     from .connections import connection_identity_results
 
-    return connection_identity_results(bundle, points)
+    return connection_identity_results(bundle)
 
 
 SUITES: dict[str, Callable] = {
@@ -559,13 +559,13 @@ SUITES: dict[str, Callable] = {
 }
 
 
-def run_suite(bundle: StructureBundle, suite: str, points=None) -> list:
+def run_suite(bundle: StructureBundle, suite: str) -> list:
     """Run one named suite, or all of them in a fixed order."""
     if suite == "all":
         out = []
         for name in ("metallic", "nearly", "connections"):
-            out.extend(SUITES[name](bundle, points))
+            out.extend(SUITES[name](bundle))
         return out
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; available: all, " + ", ".join(sorted(SUITES)))
-    return SUITES[suite](bundle, points)
+    return SUITES[suite](bundle)

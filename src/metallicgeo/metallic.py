@@ -19,7 +19,7 @@ residuals, and the built-in fixtures use p = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -106,33 +106,31 @@ class Tolerances:
 # --- the bundle ----------------------------------------------------------------
 
 
+@dataclass(eq=False)
 class StructureBundle:
     """Chart + metric + metallic structure, with cached per-point contexts.
 
-    Immutable after construction; classification and contexts are memoized.
+    The bundle owns every setting of a run: the sample points (from the
+    chart), the differencing scheme and the tolerances. Immutable after
+    construction; classification and contexts are memoized.
     """
 
-    def __init__(self, chart: Chart, g: TensorField, jm: TensorField,
-                 params: MetallicParams, source_j: Optional[TensorField] = None,
-                 sign: int = +1, scheme: Optional[DiffScheme] = None,
-                 tolerances: Optional[Tolerances] = None, name: str = ""):
-        self.chart = chart
-        self.g = g
-        self.jm = jm
-        self.params = params
-        self.source_j = source_j
-        self.sign = sign
-        self.scheme = scheme or DiffScheme()
-        self.tolerances = tolerances or Tolerances()
-        self.name = name or "bundle"
-        self.scheme.check_chart(chart)
+    chart: Chart
+    g: TensorField
+    jm: TensorField
+    params: MetallicParams
+    scheme: DiffScheme = field(default_factory=DiffScheme)
+    tolerances: Tolerances = field(default_factory=Tolerances)
+    name: str = "bundle"
+
+    def __post_init__(self):
+        self.scheme.check_chart(self.chart)
         self._contexts: dict = {}
         self._classification: Optional[ClassificationReport] = None
 
     @classmethod
     def from_j(cls, chart, g, j_field, params, sign=+1, **kw) -> "StructureBundle":
-        return cls(chart, g, jm_from_j(j_field, params, sign), params,
-                   source_j=j_field, sign=sign, **kw)
+        return cls(chart, g, jm_from_j(j_field, params, sign), params, **kw)
 
     @cached_property
     def sample_points(self) -> np.ndarray:
@@ -142,14 +140,13 @@ class StructureBundle:
         key = np.asarray(point, dtype=float).tobytes()
         ctx = self._contexts.get(key)
         if ctx is None:
-            ctx = PointContext(self.g, self.jm, self.params.p, self.params.q,
-                               point, self.scheme, chart=self.chart)
+            self.chart.require_inside(point, self.scheme.reach)
+            ctx = PointContext(self.g, self.jm, self.params.p, self.params.q, point, self.scheme)
             self._contexts[key] = ctx
         return ctx
 
-    def contexts(self, points=None):
-        pts = self.sample_points if points is None else np.asarray(points, dtype=float)
-        return [self.context(pt) for pt in pts]
+    def contexts(self):
+        return [self.context(pt) for pt in self.sample_points]
 
     def classification(self) -> "ClassificationReport":
         if self._classification is None:
@@ -200,7 +197,7 @@ RESIDUALS = (
 )
 
 
-def classify(bundle: StructureBundle, points=None) -> ClassificationReport:
+def classify(bundle: StructureBundle) -> ClassificationReport:
     """Compute every classification residual and pick the most specific verdict.
 
     Verdict ladder: polynomial identity + skew compatibility give almost
@@ -213,7 +210,7 @@ def classify(bundle: StructureBundle, points=None) -> ClassificationReport:
     """
     tol = bundle.tolerances
     res = {name: 0.0 for name, _, _ in RESIDUALS}
-    for ctx in bundle.contexts(points):
+    for ctx in bundle.contexts():
         for name, _, fn in RESIDUALS:
             res[name] = max(res[name], fn(ctx))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["oct_mult", "cross7", "cross7_matrix", "MULT_TABLE"]
+__all__ = ["cross7_matrix", "MULT_TABLE"]
 
 
 def _quat_mult_table() -> np.ndarray:
@@ -53,16 +53,6 @@ MULT_TABLE = _oct_mult_table()
 _CROSS = MULT_TABLE[1:, 1:, 1:].copy()
 
 
-def oct_mult(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of two octonions given as length-8 coefficient vectors."""
-    return np.einsum("abc,a,b->c", MULT_TABLE, np.asarray(x, float), np.asarray(y, float))
-
-
-def cross7(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross product of imaginary octonions (length-7 vectors)."""
-    return np.einsum("abc,a,b->c", _CROSS, np.asarray(u, float), np.asarray(v, float))
-
-
 def cross7_matrix(u: np.ndarray) -> np.ndarray:
-    """Matrix M with M @ v = cross7(u, v)."""
+    """Matrix M with M @ v = u x v, the cross product of imaginary octonions (length 7)."""
     return np.einsum("abc,a->cb", _CROSS, np.asarray(u, float))

@@ -78,28 +78,6 @@ class ManifoldSpec:
     h: float | None = None
     tol: dict = dc_field(default_factory=dict)
 
-    def render(self) -> str:
-        lines = [f"name = {self.name}", f"dimension = {self.dimension}",
-                 f"p = {self.p!r}", f"q = {self.q!r}",
-                 "bounds = " + ", ".join(f"{lo!r} {hi!r}" for lo, hi in self.bounds),
-                 f"grid = {self.grid}", f"random_points = {self.random_points}",
-                 f"seed = {self.seed}", f"margin = {self.margin!r}",
-                 f"structure = {self.structure}"]
-        if self.structure == "J":
-            lines.append(f"sign = {'+' if self.sign > 0 else '-'}")
-        for (i, j), src in sorted(self.g_entries.items()):
-            lines.append(f"g[{i}][{j}] = {src}")
-        key = "j" if self.structure == "J" else "jm"
-        for (a, b), src in sorted(self.s_entries.items()):
-            lines.append(f"{key}[{a}][{b}] = {src}")
-        for nm, pt in sorted(self.named_points.items()):
-            lines.append(f"point {nm} = " + " ".join(repr(v) for v in pt))
-        if self.h is not None:
-            lines.append(f"h = {self.h!r}")
-        for k, v in sorted(self.tol.items()):
-            lines.append(f"tol_{k} = {v!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _parse_number(text: str, line_no: int, col: int, kind=float):
     try:
@@ -232,7 +210,7 @@ def build_bundle(spec: ManifoldSpec) -> StructureBundle:
                   n_random=spec.random_points, seed=spec.seed, margin=spec.margin,
                   named_points=spec.named_points)
     g = _expr_matrix_field("g", spec.dimension, spec.g_entries, symmetric=True, sig="dd")
-    scheme = DiffScheme.with_h(spec.h) if spec.h else DiffScheme()
+    scheme = DiffScheme(spec.h) if spec.h else DiffScheme()
     tol = Tolerances(**{k: v for k, v in spec.tol.items()}) if spec.tol else Tolerances()
     struct = _expr_matrix_field("structure", spec.dimension, spec.s_entries,
                                 symmetric=False, sig="ud")

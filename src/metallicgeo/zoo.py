@@ -198,8 +198,8 @@ def _sphere6_embedding(pt: np.ndarray):
 def _sphere6_structure() -> TensorField:
     """Cross-product structure pulled back through the stereographic chart.
 
-    At u(x) on the sphere the structure sends a tangent vector w to
-    cross7(u, w); the chart representation conjugates by the embedding
+    At u(x) on the sphere the structure sends a tangent vector w to the
+    cross product u x w; the chart representation conjugates by the embedding
     Jacobian D, using (D^T D)^{-1} D^T = D^T / lambda for the conformal
     factor lambda = 4/(1+r^2)^2.
     """

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from metallicgeo.diffcalc import DiffScheme, christoffel, partial_all, second_covariant_derivative
+from metallicgeo.diffcalc import DiffScheme, christoffel, covariant_derivative, partial_all
 from metallicgeo.geometry import max_abs
 
 
@@ -16,11 +16,27 @@ def metric_compat_residual(g_fn, point, h: float) -> float:
     quantity whose truncation error actually shrinks with h.
     """
     point = np.asarray(point, dtype=float)
-    gamma = christoffel(g_fn, point, DiffScheme.with_h(h))
+    gamma = christoffel(g_fn, point, DiffScheme(h))
     dg_ref = partial_all(g_fn, point, DiffScheme(), stage=1)
     g = np.asarray(g_fn(point), dtype=float)
     corr = np.einsum("tai,tj->aij", gamma, g) + np.einsum("taj,ti->aij", gamma, g)
     return max_abs(dg_ref - corr)
+
+
+def second_covariant_derivative(fn, sig: str, point, g_fn, scheme=None) -> np.ndarray:
+    """Two added covariant slots, outer first: out[a, b, ...] = (nabla_a nabla_b T)_...
+
+    The inner derivative is evaluated as a field with the first-tier stencil;
+    the outer differencing uses the second tier (wider step, Richardson).
+    """
+    scheme = scheme or DiffScheme()
+
+    def cov_fn(p):
+        return covariant_derivative(fn, sig, p, christoffel(g_fn, p, scheme), fn(p), scheme)
+
+    point = np.asarray(point, dtype=float)
+    return covariant_derivative(cov_fn, "d" + sig, point, christoffel(g_fn, point, scheme),
+                                cov_fn(point), scheme, stage=2)
 
 
 def commutator_residual(bundle, point) -> float:
@@ -32,8 +48,8 @@ def commutator_residual(bundle, point) -> float:
     the curvature pack; the two computations share no code path.
     """
     ctx = bundle.context(point)
-    cc = second_covariant_derivative(bundle.jm, "ud", point, bundle.g, bundle.scheme,
-                                     chart=bundle.chart)  # cc[a, b, h, i]
+    # cc[a, b, h, i]
+    cc = second_covariant_derivative(bundle.jm, "ud", point, bundle.g, bundle.scheme)
     commutator = cc - np.einsum("abhi->bahi", cc)
     Rup = ctx.curvature.Rup
     rhs = np.einsum("kjth,ti->kjhi", Rup, ctx.J) - np.einsum("kjit,ht->kjhi", Rup, ctx.J)

@@ -95,6 +95,12 @@ SPEC_2D = (
     "g[0][0] = {g00}\ng[1][1] = 1\njm[0][1] = -1\njm[1][0] = 1\n"
 )
 GOOD = dict(dim=2, q="0.6666666666666666", bounds="-1 1, -1 1", g00="1")
+# a metric defined only on |x0| <= 1: a stencil that leaves the chart evaluates it outside
+DISK = (
+    "dimension = 2\nq = 0.6666666666666666\nbounds = -1 1, -1 1\nmargin = 0.1\n"
+    "structure = J\nsign = +\ng[0][0] = 1 + sqrt(1 - x0^2)\ng[1][1] = 1 + sqrt(1 - x0^2)\n"
+    "j[0][1] = -1\nj[1][0] = 1\n"
+)
 
 
 @pytest.mark.parametrize("spec,argv,code,message", [
@@ -103,12 +109,15 @@ GOOD = dict(dim=2, q="0.6666666666666666", bounds="-1 1, -1 1", g00="1")
     (dict(GOOD, q="-1"), [], 2, "q must be strictly positive"),
     (None, ["classify", "--zoo", "s2", "--q", "-1"], 2, "q must be strictly positive"),
     (None, ["verify", "--zoo", "s2", "--h", "0.05"], 2, "half the chart margin"),
-], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big"])
+    # h2 = 0.049 is below half the margin, but h2 + 2 h1 = 0.103 is past it
+    (DISK, ["verify", "SPEC", "--suite", "all", "--h", "0.027"], 2, "nested stencil reach 0.103"),
+], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
+        "nested-stencil-too-big"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"
-        path.write_text(SPEC_2D.format(**spec))
-        argv = ["classify", str(path)]
+        path.write_text(spec if isinstance(spec, str) else SPEC_2D.format(**spec))
+        argv = [str(path) if a == "SPEC" else a for a in argv] or ["classify", str(path)]
     got, out, err = run(capsys, *argv)
     assert got == code
     assert message in err
@@ -148,7 +157,18 @@ def test_json_deterministic_excluding_timing(capsys):
     assert outs[0] == outs[1]
 
 
-def test_report_json_helper_excludes_timing():
-    text = report_json({"a": 1.23456789, "timing_s": 1.0}, include_timing=False)
-    assert "timing_s" not in text
-    assert "1.23457" in text
+def test_classify_rescaled_metric_is_not_singular(tmp_path, capsys):
+    # det g = 1e-12 for g = 0.01 delta in dimension 6; the scale of g is no degeneracy
+    entries = "".join(f"g[{i}][{i}] = 0.01\n" for i in range(6))
+    entries += "".join(f"j[{a}][{a + 1}] = -1\nj[{a + 1}][{a}] = 1\n" for a in (0, 2, 4))
+    spec = tmp_path / "small.spec"
+    spec.write_text("dimension = 6\nq = 0.6666666666666666\nbounds = " + ", ".join(["-1 1"] * 6)
+                    + "\ngrid = 1\nrandom_points = 8\nstructure = J\nsign = +\n" + entries)
+    code, out, _ = run(capsys, "classify", str(spec))
+    assert code == 0
+    assert out.splitlines()[0] == "verdict: metallic Kähler"
+
+
+def test_report_json_rounds_to_six_digits():
+    text = report_json({"a": 1.23456789, "b": [2.0000004, {"c": 3}]})
+    assert json.loads(text) == {"a": 1.23457, "b": [2.0, {"c": 3}]}

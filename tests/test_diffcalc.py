@@ -12,10 +12,10 @@ from metallicgeo.diffcalc import (
     nijenhuis,
     partial,
     riemann,
-    second_covariant_derivative,
 )
-from metallicgeo.geometry import Chart, ChartBoundsError, max_abs
-from oracles import commutator_residual, metric_compat_residual
+from metallicgeo.geometry import Chart, ChartBoundsError, TensorField, max_abs
+from metallicgeo.metallic import MetallicParams, StructureBundle
+from oracles import commutator_residual, metric_compat_residual, second_covariant_derivative
 
 
 def conformal_phi_grad(pt):
@@ -62,9 +62,10 @@ def test_partial_sin_at_zero():
 
 def test_partial_boundary_guard():
     chart = Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=3, margin=0.1)
-    f = lambda p: np.array(p[0])
-    with pytest.raises(ChartBoundsError):
-        partial(f, np.array([0.9995, 0.0]), 0, chart=chart)
+    eye = TensorField("delta", "dd", lambda p: np.eye(2))
+    bundle = StructureBundle(chart, eye, eye, MetallicParams(0.0, 2.0 / 3.0))
+    with pytest.raises(ChartBoundsError, match="too close to the boundary"):
+        bundle.context(np.array([0.9995, 0.0]))
 
 
 def test_christoffel_flat_zero():
@@ -95,14 +96,15 @@ def test_covariant_derivative_of_metric_vanishes():
         bundle = zoo.get(name).bundle
         pt = bundle.sample_points[0]
         ctx = bundle.context(pt)
-        res = covariant_derivative(bundle.g, "dd", pt, gamma=ctx.gamma, scheme=bundle.scheme)
+        res = covariant_derivative(bundle.g, "dd", pt, ctx.gamma, ctx.g, bundle.scheme)
         assert max_abs(res) < 1e-6
 
 
 def test_covariant_derivative_constant_tensor_flat():
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    res = covariant_derivative(lambda p: J, "ud", np.array([0.1, 0.2]),
-                               g_fn=lambda p: np.eye(2))
+    pt = np.array([0.1, 0.2])
+    gamma = christoffel(lambda p: np.eye(2), pt)
+    res = covariant_derivative(lambda p: J, "ud", pt, gamma, J, DiffScheme())
     assert max_abs(res) < 1e-12
 
 
@@ -224,11 +226,11 @@ def test_scheme_rejects_bad_parameters():
     with pytest.raises(ValueError):
         DiffScheme(h1=-1.0)
     with pytest.raises(ValueError):
-        DiffScheme(h2=0.0)
+        DiffScheme(h1=0.0)
 
 
 def test_scheme_step_must_fit_chart_margin():
     chart = Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=3, margin=0.004)
     with pytest.raises(ValueError):
         DiffScheme().check_chart(chart)  # h2 ~ 3.2e-3 exceeds margin/2
-    DiffScheme.with_h(1e-4).check_chart(chart)
+    DiffScheme(1e-4).check_chart(chart)

@@ -15,7 +15,6 @@ import pytest
 
 from metallicgeo import cli, zoo
 from metallicgeo.geometry import TensorField
-from metallicgeo.metallic import StructureBundle
 
 BUILDERS = {
     "s2": zoo.fixture_sphere2,
@@ -26,9 +25,9 @@ BUILDERS = {
 
 # (command, fixture) -> (g evaluations, J_M evaluations)
 BUDGET = {
-    ("verify", "s2"): (13247, 1521),
-    ("verify", "s6"): (17793, 6525),
-    ("verify", "flat-k2"): (99739, 6069),
+    ("verify", "s2"): (11817, 1391),
+    ("verify", "s6"): (17109, 6291),
+    ("verify", "flat-k2"): (93925, 5763),
     ("classify", "negative"): (560, 816),
 }
 
@@ -45,9 +44,7 @@ def counting_fixture(name, counts):
 
         return TensorField(name=fld.name, sig=fld.sig, fn=fn)
 
-    bundle = StructureBundle(b.chart, counted(b.g, "g"), counted(b.jm, "jm"), b.params,
-                             source_j=b.source_j, sign=b.sign, scheme=b.scheme,
-                             tolerances=b.tolerances, name=b.name)
+    bundle = dataclasses.replace(b, g=counted(b.g, "g"), jm=counted(b.jm, "jm"))
     return dataclasses.replace(fx, bundle=bundle)
 
 

@@ -57,6 +57,14 @@ def test_inverse_metric_singular_names_point():
     assert "0.5" in str(err.value)
 
 
+def test_inverse_metric_nondegeneracy_is_scale_invariant():
+    # det = 1e-12, far below any absolute threshold, but g is 0.01 times the identity
+    assert np.allclose(inverse_metric(0.01 * np.eye(6)), 100.0 * np.eye(6))
+    for c in (1e-3, 1.0, 1e3):
+        with pytest.raises(SingularMetricError):
+            inverse_metric(c * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]]))
+
+
 def test_chart_require_inside_names_the_failure():
     chart = Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=3, margin=0.1)
     chart.require_inside((0.99, 0.0), reach=0.005)

@@ -123,11 +123,11 @@ def test_check_hyperbolic_s6():
 
 
 def test_hyperbolicity_quartet_vanishes_for_p_zero():
-    # J, its conjugate -J, J_M and its conjugate pI - J_M are all skew-compatible
+    # J, its conjugate -J, J_M and its conjugate pI - J_M are all skew-compatible;
+    # the s2 fixture's J is the constant rotation J2
     bundle = zoo.get("s2").bundle
     for ctx in bundle.contexts():
-        J = bundle.source_j(ctx.point)
-        for A in (J, -J, ctx.J, ctx.Jhat):
+        for A in (J2, -J2, ctx.J, ctx.Jhat):
             w = np.einsum("ti,tm->im", A, ctx.g)
             assert max_abs(w + w.T) < 1e-8
 

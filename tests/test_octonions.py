@@ -1,6 +1,19 @@
 import numpy as np
 
-from metallicgeo.octonions import MULT_TABLE, cross7, cross7_matrix, oct_mult
+from metallicgeo.octonions import MULT_TABLE, cross7_matrix
+
+# the multiplication table and the cross product written as plain bilinear
+# maps, so the algebraic laws below test MULT_TABLE and cross7_matrix
+
+
+def oct_mult(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product of two octonions given as length-8 coefficient vectors."""
+    return np.einsum("abc,a,b->c", MULT_TABLE, x, y)
+
+
+def cross7(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross product of imaginary octonions: the imaginary part of their product."""
+    return oct_mult(np.concatenate(([0.0], u)), np.concatenate(([0.0], v)))[1:]
 
 
 def test_unit_element():
