@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import replace
@@ -241,9 +242,25 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_point_value(argv: list) -> list:
+    """Write `--point -0.18,0.2` as `--point=-0.18,0.2`.
+
+    argparse takes a token that starts with '-' and is not a plain number
+    (a comma makes it one) for an option, so a point whose first coordinate
+    is negative would leave --point without its value.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--point" and re.match(r"-\.?\d", tok):
+            out[-1] = f"--point={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_point_value(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except SpecFileError as exc:

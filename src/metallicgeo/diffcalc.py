@@ -21,17 +21,30 @@ truncation error well below the curvature tolerance tier). The bundle
 checks the scheme's `reach` once per point, when it builds the
 PointContext, so the functions here take no chart and check no bounds.
 
+Every derivative is one stacked stencil (`partial_all`): the 4n nodes
+point + (c h) e_a are built in one numpy operation, the field is called
+once per node (axis by axis, offsets +2h, +h, -h, -2h at stage 1 and
++h2, -h2, +h2/2, -h2/2 at stage 2), and the weights are applied to the
+whole stack element by element. The arithmetic is that of a per-axis
+stencil, so results are bit-identical to differencing one axis at a time.
+
 Everything here is a pure function of (field, point); per-point caches are
 built once and read-only afterwards, so evaluation across sample points
 can proceed in parallel with a deterministic reduction order. A
 PointContext hands its cached base-point values (gamma, the field value)
-to `covariant_derivative` instead of letting it recompute them.
+to `covariant_derivative` instead of letting it recompute them, and it
+computes each Christoffel value once: gamma, Riemann and nabla nabla w
+read one memo over the point and its 4n outer-tier nodes, and nabla
+Ricci extends a copy of that memo that it drops on return. A Christoffel
+value costs 4n + 1 metric evaluations, so Riemann at a fresh point costs
+(4n + 1)^2 + 1; nabla Ricci needs at most 4n more Christoffel values for
+each of its 4n outer nodes, fewer where nested stencils share a node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import numpy as np
 
 from .geometry import Chart, inverse_metric, max_abs
@@ -92,38 +105,46 @@ class DiffScheme:
             )
 
 
-def _central(fn, point, axis, h, order):
-    point = np.asarray(point, dtype=float)
-    e = np.zeros_like(point)
-    e[axis] = 1.0
-    if order == 2:
-        return (np.asarray(fn(point + h * e)) - np.asarray(fn(point - h * e))) / (2.0 * h)
-    return (
-        -np.asarray(fn(point + 2 * h * e))
-        + 8.0 * np.asarray(fn(point + h * e))
-        - 8.0 * np.asarray(fn(point - h * e))
-        + np.asarray(fn(point - 2 * h * e))
-    ) / (12.0 * h)
+# node offsets of each tier in units of its step, in evaluation order
+STENCIL1 = (2.0, 1.0, -1.0, -2.0)  # order 4 at h1
+STENCIL2 = (1.0, -1.0, 0.5, -0.5)  # order 2 at h2, then at h2/2
 
 
-def partial(fn, point, axis: int, scheme: DiffScheme | None = None, stage: int = 1):
-    """Central-difference partial derivative of a (possibly array-valued) field.
-
-    stage 1 is the order-4 stencil at h1; stage 2 Richardson-extrapolates
-    the order-2 stencil at h2 and h2/2, which is accurate to order 4.
-    """
-    scheme = scheme or DiffScheme()
-    if stage == 1:
-        return _central(fn, point, axis, scheme.h1, ORDER1)
-    coarse = _central(fn, point, axis, scheme.h2, ORDER2)
-    fine = _central(fn, point, axis, scheme.h2 / 2.0, ORDER2)
-    return (4.0 * fine - coarse) / 3.0
+@lru_cache(maxsize=64)
+def _displacements(n: int, h: float, stage: int) -> np.ndarray:
+    """disp[a, k] = (c_k h) e_a: every node of a stencil around the origin, axis by axis."""
+    steps = np.array(STENCIL1 if stage == 1 else STENCIL2) * h
+    disp = np.eye(n)[:, None, :] * steps[None, :, None]
+    disp.flags.writeable = False
+    return disp
 
 
 def partial_all(fn, point, scheme: DiffScheme | None = None, stage: int = 1):
-    """Stack of partial derivatives along every coordinate: out[a, ...] = d_a fn."""
+    """Stack of central-difference partial derivatives: out[a, ...] = d_a fn.
+
+    Every node of the stencil is built at once as point + (c h) e_a, and
+    fn is called once per node, axis by axis. Stage 1 is the order-4
+    stencil at h1; stage 2 Richardson-extrapolates the order-2 stencil at
+    h2 and h2/2, which is accurate to order 4. The weights are applied to
+    the whole stack of values, element by element.
+    """
+    scheme = scheme or DiffScheme()
     point = np.asarray(point, dtype=float)
-    return np.stack([partial(fn, point, a, scheme, stage=stage) for a in range(point.size)], axis=0)
+    n = point.size
+    h = scheme.h1 if stage == 1 else scheme.h2
+    nodes = point + _displacements(n, h, stage)
+    v = np.array([fn(x) for x in nodes.reshape(-1, n)])
+    v = v.reshape((n, 4) + v.shape[1:])
+    if stage == 1:
+        return (-v[:, 0] + 8.0 * v[:, 1] - 8.0 * v[:, 2] + v[:, 3]) / (12.0 * h)
+    coarse = (v[:, 0] - v[:, 1]) / (2.0 * h)
+    fine = (v[:, 2] - v[:, 3]) / (2.0 * (h / 2.0))
+    return (4.0 * fine - coarse) / 3.0
+
+
+def partial(fn, point, axis: int, scheme: DiffScheme | None = None, stage: int = 1):
+    """One partial derivative d_axis fn, the axis-th slice of `partial_all`."""
+    return partial_all(fn, point, scheme, stage)[axis]
 
 
 def christoffel(g_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
@@ -193,13 +214,18 @@ class CurvaturePack:
         }
 
 
-def riemann(g_fn, point, scheme: DiffScheme | None = None) -> CurvaturePack:
-    """Curvature from outer differencing of the Christoffel field."""
+def riemann(g_fn, point, scheme: DiffScheme | None = None, gamma_fn=None) -> CurvaturePack:
+    """Curvature from outer differencing of the Christoffel field.
+
+    gamma_fn is that field; by default `christoffel` of g_fn, and a
+    PointContext passes its memoized one so that other consumers at the
+    point reuse the same node values.
+    """
     scheme = scheme or DiffScheme()
     point = np.asarray(point, dtype=float)
-
-    def gamma_fn(p):
-        return christoffel(g_fn, p, scheme)
+    if gamma_fn is None:
+        def gamma_fn(p):
+            return christoffel(g_fn, p, scheme)
 
     dGamma = partial_all(gamma_fn, point, scheme, stage=2)  # [k, h, i, j]
     gamma = gamma_fn(point)
@@ -229,15 +255,13 @@ def exterior_derivative_2form(omega_fn, point, scheme: DiffScheme | None = None)
     return out
 
 
-def nijenhuis(j_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
+def nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
     """Bracket-formula Nijenhuis tensor of a (1,1) field, N[i, j, h] = N_ij^h.
 
-    Computed from plain partials; antisymmetry in (i, j) is structural.
+    Computed from J[h, i] and its plain partials dJ[a, h, i] at a point;
+    antisymmetry in (i, j) is structural.
     N_ij^h = J_i^t d_t J_j^h - J_j^t d_t J_i^h + (d_j J_i^t) J_t^h - (d_i J_j^t) J_t^h
     """
-    point = np.asarray(point, dtype=float)
-    J = np.asarray(j_fn(point), dtype=float)  # J[h, i]
-    dJ = partial_all(j_fn, point, scheme, stage=1)  # dJ[a, h, i]
     term1 = np.einsum("ti,thj->ijh", J, dJ)
     term3 = np.einsum("jti,ht->ijh", dJ, J)
     return term1 - np.einsum("ijh->jih", term1) + term3 - np.einsum("ijh->jih", term3)
@@ -248,6 +272,9 @@ class PointContext:
 
     All members are computed at most once; the object is effectively
     immutable after the caches fill, so contexts may be shared freely.
+    Christoffel values are memoized per stencil node (keyed on its exact
+    coordinates), so gamma, Riemann and nabla nabla w compute each node
+    once; the memo holds the point and the 4n outer-tier nodes around it.
     """
 
     def __init__(self, g_fn, j_fn, p: float, q: float, point, scheme: DiffScheme | None = None):
@@ -258,6 +285,7 @@ class PointContext:
         self.point = np.asarray(point, dtype=float)
         self.scheme = scheme or DiffScheme()
         self.n = self.point.size
+        self._gammas: dict = {}  # node coordinates (bytes) -> Christoffel values there
 
     # --- algebra at the point ---
 
@@ -289,9 +317,26 @@ class PointContext:
 
     # --- first derivatives ---
 
+    def _gamma_field(self, memo: dict):
+        """The Christoffel field, computing each node once and keeping it in memo."""
+        g_fn, scheme = self.g_fn, self.scheme
+
+        def gamma_fn(pt):
+            key = pt.tobytes()
+            gamma = memo.get(key)
+            if gamma is None:
+                gamma = memo[key] = christoffel(g_fn, pt, scheme)
+            return gamma
+
+        return gamma_fn
+
+    @cached_property
+    def gamma_fn(self):
+        return self._gamma_field(self._gammas)
+
     @cached_property
     def gamma(self) -> np.ndarray:
-        return christoffel(self.g_fn, self.point, self.scheme)
+        return self.gamma_fn(self.point)
 
     @cached_property
     def dJ(self) -> np.ndarray:
@@ -331,13 +376,13 @@ class PointContext:
 
     @cached_property
     def N(self) -> np.ndarray:
-        return nijenhuis(self.j_fn, self.point, self.scheme)
+        return nijenhuis(self.J, self.dJ)
 
     # --- curvature ---
 
     @cached_property
     def curvature(self) -> CurvaturePack:
-        return riemann(self.g_fn, self.point, self.scheme)
+        return riemann(self.g_fn, self.point, self.scheme, self.gamma_fn)
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -369,25 +414,34 @@ class PointContext:
 
     @cached_property
     def cov_ricci(self) -> np.ndarray:
-        """cov_ricci[a, j, i] = (nabla_a S)_ji, outer-tier differencing of the Ricci field."""
+        """cov_ricci[a, j, i] = (nabla_a S)_ji, outer-tier differencing of the Ricci field.
+
+        The Ricci field at each outer node reads the Christoffel values the
+        curvature left in the memo and keeps the nodes around it in a copy
+        that is dropped on return, so the context does not hold them.
+        """
+        ricci = self.curvature.ricci
+        gamma_fn = self._gamma_field(dict(self._gammas))
 
         def ricci_fn(pt):
-            return riemann(self.g_fn, pt, self.scheme).ricci
+            return riemann(self.g_fn, pt, self.scheme, gamma_fn).ricci
 
-        return covariant_derivative(ricci_fn, "dd", self.point, self.gamma, self.curvature.ricci,
-                                    self.scheme, stage=2)
+        return covariant_derivative(ricci_fn, "dd", self.point, self.gamma, ricci, self.scheme,
+                                    stage=2)
 
     @cached_property
     def covcov_omega(self) -> np.ndarray:
         """covcov[a, b, i, m] = (nabla_a nabla_b w)_im.
 
         The inner nabla w is a field evaluated with the first-tier stencil;
-        the outer differencing uses the second tier (wider step, Richardson).
+        the outer differencing uses the second tier (wider step, Richardson),
+        whose nodes are those of the curvature, so their Christoffel values
+        come from the memo.
         """
         scheme = self.scheme
 
         def cov_omega_fn(pt):
-            return covariant_derivative(self.omega_fn, "dd", pt, christoffel(self.g_fn, pt, scheme),
+            return covariant_derivative(self.omega_fn, "dd", pt, self.gamma_fn(pt),
                                         self.omega_fn(pt), scheme)
 
         return covariant_derivative(cov_omega_fn, "ddd", self.point, self.gamma, self.cov_omega,

@@ -6,6 +6,39 @@ from metallicgeo.diffcalc import DiffScheme, christoffel, covariant_derivative, 
 from metallicgeo.geometry import max_abs
 
 
+def central(fn, point, axis: int, h: float, order: int):
+    """One central difference along one axis, fn called once per node (+2h, +h, -h, -2h).
+
+    The per-axis form of the engine's stencils; `partial_all` must equal
+    `partial_all_per_axis`, built from it, bit for bit.
+    """
+    point = np.asarray(point, dtype=float)
+    e = np.zeros_like(point)
+    e[axis] = 1.0
+    if order == 2:
+        return (np.asarray(fn(point + h * e)) - np.asarray(fn(point - h * e))) / (2.0 * h)
+    return (
+        -np.asarray(fn(point + 2 * h * e))
+        + 8.0 * np.asarray(fn(point + h * e))
+        - 8.0 * np.asarray(fn(point - h * e))
+        + np.asarray(fn(point - 2 * h * e))
+    ) / (12.0 * h)
+
+
+def partial_all_per_axis(fn, point, scheme: DiffScheme, stage: int) -> np.ndarray:
+    """out[a, ...] = d_a fn, axis by axis: order 4 at h1, or Richardson over order 2 at h2, h2/2."""
+    point = np.asarray(point, dtype=float)
+
+    def along(axis):
+        if stage == 1:
+            return central(fn, point, axis, scheme.h1, 4)
+        coarse = central(fn, point, axis, scheme.h2, 2)
+        fine = central(fn, point, axis, scheme.h2 / 2.0, 2)
+        return (4.0 * fine - coarse) / 3.0
+
+    return np.stack([along(a) for a in range(point.size)], axis=0)
+
+
 def metric_compat_residual(g_fn, point, h: float) -> float:
     """Metric-compatibility residual of the connection built at step h.
 

@@ -90,6 +90,19 @@ def test_curvature_point_outside_chart_exit_3(capsys):
     assert "outside the chart" in err
 
 
+@pytest.mark.parametrize("value", ["-0.18,-0.18", "-.18,0.2"])
+def test_curvature_point_with_negative_first_coordinate(value, capsys):
+    reports = []
+    for point_args in (["--point", value], [f"--point={value}"]):
+        code, out, err = run(capsys, "curvature", "--zoo", "s2", *point_args, "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        report.pop("timing_s")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["point"] == [float(v) for v in value.split(",")]
+
+
 SPEC_2D = (
     "dimension = {dim}\nq = {q}\nbounds = {bounds}\nstructure = JM\n"
     "g[0][0] = {g00}\ng[1][1] = 1\njm[0][1] = -1\njm[1][0] = 1\n"

@@ -11,11 +11,17 @@ from metallicgeo.diffcalc import (
     exterior_derivative_2form,
     nijenhuis,
     partial,
+    partial_all,
     riemann,
 )
 from metallicgeo.geometry import Chart, ChartBoundsError, TensorField, max_abs
 from metallicgeo.metallic import MetallicParams, StructureBundle
-from oracles import commutator_residual, metric_compat_residual, second_covariant_derivative
+from oracles import (
+    commutator_residual,
+    metric_compat_residual,
+    partial_all_per_axis,
+    second_covariant_derivative,
+)
 
 
 def conformal_phi_grad(pt):
@@ -43,6 +49,42 @@ def constant_curvature_oracle(g):
 def round_metric(pt):
     r2 = float(np.dot(pt, pt))
     return (4.0 / (1.0 + r2) ** 2) * np.eye(len(pt))
+
+
+def _stencil_fields(n):
+    """Scalar, matrix and rank-3 fields; copysign makes the sign of a zero coordinate matter."""
+    w = np.linspace(0.3, 1.1, n)
+    return (
+        lambda p: np.sin(p @ w) + np.copysign(0.5, p).sum() * np.exp(p[0]),
+        lambda p: np.outer(np.cos(p * w), np.copysign(1.0, p) + p ** 2),
+        lambda p: np.einsum("i,j,k->ijk", np.tanh(p + 0.1), np.exp(-p * w),
+                            np.copysign(1.0, p) * p + 1.0),
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_partial_all_bit_identical_to_per_axis_stencils(n):
+    rng = np.random.default_rng(n)
+    mixed = rng.uniform(-1.0, 1.0, n)
+    mixed[0] = -0.0
+    points = [rng.uniform(-1.0, 1.0, n), -rng.uniform(0.1, 1.0, n), np.full(n, -0.0), mixed]
+    for scheme in (DiffScheme(), DiffScheme(3e-3)):
+        for stage in (1, 2):
+            for field in _stencil_fields(n):
+                for pt in points:
+                    calls = {"ref": [], "got": []}
+
+                    def logged(key):
+                        def fn(p):
+                            calls[key].append(p.tobytes())
+                            return field(p)
+                        return fn
+
+                    ref = partial_all_per_axis(logged("ref"), pt, scheme, stage)
+                    got = partial_all(logged("got"), pt, scheme, stage)
+                    assert got.shape == ref.shape and np.array_equal(got, ref)
+                    assert got.tobytes() == ref.tobytes()  # also tells -0.0 from 0.0
+                    assert calls["got"] == calls["ref"]
 
 
 def test_partial_polynomial():
@@ -200,7 +242,7 @@ def test_exterior_cross_check_orientation_on_s6():
 
 def test_nijenhuis_constant_structure_zero():
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert max_abs(nijenhuis(lambda p: J, np.array([0.4, 0.2]))) < 1e-12
+    assert max_abs(nijenhuis(J, partial_all(lambda p: J, np.array([0.4, 0.2])))) < 1e-12
 
 
 def test_nijenhuis_s2_integrable():

@@ -20,15 +20,17 @@ BUILDERS = {
     "s2": zoo.fixture_sphere2,
     "s6": zoo.fixture_sphere6,
     "flat-k2": lambda: zoo.fixture_flat(2),
+    "flat-k3": lambda: zoo.fixture_flat(3),
     "negative": zoo.fixture_negative,
 }
 
 # (command, fixture) -> (g evaluations, J_M evaluations)
 BUDGET = {
-    ("verify", "s2"): (11817, 1391),
-    ("verify", "s6"): (17109, 6291),
-    ("verify", "flat-k2"): (93925, 5763),
-    ("classify", "negative"): (560, 816),
+    ("verify", "s2"): (5868, 1274),
+    ("verify", "s6"): (11484, 6066),
+    ("verify", "flat-k2"): (47124, 5474),
+    ("verify", "flat-k3"): (83900, 6740),
+    ("classify", "negative"): (560, 544),
 }
 
 
@@ -61,3 +63,19 @@ def test_field_evaluations_within_budget(command, name, monkeypatch):
     g_max, jm_max = BUDGET[(command, name)]
     assert counts["g"] <= g_max, counts
     assert counts["jm"] <= jm_max, counts
+
+
+def test_contexts_keep_only_outer_christoffel_nodes(monkeypatch):
+    """nabla Ricci's nested Christoffel values are dropped once it is computed.
+
+    A context's memo holds the point and the 4n outer-tier nodes that
+    Riemann and nabla nabla w share; keeping the nodes of every nested
+    Riemann as well would grow each context by O(n^2) arrays.
+    """
+    fx = BUILDERS["flat-k2"]()
+    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--zoo", "flat-k2", "--suite", "all", "--format", "json"]) == 0
+    for ctx in fx.bundle.contexts():
+        assert {"cov_ricci", "covcov_omega"} <= vars(ctx).keys()
+        assert len(ctx._gammas) <= 4 * ctx.n + 1
