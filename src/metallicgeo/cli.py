@@ -9,7 +9,7 @@ passed), 1 at least one asserted identity failed, 2 invalid input (a spec
 parse error, with file, line and offset printed, or a chart, structure
 parameter or differencing step the engine rejects), 3 numerical failure
 (singular metric, a point outside the chart, or an expression evaluated
-outside its domain).
+outside its domain or to a non-finite value).
 
 JSON reports are deterministic for a fixed spec and seed: fields are
 emitted in a fixed order and every residual is rounded to 6 significant

@@ -21,24 +21,37 @@ truncation error well below the curvature tolerance tier). The bundle
 checks the scheme's `reach` once per point, when it builds the
 PointContext, so the functions here take no chart and check no bounds.
 
+Fields map a stack of points to a stack of values: fn(pts) with pts of
+shape (m, n) returns shape (m, ...), and the functions here call every
+field with stacks only (a `TensorField` also accepts a single point).
 Every derivative is one stacked stencil (`partial_all`): the 4n nodes
-point + (c h) e_a are built in one numpy operation, the field is called
-once per node (axis by axis, offsets +2h, +h, -h, -2h at stage 1 and
-+h2, -h2, +h2/2, -h2/2 at stage 2), and the weights are applied to the
-whole stack element by element. The arithmetic is that of a per-axis
-stencil, so results are bit-identical to differencing one axis at a time.
+point + (c h) e_a of each base point are built in one numpy operation, in
+per-axis order (axis by axis, offsets +2h, +h, -h, -2h at stage 1 and
++h2, -h2, +h2/2, -h2/2 at stage 2), the field is called once for all of
+them, and the weights are applied to the stack of values element by
+element. `partial_all`, `christoffel` and `covariant_derivative` accept a
+point (n,) or a stack of base points (..., n) and prepend the same
+leading axes to their result.
+
+What is bit-identical and what is not: the stencil weights are applied
+with the arithmetic of a per-axis stencil, so `partial_all` equals
+differencing one axis at a time bit for bit whenever the field returns
+the same values row by row. The batched contractions (the Christoffel
+einsum over a stack, the connection corrections) may sum in another
+order than a per-point computation, so their results agree with it to
+roundoff only.
 
 Everything here is a pure function of (field, point); per-point caches are
-built once and read-only afterwards, so evaluation across sample points
-can proceed in parallel with a deterministic reduction order. A
-PointContext hands its cached base-point values (gamma, the field value)
-to `covariant_derivative` instead of letting it recompute them, and it
-computes each Christoffel value once: gamma, Riemann and nabla nabla w
-read one memo over the point and its 4n outer-tier nodes, and nabla
-Ricci extends a copy of that memo that it drops on return. A Christoffel
-value costs 4n + 1 metric evaluations, so Riemann at a fresh point costs
-(4n + 1)^2 + 1; nabla Ricci needs at most 4n more Christoffel values for
-each of its 4n outer nodes, fewer where nested stencils share a node.
+built once and read-only afterwards. A PointContext hands its cached
+base-point values (gamma, the field value) to `covariant_derivative`
+instead of letting it recompute them, and it computes each Christoffel
+value once: gamma, Riemann and nabla nabla w read one memo over the point
+and its 4n outer-tier nodes, filled by one batched `christoffel` call per
+stack of missing nodes, and nabla Ricci extends a copy of that memo that
+it drops on return. A Christoffel value costs 4n + 1 metric evaluations,
+so Riemann at a fresh point costs (4n + 1)^2 + 1; nabla Ricci needs at
+most 4n more Christoffel values for each of its 4n outer nodes, fewer
+where nested stencils share a node.
 """
 
 from __future__ import annotations
@@ -119,74 +132,95 @@ def _displacements(n: int, h: float, stage: int) -> np.ndarray:
     return disp
 
 
-def partial_all(fn, point, scheme: DiffScheme | None = None, stage: int = 1):
-    """Stack of central-difference partial derivatives: out[a, ...] = d_a fn.
+def _at(fn, point) -> np.ndarray:
+    """The value of a stacked field at one point."""
+    return np.asarray(fn(point[None, :]), dtype=float)[0]
 
-    Every node of the stencil is built at once as point + (c h) e_a, and
-    fn is called once per node, axis by axis. Stage 1 is the order-4
-    stencil at h1; stage 2 Richardson-extrapolates the order-2 stencil at
-    h2 and h2/2, which is accurate to order 4. The weights are applied to
-    the whole stack of values, element by element.
+
+def _nodes(points: np.ndarray, h: float, stage: int) -> np.ndarray:
+    """The stencil nodes of every base point, flattened to (count, n) in per-axis order."""
+    n = points.shape[-1]
+    return (points[..., None, None, :] + _displacements(n, h, stage)).reshape(-1, n)
+
+
+def _derivatives(values: np.ndarray, lead: tuple, n: int, h: float, stage: int) -> np.ndarray:
+    """Apply the stencil weights to the values at `_nodes`: out[..., a, ...] = d_a.
+
+    Stage 1 is the order-4 stencil at h; stage 2 Richardson-extrapolates
+    the order-2 stencil at h and h/2, which is accurate to order 4.
     """
-    scheme = scheme or DiffScheme()
-    point = np.asarray(point, dtype=float)
-    n = point.size
-    h = scheme.h1 if stage == 1 else scheme.h2
-    nodes = point + _displacements(n, h, stage)
-    v = np.array([fn(x) for x in nodes.reshape(-1, n)])
-    v = v.reshape((n, 4) + v.shape[1:])
+    v = np.moveaxis(values.reshape(lead + (n, 4) + values.shape[1:]), len(lead) + 1, 0)
     if stage == 1:
-        return (-v[:, 0] + 8.0 * v[:, 1] - 8.0 * v[:, 2] + v[:, 3]) / (12.0 * h)
-    coarse = (v[:, 0] - v[:, 1]) / (2.0 * h)
-    fine = (v[:, 2] - v[:, 3]) / (2.0 * (h / 2.0))
+        return (-v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]) / (12.0 * h)
+    coarse = (v[0] - v[1]) / (2.0 * h)
+    fine = (v[2] - v[3]) / (2.0 * (h / 2.0))
     return (4.0 * fine - coarse) / 3.0
 
 
+def partial_all(fn, point, scheme: DiffScheme | None = None, stage: int = 1):
+    """Central-difference partial derivatives: out[..., a, ...] = d_a fn.
+
+    point is one point (n,) or a stack of base points (..., n); fn is
+    called once, with the stencil nodes of all of them.
+    """
+    scheme = scheme or DiffScheme()
+    point = np.asarray(point, dtype=float)
+    h = scheme.h1 if stage == 1 else scheme.h2
+    values = np.asarray(fn(_nodes(point, h, stage)), dtype=float)
+    return _derivatives(values, point.shape[:-1], point.shape[-1], h, stage)
+
+
 def partial(fn, point, axis: int, scheme: DiffScheme | None = None, stage: int = 1):
-    """One partial derivative d_axis fn, the axis-th slice of `partial_all`."""
+    """One partial derivative d_axis fn at a point, the axis-th slice of `partial_all`."""
     return partial_all(fn, point, scheme, stage)[axis]
 
 
 def christoffel(g_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
-    """Levi-Civita coefficients gamma[h, i, j] from first derivatives of the metric."""
+    """Levi-Civita coefficients gamma[..., h, i, j] at a point or a stack of points.
+
+    The metric is evaluated in one call, at the points and at the nodes of
+    their first-tier stencils together.
+    """
+    scheme = scheme or DiffScheme()
     point = np.asarray(point, dtype=float)
-    g = np.asarray(g_fn(point), dtype=float)
+    lead, n = point.shape[:-1], point.shape[-1]
+    flat = point.reshape(-1, n)
+    values = np.asarray(g_fn(np.concatenate([flat, _nodes(point, scheme.h1, 1)])), dtype=float)
+    g = values[:len(flat)].reshape(lead + (n, n))
+    dg = _derivatives(values[len(flat):], lead, n, scheme.h1, 1)  # dg[..., a, i, j]
     ginv = inverse_metric(g, point)
-    dg = partial_all(g_fn, point, scheme, stage=1)  # dg[a, i, j]
-    gamma = 0.5 * np.einsum(
-        "ht,itj->hij",
-        ginv,
-        dg.transpose(0, 1, 2) + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2),
-    )
     # dg[i,t,j] + dg[j,t,i] - dg[t,i,j] arranged as [i,t,j]
-    return gamma
+    return 0.5 * np.einsum("...ht,...itj->...hij", ginv,
+                           dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2))
 
 
 def _cov_correct(value: np.ndarray, sig: str, gamma: np.ndarray) -> np.ndarray:
-    """Gamma corrections for every slot; returns corr[a, ...] to add to d_a T."""
-    n = gamma.shape[0]
-    corr = np.zeros((n,) + value.shape)
+    """Gamma corrections for every slot; returns corr[..., a, ...] to add to d_a T.
+
+    value and gamma carry the same leading (stack) axes.
+    """
+    n = gamma.shape[-1]
+    lead = gamma.shape[:-3]
+    corr = np.zeros(lead + (n,) + value.shape[len(lead):])
+    slots = "bcdefg"[:len(sig)]
     for axis, kind in enumerate(sig):
+        summed = slots[:axis] + "t" + slots[axis + 1:]
         if kind == "u":
             # + Gamma^h_at T^{...t...}
-            term = np.tensordot(value, gamma, axes=([axis], [2]))  # (..., h, a) at the end
-            term = np.moveaxis(term, -1, 0)  # a first
-            corr += np.moveaxis(term, -1, axis + 1)
+            corr += np.einsum(f"...{summed},...{slots[axis]}at->...a{slots}", value, gamma)
         else:
             # - Gamma^t_a(axis) T_{...t...}
-            term = np.tensordot(value, gamma, axes=([axis], [0]))  # (..., a, j) at the end
-            term = np.moveaxis(term, -2, 0)
-            corr -= np.moveaxis(term, -1, axis + 1)
+            corr -= np.einsum(f"...{summed},...ta{slots[axis]}->...a{slots}", value, gamma)
     return corr
 
 
 def covariant_derivative(fn, sig: str, point, gamma: np.ndarray, value: np.ndarray,
                          scheme: DiffScheme, stage: int = 1) -> np.ndarray:
-    """Covariant derivative, one covariant slot prepended: out[a, ...] = (nabla_a T)_...
+    """Covariant derivative, one covariant slot prepended: out[..., a, ...] = (nabla_a T)_...
 
-    gamma and value are the connection coefficients and fn's value at the
-    point, which every caller already holds; only the stencil nodes around
-    the point evaluate fn.
+    point is one point or a stack of points; gamma and value are the
+    connection coefficients and fn's value there, which every caller
+    already holds, so only the stencil nodes evaluate fn.
     """
     dT = partial_all(fn, point, scheme, stage=stage)
     return dT + _cov_correct(value, sig, gamma)
@@ -224,11 +258,11 @@ def riemann(g_fn, point, scheme: DiffScheme | None = None, gamma_fn=None) -> Cur
     scheme = scheme or DiffScheme()
     point = np.asarray(point, dtype=float)
     if gamma_fn is None:
-        def gamma_fn(p):
-            return christoffel(g_fn, p, scheme)
+        def gamma_fn(pts):
+            return christoffel(g_fn, pts, scheme)
 
     dGamma = partial_all(gamma_fn, point, scheme, stage=2)  # [k, h, i, j]
-    gamma = gamma_fn(point)
+    gamma = _at(gamma_fn, point)
     # R_kji^h = d_k G^h_ji - d_j G^h_ki + G^t_ji G^h_kt - G^t_ki G^h_jt
     Rup = (
         np.einsum("khji->kjih", dGamma)
@@ -236,7 +270,7 @@ def riemann(g_fn, point, scheme: DiffScheme | None = None, gamma_fn=None) -> Cur
         + np.einsum("tji,hkt->kjih", gamma, gamma)
         - np.einsum("tki,hjt->kjih", gamma, gamma)
     )
-    g = np.asarray(g_fn(point), dtype=float)
+    g = _at(g_fn, point)
     ginv = inverse_metric(g, point)
     Rdown = np.einsum("kjit,tl->kjil", Rup, g)
     ricci = np.einsum("hjih->ji", Rup)
@@ -247,7 +281,7 @@ def riemann(g_fn, point, scheme: DiffScheme | None = None, gamma_fn=None) -> Cur
 def exterior_derivative_2form(omega_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
     """dw[a, b, c] = d_a w_bc + d_b w_ca + d_c w_ab; input must be antisymmetric."""
     point = np.asarray(point, dtype=float)
-    w = np.asarray(omega_fn(point), dtype=float)
+    w = _at(omega_fn, point)
     if max_abs(w + w.T) > SKEW_TOL * max(1.0, max_abs(w)):
         raise ValueError("exterior derivative needs an antisymmetric 2-form")
     dw = partial_all(omega_fn, point, scheme, stage=1)  # dw[a, b, c]
@@ -272,9 +306,11 @@ class PointContext:
 
     All members are computed at most once; the object is effectively
     immutable after the caches fill, so contexts may be shared freely.
-    Christoffel values are memoized per stencil node (keyed on its exact
-    coordinates), so gamma, Riemann and nabla nabla w compute each node
-    once; the memo holds the point and the 4n outer-tier nodes around it.
+    g_fn and j_fn map stacks of points, and so do the fields built here
+    (w, its skew part, nabla w, Ricci). Christoffel values are memoized
+    per stencil node (keyed on its exact coordinates), so gamma, Riemann
+    and nabla nabla w compute each node once; the memo holds the point and
+    the 4n outer-tier nodes around it.
     """
 
     def __init__(self, g_fn, j_fn, p: float, q: float, point, scheme: DiffScheme | None = None):
@@ -291,7 +327,7 @@ class PointContext:
 
     @cached_property
     def g(self) -> np.ndarray:
-        return np.asarray(self.g_fn(self.point), dtype=float)
+        return _at(self.g_fn, self.point)
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -299,7 +335,7 @@ class PointContext:
 
     @cached_property
     def J(self) -> np.ndarray:
-        return np.asarray(self.j_fn(self.point), dtype=float)
+        return _at(self.j_fn, self.point)
 
     @cached_property
     def Jhat(self) -> np.ndarray:
@@ -310,23 +346,33 @@ class PointContext:
         # w_im = (J_M)_i^t g_tm
         return np.einsum("ti,tm->im", self.J, self.g)
 
-    def omega_fn(self, pt) -> np.ndarray:
-        Jp = np.asarray(self.j_fn(pt), dtype=float)
-        gp = np.asarray(self.g_fn(pt), dtype=float)
-        return np.einsum("ti,tm->im", Jp, gp)
+    def omega_fn(self, pts) -> np.ndarray:
+        """w at a stack of points (m, n) -> (m, n, n)."""
+        Jp = np.asarray(self.j_fn(pts), dtype=float)
+        gp = np.asarray(self.g_fn(pts), dtype=float)
+        return np.einsum("...ti,...tm->...im", Jp, gp)
 
     # --- first derivatives ---
 
     def _gamma_field(self, memo: dict):
-        """The Christoffel field, computing each node once and keeping it in memo."""
-        g_fn, scheme = self.g_fn, self.scheme
+        """The Christoffel field over stacks, computing each node once and keeping it in memo.
 
-        def gamma_fn(pt):
-            key = pt.tobytes()
-            gamma = memo.get(key)
-            if gamma is None:
-                gamma = memo[key] = christoffel(g_fn, pt, scheme)
-            return gamma
+        The rows missing from memo are computed in one `christoffel` call.
+        The closure refers to memo but not to itself or to the context, so
+        a local memo is freed as soon as the field is dropped.
+        """
+        g_fn, scheme, n = self.g_fn, self.scheme, self.n
+
+        def gamma_fn(pts):
+            rows = pts.reshape(-1, n)
+            keys = [row.tobytes() for row in rows]
+            missing = {}
+            for i, key in enumerate(keys):
+                if key not in memo:
+                    missing.setdefault(key, i)
+            if missing:
+                memo.update(zip(missing, christoffel(g_fn, rows[list(missing.values())], scheme)))
+            return np.stack([memo[key] for key in keys]).reshape(pts.shape[:-1] + (n, n, n))
 
         return gamma_fn
 
@@ -336,7 +382,7 @@ class PointContext:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return self.gamma_fn(self.point)
+        return _at(self.gamma_fn, self.point)
 
     @cached_property
     def dJ(self) -> np.ndarray:
@@ -368,9 +414,9 @@ class PointContext:
         # differentiates the antisymmetric part of w: identical whenever the
         # bundle is skew-compatible, and still a well-defined 2-form (hence a
         # reportable residual) on bundles that fail that compatibility
-        def skew_fn(pt):
-            w = self.omega_fn(pt)
-            return 0.5 * (w - w.T)
+        def skew_fn(pts):
+            w = self.omega_fn(pts)
+            return 0.5 * (w - np.swapaxes(w, -1, -2))
 
         return exterior_derivative_2form(skew_fn, self.point, self.scheme)
 
@@ -418,13 +464,15 @@ class PointContext:
 
         The Ricci field at each outer node reads the Christoffel values the
         curvature left in the memo and keeps the nodes around it in a copy
-        that is dropped on return, so the context does not hold them.
+        that is dropped on return, so the context does not hold them. It
+        computes one Riemann tensor per row, so the nest of stencils is
+        never built as one array.
         """
         ricci = self.curvature.ricci
         gamma_fn = self._gamma_field(dict(self._gammas))
 
-        def ricci_fn(pt):
-            return riemann(self.g_fn, pt, self.scheme, gamma_fn).ricci
+        def ricci_fn(pts):
+            return np.stack([riemann(self.g_fn, pt, self.scheme, gamma_fn).ricci for pt in pts])
 
         return covariant_derivative(ricci_fn, "dd", self.point, self.gamma, ricci, self.scheme,
                                     stage=2)
@@ -433,16 +481,16 @@ class PointContext:
     def covcov_omega(self) -> np.ndarray:
         """covcov[a, b, i, m] = (nabla_a nabla_b w)_im.
 
-        The inner nabla w is a field evaluated with the first-tier stencil;
-        the outer differencing uses the second tier (wider step, Richardson),
-        whose nodes are those of the curvature, so their Christoffel values
-        come from the memo.
+        The inner nabla w is a field evaluated with the first-tier stencil
+        at all 4n outer nodes at once; the outer differencing uses the
+        second tier (wider step, Richardson), whose nodes are those of the
+        curvature, so their Christoffel values come from the memo.
         """
         scheme = self.scheme
 
-        def cov_omega_fn(pt):
-            return covariant_derivative(self.omega_fn, "dd", pt, self.gamma_fn(pt),
-                                        self.omega_fn(pt), scheme)
+        def cov_omega_fn(pts):
+            return covariant_derivative(self.omega_fn, "dd", pts, self.gamma_fn(pts),
+                                        self.omega_fn(pts), scheme)
 
         return covariant_derivative(cov_omega_fn, "ddd", self.point, self.gamma, self.cov_omega,
                                     scheme, stage=2)

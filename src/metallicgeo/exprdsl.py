@@ -1,9 +1,11 @@
 """Scalar expression DSL over chart coordinates.
 
 Expressions define metric and structure components inside manifold spec
-files. They are parsed once into an immutable AST and evaluated at chart
-points in IEEE double precision; no symbolic differentiation is done here
-(derivatives are taken numerically downstream).
+files. They are parsed once into an immutable AST and evaluated in IEEE
+double precision, at one chart point or at a stack of points at once: each
+node maps the whole stack with one numpy ufunc. No symbolic
+differentiation is done here (derivatives are taken numerically
+downstream).
 
 Grammar (EBNF):
 
@@ -23,15 +25,18 @@ x0 .. x3. Constants: pi, e. Functions (one argument each): sin, cos, tan,
 exp, ln, sqrt, sinh, cosh.
 
 "^" accepts non-integer exponents only for positive bases; anything else
-(and ln/sqrt of a negative number, division by zero) raises a domain
-error naming the offending sub-expression. All offsets reported in errors
-are 1-based.
+(and ln/sqrt of a negative number, division by zero, and any sub-expression
+whose value is not finite, such as an overflow) raises a domain error
+naming the offending sub-expression and the first point of the stack at
+which it fails. All offsets reported in errors are 1-based.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -57,11 +62,35 @@ class ParseError(ValueError):
 
 
 class EvalDomainError(ArithmeticError):
-    """Evaluation left the real domain; carries the offending sub-expression."""
+    """Evaluation left the real domain; carries the offending sub-expression and point."""
 
-    def __init__(self, message: str, subexpr: str):
+    def __init__(self, message: str, subexpr: str, point=None):
         self.subexpr = subexpr
-        super().__init__(f"{message} in sub-expression {subexpr!r}")
+        self.point = None if point is None else np.asarray(point, dtype=float)
+        where = "" if point is None else f" at point {self.point.tolist()}"
+        super().__init__(f"{message} in sub-expression {subexpr!r}{where}")
+
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+_UNARY = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "ln": np.log,
+          "sqrt": np.sqrt, "sinh": np.sinh, "cosh": np.cosh}
+
+
+def _finite(node: "_Node", points: np.ndarray, value, *operands):
+    """value, unless it is not finite at some point of the stack.
+
+    Every domain error (division by zero, ln or sqrt of a negative number,
+    a negative base to a non-integer power, zero to a negative power) gives
+    a non-finite value, so one mask finds them all; the first point where
+    it holds is named, with the reason the node gives for its operands
+    there.
+    """
+    finite = np.isfinite(value)
+    if not finite.all():
+        row = int(np.argmin(np.broadcast_to(finite, (len(points),))))
+        at_row = [float(v if np.ndim(v) == 0 else v[row]) for v in operands]
+        raise EvalDomainError(node.domain_reason(*at_row), node.render(), points[row])
+    return value
 
 
 # --- AST nodes -------------------------------------------------------------
@@ -69,7 +98,8 @@ class EvalDomainError(ArithmeticError):
 
 @dataclass(frozen=True)
 class _Node:
-    def eval(self, point):  # pragma: no cover - overridden
+    def eval(self, points):  # pragma: no cover - overridden
+        """Values at a stack of points (m, n): an array (m,), or a scalar if constant."""
         raise NotImplementedError
 
     def render(self) -> str:  # pragma: no cover - overridden
@@ -79,13 +109,17 @@ class _Node:
         """Largest coordinate index referenced, -1 if none."""
         return -1
 
+    def domain_reason(self, *operands) -> str:
+        """Why the node's value is not finite for these operand values."""
+        return "non-finite value"
+
 
 @dataclass(frozen=True)
 class Lit(_Node):
     value: float
 
-    def eval(self, point):
-        return self.value
+    def eval(self, points):
+        return self.value if math.isfinite(self.value) else _finite(self, points, self.value)
 
     def render(self):
         return repr(float(self.value))
@@ -95,7 +129,7 @@ class Lit(_Node):
 class Const(_Node):
     name: str
 
-    def eval(self, point):
+    def eval(self, points):
         return CONSTANTS[self.name]
 
     def render(self):
@@ -106,8 +140,8 @@ class Const(_Node):
 class Coord(_Node):
     index: int
 
-    def eval(self, point):
-        return float(point[self.index])
+    def eval(self, points):
+        return points[:, self.index]
 
     def render(self):
         return f"x{self.index}"
@@ -120,8 +154,8 @@ class Coord(_Node):
 class Neg(_Node):
     operand: _Node
 
-    def eval(self, point):
-        return -self.operand.eval(point)
+    def eval(self, points):
+        return np.negative(self.operand.eval(points))
 
     def render(self):
         return f"(-{self.operand.render()})"
@@ -136,25 +170,19 @@ class Bin(_Node):
     left: _Node
     right: _Node
 
-    def eval(self, point):
-        a = self.left.eval(point)
-        b = self.right.eval(point)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if b == 0.0:
-                raise EvalDomainError("division by zero", self.render())
-            return a / b
-        # "^"
-        if a < 0.0 and b != math.floor(b):
-            raise EvalDomainError("non-integer power of a negative base", self.render())
-        if a == 0.0 and b < 0.0:
-            raise EvalDomainError("negative power of zero", self.render())
-        return math.pow(a, b)
+    def eval(self, points):
+        a = self.left.eval(points)
+        b = self.right.eval(points)
+        return _finite(self, points, _BINARY[self.op](a, b), a, b)
+
+    def domain_reason(self, a, b):
+        if self.op == "/" and b == 0.0:
+            return "division by zero"
+        if self.op == "^" and a < 0.0 and b != math.floor(b):
+            return "non-integer power of a negative base"
+        if self.op == "^" and a == 0.0 and b < 0.0:
+            return "negative power of zero"
+        return "non-finite value"
 
     def render(self):
         return f"({self.left.render()} {self.op} {self.right.render()})"
@@ -168,20 +196,16 @@ class Call(_Node):
     func: str
     arg: _Node
 
-    def eval(self, point):
-        x = self.arg.eval(point)
-        if self.func == "ln":
-            if x <= 0.0:
-                raise EvalDomainError("logarithm of a non-positive number", self.render())
-            return math.log(x)
-        if self.func == "sqrt":
-            if x < 0.0:
-                raise EvalDomainError("square root of a negative number", self.render())
-            return math.sqrt(x)
-        try:
-            return getattr(math, self.func)(x)
-        except (ValueError, OverflowError) as exc:
-            raise EvalDomainError(str(exc), self.render()) from exc
+    def eval(self, points):
+        x = self.arg.eval(points)
+        return _finite(self, points, _UNARY[self.func](x), x)
+
+    def domain_reason(self, x):
+        if self.func == "ln" and x <= 0.0:
+            return "logarithm of a non-positive number"
+        if self.func == "sqrt" and x < 0.0:
+            return "square root of a negative number"
+        return "non-finite value"
 
     def render(self):
         return f"{self.func}({self.arg.render()})"
@@ -206,15 +230,20 @@ class Expr:
     def __setattr__(self, *_):
         raise AttributeError("Expr is immutable")
 
-    def eval(self, point=()) -> float:
-        """Evaluate at a coordinate vector (indexable of floats)."""
+    def eval(self, point=()):
+        """Evaluate at one point (n,) -> float, or at a stack of points (m, n) -> array (m,)."""
+        pts = np.asarray(point, dtype=float)
+        stack = pts.reshape(1, -1) if pts.ndim == 1 else pts
         n = self.max_coord() + 1
-        if len(point) < n:
+        if stack.shape[1] < n:
             raise ValueError(
                 f"expression references x{n - 1} but the point has only"
-                f" {len(point)} coordinate(s)"
+                f" {stack.shape[1]} coordinate(s)"
             )
-        return float(self.root.eval(point))
+        with np.errstate(all="ignore"):  # domain errors are found from masks instead
+            value = self.root.eval(stack)
+        values = np.full(len(stack), value) if np.ndim(value) == 0 else np.array(value, dtype=float)
+        return float(values[0]) if pts.ndim == 1 else values
 
     def render(self) -> str:
         """Fully parenthesized text form; parse(render()) evaluates identically."""

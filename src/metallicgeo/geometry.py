@@ -136,9 +136,10 @@ class Chart:
 class TensorField:
     """A map from chart points to components of fixed valence.
 
-    sig is the axis signature ('u'/'d' per array axis); fn returns the
-    component array at a point. Declared symmetries are validated against
-    sample points by `validate_on`.
+    sig is the axis signature ('u'/'d' per array axis). fn maps a stack of
+    points, shape (m, n), to the stack of their component arrays, shape
+    (m, ...); calling the field accepts one point or a stack. Declared
+    symmetries are validated against sample points by `validate_on`.
     """
 
     name: str
@@ -147,30 +148,44 @@ class TensorField:
     symmetric_pairs: tuple = ()
 
     def __call__(self, point) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(point, dtype=float)), dtype=float)
+        """Components at one point (n,) -> (...), or at a stack (m, n) -> (m, ...)."""
+        pts = np.asarray(point, dtype=float)
+        if pts.ndim == 1:
+            return np.asarray(self.fn(pts[None, :]), dtype=float)[0]
+        return np.asarray(self.fn(pts), dtype=float)
 
     def validate_on(self, points, sym_tol: float = 1e-12):
         """Check declared symmetries (and shape) at every given point."""
-        for p in points:
-            arr = self(p)
-            if arr.ndim != len(self.sig):
-                raise GeometryError(f"field {self.name!r} returned rank {arr.ndim}, signature is {self.sig!r}")
-            for a, b in self.symmetric_pairs:
-                if max_abs(arr - np.swapaxes(arr, a, b)) > sym_tol:
-                    raise GeometryError(f"field {self.name!r} is not symmetric in axes ({a},{b}) at {p.tolist()}")
+        points = np.asarray(points, dtype=float)
+        arr = self(points)
+        if arr.ndim != len(self.sig) + 1:
+            raise GeometryError(f"field {self.name!r} returned rank {arr.ndim - 1}, signature is {self.sig!r}")
+        for a, b in self.symmetric_pairs:
+            bad = np.max(np.abs(arr - np.swapaxes(arr, a + 1, b + 1)).reshape(len(points), -1),
+                         axis=1, initial=0.0) > sym_tol
+            if bad.any():
+                raise GeometryError(f"field {self.name!r} is not symmetric in axes ({a},{b})"
+                                    f" at {points[np.argmax(bad)].tolist()}")
 
 
 def inverse_metric(g: np.ndarray, point=None) -> np.ndarray:
-    """Invert the metric at a point; product with the input is the identity within 1e-10.
+    """Invert the metric at a point or a stack of points; g @ ginv is the identity within 1e-10.
 
+    g is (n, n) or a stack (..., n, n), and point the matching point or
+    stack of points, used to name the first row whose metric is singular.
     The metric counts as singular when |det g| is at most DET_TOL times
     Hadamard's bound, the product of the row norms: both scale alike under
     g -> c g, so the test does not depend on the units of the coordinates.
     """
     g = np.asarray(g, dtype=float)
-    if abs(np.linalg.det(g)) <= DET_TOL * np.prod(np.linalg.norm(g, axis=1)):
-        raise SingularMetricError(point if point is not None else np.full(g.shape[0], np.nan))
-    ginv = np.linalg.inv(g)
-    if max_abs(g @ ginv - np.eye(g.shape[0])) > 1e-10:
-        raise SingularMetricError(point if point is not None else np.full(g.shape[0], np.nan))
-    return ginv
+    n = g.shape[-1]
+    singular = np.abs(np.linalg.det(g)) <= DET_TOL * np.prod(np.linalg.norm(g, axis=-1), axis=-1)
+    if not singular.any():
+        ginv = np.linalg.inv(g)
+        residual = np.abs(g @ ginv - np.eye(n)).reshape(singular.shape + (-1,)).max(axis=-1)
+        singular = residual > 1e-10
+        if not singular.any():
+            return ginv
+    first = np.unravel_index(np.argmax(singular), singular.shape)
+    pts = np.full(g.shape[:-1], np.nan) if point is None else np.asarray(point, dtype=float)
+    raise SingularMetricError(pts[first])

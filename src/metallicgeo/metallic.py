@@ -73,19 +73,19 @@ class MetallicParams:
 
 
 def jm_from_j_matrix(J: np.ndarray, params: MetallicParams, sign: int = +1) -> np.ndarray:
-    """J_M = (p/2) I + sign * (sqrt(6q - p^2)/2) J for an almost complex J."""
+    """J_M = (p/2) I + sign * (sqrt(6q - p^2)/2) J for an almost complex J (or a stack of them)."""
     J = np.asarray(J, dtype=float)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    return (params.p / 2.0) * np.eye(J.shape[0]) + sign * params.coeff * J
+    return (params.p / 2.0) * np.eye(J.shape[-1]) + sign * params.coeff * J
 
 
 # --- field-level wrappers ----------------------------------------------------
 
 
 def jm_from_j(j_field: TensorField, params: MetallicParams, sign: int = +1) -> TensorField:
-    def fn(pt):
-        return jm_from_j_matrix(j_field(pt), params, sign)
+    def fn(pts):
+        return jm_from_j_matrix(j_field(pts), params, sign)
 
     return TensorField(name=f"{j_field.name}->metallic", sig="ud", fn=fn)
 

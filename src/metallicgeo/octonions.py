@@ -54,5 +54,8 @@ _CROSS = MULT_TABLE[1:, 1:, 1:].copy()
 
 
 def cross7_matrix(u: np.ndarray) -> np.ndarray:
-    """Matrix M with M @ v = u x v, the cross product of imaginary octonions (length 7)."""
-    return np.einsum("abc,a->cb", _CROSS, np.asarray(u, float))
+    """Matrix M with M @ v = u x v, the cross product of imaginary octonions.
+
+    u is one vector of length 7 or a stack (..., 7); M is (..., 7, 7).
+    """
+    return np.einsum("abc,...a->...cb", _CROSS, np.asarray(u, float))

@@ -190,13 +190,12 @@ def spec_sha256(text: str) -> str:
 def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool, sig: str) -> TensorField:
     exprs = {key: exprdsl.parse(src) for key, src in entries.items()}
 
-    def fn(pt):
-        out = np.zeros((n, n))
+    def fn(pts):
+        out = np.zeros((len(pts), n, n))
         for (i, j), expr in exprs.items():
-            v = expr.eval(pt)
-            out[i, j] = v
+            out[:, i, j] = v = expr.eval(pts)
             if symmetric and i != j:
-                out[j, i] = v
+                out[:, j, i] = v
         return out
 
     return TensorField(name=name, sig=sig, fn=fn,

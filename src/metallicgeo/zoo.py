@@ -11,12 +11,12 @@ All fixtures use p = 0 (see the metallic module note on the trace
 obstruction); q defaults to 2/3, which makes J_M equal the underlying
 almost complex structure. Metrics and structures are closed-form code;
 the flat, torus and 2-sphere fixtures also carry a mirrored DSL spec file
-used to cross-check the text-format path.
+used to cross-check the text-format path. Like every field, each maps a
+stack of points (m, n) to a stack of component arrays (m, ...).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -72,23 +72,28 @@ def _std_complex_structure(k: int) -> np.ndarray:
     return J
 
 
-def _const_field(name: str, sig: str, value: np.ndarray) -> TensorField:
+def _const_field(name: str, sig: str, value: np.ndarray, symmetric_pairs=()) -> TensorField:
     value = np.asarray(value, dtype=float)
-    return TensorField(name=name, sig=sig, fn=lambda pt: value)
+    return TensorField(name=name, sig=sig, symmetric_pairs=symmetric_pairs,
+                       fn=lambda pts: np.broadcast_to(value, (len(pts),) + value.shape))
 
 
 def _delta_metric(n: int) -> TensorField:
-    eye = np.eye(n)
-    return TensorField(name="delta", sig="dd", fn=lambda pt: eye, symmetric_pairs=((0, 1),))
+    return _const_field("delta", "dd", np.eye(n), symmetric_pairs=((0, 1),))
+
+
+def _conformal_factor(pts: np.ndarray) -> np.ndarray:
+    """4/(1+r^2)^2 at each point of a stack."""
+    r2 = np.einsum("mi,mi->m", pts, pts)
+    return 4.0 / (1.0 + r2) ** 2
 
 
 def _conformal_round_metric(n: int) -> TensorField:
     """Stereographic pullback of the unit round metric: 4/(1+r^2)^2 delta."""
     eye = np.eye(n)
 
-    def fn(pt):
-        r2 = float(np.dot(pt, pt))
-        return (4.0 / (1.0 + r2) ** 2) * eye
+    def fn(pts):
+        return _conformal_factor(pts)[:, None, None] * eye
 
     return TensorField(name="round-metric", sig="dd", fn=fn, symmetric_pairs=((0, 1),))
 
@@ -180,18 +185,17 @@ def fixture_sphere2(q: float = DEFAULT_Q) -> Fixture:
                    notes="curved metallic Kahler control; Ricci equals g")
 
 
-def _sphere6_embedding(pt: np.ndarray):
-    """Inverse stereographic map into the unit sphere in R^7 and its Jacobian."""
-    x = np.asarray(pt, dtype=float)
-    r2 = float(np.dot(x, x))
-    s = 1.0 + r2
-    u = np.empty(7)
-    u[:6] = 2.0 * x / s
-    u[6] = (1.0 - r2) / s
-    D = np.zeros((7, 6))
-    D[:6, :] = 2.0 * np.eye(6) / s
-    D[:6, :] -= 4.0 * np.outer(x, x) / s**2
-    D[6, :] = -4.0 * x / s**2
+def _sphere6_embedding(pts: np.ndarray):
+    """Inverse stereographic map into the unit sphere in R^7 and its Jacobian.
+
+    pts is a stack (m, 6); returns u (m, 7) and D (m, 7, 6).
+    """
+    x = np.asarray(pts, dtype=float)
+    r2 = np.einsum("mi,mi->m", x, x)
+    s = (1.0 + r2)[:, None]
+    u = np.concatenate([2.0 * x / s, (1.0 - r2)[:, None] / s], axis=1)
+    top = 2.0 * np.eye(6) / s[:, :, None] - 4.0 * np.einsum("mi,mj->mij", x, x) / (s**2)[:, :, None]
+    D = np.concatenate([top, (-4.0 * x / s**2)[:, None, :]], axis=1)
     return u, D
 
 
@@ -204,11 +208,9 @@ def _sphere6_structure() -> TensorField:
     factor lambda = 4/(1+r^2)^2.
     """
 
-    def fn(pt):
-        u, D = _sphere6_embedding(pt)
-        r2 = float(np.dot(pt, pt))
-        lam = 4.0 / (1.0 + r2) ** 2
-        return (D.T @ cross7_matrix(u) @ D) / lam
+    def fn(pts):
+        u, D = _sphere6_embedding(pts)
+        return (np.swapaxes(D, 1, 2) @ cross7_matrix(u) @ D) / _conformal_factor(pts)[:, None, None]
 
     return TensorField(name="J-cross-product", sig="ud", fn=fn)
 
@@ -236,12 +238,12 @@ def _rotation_conjugated_structure(rate: float = 0.3) -> TensorField:
     """
     J0 = _std_complex_structure(2)
 
-    def fn(pt):
-        th = rate * float(pt[0])
-        R = np.eye(4)
-        c, s = math.cos(th), math.sin(th)
-        R[1, 1], R[1, 2], R[2, 1], R[2, 2] = c, -s, s, c
-        return R @ J0 @ R.T
+    def fn(pts):
+        th = rate * pts[:, 0]
+        R = np.tile(np.eye(4), (len(pts), 1, 1))
+        c, s = np.cos(th), np.sin(th)
+        R[:, 1, 1], R[:, 1, 2], R[:, 2, 1], R[:, 2, 2] = c, -s, s, c
+        return R @ J0 @ np.swapaxes(R, 1, 2)
 
     return TensorField(name="J-rotated", sig="ud", fn=fn)
 

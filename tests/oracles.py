@@ -1,27 +1,54 @@
-"""Reference computations shared by the tests; the engine never calls these."""
+"""Reference computations shared by the tests; the engine never calls these.
+
+The engine's fields map stacks of points, (m, n) -> (m, ...). The
+references here are the per-point forms: they take one point at a time,
+and the tests assert that the stacked engine agrees with them row by row.
+"""
+
+import math
 
 import numpy as np
 
+from metallicgeo import exprdsl
 from metallicgeo.diffcalc import DiffScheme, christoffel, covariant_derivative, partial_all
 from metallicgeo.geometry import max_abs
+from metallicgeo.octonions import cross7_matrix
+
+
+def at(fn, point) -> np.ndarray:
+    """A stacked field's value at one point, from a one-row stack."""
+    return np.asarray(fn(np.asarray(point, dtype=float)[None, :]))[0]
+
+
+def rowwise(fn):
+    """The stacked field whose rows are fn evaluated at one point at a time."""
+    return lambda pts: np.stack([np.asarray(fn(p), dtype=float) for p in pts])
+
+
+def const_field(value):
+    """The stacked field that is value at every point."""
+    value = np.asarray(value, dtype=float)
+    return lambda pts: np.broadcast_to(value, (len(pts),) + value.shape)
 
 
 def central(fn, point, axis: int, h: float, order: int):
-    """One central difference along one axis, fn called once per node (+2h, +h, -h, -2h).
+    """One central difference along one axis, the stacked field fn called once per node.
 
-    The per-axis form of the engine's stencils; `partial_all` must equal
-    `partial_all_per_axis`, built from it, bit for bit.
+    Nodes come in the order +2h, +h, -h, -2h (order 4) or +h, -h (order
+    2), each as a one-row stack. The per-axis form of the engine's
+    stencils; `partial_all` must equal `partial_all_per_axis`, built from
+    it, bit for bit.
     """
     point = np.asarray(point, dtype=float)
     e = np.zeros_like(point)
     e[axis] = 1.0
     if order == 2:
-        return (np.asarray(fn(point + h * e)) - np.asarray(fn(point - h * e))) / (2.0 * h)
+        return (at(fn, point + h * e) - at(fn, point - h * e)) / (2.0 * h)
     return (
-        -np.asarray(fn(point + 2 * h * e))
-        + 8.0 * np.asarray(fn(point + h * e))
-        - 8.0 * np.asarray(fn(point - h * e))
-        + np.asarray(fn(point - 2 * h * e))
+        -at(fn, point + 2 * h * e)
+        + 8.0 * at(fn, point + h * e)
+        - 8.0 * at(fn, point - h * e)
+        + at(fn, point - 2 * h * e)
     ) / (12.0 * h)
 
 
@@ -51,7 +78,7 @@ def metric_compat_residual(g_fn, point, h: float) -> float:
     point = np.asarray(point, dtype=float)
     gamma = christoffel(g_fn, point, DiffScheme(h))
     dg_ref = partial_all(g_fn, point, DiffScheme(), stage=1)
-    g = np.asarray(g_fn(point), dtype=float)
+    g = at(g_fn, point)
     corr = np.einsum("tai,tj->aij", gamma, g) + np.einsum("taj,ti->aij", gamma, g)
     return max_abs(dg_ref - corr)
 
@@ -61,15 +88,16 @@ def second_covariant_derivative(fn, sig: str, point, g_fn, scheme=None) -> np.nd
 
     The inner derivative is evaluated as a field with the first-tier stencil;
     the outer differencing uses the second tier (wider step, Richardson).
+    fn and g_fn are stacked fields, and so is the inner derivative.
     """
     scheme = scheme or DiffScheme()
 
-    def cov_fn(p):
-        return covariant_derivative(fn, sig, p, christoffel(g_fn, p, scheme), fn(p), scheme)
+    def cov_fn(pts):
+        return covariant_derivative(fn, sig, pts, christoffel(g_fn, pts, scheme), fn(pts), scheme)
 
     point = np.asarray(point, dtype=float)
     return covariant_derivative(cov_fn, "d" + sig, point, christoffel(g_fn, point, scheme),
-                                cov_fn(point), scheme, stage=2)
+                                at(cov_fn, point), scheme, stage=2)
 
 
 def commutator_residual(bundle, point) -> float:
@@ -87,3 +115,97 @@ def commutator_residual(bundle, point) -> float:
     Rup = ctx.curvature.Rup
     rhs = np.einsum("kjth,ti->kjhi", Rup, ctx.J) - np.einsum("kjit,ht->kjhi", Rup, ctx.J)
     return max_abs(commutator - rhs) / max(1.0, max_abs(rhs))
+
+
+# --- per-point forms of the zoo's closed-form fields -------------------------
+
+
+def round_metric(pt) -> np.ndarray:
+    """4/(1+r^2)^2 delta, the stereographic round metric at one point."""
+    r2 = float(np.dot(pt, pt))
+    return (4.0 / (1.0 + r2) ** 2) * np.eye(len(pt))
+
+
+def sphere6_embedding(pt):
+    """Inverse stereographic map into the unit sphere in R^7 and its Jacobian, at one point."""
+    x = np.asarray(pt, dtype=float)
+    r2 = float(np.dot(x, x))
+    s = 1.0 + r2
+    u = np.empty(7)
+    u[:6] = 2.0 * x / s
+    u[6] = (1.0 - r2) / s
+    D = np.zeros((7, 6))
+    D[:6, :] = 2.0 * np.eye(6) / s
+    D[:6, :] -= 4.0 * np.outer(x, x) / s**2
+    D[6, :] = -4.0 * x / s**2
+    return u, D
+
+
+def sphere6_structure(pt) -> np.ndarray:
+    """The cross-product structure D^T (u x .) D / lambda at one point of the S^6 chart."""
+    u, D = sphere6_embedding(pt)
+    r2 = float(np.dot(pt, pt))
+    lam = 4.0 / (1.0 + r2) ** 2
+    return (D.T @ cross7_matrix(u) @ D) / lam
+
+
+def rotation_conjugated_structure(pt, rate: float = 0.3) -> np.ndarray:
+    """R(theta) J_std R(theta)^T on R^4 with theta = rate * x0, at one point."""
+    J0 = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    th = rate * float(pt[0])
+    R = np.eye(4)
+    c, s = math.cos(th), math.sin(th)
+    R[1, 1], R[1, 2], R[2, 1], R[2, 2] = c, -s, s, c
+    return R @ J0 @ R.T
+
+
+# --- per-point tree-walking expression evaluator -------------------------------
+
+
+def eval_per_point(expr, point) -> float:
+    """Evaluate a parsed expression at one point with the math module, node by node.
+
+    Raises EvalDomainError (without a point) where the stacked evaluator
+    must raise it too.
+    """
+    def walk(node):
+        if isinstance(node, exprdsl.Lit):
+            return node.value
+        if isinstance(node, exprdsl.Const):
+            return exprdsl.CONSTANTS[node.name]
+        if isinstance(node, exprdsl.Coord):
+            return float(point[node.index])
+        if isinstance(node, exprdsl.Neg):
+            return -walk(node.operand)
+        if isinstance(node, exprdsl.Bin):
+            a, b = walk(node.left), walk(node.right)
+            if node.op == "+":
+                return a + b
+            if node.op == "-":
+                return a - b
+            if node.op == "*":
+                return a * b
+            if node.op == "/":
+                if b == 0.0:
+                    raise exprdsl.EvalDomainError("division by zero", node.render())
+                return a / b
+            if a < 0.0 and b != math.floor(b):
+                raise exprdsl.EvalDomainError("non-integer power of a negative base", node.render())
+            if a == 0.0 and b < 0.0:
+                raise exprdsl.EvalDomainError("negative power of zero", node.render())
+            return math.pow(a, b)
+        x = walk(node.arg)
+        if node.func == "ln":
+            if x <= 0.0:
+                raise exprdsl.EvalDomainError("logarithm of a non-positive number", node.render())
+            return math.log(x)
+        if node.func == "sqrt":
+            if x < 0.0:
+                raise exprdsl.EvalDomainError("square root of a negative number", node.render())
+            return math.sqrt(x)
+        try:
+            return getattr(math, node.func)(x)
+        except (ValueError, OverflowError) as exc:
+            raise exprdsl.EvalDomainError(str(exc), node.render()) from exc
+
+    return float(walk(expr.root))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -124,17 +125,24 @@ DISK = (
     (None, ["verify", "--zoo", "s2", "--h", "0.05"], 2, "half the chart margin"),
     # h2 = 0.049 is below half the margin, but h2 + 2 h1 = 0.103 is past it
     (DISK, ["verify", "SPEC", "--suite", "all", "--h", "0.027"], 2, "nested stencil reach 0.103"),
+    (dict(GOOD, g00="1 + (3 + x0)^700"), [], 3,
+     "non-finite value in sub-expression '((3.0 + x0) ^ 700.0)' at point [0.0, -0.95]"),
+    (dict(GOOD, g00="1e200 * 1e200 * (1 + x0^2)"), [], 3,
+     "non-finite value in sub-expression '(1e+200 * 1e+200)' at point [-0.95, -0.95]"),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
-        "nested-stencil-too-big"])
+        "nested-stencil-too-big", "power-overflow", "product-overflow"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"
         path.write_text(spec if isinstance(spec, str) else SPEC_2D.format(**spec))
         argv = [str(path) if a == "SPEC" else a for a in argv] or ["classify", str(path)]
-    got, out, err = run(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = run(capsys, *argv)
     assert got == code
     assert message in err
     assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code == 3:
         assert err.startswith("numerical failure:")
 

@@ -28,16 +28,17 @@ def symplectic_shear_bundle():
     """
     J0 = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
-    def shear(pt):
-        P = np.eye(4)
-        P[1, 0] = 0.5 * np.sin(pt[2])
-        P[3, 2] = 0.3 * pt[0]
+    def shear(pts):
+        P = np.tile(np.eye(4), (len(pts), 1, 1))
+        P[:, 1, 0] = 0.5 * np.sin(pts[:, 2])
+        P[:, 3, 2] = 0.3 * pts[:, 0]
         return P
 
-    g = TensorField(name="shear-metric", sig="dd", fn=lambda pt: shear(pt).T @ shear(pt),
+    g = TensorField(name="shear-metric", sig="dd",
+                    fn=lambda pts: np.swapaxes(shear(pts), 1, 2) @ shear(pts),
                     symmetric_pairs=((0, 1),))
     j_field = TensorField(name="J-shear", sig="ud",
-                          fn=lambda pt: np.linalg.solve(shear(pt), J0 @ shear(pt)))
+                          fn=lambda pts: np.linalg.solve(shear(pts), J0 @ shear(pts)))
     chart = Chart(dimension=4, bounds=((-1.0, 1.0),) * 4, grid=2, margin=0.1)
     return StructureBundle.from_j(chart, g, j_field, MetallicParams(0.0, 2.0 / 3.0),
                                   name="symplectic-shear")

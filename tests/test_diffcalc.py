@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -14,12 +12,15 @@ from metallicgeo.diffcalc import (
     partial_all,
     riemann,
 )
-from metallicgeo.geometry import Chart, ChartBoundsError, TensorField, max_abs
+from metallicgeo.geometry import Chart, ChartBoundsError, SingularMetricError, TensorField, max_abs
 from metallicgeo.metallic import MetallicParams, StructureBundle
 from oracles import (
+    at,
     commutator_residual,
+    const_field,
     metric_compat_residual,
     partial_all_per_axis,
+    rowwise,
     second_covariant_derivative,
 )
 
@@ -46,20 +47,24 @@ def constant_curvature_oracle(g):
     return np.einsum("ji,kl->kjil", g, g) - np.einsum("ki,jl->kjil", g, g)
 
 
-def round_metric(pt):
-    r2 = float(np.dot(pt, pt))
-    return (4.0 / (1.0 + r2) ** 2) * np.eye(len(pt))
+def round_metric(pts):
+    r2 = np.einsum("mi,mi->m", pts, pts)
+    return (4.0 / (1.0 + r2) ** 2)[:, None, None] * np.eye(pts.shape[1])
 
 
 def _stencil_fields(n):
-    """Scalar, matrix and rank-3 fields; copysign makes the sign of a zero coordinate matter."""
+    """Scalar, matrix and rank-3 fields; copysign makes the sign of a zero coordinate matter.
+
+    Each is evaluated one row at a time, so a row's value does not depend
+    on the stack it comes in, and only the stencil arithmetic is compared.
+    """
     w = np.linspace(0.3, 1.1, n)
-    return (
+    return tuple(rowwise(f) for f in (
         lambda p: np.sin(p @ w) + np.copysign(0.5, p).sum() * np.exp(p[0]),
         lambda p: np.outer(np.cos(p * w), np.copysign(1.0, p) + p ** 2),
         lambda p: np.einsum("i,j,k->ijk", np.tanh(p + 0.1), np.exp(-p * w),
                             np.copysign(1.0, p) * p + 1.0),
-    )
+    ))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -75,43 +80,45 @@ def test_partial_all_bit_identical_to_per_axis_stencils(n):
                     calls = {"ref": [], "got": []}
 
                     def logged(key):
-                        def fn(p):
-                            calls[key].append(p.tobytes())
-                            return field(p)
+                        def fn(pts):
+                            calls[key].append([p.tobytes() for p in pts])
+                            return field(pts)
                         return fn
 
                     ref = partial_all_per_axis(logged("ref"), pt, scheme, stage)
                     got = partial_all(logged("got"), pt, scheme, stage)
                     assert got.shape == ref.shape and np.array_equal(got, ref)
                     assert got.tobytes() == ref.tobytes()  # also tells -0.0 from 0.0
-                    assert calls["got"] == calls["ref"]
+                    # one call with every node, in the per-axis order of the reference
+                    assert len(calls["got"]) == 1
+                    assert calls["got"][0] == [row for call in calls["ref"] for row in call]
 
 
 def test_partial_polynomial():
-    f = lambda p: np.array(p[0] ** 2)
+    f = lambda pts: pts[:, 0] ** 2
     assert abs(partial(f, np.array([3.0]), 0) - 6.0) < 1e-8
 
 
 def test_partial_constant_is_zero():
-    f = lambda p: np.array(5.0)
+    f = const_field(5.0)
     assert abs(partial(f, np.array([0.3, 0.4]), 1)) < 1e-12
 
 
 def test_partial_sin_at_zero():
-    f = lambda p: np.array(math.sin(p[0]))
+    f = lambda pts: np.sin(pts[:, 0])
     assert abs(partial(f, np.array([0.0]), 0) - 1.0) < 1e-9
 
 
 def test_partial_boundary_guard():
     chart = Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=3, margin=0.1)
-    eye = TensorField("delta", "dd", lambda p: np.eye(2))
+    eye = TensorField("delta", "dd", const_field(np.eye(2)))
     bundle = StructureBundle(chart, eye, eye, MetallicParams(0.0, 2.0 / 3.0))
     with pytest.raises(ChartBoundsError, match="too close to the boundary"):
         bundle.context(np.array([0.9995, 0.0]))
 
 
 def test_christoffel_flat_zero():
-    gamma = christoffel(lambda p: np.eye(2), np.array([0.2, -0.3]))
+    gamma = christoffel(const_field(np.eye(2)), np.array([0.2, -0.3]))
     assert max_abs(gamma) < 1e-12
 
 
@@ -145,8 +152,8 @@ def test_covariant_derivative_of_metric_vanishes():
 def test_covariant_derivative_constant_tensor_flat():
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     pt = np.array([0.1, 0.2])
-    gamma = christoffel(lambda p: np.eye(2), pt)
-    res = covariant_derivative(lambda p: J, "ud", pt, gamma, J, DiffScheme())
+    gamma = christoffel(const_field(np.eye(2)), pt)
+    res = covariant_derivative(const_field(J), "ud", pt, gamma, J, DiffScheme())
     assert max_abs(res) < 1e-12
 
 
@@ -158,8 +165,8 @@ def test_cov_jm_on_s6_totally_skew_and_nonzero():
 
 
 def test_second_covariant_derivative_of_constant_scalar():
-    res = second_covariant_derivative(lambda p: np.array(1.0), "", np.array([0.2, 0.1]),
-                                      lambda p: np.eye(2))
+    res = second_covariant_derivative(const_field(1.0), "", np.array([0.2, 0.1]),
+                                      const_field(np.eye(2)))
     assert max_abs(res) < 1e-10
 
 
@@ -176,7 +183,7 @@ def test_divergence_of_omega_flat_metallic():
 
 
 def test_riemann_flat_zero():
-    pack = riemann(lambda p: np.eye(4), np.array([0.1, 0.2, -0.3, 0.0]))
+    pack = riemann(const_field(np.eye(4)), np.array([0.1, 0.2, -0.3, 0.0]))
     assert max_abs(pack.Rdown) < 1e-10
     assert abs(pack.scalar) < 1e-10
 
@@ -184,7 +191,7 @@ def test_riemann_flat_zero():
 def test_riemann_s2_matches_constant_curvature_oracle():
     for pt in (np.array([0.0, 0.0]), np.array([0.4, -0.5])):
         pack = riemann(round_metric, pt)
-        g = round_metric(pt)
+        g = at(round_metric, pt)
         assert max_abs(pack.Rdown - constant_curvature_oracle(g)) < 1e-6
         assert pack.scalar == pytest.approx(2.0, abs=1e-6)
         assert max_abs(pack.ricci - g) < 1e-8
@@ -194,7 +201,7 @@ def test_riemann_s6_scalar_30():
     pt = np.array([0.2, -0.1, 0.3, 0.0, -0.2, 0.1])
     pack = riemann(round_metric, pt)
     assert pack.scalar == pytest.approx(30.0, abs=1e-4)
-    g = round_metric(pt)
+    g = at(round_metric, pt)
     assert max_abs(pack.Rdown - constant_curvature_oracle(g)) / max_abs(pack.Rdown) < 1e-4
 
 
@@ -209,13 +216,13 @@ def test_curvature_pack_invariants_across_zoo():
 
 def test_exterior_derivative_constant_form_flat():
     w = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    dw = exterior_derivative_2form(lambda p: w, np.array([0.3, 0.4]))
+    dw = exterior_derivative_2form(const_field(w), np.array([0.3, 0.4]))
     assert max_abs(dw) < 1e-12
 
 
 def test_exterior_derivative_rejects_non_antisymmetric():
     with pytest.raises(ValueError):
-        exterior_derivative_2form(lambda p: np.eye(2), np.array([0.0, 0.0]))
+        exterior_derivative_2form(const_field(np.eye(2)), np.array([0.0, 0.0]))
 
 
 def test_exterior_derivative_closed_on_kahler_s2():
@@ -242,7 +249,7 @@ def test_exterior_cross_check_orientation_on_s6():
 
 def test_nijenhuis_constant_structure_zero():
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert max_abs(nijenhuis(J, partial_all(lambda p: J, np.array([0.4, 0.2])))) < 1e-12
+    assert max_abs(nijenhuis(J, partial_all(const_field(J), np.array([0.4, 0.2])))) < 1e-12
 
 
 def test_nijenhuis_s2_integrable():
@@ -276,3 +283,19 @@ def test_scheme_step_must_fit_chart_margin():
     with pytest.raises(ValueError):
         DiffScheme().check_chart(chart)  # h2 ~ 3.2e-3 exceeds margin/2
     DiffScheme(1e-4).check_chart(chart)
+
+
+def test_christoffel_of_a_stack_matches_each_point():
+    pts = np.array([[0.3, -0.2], [1.0, 0.0], [-0.4, 0.5]])
+    stacked = christoffel(round_metric, pts)
+    assert stacked.shape == (3, 2, 2, 2)
+    for pt, gamma in zip(pts, stacked):
+        assert max_abs(gamma - christoffel(round_metric, pt)) < 1e-12
+        assert max_abs(gamma - conformal_christoffel_oracle(pt)) < 1e-9
+
+
+def test_christoffel_stack_names_the_singular_point():
+    g = lambda pts: (pts[:, 0] ** 2)[:, None, None] * np.eye(2)  # singular where x0 = 0
+    with pytest.raises(SingularMetricError) as err:
+        christoffel(g, np.array([[0.5, 0.1], [0.0, 0.2], [-0.5, 0.3]]))
+    assert err.value.point.tolist() == [0.0, 0.2]

@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from metallicgeo import exprdsl
 from metallicgeo.exprdsl import EvalDomainError, ParseError, parse
+from oracles import eval_per_point
 
 
 def test_literal():
@@ -89,10 +91,18 @@ def test_missing_point_coordinate():
 
 
 def test_functions_match_math_module():
+    """Each name applies its numpy ufunc exactly, and that ufunc is the math function.
+
+    numpy's sinh differs from math.sinh in the last bit at 0.7, so the
+    exact comparison is with the ufunc the evaluator applies.
+    """
     point = (0.7,)
     for name in exprdsl.FUNCTIONS:
         fn = math.log if name == "ln" else getattr(math, name)
-        assert parse(f"{name}(x0)").eval(point) == fn(0.7)
+        ufunc = np.log if name == "ln" else getattr(np, name)
+        value = parse(f"{name}(x0)").eval(point)
+        assert value == ufunc(0.7)
+        assert math.isclose(value, fn(0.7), rel_tol=1e-15)
 
 
 # --- render / parse round trip ---------------------------------------------------
@@ -153,3 +163,40 @@ def test_coordinate_eval_property(idx, val):
     pt = [0.0, 0.0, 0.0, 0.0]
     pt[idx] = val
     assert parse(f"x{idx}").eval(tuple(pt)) == val
+
+
+# --- stacked evaluation ------------------------------------------------------------
+
+
+def test_stacked_eval_matches_per_point_evaluator():
+    rng = random.Random(20240818)
+    for _ in range(200):
+        expr = parse(random_expr(rng, rng.randrange(1, 4)))
+        pts = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(12)])
+        got = expr.eval(pts)
+        assert got.shape == (12,)
+        for pt, value in zip(pts, got):
+            assert value == pytest.approx(eval_per_point(expr, pt), rel=1e-13, abs=1e-13)
+
+
+def test_constant_expression_fills_the_stack():
+    assert parse("2 * pi").eval(np.zeros((3, 2))).tolist() == [2 * math.pi] * 3
+
+
+@pytest.mark.parametrize("src,bad,subexpr", [
+    ("ln(x0)", -0.5, "ln(x0)"),
+    ("1 + sqrt(x0)", -0.5, "sqrt(x0)"),
+    ("1/(x0 - 0.25)", 0.25, "(1.0 / (x0 - 0.25))"),
+    ("x0^0.5", -0.5, "(x0 ^ 0.5)"),
+    ("1 + exp(800*x0)", 1.0, "exp((800.0 * x0))"),
+])
+def test_domain_error_names_the_failing_row_of_a_stack(src, bad, subexpr):
+    pts = np.array([[0.5], [0.75], [bad], [0.5]])  # only the third row is out of domain
+    expr = parse(src)
+    for pt in np.delete(pts, 2, axis=0):
+        expr.eval(pt)
+    with pytest.raises(EvalDomainError) as err:
+        expr.eval(pts)
+    assert err.value.subexpr == subexpr
+    assert err.value.point.tolist() == [bad]
+    assert f"at point [{bad!r}]" in str(err.value)

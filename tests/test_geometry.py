@@ -4,10 +4,12 @@ import pytest
 from metallicgeo.geometry import (
     Chart,
     ChartBoundsError,
+    GeometryError,
     SingularMetricError,
     TensorField,
     inverse_metric,
 )
+from oracles import const_field
 
 
 def test_chart_grid_3x3_gives_9_points():
@@ -75,7 +77,37 @@ def test_chart_require_inside_names_the_failure():
 
 
 def test_tensorfield_validates_declared_symmetry():
-    bad = TensorField(name="bad", sig="dd", fn=lambda p: np.array([[0.0, 1.0], [0.0, 0.0]]),
+    bad = TensorField(name="bad", sig="dd", fn=const_field([[0.0, 1.0], [0.0, 0.0]]),
                       symmetric_pairs=((0, 1),))
     with pytest.raises(Exception):
         bad.validate_on(np.zeros((1, 2)))
+
+
+
+def test_inverse_metric_stack_names_the_singular_row():
+    g = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+    points = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6]])
+    with pytest.raises(SingularMetricError) as err:
+        inverse_metric(g, points)
+    assert err.value.point.tolist() == [0.3, -0.4]
+    regular = np.delete(g, 1, axis=0)
+    for gi, ginv in zip(regular, inverse_metric(regular, np.delete(points, 1, axis=0))):
+        assert np.allclose(ginv, inverse_metric(gi))
+
+
+def test_field_accepts_a_point_or_a_stack():
+    field = TensorField("scaled", "dd", lambda pts: pts[:, :1, None] * np.eye(2))
+    pts = np.array([[2.0, 0.0], [3.0, 1.0]])
+    assert field(pts).shape == (2, 2, 2)
+    assert np.array_equal(field(pts[1]), 3.0 * np.eye(2))
+
+
+def test_validate_on_names_the_asymmetric_row():
+    def fn(pts):
+        out = np.tile(np.eye(2), (len(pts), 1, 1))
+        out[:, 0, 1] = pts[:, 0]  # symmetric only where x0 = 0
+        return out
+
+    field = TensorField("g", "dd", fn, symmetric_pairs=((0, 1),))
+    with pytest.raises(GeometryError, match=r"at \[0\.5, 0\.2\]"):
+        field.validate_on(np.array([[0.0, 0.1], [0.5, 0.2], [0.0, 0.3]]))

@@ -20,6 +20,7 @@ from metallicgeo.identities import (
     run_suite,
 )
 from metallicgeo.metallic import MetallicParams, StructureBundle
+from oracles import const_field
 
 
 def by_id(results):
@@ -32,13 +33,12 @@ def algebraic_p1_bundle():
     and the shear makes the failure visible at derivative level too."""
     params = MetallicParams(1.0, 1.0)
     chart = Chart(dimension=4, bounds=((-1.0, 1.0),) * 4, grid=2, margin=0.1)
-    eye4 = np.eye(4)
-    g = TensorField(name="delta", sig="dd", fn=lambda pt: eye4, symmetric_pairs=((0, 1),))
+    g = TensorField(name="delta", sig="dd", fn=const_field(np.eye(4)), symmetric_pairs=((0, 1),))
     J0 = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
-    def sheared(pt):
-        A = np.eye(4)
-        A[1, 2] = 0.3 * float(pt[0])
+    def sheared(pts):
+        A = np.tile(np.eye(4), (len(pts), 1, 1))
+        A[:, 1, 2] = 0.3 * pts[:, 0]
         return A @ J0 @ np.linalg.inv(A)
 
     j_field = TensorField(name="J-sheared", sig="ud", fn=sheared)

@@ -36,8 +36,8 @@ def pull_back(bundle: StructureBundle, A: np.ndarray, b: np.ndarray) -> Structur
     half = 0.5 * np.diff(chart.bounds_array, axis=1)[:, 0] - chart.margin
     # |x_i - centre_i| <= |b_i - centre_i| + r sum_j |A_ij| on the box [-r, r]^n
     r = float(np.min((half - np.abs(b - centre)) / np.abs(A).sum(axis=1)))
-    g = TensorField("pulled-g", "dd", lambda y: A.T @ bundle.g(A @ y + b) @ A)
-    jm = TensorField("pulled-jm", "ud", lambda y: Ainv @ bundle.jm(A @ y + b) @ A)
+    g = TensorField("pulled-g", "dd", lambda ys: A.T @ bundle.g(ys @ A.T + b) @ A)
+    jm = TensorField("pulled-jm", "ud", lambda ys: Ainv @ bundle.jm(ys @ A.T + b) @ A)
     box = Chart(dimension=n, bounds=((-r, r),) * n, grid=chart.grid, margin=0.1 * r)
     return StructureBundle(box, g, jm, bundle.params, tolerances=bundle.tolerances)
 

@@ -3,7 +3,9 @@ import pytest
 
 from metallicgeo import zoo
 from metallicgeo.geometry import max_abs
-from metallicgeo.metallic import VERDICT_KAHLER, VERDICT_NEARLY, VERDICT_HERMITIAN
+from metallicgeo.metallic import VERDICT_KAHLER, VERDICT_NEARLY, VERDICT_HERMITIAN, jm_from_j_matrix
+
+import oracles
 
 
 def test_all_fixtures_self_validate():
@@ -86,8 +88,9 @@ def test_s6_pullback_metric_matches_jacobian_gram():
     from metallicgeo.zoo import _sphere6_embedding
 
     bundle = zoo.get("s6").bundle
-    for pt in bundle.sample_points[:4]:
-        u, D = _sphere6_embedding(pt)
+    pts = bundle.sample_points[:4]
+    us, Ds = _sphere6_embedding(pts)
+    for pt, u, D in zip(pts, us, Ds):
         assert abs(u @ u - 1.0) < 1e-12
         assert max_abs(D.T @ D - bundle.g(pt)) < 1e-12
 
@@ -149,3 +152,28 @@ def test_curvature_invariants_every_sample_point_every_fixture():
         for pt in bundle.sample_points:
             for key, val in bundle.context(pt).curvature.symmetry_residuals().items():
                 assert val < 1e-4, (name, pt.tolist(), key, val)
+
+
+def test_stacked_fields_match_per_point_formulas():
+    rng = np.random.default_rng(17)
+    s2, s6, negative = (zoo.get(name).bundle for name in ("s2", "s6", "negative"))
+    s2_pts = np.concatenate([s2.sample_points, rng.uniform(-0.8, 0.8, (20, 2))])
+    s6_pts = np.concatenate([s6.sample_points, rng.uniform(-0.54, 0.54, (20, 6))])
+    neg_pts = np.concatenate([negative.sample_points, rng.uniform(-0.9, 0.9, (20, 4))])
+    cases = [
+        (s2.g, oracles.round_metric, s2_pts),
+        (s6.g, oracles.round_metric, s6_pts),
+        (zoo._sphere6_structure(), oracles.sphere6_structure, s6_pts),
+        (s6.jm, lambda p: jm_from_j_matrix(oracles.sphere6_structure(p), s6.params), s6_pts),
+        (zoo._rotation_conjugated_structure(), oracles.rotation_conjugated_structure, neg_pts),
+        (negative.jm, lambda p: jm_from_j_matrix(oracles.rotation_conjugated_structure(p),
+                                                 negative.params), neg_pts),
+    ]
+    for field, per_point, pts in cases:
+        for pt, value in zip(pts, field(pts)):
+            want = per_point(pt)
+            assert max_abs(value - want) <= 1e-14 * max(1.0, max_abs(want)), (field.name, pt)
+    us, Ds = zoo._sphere6_embedding(s6_pts)
+    for pt, u, D in zip(s6_pts, us, Ds):
+        want_u, want_D = oracles.sphere6_embedding(pt)
+        assert max_abs(u - want_u) <= 1e-14 and max_abs(D - want_D) <= 1e-14

@@ -2,7 +2,8 @@
 
     python3 tools/report_identity.py --out before.json --repo PATH/TO/OLD/CHECKOUT
     python3 tools/report_identity.py --out after.json
-    cmp before.json after.json
+    cmp before.json after.json                                         # byte-identical, or
+    python3 tools/report_identity.py --compare before.json after.json  # within tiers
 
 The snapshot holds 62 runs of ``metallicgeo.cli.main``, each with its argv,
 exit code, stderr and JSON report (``timing_s`` removed, the one field the
@@ -18,6 +19,30 @@ directory and are named by bare file name, so ``source.name`` in the
 reports does not depend on where either checkout lives. The zoo cache is
 cleared before every run, so each run builds its bundle the way a fresh
 CLI process does. Uses the standard library and numpy only.
+
+A change that reorders floating-point sums (batched contractions, numpy
+ufuncs instead of the math module) moves residuals by roundoff, so ``cmp``
+no longer applies; ``--compare`` checks two snapshots with a fixed rule
+taken from each report's own ``tolerances`` block:
+
+* argv, exit code, stderr and every non-numeric field (verdict, nearly
+  flag, ``near_boundary``, identity ids, passed/skipped/asserted flags,
+  notes) are equal, and so is every number that is a setting rather than
+  a result (parameters, steps, tolerances, points);
+* every numeric result moves by at most 1e-3 x its tier's tolerance x
+  max(1, scale). The tier and scale of an identity are its own
+  ``tolerance`` and ``scale`` (a skipped identity has tolerance 0, so its
+  zeros must stay exact). A note quotes observations of second
+  derivatives (the raw Ricci trace, nabla nabla w), so the numbers in it
+  are held to tier d2 and their own magnitude, and its words must stay
+  equal; a classification residual has the tier of
+  its row in ``metallic.RESIDUALS`` and its own magnitude as scale; the
+  curvature block is tier d2 (``norm_nabla_jm_sq``, a first-derivative
+  quantity, d1) and the connections block d1, each field scaled by its
+  largest entry.
+
+It prints the largest shift as a fraction of its allowance and exits 1
+if any rule fails.
 """
 
 from __future__ import annotations
@@ -26,13 +51,17 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 MIRRORED = ("flat-k1", "torus", "s2")
 SUITES = ("all", "metallic", "nearly", "connections")
+SHIFT = 1e-3  # allowed shift of a numeric result, in units of tier tolerance x max(1, scale)
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")  # a number quoted in a note
 
 
 def import_cli(repo: Path):
@@ -86,14 +115,129 @@ def run_one(cli, zoo, argv) -> dict:
     return {"argv": list(argv), "exit": code, "stderr": err.getvalue(), "report": report}
 
 
+def _max_abs(value) -> float:
+    if isinstance(value, list):
+        return max((_max_abs(v) for v in value), default=0.0)
+    return abs(value)
+
+
+def result_fields(report: dict, residual_tiers: dict):
+    """Yield (path, value, tier tolerance, scale) for every numeric result of a report."""
+    tol = report["tolerances"]
+    cls = report.get("classification")
+    if cls:
+        for name, value in cls["residuals"].items():
+            yield ("classification", "residuals", name), value, tol[residual_tiers[name]], abs(value)
+    for i, rec in enumerate(report.get("identities") or ()):
+        for key in ("max_residual", "scale", "relative"):
+            yield ("identities", i, key), rec[key], rec["tolerance"], rec["scale"]
+        quoted = _value_at(rec, ("note",))
+        if quoted:
+            yield ("identities", i, "note"), quoted, tol["d2"], _max_abs(quoted)
+    for key, value in (report.get("curvature") or {}).items():
+        tier = tol["d1"] if key == "norm_nabla_jm_sq" else tol["d2"]
+        for sub, v in (value.items() if isinstance(value, dict) else [(None, value)]):
+            path = ("curvature", key) if sub is None else ("curvature", key, sub)
+            yield path, v, tier, _max_abs(v)
+
+    def numbers(node, path):
+        if isinstance(node, dict):
+            for key, v in node.items():
+                yield from numbers(v, path + (key,))
+        elif isinstance(node, float):
+            yield path, node, tol["d1"], abs(node)
+
+    yield from numbers(report.get("connections") or {}, ("connections",))
+
+
+def _value_at(node, path):
+    """The value at path; for a note, the list of numbers it quotes."""
+    for key in path:
+        node = node[key]
+    return [float(x) for x in NUMBER.findall(node)] if isinstance(node, str) else node
+
+
+def _masked(report: dict, paths) -> dict:
+    """A copy of report without the numeric results at paths (a note keeps its words)."""
+    out = json.loads(json.dumps(report))
+    for path in paths:
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]]
+        parent[path[-1]] = NUMBER.sub("#", value) if isinstance(value, str) else None
+    return out
+
+
+def _shift(before, after) -> float:
+    """Largest entrywise |after - before|; inf where the shapes or types differ."""
+    if isinstance(before, list):
+        if not isinstance(after, list) or len(before) != len(after):
+            return math.inf
+        return max((_shift(b, a) for b, a in zip(before, after)), default=0.0)
+    if isinstance(after, bool) or not isinstance(after, (int, float)):
+        return math.inf
+    return abs(after - before)
+
+
+def compare(before: list, after: list, residual_tiers: dict) -> tuple:
+    """(problems, largest shift as a fraction of its allowance, where) for two snapshots."""
+    if [r["argv"] for r in before] != [r["argv"] for r in after]:
+        return ["the snapshots hold different runs"], math.inf, ""
+    problems, worst, worst_at = [], 0.0, ""
+    for b, a in zip(before, after):
+        run = " ".join(b["argv"])
+        if (b["exit"], b["stderr"]) != (a["exit"], a["stderr"]):
+            problems.append(f"{run}: exit/stderr {b['exit']!r} {b['stderr']!r} -> "
+                            f"{a['exit']!r} {a['stderr']!r}")
+            continue
+        if not (isinstance(b["report"], dict) and isinstance(a["report"], dict)):
+            if b["report"] != a["report"]:
+                problems.append(f"{run}: the non-JSON output differs")
+            continue
+        fields = list(result_fields(b["report"], residual_tiers))
+        paths = [path for path, *_ in fields]
+        try:
+            same_rest = _masked(b["report"], paths) == _masked(a["report"], paths)
+        except (KeyError, IndexError, TypeError):
+            same_rest = False
+        if not same_rest:
+            problems.append(f"{run}: a non-numeric field or a setting differs")
+            continue
+        for path, value, tier, scale in fields:
+            shift = _shift(value, _value_at(a["report"], path))
+            allowance = SHIFT * tier * max(1.0, scale)  # 0 for a skipped identity: exact
+            frac = shift / allowance if allowance else (0.0 if shift == 0.0 else math.inf)
+            where = f"{run}: {'.'.join(map(str, path))}"
+            if frac > 1.0:
+                problems.append(f"{where} moved {frac:.3g} x its allowance")
+            if frac > worst:
+                worst, worst_at = frac, where
+    return problems, worst, worst_at
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="snapshot file to write")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="snapshot file to write")
+    mode.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                      help="check two snapshots with the tier rule instead")
     parser.add_argument("--repo", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ is run (default: this one)")
     args = parser.parse_args(argv)
-    out_path = Path(args.out).resolve()
     repo = Path(args.repo).resolve()
+    if args.compare:
+        import_cli(repo)
+        from metallicgeo.metallic import RESIDUALS
+
+        before, after = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.compare)
+        problems, worst, worst_at = compare(before, after, {n: t for n, t, _ in RESIDUALS})
+        for line in problems:
+            print(line)
+        print(f"{len(before)} reports compared; largest shift {worst:.3g} of its allowance"
+              + (f" ({worst_at})" if worst_at else ""))
+        return 1 if problems else 0
+    out_path = Path(args.out).resolve()
     cli, zoo = import_cli(repo)
     specs, argvs = runs(repo, zoo)
     cwd = os.getcwd()
