@@ -11,53 +11,39 @@ Conventions (fixed once, used by every checker in the package):
   and scalar = g^{ji} ricci[j, i]. With this sign the unit sphere has positive
   scalar curvature (2 for S^2, 30 for S^6).
 * Exterior derivative of a 2-form: dw[a, b, c] = d_a w_bc + d_b w_ca + d_c w_ab.
-* Second covariant derivatives store the outer derivative index first:
-  covcov[a, b, ...] = (nabla_a nabla_b T)_...
+* Derivatives are prepended, the outer one first: dgamma[a, h, i, j] =
+  d_a Gamma^h_ij, ddg[a, b, i, j] = d_a d_b g_ij, and second covariant
+  derivatives covcov[a, b, ...] = (nabla_a nabla_b T)_...
 
-Differencing is central, in two tiers: first derivatives use step h1 at
-order 4, nested outer derivatives use step h2 = h1^(5/6) at order 2 with
-Richardson extrapolation over h2 and h2/2 (needed to push curvature
-truncation error well below the curvature tolerance tier). The bundle
-checks the scheme's `reach` once per point, when it builds the
-PointContext, so the functions here take no chart and check no bounds.
+Differencing is central. First derivatives (everything classification
+reads: the connection, dJ, dw, nabla w) use the order-4 axis stencil at
+step h1; `partial_all` evaluates the 4n nodes of a point or a stack of
+points in one field call, with the arithmetic of a per-axis stencil, so
+it equals differencing one axis at a time bit for bit. Higher
+derivatives come from the jet of a field at a point: its partials of
+order 2 (axis and face nodes) and 3 (adding axis nodes at 2 h2 and cube
+nodes), at steps h2/2 and h2, Richardson-combined to order 4, with
+weights that are tensor products of one 1-D table (Fornberg, Math. Comp.
+51 (1988) 699-706), cached per (n, h2). The farthest node lies 2 h2 from
+the point, the scheme's `reach`, which the bundle checks once per point
+when it builds the PointContext; the functions here check no bounds.
 
-Fields map a stack of points to a stack of values: fn(pts) with pts of
-shape (m, n) returns shape (m, ...), and the functions here call every
-field with stacks only (a `TensorField` also accepts a single point).
-Every derivative is one stacked stencil (`partial_all`): the 4n nodes
-point + (c h) e_a of each base point are built in one numpy operation, in
-per-axis order (axis by axis, offsets +2h, +h, -h, -2h at stage 1 and
-+h2, -h2, +h2/2, -h2/2 at stage 2), the field is called once for all of
-them, and the weights are applied to the stack of values element by
-element. `partial_all`, `christoffel` and `covariant_derivative` accept a
-point (n,) or a stack of base points (..., n) and prepend the same
-leading axes to their result.
+Curvature and its derivatives are algebra on the jet: differentiating
+g Gamma = L/2 (L_tij = d_i g_tj + d_j g_ti - d_t g_ij) once and twice
+gives d Gamma and d d Gamma. Riemann reads (Gamma, d Gamma), nabla Ricci
+d d Gamma, and nabla nabla w the order-2 jet of w = J_M g. The jet agrees
+with nested stencils to roundoff and truncation (Riemann to ~1e-10).
 
-What is bit-identical and what is not: the stencil weights are applied
-with the arithmetic of a per-axis stencil, so `partial_all` equals
-differencing one axis at a time bit for bit whenever the field returns
-the same values row by row. The batched contractions (the Christoffel
-einsum over a stack, the connection corrections) may sum in another
-order than a per-point computation, so their results agree with it to
-roundoff only.
-
-Everything here is a pure function of (field, point); per-point caches are
-built once and read-only afterwards. A PointContext hands its cached
-base-point values (gamma, the field value) to `covariant_derivative`
-instead of letting it recompute them, and it computes each Christoffel
-value once: gamma, Riemann and nabla nabla w read one memo over the point
-and its 4n outer-tier nodes, filled by one batched `christoffel` call per
-stack of missing nodes, and nabla Ricci extends a copy of that memo that
-it drops on return. A Christoffel value costs 4n + 1 metric evaluations,
-so Riemann at a fresh point costs (4n + 1)^2 + 1; nabla Ricci needs at
-most 4n more Christoffel values for each of its 4n outer nodes, fewer
-where nested stencils share a node.
+Fields map a stack of points (m, n) to a stack of values (m, ...).
+Everything is a pure function of (field, point); a MetricJet or
+PointContext computes each order once and is read-only afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement, permutations, product
 import numpy as np
 
 from .geometry import Chart, inverse_metric, max_abs
@@ -72,18 +58,19 @@ __all__ = [
     "riemann",
     "exterior_derivative_2form",
     "nijenhuis",
+    "MetricJet",
     "PointContext",
 ]
 
 DEFAULT_H1 = 1e-3
-ORDER1 = 4  # first tier: order-4 central stencil at h1
-ORDER2 = 2  # outer tier: order-2 central stencil at h2 and h2/2, Richardson-combined
+ORDER1 = 4  # first derivatives: order-4 axis stencil at h1
+ORDER2 = 2  # jet: order-2 stencils at h2 and h2/2, Richardson-combined
 SKEW_TOL = 1e-8  # relative antisymmetry a 2-form needs before it is differentiated
 
 
 @dataclass(frozen=True)
 class DiffScheme:
-    """Finite-difference steps of the two tiers; h2 follows from h1."""
+    """Finite-difference steps: h1 for first derivatives, h2 (from h1) for the jet."""
 
     h1: float = DEFAULT_H1
 
@@ -97,37 +84,34 @@ class DiffScheme:
 
     @property
     def reach(self) -> float:
-        """Farthest excursion from the base point of the stencils a PointContext nests.
-
-        Riemann and nabla nabla w put a first-tier stencil (2 h1) at every
-        node of an outer one (h2). The reach is never below 2 h2, the bound
-        the chart margin is also held to. nabla Ricci nests one level deeper
-        and is gated by its identities instead.
-        """
-        return max(2 * self.h2, self.h2 + 2 * self.h1)
+        """Farthest excursion of a node from its point: 2 h2 (jet axis nodes), or 2 h1 if larger."""
+        return 2.0 * max(self.h2, self.h1)
 
     def check_chart(self, chart: Chart):
-        if self.h2 >= chart.margin / 2.0:
-            raise ValueError(
-                f"step h2={self.h2:g} must stay below half the chart margin {chart.margin:g}"
-            )
         if self.reach >= chart.margin:
             raise ValueError(
-                f"nested stencil reach {self.reach:g} (h2 + 2 h1) must stay below the chart"
-                f" margin {chart.margin:g}"
+                f"step h2={self.h2:g} must stay below half the chart margin {chart.margin:g}:"
+                f" the jet reaches {self.reach:g} from each point"
             )
 
 
-# node offsets of each tier in units of its step, in evaluation order
-STENCIL1 = (2.0, 1.0, -1.0, -2.0)  # order 4 at h1
-STENCIL2 = (1.0, -1.0, 0.5, -0.5)  # order 2 at h2, then at h2/2
+# node offsets of the first-derivative stencil in units of h1, in evaluation order
+STENCIL1 = (2.0, 1.0, -1.0, -2.0)
+
+# 1-D central weights at offsets -2..2 (in steps) of the derivative of order m = 1, 2, 3,
+# each of order 2: m = 1, 2 on the 3-point stencil, m = 3 on the 5-point one (Fornberg 1988)
+WEIGHTS_1D = np.array([
+    [0.0, -0.5, 0.0, 0.5, 0.0],
+    [0.0, 1.0, -2.0, 1.0, 0.0],
+    [-0.5, 1.0, 0.0, -1.0, 0.5],
+])
+WEIGHTS_1D.flags.writeable = False
 
 
 @lru_cache(maxsize=64)
-def _displacements(n: int, h: float, stage: int) -> np.ndarray:
-    """disp[a, k] = (c_k h) e_a: every node of a stencil around the origin, axis by axis."""
-    steps = np.array(STENCIL1 if stage == 1 else STENCIL2) * h
-    disp = np.eye(n)[:, None, :] * steps[None, :, None]
+def _displacements(n: int, h: float) -> np.ndarray:
+    """disp[a, k] = (c_k h) e_a: every node of a first-derivative stencil around the origin."""
+    disp = np.eye(n)[:, None, :] * (np.array(STENCIL1) * h)[None, :, None]
     disp.flags.writeable = False
     return disp
 
@@ -137,27 +121,19 @@ def _at(fn, point) -> np.ndarray:
     return np.asarray(fn(point[None, :]), dtype=float)[0]
 
 
-def _nodes(points: np.ndarray, h: float, stage: int) -> np.ndarray:
+def _nodes(points: np.ndarray, h: float) -> np.ndarray:
     """The stencil nodes of every base point, flattened to (count, n) in per-axis order."""
     n = points.shape[-1]
-    return (points[..., None, None, :] + _displacements(n, h, stage)).reshape(-1, n)
+    return (points[..., None, None, :] + _displacements(n, h)).reshape(-1, n)
 
 
-def _derivatives(values: np.ndarray, lead: tuple, n: int, h: float, stage: int) -> np.ndarray:
-    """Apply the stencil weights to the values at `_nodes`: out[..., a, ...] = d_a.
-
-    Stage 1 is the order-4 stencil at h; stage 2 Richardson-extrapolates
-    the order-2 stencil at h and h/2, which is accurate to order 4.
-    """
+def _derivatives(values: np.ndarray, lead: tuple, n: int, h: float) -> np.ndarray:
+    """Apply the order-4 weights to the values at `_nodes`: out[..., a, ...] = d_a."""
     v = np.moveaxis(values.reshape(lead + (n, 4) + values.shape[1:]), len(lead) + 1, 0)
-    if stage == 1:
-        return (-v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]) / (12.0 * h)
-    coarse = (v[0] - v[1]) / (2.0 * h)
-    fine = (v[2] - v[3]) / (2.0 * (h / 2.0))
-    return (4.0 * fine - coarse) / 3.0
+    return (-v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]) / (12.0 * h)
 
 
-def partial_all(fn, point, scheme: DiffScheme | None = None, stage: int = 1):
+def partial_all(fn, point, scheme: DiffScheme | None = None):
     """Central-difference partial derivatives: out[..., a, ...] = d_a fn.
 
     point is one point (n,) or a stack of base points (..., n); fn is
@@ -165,33 +141,82 @@ def partial_all(fn, point, scheme: DiffScheme | None = None, stage: int = 1):
     """
     scheme = scheme or DiffScheme()
     point = np.asarray(point, dtype=float)
-    h = scheme.h1 if stage == 1 else scheme.h2
-    values = np.asarray(fn(_nodes(point, h, stage)), dtype=float)
-    return _derivatives(values, point.shape[:-1], point.shape[-1], h, stage)
+    values = np.asarray(fn(_nodes(point, scheme.h1)), dtype=float)
+    return _derivatives(values, point.shape[:-1], point.shape[-1], scheme.h1)
 
 
-def partial(fn, point, axis: int, scheme: DiffScheme | None = None, stage: int = 1):
+def partial(fn, point, axis: int, scheme: DiffScheme | None = None):
     """One partial derivative d_axis fn at a point, the axis-th slice of `partial_all`."""
-    return partial_all(fn, point, scheme, stage)[axis]
+    return partial_all(fn, point, scheme)[axis]
+
+
+@lru_cache(maxsize=16)
+def _jet_table(n: int, h: float, order: int) -> tuple:
+    """The nodes a jet order adds and its weights: (disp, cols, weights, offsets).
+
+    offsets are the nodes of the orders so far in units of h/2, in order,
+    and disp the displacements of those this order adds. cols[a, b(, c)]
+    lists the nodes d_a d_b (d_c) reads, weights their weights (zero-padded),
+    which act on f(node) - f(point): a constant field has a jet of zeros.
+    """
+    index = {o: k for k, o in enumerate(_jet_table(n, h, 2)[3] if order == 3 else ())}
+    added = len(index)
+    rows = {}
+    for idx in combinations_with_replacement(range(n), order):
+        axes = sorted(set(idx))
+        w1d = [WEIGHTS_1D[idx.count(a) - 1] for a in axes]
+        row: dict = {}
+        for s, factor in ((1, 4.0 / 3.0), (2, -1.0 / 3.0)):  # steps h/2 and h
+            for ks in product(*(np.flatnonzero(w) - 2 for w in w1d)):
+                steps = dict(zip(axes, ks))
+                offset = tuple(int(steps.get(a, 0)) * s for a in range(n))
+                if any(offset):
+                    k = index.setdefault(offset, len(index))
+                    coef = np.prod([w[j + 2] for w, j in zip(w1d, ks)])
+                    row[k] = row.get(k, 0.0) + factor * coef / (s * h / 2.0) ** order
+        for perm in set(permutations(idx)):
+            rows[perm] = row
+    width = max(len(row) for row in rows.values())
+    cols = np.zeros((n,) * order + (width,), dtype=int)
+    weights = np.zeros((n,) * order + (width,))
+    for perm, row in rows.items():
+        cols[perm][:len(row)] = list(row)
+        weights[perm][:len(row)] = list(row.values())
+    disp = np.array(tuple(index)[added:]) * (h / 2.0)
+    for arr in (disp, cols, weights):
+        arr.flags.writeable = False
+    return disp, cols, weights, tuple(index)
+
+
+def _jet(table: tuple, value: np.ndarray, *node_values) -> np.ndarray:
+    """One jet order of a field, out[a, b(, c), ...], from its values at the point and nodes."""
+    _, cols, weights, _ = table
+    diffs = np.concatenate(node_values) - value
+    shape = cols.shape[:-1] + (1,) * value.ndim
+    return sum(w.reshape(shape) * diffs[c] for c, w in zip(np.moveaxis(cols, -1, 0),
+                                                        np.moveaxis(weights, -1, 0)))
+
+
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """L_tij = d_i g_tj + d_j g_ti - d_t g_ij arranged as [..., i, t, j], from dg[..., a, i, j]."""
+    return dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)
 
 
 def christoffel(g_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
     """Levi-Civita coefficients gamma[..., h, i, j] at a point or a stack of points.
 
     The metric is evaluated in one call, at the points and at the nodes of
-    their first-tier stencils together.
+    their first-derivative stencils together.
     """
     scheme = scheme or DiffScheme()
     point = np.asarray(point, dtype=float)
     lead, n = point.shape[:-1], point.shape[-1]
     flat = point.reshape(-1, n)
-    values = np.asarray(g_fn(np.concatenate([flat, _nodes(point, scheme.h1, 1)])), dtype=float)
+    values = np.asarray(g_fn(np.concatenate([flat, _nodes(point, scheme.h1)])), dtype=float)
     g = values[:len(flat)].reshape(lead + (n, n))
-    dg = _derivatives(values[len(flat):], lead, n, scheme.h1, 1)  # dg[..., a, i, j]
+    dg = _derivatives(values[len(flat):], lead, n, scheme.h1)  # dg[..., a, i, j]
     ginv = inverse_metric(g, point)
-    # dg[i,t,j] + dg[j,t,i] - dg[t,i,j] arranged as [i,t,j]
-    return 0.5 * np.einsum("...ht,...itj->...hij", ginv,
-                           dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2))
+    return 0.5 * np.einsum("...ht,...itj->...hij", ginv, _first_kind(dg))
 
 
 def _cov_correct(value: np.ndarray, sig: str, gamma: np.ndarray) -> np.ndarray:
@@ -215,15 +240,14 @@ def _cov_correct(value: np.ndarray, sig: str, gamma: np.ndarray) -> np.ndarray:
 
 
 def covariant_derivative(fn, sig: str, point, gamma: np.ndarray, value: np.ndarray,
-                         scheme: DiffScheme, stage: int = 1) -> np.ndarray:
+                         scheme: DiffScheme) -> np.ndarray:
     """Covariant derivative, one covariant slot prepended: out[..., a, ...] = (nabla_a T)_...
 
     point is one point or a stack of points; gamma and value are the
     connection coefficients and fn's value there, which every caller
     already holds, so only the stencil nodes evaluate fn.
     """
-    dT = partial_all(fn, point, scheme, stage=stage)
-    return dT + _cov_correct(value, sig, gamma)
+    return partial_all(fn, point, scheme) + _cov_correct(value, sig, gamma)
 
 
 @dataclass(frozen=True)
@@ -248,21 +272,11 @@ class CurvaturePack:
         }
 
 
-def riemann(g_fn, point, scheme: DiffScheme | None = None, gamma_fn=None) -> CurvaturePack:
-    """Curvature from outer differencing of the Christoffel field.
-
-    gamma_fn is that field; by default `christoffel` of g_fn, and a
-    PointContext passes its memoized one so that other consumers at the
-    point reuse the same node values.
-    """
-    scheme = scheme or DiffScheme()
-    point = np.asarray(point, dtype=float)
-    if gamma_fn is None:
-        def gamma_fn(pts):
-            return christoffel(g_fn, pts, scheme)
-
-    dGamma = partial_all(gamma_fn, point, scheme, stage=2)  # [k, h, i, j]
-    gamma = _at(gamma_fn, point)
+def riemann(g_fn, point, scheme: DiffScheme | None = None, jet=None) -> CurvaturePack:
+    """Curvature at a point from the metric's jet there: by default a fresh `MetricJet` of
+    g_fn, and a PointContext passes itself, so that nabla nabla w reuses its nodes."""
+    jet = jet or MetricJet(g_fn, point, scheme)
+    gamma, dGamma = jet.gamma, jet.dgamma  # dGamma[k, h, i, j]
     # R_kji^h = d_k G^h_ji - d_j G^h_ki + G^t_ji G^h_kt - G^t_ki G^h_jt
     Rup = (
         np.einsum("khji->kjih", dGamma)
@@ -270,11 +284,9 @@ def riemann(g_fn, point, scheme: DiffScheme | None = None, gamma_fn=None) -> Cur
         + np.einsum("tji,hkt->kjih", gamma, gamma)
         - np.einsum("tki,hjt->kjih", gamma, gamma)
     )
-    g = _at(g_fn, point)
-    ginv = inverse_metric(g, point)
-    Rdown = np.einsum("kjit,tl->kjil", Rup, g)
+    Rdown = np.einsum("kjit,tl->kjil", Rup, jet.g)
     ricci = np.einsum("hjih->ji", Rup)
-    scalar = float(np.einsum("ji,ji->", ginv, ricci))
+    scalar = float(np.einsum("ji,ji->", jet.ginv, ricci))
     return CurvaturePack(Rup=Rup, Rdown=Rdown, ricci=ricci, scalar=scalar)
 
 
@@ -284,9 +296,8 @@ def exterior_derivative_2form(omega_fn, point, scheme: DiffScheme | None = None)
     w = _at(omega_fn, point)
     if max_abs(w + w.T) > SKEW_TOL * max(1.0, max_abs(w)):
         raise ValueError("exterior derivative needs an antisymmetric 2-form")
-    dw = partial_all(omega_fn, point, scheme, stage=1)  # dw[a, b, c]
-    out = dw + np.einsum("bca->abc", dw) + np.einsum("cab->abc", dw)
-    return out
+    dw = partial_all(omega_fn, point, scheme)  # dw[a, b, c]
+    return dw + np.einsum("bca->abc", dw) + np.einsum("cab->abc", dw)
 
 
 def nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
@@ -301,29 +312,19 @@ def nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
     return term1 - np.einsum("ijh->jih", term1) + term3 - np.einsum("ijh->jih", term3)
 
 
-class PointContext:
-    """Lazy per-point cache of every derived quantity of a (g, J_M) pair.
+class MetricJet:
+    """Lazy jet of a metric at one point: order 1 is g and its connection (`christoffel`);
+    order 2 (d d g, hence d Gamma and Riemann) and order 3 (d d d g, hence d d Gamma and
+    nabla Ricci) each evaluate g once, at the nodes they add, and accept any field."""
 
-    All members are computed at most once; the object is effectively
-    immutable after the caches fill, so contexts may be shared freely.
-    g_fn and j_fn map stacks of points, and so do the fields built here
-    (w, its skew part, nabla w, Ricci). Christoffel values are memoized
-    per stencil node (keyed on its exact coordinates), so gamma, Riemann
-    and nabla nabla w compute each node once; the memo holds the point and
-    the 4n outer-tier nodes around it.
-    """
-
-    def __init__(self, g_fn, j_fn, p: float, q: float, point, scheme: DiffScheme | None = None):
+    def __init__(self, g_fn, point, scheme: DiffScheme | None = None):
         self.g_fn = g_fn
-        self.j_fn = j_fn
-        self.p = float(p)
-        self.q = float(q)
         self.point = np.asarray(point, dtype=float)
         self.scheme = scheme or DiffScheme()
         self.n = self.point.size
-        self._gammas: dict = {}  # node coordinates (bytes) -> Christoffel values there
 
-    # --- algebra at the point ---
+    def _table(self, order: int) -> tuple:
+        return _jet_table(self.n, self.scheme.h2, order)
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -332,6 +333,74 @@ class PointContext:
     @cached_property
     def ginv(self) -> np.ndarray:
         return inverse_metric(self.g, self.point)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return christoffel(self.g_fn, self.point[None, :], self.scheme)[0]
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        """dg[a, i, j] = d_a g_ij = Gamma_i,aj + Gamma_j,ai, read off the connection."""
+        low = np.einsum("it,taj->iaj", self.g, self.gamma)  # Gamma_i,aj = g_it Gamma^t_aj
+        return np.einsum("iaj->aij", low) + np.einsum("jai->aij", low)
+
+    @cached_property
+    def g_nodes2(self) -> np.ndarray:
+        """g at the order-2 nodes."""
+        return np.asarray(self.g_fn(self.point + self._table(2)[0]), dtype=float)
+
+    @cached_property
+    def ddg(self) -> np.ndarray:
+        return _jet(self._table(2), self.g, self.g_nodes2)
+
+    def dddg(self) -> np.ndarray:
+        """d_a d_b d_c g, anew on each call: nabla Ricci reads it once, and a context keeps none."""
+        table = self._table(3)
+        return _jet(table, self.g, self.g_nodes2,
+                    np.asarray(self.g_fn(self.point + table[0]), dtype=float))
+
+    @cached_property
+    def dgamma(self) -> np.ndarray:
+        """dgamma[a, h, i, j] = d_a Gamma^h_ij, from g d_a Gamma = d_a L / 2 - d_a g Gamma."""
+        rhs = (0.5 * np.einsum("aitj->atij", _first_kind(self.ddg))
+               - np.einsum("ats,sij->atij", self.dg, self.gamma))
+        return np.einsum("ht,atij->ahij", self.ginv, rhs)
+
+    def ddgamma(self) -> np.ndarray:
+        """ddgamma[a, b, h, i, j] = d_a d_b Gamma^h_ij, anew on each call, like `dddg`, from
+        g d_a d_b Gamma = d_a d_b L / 2 - d_a d_b g Gamma - d_a g d_b Gamma - d_b g d_a Gamma."""
+        cross = np.einsum("ats,bsij->abtij", self.dg, self.dgamma)  # d_a g d_b Gamma
+        rhs = (0.5 * np.einsum("abitj->abtij", _first_kind(self.dddg()))
+               - np.einsum("abts,sij->abtij", self.ddg, self.gamma)
+               - cross - np.swapaxes(cross, 0, 1))
+        return np.einsum("ht,abtij->abhij", self.ginv, rhs)
+
+    @cached_property
+    def curvature(self) -> CurvaturePack:
+        return riemann(self.g_fn, self.point, self.scheme, jet=self)
+
+    @cached_property
+    def cov_ricci(self) -> np.ndarray:
+        """cov_ricci[a, j, i] = (nabla_a S)_ji, with d_a S_ji = d_a R_hji^h from the order-3 jet."""
+        G, dG, ddG = self.gamma, self.dgamma, self.ddgamma()
+        dS = (np.einsum("ahhji->aji", ddG) - np.einsum("ajhhi->aji", ddG)
+              + np.einsum("atji,hht->aji", dG, G) + np.einsum("tji,ahht->aji", G, dG)
+              - np.einsum("athi,hjt->aji", dG, G) - np.einsum("thi,ahjt->aji", G, dG))
+        return dS + _cov_correct(self.curvature.ricci, "dd", G)
+
+
+class PointContext(MetricJet):
+    """Lazy per-point cache of every derived quantity of a (g, J_M) pair: the metric's jet
+    and what the structure adds. Every cached member is computed at most once; the object
+    is effectively immutable after the caches fill, so contexts may be shared freely."""
+
+    def __init__(self, g_fn, j_fn, p: float, q: float, point, scheme: DiffScheme | None = None):
+        super().__init__(g_fn, point, scheme)
+        self.j_fn = j_fn
+        self.p = float(p)
+        self.q = float(q)
+
+    # --- algebra at the point ---
 
     @cached_property
     def J(self) -> np.ndarray:
@@ -354,39 +423,9 @@ class PointContext:
 
     # --- first derivatives ---
 
-    def _gamma_field(self, memo: dict):
-        """The Christoffel field over stacks, computing each node once and keeping it in memo.
-
-        The rows missing from memo are computed in one `christoffel` call.
-        The closure refers to memo but not to itself or to the context, so
-        a local memo is freed as soon as the field is dropped.
-        """
-        g_fn, scheme, n = self.g_fn, self.scheme, self.n
-
-        def gamma_fn(pts):
-            rows = pts.reshape(-1, n)
-            keys = [row.tobytes() for row in rows]
-            missing = {}
-            for i, key in enumerate(keys):
-                if key not in memo:
-                    missing.setdefault(key, i)
-            if missing:
-                memo.update(zip(missing, christoffel(g_fn, rows[list(missing.values())], scheme)))
-            return np.stack([memo[key] for key in keys]).reshape(pts.shape[:-1] + (n, n, n))
-
-        return gamma_fn
-
-    @cached_property
-    def gamma_fn(self):
-        return self._gamma_field(self._gammas)
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        return _at(self.gamma_fn, self.point)
-
     @cached_property
     def dJ(self) -> np.ndarray:
-        return partial_all(self.j_fn, self.point, self.scheme, stage=1)
+        return partial_all(self.j_fn, self.point, self.scheme)
 
     @cached_property
     def covJ(self) -> np.ndarray:
@@ -427,10 +466,6 @@ class PointContext:
     # --- curvature ---
 
     @cached_property
-    def curvature(self) -> CurvaturePack:
-        return riemann(self.g_fn, self.point, self.scheme, self.gamma_fn)
-
-    @cached_property
     def H(self) -> np.ndarray:
         """H_ji = R_hji^t (J_M)_t^h, the curvature/2-form contraction.
 
@@ -459,38 +494,13 @@ class PointContext:
     # --- second derivatives ---
 
     @cached_property
-    def cov_ricci(self) -> np.ndarray:
-        """cov_ricci[a, j, i] = (nabla_a S)_ji, outer-tier differencing of the Ricci field.
-
-        The Ricci field at each outer node reads the Christoffel values the
-        curvature left in the memo and keeps the nodes around it in a copy
-        that is dropped on return, so the context does not hold them. It
-        computes one Riemann tensor per row, so the nest of stencils is
-        never built as one array.
-        """
-        ricci = self.curvature.ricci
-        gamma_fn = self._gamma_field(dict(self._gammas))
-
-        def ricci_fn(pts):
-            return np.stack([riemann(self.g_fn, pt, self.scheme, gamma_fn).ricci for pt in pts])
-
-        return covariant_derivative(ricci_fn, "dd", self.point, self.gamma, ricci, self.scheme,
-                                    stage=2)
-
-    @cached_property
     def covcov_omega(self) -> np.ndarray:
-        """covcov[a, b, i, m] = (nabla_a nabla_b w)_im.
-
-        The inner nabla w is a field evaluated with the first-tier stencil
-        at all 4n outer nodes at once; the outer differencing uses the
-        second tier (wider step, Richardson), whose nodes are those of the
-        curvature, so their Christoffel values come from the memo.
-        """
-        scheme = self.scheme
-
-        def cov_omega_fn(pts):
-            return covariant_derivative(self.omega_fn, "dd", pts, self.gamma_fn(pts),
-                                        self.omega_fn(pts), scheme)
-
-        return covariant_derivative(cov_omega_fn, "ddd", self.point, self.gamma, self.cov_omega,
-                                    scheme, stage=2)
+        """covcov[a, b, i, m] = (nabla_a nabla_b w)_im, from the order-2 jet of w: d_a (nabla_b w)
+        is d_a d_b w plus d_a of the connection terms of nabla_b w."""
+        n, gamma, w = self.n, self.gamma, self.omega
+        J_nodes = np.asarray(self.j_fn(self.point + self._table(2)[0]), dtype=float)
+        ddw = _jet(self._table(2), w, np.einsum("...ti,...tm->...im", J_nodes, self.g_nodes2))
+        dw = self.cov_omega - _cov_correct(w, "dd", gamma)
+        d_cov = (ddw + _cov_correct(dw, "dd", np.broadcast_to(gamma, (n,) + gamma.shape))
+                 + _cov_correct(np.broadcast_to(w, (n,) + w.shape), "dd", self.dgamma))
+        return d_cov + _cov_correct(self.cov_omega, "ddd", gamma)

@@ -17,6 +17,7 @@ Grammar (EBNF):
     call    = FUNC "(" expr ")" ;
     NUMBER  = digits [ "." [digits] ] [ ("e"|"E") ["+"|"-"] digits ] ;
 
+A NUMBER that overflows a double, such as 1e400, is a parse error.
 Precedence: "^" binds tightest and associates to the right, unary minus
 binds above "*" and "/", which bind above "+" and "-".
 
@@ -297,6 +298,8 @@ def _tokenize(src: str):
                     j = k
                     while j < n and src[j].isdigit():
                         j += 1
+            if not math.isfinite(float(src[i:j])):
+                raise ParseError(i + 1, f"a finite number, not {src[i:j]!r}")
             toks.append(_Tok("num", src[i:j], i + 1))
             i = j
             continue

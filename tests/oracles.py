@@ -1,8 +1,11 @@
 """Reference computations shared by the tests; the engine never calls these.
 
-The engine's fields map stacks of points, (m, n) -> (m, ...). The
+The engine's fields map stacks of points, (m, n) -> (m, ...). Most
 references here are the per-point forms: they take one point at a time,
 and the tests assert that the stacked engine agrees with them row by row.
+The nested stencils the engine's jet replaced are kept as references too,
+and so is a test-only curved Kahler fixture whose Ricci tensor has a
+closed form.
 """
 
 import math
@@ -10,8 +13,10 @@ import math
 import numpy as np
 
 from metallicgeo import exprdsl
-from metallicgeo.diffcalc import DiffScheme, christoffel, covariant_derivative, partial_all
-from metallicgeo.geometry import max_abs
+from metallicgeo.diffcalc import (DiffScheme, _cov_correct, christoffel, covariant_derivative,
+                                  partial_all)
+from metallicgeo.geometry import Chart, TensorField, max_abs
+from metallicgeo.metallic import MetallicParams, StructureBundle
 from metallicgeo.octonions import cross7_matrix
 
 
@@ -77,7 +82,7 @@ def metric_compat_residual(g_fn, point, h: float) -> float:
     """
     point = np.asarray(point, dtype=float)
     gamma = christoffel(g_fn, point, DiffScheme(h))
-    dg_ref = partial_all(g_fn, point, DiffScheme(), stage=1)
+    dg_ref = partial_all(g_fn, point, DiffScheme())
     g = at(g_fn, point)
     corr = np.einsum("tai,tj->aij", gamma, g) + np.einsum("taj,ti->aij", gamma, g)
     return max_abs(dg_ref - corr)
@@ -86,9 +91,10 @@ def metric_compat_residual(g_fn, point, h: float) -> float:
 def second_covariant_derivative(fn, sig: str, point, g_fn, scheme=None) -> np.ndarray:
     """Two added covariant slots, outer first: out[a, b, ...] = (nabla_a nabla_b T)_...
 
-    The inner derivative is evaluated as a field with the first-tier stencil;
-    the outer differencing uses the second tier (wider step, Richardson).
-    fn and g_fn are stacked fields, and so is the inner derivative.
+    Nested stencils, independent of the engine's jet: the inner derivative
+    is evaluated as a field with the first-derivative stencil at every node
+    of an outer order-2 stencil at h2 and h2/2, Richardson-combined. fn and
+    g_fn are stacked fields, and so is the inner derivative.
     """
     scheme = scheme or DiffScheme()
 
@@ -96,8 +102,8 @@ def second_covariant_derivative(fn, sig: str, point, g_fn, scheme=None) -> np.nd
         return covariant_derivative(fn, sig, pts, christoffel(g_fn, pts, scheme), fn(pts), scheme)
 
     point = np.asarray(point, dtype=float)
-    return covariant_derivative(cov_fn, "d" + sig, point, christoffel(g_fn, point, scheme),
-                                at(cov_fn, point), scheme, stage=2)
+    return (partial_all_per_axis(cov_fn, point, scheme, stage=2)
+            + _cov_correct(at(cov_fn, point), "d" + sig, christoffel(g_fn, point, scheme)))
 
 
 def commutator_residual(bundle, point) -> float:
@@ -157,6 +163,70 @@ def rotation_conjugated_structure(pt, rate: float = 0.3) -> np.ndarray:
     c, s = math.cos(th), math.sin(th)
     R[1, 1], R[1, 2], R[2, 1], R[2, 2] = c, -s, s, c
     return R @ J0 @ R.T
+
+
+# --- a curved, non-Einstein Kahler fixture (test-only) --------------------------
+
+KAHLER_EPS = 0.3  # K = |z|^2 + KAHLER_EPS |z|^4 on C^2
+
+
+def _real_form(H) -> np.ndarray:
+    """The real (4, 4) form of a stack of complex (2, 2) matrices H = A + iB, per complex pair.
+
+    With z_j = x_2j + i x_2j+1, the (j, k) block is [[A_jk, B_jk], [-B_jk, A_jk]]: the
+    real part of sum_jk H_jk dz_j dzbar_k.
+    """
+    A, B = H.real, H.imag
+    out = np.empty(H.shape[:-2] + (4, 4))
+    out[..., 0::2, 0::2] = A
+    out[..., 1::2, 1::2] = A
+    out[..., 0::2, 1::2] = B
+    out[..., 1::2, 0::2] = -B
+    return out
+
+
+def _radial(pts) -> tuple:
+    """r^2 = |z|^2 and the matrices zbar_j z_k at a stack of points of R^4 = C^2."""
+    z = pts[:, 0::2] + 1j * pts[:, 1::2]
+    return np.einsum("mj,mj->m", pts, pts), np.einsum("mj,mk->mjk", z.conj(), z)
+
+
+def kahler_quartic_metric(pts) -> np.ndarray:
+    """g for the potential K = |z|^2 + eps |z|^4: the real form of
+    H_jk = d_j d_kbar K = (1 + 2 eps |z|^2) delta_jk + 2 eps zbar_j z_k."""
+    r2, zz = _radial(pts)
+    eps = KAHLER_EPS
+    return _real_form((1.0 + 2 * eps * r2)[:, None, None] * np.eye(2) + 2 * eps * zz)
+
+
+def kahler_quartic_ricci(pts) -> np.ndarray:
+    """The Ricci tensor of `kahler_quartic_metric`, with no Christoffel symbol in sight.
+
+    The Ricci form of a Kahler potential is -i d dbar log det H, and the
+    engine's S is twice the real form of -d_j d_kbar log det H. Here
+    det H = (1 + 2 eps r^2)(1 + 4 eps r^2) = exp F(r^2), so
+    -d_j d_kbar log det H = -(F' delta_jk + F'' zbar_j z_k).
+    """
+    r2, zz = _radial(pts)
+    eps = KAHLER_EPS
+    a, b = 2 * eps / (1.0 + 2 * eps * r2), 4 * eps / (1.0 + 4 * eps * r2)  # F' = a + b
+    F1, F2 = a + b, -(a * a + b * b)
+    return 2.0 * _real_form(-(F1[:, None, None] * np.eye(2) + F2[:, None, None] * zz))
+
+
+def kahler_quartic_bundle(q: float = 2.0 / 3.0) -> StructureBundle:
+    """The Kahler metric of K = |z|^2 + 0.3 |z|^4 on [-0.6, 0.6]^4 with the standard J.
+
+    Scalar curvature -3.2 to -12 at the sample points, Ricci not proportional
+    to g and nabla S != 0; the zoo's curved Kahler fixture, s2, has S = g and
+    nabla S = 0.
+    """
+    chart = Chart(dimension=4, bounds=((-0.6, 0.6),) * 4, grid=1, n_random=8, seed=19,
+                  margin=0.1)
+    J = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    g = TensorField("kahler-quartic", "dd", kahler_quartic_metric, symmetric_pairs=((0, 1),))
+    return StructureBundle.from_j(chart, g, TensorField("standard-J", "ud", const_field(J)),
+                                  MetallicParams(0.0, q))
 
 
 # --- per-point tree-walking expression evaluator -------------------------------

@@ -123,14 +123,17 @@ DISK = (
     (dict(GOOD, q="-1"), [], 2, "q must be strictly positive"),
     (None, ["classify", "--zoo", "s2", "--q", "-1"], 2, "q must be strictly positive"),
     (None, ["verify", "--zoo", "s2", "--h", "0.05"], 2, "half the chart margin"),
-    # h2 = 0.049 is below half the margin, but h2 + 2 h1 = 0.103 is past it
-    (DISK, ["verify", "SPEC", "--suite", "all", "--h", "0.027"], 2, "nested stencil reach 0.103"),
+    # h2 = 0.05005: the jet's axis nodes at 2 h2 = 0.1001 would leave the chart, where the
+    # metric is undefined (at --h 0.027 the jet reaches 0.0986, and verify runs)
+    (DISK, ["verify", "SPEC", "--suite", "all", "--h", "0.0275"], 2, "the jet reaches 0.100109"),
     (dict(GOOD, g00="1 + (3 + x0)^700"), [], 3,
      "non-finite value in sub-expression '((3.0 + x0) ^ 700.0)' at point [0.0, -0.95]"),
     (dict(GOOD, g00="1e200 * 1e200 * (1 + x0^2)"), [], 3,
      "non-finite value in sub-expression '(1e+200 * 1e+200)' at point [-0.95, -0.95]"),
+    (dict(GOOD, g00="1 + 1e400*0"), [], 2, "line 5, offset 15: parse error at offset 5:"
+                                           " expected a finite number, not '1e400'"),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
-        "nested-stencil-too-big", "power-overflow", "product-overflow"])
+        "jet-too-big", "power-overflow", "product-overflow", "literal-overflow"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"

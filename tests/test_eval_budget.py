@@ -3,10 +3,10 @@
 Counts the g and J_M evaluations that one CLI run makes on a fresh
 fixture: the points evaluated (rows of the stacks the fields are called
 with) and the Python-level calls that evaluate them. The bounds are the
-counts measured when the test was written; a refactor that evaluates a
-nested stencil twice (for example nabla Ricci once per identity row)
-exceeds the point bound, and one that falls back to calling a field once
-per point exceeds the call bound. Tighten a bound when the engine gets
+counts measured when the test was written; a refactor that builds a
+jet order twice (for example nabla Ricci once per identity row) exceeds
+the point bound, and one that falls back to calling a field once per
+point exceeds the call bound. Tighten a bound when the engine gets
 cheaper; never raise one.
 """
 
@@ -31,15 +31,16 @@ BUILDERS = {
 
 # (command, fixture) -> (g points, J_M points, g calls, J_M calls)
 BUDGET = {
-    ("verify", "s2"): (5868, 1274, 318, 91),
-    ("verify", "s6"): (11484, 6066, 81, 63),
-    ("verify", "flat-k2"): (47124, 5474, 695, 119),
-    ("verify", "flat-k3"): (83900, 6740, 568, 70),
+    ("verify", "s2"): (611, 546, 91, 78),
+    ("verify", "s6"): (1971, 1962, 54, 54),
+    ("verify", "flat-k2"): (3179, 1938, 119, 102),
+    ("verify", "flat-k3"): (5510, 2180, 70, 60),
     ("classify", "negative"): (560, 544, 64, 64),
 }
 
-# tracemalloc peak of `verify --suite all` on flat-k3, in bytes: 1.7 MB measured,
-# 5.1 MB when nabla Ricci's nested Christoffel memo outlives its return
+# tracemalloc peak of `verify --suite all` on flat-k3, in bytes: 1.2 MB measured (2.2 MB
+# when the run also builds the jet's weight tables), 2.4 MB (3.5 MB) when every context
+# keeps its order-3 jet
 PEAK_BYTES = 2_500_000
 
 
@@ -77,29 +78,12 @@ def test_field_evaluations_within_budget(command, name, monkeypatch):
     assert counts["jm_calls"] <= jm_calls_max, counts
 
 
-def test_contexts_keep_only_outer_christoffel_nodes(monkeypatch):
-    """nabla Ricci's nested Christoffel values are dropped once it is computed.
-
-    A context's memo holds the point and the 4n outer-tier nodes that
-    Riemann and nabla nabla w share; keeping the nodes of every nested
-    Riemann as well would grow each context by O(n^2) arrays.
-    """
-    fx = BUILDERS["flat-k2"]()
-    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(["verify", "--zoo", "flat-k2", "--suite", "all", "--format", "json"]) == 0
-    for ctx in fx.bundle.contexts():
-        assert {"cov_ricci", "covcov_omega"} <= vars(ctx).keys()
-        assert len(ctx._gammas) <= 4 * ctx.n + 1
-
-
 def test_verify_memory_peak_flat_k3(monkeypatch):
-    """Nested memos are freed on return, not left for the cyclic garbage collector.
+    """Contexts keep the order-2 jet of g, not the order-3 one.
 
-    A Christoffel field that refers to itself (or to its context) forms a
-    reference cycle, and nabla Ricci's nested memo then outlives the call
-    until the collector runs; the traced peak of one verify grows about
-    fourfold.
+    nabla Ricci reads d d d g and d d Gamma once; a context that kept them
+    would hold n^5 more numbers of each per point, and the traced peak of
+    one verify would grow about 2-fold.
     """
     fx = BUILDERS["flat-k3"]()
     monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
