@@ -175,7 +175,7 @@ def cmd_curvature(args) -> int:
     if point.size != bundle.chart.dimension:
         print(f"error: point has {point.size} coordinates, chart dimension is "
               f"{bundle.chart.dimension}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_PARSE
     ctx = bundle.context(point)
     pack = ctx.curvature
     report = _base_report(bundle, source)

@@ -17,9 +17,16 @@ Conventions (fixed once, used by every checker in the package):
 
 Differencing is central. First derivatives (everything classification
 reads: the connection, dJ, dw, nabla w) use the order-4 axis stencil at
-step h1; `partial_all` evaluates the 4n nodes of a point or a stack of
-points in one field call, with the arithmetic of a per-axis stencil, so
-it equals differencing one axis at a time bit for bit. Higher
+step h1, and each field is called once per point for them: a MetricJet
+evaluates g at the point and its 4n stencil nodes in one call, a
+PointContext J_M likewise, and every order-1 quantity is read off those
+values. They give g, d g, g^-1 (inverted once) and Gamma (`christoffel`,
+algebra on g^-1 and d g); J and d J; and w = J_M g at the point and the
+nodes, hence d w, nabla w (`covariant_derivative`: plain partials plus
+Gamma corrections) and dw (from the skew part of w at the nodes). The
+node values are not kept. `partial_all` applies the same stencil to any
+field at a point or a stack of points, with the arithmetic of a per-axis
+stencil, so it equals differencing one axis at a time bit for bit. Higher
 derivatives come from the jet of a field at a point: its partials of
 order 2 (axis and face nodes) and 3 (adding axis nodes at 2 h2 and cube
 nodes), at steps h2/2 and h2, Richardson-combined to order 4, with
@@ -30,9 +37,10 @@ when it builds the PointContext; the functions here check no bounds.
 
 Curvature and its derivatives are algebra on the jet: differentiating
 g Gamma = L/2 (L_tij = d_i g_tj + d_j g_ti - d_t g_ij) once and twice
-gives d Gamma and d d Gamma. Riemann reads (Gamma, d Gamma), nabla Ricci
-d d Gamma, and nabla nabla w the order-2 jet of w = J_M g. The jet agrees
-with nested stencils to roundoff and truncation (Riemann to ~1e-10).
+gives d Gamma and d d Gamma, with d g from the order-1 stencil. Riemann
+reads (Gamma, d Gamma), nabla Ricci d d Gamma, and nabla nabla w the
+order-2 jet of w = J_M g. The jet agrees with nested stencils to roundoff
+and truncation (Riemann to ~1e-10).
 
 Fields map a stack of points (m, n) to a stack of values (m, ...).
 Everything is a pure function of (field, point); a MetricJet or
@@ -56,7 +64,6 @@ __all__ = [
     "christoffel",
     "covariant_derivative",
     "riemann",
-    "exterior_derivative_2form",
     "nijenhuis",
     "MetricJet",
     "PointContext",
@@ -65,7 +72,6 @@ __all__ = [
 DEFAULT_H1 = 1e-3
 ORDER1 = 4  # first derivatives: order-4 axis stencil at h1
 ORDER2 = 2  # jet: order-2 stencils at h2 and h2/2, Richardson-combined
-SKEW_TOL = 1e-8  # relative antisymmetry a 2-form needs before it is differentiated
 
 
 @dataclass(frozen=True)
@@ -114,11 +120,6 @@ def _displacements(n: int, h: float) -> np.ndarray:
     disp = np.eye(n)[:, None, :] * (np.array(STENCIL1) * h)[None, :, None]
     disp.flags.writeable = False
     return disp
-
-
-def _at(fn, point) -> np.ndarray:
-    """The value of a stacked field at one point."""
-    return np.asarray(fn(point[None, :]), dtype=float)[0]
 
 
 def _nodes(points: np.ndarray, h: float) -> np.ndarray:
@@ -202,20 +203,8 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)
 
 
-def christoffel(g_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
-    """Levi-Civita coefficients gamma[..., h, i, j] at a point or a stack of points.
-
-    The metric is evaluated in one call, at the points and at the nodes of
-    their first-derivative stencils together.
-    """
-    scheme = scheme or DiffScheme()
-    point = np.asarray(point, dtype=float)
-    lead, n = point.shape[:-1], point.shape[-1]
-    flat = point.reshape(-1, n)
-    values = np.asarray(g_fn(np.concatenate([flat, _nodes(point, scheme.h1)])), dtype=float)
-    g = values[:len(flat)].reshape(lead + (n, n))
-    dg = _derivatives(values[len(flat):], lead, n, scheme.h1)  # dg[..., a, i, j]
-    ginv = inverse_metric(g, point)
+def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Levi-Civita coefficients gamma[..., h, i, j] from g^-1 and dg[..., a, i, j] = d_a g_ij."""
     return 0.5 * np.einsum("...ht,...itj->...hij", ginv, _first_kind(dg))
 
 
@@ -239,15 +228,14 @@ def _cov_correct(value: np.ndarray, sig: str, gamma: np.ndarray) -> np.ndarray:
     return corr
 
 
-def covariant_derivative(fn, sig: str, point, gamma: np.ndarray, value: np.ndarray,
-                         scheme: DiffScheme) -> np.ndarray:
+def covariant_derivative(d: np.ndarray, value: np.ndarray, sig: str,
+                         gamma: np.ndarray) -> np.ndarray:
     """Covariant derivative, one covariant slot prepended: out[..., a, ...] = (nabla_a T)_...
 
-    point is one point or a stack of points; gamma and value are the
-    connection coefficients and fn's value there, which every caller
-    already holds, so only the stencil nodes evaluate fn.
+    The plain partials d[..., a, ...] = d_a T plus the connection terms of
+    each slot of T (sig: 'u' upper, 'd' lower), from T's value and gamma.
     """
-    return partial_all(fn, point, scheme) + _cov_correct(value, sig, gamma)
+    return d + _cov_correct(value, sig, gamma)
 
 
 @dataclass(frozen=True)
@@ -290,16 +278,6 @@ def riemann(g_fn, point, scheme: DiffScheme | None = None, jet=None) -> Curvatur
     return CurvaturePack(Rup=Rup, Rdown=Rdown, ricci=ricci, scalar=scalar)
 
 
-def exterior_derivative_2form(omega_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
-    """dw[a, b, c] = d_a w_bc + d_b w_ca + d_c w_ab; input must be antisymmetric."""
-    point = np.asarray(point, dtype=float)
-    w = _at(omega_fn, point)
-    if max_abs(w + w.T) > SKEW_TOL * max(1.0, max_abs(w)):
-        raise ValueError("exterior derivative needs an antisymmetric 2-form")
-    dw = partial_all(omega_fn, point, scheme)  # dw[a, b, c]
-    return dw + np.einsum("bca->abc", dw) + np.einsum("cab->abc", dw)
-
-
 def nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
     """Bracket-formula Nijenhuis tensor of a (1,1) field, N[i, j, h] = N_ij^h.
 
@@ -312,10 +290,16 @@ def nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
     return term1 - np.einsum("ijh->jih", term1) + term3 - np.einsum("ijh->jih", term3)
 
 
+def _from_order1(key: str, doc: str | None = None) -> property:
+    """A member of a MetricJet read off its order-1 quantities."""
+    return property(lambda self: self._order1[key], doc=doc)
+
+
 class MetricJet:
-    """Lazy jet of a metric at one point: order 1 is g and its connection (`christoffel`);
-    order 2 (d d g, hence d Gamma and Riemann) and order 3 (d d d g, hence d d Gamma and
-    nabla Ricci) each evaluate g once, at the nodes they add, and accept any field."""
+    """Lazy jet of a metric at one point. Order 1 evaluates g once, at the point and its 4n
+    first-derivative nodes, for g, d g, g^-1 and the connection (`christoffel`); order 2
+    (d d g, hence d Gamma and Riemann) and order 3 (d d d g, hence d d Gamma and nabla
+    Ricci) each evaluate g once, at the nodes they add. Any field is accepted."""
 
     def __init__(self, g_fn, point, scheme: DiffScheme | None = None):
         self.g_fn = g_fn
@@ -326,9 +310,29 @@ class MetricJet:
     def _table(self, order: int) -> tuple:
         return _jet_table(self.n, self.scheme.h2, order)
 
+    def _stencil(self, fn) -> tuple:
+        """fn at the point and at its 4n first-derivative nodes, from one call; the value at
+        the point is a copy, so that keeping it does not keep the node values."""
+        values = np.asarray(fn(np.concatenate([self.point[None, :],
+                                               _nodes(self.point, self.scheme.h1)])), dtype=float)
+        return values[0].copy(), values[1:]
+
+    def _d1(self, node_values: np.ndarray) -> np.ndarray:
+        """out[a, ...] = d_a of a field, from its values at the first-derivative nodes."""
+        return _derivatives(node_values, (), self.n, self.scheme.h1)
+
     @cached_property
-    def g(self) -> np.ndarray:
-        return _at(self.g_fn, self.point)
+    def _order1(self) -> dict:
+        """Every order-1 quantity, from one stencil of g; the node values are not kept."""
+        return self._first_order(*self._stencil(self.g_fn))
+
+    def _first_order(self, g: np.ndarray, g_nodes: np.ndarray) -> dict:
+        """The order-1 quantities, from g at the point and at the nodes; a PointContext
+        adds those of J_M."""
+        return {"g": g, "dg": self._d1(g_nodes)}
+
+    g = _from_order1("g")
+    dg = _from_order1("dg", "dg[a, i, j] = d_a g_ij.")
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -336,13 +340,7 @@ class MetricJet:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return christoffel(self.g_fn, self.point[None, :], self.scheme)[0]
-
-    @cached_property
-    def dg(self) -> np.ndarray:
-        """dg[a, i, j] = d_a g_ij = Gamma_i,aj + Gamma_j,ai, read off the connection."""
-        low = np.einsum("it,taj->iaj", self.g, self.gamma)  # Gamma_i,aj = g_it Gamma^t_aj
-        return np.einsum("iaj->aij", low) + np.einsum("jai->aij", low)
+        return christoffel(self.ginv, self.dg)
 
     @cached_property
     def g_nodes2(self) -> np.ndarray:
@@ -386,7 +384,7 @@ class MetricJet:
         dS = (np.einsum("ahhji->aji", ddG) - np.einsum("ajhhi->aji", ddG)
               + np.einsum("atji,hht->aji", dG, G) + np.einsum("tji,ahht->aji", G, dG)
               - np.einsum("athi,hjt->aji", dG, G) - np.einsum("thi,ahjt->aji", G, dG))
-        return dS + _cov_correct(self.curvature.ricci, "dd", G)
+        return covariant_derivative(dS, self.curvature.ricci, "dd", G)
 
 
 class PointContext(MetricJet):
@@ -400,11 +398,22 @@ class PointContext(MetricJet):
         self.p = float(p)
         self.q = float(q)
 
+    def _first_order(self, g: np.ndarray, g_nodes: np.ndarray) -> dict:
+        """Adds one stencil of J_M, and w = J_M g at the point's nodes from both stencils."""
+        J, J_nodes = self._stencil(self.j_fn)
+        w_nodes = np.einsum("...ti,...tm->...im", J_nodes, g_nodes)
+        # dw differentiates the antisymmetric part of w: identical whenever the
+        # bundle is skew-compatible, and still a well-defined 2-form (hence a
+        # reportable residual) on bundles that fail that compatibility
+        skew = self._d1(0.5 * (w_nodes - np.swapaxes(w_nodes, -1, -2)))
+        return super()._first_order(g, g_nodes) | {
+            "J": J, "dJ": self._d1(J_nodes), "dw": self._d1(w_nodes),
+            "domega": skew + np.einsum("bca->abc", skew) + np.einsum("cab->abc", skew),
+        }
+
     # --- algebra at the point ---
 
-    @cached_property
-    def J(self) -> np.ndarray:
-        return _at(self.j_fn, self.point)
+    J = _from_order1("J")
 
     @cached_property
     def Jhat(self) -> np.ndarray:
@@ -415,22 +424,16 @@ class PointContext(MetricJet):
         # w_im = (J_M)_i^t g_tm
         return np.einsum("ti,tm->im", self.J, self.g)
 
-    def omega_fn(self, pts) -> np.ndarray:
-        """w at a stack of points (m, n) -> (m, n, n)."""
-        Jp = np.asarray(self.j_fn(pts), dtype=float)
-        gp = np.asarray(self.g_fn(pts), dtype=float)
-        return np.einsum("...ti,...tm->...im", Jp, gp)
-
     # --- first derivatives ---
 
-    @cached_property
-    def dJ(self) -> np.ndarray:
-        return partial_all(self.j_fn, self.point, self.scheme)
+    dJ = _from_order1("dJ", "dJ[a, h, i] = d_a (J_M)_i^h.")
+    dw = _from_order1("dw", "dw[a, i, m] = d_a w_im.")
+    domega = _from_order1("domega", "domega[a, b, c] = d_a w_bc + d_b w_ca + d_c w_ab.")
 
     @cached_property
     def covJ(self) -> np.ndarray:
         """covJ[a, h, i] = (nabla_a J)_i^h."""
-        return self.dJ + _cov_correct(self.J, "ud", self.gamma)
+        return covariant_derivative(self.dJ, self.J, "ud", self.gamma)
 
     @cached_property
     def sym_covJ(self) -> np.ndarray:
@@ -444,20 +447,8 @@ class PointContext(MetricJet):
 
     @cached_property
     def cov_omega(self) -> np.ndarray:
-        """(nabla_a w)_im computed directly from the w field (independent of F)."""
-        return covariant_derivative(self.omega_fn, "dd", self.point, self.gamma, self.omega,
-                                    self.scheme)
-
-    @cached_property
-    def domega(self) -> np.ndarray:
-        # differentiates the antisymmetric part of w: identical whenever the
-        # bundle is skew-compatible, and still a well-defined 2-form (hence a
-        # reportable residual) on bundles that fail that compatibility
-        def skew_fn(pts):
-            w = self.omega_fn(pts)
-            return 0.5 * (w - np.swapaxes(w, -1, -2))
-
-        return exterior_derivative_2form(skew_fn, self.point, self.scheme)
+        """(nabla_a w)_im computed directly from w at the nodes (independent of F)."""
+        return covariant_derivative(self.dw, self.omega, "dd", self.gamma)
 
     @cached_property
     def N(self) -> np.ndarray:
@@ -500,7 +491,6 @@ class PointContext(MetricJet):
         n, gamma, w = self.n, self.gamma, self.omega
         J_nodes = np.asarray(self.j_fn(self.point + self._table(2)[0]), dtype=float)
         ddw = _jet(self._table(2), w, np.einsum("...ti,...tm->...im", J_nodes, self.g_nodes2))
-        dw = self.cov_omega - _cov_correct(w, "dd", gamma)
-        d_cov = (ddw + _cov_correct(dw, "dd", np.broadcast_to(gamma, (n,) + gamma.shape))
+        d_cov = (ddw + _cov_correct(self.dw, "dd", np.broadcast_to(gamma, (n,) + gamma.shape))
                  + _cov_correct(np.broadcast_to(w, (n,) + w.shape), "dd", self.dgamma))
-        return d_cov + _cov_correct(self.cov_omega, "ddd", gamma)
+        return covariant_derivative(d_cov, self.cov_omega, "ddd", gamma)

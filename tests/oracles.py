@@ -4,8 +4,8 @@ The engine's fields map stacks of points, (m, n) -> (m, ...). Most
 references here are the per-point forms: they take one point at a time,
 and the tests assert that the stacked engine agrees with them row by row.
 The nested stencils the engine's jet replaced are kept as references too,
-and so is a test-only curved Kahler fixture whose Ricci tensor has a
-closed form.
+and so are the stacked, field-calling Christoffel coefficients and a
+test-only curved Kahler fixture whose Ricci tensor has a closed form.
 """
 
 import math
@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from metallicgeo import exprdsl
-from metallicgeo.diffcalc import (DiffScheme, _cov_correct, christoffel, covariant_derivative,
-                                  partial_all)
-from metallicgeo.geometry import Chart, TensorField, max_abs
+from metallicgeo.diffcalc import (DiffScheme, _cov_correct, _derivatives, _nodes, christoffel,
+                                  covariant_derivative, partial_all)
+from metallicgeo.geometry import Chart, TensorField, inverse_metric, max_abs
 from metallicgeo.metallic import MetallicParams, StructureBundle
 from metallicgeo.octonions import cross7_matrix
 
@@ -71,6 +71,22 @@ def partial_all_per_axis(fn, point, scheme: DiffScheme, stage: int) -> np.ndarra
     return np.stack([along(a) for a in range(point.size)], axis=0)
 
 
+def christoffel_field(g_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
+    """Levi-Civita coefficients gamma[..., h, i, j] of a metric field at a point or a stack.
+
+    The metric is evaluated in one call, at the points and at the nodes of
+    their first-derivative stencils together, and inverted per point.
+    """
+    scheme = scheme or DiffScheme()
+    point = np.asarray(point, dtype=float)
+    lead, n = point.shape[:-1], point.shape[-1]
+    flat = point.reshape(-1, n)
+    values = np.asarray(g_fn(np.concatenate([flat, _nodes(point, scheme.h1)])), dtype=float)
+    g = values[:len(flat)].reshape(lead + (n, n))
+    dg = _derivatives(values[len(flat):], lead, n, scheme.h1)
+    return christoffel(inverse_metric(g, point), dg)
+
+
 def metric_compat_residual(g_fn, point, h: float) -> float:
     """Metric-compatibility residual of the connection built at step h.
 
@@ -81,7 +97,7 @@ def metric_compat_residual(g_fn, point, h: float) -> float:
     quantity whose truncation error actually shrinks with h.
     """
     point = np.asarray(point, dtype=float)
-    gamma = christoffel(g_fn, point, DiffScheme(h))
+    gamma = christoffel_field(g_fn, point, DiffScheme(h))
     dg_ref = partial_all(g_fn, point, DiffScheme())
     g = at(g_fn, point)
     corr = np.einsum("tai,tj->aij", gamma, g) + np.einsum("taj,ti->aij", gamma, g)
@@ -99,11 +115,13 @@ def second_covariant_derivative(fn, sig: str, point, g_fn, scheme=None) -> np.nd
     scheme = scheme or DiffScheme()
 
     def cov_fn(pts):
-        return covariant_derivative(fn, sig, pts, christoffel(g_fn, pts, scheme), fn(pts), scheme)
+        return covariant_derivative(partial_all(fn, pts, scheme), fn(pts), sig,
+                                    christoffel_field(g_fn, pts, scheme))
 
     point = np.asarray(point, dtype=float)
-    return (partial_all_per_axis(cov_fn, point, scheme, stage=2)
-            + _cov_correct(at(cov_fn, point), "d" + sig, christoffel(g_fn, point, scheme)))
+    return covariant_derivative(partial_all_per_axis(cov_fn, point, scheme, stage=2),
+                                at(cov_fn, point), "d" + sig,
+                                christoffel_field(g_fn, point, scheme))
 
 
 def commutator_residual(bundle, point) -> float:

