@@ -7,9 +7,9 @@
 Exit codes: 0 successful run (for verify: every asserted, non-skipped check
 passed), 1 at least one asserted identity failed, 2 invalid input (a spec
 parse error, with file, line and offset printed, or a chart, structure
-parameter or differencing step the engine rejects), 3 numerical failure
-(singular metric, a point outside the chart, or an expression evaluated
-outside its domain or to a non-finite value).
+parameter, differencing step or tolerance the engine rejects), 3 numerical
+failure (singular metric, a point outside the chart, or an expression
+evaluated outside its domain or to a non-finite value).
 
 JSON reports are deterministic for a fixed spec and seed: fields are
 emitted in a fixed order and every residual is rounded to 6 significant
@@ -55,7 +55,7 @@ def _sig6(x):
 
 
 class InputError(Exception):
-    """A chart, structure parameter or step that the engine rejects (exit 2)."""
+    """A chart, structure parameter, step or tolerance that the engine rejects (exit 2)."""
 
 
 def _bundle_from_args(args) -> tuple[StructureBundle, dict]:

@@ -19,10 +19,12 @@ Both connections deform Levi-Civita by a (1,2)-tensor S:
   is derived there or outside the two classes above, so the constructor
   raises GateError and the connection is reported as skipped.
 
-`connection_terms` computes every per-point quantity of one connection
-once: S, the pairing, nabla~ w, nabla~ g and the kind-specific terms. The
-JSON block of `connection_report` and the identity records of
-`connection_identity_results` both read from it. A connection is
+`connection_terms` computes every per-point quantity of one connection:
+S, the pairing, nabla~ w, nabla~ g and the kind-specific terms. The bundle
+keeps them, so each connection's terms are built once per sample point and
+bundle, and the second-type form is decided once per bundle; the JSON
+block of `connection_report` and the identity records of
+`connection_identity_results` both read that one set. A connection is
 Levi-Civita plus its deformation, so `first_type` and `second_type` return
 S alone, and torsion and the symmetry checks are exact algebra over the
 computed nabla J_M.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import max_abs
-from .identities import Identity, _diff, _result, _running_max, _skip, evaluate, not_hermitian
+from .identities import Identity, _diff, _result, _skip, evaluate, not_hermitian
 from .metallic import StructureBundle, VERDICT_ALMOST_KAHLER, VERDICT_KAHLER
 
 __all__ = ["first_type", "second_type", "connection_terms", "connection_report",
@@ -45,18 +47,22 @@ class GateError(RuntimeError):
 
 
 def _second_form(bundle: StructureBundle) -> str:
-    """'levi' (S = 0) on metallic Kahler, 'nearly' for the nearly closed form."""
-    cls = bundle.classification()
-    if cls.verdict == VERDICT_KAHLER:
-        return "levi"
-    if cls.nearly:
-        return "nearly"
-    if cls.verdict == VERDICT_ALMOST_KAHLER:
-        raise GateError("second-type connection: Levi-Civita preserves w only when "
-                        "nabla J_M = 0, and no closed form is derived for almost metallic "
-                        "Kähler bundles that are not metallic Kähler")
-    raise GateError("second-type connection has a closed form only on almost "
-                    "metallic Kähler or nearly metallic Kähler bundles")
+    """'levi' (S = 0) on metallic Kahler, 'nearly' for the nearly closed form.
+
+    Decided once per bundle and kept with its connection terms.
+    """
+    form = bundle._connections.get("second")
+    if form is None:
+        cls = bundle.classification()
+        if cls.verdict == VERDICT_ALMOST_KAHLER:
+            raise GateError("second-type connection: Levi-Civita preserves w only when "
+                            "nabla J_M = 0, and no closed form is derived for almost metallic "
+                            "Kähler bundles that are not metallic Kähler")
+        if cls.verdict != VERDICT_KAHLER and not cls.nearly:
+            raise GateError("second-type connection has a closed form only on almost "
+                            "metallic Kähler or nearly metallic Kähler bundles")
+        form = bundle._connections["second"] = "levi" if cls.verdict == VERDICT_KAHLER else "nearly"
+    return form
 
 
 def first_type(bundle: StructureBundle, point) -> np.ndarray:
@@ -113,8 +119,20 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
     else:
         terms["four"] = nw - 4.0 * ctx.cov_omega
         if _second_form(bundle) == "nearly":
-            terms["ratio"] = S + 3.0 * first_type(bundle, point)
+            terms["ratio"] = S + 3.0 * _terms_at(bundle, "first", point)["S"]
     return terms
+
+
+def _terms_at(bundle: StructureBundle, kind: str, point) -> dict:
+    """connection_terms of `kind` at `point`, built once per bundle; GateError if gated."""
+    key = (kind, np.asarray(point, dtype=float).tobytes())
+    if key not in bundle._connections:
+        bundle._connections[key] = connection_terms(bundle, kind, point)
+    return bundle._connections[key]
+
+
+def _terms(bundle: StructureBundle, kind: str) -> list:
+    return [_terms_at(bundle, kind, pt) for pt in bundle.sample_points]
 
 
 # (report key, terms -> array whose largest entry over the points is reported)
@@ -143,17 +161,17 @@ def connection_report(bundle: StructureBundle) -> dict:
     out: dict = {"connections": {}, "notes": []}
     for kind in ("first", "second"):
         try:
-            terms = [connection_terms(bundle, kind, pt) for pt in bundle.sample_points]
+            terms = _terms(bundle, kind)
         except GateError as exc:
             out["connections"][kind] = {"skipped": str(exc)}
             out["notes"].append(f"{kind}: {exc}")
             continue
         out["connections"][kind] = {
-            key: _running_max(max_abs(fn(t)) for t in terms)
+            key: max(max_abs(fn(t)) for t in terms)
             for key, fn in _REPORT_ROWS + _KIND_REPORT_ROWS[kind]
         }
         if "ratio" in terms[0]:
-            out["deformation_ratio_residual"] = _running_max(max_abs(t["ratio"]) for t in terms)
+            out["deformation_ratio_residual"] = max(max_abs(t["ratio"]) for t in terms)
     return out
 
 
@@ -195,13 +213,12 @@ def connection_identity_results(bundle: StructureBundle) -> list:
     if reason:
         return [_skip("first-type-preserves-omega", reason),
                 _skip("second-type-connection", reason)]
-    results = evaluate(bundle, FIRST_TYPE_IDENTITIES,
-                       values=[connection_terms(bundle, "first", pt) for pt in bundle.sample_points])
+    results = evaluate(bundle, FIRST_TYPE_IDENTITIES, values=_terms(bundle, "first"))
     try:
         form = _second_form(bundle)
     except GateError as exc:
         return results + [_skip("second-type-connection", str(exc))]
-    second = [connection_terms(bundle, "second", pt) for pt in bundle.sample_points]
+    second = _terms(bundle, "second")
     results += evaluate(bundle, SECOND_TYPE_SKEW, values=second)
     if form == "levi":
         return results + evaluate(bundle, SECOND_TYPE_LEVI, values=second)

@@ -81,8 +81,8 @@ class DiffScheme:
     h1: float = DEFAULT_H1
 
     def __post_init__(self):
-        if self.h1 <= 0:
-            raise ValueError("steps must be positive")
+        if not 0.0 < self.h1 < np.inf:
+            raise ValueError(f"step h must be positive and finite, got {self.h1:g}")
 
     @property
     def h2(self) -> float:

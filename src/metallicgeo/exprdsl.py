@@ -110,17 +110,13 @@ class _Node:
         """Largest coordinate index referenced, -1 if none."""
         return -1
 
-    def domain_reason(self, *operands) -> str:
-        """Why the node's value is not finite for these operand values."""
-        return "non-finite value"
-
 
 @dataclass(frozen=True)
 class Lit(_Node):
     value: float
 
     def eval(self, points):
-        return self.value if math.isfinite(self.value) else _finite(self, points, self.value)
+        return self.value
 
     def render(self):
         return repr(float(self.value))
@@ -403,9 +399,6 @@ class _Parser:
                 raise ParseError(t.offset, f"a function name, not {name!r}")
             self.advance()
             arg = self.expr()
-            after = self.peek()
-            if after.kind == "op" and after.text == ",":  # pragma: no cover
-                raise ParseError(after.offset, "')' (functions take one argument)")
             self.expect_op(")")
             return Call(name, arg)
         if name in CONSTANTS:

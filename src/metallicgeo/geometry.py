@@ -81,10 +81,12 @@ class Chart:
         b = np.asarray(self.bounds, dtype=float)
         if b.shape != (self.dimension, 2):
             raise ValueError("bounds must provide one (lo, hi) pair per coordinate")
-        if np.any(b[:, 1] <= b[:, 0]):
-            raise ValueError("each bound must satisfy lo < hi")
-        if self.margin <= 0 or np.any(2 * self.margin >= b[:, 1] - b[:, 0]):
+        if not (np.isfinite(b).all() and np.all(b[:, 0] < b[:, 1])):
+            raise ValueError("bounds must be finite, with lo < hi in each pair")
+        if not (self.margin > 0 and np.all(2 * self.margin < b[:, 1] - b[:, 0])):
             raise ValueError("margin must be positive and smaller than half of every extent")
+        if self.seed < 0 or self.n_random < 0:
+            raise ValueError("seed and random_points must be non-negative")
         for name, pt in self.named_points.items():
             if not self.contains(pt, margin=self.margin):
                 raise ValueError(f"named point {name!r} is not inside the chart margin")

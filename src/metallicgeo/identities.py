@@ -166,14 +166,6 @@ def _skew_part(M: np.ndarray) -> tuple:
     return max_abs(M + M.T), max_abs(M)
 
 
-def _running_max(values) -> float:
-    """Largest value, 0 for none; reduces in point order."""
-    out = 0.0
-    for v in values:
-        out = max(out, v)
-    return out
-
-
 def _cartan_sum(F: np.ndarray) -> np.ndarray:
     """The displayed covariant cyclic sum: cart[a,b,c] = F[a,c,b] + F[b,a,c] + F[c,b,a]."""
     return np.einsum("acb->abc", F) + np.einsum("bac->abc", F) + np.einsum("cba->abc", F)
@@ -256,25 +248,14 @@ def check_exterior_cross(bundle: StructureBundle) -> IdentityResult:
 
     Two independent computation paths for the same 3-form content. With the
     conventions of this package the coordinate dw equals MINUS the displayed
-    cyclic sum; both orientations are measured over all points and the
-    matching one is reported in the note.
+    cyclic sum; that one orientation is asserted, so a sign error in either
+    path fails the check.
     """
-    id_ = "dw-cartan-cross-check"
-    if not_hermitian(bundle):
-        return _skip(id_, "the cyclic-sum form needs skew compatibility")
-    plus_pairs, minus_pairs = [], []
-    for ctx in bundle.contexts():
-        cart = _cartan_sum(ctx.F)
-        dw = ctx.domega
-        scale = max(max_abs(dw), max_abs(cart))
-        plus_pairs.append((max_abs(dw - cart), scale))
-        minus_pairs.append((max_abs(dw + cart), scale))
-    if max(r for r, _ in minus_pairs) <= max(r for r, _ in plus_pairs):
-        orientation, pairs = "-", minus_pairs
-    else:  # defensive: report whichever orientation the data actually matches
-        orientation, pairs = "+", plus_pairs
-    return _result(id_, pairs, bundle.tolerances.d1,
-                   note=f"matching orientation: dw = {orientation}cartan-sum")
+    return evaluate(bundle, [Identity(
+        "dw-cartan-cross-check",
+        lambda b: not_hermitian(b) and "the cyclic-sum form needs skew compatibility", "d1",
+        lambda ctx: _diff(ctx.domega, -_cartan_sum(ctx.F)),
+        note="matching orientation: dw = -cartan-sum")])[0]
 
 
 # --- curvature-tier identities ---------------------------------------------------
@@ -413,7 +394,7 @@ def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
     ])[0]
     if chain.skipped:
         return chain
-    obs = _running_max(max_abs(_divergence_omega(ctx)) for ctx in bundle.contexts())
+    obs = max(max_abs(_divergence_omega(ctx)) for ctx in bundle.contexts())
     return replace(chain, note=f"observed |nabla^m nabla_j w_im| = {obs:.6g} (reported, not asserted)")
 
 
@@ -480,9 +461,8 @@ def check_scalar_star(bundle: StructureBundle) -> list:
     if relation.skipped:
         return [relation, _skip(id_, relation.note)]
     contexts = bundle.contexts()
-    raw_obs = _running_max(abs(float(np.einsum("jt,jt->", ctx.curvature.ricci,
-                                               _ricci_sym_and_w_up(ctx)[1])))
-                           for ctx in contexts)
+    raw_obs = max(abs(float(np.einsum("jt,jt->", ctx.curvature.ricci, _ricci_sym_and_w_up(ctx)[1])))
+                  for ctx in contexts)
     trace = _result(id_, [_ricci_omega_trace(ctx) for ctx in contexts], 1e-10,
                     note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")
     return [relation, replace(trace, passed=trace.max_residual < 1e-10)]

@@ -52,14 +52,14 @@ VERDICT_NEARLY = "nearly metallic Kähler"
 
 @dataclass(frozen=True)
 class MetallicParams:
-    """Admissible structure parameters: q > 0 and p^2 < 6q."""
+    """Admissible structure parameters: finite q > 0 and p^2 < 6q."""
 
     p: float
     q: float
 
     def __post_init__(self):
-        if not (self.q > 0.0):
-            raise ValueError("q must be strictly positive")
+        if not 0.0 < self.q < math.inf:
+            raise ValueError("q must be strictly positive and finite")
         if not (self.p * self.p < 6.0 * self.q):
             raise ValueError("p must satisfy -sqrt(6q) < p < sqrt(6q)")
 
@@ -102,6 +102,11 @@ class Tolerances:
     d2: float = 1e-4      # curvature / second derivatives
     d3: float = 1e-3      # third derivatives and large-cancellation relations
 
+    def __post_init__(self):
+        for tier, value in vars(self).items():
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"tolerance {tier} must be positive and finite, got {value:g}")
+
 
 # --- the bundle ----------------------------------------------------------------
 
@@ -112,7 +117,7 @@ class StructureBundle:
 
     The bundle owns every setting of a run: the sample points (from the
     chart), the differencing scheme and the tolerances. Immutable after
-    construction; classification and contexts are memoized.
+    construction; classification, contexts and connection terms are memoized.
     """
 
     chart: Chart
@@ -127,6 +132,7 @@ class StructureBundle:
         self.scheme.check_chart(self.chart)
         self._contexts: dict = {}
         self._classification: Optional[ClassificationReport] = None
+        self._connections: dict = {}  # read and written by the connections module
 
     @classmethod
     def from_j(cls, chart, g, j_field, params, sign=+1, **kw) -> "StructureBundle":

@@ -72,8 +72,8 @@ class ManifoldSpec:
     name: str = "spec"
     structure: str = ""          # "J" or "JM"
     sign: int = +1
-    g_entries: dict = dc_field(default_factory=dict)   # (i, j) -> source text
-    s_entries: dict = dc_field(default_factory=dict)   # (a, b) -> source text
+    g_entries: dict = dc_field(default_factory=dict)   # (i, j) -> parsed exprdsl.Expr
+    s_entries: dict = dc_field(default_factory=dict)   # (a, b) -> parsed exprdsl.Expr
     named_points: dict = dc_field(default_factory=dict)
     h: float | None = None
     tol: dict = dc_field(default_factory=dict)
@@ -113,10 +113,10 @@ def parse_spec(text: str) -> ManifoldSpec:
             if what == "g":
                 if j < i:
                     raise SpecFileError(line_no, 1, "metric entries use the upper triangle (i <= j)")
-                spec.g_entries[(i, j)] = value
+                spec.g_entries[(i, j)] = expr
             else:
                 seen_structure_keys.add(what)
-                spec.s_entries[(i, j)] = value
+                spec.s_entries[(i, j)] = expr
             continue
 
         m = _POINT.match(key)
@@ -175,10 +175,9 @@ def parse_spec(text: str) -> ManifoldSpec:
     for (i, j) in list(spec.g_entries) + list(spec.s_entries):
         if not (0 <= i < n and 0 <= j < n):
             raise SpecFileError(1, 1, f"component index [{i}][{j}] outside dimension {n}")
-    for key, src in list(spec.g_entries.items()) + list(spec.s_entries.items()):
-        expr = exprdsl.parse(src)
+    for expr in list(spec.g_entries.values()) + list(spec.s_entries.values()):
         if expr.max_coord() >= n:
-            raise SpecFileError(1, 1, f"expression {src!r} references x{expr.max_coord()}"
+            raise SpecFileError(1, 1, f"expression {expr.source!r} references x{expr.max_coord()}"
                                        f" but the dimension is {n}")
     return spec
 
@@ -188,11 +187,9 @@ def spec_sha256(text: str) -> str:
 
 
 def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool, sig: str) -> TensorField:
-    exprs = {key: exprdsl.parse(src) for key, src in entries.items()}
-
     def fn(pts):
         out = np.zeros((len(pts), n, n))
-        for (i, j), expr in exprs.items():
+        for (i, j), expr in entries.items():
             out[:, i, j] = v = expr.eval(pts)
             if symmetric and i != j:
                 out[:, j, i] = v
@@ -209,7 +206,7 @@ def build_bundle(spec: ManifoldSpec) -> StructureBundle:
                   n_random=spec.random_points, seed=spec.seed, margin=spec.margin,
                   named_points=spec.named_points)
     g = _expr_matrix_field("g", spec.dimension, spec.g_entries, symmetric=True, sig="dd")
-    scheme = DiffScheme(spec.h) if spec.h else DiffScheme()
+    scheme = DiffScheme(spec.h) if spec.h is not None else DiffScheme()
     tol = Tolerances(**{k: v for k, v in spec.tol.items()}) if spec.tol else Tolerances()
     struct = _expr_matrix_field("structure", spec.dimension, spec.s_entries,
                                 symmetric=False, sig="ud")

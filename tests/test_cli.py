@@ -116,6 +116,7 @@ SPEC_2D = (
     "g[0][0] = {g00}\ng[1][1] = 1\njm[0][1] = -1\njm[1][0] = 1\n"
 )
 GOOD = dict(dim=2, q="0.6666666666666666", bounds="-1 1, -1 1", g00="1")
+GOOD_SPEC = SPEC_2D.format(**GOOD)
 # a metric defined only on |x0| <= 1: a stencil that leaves the chart evaluates it outside
 DISK = (
     "dimension = 2\nq = 0.6666666666666666\nbounds = -1 1, -1 1\nmargin = 0.1\n"
@@ -139,8 +140,23 @@ DISK = (
      "non-finite value in sub-expression '(1e+200 * 1e+200)' at point [-0.95, -0.95]"),
     (dict(GOOD, g00="1 + 1e400*0"), [], 2, "line 5, offset 15: parse error at offset 5:"
                                            " expected a finite number, not '1e400'"),
+    (dict(GOOD, bounds="-1 nan, -1 1"), [], 2, "bounds must be finite"),
+    (dict(GOOD, bounds="-1 inf, -1 1"), [], 2, "bounds must be finite"),
+    (GOOD_SPEC + "margin = nan\n", [], 2, "margin must be positive"),
+    (GOOD_SPEC + "h = nan\n", [], 2, "step h must be positive and finite, got nan"),
+    (GOOD_SPEC + "h = 0\n", [], 2, "step h must be positive and finite, got 0"),
+    (None, ["verify", "--zoo", "s2", "--h", "nan"], 2, "step h must be positive and finite"),
+    (GOOD_SPEC + "tol_d3 = -1\n", [], 2, "tolerance d3 must be positive and finite"),
+    (None, ["verify", "--zoo", "s2", "--tol-d1", "-1"], 2, "tolerance d1 must be positive"),
+    (None, ["verify", "--zoo", "s2", "--tol-d1", "0"], 2, "tolerance d1 must be positive"),
+    (None, ["verify", "--zoo", "s2", "--tol-d1", "nan"], 2, "tolerance d1 must be positive"),
+    (None, ["verify", "--zoo", "s2", "--seed", "-1"], 2, "seed and random_points must be"),
+    (None, ["verify", "--zoo", "s2", "--q", "inf"], 2, "q must be strictly positive and finite"),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
-        "jet-too-big", "power-overflow", "product-overflow", "literal-overflow"])
+        "jet-too-big", "power-overflow", "product-overflow", "literal-overflow",
+        "nan-bound", "infinite-bound", "nan-margin", "nan-step-spec", "zero-step-spec",
+        "nan-step-flag", "negative-tolerance-spec", "negative-tolerance-flag",
+        "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "infinite-q"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"

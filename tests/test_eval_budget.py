@@ -20,7 +20,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (not first imported inside the traced run)
 import pytest
 
-from metallicgeo import cli, diffcalc, metallic, zoo
+from metallicgeo import cli, connections, diffcalc, metallic, zoo
 from metallicgeo.geometry import TensorField, max_abs
 
 BUILDERS = {
@@ -40,8 +40,15 @@ BUDGET = {
     ("classify", "negative"): (272, 272, 16, 16),
 }
 
+# fixture -> (connection_terms calls, first_type calls) in one `verify --suite all`: terms
+# once per sample point and constructible connection (s2 has 13 points, s6 9, negative 16
+# and a second type that is gated at its first point), the first-type deformation once per
+# point
+CONNECTION_BUDGET = {"s2": (26, 13), "s6": (18, 9), "negative": (17, 16)}
+
 # tracemalloc peak of `verify --suite all` on flat-k3 once the jet's weight tables exist, in
-# bytes: 1.19 MB measured, 2.4 MB when every context keeps its order-3 jet
+# bytes: 1.27 MB measured (the bundle keeps its connection terms), 2.4 MB when every
+# context keeps its order-3 jet
 PEAK_BYTES = 1_500_000
 
 
@@ -122,3 +129,23 @@ def test_one_first_derivative_stencil_per_point(monkeypatch):
     assert ctx.curvature.scalar == pytest.approx(30.0, abs=1e-4)
     assert (counts["g_calls"], counts["jm_calls"], counts["inverse_metric"]) == (2, 1, 1), counts
     assert counts["g"] == counts["jm"] + len(ctx._table(2)[0])
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTION_BUDGET))
+def test_connection_terms_built_once_per_point(name, monkeypatch):
+    """The connections suite and the report's connections block read one set of terms,
+    and the nearly-case ratio reads the first-type deformation kept with it."""
+    counts = {"connection_terms": 0, "first_type": 0}
+    for fn_name in counts:
+        def counted(*args, _fn=getattr(connections, fn_name), _key=fn_name):
+            counts[_key] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(connections, fn_name, counted)
+    fx = BUILDERS[name]()
+    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--zoo", name, "--suite", "all", "--format", "json"]) == 0
+    terms_max, first_max = CONNECTION_BUDGET[name]
+    assert counts["connection_terms"] <= terms_max, counts
+    assert counts["first_type"] <= first_max, counts

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metallicgeo import zoo
+from metallicgeo import identities, zoo
 from metallicgeo.geometry import Chart, TensorField, max_abs
 from metallicgeo.identities import (
     check_covderiv_identities,
@@ -110,6 +110,14 @@ def test_exterior_cross_check_matches_minus_orientation():
     r = check_exterior_cross(zoo.get("s6").bundle)
     assert r.passed
     assert "-" in r.note
+
+
+def test_exterior_cross_check_fails_when_the_cyclic_sum_flips_sign(monkeypatch):
+    """Only dw = -cartan-sum is asserted, so a sign error in either path fails the check."""
+    cartan_sum = identities._cartan_sum
+    monkeypatch.setattr(identities, "_cartan_sum", lambda F: -cartan_sum(F))
+    r = check_exterior_cross(zoo.get("s6").bundle)
+    assert not r.passed and r.relative > 1.0, r
 
 
 # --- curvature-tier checks ---------------------------------------------------
