@@ -8,8 +8,10 @@ Exit codes: 0 successful run (for verify: every asserted, non-skipped check
 passed), 1 at least one asserted identity failed, 2 invalid input (a spec
 parse error, with file, line and offset printed, or a chart, structure
 parameter, differencing step or tolerance the engine rejects), 3 numerical
-failure (singular metric, a point outside the chart, or an expression
-evaluated outside its domain or to a non-finite value).
+failure (singular metric, a point outside the chart, an expression
+evaluated outside its domain or to a non-finite value, a classification
+residual that is not finite, or a zoo fixture whose self-check fails at
+the given q).
 
 JSON reports are deterministic for a fixed spec and seed: fields are
 emitted in a fixed order and every residual is rounded to 6 significant
@@ -31,7 +33,7 @@ import numpy as np
 from . import __version__, zoo
 from .diffcalc import ORDER1, ORDER2, DiffScheme
 from .exprdsl import EvalDomainError
-from .geometry import ChartBoundsError, SingularMetricError
+from .geometry import ChartBoundsError, NumericalError, SingularMetricError
 from .identities import run_suite
 from .connections import connection_report
 from .metallic import StructureBundle
@@ -270,7 +272,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (SingularMetricError, ChartBoundsError, EvalDomainError) as exc:
+    except (SingularMetricError, ChartBoundsError, EvalDomainError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -5,8 +5,8 @@ Both connections deform Levi-Civita by a (1,2)-tensor S:
 * first type: S(X, Y) = (1/3q) JMhat (nabla_X J_M) Y, defined on any
   skew-compatible bundle; it annihilates w, its deformation pairing
   S_J(X,Y,Z) = g(S(X,Y), J_M Z) is skew in (Y, Z), and its metric residual
-  equals (p/3q) g(Y, (nabla_X J_M) Z) exactly (so it is metric iff the
-  bundle is metallic Kahler or p = 0);
+  is (p/3q) g(Y, (nabla_X J_M) Z), so it is metric on every bundle it is
+  built on (skew compatibility forces p = 0);
 * second type: the deformation pairing is skew in the outer arguments
   (X, Z). On a metallic Kahler bundle it is S = 0, Levi-Civita itself,
   which preserves w because nabla J_M = 0. On a nearly metallic Kahler
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import max_abs
+from .geometry import largest, max_abs
 from .identities import Identity, _diff, _result, _skip, evaluate, not_hermitian
 from .metallic import StructureBundle, VERDICT_ALMOST_KAHLER, VERDICT_KAHLER
 
@@ -49,19 +49,24 @@ class GateError(RuntimeError):
 def _second_form(bundle: StructureBundle) -> str:
     """'levi' (S = 0) on metallic Kahler, 'nearly' for the nearly closed form.
 
-    Decided once per bundle and kept with its connection terms.
+    Decided once per bundle and kept with its connection terms; a gated
+    bundle keeps the GateError message, raised again on each call.
     """
     form = bundle._connections.get("second")
     if form is None:
         cls = bundle.classification()
         if cls.verdict == VERDICT_ALMOST_KAHLER:
-            raise GateError("second-type connection: Levi-Civita preserves w only when "
-                            "nabla J_M = 0, and no closed form is derived for almost metallic "
-                            "Kähler bundles that are not metallic Kähler")
-        if cls.verdict != VERDICT_KAHLER and not cls.nearly:
-            raise GateError("second-type connection has a closed form only on almost "
-                            "metallic Kähler or nearly metallic Kähler bundles")
-        form = bundle._connections["second"] = "levi" if cls.verdict == VERDICT_KAHLER else "nearly"
+            form = GateError("second-type connection: Levi-Civita preserves w only when "
+                             "nabla J_M = 0, and no closed form is derived for almost metallic "
+                             "Kähler bundles that are not metallic Kähler")
+        elif cls.verdict != VERDICT_KAHLER and not cls.nearly:
+            form = GateError("second-type connection has a closed form only on almost "
+                             "metallic Kähler or nearly metallic Kähler bundles")
+        else:
+            form = "levi" if cls.verdict == VERDICT_KAHLER else "nearly"
+        bundle._connections["second"] = form
+    if isinstance(form, GateError):
+        raise GateError(*form.args)
     return form
 
 
@@ -96,9 +101,8 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
     g(S(d_i, d_j), J_M d_k), nw and ng the residuals (nabla~_i w)_jk and
     (nabla~_i g)_jk, sym the pairing's defining symmetry (zero when it
     holds), expansion nabla~ w recomputed through the pairing and scale_w
-    the largest term of nabla~ w. First type adds thm = (p/3q) g(Y,
-    (nabla_X J_M) Z); second type adds four = nabla~ w - 4 nabla w and, for
-    the nearly closed form, ratio = S + 3 S_first.
+    the largest term of nabla~ w. Second type adds four = nabla~ w - 4 nabla w
+    and, for the nearly closed form, ratio = S + 3 S_first.
     """
     S = (first_type if kind == "first" else second_type)(bundle, point)
     ctx = bundle.context(point)
@@ -113,10 +117,7 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
         "expansion": ctx.cov_omega + SJ - np.einsum("ijk->ikj", SJ),
         "scale_w": max(max_abs(ctx.cov_omega), max_abs(SJ)),
     }
-    if kind == "first":
-        terms["thm"] = (bundle.params.p / (3.0 * bundle.params.q)) * np.einsum(
-            "jt,itk->ijk", g, ctx.covJ)
-    else:
+    if kind == "second":
         terms["four"] = nw - 4.0 * ctx.cov_omega
         if _second_form(bundle) == "nearly":
             terms["ratio"] = S + 3.0 * _terms_at(bundle, "first", point)["S"]
@@ -132,6 +133,9 @@ def _terms_at(bundle: StructureBundle, kind: str, point) -> dict:
 
 
 def _terms(bundle: StructureBundle, kind: str) -> list:
+    """The terms at every sample point; a gated second type raises before building any."""
+    if kind == "second":
+        _second_form(bundle)
     return [_terms_at(bundle, kind, pt) for pt in bundle.sample_points]
 
 
@@ -145,7 +149,7 @@ _REPORT_ROWS = (
     ("expansion_consistency", lambda t: t["nw"] - t["expansion"]),
 )
 _KIND_REPORT_ROWS = {
-    "first": (("metric_theorem_residual", lambda t: t["ng"] - t["thm"]),),
+    "first": (("metric_theorem_residual", lambda t: t["ng"]),),
     "second": (("omega_vs_4covomega", lambda t: t["four"]),),
 }
 
@@ -167,11 +171,11 @@ def connection_report(bundle: StructureBundle) -> dict:
             out["notes"].append(f"{kind}: {exc}")
             continue
         out["connections"][kind] = {
-            key: max(max_abs(fn(t)) for t in terms)
+            key: largest(max_abs(fn(t)) for t in terms)
             for key, fn in _REPORT_ROWS + _KIND_REPORT_ROWS[kind]
         }
         if "ratio" in terms[0]:
-            out["deformation_ratio_residual"] = max(max_abs(t["ratio"]) for t in terms)
+            out["deformation_ratio_residual"] = largest(max_abs(t["ratio"]) for t in terms)
     return out
 
 
@@ -186,7 +190,7 @@ def _pairing_symmetry(t: dict) -> tuple:
 FIRST_TYPE_IDENTITIES = (
     Identity("first-type-preserves-omega", None, "d1", _preserves_omega),
     Identity("first-type-pairing-skew", None, "alg", _pairing_symmetry),
-    Identity("first-type-metric-theorem", None, "d1", lambda t: _diff(t["ng"], t["thm"])),
+    Identity("first-type-metric-theorem", None, "d1", lambda t: _diff(t["ng"], 0.0)),
     Identity("first-type-expansion-consistency", None, "alg",
              lambda t: (max_abs(t["nw"] - t["expansion"]), max_abs(t["nw"]))),
 )

@@ -15,29 +15,31 @@ Conventions (fixed once, used by every checker in the package):
   d_a Gamma^h_ij, ddg[a, b, i, j] = d_a d_b g_ij, and second covariant
   derivatives covcov[a, b, ...] = (nabla_a nabla_b T)_...
 
-Differencing is central. First derivatives (everything classification
-reads: the connection, dJ, dw, nabla w) use the order-4 axis stencil at
-step h1, and each field is called once per point for them: a MetricJet
-evaluates g at the point and its 4n stencil nodes in one call, a
-PointContext J_M likewise, and every order-1 quantity is read off those
-values. They give g, d g, g^-1 (inverted once) and Gamma (`christoffel`,
-algebra on g^-1 and d g); J and d J; and w = J_M g at the point and the
-nodes, hence d w, nabla w (`covariant_derivative`: plain partials plus
-Gamma corrections) and dw (from the skew part of w at the nodes). The
-node values are not kept. `partial_all` applies the same stencil to any
-field at a point or a stack of points, with the arithmetic of a per-axis
-stencil, so it equals differencing one axis at a time bit for bit. Higher
-derivatives come from the jet of a field at a point: its partials of
-order 2 (axis and face nodes) and 3 (adding axis nodes at 2 h2 and cube
-nodes), at steps h2/2 and h2, Richardson-combined to order 4, with
-weights that are tensor products of one 1-D table (Fornberg, Math. Comp.
-51 (1988) 699-706), cached per (n, h2). The farthest node lies 2 h2 from
-the point, the scheme's `reach`, which the bundle checks once per point
-when it builds the PointContext; the functions here check no bounds.
+Differencing is central, and every derivative is one jet order of a field
+at a point: its partials of order 1, 2 or 3, from one table of weights
+that acts on f(node) - f(point). At one step a partial's weights are a
+tensor product of rows of one 1-D table of order-2 central weights
+(Fornberg, Math. Comp. 51 (1988) 699-706); the steps h and h/2 are
+Richardson-combined to order 4, and `_jet` applies the dense table in
+one contraction. Tables are cached per (n, h, order). Order 1 (everything
+classification reads: the connection, dJ, dw, nabla w) is built at
+h = 2 h1, which is the order-4 axis stencil at h1, nodes x +- h1 e_a,
+x +- 2 h1 e_a; each field is called once per point for it: a MetricJet
+evaluates g at the point and its 4n nodes in one call, a PointContext J_M
+likewise, and every order-1 quantity is read off those values. They give
+g, d g, g^-1 (inverted once) and Gamma (`christoffel`, algebra on g^-1
+and d g); J and d J; and w = J_M g at the point and the nodes, hence d w,
+nabla w (`covariant_derivative`: plain partials plus Gamma corrections)
+and dw (from the skew part of w). The node values are not kept.
+`partial_all` is the order-1 jet of any field at a point. Orders 2 (axis
+and face nodes) and 3 (adding axis nodes at 2 h2 and cube nodes) are
+built at h = h2. The farthest node lies 2 h2 from the point, the scheme's
+`reach`, which the bundle checks once per point when it builds the
+PointContext; the functions here check no bounds.
 
 Curvature and its derivatives are algebra on the jet: differentiating
 g Gamma = L/2 (L_tij = d_i g_tj + d_j g_ti - d_t g_ij) once and twice
-gives d Gamma and d d Gamma, with d g from the order-1 stencil. Riemann
+gives d Gamma and d d Gamma, with d g from order 1. Riemann
 reads (Gamma, d Gamma), nabla Ricci d d Gamma, and nabla nabla w the
 order-2 jet of w = J_M g. The jet agrees with nested stencils to roundoff
 and truncation (Riemann to ~1e-10).
@@ -70,13 +72,13 @@ __all__ = [
 ]
 
 DEFAULT_H1 = 1e-3
-ORDER1 = 4  # first derivatives: order-4 axis stencil at h1
+ORDER1 = 4  # first derivatives: order-2 stencils at 2 h1 and h1, Richardson-combined
 ORDER2 = 2  # jet: order-2 stencils at h2 and h2/2, Richardson-combined
 
 
 @dataclass(frozen=True)
 class DiffScheme:
-    """Finite-difference steps: h1 for first derivatives, h2 (from h1) for the jet."""
+    """Finite-difference steps: h1 for first derivatives, h2 (from h1) for orders 2 and 3."""
 
     h1: float = DEFAULT_H1
 
@@ -101,9 +103,6 @@ class DiffScheme:
             )
 
 
-# node offsets of the first-derivative stencil in units of h1, in evaluation order
-STENCIL1 = (2.0, 1.0, -1.0, -2.0)
-
 # 1-D central weights at offsets -2..2 (in steps) of the derivative of order m = 1, 2, 3,
 # each of order 2: m = 1, 2 on the 3-point stencil, m = 3 on the 5-point one (Fornberg 1988)
 WEIGHTS_1D = np.array([
@@ -114,36 +113,13 @@ WEIGHTS_1D = np.array([
 WEIGHTS_1D.flags.writeable = False
 
 
-@lru_cache(maxsize=64)
-def _displacements(n: int, h: float) -> np.ndarray:
-    """disp[a, k] = (c_k h) e_a: every node of a first-derivative stencil around the origin."""
-    disp = np.eye(n)[:, None, :] * (np.array(STENCIL1) * h)[None, :, None]
-    disp.flags.writeable = False
-    return disp
-
-
-def _nodes(points: np.ndarray, h: float) -> np.ndarray:
-    """The stencil nodes of every base point, flattened to (count, n) in per-axis order."""
-    n = points.shape[-1]
-    return (points[..., None, None, :] + _displacements(n, h)).reshape(-1, n)
-
-
-def _derivatives(values: np.ndarray, lead: tuple, n: int, h: float) -> np.ndarray:
-    """Apply the order-4 weights to the values at `_nodes`: out[..., a, ...] = d_a."""
-    v = np.moveaxis(values.reshape(lead + (n, 4) + values.shape[1:]), len(lead) + 1, 0)
-    return (-v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]) / (12.0 * h)
-
-
 def partial_all(fn, point, scheme: DiffScheme | None = None):
-    """Central-difference partial derivatives: out[..., a, ...] = d_a fn.
+    """Central-difference partial derivatives at one point: out[a, ...] = d_a fn.
 
-    point is one point (n,) or a stack of base points (..., n); fn is
-    called once, with the stencil nodes of all of them.
+    fn is called once, at the point and its 4n first-derivative nodes: the
+    order-1 part of a `MetricJet` of fn.
     """
-    scheme = scheme or DiffScheme()
-    point = np.asarray(point, dtype=float)
-    values = np.asarray(fn(_nodes(point, scheme.h1)), dtype=float)
-    return _derivatives(values, point.shape[:-1], point.shape[-1], scheme.h1)
+    return MetricJet(fn, point, scheme).dg
 
 
 def partial(fn, point, axis: int, scheme: DiffScheme | None = None):
@@ -153,14 +129,15 @@ def partial(fn, point, axis: int, scheme: DiffScheme | None = None):
 
 @lru_cache(maxsize=16)
 def _jet_table(n: int, h: float, order: int) -> tuple:
-    """The nodes a jet order adds and its weights: (disp, cols, weights, offsets).
+    """The nodes a jet order adds and its weights: (disp, weights, offsets).
 
     offsets are the nodes of the orders so far in units of h/2, in order,
-    and disp the displacements of those this order adds. cols[a, b(, c)]
-    lists the nodes d_a d_b (d_c) reads, weights their weights (zero-padded),
-    which act on f(node) - f(point): a constant field has a jet of zeros.
+    and disp the displacements of those this order adds (order 3 extends
+    the nodes of order 2). weights[a, b(, c), k] is the weight of node k in
+    d_a d_b (d_c); the weights act on f(node) - f(point), so a constant
+    field has a jet of zeros.
     """
-    index = {o: k for k, o in enumerate(_jet_table(n, h, 2)[3] if order == 3 else ())}
+    index = {o: k for k, o in enumerate(_jet_table(n, h, 2)[2] if order == 3 else ())}
     added = len(index)
     rows = {}
     for idx in combinations_with_replacement(range(n), order):
@@ -177,25 +154,18 @@ def _jet_table(n: int, h: float, order: int) -> tuple:
                     row[k] = row.get(k, 0.0) + factor * coef / (s * h / 2.0) ** order
         for perm in set(permutations(idx)):
             rows[perm] = row
-    width = max(len(row) for row in rows.values())
-    cols = np.zeros((n,) * order + (width,), dtype=int)
-    weights = np.zeros((n,) * order + (width,))
+    weights = np.zeros((n,) * order + (len(index),))
     for perm, row in rows.items():
-        cols[perm][:len(row)] = list(row)
-        weights[perm][:len(row)] = list(row.values())
+        weights[perm][list(row)] = list(row.values())
     disp = np.array(tuple(index)[added:]) * (h / 2.0)
-    for arr in (disp, cols, weights):
+    for arr in (disp, weights):
         arr.flags.writeable = False
-    return disp, cols, weights, tuple(index)
+    return disp, weights, tuple(index)
 
 
 def _jet(table: tuple, value: np.ndarray, *node_values) -> np.ndarray:
     """One jet order of a field, out[a, b(, c), ...], from its values at the point and nodes."""
-    _, cols, weights, _ = table
-    diffs = np.concatenate(node_values) - value
-    shape = cols.shape[:-1] + (1,) * value.ndim
-    return sum(w.reshape(shape) * diffs[c] for c, w in zip(np.moveaxis(cols, -1, 0),
-                                                        np.moveaxis(weights, -1, 0)))
+    return np.tensordot(table[1], np.concatenate(node_values) - value, axes=1)
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
@@ -297,9 +267,9 @@ def _from_order1(key: str, doc: str | None = None) -> property:
 
 class MetricJet:
     """Lazy jet of a metric at one point. Order 1 evaluates g once, at the point and its 4n
-    first-derivative nodes, for g, d g, g^-1 and the connection (`christoffel`); order 2
-    (d d g, hence d Gamma and Riemann) and order 3 (d d d g, hence d d Gamma and nabla
-    Ricci) each evaluate g once, at the nodes they add. Any field is accepted."""
+    nodes, for g, d g, g^-1 and the connection (`christoffel`); order 2 (d d g, hence
+    d Gamma and Riemann) and order 3 (d d d g, hence d d Gamma and nabla Ricci) each
+    evaluate g once, at the nodes they add. Any field is accepted."""
 
     def __init__(self, g_fn, point, scheme: DiffScheme | None = None):
         self.g_fn = g_fn
@@ -308,28 +278,24 @@ class MetricJet:
         self.n = self.point.size
 
     def _table(self, order: int) -> tuple:
-        return _jet_table(self.n, self.scheme.h2, order)
+        """Order 1 at step 2 h1, so that its nodes lie h1 and 2 h1 from the point; 2 and 3 at h2."""
+        return _jet_table(self.n, 2.0 * self.scheme.h1 if order == 1 else self.scheme.h2, order)
 
-    def _stencil(self, fn) -> tuple:
-        """fn at the point and at its 4n first-derivative nodes, from one call; the value at
-        the point is a copy, so that keeping it does not keep the node values."""
-        values = np.asarray(fn(np.concatenate([self.point[None, :],
-                                               _nodes(self.point, self.scheme.h1)])), dtype=float)
-        return values[0].copy(), values[1:]
-
-    def _d1(self, node_values: np.ndarray) -> np.ndarray:
-        """out[a, ...] = d_a of a field, from its values at the first-derivative nodes."""
-        return _derivatives(node_values, (), self.n, self.scheme.h1)
+    def _stencil(self, fn) -> np.ndarray:
+        """fn at the point (row 0) and at its 4n order-1 nodes, from one call."""
+        nodes = np.concatenate([self.point[None, :], self.point + self._table(1)[0]])
+        return np.asarray(fn(nodes), dtype=float)
 
     @cached_property
     def _order1(self) -> dict:
         """Every order-1 quantity, from one stencil of g; the node values are not kept."""
-        return self._first_order(*self._stencil(self.g_fn))
+        return self._first_order(self._stencil(self.g_fn))
 
-    def _first_order(self, g: np.ndarray, g_nodes: np.ndarray) -> dict:
-        """The order-1 quantities, from g at the point and at the nodes; a PointContext
-        adds those of J_M."""
-        return {"g": g, "dg": self._d1(g_nodes)}
+    def _first_order(self, g: np.ndarray) -> dict:
+        """The order-1 quantities, from g at the point and its nodes (`_stencil`); a
+        PointContext adds those of J_M. The value at the point is a copy, so that keeping it
+        does not keep the node values."""
+        return {"g": g[0].copy(), "dg": _jet(self._table(1), g[0], g[1:])}
 
     g = _from_order1("g")
     dg = _from_order1("dg", "dg[a, i, j] = d_a g_ij.")
@@ -398,16 +364,18 @@ class PointContext(MetricJet):
         self.p = float(p)
         self.q = float(q)
 
-    def _first_order(self, g: np.ndarray, g_nodes: np.ndarray) -> dict:
-        """Adds one stencil of J_M, and w = J_M g at the point's nodes from both stencils."""
-        J, J_nodes = self._stencil(self.j_fn)
-        w_nodes = np.einsum("...ti,...tm->...im", J_nodes, g_nodes)
+    def _first_order(self, g: np.ndarray) -> dict:
+        """Adds one stencil of J_M, and w = J_M g at the point and its nodes from both."""
+        table, J = self._table(1), self._stencil(self.j_fn)
+        w = np.einsum("...ti,...tm->...im", J, g)
         # dw differentiates the antisymmetric part of w: identical whenever the
         # bundle is skew-compatible, and still a well-defined 2-form (hence a
         # reportable residual) on bundles that fail that compatibility
-        skew = self._d1(0.5 * (w_nodes - np.swapaxes(w_nodes, -1, -2)))
-        return super()._first_order(g, g_nodes) | {
-            "J": J, "dJ": self._d1(J_nodes), "dw": self._d1(w_nodes),
+        skew_w = 0.5 * (w - np.swapaxes(w, -1, -2))
+        skew = _jet(table, skew_w[0], skew_w[1:])
+        return super()._first_order(g) | {
+            "J": J[0].copy(), "dJ": _jet(table, J[0], J[1:]),
+            "omega": w[0].copy(), "dw": _jet(table, w[0], w[1:]),
             "domega": skew + np.einsum("bca->abc", skew) + np.einsum("cab->abc", skew),
         }
 
@@ -419,10 +387,7 @@ class PointContext(MetricJet):
     def Jhat(self) -> np.ndarray:
         return self.p * np.eye(self.n) - self.J
 
-    @cached_property
-    def omega(self) -> np.ndarray:
-        # w_im = (J_M)_i^t g_tm
-        return np.einsum("ti,tm->im", self.J, self.g)
+    omega = _from_order1("omega", "w_im = (J_M)_i^t g_tm.")
 
     # --- first derivatives ---
 

@@ -26,10 +26,12 @@ __all__ = [
     "GeometryError",
     "SingularMetricError",
     "ChartBoundsError",
+    "NumericalError",
     "Chart",
     "TensorField",
     "inverse_metric",
     "max_abs",
+    "largest",
 ]
 
 DET_TOL = 1e-10  # times Hadamard's bound on |det g|; see inverse_metric
@@ -52,9 +54,21 @@ class ChartBoundsError(GeometryError):
     """A point (or a finite-difference stencil around it) left the chart."""
 
 
+class NumericalError(GeometryError):
+    """A residual that is not finite, or a check that fails at the given parameters."""
+
+
 def max_abs(arr) -> float:
     arr = np.asarray(arr, dtype=float)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
+def largest(values) -> float:
+    """The largest of non-negative numbers, 0.0 for none, and NaN if any is NaN.
+
+    The builtin max drops a NaN that does not come first.
+    """
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .geometry import max_abs
+from .geometry import largest, max_abs
 from .metallic import StructureBundle, VERDICT_KAHLER, VERDICT_NONE
 
 __all__ = [
@@ -95,10 +95,10 @@ def _skip(id_: str, note: str) -> IdentityResult:
 
 def _result(id_: str, pairs: Iterable[tuple], tol: float, asserted: bool = True,
             note: str = "") -> IdentityResult:
-    """Aggregate (residual, scale) pairs, one per point, in a fixed order."""
+    """Aggregate (residual, scale) pairs, one per point, in a fixed order; a NaN is kept."""
     pairs = list(pairs)
-    max_res = max((r for r, _ in pairs), default=0.0)
-    scale = max((s for _, s in pairs), default=0.0)
+    max_res = largest(r for r, _ in pairs)
+    scale = largest(s for _, s in pairs)
     rel = max_res / max(1.0, scale)
     return IdentityResult(
         id=id_, max_residual=max_res, scale=scale, tolerance=tol,
@@ -200,7 +200,8 @@ def check_f_properties(bundle: StructureBundle, mode: str) -> list:
 
     hermitian mode: F(X,Y,Z) = -F(X,Z,Y) and F(X, J_M Y, J_M Z) = (3/2) q F(X,Z,Y).
     nearly mode: F(J_M X, Y, J_M Z) = (3q/2) F(Y,X,Z) and
-    F(J_M X, J_M Y, Z) = -p F(Y,X, JMhat Z) + (3q/2) F(Y,X,Z).
+    F(J_M X, J_M Y, Z) = (3q/2) F(Y,X,Z) (the p-term of the general form
+    vanishes: the gates admit only skew-compatible pairs, hence p = 0).
     """
     if mode == "hermitian":
         return evaluate(bundle, (
@@ -217,8 +218,7 @@ def check_f_properties(bundle: StructureBundle, mode: str) -> list:
                                        1.5 * ctx.q * np.einsum("jik->ijk", ctx.F))),
             Identity("f-nearly-double-structure", not_nearly, "d1",
                      lambda ctx: _diff(np.einsum("abk,ai,bj->ijk", ctx.F, ctx.J, ctx.J),
-                                       -ctx.p * np.einsum("jit,tk->ijk", ctx.F, ctx.Jhat)
-                                       + 1.5 * ctx.q * np.einsum("jik->ijk", ctx.F))),
+                                       1.5 * ctx.q * np.einsum("jik->ijk", ctx.F))),
         ))
     raise ValueError("mode must be 'hermitian' or 'nearly'")
 
@@ -262,10 +262,10 @@ def check_exterior_cross(bundle: StructureBundle) -> IdentityResult:
 
 
 def check_curvature_commutation(bundle: StructureBundle) -> list:
-    """Parallel-structure curvature identities:
+    """Parallel-structure curvature identities (p = 0 behind the Kahler gate):
 
         R(X,Y) J_M Z = J_M R(X,Y) Z,
-        R(J_M X, J_M Y) Z = -p R(J_M X, Y) Z + (3q/2) R(X,Y) Z.
+        R(J_M X, J_M Y) Z = (3q/2) R(X,Y) Z.
     """
     return evaluate(bundle, (
         Identity("curvature-structure-commute", not_kahler, "d2",
@@ -274,8 +274,7 @@ def check_curvature_commutation(bundle: StructureBundle) -> list:
                               max_abs(ctx.curvature.Rup))),
         Identity("curvature-structure-pair", not_kahler, "d2",
                  lambda ctx: _diff(np.einsum("ak,bj,abih->kjih", ctx.J, ctx.J, ctx.curvature.Rup),
-                                   -ctx.p * np.einsum("ak,ajih->kjih", ctx.J, ctx.curvature.Rup)
-                                   + 1.5 * ctx.q * ctx.curvature.Rup)),
+                                   1.5 * ctx.q * ctx.curvature.Rup)),
     ))
 
 
@@ -431,11 +430,9 @@ def _ricci_sym_and_w_up(ctx) -> tuple:
 
 
 def _scalar_star_relation(ctx) -> tuple:
-    p, q = ctx.p, ctx.q
-    ricci_sym, w_up = _ricci_sym_and_w_up(ctx)
-    s_omega = float(np.einsum("jt,jt->", ricci_sym, w_up))
+    q = ctx.q
     lhs = ctx.scalar_star
-    rhs = 1.5 * q * ctx.curvature.scalar + p * s_omega - ctx.norm_covJ_sq
+    rhs = 1.5 * q * ctx.curvature.scalar - ctx.norm_covJ_sq
     scale = max(abs(lhs), abs(1.5 * q * ctx.curvature.scalar), abs(ctx.norm_covJ_sq))
     return abs(lhs - rhs), scale
 
@@ -448,9 +445,10 @@ def _ricci_omega_trace(ctx) -> tuple:
 def check_scalar_star(bundle: StructureBundle) -> list:
     """Scalar vs scalar-star relation on a nearly metallic Kahler bundle:
 
-        S*_c = (3/2) q S_c + p S_jt w^jt - |nabla J_M|^2,
+        S*_c = (3/2) q S_c - |nabla J_M|^2,
 
-    left and right sides from independent pipelines. The mixed trace
+    left and right sides from independent pipelines (the general form adds
+    p S_jt w^jt, zero behind the gate, where p = 0). The mixed trace
     S_jt w^jt pairs a symmetric with an antisymmetric tensor and must
     vanish on any bundle; it is asserted as a sub-check whose raw residual
     must stay below a fixed 1e-10.
@@ -471,15 +469,15 @@ def check_scalar_star(bundle: StructureBundle) -> list:
 def check_nearly_nijenhuis(bundle: StructureBundle) -> list:
     """Two independent pipelines for N on a nearly metallic Kahler bundle:
 
-        N(X, Y) = 2 (p I - 2 J_M)(nabla_X J_M) Y,
+        N(X, Y) = -4 J_M (nabla_X J_M) Y,
 
-    bracket formula (plain partials) against the covariant-derivative form,
-    plus the coordinate trace (nabla_i J_M)_j^i = 0.
+    bracket formula (plain partials) against the covariant-derivative form
+    (the general form 2 (p I - 2 J_M)(nabla_X J_M) Y, at p = 0, which the
+    gate implies), plus the coordinate trace (nabla_i J_M)_j^i = 0.
     """
     return evaluate(bundle, (
         Identity("nijenhuis-covderiv-form", not_nearly, "d1",
-                 lambda ctx: _diff(ctx.N, 2.0 * (ctx.p * np.einsum("ihj->ijh", ctx.covJ)
-                                                  - 2.0 * np.einsum("ht,itj->ijh", ctx.J, ctx.covJ)))),
+                 lambda ctx: _diff(ctx.N, -4.0 * np.einsum("ht,itj->ijh", ctx.J, ctx.covJ))),
         Identity("structure-divergence-free", not_nearly, "d1",
                  lambda ctx: (max_abs(np.einsum("iij->j", ctx.covJ)), max_abs(ctx.covJ))),
     ))

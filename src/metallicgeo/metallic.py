@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .diffcalc import DiffScheme, PointContext
-from .geometry import Chart, TensorField, max_abs
+from .geometry import Chart, NumericalError, TensorField, largest, max_abs
 
 __all__ = [
     "MetallicParams",
@@ -52,14 +52,16 @@ VERDICT_NEARLY = "nearly metallic Kähler"
 
 @dataclass(frozen=True)
 class MetallicParams:
-    """Admissible structure parameters: finite q > 0 and p^2 < 6q."""
+    """Admissible structure parameters: q > 0 and p^2 < 6q, with (3q/2)^2 finite (the
+    highest power of q a check forms; past it a residual would overflow to inf or NaN)."""
 
     p: float
     q: float
 
     def __post_init__(self):
-        if not 0.0 < self.q < math.inf:
-            raise ValueError("q must be strictly positive and finite")
+        if not (0.0 < self.q and math.isfinite(1.5 * self.q * 1.5 * self.q)):
+            raise ValueError(f"q must be strictly positive and finite, with (3q/2)^2 finite,"
+                             f" got {self.q:g}")
         if not (self.p * self.p < 6.0 * self.q):
             raise ValueError("p must satisfy -sqrt(6q) < p < sqrt(6q)")
 
@@ -212,13 +214,19 @@ def classify(bundle: StructureBundle) -> ClassificationReport:
     the parallel-structure cross-check); a vanishing symmetrized nabla J_M
     gives nearly metallic Kahler, of which metallic Kahler is the special
     case. Residuals within a factor 10 of their threshold are flagged as
-    near-boundary rather than silently classified.
+    near-boundary rather than silently classified. A residual that is not
+    finite at some point raises NumericalError naming that point.
     """
     tol = bundle.tolerances
-    res = {name: 0.0 for name, _, _ in RESIDUALS}
-    for ctx in bundle.contexts():
-        for name, _, fn in RESIDUALS:
-            res[name] = max(res[name], fn(ctx))
+    contexts = bundle.contexts()
+    res = {}
+    for name, _, fn in RESIDUALS:
+        values = [fn(ctx) for ctx in contexts]
+        res[name] = largest(values)
+        if not math.isfinite(res[name]):
+            k = next(k for k, v in enumerate(values) if not math.isfinite(v))
+            raise NumericalError(f"classification residual {name} is {values[k]:g}"
+                                 f" at point {contexts[k].point.tolist()}")
 
     hermitian = res["polynomial"] < tol.alg and res["hyperbolic_direct"] < tol.alg
     closed = hermitian and res["max_domega"] < tol.d1

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Chart, TensorField
+from .geometry import Chart, NumericalError, TensorField
 from .metallic import (
     MetallicParams,
     StructureBundle,
@@ -50,16 +50,15 @@ class Fixture:
     notes: str = ""
 
     def validate(self):
-        """Self-check: polynomial identity and the declared verdict."""
+        """Self-check of the polynomial identity and the declared verdict (NumericalError)."""
         cls = self.bundle.classification()
+        at_q = f"fixture {self.name} at q = {self.bundle.params.q:g}"
         if cls.residuals["polynomial"] > self.bundle.tolerances.alg:
-            raise AssertionError(f"fixture {self.name}: polynomial identity fails")
+            raise NumericalError(f"{at_q}: polynomial identity fails")
         if cls.verdict != self.expected_verdict:
-            raise AssertionError(
-                f"fixture {self.name}: classified {cls.verdict!r}, expected {self.expected_verdict!r}"
-            )
+            raise NumericalError(f"{at_q}: classified {cls.verdict!r}, expected {self.expected_verdict!r}")
         if cls.nearly != self.expected_nearly:
-            raise AssertionError(f"fixture {self.name}: nearly flag {cls.nearly} unexpected")
+            raise NumericalError(f"{at_q}: nearly flag {cls.nearly} unexpected")
         return self
 
 
@@ -287,5 +286,5 @@ def get(name: str, q: float = DEFAULT_Q) -> Fixture:
         cls = fx.bundle.classification()
         worst = max(cls.residuals["max_domega"], cls.residuals["max_nijenhuis"])
         if worst <= 1e-2:
-            raise AssertionError("negative fixture is not negative enough")
+            raise NumericalError(f"negative fixture at q = {q:g} is not negative enough")
     return fx

@@ -4,8 +4,10 @@ The engine's fields map stacks of points, (m, n) -> (m, ...). Most
 references here are the per-point forms: they take one point at a time,
 and the tests assert that the stacked engine agrees with them row by row.
 The nested stencils the engine's jet replaced are kept as references too,
-and so are the stacked, field-calling Christoffel coefficients and a
-test-only curved Kahler fixture whose Ricci tensor has a closed form.
+and so are stacked first partials (a row loop over the engine's
+single-point `partial_all`), the stacked, field-calling Christoffel
+coefficients and a test-only curved Kahler fixture whose Ricci tensor has
+a closed form.
 """
 
 import math
@@ -13,8 +15,8 @@ import math
 import numpy as np
 
 from metallicgeo import exprdsl
-from metallicgeo.diffcalc import (DiffScheme, _cov_correct, _derivatives, _nodes, christoffel,
-                                  covariant_derivative, partial_all)
+from metallicgeo.diffcalc import (DiffScheme, _cov_correct, christoffel, covariant_derivative,
+                                  partial_all)
 from metallicgeo.geometry import Chart, TensorField, inverse_metric, max_abs
 from metallicgeo.metallic import MetallicParams, StructureBundle
 from metallicgeo.octonions import cross7_matrix
@@ -41,8 +43,10 @@ def central(fn, point, axis: int, h: float, order: int):
 
     Nodes come in the order +2h, +h, -h, -2h (order 4) or +h, -h (order
     2), each as a one-row stack. The per-axis form of the engine's
-    stencils; `partial_all` must equal `partial_all_per_axis`, built from
-    it, bit for bit.
+    stencils: `partial_all`, the engine's order-1 jet, evaluates fields at
+    the same nodes as `partial_all_per_axis`, built from this, and agrees
+    with it to roundoff (it differences f(node) - f(point) and sums in
+    another order).
     """
     point = np.asarray(point, dtype=float)
     e = np.zeros_like(point)
@@ -71,20 +75,26 @@ def partial_all_per_axis(fn, point, scheme: DiffScheme, stage: int) -> np.ndarra
     return np.stack([along(a) for a in range(point.size)], axis=0)
 
 
+def stacked_partial_all(fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
+    """out[..., a, ...] = d_a fn at a point (n,) or at every point of a stack (..., n).
+
+    A row loop over the engine's single-point `partial_all`.
+    """
+    point = np.asarray(point, dtype=float)
+    rows = [partial_all(fn, p, scheme) for p in point.reshape(-1, point.shape[-1])]
+    return np.stack(rows).reshape(point.shape[:-1] + rows[0].shape)
+
+
 def christoffel_field(g_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
     """Levi-Civita coefficients gamma[..., h, i, j] of a metric field at a point or a stack.
 
-    The metric is evaluated in one call, at the points and at the nodes of
-    their first-derivative stencils together, and inverted per point.
+    The metric is evaluated at the points in one call, and differenced and
+    inverted per point.
     """
-    scheme = scheme or DiffScheme()
     point = np.asarray(point, dtype=float)
     lead, n = point.shape[:-1], point.shape[-1]
-    flat = point.reshape(-1, n)
-    values = np.asarray(g_fn(np.concatenate([flat, _nodes(point, scheme.h1)])), dtype=float)
-    g = values[:len(flat)].reshape(lead + (n, n))
-    dg = _derivatives(values[len(flat):], lead, n, scheme.h1)
-    return christoffel(inverse_metric(g, point), dg)
+    g = np.asarray(g_fn(point.reshape(-1, n)), dtype=float).reshape(lead + (n, n))
+    return christoffel(inverse_metric(g, point), stacked_partial_all(g_fn, point, scheme))
 
 
 def metric_compat_residual(g_fn, point, h: float) -> float:
@@ -115,7 +125,7 @@ def second_covariant_derivative(fn, sig: str, point, g_fn, scheme=None) -> np.nd
     scheme = scheme or DiffScheme()
 
     def cov_fn(pts):
-        return covariant_derivative(partial_all(fn, pts, scheme), fn(pts), sig,
+        return covariant_derivative(stacked_partial_all(fn, pts, scheme), fn(pts), sig,
                                     christoffel_field(g_fn, pts, scheme))
 
     point = np.asarray(point, dtype=float)

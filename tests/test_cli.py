@@ -152,11 +152,18 @@ DISK = (
     (None, ["verify", "--zoo", "s2", "--tol-d1", "nan"], 2, "tolerance d1 must be positive"),
     (None, ["verify", "--zoo", "s2", "--seed", "-1"], 2, "seed and random_points must be"),
     (None, ["verify", "--zoo", "s2", "--q", "inf"], 2, "q must be strictly positive and finite"),
+    # 6q overflows; (3q/2)^2, which the Ricci pair rows form, overflows; roundoff of the
+    # order of q eps in J_M^2 + (3/2) q I exceeds the algebraic tier
+    (None, ["classify", "--zoo", "s2", "--q", "1e308"], 2, "with (3q/2)^2 finite, got 1e+308"),
+    (None, ["classify", "--zoo", "s2", "--q", "1e307"], 2, "with (3q/2)^2 finite, got 1e+307"),
+    (None, ["classify", "--zoo", "s2", "--q", "1e10"], 3,
+     "fixture s2 at q = 1e+10: polynomial identity fails"),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
         "jet-too-big", "power-overflow", "product-overflow", "literal-overflow",
         "nan-bound", "infinite-bound", "nan-margin", "nan-step-spec", "zero-step-spec",
         "nan-step-flag", "negative-tolerance-spec", "negative-tolerance-flag",
-        "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "infinite-q"])
+        "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "infinite-q",
+        "q-1e308", "q-1e307", "q-1e10"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from metallicgeo import cli, zoo
-from metallicgeo.diffcalc import DiffScheme, MetricJet, covariant_derivative, partial_all
+from metallicgeo.diffcalc import (DiffScheme, MetricJet, _jet_table, covariant_derivative,
+                                  partial_all)
 from metallicgeo.geometry import TensorField, max_abs
 from metallicgeo.identities import check_ricci_derivative_cycle
 from metallicgeo.metallic import VERDICT_KAHLER
 from oracles import (christoffel_field, kahler_quartic_bundle, kahler_quartic_ricci,
-                     partial_all_per_axis)
+                     partial_all_per_axis, stacked_partial_all)
 from test_cli import DISK
 
 # --- weight tables -------------------------------------------------------------
@@ -38,6 +39,22 @@ def jet_errors(h2) -> tuple:
     d2, d3 = analytic_partials()
     jet = MetricJet(analytic, POINT, DiffScheme(h2 ** 1.2))  # h2 = h1^(5/6)
     return max_abs(jet.ddg - d2), max_abs(jet.dddg() - d3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_one_table_is_the_order_four_axis_stencil(n):
+    """The table of order 1 at step 2h is (-f(x + 2h e_a) + 8 f(x + h e_a) - 8 f(x - h e_a)
+    + f(x - 2h e_a)) / (12 h) on every axis: Richardson over central differences at h, 2h."""
+    h = 1e-3
+    disp, weights, _ = _jet_table(n, 2.0 * h, 1)
+    expected = np.zeros(weights.shape)
+    for a in range(n):
+        for step, weight in ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0)):
+            k = [j for j, d in enumerate(disp) if np.array_equal(d, step * h * np.eye(n)[a])]
+            assert len(k) == 1
+            expected[a, k[0]] = weight / (12.0 * h)
+    assert len(disp) == 4 * n
+    np.testing.assert_allclose(weights, expected, rtol=4.0 * np.finfo(float).eps, atol=0.0)
 
 
 def test_jet_of_a_cubic_is_exact():
@@ -133,7 +150,7 @@ def test_second_partials_of_connection_are_symmetric(quartic):
     scheme = DiffScheme()
 
     def d_gamma(pts):  # d_b Gamma at a stack of points, first-derivative stencils
-        return partial_all(lambda q: christoffel_field(quartic.g, q, scheme), pts, scheme)
+        return stacked_partial_all(lambda q: christoffel_field(quartic.g, q, scheme), pts, scheme)
 
     for pt in quartic.sample_points[:3]:
         dd = MetricJet(quartic.g, pt).ddgamma()

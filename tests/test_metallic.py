@@ -1,11 +1,13 @@
 import cmath
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from metallicgeo import zoo
-from metallicgeo.geometry import max_abs
+from metallicgeo.geometry import NumericalError, TensorField, max_abs
 from metallicgeo.metallic import (
     MetallicParams,
     VERDICT_HERMITIAN,
@@ -193,3 +195,19 @@ def test_classify_skewness_equals_direct_residual():
 def test_classify_parallel_equivalence_flag():
     for name in ("flat-k1", "torus", "s2", "s6", "negative"):
         assert zoo.get(name).bundle.classification().theorem_dN_equiv_covJ, name
+
+
+def test_classify_names_the_point_of_a_nan_residual():
+    """A NaN at one sample point is a located numerical failure, not a verdict (the
+    builtin max keeps its first argument against a NaN, so it would drop this one)."""
+    bundle = zoo.fixture_sphere2().bundle
+    bad = bundle.sample_points[3]
+
+    def jm(pts):
+        out = np.array(bundle.jm(pts))
+        out[np.all(pts == bad, axis=1)] = np.nan
+        return out
+
+    broken = dataclasses.replace(bundle, jm=TensorField(name="jm", sig="ud", fn=jm))
+    with pytest.raises(NumericalError, match=re.escape(f"is nan at point {bad.tolist()}")):
+        broken.classification()
