@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from metallicgeo import exprdsl
-from metallicgeo.diffcalc import (DiffScheme, _cov_correct, christoffel, covariant_derivative,
-                                  partial_all)
+from metallicgeo.diffcalc import DiffScheme, christoffel, covariant_derivative, partial_all
 from metallicgeo.geometry import Chart, TensorField, inverse_metric, max_abs
 from metallicgeo.metallic import MetallicParams, StructureBundle
 from metallicgeo.octonions import cross7_matrix
