@@ -9,9 +9,9 @@ passed), 1 at least one asserted identity failed, 2 invalid input (a spec
 parse error, with file, line and offset printed, or a chart, structure
 parameter, differencing step or tolerance the engine rejects), 3 numerical
 failure (singular metric, a point outside the chart, an expression
-evaluated outside its domain or to a non-finite value, a classification
-residual that is not finite, or a zoo fixture whose self-check fails at
-the given q).
+evaluated outside its domain or to a non-finite value, a reported value
+that is not finite, named with its point, or a zoo fixture whose
+self-check fails at the given q).
 
 JSON reports are deterministic for a fixed spec and seed: fields are
 emitted in a fixed order and every residual is rounded to 6 significant

@@ -21,13 +21,13 @@ Both connections deform Levi-Civita by a (1,2)-tensor S:
 
 `connection_terms` computes every per-point quantity of one connection:
 S, the pairing, nabla~ w, nabla~ g and the kind-specific terms. The bundle
-keeps them, so each connection's terms are built once per sample point and
-bundle, and the second-type form is decided once per bundle; the JSON
+keeps them as one list per kind in sample-point order, built once; the JSON
 block of `connection_report` and the identity records of
-`connection_identity_results` both read that one set. A connection is
-Levi-Civita plus its deformation, so `first_type` and `second_type` return
-S alone, and torsion and the symmetry checks are exact algebra over the
-computed nabla J_M.
+`connection_identity_results` both read those lists, reduce them with
+`geometry.largest`, and pair them index by index for the -1/3 ratio. A
+connection is Levi-Civita plus its deformation, so `first_type` and
+`second_type` return S alone, and torsion and the symmetry checks are
+exact algebra over the computed nabla J_M.
 """
 
 from __future__ import annotations
@@ -47,27 +47,18 @@ class GateError(RuntimeError):
 
 
 def _second_form(bundle: StructureBundle) -> str:
-    """'levi' (S = 0) on metallic Kahler, 'nearly' for the nearly closed form.
-
-    Decided once per bundle and kept with its connection terms; a gated
-    bundle keeps the GateError message, raised again on each call.
-    """
-    form = bundle._connections.get("second")
-    if form is None:
-        cls = bundle.classification()
-        if cls.verdict == VERDICT_ALMOST_KAHLER:
-            form = GateError("second-type connection: Levi-Civita preserves w only when "
-                             "nabla J_M = 0, and no closed form is derived for almost metallic "
-                             "Kähler bundles that are not metallic Kähler")
-        elif cls.verdict != VERDICT_KAHLER and not cls.nearly:
-            form = GateError("second-type connection has a closed form only on almost "
-                             "metallic Kähler or nearly metallic Kähler bundles")
-        else:
-            form = "levi" if cls.verdict == VERDICT_KAHLER else "nearly"
-        bundle._connections["second"] = form
-    if isinstance(form, GateError):
-        raise GateError(*form.args)
-    return form
+    """'levi' (S = 0) on metallic Kahler, 'nearly' for the nearly closed form, else GateError."""
+    cls = bundle.classification()
+    if cls.verdict == VERDICT_KAHLER:
+        return "levi"
+    if cls.nearly:
+        return "nearly"
+    if cls.verdict == VERDICT_ALMOST_KAHLER:
+        raise GateError("second-type connection: Levi-Civita preserves w only when "
+                        "nabla J_M = 0, and no closed form is derived for almost metallic "
+                        "Kähler bundles that are not metallic Kähler")
+    raise GateError("second-type connection has a closed form only on almost "
+                    "metallic Kähler or nearly metallic Kähler bundles")
 
 
 def first_type(bundle: StructureBundle, point) -> np.ndarray:
@@ -101,8 +92,7 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
     g(S(d_i, d_j), J_M d_k), nw and ng the residuals (nabla~_i w)_jk and
     (nabla~_i g)_jk, sym the pairing's defining symmetry (zero when it
     holds), expansion nabla~ w recomputed through the pairing and scale_w
-    the largest term of nabla~ w. Second type adds four = nabla~ w - 4 nabla w
-    and, for the nearly closed form, ratio = S + 3 S_first.
+    the largest term of nabla~ w. Second type adds four = nabla~ w - 4 nabla w.
     """
     S = (first_type if kind == "first" else second_type)(bundle, point)
     ctx = bundle.context(point)
@@ -119,24 +109,23 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
     }
     if kind == "second":
         terms["four"] = nw - 4.0 * ctx.cov_omega
-        if _second_form(bundle) == "nearly":
-            terms["ratio"] = S + 3.0 * _terms_at(bundle, "first", point)["S"]
     return terms
 
 
-def _terms_at(bundle: StructureBundle, kind: str, point) -> dict:
-    """connection_terms of `kind` at `point`, built once per bundle; GateError if gated."""
-    key = (kind, np.asarray(point, dtype=float).tobytes())
-    if key not in bundle._connections:
-        bundle._connections[key] = connection_terms(bundle, kind, point)
-    return bundle._connections[key]
-
-
 def _terms(bundle: StructureBundle, kind: str) -> list:
-    """The terms at every sample point; a gated second type raises before building any."""
+    """The terms at every sample point, in point order; a gated kind raises GateError."""
     if kind == "second":
         _second_form(bundle)
-    return [_terms_at(bundle, kind, pt) for pt in bundle.sample_points]
+    if kind not in bundle._connections:
+        bundle._connections[kind] = [connection_terms(bundle, kind, pt)
+                                     for pt in bundle.sample_points]
+    return bundle._connections[kind]
+
+
+def _ratio_pairs(bundle: StructureBundle) -> list:
+    """(|S_second + 3 S_first|, |S_second|) at every sample point of a nearly bundle."""
+    return [(max_abs(s["S"] + 3.0 * f["S"]), max_abs(s["S"]))
+            for f, s in zip(_terms(bundle, "first"), _terms(bundle, "second"))]
 
 
 # (report key, terms -> array whose largest entry over the points is reported)
@@ -163,6 +152,7 @@ def connection_report(bundle: StructureBundle) -> dict:
     connections exist with nonzero deformation, the -1/3 deformation ratio.
     """
     out: dict = {"connections": {}, "notes": []}
+    points = bundle.sample_points
     for kind in ("first", "second"):
         try:
             terms = _terms(bundle, kind)
@@ -171,11 +161,12 @@ def connection_report(bundle: StructureBundle) -> dict:
             out["notes"].append(f"{kind}: {exc}")
             continue
         out["connections"][kind] = {
-            key: largest(max_abs(fn(t)) for t in terms)
+            key: largest((max_abs(fn(t)) for t in terms), points, f"{kind}-type connection {key}")
             for key, fn in _REPORT_ROWS + _KIND_REPORT_ROWS[kind]
         }
-        if "ratio" in terms[0]:
-            out["deformation_ratio_residual"] = largest(max_abs(t["ratio"]) for t in terms)
+        if kind == "second" and _second_form(bundle) == "nearly":
+            out["deformation_ratio_residual"] = largest(
+                (r for r, _ in _ratio_pairs(bundle)), points, "deformation ratio residual")
     return out
 
 
@@ -226,7 +217,6 @@ def connection_identity_results(bundle: StructureBundle) -> list:
     results += evaluate(bundle, SECOND_TYPE_SKEW, values=second)
     if form == "levi":
         return results + evaluate(bundle, SECOND_TYPE_LEVI, values=second)
-    ratio = _result("second-type-deformation-ratio",
-                    [(max_abs(t["ratio"]), max_abs(t["S"])) for t in second], 1e-10,
-                    note="second deformation = -3 x first")
+    ratio = _result("second-type-deformation-ratio", _ratio_pairs(bundle), bundle.sample_points,
+                    1e-10, note="second deformation = -3 x first")
     return results + [ratio] + evaluate(bundle, SECOND_TYPE_NEARLY, values=second)

@@ -11,12 +11,13 @@ Index conventions used throughout the package:
 * the metric g has signature "dd" and its inverse "uu".
 
 All pointwise operations here are pure functions of immutable inputs, so
-they are safe to evaluate in parallel across sample points. Residual
-aggregation elsewhere always reduces in a fixed order.
+they are safe to evaluate in parallel across sample points. `largest`
+reduces every reported value over the sample points, in point order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -63,12 +64,15 @@ def max_abs(arr) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def largest(values) -> float:
-    """The largest of non-negative numbers, 0.0 for none, and NaN if any is NaN.
-
-    The builtin max drops a NaN that does not come first.
-    """
-    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
+def largest(values, points, quantity: str) -> float:
+    """The largest of non-negative values[k] at points[k] (0.0 for none); the first value
+    that is not finite raises NumericalError naming `quantity` and its point (the builtin
+    max alone drops a NaN that does not come first)."""
+    values = [float(v) for v in values]
+    for k, v in enumerate(values):
+        if not math.isfinite(v):
+            raise NumericalError(f"{quantity} is {v:g} at point {points[k].tolist()}")
+    return max(values, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,11 @@ class Chart:
             raise ValueError("margin must be positive and smaller than half of every extent")
         if self.seed < 0 or self.n_random < 0:
             raise ValueError("seed and random_points must be non-negative")
+        if self.grid < 0:
+            raise ValueError(f"grid must be non-negative, got {self.grid}")
         for name, pt in self.named_points.items():
+            if np.shape(pt) != (self.dimension,):
+                raise ValueError(f"named point {name!r} needs {self.dimension} coordinates, got {np.size(pt)}")
             if not self.contains(pt, margin=self.margin):
                 raise ValueError(f"named point {name!r} is not inside the chart margin")
         if self.sample_count() < 8:

@@ -69,7 +69,6 @@ class IdentityResult:
     skipped: bool = False
     asserted: bool = True
     note: str = ""
-    per_point: tuple = ()
 
     @property
     def relative(self) -> float:
@@ -93,17 +92,17 @@ def _skip(id_: str, note: str) -> IdentityResult:
     return IdentityResult(id=id_, skipped=True, passed=False, note=note)
 
 
-def _result(id_: str, pairs: Iterable[tuple], tol: float, asserted: bool = True,
+def _result(id_: str, pairs: Iterable[tuple], points, tol: float, asserted: bool = True,
             note: str = "") -> IdentityResult:
-    """Aggregate (residual, scale) pairs, one per point, in a fixed order; a NaN is kept."""
+    """Reduce (residual, scale) pairs, pairs[k] at points[k], with `geometry.largest`: a value
+    that is not finite is a NumericalError naming the identity and point, not a failed check."""
     pairs = list(pairs)
-    max_res = largest(r for r, _ in pairs)
-    scale = largest(s for _, s in pairs)
+    max_res = largest((r for r, _ in pairs), points, f"residual of {id_}")
+    scale = largest((s for _, s in pairs), points, f"scale of {id_}")
     rel = max_res / max(1.0, scale)
     return IdentityResult(
         id=id_, max_residual=max_res, scale=scale, tolerance=tol,
         passed=rel < tol, asserted=asserted, note=note,
-        per_point=tuple(r for r, _ in pairs),
     )
 
 
@@ -151,7 +150,7 @@ def evaluate(bundle: StructureBundle, identities, values=None) -> list:
             continue
         if values is None:
             values = bundle.contexts()
-        out.append(_result(ident.id, [ident.fn(v) for v in values],
+        out.append(_result(ident.id, [ident.fn(v) for v in values], bundle.sample_points,
                            getattr(bundle.tolerances, ident.tier), ident.asserted, ident.note))
     return out
 
@@ -393,7 +392,8 @@ def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
     ])[0]
     if chain.skipped:
         return chain
-    obs = max(max_abs(_divergence_omega(ctx)) for ctx in bundle.contexts())
+    obs = largest((max_abs(_divergence_omega(ctx)) for ctx in bundle.contexts()),
+                  bundle.sample_points, "observed |nabla^m nabla_j w_im|")
     return replace(chain, note=f"observed |nabla^m nabla_j w_im| = {obs:.6g} (reported, not asserted)")
 
 
@@ -420,15 +420,6 @@ def check_ricci_star_hyperbolic(bundle: StructureBundle) -> list:
     ))
 
 
-def _ricci_sym_and_w_up(ctx) -> tuple:
-    # the Ricci tensor is symmetric by theorem; its raw finite-difference
-    # asymmetry is measured by the curvature invariants, so the mixed trace
-    # is taken against the symmetric part (and the raw value observed)
-    ricci_sym = 0.5 * (ctx.curvature.ricci + ctx.curvature.ricci.T)
-    w_up = np.einsum("ji,tm,im->jt", ctx.ginv, ctx.ginv, ctx.omega)
-    return ricci_sym, w_up
-
-
 def _scalar_star_relation(ctx) -> tuple:
     q = ctx.q
     lhs = ctx.scalar_star
@@ -437,9 +428,14 @@ def _scalar_star_relation(ctx) -> tuple:
     return abs(lhs - rhs), scale
 
 
-def _ricci_omega_trace(ctx) -> tuple:
-    ricci_sym, w_up = _ricci_sym_and_w_up(ctx)
-    return abs(float(np.einsum("jt,jt->", ricci_sym, w_up))), max_abs(ricci_sym)
+def _ricci_omega_trace(ctx, raw: bool = False) -> tuple:
+    # the Ricci tensor is symmetric by theorem; its raw finite-difference
+    # asymmetry is measured by the curvature invariants, so the mixed trace
+    # is taken against the symmetric part (and the raw value observed)
+    ricci_sym = 0.5 * (ctx.curvature.ricci + ctx.curvature.ricci.T)
+    w_up = np.einsum("ji,tm,im->jt", ctx.ginv, ctx.ginv, ctx.omega)
+    trace = np.einsum("jt,jt->", ctx.curvature.ricci if raw else ricci_sym, w_up)
+    return abs(float(trace)), max_abs(ricci_sym)
 
 
 def check_scalar_star(bundle: StructureBundle) -> list:
@@ -458,10 +454,10 @@ def check_scalar_star(bundle: StructureBundle) -> list:
     id_ = "ricci-omega-trace-zero"
     if relation.skipped:
         return [relation, _skip(id_, relation.note)]
-    contexts = bundle.contexts()
-    raw_obs = max(abs(float(np.einsum("jt,jt->", ctx.curvature.ricci, _ricci_sym_and_w_up(ctx)[1])))
-                  for ctx in contexts)
-    trace = _result(id_, [_ricci_omega_trace(ctx) for ctx in contexts], 1e-10,
+    contexts, points = bundle.contexts(), bundle.sample_points
+    raw_obs = largest((_ricci_omega_trace(ctx, raw=True)[0] for ctx in contexts), points,
+                      "raw (unsymmetrized) trace S_jt w^jt")
+    trace = _result(id_, [_ricci_omega_trace(ctx) for ctx in contexts], points, 1e-10,
                     note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")
     return [relation, replace(trace, passed=trace.max_residual < 1e-10)]
 

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .diffcalc import DiffScheme, PointContext
-from .geometry import Chart, NumericalError, TensorField, largest, max_abs
+from .geometry import Chart, TensorField, largest, max_abs
 
 __all__ = [
     "MetallicParams",
@@ -119,7 +119,8 @@ class StructureBundle:
 
     The bundle owns every setting of a run: the sample points (from the
     chart), the differencing scheme and the tolerances. Immutable after
-    construction; classification, contexts and connection terms are memoized.
+    construction; classification, contexts and connection terms (one list per
+    kind, in sample-point order) are memoized.
     """
 
     chart: Chart
@@ -134,7 +135,7 @@ class StructureBundle:
         self.scheme.check_chart(self.chart)
         self._contexts: dict = {}
         self._classification: Optional[ClassificationReport] = None
-        self._connections: dict = {}  # read and written by the connections module
+        self._connections: dict = {}  # kind -> terms per sample point, kept by connections
 
     @classmethod
     def from_j(cls, chart, g, j_field, params, sign=+1, **kw) -> "StructureBundle":
@@ -219,14 +220,9 @@ def classify(bundle: StructureBundle) -> ClassificationReport:
     """
     tol = bundle.tolerances
     contexts = bundle.contexts()
-    res = {}
-    for name, _, fn in RESIDUALS:
-        values = [fn(ctx) for ctx in contexts]
-        res[name] = largest(values)
-        if not math.isfinite(res[name]):
-            k = next(k for k, v in enumerate(values) if not math.isfinite(v))
-            raise NumericalError(f"classification residual {name} is {values[k]:g}"
-                                 f" at point {contexts[k].point.tolist()}")
+    res = {name: largest((fn(ctx) for ctx in contexts), bundle.sample_points,
+                         f"classification residual {name}")
+           for name, _, fn in RESIDUALS}
 
     hermitian = res["polynomial"] < tol.alg and res["hyperbolic_direct"] < tol.alg
     closed = hermitian and res["max_domega"] < tol.d1

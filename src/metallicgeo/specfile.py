@@ -89,7 +89,7 @@ def _parse_number(text: str, line_no: int, col: int, kind=float):
 def parse_spec(text: str) -> ManifoldSpec:
     """Parse spec text; raises SpecFileError with line/offset on failure."""
     spec = ManifoldSpec()
-    seen_structure_keys = set()
+    seen_structure_keys, point_at = set(), {}  # point_at: named point -> (line, offset)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -125,6 +125,7 @@ def parse_spec(text: str) -> ManifoldSpec:
                 spec.named_points[m.group(1)] = tuple(float(tok) for tok in value.split())
             except ValueError:
                 raise SpecFileError(line_no, value_col, "named point needs space-separated numbers") from None
+            point_at[m.group(1)] = (line_no, value_col)
             continue
 
         if key == "bounds":
@@ -172,6 +173,9 @@ def parse_spec(text: str) -> ManifoldSpec:
     if not spec.s_entries:
         raise SpecFileError(1, 1, "no structure components given")
     n = spec.dimension
+    for name, pt in spec.named_points.items():
+        if len(pt) != n:
+            raise SpecFileError(*point_at[name], f"named point {name!r} needs {n} coordinates, got {len(pt)}")
     for (i, j) in list(spec.g_entries) + list(spec.s_entries):
         if not (0 <= i < n and 0 <= j < n):
             raise SpecFileError(1, 1, f"component index [{i}][{j}] outside dimension {n}")

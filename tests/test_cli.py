@@ -1,8 +1,11 @@
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 
+from metallicgeo import connections, identities
 from metallicgeo.cli import main, report_json
 
 
@@ -32,15 +35,24 @@ def test_classify_malformed_spec_exit_2(tmp_path, capsys):
     assert "offset" in err
 
 
-def test_verify_s2_metallic_all_pass(capsys):
-    code, out, _ = run(capsys, "verify", "--zoo", "s2", "--suite", "metallic")
+# at the default q = 2/3 the coefficients 3q/2, 2/(3q) and sqrt(6q)/2 are all exactly 1.0,
+# so a dropped factor of q shows only at another q
+OTHER_Q = pytest.mark.parametrize("extra", [[], ["--q", "1.5", "--suite", "all"]],
+                                  ids=["default-q", "q-1.5"])
+
+
+@OTHER_Q
+def test_verify_s2_metallic_all_pass(extra, capsys):
+    code, out, _ = run(capsys, "verify", "--zoo", "s2", "--suite", "metallic", *extra)
     assert code == 0
     assert "0 failed" in out
 
 
-def test_verify_s6_nearly_all_pass(capsys):
-    code, out, _ = run(capsys, "verify", "--zoo", "s6", "--suite", "nearly")
+@OTHER_Q
+def test_verify_s6_nearly_all_pass(extra, capsys):
+    code, out, _ = run(capsys, "verify", "--zoo", "s6", "--suite", "nearly", *extra)
     assert code == 0
+    assert "0 failed" in out
 
 
 def test_verify_negative_skips_are_not_failures(capsys):
@@ -158,12 +170,17 @@ DISK = (
     (None, ["classify", "--zoo", "s2", "--q", "1e307"], 2, "with (3q/2)^2 finite, got 1e+307"),
     (None, ["classify", "--zoo", "s2", "--q", "1e10"], 3,
      "fixture s2 at q = 1e+10: polynomial identity fails"),
+    (SPEC_2D.format(**dict(GOOD, dim=4, bounds="-1 1, -1 1, -1 1, -1 1")) + "point a = 0.1 0.2\n",
+     [], 2, "line 9, offset 11: named point 'a' needs 4 coordinates, got 2"),
+    (GOOD_SPEC + "point a = 0.1\n", [], 2,
+     "line 9, offset 11: named point 'a' needs 2 coordinates, got 1"),
+    (GOOD_SPEC + "grid = -3\n", [], 2, "grid must be non-negative, got -3"),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
         "jet-too-big", "power-overflow", "product-overflow", "literal-overflow",
         "nan-bound", "infinite-bound", "nan-margin", "nan-step-spec", "zero-step-spec",
         "nan-step-flag", "negative-tolerance-spec", "negative-tolerance-flag",
         "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "infinite-q",
-        "q-1e308", "q-1e307", "q-1e10"])
+        "q-1e308", "q-1e307", "q-1e10", "short-point-4d", "short-point-2d", "negative-grid"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"
@@ -178,6 +195,33 @@ def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_pa
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code == 3:
         assert err.startswith("numerical failure:")
+
+
+def nan_at_origin(fn, name=None):
+    """fn with its value (or the entry `name` of its dict) NaN at the origin."""
+    def patched(*args):
+        out = fn(*args)
+        point = args[-1]
+        if not np.any(getattr(point, "point", point)):
+            if name is None:
+                return (math.nan, out[1])
+            out = dict(out, **{name: np.full_like(out[name], math.nan)})
+        return out
+
+    return patched
+
+
+@pytest.mark.parametrize("module,fn,name,message", [
+    (identities, "_star_contraction", None, "residual of star-conjugate-contraction"),
+    # the torsion is read by the connections block alone, not by any identity record
+    (connections, "connection_terms", "torsion", "first-type connection torsion_norm"),
+], ids=["identity-row", "connections-block"])
+def test_verify_names_the_point_of_a_nan(module, fn, name, message, monkeypatch, capsys):
+    monkeypatch.setattr(module, fn, nan_at_origin(getattr(module, fn), name))
+    code, out, err = run(capsys, "verify", "--zoo", "s6", "--suite", "all", "--format", "json")
+    assert code == 3
+    assert err == f"numerical failure: {message} is nan at point {[0.0] * 6}\n"
+    assert "NaN" not in out
 
 
 def test_classify_singular_metric_exit_3(tmp_path, capsys):

@@ -42,8 +42,8 @@ BUDGET = {
 
 # fixture -> (connection_terms calls, first_type calls) in one `verify --suite all`: terms
 # once per sample point and constructible connection (s2 has 13 points, s6 9, negative 16
-# and a gated second type, whose gate outcome is kept with the terms), the first-type
-# deformation once per point
+# and a gated second type, whose gate is read off the classification before any term is
+# built), the first-type deformation once per point
 CONNECTION_BUDGET = {"s2": (26, 13), "s6": (18, 9), "negative": (16, 16)}
 
 # tracemalloc peak of `verify --suite all` on flat-k3 once the jet's weight tables exist, in

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,11 @@ from metallicgeo.geometry import (
     Chart,
     ChartBoundsError,
     GeometryError,
+    NumericalError,
     SingularMetricError,
     TensorField,
     inverse_metric,
+    largest,
 )
 from oracles import const_field
 
@@ -40,6 +45,34 @@ def test_chart_rejects_odd_dimension():
 def test_chart_rejects_small_sample_budget():
     with pytest.raises(ValueError):
         Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=2, n_random=0, margin=0.1)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(named_points={"a": (0.1,)}), "named point 'a' needs 2 coordinates, got 1"),
+    (dict(named_points={"a": (0.1, 0.2, 0.3)}), "named point 'a' needs 2 coordinates, got 3"),
+    (dict(grid=-3), "grid must be non-negative, got -3"),
+], ids=["short-point", "long-point", "negative-grid"])
+def test_chart_names_a_malformed_setting(kwargs, message):
+    # a 1-coordinate point broadcasts through the bounds check; (-3)^2 passes the sample count
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Chart(dimension=2, bounds=((-1, 1), (-1, 1)), margin=0.1, **kwargs)
+
+
+def test_largest_reduces_per_point_values():
+    points = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    assert largest([], points[:0], "residual of x") == 0.0
+    assert largest(iter([1.0, 3.0, 2.0]), points, "residual of x") == 3.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("k", [0, 2])
+def test_largest_names_the_point_of_a_value_that_is_not_finite(bad, k):
+    points = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    values = [1.0, 3.0, 2.0]
+    values[k] = bad
+    with pytest.raises(NumericalError, match=re.escape(
+            f"scale of some-row is {bad:g} at point {points[k].tolist()}")):
+        largest(values, points, "scale of some-row")
 
 
 def test_inverse_metric_identity_and_diagonal():

@@ -5,14 +5,17 @@
     cmp before.json after.json                                         # byte-identical, or
     python3 tools/report_identity.py --compare before.json after.json  # within tiers
 
-The snapshot holds 62 runs of ``metallicgeo.cli.main``, each with its argv,
+The snapshot holds 69 runs of ``metallicgeo.cli.main``, each with its argv,
 exit code, stderr and JSON report (``timing_s`` removed, the one field the
 report does not promise to repeat):
 
 * ``classify`` and ``verify --suite all|metallic|nearly|connections`` on
   the 7 zoo fixtures, on the spec files that mirror flat-k1, torus and s2,
   and on ``perfbench/specs/s2xs2.spec``;
-* ``curvature`` on each zoo fixture at one interior point.
+* ``curvature`` on each zoo fixture at one interior point;
+* ``verify --suite all`` on each zoo fixture at ``--q 1.5``. At the default
+  q = 2/3 the coefficients 3q/2, 2/(3q) and sqrt(6q)/2 are all exactly 1.0,
+  so a dropped or misplaced factor of q changes no report there.
 
 Spec files are copied into a fresh directory that becomes the working
 directory and are named by bare file name, so ``source.name`` in the
@@ -95,6 +98,8 @@ def runs(repo: Path, zoo) -> tuple:
     for name in zoo.names():
         point = interior_point(zoo.get(name).bundle.chart.bounds)
         argvs.append(["curvature", "--zoo", name, f"--point={point}", "--format", "json"])
+    argvs += [["verify", "--zoo", name, "--q", "1.5", "--suite", "all", "--format", "json"]
+              for name in zoo.names()]
     return specs, argvs
 
 
