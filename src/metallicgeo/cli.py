@@ -22,6 +22,7 @@ determinism guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -208,7 +209,9 @@ def cmd_curvature(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use and never changed after."""
     parser = argparse.ArgumentParser(
         prog="metallicgeo",
         description="Classify and verify metallic Kahler structures on coordinate charts.")

@@ -19,23 +19,24 @@ Both connections deform Levi-Civita by a (1,2)-tensor S:
   is derived there or outside the two classes above, so the constructor
   raises GateError and the connection is reported as skipped.
 
-`connection_terms` computes every per-point quantity of one connection:
-S, the pairing, nabla~ w, nabla~ g and the kind-specific terms. The bundle
-keeps them as one list per kind in sample-point order, built once; the JSON
-block of `connection_report` and the identity records of
-`connection_identity_results` both read those lists, reduce them with
-`geometry.largest`, and pair them index by index for the -1/3 ratio. A
-connection is Levi-Civita plus its deformation, so `first_type` and
-`second_type` return S alone, and torsion and the symmetry checks are
-exact algebra over the computed nabla J_M.
+`connection_terms` computes every quantity of one connection at a point or
+at each point of a stack: S, the pairing, nabla~ w, nabla~ g and the
+kind-specific terms. The bundle keeps them as one dict per kind of arrays
+stacked over the sample points, built once from the PointContext of those
+points; the JSON block of `connection_report` and the identity records of
+`connection_identity_results` both read those dicts, reduce them point by
+point with `geometry.largest`, and pair the two kinds row by row for the
+-1/3 ratio. A connection is Levi-Civita plus its deformation, so
+`first_type` and `second_type` return S alone, and torsion and the symmetry
+checks are exact algebra over the computed nabla J_M.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import largest, max_abs
-from .identities import Identity, _diff, _result, _skip, evaluate, not_hermitian
+from .geometry import largest, max_abs_per_point
+from .identities import Identity, _result, _skip, _zero, evaluate, not_hermitian
 from .metallic import StructureBundle, VERDICT_ALMOST_KAHLER, VERDICT_KAHLER
 
 __all__ = ["first_type", "second_type", "connection_terms", "connection_report",
@@ -62,17 +63,18 @@ def _second_form(bundle: StructureBundle) -> str:
 
 
 def first_type(bundle: StructureBundle, point) -> np.ndarray:
-    """Deformation S[h, i, j] = (1/3q) JMhat (nabla J_M); gate: almost metallic Hermitian."""
+    """Deformation S[..., h, i, j] = (1/3q) JMhat (nabla J_M) at a point or a stack of points;
+    gate: almost metallic Hermitian."""
     reason = not_hermitian(bundle)
     if reason:
         raise GateError(f"connection {reason}")
     ctx = bundle.context(point)
     q = bundle.params.q
-    return (1.0 / (3.0 * q)) * np.einsum("ht,itj->hij", ctx.Jhat, ctx.covJ)
+    return (1.0 / (3.0 * q)) * np.einsum("...ht,...itj->...hij", ctx.Jhat, ctx.covJ)
 
 
 def second_type(bundle: StructureBundle, point) -> np.ndarray:
-    """Deformation S[h, i, j] of the second-type connection where a closed form exists.
+    """Deformation S[..., h, i, j] of the second-type connection where a closed form exists.
 
     Metallic Kahler: S = 0 (Levi-Civita exactly). Nearly metallic Kahler:
     S = -(1/q) JMhat (nabla J_M). Anything else: GateError.
@@ -82,50 +84,50 @@ def second_type(bundle: StructureBundle, point) -> np.ndarray:
     if form == "levi":
         return np.zeros_like(ctx.gamma)
     q = bundle.params.q
-    return -(1.0 / q) * np.einsum("ht,itj->hij", ctx.Jhat, ctx.covJ)
+    return -(1.0 / q) * np.einsum("...ht,...itj->...hij", ctx.Jhat, ctx.covJ)
 
 
 def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
-    """Every per-point term of the `kind` ("first" or "second") connection.
+    """Every term of the `kind` ("first" or "second") connection at a point or a stack.
 
-    S is the deformation S[h, i, j], SJ the pairing S_J[i, j, k] =
+    S is the deformation S[..., h, i, j], SJ the pairing S_J[..., i, j, k] =
     g(S(d_i, d_j), J_M d_k), nw and ng the residuals (nabla~_i w)_jk and
     (nabla~_i g)_jk, sym the pairing's defining symmetry (zero when it
-    holds), expansion nabla~ w recomputed through the pairing and scale_w
-    the largest term of nabla~ w. Second type adds four = nabla~ w - 4 nabla w.
+    holds), expansion nabla~ w recomputed through the pairing and cov_omega
+    the Levi-Civita nabla w. Second type adds four = nabla~ w - 4 nabla w.
     """
     S = (first_type if kind == "first" else second_type)(bundle, point)
     ctx = bundle.context(point)
-    w, g = ctx.omega, ctx.g
-    SJ = np.einsum("tij,kt->ijk", S, w)
-    nw = ctx.cov_omega - np.einsum("tij,tk->ijk", S, w) - np.einsum("tik,jt->ijk", S, w)
+    w, g, cov_omega = ctx.omega, ctx.g, ctx.cov_omega
+    SJ = np.einsum("...tij,...kt->...ijk", S, w)
+    nw = (cov_omega - np.einsum("...tij,...tk->...ijk", S, w)
+          - np.einsum("...tik,...jt->...ijk", S, w))
     terms = {
         # Levi-Civita is symmetric, so torsion is carried by the deformation
-        "S": S, "torsion": S - np.swapaxes(S, 1, 2), "SJ": SJ, "nw": nw,
-        "ng": -np.einsum("tij,tk->ijk", S, g) - np.einsum("tik,jt->ijk", S, g),
-        "sym": SJ + np.einsum("ijk->ikj" if kind == "first" else "ijk->kji", SJ),
-        "expansion": ctx.cov_omega + SJ - np.einsum("ijk->ikj", SJ),
-        "scale_w": max(max_abs(ctx.cov_omega), max_abs(SJ)),
+        "S": S, "torsion": S - np.swapaxes(S, -2, -1), "SJ": SJ, "nw": nw,
+        "ng": -np.einsum("...tij,...tk->...ijk", S, g) - np.einsum("...tik,...jt->...ijk", S, g),
+        "sym": SJ + np.einsum("...ijk->...ikj" if kind == "first" else "...ijk->...kji", SJ),
+        "expansion": cov_omega + SJ - np.einsum("...ijk->...ikj", SJ),
+        "cov_omega": cov_omega,
     }
     if kind == "second":
-        terms["four"] = nw - 4.0 * ctx.cov_omega
+        terms["four"] = nw - 4.0 * cov_omega
     return terms
 
 
-def _terms(bundle: StructureBundle, kind: str) -> list:
-    """The terms at every sample point, in point order; a gated kind raises GateError."""
+def _terms(bundle: StructureBundle, kind: str) -> dict:
+    """The terms stacked over the sample points; a gated kind raises GateError."""
     if kind == "second":
         _second_form(bundle)
     if kind not in bundle._connections:
-        bundle._connections[kind] = [connection_terms(bundle, kind, pt)
-                                     for pt in bundle.sample_points]
+        bundle._connections[kind] = connection_terms(bundle, kind, bundle.sample_points)
     return bundle._connections[kind]
 
 
-def _ratio_pairs(bundle: StructureBundle) -> list:
-    """(|S_second + 3 S_first|, |S_second|) at every sample point of a nearly bundle."""
-    return [(max_abs(s["S"] + 3.0 * f["S"]), max_abs(s["S"]))
-            for f, s in zip(_terms(bundle, "first"), _terms(bundle, "second"))]
+def _ratio(bundle: StructureBundle) -> tuple:
+    """(|S_second + 3 S_first|, |S_second|) at each sample point of a nearly bundle."""
+    second = _terms(bundle, "second")["S"]
+    return _zero(second + 3.0 * _terms(bundle, "first")["S"], second)
 
 
 # (report key, terms -> array whose largest entry over the points is reported)
@@ -161,35 +163,36 @@ def connection_report(bundle: StructureBundle) -> dict:
             out["notes"].append(f"{kind}: {exc}")
             continue
         out["connections"][kind] = {
-            key: largest((max_abs(fn(t)) for t in terms), points, f"{kind}-type connection {key}")
+            key: largest(max_abs_per_point(fn(terms)), points, f"{kind}-type connection {key}")
             for key, fn in _REPORT_ROWS + _KIND_REPORT_ROWS[kind]
         }
         if kind == "second" and _second_form(bundle) == "nearly":
             out["deformation_ratio_residual"] = largest(
-                (r for r, _ in _ratio_pairs(bundle)), points, "deformation ratio residual")
+                _ratio(bundle)[0], points, "deformation ratio residual")
     return out
 
 
 def _preserves_omega(t: dict) -> tuple:
-    return max_abs(t["nw"]), t["scale_w"]
+    return _zero(t["nw"], t["cov_omega"], t["SJ"])
 
 
 def _pairing_symmetry(t: dict) -> tuple:
-    return max_abs(t["sym"]), max_abs(t["SJ"])
+    return _zero(t["sym"], t["SJ"])
 
 
 FIRST_TYPE_IDENTITIES = (
     Identity("first-type-preserves-omega", None, "d1", _preserves_omega),
     Identity("first-type-pairing-skew", None, "alg", _pairing_symmetry),
-    Identity("first-type-metric-theorem", None, "d1", lambda t: _diff(t["ng"], 0.0)),
+    Identity("first-type-metric-theorem", None, "d1", lambda t: _zero(t["ng"], t["ng"])),
     Identity("first-type-expansion-consistency", None, "alg",
-             lambda t: (max_abs(t["nw"] - t["expansion"]), max_abs(t["nw"]))),
+             lambda t: _zero(t["nw"] - t["expansion"], t["nw"])),
 )
 SECOND_TYPE_SKEW = (
     Identity("second-type-pairing-outer-skew", None, "d1", _pairing_symmetry),
 )
 SECOND_TYPE_LEVI = (
-    Identity("second-type-equals-levi-civita", None, "alg", lambda t: (max_abs(t["S"]), 1.0)),
+    Identity("second-type-equals-levi-civita", None, "alg",
+             lambda t: (max_abs_per_point(t["S"]), np.ones(len(t["S"])))),
     Identity("second-type-preserves-omega", None, "d1", _preserves_omega),
 )
 SECOND_TYPE_NEARLY = (
@@ -197,7 +200,7 @@ SECOND_TYPE_NEARLY = (
              note="report-only: the nearly-case closed form does not "
                   "annihilate w; see second-type-omega-is-4covomega"),
     Identity("second-type-omega-is-4covomega", None, "alg",
-             lambda t: (max_abs(t["four"]), max_abs(t["nw"])),
+             lambda t: _zero(t["four"], t["nw"]),
              note="derived consistency of the nearly-case closed form"),
 )
 
@@ -217,6 +220,6 @@ def connection_identity_results(bundle: StructureBundle) -> list:
     results += evaluate(bundle, SECOND_TYPE_SKEW, values=second)
     if form == "levi":
         return results + evaluate(bundle, SECOND_TYPE_LEVI, values=second)
-    ratio = _result("second-type-deformation-ratio", _ratio_pairs(bundle), bundle.sample_points,
+    ratio = _result("second-type-deformation-ratio", _ratio(bundle), bundle.sample_points,
                     1e-10, note="second deformation = -3 x first")
     return results + [ratio] + evaluate(bundle, SECOND_TYPE_NEARLY, values=second)

@@ -20,22 +20,32 @@ at a point: its partials of order 1, 2 or 3, from one table of weights
 that acts on f(node) - f(point). At one step a partial's weights are a
 tensor product of rows of one 1-D table of order-2 central weights
 (Fornberg, Math. Comp. 51 (1988) 699-706); the steps h and h/2 are
-Richardson-combined to order 4, and `_jet` applies the dense table in
-one contraction. Tables are cached per (n, h, order). Order 1 (everything
-classification reads: the connection, dJ, dw, nabla w) is built at
-h = 2 h1, which is the order-4 axis stencil at h1, nodes x +- h1 e_a,
-x +- 2 h1 e_a; each field is called once per point for it: a MetricJet
-evaluates g at the point and its 4n nodes in one call, a PointContext J_M
-likewise, and every order-1 quantity is read off those values. They give
-g, d g, g^-1 (inverted once) and Gamma (`christoffel`, algebra on g^-1
-and d g); J and d J; and w = J_M g at the point and the nodes, hence d w,
+Richardson-combined to order 4, and `MetricJet._jet` applies the dense
+table in one contraction. Tables are cached per (n, h, order).
+
+A jet serves one point (n,) or a stack of points (m, n): every member
+carries the stack's point axis first, written with leading `...` axes, so
+one code path computes both, and scalars become (m,) vectors. Order 1
+(everything classification reads: the connection, dJ, dw, nabla w) is
+built at h = 2 h1, which is the order-4 axis stencil at h1, nodes
+x +- h1 e_a, x +- 2 h1 e_a; each field is called once for it, at every
+point and its 4n nodes: a MetricJet evaluates g, a PointContext J_M as
+well, and every order-1 quantity is read off those values. They give g,
+d g, g^-1 (inverted once) and Gamma (`christoffel`, algebra on g^-1 and
+d g); J and d J; and w = J_M g at the points and the nodes, hence d w,
 nabla w (`covariant_derivative`: plain partials plus Gamma corrections)
 and dw (from the skew part of w). The node values are not kept.
 `partial_all` is the order-1 jet of any field at a point. Orders 2 (axis
 and face nodes) and 3 (adding axis nodes at 2 h2 and cube nodes) are
-built at h = h2. The farthest node lies 2 h2 from the point, the scheme's
-`reach`, which the bundle checks once per point when it builds the
-PointContext; the functions here check no bounds.
+built at h = h2. g is evaluated at the order-2 nodes of every point in
+one call and kept (nabla nabla w reads them); the order-2 differences,
+J_M at the order-2 nodes and all of order 3 are taken one chunk of
+consecutive points at a time, as many as keep the node values of one
+field under CHUNK_BYTES (the whole stack in dimension 2, one to three
+points in dimension 6), and order-3 node values are never kept. The
+farthest node lies 2 h2 from its point, the scheme's `reach`, which the
+bundle checks for every point when it builds the PointContext; the
+functions here check no bounds.
 
 Curvature and its derivatives are algebra on the jet: differentiating
 g Gamma = L/2 (L_tij = d_i g_tj + d_j g_ti - d_t g_ij) once and twice
@@ -45,7 +55,7 @@ order-2 jet of w = J_M g. The jet agrees with nested stencils to roundoff
 and truncation (Riemann to ~1e-10).
 
 Fields map a stack of points (m, n) to a stack of values (m, ...).
-Everything is a pure function of (field, point); a MetricJet or
+Everything is a pure function of (field, points); a MetricJet or
 PointContext computes each order once and is read-only afterwards.
 """
 
@@ -74,6 +84,7 @@ __all__ = [
 DEFAULT_H1 = 1e-3
 ORDER1 = 4  # first derivatives: order-2 stencils at 2 h1 and h1, Richardson-combined
 ORDER2 = 2  # jet: order-2 stencils at h2 and h2/2, Richardson-combined
+CHUNK_BYTES = 1 << 17  # node values of one field that a chunk of an order-2 or 3 jet holds
 
 
 @dataclass(frozen=True)
@@ -163,11 +174,6 @@ def _jet_table(n: int, h: float, order: int) -> tuple:
     return disp, weights, tuple(index)
 
 
-def _jet(table: tuple, value: np.ndarray, *node_values) -> np.ndarray:
-    """One jet order of a field, out[a, b(, c), ...], from its values at the point and nodes."""
-    return np.tensordot(table[1], np.concatenate(node_values) - value, axes=1)
-
-
 def _first_kind(dg: np.ndarray) -> np.ndarray:
     """L_tij = d_i g_tj + d_j g_ti - d_t g_ij arranged as [..., i, t, j], from dg[..., a, i, j]."""
     return dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)
@@ -210,54 +216,58 @@ def covariant_derivative(d: np.ndarray, value: np.ndarray, sig: str,
 
 @dataclass(frozen=True)
 class CurvaturePack:
-    """Riemann (both forms), Ricci and scalar curvature at a point."""
+    """Riemann (both forms), Ricci and scalar curvature at a point, or at each point of a
+    stack (leading point axis; scalar is then an (m,) vector)."""
 
-    Rup: np.ndarray    # R_kji^h as [k, j, i, h]
+    Rup: np.ndarray    # R_kji^h as [..., k, j, i, h]
     Rdown: np.ndarray  # R_kjil
     ricci: np.ndarray  # S_ji = R_hji^h
-    scalar: float
+    scalar: float | np.ndarray
 
     def symmetry_residuals(self) -> dict:
-        """Algebraic invariants of the lowered tensor, as relative residuals."""
+        """Algebraic invariants of the lowered tensor, as relative residuals (largest over
+        the pack's points)."""
         R = self.Rdown
         scale = max(1.0, max_abs(R))
-        first_bianchi = R + np.transpose(R, (1, 2, 0, 3)) + np.transpose(R, (2, 0, 1, 3))
+        first_bianchi = (R + np.einsum("...jikl->...kjil", R)
+                         + np.einsum("...ikjl->...kjil", R))
         return {
-            "antisym_first_pair": max_abs(R + np.transpose(R, (1, 0, 2, 3))) / scale,
-            "antisym_last_pair": max_abs(R + np.transpose(R, (0, 1, 3, 2))) / scale,
-            "pair_symmetry": max_abs(R - np.transpose(R, (2, 3, 0, 1))) / scale,
+            "antisym_first_pair": max_abs(R + np.swapaxes(R, -4, -3)) / scale,
+            "antisym_last_pair": max_abs(R + np.swapaxes(R, -2, -1)) / scale,
+            "pair_symmetry": max_abs(R - np.einsum("...klij->...ijkl", R)) / scale,
             "first_bianchi": max_abs(first_bianchi) / scale,
         }
 
 
 def riemann(g_fn, point, scheme: DiffScheme | None = None, jet=None) -> CurvaturePack:
-    """Curvature at a point from the metric's jet there: by default a fresh `MetricJet` of
-    g_fn, and a PointContext passes itself, so that nabla nabla w reuses its nodes."""
+    """Curvature at a point (or a stack of points) from the metric's jet there: by default a
+    fresh `MetricJet` of g_fn, and a PointContext passes itself, so that nabla nabla w reuses
+    its nodes."""
     jet = jet or MetricJet(g_fn, point, scheme)
-    gamma, dGamma = jet.gamma, jet.dgamma  # dGamma[k, h, i, j]
+    gamma, dGamma = jet.gamma, jet.dgamma  # dGamma[..., k, h, i, j]
     # R_kji^h = d_k G^h_ji - d_j G^h_ki + G^t_ji G^h_kt - G^t_ki G^h_jt
     Rup = (
-        np.einsum("khji->kjih", dGamma)
-        - np.einsum("jhki->kjih", dGamma)
-        + np.einsum("tji,hkt->kjih", gamma, gamma)
-        - np.einsum("tki,hjt->kjih", gamma, gamma)
+        np.einsum("...khji->...kjih", dGamma)
+        - np.einsum("...jhki->...kjih", dGamma)
+        + np.einsum("...tji,...hkt->...kjih", gamma, gamma)
+        - np.einsum("...tki,...hjt->...kjih", gamma, gamma)
     )
-    Rdown = np.einsum("kjit,tl->kjil", Rup, jet.g)
-    ricci = np.einsum("hjih->ji", Rup)
-    scalar = float(np.einsum("ji,ji->", jet.ginv, ricci))
+    Rdown = np.einsum("...kjit,...tl->...kjil", Rup, jet.g)
+    ricci = np.einsum("...hjih->...ji", Rup)
+    scalar = np.einsum("...ji,...ji->...", jet.ginv, ricci)
     return CurvaturePack(Rup=Rup, Rdown=Rdown, ricci=ricci, scalar=scalar)
 
 
 def nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
-    """Bracket-formula Nijenhuis tensor of a (1,1) field, N[i, j, h] = N_ij^h.
+    """Bracket-formula Nijenhuis tensor of a (1,1) field, N[..., i, j, h] = N_ij^h.
 
-    Computed from J[h, i] and its plain partials dJ[a, h, i] at a point;
+    Computed from J[..., h, i] and its plain partials dJ[..., a, h, i];
     antisymmetry in (i, j) is structural.
     N_ij^h = J_i^t d_t J_j^h - J_j^t d_t J_i^h + (d_j J_i^t) J_t^h - (d_i J_j^t) J_t^h
     """
-    term1 = np.einsum("ti,thj->ijh", J, dJ)
-    term3 = np.einsum("jti,ht->ijh", dJ, J)
-    return term1 - np.einsum("ijh->jih", term1) + term3 - np.einsum("ijh->jih", term3)
+    term1 = np.einsum("...ti,...thj->...ijh", J, dJ)
+    term3 = np.einsum("...jti,...ht->...ijh", dJ, J)
+    return term1 - np.swapaxes(term1, -3, -2) + term3 - np.swapaxes(term3, -3, -2)
 
 
 def _from_order1(key: str, doc: str | None = None) -> property:
@@ -265,26 +275,62 @@ def _from_order1(key: str, doc: str | None = None) -> property:
     return property(lambda self: self._order1[key], doc=doc)
 
 
+def _join(parts) -> np.ndarray:
+    """Per-chunk arrays joined on their first (point) axis; a single chunk as it is."""
+    parts = list(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class MetricJet:
-    """Lazy jet of a metric at one point. Order 1 evaluates g once, at the point and its 4n
-    nodes, for g, d g, g^-1 and the connection (`christoffel`); order 2 (d d g, hence
-    d Gamma and Riemann) and order 3 (d d d g, hence d d Gamma and nabla Ricci) each
-    evaluate g once, at the nodes they add. Any field is accepted."""
+    """Lazy jet of a metric at one point (n,) or at each point of a stack (m, n); every
+    member carries the stack's point axis first. Order 1 evaluates g once, at the points and
+    their 4n nodes each, for g, d g, g^-1 and the connection (`christoffel`); order 2
+    (d d g, hence d Gamma and Riemann) and order 3 (d d d g, hence d d Gamma and
+    nabla Ricci) evaluate g at the nodes they add, one call per chunk of consecutive
+    points (`_chunks`). Any field is accepted."""
 
     def __init__(self, g_fn, point, scheme: DiffScheme | None = None):
         self.g_fn = g_fn
         self.point = np.asarray(point, dtype=float)
         self.scheme = scheme or DiffScheme()
-        self.n = self.point.size
+        self.n = self.point.shape[-1]
 
     def _table(self, order: int) -> tuple:
         """Order 1 at step 2 h1, so that its nodes lie h1 and 2 h1 from the point; 2 and 3 at h2."""
         return _jet_table(self.n, 2.0 * self.scheme.h1 if order == 1 else self.scheme.h2, order)
 
+    def _jet(self, order: int, value: np.ndarray, *node_values) -> np.ndarray:
+        """One jet order, out[..., a, b(, c), ...], from a field's values at the points and at
+        their nodes, node_values[k, ...]."""
+        diff = np.empty((sum(map(len, node_values)),) + value.shape)
+        start = 0
+        for nodes in node_values:
+            np.subtract(nodes, value, out=diff[start:start + len(nodes)])
+            start += len(nodes)
+        out = np.tensordot(self._table(order)[1], diff, axes=1)
+        return np.moveaxis(out, range(order), range(1, order + 1)) if self.point.ndim > 1 else out
+
+    def _nodes(self, disp: np.ndarray, rows=...) -> np.ndarray:
+        """nodes[k, ...] = point + disp[k] for every point of `rows`."""
+        pts = self.point[rows]
+        return pts + disp.reshape(disp.shape[:1] + (1,) * (pts.ndim - 1) + (self.n,))
+
+    def _call(self, fn, nodes: np.ndarray) -> np.ndarray:
+        """fn at every node, values[k, ...], from one call."""
+        values = np.asarray(fn(nodes.reshape(-1, self.n)), dtype=float)
+        return values.reshape(nodes.shape[:-1] + values.shape[1:])
+
     def _stencil(self, fn) -> np.ndarray:
-        """fn at the point (row 0) and at its 4n order-1 nodes, from one call."""
-        nodes = np.concatenate([self.point[None, :], self.point + self._table(1)[0]])
-        return np.asarray(fn(nodes), dtype=float)
+        """fn at the points (node 0) and at their 4n order-1 nodes."""
+        return self._call(fn, np.concatenate([self.point[None], self._nodes(self._table(1)[0])]))
+
+    def _chunks(self, order: int) -> list:
+        """Row selections of consecutive points whose g values at the nodes of `order` fit
+        CHUNK_BYTES, at least one point each; a one-point jet is one chunk, `...`."""
+        if self.point.ndim == 1:
+            return [...]
+        size = max(1, CHUNK_BYTES // (8 * len(self._table(order)[2]) * self.n * self.n))
+        return [slice(k, k + size) for k in range(0, len(self.point), size)]
 
     @cached_property
     def _order1(self) -> dict:
@@ -292,13 +338,13 @@ class MetricJet:
         return self._first_order(self._stencil(self.g_fn))
 
     def _first_order(self, g: np.ndarray) -> dict:
-        """The order-1 quantities, from g at the point and its nodes (`_stencil`); a
-        PointContext adds those of J_M. The value at the point is a copy, so that keeping it
+        """The order-1 quantities, from g at the points and their nodes (`_stencil`); a
+        PointContext adds those of J_M. The value at the points is a copy, so that keeping it
         does not keep the node values."""
-        return {"g": g[0].copy(), "dg": _jet(self._table(1), g[0], g[1:])}
+        return {"g": g[0].copy(), "dg": self._jet(1, g[0], g[1:])}
 
     g = _from_order1("g")
-    dg = _from_order1("dg", "dg[a, i, j] = d_a g_ij.")
+    dg = _from_order1("dg", "dg[..., a, i, j] = d_a g_ij.")
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -310,34 +356,38 @@ class MetricJet:
 
     @cached_property
     def g_nodes2(self) -> np.ndarray:
-        """g at the order-2 nodes."""
-        return np.asarray(self.g_fn(self.point + self._table(2)[0]), dtype=float)
+        """g at the order-2 nodes of every point, nodes[k, ...], from one call. They are kept
+        (nabla nabla w reads them), so evaluating them in chunks would save nothing, and
+        joining the chunks would copy a constant field's broadcast values."""
+        return self._call(self.g_fn, self._nodes(self._table(2)[0]))
 
     @cached_property
     def ddg(self) -> np.ndarray:
-        return _jet(self._table(2), self.g, self.g_nodes2)
+        return _join(self._jet(2, self.g[rows], self.g_nodes2[:, rows]) for rows in self._chunks(2))
 
-    def dddg(self) -> np.ndarray:
-        """d_a d_b d_c g, anew on each call: nabla Ricci reads it once, and a context keeps none."""
-        table = self._table(3)
-        return _jet(table, self.g, self.g_nodes2,
-                    np.asarray(self.g_fn(self.point + table[0]), dtype=float))
+    def dddg(self, rows=...) -> np.ndarray:
+        """d_a d_b d_c g at the points of `rows`, anew on each call: nabla Ricci reads it once per
+        chunk, and a jet keeps none."""
+        return self._jet(3, self.g[rows], self.g_nodes2[:, rows],
+                         self._call(self.g_fn, self._nodes(self._table(3)[0], rows)))
 
     @cached_property
     def dgamma(self) -> np.ndarray:
-        """dgamma[a, h, i, j] = d_a Gamma^h_ij, from g d_a Gamma = d_a L / 2 - d_a g Gamma."""
-        rhs = (0.5 * np.einsum("aitj->atij", _first_kind(self.ddg))
-               - np.einsum("ats,sij->atij", self.dg, self.gamma))
-        return np.einsum("ht,atij->ahij", self.ginv, rhs)
+        """dgamma[..., a, h, i, j] = d_a Gamma^h_ij, from g d_a Gamma = d_a L / 2 - d_a g Gamma."""
+        rhs = (0.5 * np.einsum("...aitj->...atij", _first_kind(self.ddg))
+               - np.einsum("...ats,...sij->...atij", self.dg, self.gamma))
+        return np.einsum("...ht,...atij->...ahij", self.ginv, rhs)
 
-    def ddgamma(self) -> np.ndarray:
-        """ddgamma[a, b, h, i, j] = d_a d_b Gamma^h_ij, anew on each call, like `dddg`, from
+    def ddgamma(self, rows=...) -> np.ndarray:
+        """ddgamma[..., a, b, h, i, j] = d_a d_b Gamma^h_ij at the points of `rows`, anew on each
+        call, like `dddg`, from
         g d_a d_b Gamma = d_a d_b L / 2 - d_a d_b g Gamma - d_a g d_b Gamma - d_b g d_a Gamma."""
-        cross = np.einsum("ats,bsij->abtij", self.dg, self.dgamma)  # d_a g d_b Gamma
-        rhs = (0.5 * np.einsum("abitj->abtij", _first_kind(self.dddg()))
-               - np.einsum("abts,sij->abtij", self.ddg, self.gamma)
-               - cross - np.swapaxes(cross, 0, 1))
-        return np.einsum("ht,abtij->abhij", self.ginv, rhs)
+        gamma, ginv = self.gamma[rows], self.ginv[rows]
+        cross = np.einsum("...ats,...bsij->...abtij", self.dg[rows], self.dgamma[rows])
+        rhs = (0.5 * np.einsum("...abitj->...abtij", _first_kind(self.dddg(rows)))
+               - np.einsum("...abts,...sij->...abtij", self.ddg[rows], gamma)
+               - cross - np.swapaxes(cross, -5, -4))
+        return np.einsum("...ht,...abtij->...abhij", ginv, rhs)
 
     @cached_property
     def curvature(self) -> CurvaturePack:
@@ -345,18 +395,25 @@ class MetricJet:
 
     @cached_property
     def cov_ricci(self) -> np.ndarray:
-        """cov_ricci[a, j, i] = (nabla_a S)_ji, with d_a S_ji = d_a R_hji^h from the order-3 jet."""
-        G, dG, ddG = self.gamma, self.dgamma, self.ddgamma()
-        dS = (np.einsum("ahhji->aji", ddG) - np.einsum("ajhhi->aji", ddG)
-              + np.einsum("atji,hht->aji", dG, G) + np.einsum("tji,ahht->aji", G, dG)
-              - np.einsum("athi,hjt->aji", dG, G) - np.einsum("thi,ahjt->aji", G, dG))
-        return covariant_derivative(dS, self.curvature.ricci, "dd", G)
+        """cov_ricci[..., a, j, i] = (nabla_a S)_ji, with d_a S_ji = d_a R_hji^h from the order-3
+        jet, one chunk of points at a time."""
+        return _join(self._cov_ricci(rows) for rows in self._chunks(3))
+
+    def _cov_ricci(self, rows) -> np.ndarray:
+        G, dG, ddG = self.gamma[rows], self.dgamma[rows], self.ddgamma(rows)
+        dS = (np.einsum("...ahhji->...aji", ddG) - np.einsum("...ajhhi->...aji", ddG)
+              + np.einsum("...atji,...hht->...aji", dG, G)
+              + np.einsum("...tji,...ahht->...aji", G, dG)
+              - np.einsum("...athi,...hjt->...aji", dG, G)
+              - np.einsum("...thi,...ahjt->...aji", G, dG))
+        return covariant_derivative(dS, self.curvature.ricci[rows], "dd", G)
 
 
 class PointContext(MetricJet):
-    """Lazy per-point cache of every derived quantity of a (g, J_M) pair: the metric's jet
-    and what the structure adds. Every cached member is computed at most once; the object
-    is effectively immutable after the caches fill, so contexts may be shared freely."""
+    """Lazy cache of every derived quantity of a (g, J_M) pair at one point or at each point
+    of a stack: the metric's jet and what the structure adds. Every cached member is computed
+    at most once; the object is effectively immutable after the caches fill, so contexts may
+    be shared freely."""
 
     def __init__(self, g_fn, j_fn, p: float, q: float, point, scheme: DiffScheme | None = None):
         super().__init__(g_fn, point, scheme)
@@ -365,21 +422,21 @@ class PointContext(MetricJet):
         self.q = float(q)
 
     def _first_order(self, g: np.ndarray) -> dict:
-        """Adds one stencil of J_M, and w = J_M g at the point and its nodes from both."""
-        table, J = self._table(1), self._stencil(self.j_fn)
+        """Adds one stencil of J_M, and w = J_M g at the points and their nodes from both."""
+        J = self._stencil(self.j_fn)
         w = np.einsum("...ti,...tm->...im", J, g)
         # dw differentiates the antisymmetric part of w: identical whenever the
         # bundle is skew-compatible, and still a well-defined 2-form (hence a
         # reportable residual) on bundles that fail that compatibility
         skew_w = 0.5 * (w - np.swapaxes(w, -1, -2))
-        skew = _jet(table, skew_w[0], skew_w[1:])
+        skew = self._jet(1, skew_w[0], skew_w[1:])
         return super()._first_order(g) | {
-            "J": J[0].copy(), "dJ": _jet(table, J[0], J[1:]),
-            "omega": w[0].copy(), "dw": _jet(table, w[0], w[1:]),
-            "domega": skew + np.einsum("bca->abc", skew) + np.einsum("cab->abc", skew),
+            "J": J[0].copy(), "dJ": self._jet(1, J[0], J[1:]),
+            "omega": w[0].copy(), "dw": self._jet(1, w[0], w[1:]),
+            "domega": skew + np.einsum("...bca->...abc", skew) + np.einsum("...cab->...abc", skew),
         }
 
-    # --- algebra at the point ---
+    # --- algebra at the points ---
 
     J = _from_order1("J")
 
@@ -391,24 +448,24 @@ class PointContext(MetricJet):
 
     # --- first derivatives ---
 
-    dJ = _from_order1("dJ", "dJ[a, h, i] = d_a (J_M)_i^h.")
-    dw = _from_order1("dw", "dw[a, i, m] = d_a w_im.")
-    domega = _from_order1("domega", "domega[a, b, c] = d_a w_bc + d_b w_ca + d_c w_ab.")
+    dJ = _from_order1("dJ", "dJ[..., a, h, i] = d_a (J_M)_i^h.")
+    dw = _from_order1("dw", "dw[..., a, i, m] = d_a w_im.")
+    domega = _from_order1("domega", "domega[..., a, b, c] = d_a w_bc + d_b w_ca + d_c w_ab.")
 
     @cached_property
     def covJ(self) -> np.ndarray:
-        """covJ[a, h, i] = (nabla_a J)_i^h."""
+        """covJ[..., a, h, i] = (nabla_a J)_i^h."""
         return covariant_derivative(self.dJ, self.J, "ud", self.gamma)
 
     @cached_property
     def sym_covJ(self) -> np.ndarray:
         """(nabla_i J)_j^h + (nabla_j J)_i^h, the nearly-vanishing combination."""
-        return self.covJ + np.einsum("ahi->iha", self.covJ)
+        return self.covJ + np.einsum("...ahi->...iha", self.covJ)
 
     @cached_property
     def F(self) -> np.ndarray:
-        """F[i, j, k] = g((nabla_i J) d_j, d_k) = g_kt (nabla_i J)_j^t."""
-        return np.einsum("itj,tk->ijk", self.covJ, self.g)
+        """F[..., i, j, k] = g((nabla_i J) d_j, d_k) = g_kt (nabla_i J)_j^t."""
+        return np.einsum("...itj,...tk->...ijk", self.covJ, self.g)
 
     @cached_property
     def cov_omega(self) -> np.ndarray:
@@ -429,33 +486,44 @@ class PointContext(MetricJet):
         identity nabla_h nabla_j (J_M)_i^h = S_jt (J_M)_i^t - H_ji; raising
         the 2-form's slots in the opposite order flips the sign.
         """
-        return np.einsum("hjit,ht->ji", self.curvature.Rup, self.J)
+        return np.einsum("...hjit,...ht->...ji", self.curvature.Rup, self.J)
 
     @cached_property
     def Sstar(self) -> np.ndarray:
         """Ricci-star: S*_ji = -H_jt (J_M)_i^t."""
-        return -np.einsum("jt,ti->ji", self.H, self.J)
+        return -np.einsum("...jt,...ti->...ji", self.H, self.J)
 
     @cached_property
-    def scalar_star(self) -> float:
-        return float(np.einsum("nj,jn->", self.ginv, self.Sstar))
+    def scalar_star(self) -> float | np.ndarray:
+        return np.einsum("...nj,...jn->...", self.ginv, self.Sstar)
 
     @cached_property
-    def norm_covJ_sq(self) -> float:
-        """g^{km} g_{jt} g^{is} (nabla_m J)_i^t (nabla_k J)_s^j (signed for indefinite g)."""
-        return float(
-            np.einsum("km,jt,is,mti,kjs->", self.ginv, self.g, self.ginv, self.covJ, self.covJ)
-        )
+    def norm_covJ_sq(self) -> float | np.ndarray:
+        """g^{km} g_{jt} g^{is} (nabla_m J)_i^t (nabla_k J)_s^j (signed for indefinite g), as
+        one contraction at a time."""
+        raised = np.einsum("...km,...mti->...kti", self.ginv, self.covJ)  # nabla^k J
+        lowered = np.einsum("...jt,...kti->...kji", self.g, raised)
+        return np.einsum("...kji,...kjs,...is->...", lowered, self.covJ, self.ginv)
 
     # --- second derivatives ---
 
     @cached_property
     def covcov_omega(self) -> np.ndarray:
-        """covcov[a, b, i, m] = (nabla_a nabla_b w)_im, from the order-2 jet of w: d_a (nabla_b w)
-        is d_a d_b w plus d_a of the connection terms of nabla_b w."""
-        n, gamma, w = self.n, self.gamma, self.omega
-        J_nodes = np.asarray(self.j_fn(self.point + self._table(2)[0]), dtype=float)
-        ddw = _jet(self._table(2), w, np.einsum("...ti,...tm->...im", J_nodes, self.g_nodes2))
-        d_cov = (ddw + _cov_correct(self.dw, "dd", np.broadcast_to(gamma, (n,) + gamma.shape))
-                 + _cov_correct(np.broadcast_to(w, (n,) + w.shape), "dd", self.dgamma))
-        return covariant_derivative(d_cov, self.cov_omega, "ddd", gamma)
+        """covcov[..., a, b, i, m] = (nabla_a nabla_b w)_im, one chunk of points at a time."""
+        return _join(self._covcov_omega(rows) for rows in self._chunks(2))
+
+    def _covcov_omega(self, rows) -> np.ndarray:
+        """nabla nabla w at the points of `rows`, from the order-2 jet of w: d_a (nabla_b w) is
+        d_a d_b w plus d_a of the connection terms of nabla_b w."""
+        n, gamma, w, dw = self.n, self.gamma[rows], self.omega[rows], self.dw[rows]
+        J_nodes = self._call(self.j_fn, self._nodes(self._table(2)[0], rows))
+        w_nodes = np.einsum("...ti,...tm->...im", J_nodes, self.g_nodes2[:, rows])
+        del J_nodes
+        ddw = self._jet(2, w, w_nodes)
+        stack = gamma.shape[:-3]
+        d_cov = (ddw
+                 + _cov_correct(dw, "dd", np.broadcast_to(gamma[..., None, :, :, :],
+                                                          stack + (n,) + gamma.shape[-3:]))
+                 + _cov_correct(np.broadcast_to(w[..., None, :, :], stack + (n,) + w.shape[-2:]),
+                                "dd", self.dgamma[rows]))
+        return covariant_derivative(d_cov, self.cov_omega[rows], "ddd", gamma)

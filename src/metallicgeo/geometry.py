@@ -10,14 +10,15 @@ Index conventions used throughout the package:
   a coordinate vector v;
 * the metric g has signature "dd" and its inverse "uu".
 
-All pointwise operations here are pure functions of immutable inputs, so
-they are safe to evaluate in parallel across sample points. `largest`
-reduces every reported value over the sample points, in point order.
+All pointwise operations here are pure functions of immutable inputs;
+field calls, the inverse metric and the chart-bounds check accept a stack
+of points as well as one point. `max_abs_per_point`
+reduces a stacked tensor to one value per point, and `largest` reduces such
+a vector over the sample points: every reported value goes through it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -32,6 +33,7 @@ __all__ = [
     "TensorField",
     "inverse_metric",
     "max_abs",
+    "max_abs_per_point",
     "largest",
 ]
 
@@ -64,15 +66,25 @@ def max_abs(arr) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def max_abs_per_point(arr) -> np.ndarray:
+    """The largest |entry| at each point of a stack: |arr| reduced over every axis but the
+    first, from the largest and the smallest entry, so that no copy of |arr| is made (a NaN
+    stays a NaN)."""
+    arr = np.asarray(arr, dtype=float)
+    arr = arr.reshape(len(arr), -1)
+    return np.maximum(arr.max(axis=1, initial=0.0), -arr.min(axis=1, initial=0.0))
+
+
 def largest(values, points, quantity: str) -> float:
-    """The largest of non-negative values[k] at points[k] (0.0 for none); the first value
-    that is not finite raises NumericalError naming `quantity` and its point (the builtin
-    max alone drops a NaN that does not come first)."""
-    values = [float(v) for v in values]
-    for k, v in enumerate(values):
-        if not math.isfinite(v):
-            raise NumericalError(f"{quantity} is {v:g} at point {points[k].tolist()}")
-    return max(values, default=0.0)
+    """The largest of non-negative values[k] at points[k] (0.0 for none), from an (m,)
+    vector; the first value that is not finite raises NumericalError naming `quantity` and
+    its point."""
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NumericalError(f"{quantity} is {values[k]:g} at point {points[k].tolist()}")
+    return float(values.max()) if values.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -128,14 +140,17 @@ class Chart:
         return bool(np.all(p >= b[:, 0] + margin) and np.all(p <= b[:, 1] - margin))
 
     def require_inside(self, point, reach: float = 0.0):
-        """Raise ChartBoundsError unless point +- reach stays inside the bounds."""
-        if not self.contains(point):
-            raise ChartBoundsError(f"point {np.asarray(point, dtype=float).tolist()} is outside the chart")
-        if not self.contains(point, margin=reach):
-            raise ChartBoundsError(
-                f"point {np.asarray(point, dtype=float).tolist()} is too close to the boundary"
-                f" for reach {reach:g}"
-            )
+        """Raise ChartBoundsError unless point +- reach stays inside the bounds, for one point
+        (n,) or each point of a stack (m, n); the error names the first point that fails."""
+        pts = np.asarray(point, dtype=float).reshape(-1, self.dimension)
+        b = self.bounds_array
+        clear = np.all((pts >= b[:, 0] + reach) & (pts <= b[:, 1] - reach), axis=1)
+        if clear.all():
+            return
+        bad = pts[np.argmin(clear)]
+        if not self.contains(bad):
+            raise ChartBoundsError(f"point {bad.tolist()} is outside the chart")
+        raise ChartBoundsError(f"point {bad.tolist()} is too close to the boundary for reach {reach:g}")
 
     def sample_points(self) -> np.ndarray:
         """Deterministic sample points: grid, then named (sorted), then random."""

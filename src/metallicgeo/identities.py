@@ -10,9 +10,12 @@ known to close only for special parameter values, so their pass flags are
 informational and do not drive exit codes.
 
 Each identity is one `Identity` record: its gate, its tolerance tier and
-the residual with its scale at one point. `evaluate` applies the gates,
-walks the sample points and aggregates, so every checker below is its
-table plus, where an identity does not fit a record, a few explicit lines.
+the residual with its scale at every sample point, as two (m,) vectors
+computed from the one PointContext of the stacked sample points (every
+member carries the point axis first). `evaluate` applies the gates, calls
+each record once and reduces its vectors with `geometry.largest`, so every
+checker below is its table plus, where an identity does not fit a record,
+a few explicit lines.
 
 Conventions: see diffcalc. In particular H_ji = R_hji^t (J_M)_t^h and
 S*_ji = -H_jt (J_M)_i^t, the arrangement under which the contracted
@@ -27,11 +30,11 @@ d_a w_bc + d_b w_ca + d_c w_ab.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import largest, max_abs
+from .geometry import largest, max_abs_per_point
 from .metallic import StructureBundle, VERDICT_KAHLER, VERDICT_NONE
 
 __all__ = [
@@ -92,13 +95,13 @@ def _skip(id_: str, note: str) -> IdentityResult:
     return IdentityResult(id=id_, skipped=True, passed=False, note=note)
 
 
-def _result(id_: str, pairs: Iterable[tuple], points, tol: float, asserted: bool = True,
+def _result(id_: str, pair: tuple, points, tol: float, asserted: bool = True,
             note: str = "") -> IdentityResult:
-    """Reduce (residual, scale) pairs, pairs[k] at points[k], with `geometry.largest`: a value
-    that is not finite is a NumericalError naming the identity and point, not a failed check."""
-    pairs = list(pairs)
-    max_res = largest((r for r, _ in pairs), points, f"residual of {id_}")
-    scale = largest((s for _, s in pairs), points, f"scale of {id_}")
+    """Reduce the (residual, scale) vectors, entry k at points[k], with `geometry.largest`: a
+    value that is not finite is a NumericalError naming the identity and point, not a failed
+    check."""
+    max_res = largest(pair[0], points, f"residual of {id_}")
+    scale = largest(pair[1], points, f"scale of {id_}")
     rel = max_res / max(1.0, scale)
     return IdentityResult(
         id=id_, max_residual=max_res, scale=scale, tolerance=tol,
@@ -121,7 +124,7 @@ not_nearly = _gate(lambda cls: cls.nearly, "needs a nearly metallic Kähler bund
 
 @dataclass(frozen=True)
 class Identity:
-    """One residual check: fn(point value) -> (residual, scale) at each sample point.
+    """One residual check: fn(stacked values) -> (residual, scale), two (m,) vectors.
 
     gate returns why the bundle is outside the identity's hypothesis class
     ("" when it is inside; None means no gate); tier names the Tolerances
@@ -139,8 +142,8 @@ class Identity:
 def evaluate(bundle: StructureBundle, identities, values=None) -> list:
     """Gate, evaluate and aggregate identity records in table order.
 
-    The records read the PointContext of each sample point, or the
-    per-point `values` when the caller supplies them (in point order).
+    Each record is called once, with the PointContext of the sample points,
+    or with the `values` stacked over them when the caller supplies them.
     """
     out = []
     for ident in identities:
@@ -149,25 +152,32 @@ def evaluate(bundle: StructureBundle, identities, values=None) -> list:
             out.append(_skip(ident.id, reason))
             continue
         if values is None:
-            values = bundle.contexts()
-        out.append(_result(ident.id, [ident.fn(v) for v in values], bundle.sample_points,
+            values = bundle.context(bundle.sample_points)
+        out.append(_result(ident.id, ident.fn(values), bundle.sample_points,
                            getattr(bundle.tolerances, ident.tier), ident.asserted, ident.note))
     return out
 
 
+def _zero(residual: np.ndarray, *terms) -> tuple:
+    """Residual of `residual = 0` at each point, with the largest entry of any of the terms
+    there as its scale."""
+    return max_abs_per_point(residual), np.max([max_abs_per_point(t) for t in terms], axis=0)
+
+
 def _diff(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
     """Residual of lhs = rhs with the larger side's norm as its scale."""
-    return max_abs(lhs - rhs), max(max_abs(lhs), max_abs(rhs))
+    return _zero(lhs - rhs, lhs, rhs)
 
 
 def _skew_part(M: np.ndarray) -> tuple:
     """Residual of M = -M^T with the norm of M as its scale."""
-    return max_abs(M + M.T), max_abs(M)
+    return _zero(M + np.swapaxes(M, -1, -2), M)
 
 
 def _cartan_sum(F: np.ndarray) -> np.ndarray:
-    """The displayed covariant cyclic sum: cart[a,b,c] = F[a,c,b] + F[b,a,c] + F[c,b,a]."""
-    return np.einsum("acb->abc", F) + np.einsum("bac->abc", F) + np.einsum("cba->abc", F)
+    """The displayed covariant cyclic sum: cart[..., a,b,c] = F[a,c,b] + F[b,a,c] + F[c,b,a]."""
+    return (np.einsum("...acb->...abc", F) + np.einsum("...bac->...abc", F)
+            + np.einsum("...cba->...abc", F))
 
 
 # --- first-derivative identities -------------------------------------------------
@@ -184,10 +194,10 @@ def check_covderiv_identities(bundle: StructureBundle) -> list:
     """
     exchange, skew = evaluate(bundle, (
         Identity("covderiv-conjugate-exchange", None, "d1",
-                 lambda ctx: _diff(np.einsum("aht,tj->ajh", ctx.covJ, ctx.J),
-                                   np.einsum("ht,atj->ajh", ctx.Jhat, ctx.covJ))),
+                 lambda ctx: _diff(np.einsum("...aht,...tj->...ajh", ctx.covJ, ctx.J),
+                                   np.einsum("...ht,...atj->...ajh", ctx.Jhat, ctx.covJ))),
         Identity("covderiv-skew-adjoint", None, "d1",
-                 lambda ctx: (max_abs(ctx.F + np.einsum("ajk->akj", ctx.F)), max_abs(ctx.F))),
+                 lambda ctx: _zero(ctx.F + np.einsum("...ajk->...akj", ctx.F), ctx.F)),
     ))
     if not_hermitian(bundle):
         skew = replace(skew, note="requires skew compatibility")
@@ -205,27 +215,27 @@ def check_f_properties(bundle: StructureBundle, mode: str) -> list:
     if mode == "hermitian":
         return evaluate(bundle, (
             Identity("f-skew-last-args", not_hermitian, "d1",
-                     lambda ctx: (max_abs(ctx.F + np.einsum("ijk->ikj", ctx.F)), max_abs(ctx.F))),
+                     lambda ctx: _zero(ctx.F + np.einsum("...ijk->...ikj", ctx.F), ctx.F)),
             Identity("f-structure-pair-rescale", not_hermitian, "d1",
-                     lambda ctx: _diff(np.einsum("iab,aj,bk->ijk", ctx.F, ctx.J, ctx.J),
-                                       1.5 * ctx.q * np.einsum("ikj->ijk", ctx.F))),
+                     lambda ctx: _diff(np.einsum("...iab,...aj,...bk->...ijk", ctx.F, ctx.J, ctx.J),
+                                       1.5 * ctx.q * np.einsum("...ikj->...ijk", ctx.F))),
         ))
     if mode == "nearly":
         return evaluate(bundle, (
             Identity("f-nearly-outer-rescale", not_nearly, "d1",
-                     lambda ctx: _diff(np.einsum("ajc,ai,ck->ijk", ctx.F, ctx.J, ctx.J),
-                                       1.5 * ctx.q * np.einsum("jik->ijk", ctx.F))),
+                     lambda ctx: _diff(np.einsum("...ajc,...ai,...ck->...ijk", ctx.F, ctx.J, ctx.J),
+                                       1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
             Identity("f-nearly-double-structure", not_nearly, "d1",
-                     lambda ctx: _diff(np.einsum("abk,ai,bj->ijk", ctx.F, ctx.J, ctx.J),
-                                       1.5 * ctx.q * np.einsum("jik->ijk", ctx.F))),
+                     lambda ctx: _diff(np.einsum("...abk,...ai,...bj->...ijk", ctx.F, ctx.J, ctx.J),
+                                       1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
         ))
     raise ValueError("mode must be 'hermitian' or 'nearly'")
 
 
 def _balance(ctx) -> tuple:
     cart = _cartan_sum(ctx.F)
-    left = 3.0 * ctx.q * ctx.F + np.einsum("ai,jkt,at->ijk", ctx.Jhat, ctx.N, ctx.g)
-    right = np.einsum("ibc,bj,ck->ijk", cart, ctx.J, ctx.J) - 1.5 * ctx.q * cart
+    left = 3.0 * ctx.q * ctx.F + np.einsum("...ai,...jkt,...at->...ijk", ctx.Jhat, ctx.N, ctx.g)
+    right = np.einsum("...ibc,...bj,...ck->...ijk", cart, ctx.J, ctx.J) - 1.5 * ctx.q * cart
     return _diff(left, right)
 
 
@@ -268,11 +278,12 @@ def check_curvature_commutation(bundle: StructureBundle) -> list:
     """
     return evaluate(bundle, (
         Identity("curvature-structure-commute", not_kahler, "d2",
-                 lambda ctx: (max_abs(np.einsum("ti,kjth->kjih", ctx.J, ctx.curvature.Rup)
-                                      - np.einsum("kjit,ht->kjih", ctx.curvature.Rup, ctx.J)),
-                              max_abs(ctx.curvature.Rup))),
+                 lambda ctx: _zero(np.einsum("...ti,...kjth->...kjih", ctx.J, ctx.curvature.Rup)
+                                   - np.einsum("...kjit,...ht->...kjih", ctx.curvature.Rup, ctx.J),
+                                   ctx.curvature.Rup)),
         Identity("curvature-structure-pair", not_kahler, "d2",
-                 lambda ctx: _diff(np.einsum("ak,bj,abih->kjih", ctx.J, ctx.J, ctx.curvature.Rup),
+                 lambda ctx: _diff(np.einsum("...ak,...bj,...abih->...kjih",
+                                             ctx.J, ctx.J, ctx.curvature.Rup),
                                    1.5 * ctx.q * ctx.curvature.Rup)),
     ))
 
@@ -281,19 +292,19 @@ def _ricci_pair(ctx, row: str) -> tuple:
     """One of the three Ricci contractions reported by check_ricci_pair_identities."""
     p, q = ctx.p, ctx.q
     S, J, Jhat, Rup = ctx.curvature.ricci, ctx.J, ctx.Jhat, ctx.curvature.Rup
-    SXJY = np.einsum("ia,aj->ij", S, J)
+    SXJY = np.einsum("...ia,...aj->...ij", S, J)
     if row == "pair":
-        SJJ = np.einsum("ab,ai,bj->ij", S, J, J)
+        SJJ = np.einsum("...ab,...ai,...bj->...ij", S, J, J)
         c1 = p * p - 9 * q * q * p * p / 4 + 9 * q * q / 4
         c2 = 3 * p * q / 2 - 9 * q * q * p / 4
         r1 = SJJ - c1 * S - c2 * SXJY
-        return max_abs(r1), max(max_abs(SJJ), max_abs(c1 * S), max_abs(c2 * SXJY))
-    TR = np.einsum("bj,ibtm,tm->ij", J, Rup, Jhat)
+        return _zero(r1, SJJ, c1 * S, c2 * SXJY)
+    TR = np.einsum("...bj,...ibtm,...tm->...ij", J, Rup, Jhat)
     if row == "trace-stated":
         r2 = (1 + 1.5 * q) * S - p * SXJY + (2.0 / (3 * q)) * TR
-        return max_abs(r2), max(max_abs((1 + 1.5 * q) * S), max_abs((2.0 / (3 * q)) * TR))
+        return _zero(r2, (1 + 1.5 * q) * S, (2.0 / (3 * q)) * TR)
     r3 = S + (2.0 / (3 * q)) * TR + p * SXJY - 1.5 * q * SXJY
-    return max_abs(r3), max(max_abs(S), max_abs((2.0 / (3 * q)) * TR))
+    return _zero(r3, S, (2.0 / (3 * q)) * TR)
 
 
 def check_ricci_pair_identities(bundle: StructureBundle) -> list:
@@ -321,15 +332,16 @@ def _ricci_cycle(ctx, derived: bool) -> tuple:
     p, q = ctx.p, ctx.q
     covS, J, Jhat = ctx.cov_ricci, ctx.J, ctx.Jhat
     a = 1 + 1.5 * q
-    covS_J = np.einsum("zxa,ay->zxy", covS, J)       # (nabla_Z S)(X, J_M Y)
+    covS_J = np.einsum("...zxa,...ay->...zxy", covS, J)       # (nabla_Z S)(X, J_M Y)
     lhs = a * covS - p * covS_J                       # [z, x, y]
-    rhs_common = a * np.einsum("xzy->zxy", covS) - p * np.einsum("xza,ay->zxy", covS, J)
+    rhs_common = (a * np.einsum("...xzy->...zxy", covS)
+                  - p * np.einsum("...xza,...ay->...zxy", covS, J))
     # (nabla_{J_M Y} S)(X, B) = J[a, y] covS[a, x, b]
-    covS_JY = np.einsum("ay,axb->yxb", J, covS)
-    term_hat = np.einsum("yxb,bz->zxy", covS_JY, Jhat)
-    last = np.einsum("yxz->zxy", covS_JY) if derived else term_hat
+    covS_JY = np.einsum("...ay,...axb->...yxb", J, covS)
+    term_hat = np.einsum("...yxb,...bz->...zxy", covS_JY, Jhat)
+    last = np.einsum("...yxz->...zxy", covS_JY) if derived else term_hat
     r = lhs - (rhs_common + (2.0 / (3 * q) + 1) * term_hat - p * last)
-    return max_abs(r), max(max_abs(lhs), max_abs(rhs_common), max_abs(term_hat), 0.0)
+    return _zero(r, lhs, rhs_common, term_hat)
 
 
 def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
@@ -341,7 +353,7 @@ def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
         + (2/3q + 1)(nabla_{J_M Y} S)(X, JMhat Z) - p (nabla_{J_M Y} S)(X, JMhat Z),
     and the derivation-level variant with (nabla_{J_M Y} S)(X, Z) in the
     last term. Third derivatives of g: loosest tier, report-only. Both
-    rows read the cached nabla S of each point context.
+    rows read the cached nabla S of the stacked context.
     """
     note = "report-only: statement and derivation disagree in one argument"
     return evaluate(bundle, (
@@ -356,8 +368,8 @@ def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
 
 
 def _star_contraction(ctx) -> tuple:
-    lhs = np.einsum("jt,ti->ji", ctx.Sstar, ctx.Jhat)
-    return max_abs(lhs + 1.5 * ctx.q * ctx.H), max(max_abs(lhs), max_abs(1.5 * ctx.q * ctx.H))
+    lhs = np.einsum("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat)
+    return _zero(lhs + 1.5 * ctx.q * ctx.H, lhs, 1.5 * ctx.q * ctx.H)
 
 
 def check_star_pack(bundle: StructureBundle) -> list:
@@ -371,7 +383,7 @@ def check_star_pack(bundle: StructureBundle) -> list:
 
 def _divergence_omega(ctx) -> np.ndarray:
     """nabla^m nabla_j w_im from the second covariant derivative of w."""
-    return np.einsum("tjim,mt->ji", ctx.covcov_omega, ctx.ginv)
+    return np.einsum("...tjim,...mt->...ji", ctx.covcov_omega, ctx.ginv)
 
 
 def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
@@ -387,27 +399,30 @@ def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
     chain = evaluate(bundle, [Identity(
         "divergence-ricci-chain", not_nearly, "d2",
         lambda ctx: _diff(_divergence_omega(ctx),
-                          np.einsum("jt,ti->ji", ctx.curvature.ricci, ctx.J)
-                          + (2.0 / (3 * ctx.q)) * np.einsum("jt,ti->ji", ctx.Sstar, ctx.Jhat)))
+                          np.einsum("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J)
+                          + (2.0 / (3 * ctx.q))
+                          * np.einsum("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat)))
     ])[0]
     if chain.skipped:
         return chain
-    obs = largest((max_abs(_divergence_omega(ctx)) for ctx in bundle.contexts()),
-                  bundle.sample_points, "observed |nabla^m nabla_j w_im|")
-    return replace(chain, note=f"observed |nabla^m nabla_j w_im| = {obs:.6g} (reported, not asserted)")
+    points = bundle.sample_points
+    obs = largest(max_abs_per_point(_divergence_omega(bundle.context(points))), points,
+                  "observed |nabla^m nabla_j w_im|")
+    return replace(chain,
+                   note=f"observed |nabla^m nabla_j w_im| = {obs:.6g} (reported, not asserted)")
 
 
 def check_ricci_hyperbolic(bundle: StructureBundle) -> IdentityResult:
     """S_ti (J_M)_j^t = -S_jt (J_M)_i^t on a nearly metallic Kahler bundle."""
     return evaluate(bundle, [Identity(
         "ricci-hyperbolic", not_nearly, "d2",
-        lambda ctx: _skew_part(np.einsum("jt,ti->ji", ctx.curvature.ricci, ctx.J)))])[0]
+        lambda ctx: _skew_part(np.einsum("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J)))])[0]
 
 
 def _ricci_star_hyperbolic(ctx) -> tuple:
-    A = np.einsum("jm,mi->ji", ctx.Sstar, ctx.Jhat)
-    B = -np.einsum("mi,mj->ji", ctx.Sstar, ctx.Jhat)
-    return max_abs(A - B), max_abs(A)
+    A = np.einsum("...jm,...mi->...ji", ctx.Sstar, ctx.Jhat)
+    B = -np.einsum("...mi,...mj->...ji", ctx.Sstar, ctx.Jhat)
+    return _zero(A - B, A)
 
 
 def check_ricci_star_hyperbolic(bundle: StructureBundle) -> list:
@@ -416,7 +431,7 @@ def check_ricci_star_hyperbolic(bundle: StructureBundle) -> list:
     return evaluate(bundle, (
         Identity("ricci-star-hyperbolic", not_nearly, "d2", _ricci_star_hyperbolic),
         Identity("star-contraction-cancel", not_nearly, "d2",
-                 lambda ctx: _skew_part(np.einsum("jm,mi->ji", ctx.Sstar, ctx.Jhat))),
+                 lambda ctx: _skew_part(np.einsum("...jm,...mi->...ji", ctx.Sstar, ctx.Jhat))),
     ))
 
 
@@ -424,18 +439,17 @@ def _scalar_star_relation(ctx) -> tuple:
     q = ctx.q
     lhs = ctx.scalar_star
     rhs = 1.5 * q * ctx.curvature.scalar - ctx.norm_covJ_sq
-    scale = max(abs(lhs), abs(1.5 * q * ctx.curvature.scalar), abs(ctx.norm_covJ_sq))
-    return abs(lhs - rhs), scale
+    return _zero(lhs - rhs, lhs, 1.5 * q * ctx.curvature.scalar, ctx.norm_covJ_sq)
 
 
 def _ricci_omega_trace(ctx, raw: bool = False) -> tuple:
     # the Ricci tensor is symmetric by theorem; its raw finite-difference
     # asymmetry is measured by the curvature invariants, so the mixed trace
     # is taken against the symmetric part (and the raw value observed)
-    ricci_sym = 0.5 * (ctx.curvature.ricci + ctx.curvature.ricci.T)
-    w_up = np.einsum("ji,tm,im->jt", ctx.ginv, ctx.ginv, ctx.omega)
-    trace = np.einsum("jt,jt->", ctx.curvature.ricci if raw else ricci_sym, w_up)
-    return abs(float(trace)), max_abs(ricci_sym)
+    ricci_sym = 0.5 * (ctx.curvature.ricci + np.swapaxes(ctx.curvature.ricci, -1, -2))
+    w_up = np.einsum("...ji,...tm,...im->...jt", ctx.ginv, ctx.ginv, ctx.omega)
+    trace = np.einsum("...jt,...jt->...", ctx.curvature.ricci if raw else ricci_sym, w_up)
+    return np.abs(trace), max_abs_per_point(ricci_sym)
 
 
 def check_scalar_star(bundle: StructureBundle) -> list:
@@ -454,10 +468,11 @@ def check_scalar_star(bundle: StructureBundle) -> list:
     id_ = "ricci-omega-trace-zero"
     if relation.skipped:
         return [relation, _skip(id_, relation.note)]
-    contexts, points = bundle.contexts(), bundle.sample_points
-    raw_obs = largest((_ricci_omega_trace(ctx, raw=True)[0] for ctx in contexts), points,
+    points = bundle.sample_points
+    ctx = bundle.context(points)
+    raw_obs = largest(_ricci_omega_trace(ctx, raw=True)[0], points,
                       "raw (unsymmetrized) trace S_jt w^jt")
-    trace = _result(id_, [_ricci_omega_trace(ctx) for ctx in contexts], points, 1e-10,
+    trace = _result(id_, _ricci_omega_trace(ctx), points, 1e-10,
                     note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")
     return [relation, replace(trace, passed=trace.max_residual < 1e-10)]
 
@@ -473,9 +488,10 @@ def check_nearly_nijenhuis(bundle: StructureBundle) -> list:
     """
     return evaluate(bundle, (
         Identity("nijenhuis-covderiv-form", not_nearly, "d1",
-                 lambda ctx: _diff(ctx.N, -4.0 * np.einsum("ht,itj->ijh", ctx.J, ctx.covJ))),
+                 lambda ctx: _diff(ctx.N,
+                                   -4.0 * np.einsum("...ht,...itj->...ijh", ctx.J, ctx.covJ))),
         Identity("structure-divergence-free", not_nearly, "d1",
-                 lambda ctx: (max_abs(np.einsum("iij->j", ctx.covJ)), max_abs(ctx.covJ))),
+                 lambda ctx: _zero(np.einsum("...iij->...j", ctx.covJ), ctx.covJ)),
     ))
 
 

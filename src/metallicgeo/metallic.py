@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .diffcalc import DiffScheme, PointContext
-from .geometry import Chart, TensorField, largest, max_abs
+from .geometry import Chart, TensorField, largest, max_abs_per_point
 
 __all__ = [
     "MetallicParams",
@@ -115,12 +115,12 @@ class Tolerances:
 
 @dataclass(eq=False)
 class StructureBundle:
-    """Chart + metric + metallic structure, with cached per-point contexts.
+    """Chart + metric + metallic structure, with one cached context of its sample points.
 
     The bundle owns every setting of a run: the sample points (from the
     chart), the differencing scheme and the tolerances. Immutable after
-    construction; classification, contexts and connection terms (one list per
-    kind, in sample-point order) are memoized.
+    construction; classification, contexts and connection terms (one dict of
+    arrays stacked over the sample points per kind) are memoized.
     """
 
     chart: Chart
@@ -135,7 +135,7 @@ class StructureBundle:
         self.scheme.check_chart(self.chart)
         self._contexts: dict = {}
         self._classification: Optional[ClassificationReport] = None
-        self._connections: dict = {}  # kind -> terms per sample point, kept by connections
+        self._connections: dict = {}  # kind -> terms stacked over the sample points
 
     @classmethod
     def from_j(cls, chart, g, j_field, params, sign=+1, **kw) -> "StructureBundle":
@@ -146,16 +146,16 @@ class StructureBundle:
         return self.chart.sample_points()
 
     def context(self, point) -> PointContext:
-        key = np.asarray(point, dtype=float).tobytes()
+        """The context of one point (n,) or of a stack of points (m, n), such as the sample
+        points; each is built once, after its points pass the chart-bounds check."""
+        point = np.asarray(point, dtype=float)
+        key = (point.shape, point.tobytes())
         ctx = self._contexts.get(key)
         if ctx is None:
             self.chart.require_inside(point, self.scheme.reach)
             ctx = PointContext(self.g, self.jm, self.params.p, self.params.q, point, self.scheme)
             self._contexts[key] = ctx
         return ctx
-
-    def contexts(self):
-        return [self.context(pt) for pt in self.sample_points]
 
     def classification(self) -> "ClassificationReport":
         if self._classification is None:
@@ -184,25 +184,29 @@ class ClassificationReport:
         }
 
 
-def _hyperbolic_derived(ctx) -> float:
+def _hyperbolic_derived(ctx) -> np.ndarray:
     """g(J_M X, J_M Y) + p g(X, J_M Y) - (3/2) q g(X, Y), the derived compatibility form."""
-    pair = np.einsum("ai,bm,ab->im", ctx.J, ctx.J, ctx.g)
-    return max_abs(pair + ctx.p * ctx.omega.T - 1.5 * ctx.q * ctx.g)
+    pair = np.einsum("...ai,...bm,...ab->...im", ctx.J, ctx.J, ctx.g)
+    return max_abs_per_point(pair + ctx.p * np.swapaxes(ctx.omega, -1, -2) - 1.5 * ctx.q * ctx.g)
 
 
-# (residual name, tolerance tier, ctx -> residual at that point)
+def _skew_residual(ctx) -> np.ndarray:
+    return max_abs_per_point(ctx.omega + np.swapaxes(ctx.omega, -1, -2))
+
+
+# (residual name, tolerance tier, stacked ctx -> (m,) residual at each point)
 RESIDUALS = (
-    ("polynomial", "alg",
-     lambda ctx: max_abs(ctx.J @ ctx.J - ctx.p * ctx.J + 1.5 * ctx.q * np.eye(ctx.n))),
-    ("conjugate_polynomial", "alg",
-     lambda ctx: max_abs(ctx.Jhat @ ctx.Jhat - ctx.p * ctx.Jhat + 1.5 * ctx.q * np.eye(ctx.n))),
-    ("hyperbolic_direct", "alg", lambda ctx: max_abs(ctx.omega + ctx.omega.T)),
+    ("polynomial", "alg", lambda ctx: max_abs_per_point(
+        ctx.J @ ctx.J - ctx.p * ctx.J + 1.5 * ctx.q * np.eye(ctx.n))),
+    ("conjugate_polynomial", "alg", lambda ctx: max_abs_per_point(
+        ctx.Jhat @ ctx.Jhat - ctx.p * ctx.Jhat + 1.5 * ctx.q * np.eye(ctx.n))),
+    ("hyperbolic_direct", "alg", _skew_residual),
     ("hyperbolic_derived", "alg", _hyperbolic_derived),
-    ("omega_skewness", "alg", lambda ctx: max_abs(ctx.omega + ctx.omega.T)),
-    ("max_domega", "d1", lambda ctx: max_abs(ctx.domega)),
-    ("max_nijenhuis", "d1", lambda ctx: max_abs(ctx.N)),
-    ("max_cov_jm", "d1", lambda ctx: max_abs(ctx.covJ)),
-    ("max_sym_cov_jm", "d1", lambda ctx: max_abs(ctx.sym_covJ)),
+    ("omega_skewness", "alg", _skew_residual),
+    ("max_domega", "d1", lambda ctx: max_abs_per_point(ctx.domega)),
+    ("max_nijenhuis", "d1", lambda ctx: max_abs_per_point(ctx.N)),
+    ("max_cov_jm", "d1", lambda ctx: max_abs_per_point(ctx.covJ)),
+    ("max_sym_cov_jm", "d1", lambda ctx: max_abs_per_point(ctx.sym_covJ)),
 )
 
 
@@ -219,9 +223,8 @@ def classify(bundle: StructureBundle) -> ClassificationReport:
     finite at some point raises NumericalError naming that point.
     """
     tol = bundle.tolerances
-    contexts = bundle.contexts()
-    res = {name: largest((fn(ctx) for ctx in contexts), bundle.sample_points,
-                         f"classification residual {name}")
+    ctx = bundle.context(bundle.sample_points)
+    res = {name: largest(fn(ctx), bundle.sample_points, f"classification residual {name}")
            for name, _, fn in RESIDUALS}
 
     hermitian = res["polynomial"] < tol.alg and res["hyperbolic_direct"] < tol.alg

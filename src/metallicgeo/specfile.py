@@ -173,9 +173,15 @@ def parse_spec(text: str) -> ManifoldSpec:
     if not spec.s_entries:
         raise SpecFileError(1, 1, "no structure components given")
     n = spec.dimension
+    bounds = np.asarray(spec.bounds, dtype=float)
+    # bounds or a margin that the chart rejects are reported by the chart itself
+    checkable = np.isfinite(bounds).all() and np.isfinite(spec.margin)
     for name, pt in spec.named_points.items():
         if len(pt) != n:
             raise SpecFileError(*point_at[name], f"named point {name!r} needs {n} coordinates, got {len(pt)}")
+        inside = (bounds[:, 0] + spec.margin <= pt) & (pt <= bounds[:, 1] - spec.margin)
+        if checkable and not inside.all():
+            raise SpecFileError(*point_at[name], f"named point {name!r} is not inside the chart margin")
     for (i, j) in list(spec.g_entries) + list(spec.s_entries):
         if not (0 <= i < n and 0 <= j < n):
             raise SpecFileError(1, 1, f"component index [{i}][{j}] outside dimension {n}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metallicgeo import connections, identities
-from metallicgeo.cli import main, report_json
+from metallicgeo.cli import main, make_parser, report_json
 
 
 def run(capsys, *argv):
@@ -175,12 +175,15 @@ DISK = (
     (GOOD_SPEC + "point a = 0.1\n", [], 2,
      "line 9, offset 11: named point 'a' needs 2 coordinates, got 1"),
     (GOOD_SPEC + "grid = -3\n", [], 2, "grid must be non-negative, got -3"),
+    (GOOD_SPEC + "point a = 5 5\n", [], 2,
+     "line 9, offset 11: named point 'a' is not inside the chart margin"),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
         "jet-too-big", "power-overflow", "product-overflow", "literal-overflow",
         "nan-bound", "infinite-bound", "nan-margin", "nan-step-spec", "zero-step-spec",
         "nan-step-flag", "negative-tolerance-spec", "negative-tolerance-flag",
         "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "infinite-q",
-        "q-1e308", "q-1e307", "q-1e10", "short-point-4d", "short-point-2d", "negative-grid"])
+        "q-1e308", "q-1e307", "q-1e10", "short-point-4d", "short-point-2d", "negative-grid",
+        "point-outside-margin"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"
@@ -198,15 +201,16 @@ def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_pa
 
 
 def nan_at_origin(fn, name=None):
-    """fn with its value (or the entry `name` of its dict) NaN at the origin."""
+    """fn, whose last argument is a stack of points or their context, with its residual
+    vector (or the entry `name` of its dict) NaN at the row of the origin."""
     def patched(*args):
         out = fn(*args)
         point = args[-1]
-        if not np.any(getattr(point, "point", point)):
-            if name is None:
-                return (math.nan, out[1])
-            out = dict(out, **{name: np.full_like(out[name], math.nan)})
-        return out
+        origin = ~np.any(getattr(point, "point", point), axis=-1)
+        assert origin.sum() == 1
+        values = np.array(out[0] if name is None else out[name])
+        values[origin] = math.nan
+        return (values, out[1]) if name is None else dict(out, **{name: values})
 
     return patched
 
@@ -270,3 +274,22 @@ def test_classify_rescaled_metric_is_not_singular(tmp_path, capsys):
 def test_report_json_rounds_to_six_digits():
     text = report_json({"a": 1.23456789, "b": [2.0000004, {"c": 3}]})
     assert json.loads(text) == {"a": 1.23457, "b": [2.0, {"c": 3}]}
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """main builds its parser once; a parse error between two runs changes neither answer."""
+    classify = ("classify", "--zoo", "s6")
+    verify = ("verify", "--zoo", "s2", "--suite", "metallic")
+    make_parser.cache_clear()
+    first = [run(capsys, *argv) for argv in (classify, verify)]
+    parser = make_parser()
+    bad_spec = tmp_path / "bad.spec"
+    bad_spec.write_text(GOOD_SPEC + "point a = 5 5\n")
+    assert run(capsys, "classify", str(bad_spec))[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--zoo", "s2", "--suite", "no-such-suite"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert [run(capsys, *argv) for argv in (classify, verify)] == first
+    assert first[0][0] == 0 and first[1][0] == 0
+    assert make_parser() is parser

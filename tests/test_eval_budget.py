@@ -6,8 +6,11 @@ with) and the Python-level calls that evaluate them. The bounds are the
 counts measured when the test was written; a refactor that builds a
 jet order twice (for example nabla Ricci once per identity row) exceeds
 the point bound, and one that falls back to calling a field once per
-point exceeds the call bound. Tighten a bound when the engine gets
-cheaper; never raise one.
+point exceeds the call bound. The engine calls each field once per jet
+order for the stack of sample points, except in chunks of consecutive
+points where a dimension-6 jet would otherwise hold more node values at
+once than `diffcalc.CHUNK_BYTES` (order 3 of g, and J_M at the order-2
+nodes). Tighten a bound when the engine gets cheaper; never raise one.
 """
 
 import dataclasses
@@ -31,24 +34,30 @@ BUILDERS = {
     "negative": zoo.fixture_negative,
 }
 
-# (command, fixture) -> (g points, J_M points, g calls, J_M calls)
+# (command, fixture) -> (g points, J_M points, g calls, J_M calls). g: one call for order 1,
+# one for the order-2 nodes and, on Kahler bundles (ricci-derivative-cycle), one per chunk
+# at order 3: 1 chunk for s2 (13 points), 3 for flat-k2 (17 points of dimension 4), 10 for
+# flat-k3 (10 points of dimension 6). J_M: one call for order 1 and one per order-2 chunk of
+# nabla nabla w (16 points each at dimension 4, 3 at dimension 6: 2 chunks for flat-k2, 3 for
+# s6, 4 for flat-k3).
 BUDGET = {
-    ("verify", "s2"): (377, 325, 39, 26),
-    ("verify", "s6"): (1521, 1521, 18, 18),
-    ("verify", "flat-k2"): (2601, 1377, 51, 34),
-    ("verify", "flat-k3"): (5010, 1690, 30, 20),
-    ("classify", "negative"): (272, 272, 16, 16),
+    ("verify", "s2"): (377, 325, 3, 2),
+    ("verify", "s6"): (1521, 1521, 2, 4),
+    ("verify", "flat-k2"): (2601, 1377, 5, 3),
+    ("verify", "flat-k3"): (5010, 1690, 12, 5),
+    ("classify", "negative"): (272, 272, 1, 1),
 }
 
-# fixture -> (connection_terms calls, first_type calls) in one `verify --suite all`: terms
-# once per sample point and constructible connection (s2 has 13 points, s6 9, negative 16
-# and a gated second type, whose gate is read off the classification before any term is
-# built), the first-type deformation once per point
-CONNECTION_BUDGET = {"s2": (26, 13), "s6": (18, 9), "negative": (16, 16)}
+# fixture -> (connection_terms calls, first_type calls) in one `verify --suite all`: the terms
+# once per constructible connection, stacked over the sample points (negative has a gated
+# second type, whose gate is read off the classification before any term is built), and
+# the first-type deformation once
+CONNECTION_BUDGET = {"s2": (2, 1), "s6": (2, 1), "negative": (1, 1)}
 
 # tracemalloc peak of `verify --suite all` on flat-k3 once the jet's weight tables exist, in
-# bytes: 1.27 MB measured (the bundle keeps its connection terms), 2.4 MB when every
-# context keeps its order-3 jet
+# bytes: 1.33 MB measured with the stacked context (the bundle keeps its connection terms),
+# 1.50 MB with chunks twice as large (CHUNK_BYTES = 2^18), 2.4 MB when every context kept
+# its order-3 jet
 PEAK_BYTES = 1_500_000
 
 
@@ -109,8 +118,9 @@ def test_verify_memory_peak_flat_k3(monkeypatch):
 
 
 def test_one_first_derivative_stencil_per_point(monkeypatch):
-    """Every classification residual, nabla w and the curvature of one point call g twice
-    (the first-derivative stencil and the order-2 jet), J_M once and invert g once."""
+    """Every classification residual, nabla w and the curvature of all the sample points
+    call g twice (the first-derivative stencil and the order-2 jet, each for the whole
+    stack), J_M once and invert g once."""
     counts = {"g": 0, "jm": 0, "g_calls": 0, "jm_calls": 0, "inverse_metric": 0}
     bundle = counting_fixture("s6", counts).bundle
     inverse_metric = diffcalc.inverse_metric
@@ -120,21 +130,23 @@ def test_one_first_derivative_stencil_per_point(monkeypatch):
         return inverse_metric(*args)
 
     monkeypatch.setattr(diffcalc, "inverse_metric", counted_inverse)
-    point = bundle.sample_points[0]
-    ctx = diffcalc.PointContext(bundle.g, bundle.jm, bundle.params.p, bundle.params.q, point,
+    points = bundle.sample_points
+    ctx = diffcalc.PointContext(bundle.g, bundle.jm, bundle.params.p, bundle.params.q, points,
                                 bundle.scheme)
     for _, _, measure in metallic.RESIDUALS:
-        assert np.isfinite(measure(ctx))
+        assert measure(ctx).shape == (len(points),) and np.isfinite(measure(ctx)).all()
     assert max_abs(ctx.cov_omega) > 0.1
-    assert ctx.curvature.scalar == pytest.approx(30.0, abs=1e-4)
+    assert ctx.curvature.scalar == pytest.approx(np.full(len(points), 30.0), abs=1e-4)
     assert (counts["g_calls"], counts["jm_calls"], counts["inverse_metric"]) == (2, 1, 1), counts
-    assert counts["g"] == counts["jm"] + len(ctx._table(2)[0])
+    assert counts["jm"] == len(points) * (1 + 4 * ctx.n)
+    assert counts["g"] == counts["jm"] + len(points) * len(ctx._table(2)[0])
 
 
 @pytest.mark.parametrize("name", sorted(CONNECTION_BUDGET))
 def test_connection_terms_built_once_per_point(name, monkeypatch):
-    """The connections suite and the report's connections block read one set of terms,
-    and the nearly-case ratio reads the first-type deformation kept with it."""
+    """The connections suite and the report's connections block read one set of terms per
+    kind, stacked over the sample points, and the nearly-case ratio reads the first-type
+    deformation kept with it."""
     counts = {"connection_terms": 0, "first_type": 0}
     for fn_name in counts:
         def counted(*args, _fn=getattr(connections, fn_name), _key=fn_name):

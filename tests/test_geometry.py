@@ -61,7 +61,7 @@ def test_chart_names_a_malformed_setting(kwargs, message):
 def test_largest_reduces_per_point_values():
     points = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
     assert largest([], points[:0], "residual of x") == 0.0
-    assert largest(iter([1.0, 3.0, 2.0]), points, "residual of x") == 3.0
+    assert largest(np.array([1.0, 3.0, 2.0]), points, "residual of x") == 3.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -107,6 +107,12 @@ def test_chart_require_inside_names_the_failure():
         chart.require_inside((5.0, 0.0), reach=0.005)
     with pytest.raises(ChartBoundsError, match="too close to the boundary"):
         chart.require_inside((0.999, 0.0), reach=0.005)
+    # a stack is checked at once, and the first point that fails is named
+    chart.require_inside([(0.99, 0.0), (-0.5, 0.2)], reach=0.005)
+    with pytest.raises(ChartBoundsError, match=re.escape("point [0.999, 0.0] is too close")):
+        chart.require_inside([(0.0, 0.0), (0.999, 0.0), (5.0, 0.0)], reach=0.005)
+    with pytest.raises(ChartBoundsError, match=re.escape("point [5.0, 0.0] is outside")):
+        chart.require_inside([(0.0, 0.0), (5.0, 0.0), (0.999, 0.0)], reach=0.005)
 
 
 def test_tensorfield_validates_declared_symmetry():

@@ -262,13 +262,13 @@ def test_algebraic_identities_pass_on_every_fixture():
         star = by_id(check_star_pack(bundle))
         assert star["star-conjugate-contraction"].relative < 1e-8, name
         q = bundle.params.q
-        for ctx in bundle.contexts():
-            # structure times conjugate is (3/2) q I
-            assert max_abs(ctx.J @ ctx.Jhat - 1.5 * q * np.eye(ctx.n)) < 1e-8, name
-            # symmetric Ricci against the doubly raised 2-form vanishes
-            ricci_sym = 0.5 * (ctx.curvature.ricci + ctx.curvature.ricci.T)
-            w_up = np.einsum("ji,tm,im->jt", ctx.ginv, ctx.ginv, ctx.omega)
-            assert abs(float(np.einsum("jt,jt->", ricci_sym, w_up))) < 1e-10, name
+        ctx = bundle.context(bundle.sample_points)
+        # structure times conjugate is (3/2) q I
+        assert max_abs(ctx.J @ ctx.Jhat - 1.5 * q * np.eye(ctx.n)) < 1e-8, name
+        # symmetric Ricci against the doubly raised 2-form vanishes
+        ricci_sym = 0.5 * (ctx.curvature.ricci + np.swapaxes(ctx.curvature.ricci, -1, -2))
+        w_up = np.einsum("...ji,...tm,...im->...jt", ctx.ginv, ctx.ginv, ctx.omega)
+        assert max_abs(np.einsum("...jt,...jt->...", ricci_sym, w_up)) < 1e-10, name
 
 
 def test_run_suite_all_and_unknown():
