@@ -14,9 +14,13 @@ that is not finite, named with its point, or a zoo fixture whose
 self-check fails at the given q).
 
 JSON reports are deterministic for a fixed spec and seed: fields are
-emitted in a fixed order and every residual is rounded to 6 significant
-digits. The timing field is informational and excluded from the
-determinism guarantee.
+emitted in a fixed order, and every float is rounded to 6 significant
+digits and spelled as Python's json module spells the rounded value (its
+repr, or NaN, Infinity, -Infinity). `report_json` writes a report in one
+walk, indented by two spaces as `json.dumps(..., indent=2)` would, and
+spells the entries of a float array (the curvature tensors) in one pass.
+The timing field (seconds of `time.perf_counter`) is informational and
+excluded from the determinism guarantee.
 """
 
 from __future__ import annotations
@@ -44,17 +48,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
-
-
-def _sig6(x):
-    """Round floats to 6 significant digits for stable reports."""
-    if isinstance(x, float):
-        return float(f"{x:.6g}")
-    if isinstance(x, dict):
-        return {k: _sig6(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_sig6(v) for v in x]
-    return x
 
 
 class InputError(Exception):
@@ -108,8 +101,109 @@ def _base_report(bundle: StructureBundle, source: dict) -> dict:
     }
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
+_FLOAT_REPR = float.__repr__
+# json text of the %.6g tokens that are not finite, and of the zeros %.6g writes without ".0"
+_TOKEN_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "0": "0.0", "-0": "-0.0"}
+
+
 def report_json(report: dict) -> str:
-    return json.dumps(_sig6(report), ensure_ascii=True, indent=2) + "\n"
+    """The report as ``json.dumps(report, ensure_ascii=True, indent=2) + "\\n"`` writes it,
+    with every float, a float array's entries too, rounded to 6 significant digits first.
+
+    One walk rounds and writes each value. Dict keys must be strings, a float
+    array is written as its nested lists, and any other type raises TypeError.
+    """
+    out = []
+    _write(report, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    """x rounded to 6 significant digits, spelled as json.dumps spells that float."""
+    text = "%.6g" % x
+    # |x| < 999999.5 rounds below 1e6, where %.6g and repr both switch to an exponent only
+    # under 1e-4: a token with a point or an exponent is then the repr of a normal value
+    if 1e-300 < abs(x) < 999999.5 and ("." in text or "e" in text):
+        return text
+    return _TOKEN_TEXT.get(text) or _FLOAT_REPR(float(text))
+
+
+_LEAF_TEXT = {str: _ENCODE_STR, float: _float_text, int: int.__repr__,
+              bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+
+def _write(x, indent: str, out: list) -> None:
+    """Append the json text of x to out; indent is the indentation of x's own line."""
+    leaf = _LEAF_TEXT.get(type(x))
+    if leaf is not None:
+        out.append(leaf(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in x.items():
+            out.append(sep + _ENCODE_STR(key) + ": ")
+            _write(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for value in x:
+            out.append(sep)
+            _write(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(x, np.ndarray) and x.dtype.kind == "f":
+        out.append(_float_array_text(x, indent))
+    else:  # a subclass of a leaf type, such as np.float64, is written as its base
+        for base in (str, float, int):
+            if isinstance(x, base):
+                out.append(_LEAF_TEXT[base](x))
+                return
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _float_array_text(a: np.ndarray, indent: str) -> str:
+    """A float array as _write writes the nested lists of its rounded entries.
+
+    One %.6g pass spells every entry. A token is already the text of its
+    rounded value unless that value is integral ("12" for "12.0"), 1e6 or
+    more ("1e+06" for "1000000.0"), subnormal or not finite. A mask finds a
+    superset of those entries, and only they are spelled again: |x| capped
+    at the integer 5e4 (nan too) puts large and non-finite entries among the
+    integers; rounding to 6 digits moves x by at most 5e-6 |x|, so an entry
+    that rounds to an integer lies within 1e-5 |x| of one; the 1e-300 adds
+    zeros and subnormals.
+    """
+    flat = np.asarray(a, dtype=float).ravel()
+    values = flat.tolist()
+    tokens = ("%.6g," * len(values) % tuple(values)).split(",")[:-1]
+    mag = np.fmin(np.abs(flat), 5e4)
+    respell = np.abs(mag - np.rint(mag)) <= 1e-5 * mag + 1e-300
+    for i in np.flatnonzero(respell).tolist():
+        tok = tokens[i]
+        tokens[i] = _TOKEN_TEXT.get(tok) or _FLOAT_REPR(float(tok))
+    return _layout(a.shape, indent) % tuple(tokens)
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(shape: tuple, indent: str) -> str:
+    """The %s template of an array of this shape whose first line is indented by indent."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
+    inner = indent + "  "
+    item = _layout(shape[1:], inner)
+    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + indent + "]"
 
 
 def _print_classification(cls_dict: dict, stream):
@@ -122,12 +216,12 @@ def _print_classification(cls_dict: dict, stream):
 
 
 def cmd_classify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     bundle, source = _bundle_from_args(args)
     cls = bundle.classification()
     report = _base_report(bundle, source)
     report["classification"] = cls.as_dict()
-    report["timing_s"] = time.time() - t0
+    report["timing_s"] = time.perf_counter() - t0
     if args.format == "json":
         sys.stdout.write(report_json(report))
     else:
@@ -136,7 +230,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     bundle, source = _bundle_from_args(args)
     cls = bundle.classification()
     results = run_suite(bundle, args.suite)
@@ -145,7 +239,7 @@ def cmd_verify(args) -> int:
     report["suite"] = args.suite
     report["identities"] = [r.as_dict() for r in results]
     report["connections"] = connection_report(bundle) if args.suite in ("all", "connections") else None
-    report["timing_s"] = time.time() - t0
+    report["timing_s"] = time.perf_counter() - t0
     failed = [r for r in results if (not r.skipped) and r.asserted and not r.passed]
     if args.format == "json":
         sys.stdout.write(report_json(report))
@@ -168,7 +262,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     bundle, source = _bundle_from_args(args)
     try:
         point = np.array([float(tok) for tok in args.point.split(",")], dtype=float)
@@ -184,28 +278,28 @@ def cmd_curvature(args) -> int:
     report = _base_report(bundle, source)
     report["point"] = [float(v) for v in point]
     report["curvature"] = {
-        "riemann_lowered": pack.Rdown.tolist(),
-        "ricci": pack.ricci.tolist(),
+        "riemann_lowered": pack.Rdown,
+        "ricci": pack.ricci,
         "scalar": pack.scalar,
-        "H": ctx.H.tolist(),
-        "ricci_star": ctx.Sstar.tolist(),
+        "H": ctx.H,
+        "ricci_star": ctx.Sstar,
         "scalar_star": ctx.scalar_star,
         "norm_nabla_jm_sq": ctx.norm_covJ_sq,
         "symmetry_residuals": pack.symmetry_residuals(),
     }
-    report["timing_s"] = time.time() - t0
+    report["timing_s"] = time.perf_counter() - t0
     if args.format == "json":
         sys.stdout.write(report_json(report))
     else:
-        np.set_printoptions(precision=6, suppress=False)
         print(f"point: {point.tolist()}")
         print(f"scalar curvature:  {pack.scalar:.6g}")
         print(f"scalar* curvature: {ctx.scalar_star:.6g}")
         print(f"|nabla J_M|^2:     {ctx.norm_covJ_sq:.6g}")
-        print("ricci:"); print(np.array2string(pack.ricci))
-        print("ricci*:"); print(np.array2string(ctx.Sstar))
-        print("H:"); print(np.array2string(ctx.H))
-        print("riemann (lowered):"); print(np.array2string(pack.Rdown))
+        with np.printoptions(precision=6, suppress=False):
+            print("ricci:"); print(np.array2string(pack.ricci))
+            print("ricci*:"); print(np.array2string(ctx.Sstar))
+            print("H:"); print(np.array2string(ctx.H))
+            print("riemann (lowered):"); print(np.array2string(pack.Rdown))
     return EXIT_OK
 
 

@@ -7,9 +7,12 @@ The nested stencils the engine's jet replaced are kept as references too,
 and so are stacked first partials (a row loop over the engine's
 single-point `partial_all`), the stacked, field-calling Christoffel
 coefficients and a test-only curved Kahler fixture whose Ricci tensor has
-a closed form.
+a closed form. The JSON report writer the CLI replaced (round every float,
+then the standard library's indenting encoder) is the reference for
+`cli.report_json`.
 """
 
+import json
 import math
 
 import numpy as np
@@ -306,3 +309,22 @@ def eval_per_point(expr, point) -> float:
             raise exprdsl.EvalDomainError(str(exc), node.render()) from exc
 
     return float(walk(expr.root))
+
+
+# --- reference JSON report writer ----------------------------------------------------
+
+
+def _sig6(x):
+    """Round floats to 6 significant digits for stable reports."""
+    if isinstance(x, float):
+        return float(f"{x:.6g}")
+    if isinstance(x, dict):
+        return {k: _sig6(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_sig6(v) for v in x]
+    return x
+
+
+def reference_report_json(report: dict) -> str:
+    """The report text `cli.report_json` must reproduce byte for byte (lists, not arrays)."""
+    return json.dumps(_sig6(report), ensure_ascii=True, indent=2) + "\n"

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from metallicgeo import connections, identities
+from metallicgeo import connections, identities, zoo
 from metallicgeo.cli import main, make_parser, report_json
 
 
@@ -123,6 +123,20 @@ def test_curvature_point_with_negative_first_coordinate(value, capsys):
     assert reports[0]["point"] == [float(v) for v in value.split(",")]
 
 
+def test_text_curvature_leaves_numpy_print_options_alone(capsys):
+    """The text output sets its own precision, whatever numpy's options are, and restores them."""
+    argv = ("curvature", "--zoo", "s2", "--point", "0.1,-0.2")
+    before = np.get_printoptions()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and np.get_printoptions() == before
+    with np.printoptions(precision=2, suppress=True):
+        inside = np.get_printoptions()
+        assert run(capsys, *argv)[1] == out
+        assert np.get_printoptions() == inside
+    # Ricci = g on s2: 4 / (1 + |x|^2)^2 = 3.6281179... at this point, printed to 6 decimals
+    assert "ricci:\n[[3.628118 0.      ]\n" in out
+
+
 SPEC_2D = (
     "dimension = {dim}\nq = {q}\nbounds = {bounds}\nstructure = JM\n"
     "g[0][0] = {g00}\ng[1][1] = 1\njm[0][1] = -1\njm[1][0] = 1\n"
@@ -222,7 +236,13 @@ def nan_at_origin(fn, name=None):
 ], ids=["identity-row", "connections-block"])
 def test_verify_names_the_point_of_a_nan(module, fn, name, message, monkeypatch, capsys):
     monkeypatch.setattr(module, fn, nan_at_origin(getattr(module, fn), name))
-    code, out, err = run(capsys, "verify", "--zoo", "s6", "--suite", "all", "--format", "json")
+    # the cached s6 bundle memoizes its connection terms: build it afresh so that the patched
+    # function runs, and drop it afterwards so that no later test reads the NaN terms
+    zoo.get.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "--zoo", "s6", "--suite", "all", "--format", "json")
+    finally:
+        zoo.get.cache_clear()
     assert code == 3
     assert err == f"numerical failure: {message} is nan at point {[0.0] * 6}\n"
     assert "NaN" not in out

@@ -6,8 +6,12 @@
     python3 tools/report_identity.py --compare before.json after.json  # within tiers
 
 The snapshot holds 69 runs of ``metallicgeo.cli.main``, each with its argv,
-exit code, stderr and JSON report (``timing_s`` removed, the one field the
-report does not promise to repeat):
+exit code, stderr, raw stdout and parsed JSON report. ``timing_s`` is the
+one field a report does not promise to repeat: its value is masked in the
+stdout and the field is removed from the parsed report. The raw stdout
+makes ``cmp`` a byte check: it sees a change of indentation, whitespace or
+number spelling (``1e-05`` against ``1.0e-05``) that parses to the same
+report. The runs are:
 
 * ``classify`` and ``verify --suite all|metallic|nearly|connections`` on
   the 7 zoo fixtures, on the spec files that mirror flat-k1, torus and s2,
@@ -25,8 +29,9 @@ CLI process does. Uses the standard library and numpy only.
 
 A change that reorders floating-point sums (batched contractions, numpy
 ufuncs instead of the math module) moves residuals by roundoff, so ``cmp``
-no longer applies; ``--compare`` checks two snapshots with a fixed rule
-taken from each report's own ``tolerances`` block:
+no longer applies; ``--compare`` checks the parsed reports of two snapshots
+(not their raw stdout) with a fixed rule taken from each report's own
+``tolerances`` block:
 
 * argv, exit code, stderr and every non-numeric field (verdict, nearly
   flag, ``near_boundary``, identity ids, passed/skipped/asserted flags,
@@ -65,6 +70,7 @@ MIRRORED = ("flat-k1", "torus", "s2")
 SUITES = ("all", "metallic", "nearly", "connections")
 SHIFT = 1e-3  # allowed shift of a numeric result, in units of tier tolerance x max(1, scale)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")  # a number quoted in a note
+TIMING = re.compile(r'^(\s*"timing_s": ).*$', re.MULTILINE)  # its value is masked in stdout
 
 
 def import_cli(repo: Path):
@@ -117,7 +123,8 @@ def run_one(cli, zoo, argv) -> dict:
         report.pop("timing_s", None)
     except json.JSONDecodeError:
         report = text
-    return {"argv": list(argv), "exit": code, "stderr": err.getvalue(), "report": report}
+    return {"argv": list(argv), "exit": code, "stderr": err.getvalue(),
+            "stdout": TIMING.sub(r"\1#", text), "report": report}
 
 
 def _max_abs(value) -> float:
