@@ -32,6 +32,7 @@ import re
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -70,7 +71,7 @@ def _build_bundle(args) -> tuple[StructureBundle, dict]:
         bundle = fx.bundle
         source = {"kind": "zoo", "name": fx.name, "sha256": spec_sha256(fx.spec_text or fx.name)}
     else:
-        text = open(args.spec, "r", encoding="utf-8").read()
+        text = Path(args.spec).read_text(encoding="utf-8")
         bundle = build_bundle(parse_spec(text))
         source = {"kind": "file", "name": args.spec, "sha256": spec_sha256(text)}
     tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}

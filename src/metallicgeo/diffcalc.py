@@ -20,8 +20,15 @@ at a point: its partials of order 1, 2 or 3, from one table of weights
 that acts on f(node) - f(point). At one step a partial's weights are a
 tensor product of rows of one 1-D table of order-2 central weights
 (Fornberg, Math. Comp. 51 (1988) 699-706); the steps h and h/2 are
-Richardson-combined to order 4, and `MetricJet._jet` applies the dense
-table in one contraction. Tables are cached per (n, h, order).
+Richardson-combined to order 4. A table (`JetTable`) holds one row per
+distinct partial, a multi-index a <= b (<= c), with only that partial's
+nodes and weights (at most 16, at order 3), and an `expand` index from
+every ordered multi-index to its row; `MetricJet._jet` weights each row's
+node values in one einsum and expands the rows by indexing, so the work
+grows with the distinct partials and their nodes (56 rows of 16 of 476
+nodes at order 3 in dimension 6), not with a dense (n,)*order table over
+all the nodes, and none of it goes through BLAS. Tables are cached per
+(n, h, order).
 
 A jet serves one point (n,) or a stack of points (m, n): every member
 carries the stack's point axis first, written with leading `...` axes, so
@@ -63,7 +70,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
+from typing import NamedTuple
+
 import numpy as np
 
 from .geometry import Chart, inverse_metric, max_abs
@@ -138,20 +147,34 @@ def partial(fn, point, axis: int, scheme: DiffScheme | None = None):
     return partial_all(fn, point, scheme)[axis]
 
 
-@lru_cache(maxsize=16)
-def _jet_table(n: int, h: float, order: int) -> tuple:
-    """The nodes a jet order adds and its weights: (disp, weights, offsets).
+class JetTable(NamedTuple):
+    """The nodes a jet order adds and its weights, one row per distinct partial.
 
     offsets are the nodes of the orders so far in units of h/2, in order,
     and disp the displacements of those this order adds (order 3 extends
-    the nodes of order 2). weights[a, b(, c), k] is the weight of node k in
-    d_a d_b (d_c); the weights act on f(node) - f(point), so a constant
+    the nodes of order 2). Row r is the r-th multi-index a <= b (<= c) of
+    `combinations_with_replacement`: weights[r, j] is the weight of node
+    cols[r, j], padded to the widest row with weight 0 on the row's last
+    node, and expand[a, b(, c)] is the row of d_a d_b (d_c) in any order
+    of its indices. The weights act on f(node) - f(point), so a constant
     field has a jet of zeros.
     """
-    index = {o: k for k, o in enumerate(_jet_table(n, h, 2)[2] if order == 3 else ())}
+
+    disp: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    expand: np.ndarray
+    offsets: tuple
+
+
+@lru_cache(maxsize=16)
+def _jet_table(n: int, h: float, order: int) -> JetTable:
+    """The `JetTable` of one order at step h, cached per (n, h, order)."""
+    index = {o: k for k, o in enumerate(_jet_table(n, h, 2).offsets if order == 3 else ())}
     added = len(index)
-    rows = {}
-    for idx in combinations_with_replacement(range(n), order):
+    combos = list(combinations_with_replacement(range(n), order))
+    rows = []
+    for idx in combos:
         axes = sorted(set(idx))
         w1d = [WEIGHTS_1D[idx.count(a) - 1] for a in axes]
         row: dict = {}
@@ -163,15 +186,17 @@ def _jet_table(n: int, h: float, order: int) -> tuple:
                     k = index.setdefault(offset, len(index))
                     coef = np.prod([w[j + 2] for w, j in zip(w1d, ks)])
                     row[k] = row.get(k, 0.0) + factor * coef / (s * h / 2.0) ** order
-        for perm in set(permutations(idx)):
-            rows[perm] = row
-    weights = np.zeros((n,) * order + (len(index),))
-    for perm, row in rows.items():
-        weights[perm][list(row)] = list(row.values())
+        rows.append(row)
+    width = max(map(len, rows))
+    cols = np.array([list(row) + [list(row)[-1]] * (width - len(row)) for row in rows])
+    weights = np.array([list(row.values()) + [0.0] * (width - len(row)) for row in rows])
+    row_of = {idx: r for r, idx in enumerate(combos)}
+    expand = np.array([row_of[tuple(sorted(idx))] for idx in product(range(n), repeat=order)])
+    expand = expand.reshape((n,) * order)
     disp = np.array(tuple(index)[added:]) * (h / 2.0)
-    for arr in (disp, weights):
+    for arr in (disp, cols, weights, expand):
         arr.flags.writeable = False
-    return disp, weights, tuple(index)
+    return JetTable(disp, cols, weights, expand, tuple(index))
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
@@ -187,20 +212,29 @@ def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 def _cov_correct(value: np.ndarray, sig: str, gamma: np.ndarray) -> np.ndarray:
     """Gamma corrections for every slot; returns corr[..., a, ...] to add to d_a T.
 
-    value and gamma carry the same leading (stack) axes.
+    value and gamma carry the same leading (stack) axes. Each slot's term is
+    one batched matrix product over the summed index t, of T with that slot
+    last and of Gamma arranged as [t, (a, x)], x the slot's new index.
     """
     n = gamma.shape[-1]
     lead = gamma.shape[:-3]
-    corr = np.zeros(lead + (n,) + value.shape[len(lead):])
-    slots = "bcdefg"[:len(sig)]
+    k, p = len(lead), len(sig) - 1
+    corr = np.zeros(lead + (n,) + value.shape[k:])
+    stack = list(range(k))
     for axis, kind in enumerate(sig):
-        summed = slots[:axis] + "t" + slots[axis + 1:]
+        rest = [k + s for s in range(p + 1) if s != axis]
+        moved = value.transpose(stack + rest + [k + axis]).reshape(lead + (-1, n))
+        # 'u': + Gamma^x_at T^{...t...}, Gamma as [t, a, x]; 'd': - Gamma^t_ax T_{...t...}
+        arranged = np.swapaxes(gamma, -3, -1) if kind == "u" else gamma
+        term = (moved @ arranged.reshape(lead + (n, n * n))).reshape(
+            lead + tuple(value.shape[r] for r in rest) + (n, n))
+        # [..., rest, a, x] -> [..., a, rest before the slot, x, rest after it]
+        term = term.transpose(stack + [k + p] + list(range(k, k + axis)) + [k + p + 1]
+                              + list(range(k + axis, k + p)))
         if kind == "u":
-            # + Gamma^h_at T^{...t...}
-            corr += np.einsum(f"...{summed},...{slots[axis]}at->...a{slots}", value, gamma)
+            corr += term
         else:
-            # - Gamma^t_a(axis) T_{...t...}
-            corr -= np.einsum(f"...{summed},...ta{slots[axis]}->...a{slots}", value, gamma)
+            corr -= term
     return corr
 
 
@@ -295,19 +329,21 @@ class MetricJet:
         self.scheme = scheme or DiffScheme()
         self.n = self.point.shape[-1]
 
-    def _table(self, order: int) -> tuple:
+    def _table(self, order: int) -> JetTable:
         """Order 1 at step 2 h1, so that its nodes lie h1 and 2 h1 from the point; 2 and 3 at h2."""
         return _jet_table(self.n, 2.0 * self.scheme.h1 if order == 1 else self.scheme.h2, order)
 
     def _jet(self, order: int, value: np.ndarray, *node_values) -> np.ndarray:
         """One jet order, out[..., a, b(, c), ...], from a field's values at the points and at
-        their nodes, node_values[k, ...]."""
+        their nodes, node_values[k, ...]: each distinct partial from its own nodes, then
+        copied to every order of its indices by the table's `expand` index."""
         diff = np.empty((sum(map(len, node_values)),) + value.shape)
         start = 0
         for nodes in node_values:
             np.subtract(nodes, value, out=diff[start:start + len(nodes)])
             start += len(nodes)
-        out = np.tensordot(self._table(order)[1], diff, axes=1)
+        table = self._table(order)
+        out = np.einsum("rk,rk...->r...", table.weights, diff[table.cols])[table.expand]
         return np.moveaxis(out, range(order), range(1, order + 1)) if self.point.ndim > 1 else out
 
     def _nodes(self, disp: np.ndarray, rows=...) -> np.ndarray:
@@ -322,14 +358,14 @@ class MetricJet:
 
     def _stencil(self, fn) -> np.ndarray:
         """fn at the points (node 0) and at their 4n order-1 nodes."""
-        return self._call(fn, np.concatenate([self.point[None], self._nodes(self._table(1)[0])]))
+        return self._call(fn, np.concatenate([self.point[None], self._nodes(self._table(1).disp)]))
 
     def _chunks(self, order: int) -> list:
         """Row selections of consecutive points whose g values at the nodes of `order` fit
         CHUNK_BYTES, at least one point each; a one-point jet is one chunk, `...`."""
         if self.point.ndim == 1:
             return [...]
-        size = max(1, CHUNK_BYTES // (8 * len(self._table(order)[2]) * self.n * self.n))
+        size = max(1, CHUNK_BYTES // (8 * len(self._table(order).offsets) * self.n * self.n))
         return [slice(k, k + size) for k in range(0, len(self.point), size)]
 
     @cached_property
@@ -359,7 +395,7 @@ class MetricJet:
         """g at the order-2 nodes of every point, nodes[k, ...], from one call. They are kept
         (nabla nabla w reads them), so evaluating them in chunks would save nothing, and
         joining the chunks would copy a constant field's broadcast values."""
-        return self._call(self.g_fn, self._nodes(self._table(2)[0]))
+        return self._call(self.g_fn, self._nodes(self._table(2).disp))
 
     @cached_property
     def ddg(self) -> np.ndarray:
@@ -369,7 +405,7 @@ class MetricJet:
         """d_a d_b d_c g at the points of `rows`, anew on each call: nabla Ricci reads it once per
         chunk, and a jet keeps none."""
         return self._jet(3, self.g[rows], self.g_nodes2[:, rows],
-                         self._call(self.g_fn, self._nodes(self._table(3)[0], rows)))
+                         self._call(self.g_fn, self._nodes(self._table(3).disp, rows)))
 
     @cached_property
     def dgamma(self) -> np.ndarray:
@@ -424,7 +460,7 @@ class PointContext(MetricJet):
     def _first_order(self, g: np.ndarray) -> dict:
         """Adds one stencil of J_M, and w = J_M g at the points and their nodes from both."""
         J = self._stencil(self.j_fn)
-        w = np.einsum("...ti,...tm->...im", J, g)
+        w = np.swapaxes(J, -1, -2) @ g
         # dw differentiates the antisymmetric part of w: identical whenever the
         # bundle is skew-compatible, and still a well-defined 2-form (hence a
         # reportable residual) on bundles that fail that compatibility
@@ -490,8 +526,9 @@ class PointContext(MetricJet):
 
     @cached_property
     def Sstar(self) -> np.ndarray:
-        """Ricci-star: S*_ji = -H_jt (J_M)_i^t."""
-        return -np.einsum("...jt,...ti->...ji", self.H, self.J)
+        """Ricci-star: S*_ji = -H_jt (J_M)_i^t, as 0 - H J_M, which unlike -(H J_M) gives a
+        zero entry as +0.0."""
+        return 0.0 - np.einsum("...jt,...ti->...ji", self.H, self.J)
 
     @cached_property
     def scalar_star(self) -> float | np.ndarray:
@@ -516,8 +553,8 @@ class PointContext(MetricJet):
         """nabla nabla w at the points of `rows`, from the order-2 jet of w: d_a (nabla_b w) is
         d_a d_b w plus d_a of the connection terms of nabla_b w."""
         n, gamma, w, dw = self.n, self.gamma[rows], self.omega[rows], self.dw[rows]
-        J_nodes = self._call(self.j_fn, self._nodes(self._table(2)[0], rows))
-        w_nodes = np.einsum("...ti,...tm->...im", J_nodes, self.g_nodes2[:, rows])
+        J_nodes = self._call(self.j_fn, self._nodes(self._table(2).disp, rows))
+        w_nodes = np.swapaxes(J_nodes, -1, -2) @ self.g_nodes2[:, rows]
         del J_nodes
         ddw = self._jet(2, w, w_nodes)
         stack = gamma.shape[:-3]

@@ -69,10 +69,10 @@ def max_abs(arr) -> float:
 def max_abs_per_point(arr) -> np.ndarray:
     """The largest |entry| at each point of a stack: |arr| reduced over every axis but the
     first, from the largest and the smallest entry, so that no copy of |arr| is made (a NaN
-    stays a NaN)."""
+    stays a NaN). An all-zero row gives +0.0: np.maximum(0.0, -0.0) is -0.0, so 0.0 is added."""
     arr = np.asarray(arr, dtype=float)
     arr = arr.reshape(len(arr), -1)
-    return np.maximum(arr.max(axis=1, initial=0.0), -arr.min(axis=1, initial=0.0))
+    return np.maximum(arr.max(axis=1, initial=0.0), -arr.min(axis=1, initial=0.0)) + 0.0
 
 
 def largest(values, points, quantity: str) -> float:

@@ -174,6 +174,11 @@ def _skew_part(M: np.ndarray) -> tuple:
     return _zero(M + np.swapaxes(M, -1, -2), M)
 
 
+def _structure_pair(T: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """T(X, J_M Y, J_M Z) = T[..., i, a, b] J[..., a, j] J[..., b, k], one slot at a time."""
+    return np.einsum("...ijb,...bk->...ijk", np.einsum("...iab,...aj->...ijb", T, J), J)
+
+
 def _cartan_sum(F: np.ndarray) -> np.ndarray:
     """The displayed covariant cyclic sum: cart[..., a,b,c] = F[a,c,b] + F[b,a,c] + F[c,b,a]."""
     return (np.einsum("...acb->...abc", F) + np.einsum("...bac->...abc", F)
@@ -217,16 +222,20 @@ def check_f_properties(bundle: StructureBundle, mode: str) -> list:
             Identity("f-skew-last-args", not_hermitian, "d1",
                      lambda ctx: _zero(ctx.F + np.einsum("...ijk->...ikj", ctx.F), ctx.F)),
             Identity("f-structure-pair-rescale", not_hermitian, "d1",
-                     lambda ctx: _diff(np.einsum("...iab,...aj,...bk->...ijk", ctx.F, ctx.J, ctx.J),
+                     lambda ctx: _diff(_structure_pair(ctx.F, ctx.J),
                                        1.5 * ctx.q * np.einsum("...ikj->...ijk", ctx.F))),
         ))
     if mode == "nearly":
         return evaluate(bundle, (
             Identity("f-nearly-outer-rescale", not_nearly, "d1",
-                     lambda ctx: _diff(np.einsum("...ajc,...ai,...ck->...ijk", ctx.F, ctx.J, ctx.J),
+                     lambda ctx: _diff(np.einsum("...ijc,...ck->...ijk",
+                                                 np.einsum("...ajc,...ai->...ijc", ctx.F, ctx.J),
+                                                 ctx.J),
                                        1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
             Identity("f-nearly-double-structure", not_nearly, "d1",
-                     lambda ctx: _diff(np.einsum("...abk,...ai,...bj->...ijk", ctx.F, ctx.J, ctx.J),
+                     lambda ctx: _diff(np.einsum("...ibk,...bj->...ijk",
+                                                 np.einsum("...abk,...ai->...ibk", ctx.F, ctx.J),
+                                                 ctx.J),
                                        1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
         ))
     raise ValueError("mode must be 'hermitian' or 'nearly'")
@@ -234,8 +243,9 @@ def check_f_properties(bundle: StructureBundle, mode: str) -> list:
 
 def _balance(ctx) -> tuple:
     cart = _cartan_sum(ctx.F)
-    left = 3.0 * ctx.q * ctx.F + np.einsum("...ai,...jkt,...at->...ijk", ctx.Jhat, ctx.N, ctx.g)
-    right = np.einsum("...ibc,...bj,...ck->...ijk", cart, ctx.J, ctx.J) - 1.5 * ctx.q * cart
+    Jhat_g = np.einsum("...ai,...at->...it", ctx.Jhat, ctx.g)
+    left = 3.0 * ctx.q * ctx.F + np.einsum("...it,...jkt->...ijk", Jhat_g, ctx.N)
+    right = _structure_pair(cart, ctx.J) - 1.5 * ctx.q * cart
     return _diff(left, right)
 
 
@@ -282,8 +292,9 @@ def check_curvature_commutation(bundle: StructureBundle) -> list:
                                    - np.einsum("...kjit,...ht->...kjih", ctx.curvature.Rup, ctx.J),
                                    ctx.curvature.Rup)),
         Identity("curvature-structure-pair", not_kahler, "d2",
-                 lambda ctx: _diff(np.einsum("...ak,...bj,...abih->...kjih",
-                                             ctx.J, ctx.J, ctx.curvature.Rup),
+                 lambda ctx: _diff(np.einsum("...bj,...kbih->...kjih", ctx.J,
+                                             np.einsum("...ak,...abih->...kbih",
+                                                       ctx.J, ctx.curvature.Rup)),
                                    1.5 * ctx.q * ctx.curvature.Rup)),
     ))
 
@@ -294,12 +305,12 @@ def _ricci_pair(ctx, row: str) -> tuple:
     S, J, Jhat, Rup = ctx.curvature.ricci, ctx.J, ctx.Jhat, ctx.curvature.Rup
     SXJY = np.einsum("...ia,...aj->...ij", S, J)
     if row == "pair":
-        SJJ = np.einsum("...ab,...ai,...bj->...ij", S, J, J)
+        SJJ = np.einsum("...ib,...bj->...ij", np.einsum("...ab,...ai->...ib", S, J), J)
         c1 = p * p - 9 * q * q * p * p / 4 + 9 * q * q / 4
         c2 = 3 * p * q / 2 - 9 * q * q * p / 4
         r1 = SJJ - c1 * S - c2 * SXJY
         return _zero(r1, SJJ, c1 * S, c2 * SXJY)
-    TR = np.einsum("...bj,...ibtm,...tm->...ij", J, Rup, Jhat)
+    TR = np.einsum("...ib,...bj->...ij", np.einsum("...ibtm,...tm->...ib", Rup, Jhat), J)
     if row == "trace-stated":
         r2 = (1 + 1.5 * q) * S - p * SXJY + (2.0 / (3 * q)) * TR
         return _zero(r2, (1 + 1.5 * q) * S, (2.0 / (3 * q)) * TR)
@@ -447,7 +458,8 @@ def _ricci_omega_trace(ctx, raw: bool = False) -> tuple:
     # asymmetry is measured by the curvature invariants, so the mixed trace
     # is taken against the symmetric part (and the raw value observed)
     ricci_sym = 0.5 * (ctx.curvature.ricci + np.swapaxes(ctx.curvature.ricci, -1, -2))
-    w_up = np.einsum("...ji,...tm,...im->...jt", ctx.ginv, ctx.ginv, ctx.omega)
+    w_up = np.einsum("...jm,...tm->...jt", np.einsum("...ji,...im->...jm", ctx.ginv, ctx.omega),
+                     ctx.ginv)
     trace = np.einsum("...jt,...jt->...", ctx.curvature.ricci if raw else ricci_sym, w_up)
     return np.abs(trace), max_abs_per_point(ricci_sym)
 

@@ -186,7 +186,7 @@ class ClassificationReport:
 
 def _hyperbolic_derived(ctx) -> np.ndarray:
     """g(J_M X, J_M Y) + p g(X, J_M Y) - (3/2) q g(X, Y), the derived compatibility form."""
-    pair = np.einsum("...ai,...bm,...ab->...im", ctx.J, ctx.J, ctx.g)
+    pair = np.einsum("...ib,...bm->...im", np.einsum("...ai,...ab->...ib", ctx.J, ctx.g), ctx.J)
     return max_abs_per_point(pair + ctx.p * np.swapaxes(ctx.omega, -1, -2) - 1.5 * ctx.q * ctx.g)
 
 

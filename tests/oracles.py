@@ -9,16 +9,21 @@ single-point `partial_all`), the stacked, field-calling Christoffel
 coefficients and a test-only curved Kahler fixture whose Ricci tensor has
 a closed form. The JSON report writer the CLI replaced (round every float,
 then the standard library's indenting encoder) is the reference for
-`cli.report_json`.
+`cli.report_json`, and the dense jet weight tables the engine replaced
+(one row per ordered multi-index) are the reference for its tables over
+distinct multi-indices.
 """
 
 import json
 import math
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
 from metallicgeo import exprdsl
-from metallicgeo.diffcalc import DiffScheme, christoffel, covariant_derivative, partial_all
+from metallicgeo.diffcalc import (WEIGHTS_1D, DiffScheme, JetTable, christoffel,
+                                  covariant_derivative, partial_all)
 from metallicgeo.geometry import Chart, TensorField, inverse_metric, max_abs
 from metallicgeo.metallic import MetallicParams, StructureBundle
 from metallicgeo.octonions import cross7_matrix
@@ -85,6 +90,51 @@ def stacked_partial_all(fn, point, scheme: DiffScheme | None = None) -> np.ndarr
     point = np.asarray(point, dtype=float)
     rows = [partial_all(fn, p, scheme) for p in point.reshape(-1, point.shape[-1])]
     return np.stack(rows).reshape(point.shape[:-1] + rows[0].shape)
+
+
+@lru_cache(maxsize=16)
+def dense_jet_table(n: int, h: float, order: int) -> tuple:
+    """The nodes a jet order adds and its weights: (disp, weights, offsets).
+
+    offsets are the nodes of the orders so far in units of h/2, in order,
+    and disp the displacements of those this order adds (order 3 extends
+    the nodes of order 2). weights[a, b(, c), k] is the weight of node k in
+    d_a d_b (d_c); the weights act on f(node) - f(point), so a constant
+    field has a jet of zeros.
+    """
+    index = {o: k for k, o in enumerate(dense_jet_table(n, h, 2)[2] if order == 3 else ())}
+    added = len(index)
+    rows = {}
+    for idx in combinations_with_replacement(range(n), order):
+        axes = sorted(set(idx))
+        w1d = [WEIGHTS_1D[idx.count(a) - 1] for a in axes]
+        row: dict = {}
+        for s, factor in ((1, 4.0 / 3.0), (2, -1.0 / 3.0)):  # steps h/2 and h
+            for ks in product(*(np.flatnonzero(w) - 2 for w in w1d)):
+                steps = dict(zip(axes, ks))
+                offset = tuple(int(steps.get(a, 0)) * s for a in range(n))
+                if any(offset):
+                    k = index.setdefault(offset, len(index))
+                    coef = np.prod([w[j + 2] for w, j in zip(w1d, ks)])
+                    row[k] = row.get(k, 0.0) + factor * coef / (s * h / 2.0) ** order
+        for perm in set(permutations(idx)):
+            rows[perm] = row
+    weights = np.zeros((n,) * order + (len(index),))
+    for perm, row in rows.items():
+        weights[perm][list(row)] = list(row.values())
+    disp = np.array(tuple(index)[added:]) * (h / 2.0)
+    for arr in (disp, weights):
+        arr.flags.writeable = False
+    return disp, weights, tuple(index)
+
+
+def expanded_weights(table: JetTable) -> np.ndarray:
+    """A jet table's weights as the dense array weights[a, b(, c), k]: each row's weights
+    scattered into its node columns (added, so a padding weight 0 leaves its column as it
+    is), and the rows indexed by `expand`."""
+    rows = np.zeros((len(table.cols), len(table.offsets)))
+    np.add.at(rows, (np.arange(len(table.cols))[:, None], table.cols), table.weights)
+    return rows[table.expand]
 
 
 def christoffel_field(g_fn, point, scheme: DiffScheme | None = None) -> np.ndarray:

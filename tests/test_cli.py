@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +317,16 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert [run(capsys, *argv) for argv in (classify, verify)] == first
     assert first[0][0] == 0 and first[1][0] == 0
     assert make_parser() is parser
+
+
+def test_spec_file_is_closed_after_reading(tmp_path):
+    """A run on a spec file leaves no unclosed file: under -X dev with ResourceWarning as an
+    error, classify exits 0 and writes nothing to stderr."""
+    spec = tmp_path / "good.spec"
+    spec.write_text(GOOD_SPEC)
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-m", "metallicgeo", "classify", str(spec)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")

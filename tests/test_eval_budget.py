@@ -11,6 +11,10 @@ order for the stack of sample points, except in chunks of consecutive
 points where a dimension-6 jet would otherwise hold more node values at
 once than `diffcalc.CHUNK_BYTES` (order 3 of g, and J_M at the order-2
 nodes). Tighten a bound when the engine gets cheaper; never raise one.
+
+The same runs count the multiply-adds with which the jet applies its
+weight tables, which field-evaluation counts cannot see, and one run
+checks that the jet stays off BLAS's `tensordot`.
 """
 
 import dataclasses
@@ -48,6 +52,18 @@ BUDGET = {
     ("classify", "negative"): (272, 272, 1, 1),
 }
 
+# (command, fixture) -> multiply-adds of the jet's weight tables, weights.size x value.size per
+# `MetricJet._jet` call, measured with one row per distinct partial of each order (padded to
+# the widest row, 16 at order 3); the dense tables of one row per ordered multi-index took
+# 18 304, 3 545 856, 2 994 176, 40 953 600 and 65 536
+JET_MADDS = {
+    ("verify", "s2"): 6_656,
+    ("verify", "s6"): 139_968,
+    ("verify", "flat-k2"): 147_968,
+    ("verify", "flat-k3"): 478_080,
+    ("classify", "negative"): 16_384,
+}
+
 # fixture -> (connection_terms calls, first_type calls) in one `verify --suite all`: the terms
 # once per constructible connection, stacked over the sample points (negative has a gated
 # second type, whose gate is read off the classification before any term is built), and
@@ -80,9 +96,16 @@ def counting_fixture(name, counts):
 
 @pytest.mark.parametrize("command,name", sorted(BUDGET))
 def test_field_evaluations_within_budget(command, name, monkeypatch):
-    counts = {"g": 0, "jm": 0, "g_calls": 0, "jm_calls": 0}
+    counts = {"g": 0, "jm": 0, "g_calls": 0, "jm_calls": 0, "jet_madds": 0}
     fx = counting_fixture(name, counts)
     monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
+    jet = diffcalc.MetricJet._jet
+
+    def counted_jet(self, order, value, *node_values):
+        counts["jet_madds"] += self._table(order).weights.size * value.size
+        return jet(self, order, value, *node_values)
+
+    monkeypatch.setattr(diffcalc.MetricJet, "_jet", counted_jet)
     argv = [command, "--zoo", name, "--format", "json"]
     if command == "verify":
         argv += ["--suite", "all"]
@@ -93,6 +116,21 @@ def test_field_evaluations_within_budget(command, name, monkeypatch):
     assert counts["jm"] <= jm_max, counts
     assert counts["g_calls"] <= g_calls_max, counts
     assert counts["jm_calls"] <= jm_calls_max, counts
+    assert counts["jet_madds"] <= JET_MADDS[(command, name)], counts
+
+
+def test_jet_never_calls_tensordot(monkeypatch):
+    """Every jet order of a dimension-6 verify, order 3 included, is applied without
+    `np.tensordot`, whose multithreaded BLAS time swings with the load on the machine."""
+
+    def no_tensordot(*args, **kwargs):
+        raise AssertionError("np.tensordot called")
+
+    fx = BUILDERS["flat-k3"]()
+    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
+    monkeypatch.setattr(np, "tensordot", no_tensordot)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--zoo", "flat-k3", "--suite", "all", "--format", "json"]) == 0
 
 
 def test_verify_memory_peak_flat_k3(monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import math
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -13,8 +14,9 @@ from metallicgeo.diffcalc import (DiffScheme, MetricJet, _jet_table, covariant_d
 from metallicgeo.geometry import TensorField, max_abs
 from metallicgeo.identities import check_ricci_derivative_cycle
 from metallicgeo.metallic import VERDICT_KAHLER
-from oracles import (christoffel_field, kahler_quartic_bundle, kahler_quartic_ricci,
-                     partial_all_per_axis, stacked_partial_all)
+from oracles import (christoffel_field, dense_jet_table, expanded_weights,
+                     kahler_quartic_bundle, kahler_quartic_ricci, partial_all_per_axis,
+                     stacked_partial_all)
 from test_cli import DISK
 
 # --- weight tables -------------------------------------------------------------
@@ -46,7 +48,8 @@ def test_order_one_table_is_the_order_four_axis_stencil(n):
     """The table of order 1 at step 2h is (-f(x + 2h e_a) + 8 f(x + h e_a) - 8 f(x - h e_a)
     + f(x - 2h e_a)) / (12 h) on every axis: Richardson over central differences at h, 2h."""
     h = 1e-3
-    disp, weights, _ = _jet_table(n, 2.0 * h, 1)
+    table = _jet_table(n, 2.0 * h, 1)
+    disp, weights = table.disp, expanded_weights(table)
     expected = np.zeros(weights.shape)
     for a in range(n):
         for step, weight in ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0)):
@@ -55,6 +58,21 @@ def test_order_one_table_is_the_order_four_axis_stencil(n):
             expected[a, k[0]] = weight / (12.0 * h)
     assert len(disp) == 4 * n
     np.testing.assert_allclose(weights, expected, rtol=4.0 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_distinct_row_table_expands_to_the_dense_table(n, order):
+    """Scattering each row's weights into its node columns and indexing the rows by
+    `expand` gives the dense table exactly, with the same nodes in the same order."""
+    h = 3e-3
+    table = _jet_table(n, h, order)
+    disp, weights, offsets = dense_jet_table(n, h, order)
+    assert table.offsets == offsets
+    np.testing.assert_array_equal(table.disp, disp)
+    np.testing.assert_array_equal(expanded_weights(table), weights)
+    assert table.weights.shape == table.cols.shape
+    assert len(table.cols) == math.comb(n + order - 1, order)  # one row per distinct partial
 
 
 def test_jet_of_a_cubic_is_exact():

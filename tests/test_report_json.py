@@ -6,6 +6,7 @@ where the CLI passes float arrays.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,16 +100,30 @@ def _reports(monkeypatch, argv):
     return seen
 
 
-@pytest.mark.parametrize("name", zoo.names())
-def test_zoo_reports_match_reference(name, monkeypatch, capsys):
+def _zoo_reports(name, monkeypatch, capsys) -> list:
+    """The classify, verify --suite all and curvature reports of one zoo fixture."""
     bounds = zoo.get(name).bundle.chart.bounds
     point = ",".join(repr(0.6 * lo + 0.4 * hi) for lo, hi in bounds)
     runs = (["classify", "--zoo", name], ["verify", "--zoo", name, "--suite", "all"],
             ["curvature", "--zoo", name, f"--point={point}"])
     reports = [r for argv in runs for r in _reports(monkeypatch, [*argv, "--format", "json"])]
     capsys.readouterr()
+    return reports
+
+
+@pytest.mark.parametrize("name", zoo.names())
+def test_zoo_reports_match_reference(name, monkeypatch, capsys):
+    reports = _zoo_reports(name, monkeypatch, capsys)
     assert len(reports) == 3
     assert isinstance(reports[2]["curvature"]["riemann_lowered"], np.ndarray)
     for report in reports:
         report["timing_s"] = 0.0123456789
         assert_matches_reference(report)
+
+
+@pytest.mark.parametrize("name", zoo.names())
+def test_zoo_reports_have_no_negative_zero(name, monkeypatch, capsys):
+    """A max-abs residual of exact zeros, or a zero tensor entry, is written as 0.0, not -0.0."""
+    for report in _zoo_reports(name, monkeypatch, capsys):
+        text = cli.report_json(report)
+        assert not re.search(r"-0\.0(?!\d)", text), report["source"]
