@@ -35,6 +35,7 @@ which it fails. All offsets reported in errors are 1-based.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,9 +256,6 @@ class Expr:
 
 # --- tokenizer -------------------------------------------------------------
 
-_OPS = "+-*/^()"
-
-
 @dataclass(frozen=True)
 class _Tok:
     kind: str  # "num", "name", "op", "eof"
@@ -265,49 +263,26 @@ class _Tok:
     offset: int  # 1-based
 
 
+# one token, or a run of the whitespace str.isspace accepts in ASCII, at a given offset
+_TOKEN = re.compile(r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|[\t-\r\x1c-\x20]+")
+
+
 def _tokenize(src: str):
+    """Tokens of ASCII text; any other character is a ParseError at its offset."""
     toks = []
     i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            toks.append(_Tok("op", c, i + 1))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == ".":
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            if not math.isfinite(float(src[i:j])):
-                raise ParseError(i + 1, f"a finite number, not {src[i:j]!r}")
-            toks.append(_Tok("num", src[i:j], i + 1))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", src[i:j], i + 1))
-            i = j
-            continue
-        raise ParseError(i + 1, f"a valid token, not {c!r}")
-    toks.append(_Tok("eof", "", n + 1))
+    while i < len(src):
+        m = _TOKEN.match(src, i)
+        if m is None:
+            raise ParseError(i + 1, f"a valid token, not {src[i]!r}")
+        kind, text = m.lastgroup, m.group()
+        if kind == "num" and not math.isfinite(float(text)):
+            raise ParseError(i + 1, f"a finite number, not {text!r}")
+        if kind is not None:
+            toks.append(_Tok(kind, text, i + 1))
+        i = m.end()
+    toks.append(_Tok("eof", "", len(src) + 1))
     return toks
 
 

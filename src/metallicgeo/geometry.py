@@ -153,22 +153,34 @@ class Chart:
         raise ChartBoundsError(f"point {bad.tolist()} is too close to the boundary for reach {reach:g}")
 
     def sample_points(self) -> np.ndarray:
-        """Deterministic sample points: grid, then named (sorted), then random."""
+        """Deterministic sample points: grid, then named (sorted), then random.
+
+        The grid runs over its nodes with the last coordinate fastest. A row
+        that equals an earlier one when both are rounded to 12 decimals (a
+        named point on a grid node) is dropped; rows are compared by value, so
+        -0.0 equals 0.0.
+        """
         b = self.bounds_array
         lo = b[:, 0] + self.margin
         hi = b[:, 1] - self.margin
-        axes = [np.linspace(lo[i], hi[i], self.grid) for i in range(self.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = [np.stack([m.ravel() for m in mesh], axis=-1)]
+        n, k = self.dimension, self.grid
+        axes = np.linspace(lo, hi, k, axis=1)  # row i: the k nodes of axis i
+        grid = np.empty((k,) * n + (n,))
+        for i in range(n):
+            grid[..., i] = axes[i].reshape((k,) + (1,) * (n - 1 - i))
+        pts = [grid.reshape(k**n, n)]
         if self.named_points:
-            pts.append(np.array([self.named_points[k] for k in sorted(self.named_points)], dtype=float))
+            pts.append(np.array([self.named_points[name] for name in sorted(self.named_points)], dtype=float))
         if self.n_random:
             rng = np.random.default_rng(self.seed)
             pts.append(rng.uniform(lo, hi, size=(self.n_random, self.dimension)))
         out = np.concatenate(pts, axis=0)
-        # drop exact duplicates (a named point may coincide with a grid node)
-        _, keep = np.unique(out.round(decimals=12), axis=0, return_index=True)
-        return out[np.sort(keep)]
+        rounded = out.round(decimals=12)
+        order = np.lexsort(rounded.T)  # stable: equal rows stay in their order
+        ordered = rounded[order]
+        first = np.ones(len(out), dtype=bool)
+        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        return out[np.sort(order[first])]
 
 
 @dataclass(frozen=True)

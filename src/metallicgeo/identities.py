@@ -407,17 +407,17 @@ def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
     (its vanishing is equivalent to S J_M = -(2/3q) S* JMhat) but not
     asserted.
     """
-    chain = evaluate(bundle, [Identity(
-        "divergence-ricci-chain", not_nearly, "d2",
-        lambda ctx: _diff(_divergence_omega(ctx),
-                          np.einsum("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J)
-                          + (2.0 / (3 * ctx.q))
-                          * np.einsum("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat)))
-    ])[0]
+    kept = {}  # the left side of the row's last evaluation, for the note
+
+    def residual(ctx):
+        kept["lhs"] = lhs = _divergence_omega(ctx)
+        return _diff(lhs, np.einsum("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J)
+                     + (2.0 / (3 * ctx.q)) * np.einsum("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat))
+
+    chain = evaluate(bundle, [Identity("divergence-ricci-chain", not_nearly, "d2", residual)])[0]
     if chain.skipped:
         return chain
-    points = bundle.sample_points
-    obs = largest(max_abs_per_point(_divergence_omega(bundle.context(points))), points,
+    obs = largest(max_abs_per_point(kept["lhs"]), bundle.sample_points,
                   "observed |nabla^m nabla_j w_im|")
     return replace(chain,
                    note=f"observed |nabla^m nabla_j w_im| = {obs:.6g} (reported, not asserted)")

@@ -90,6 +90,7 @@ def parse_spec(text: str) -> ManifoldSpec:
     """Parse spec text; raises SpecFileError with line/offset on failure."""
     spec = ManifoldSpec()
     seen_structure_keys, point_at = set(), {}  # point_at: named point -> (line, offset)
+    parsed = {}  # expression text -> Expr: entries with the same text share one
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -106,10 +107,12 @@ def parse_spec(text: str) -> ManifoldSpec:
         m = _INDEXED.match(key)
         if m:
             what, i, j = m.group(1), int(m.group(2)), int(m.group(3))
-            try:
-                expr = exprdsl.parse(value)
-            except exprdsl.ParseError as exc:
-                raise SpecFileError(line_no, value_col + exc.offset - 1, str(exc)) from exc
+            expr = parsed.get(value)
+            if expr is None:
+                try:
+                    expr = parsed[value] = exprdsl.parse(value)
+                except exprdsl.ParseError as exc:
+                    raise SpecFileError(line_no, value_col + exc.offset - 1, str(exc)) from exc
             if what == "g":
                 if j < i:
                     raise SpecFileError(line_no, 1, "metric entries use the upper triangle (i <= j)")
@@ -197,12 +200,27 @@ def spec_sha256(text: str) -> str:
 
 
 def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool, sig: str) -> TensorField:
+    """The matrix field of `entries`, (row, column) -> Expr.
+
+    Entries whose parsed trees are equal form one group, in the file order of
+    their first entry: a call evaluates each group once and writes its value
+    to every slot of the group (both triangles of an off-diagonal metric
+    entry), so the first entry that fails to evaluate is still the first in
+    file order.
+    """
+    groups = {}  # tree -> (expr, slots)
+    for (i, j), expr in entries.items():
+        slots = groups.setdefault(expr.root, (expr, []))[1]
+        slots.append((i, j))
+        if symmetric and i != j:
+            slots.append((j, i))
+
     def fn(pts):
         out = np.zeros((len(pts), n, n))
-        for (i, j), expr in entries.items():
-            out[:, i, j] = v = expr.eval(pts)
-            if symmetric and i != j:
-                out[:, j, i] = v
+        for expr, slots in groups.values():
+            v = expr.eval(pts)
+            for i, j in slots:
+                out[:, i, j] = v
         return out
 
     return TensorField(name=name, sig=sig, fn=fn,
@@ -210,7 +228,16 @@ def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool, sig: s
 
 
 def build_bundle(spec: ManifoldSpec) -> StructureBundle:
-    """Materialize a StructureBundle; numerical validity is checked downstream."""
+    """Materialize a StructureBundle without evaluating a field.
+
+    The chart, step, parameters and tolerances are checked here, by their own
+    constructors. The fields are evaluated only where a command reads them:
+    `classify` and `verify` at the run's sample points (after any --seed,
+    --h and tolerance overrides), as node 0 of the order-1 stencil, and
+    `curvature` around its point. A domain error, a non-finite value or a
+    singular metric is raised there and names its point. The metric needs no
+    symmetry check: one value fills both triangles of each entry.
+    """
     params = MetallicParams(spec.p, spec.q)
     chart = Chart(dimension=spec.dimension, bounds=spec.bounds, grid=spec.grid,
                   n_random=spec.random_points, seed=spec.seed, margin=spec.margin,
@@ -221,10 +248,7 @@ def build_bundle(spec: ManifoldSpec) -> StructureBundle:
     struct = _expr_matrix_field("structure", spec.dimension, spec.s_entries,
                                 symmetric=False, sig="ud")
     if spec.structure == "J":
-        bundle = StructureBundle.from_j(chart, g, struct, params, sign=spec.sign,
-                                        scheme=scheme, tolerances=tol, name=spec.name)
-    else:
-        bundle = StructureBundle(chart, g, struct, params, scheme=scheme,
-                                 tolerances=tol, name=spec.name)
-    g.validate_on(bundle.sample_points)
-    return bundle
+        return StructureBundle.from_j(chart, g, struct, params, sign=spec.sign,
+                                      scheme=scheme, tolerances=tol, name=spec.name)
+    return StructureBundle(chart, g, struct, params, scheme=scheme,
+                           tolerances=tol, name=spec.name)

@@ -9,9 +9,11 @@ single-point `partial_all`), the stacked, field-calling Christoffel
 coefficients and a test-only curved Kahler fixture whose Ricci tensor has
 a closed form. The JSON report writer the CLI replaced (round every float,
 then the standard library's indenting encoder) is the reference for
-`cli.report_json`, and the dense jet weight tables the engine replaced
+`cli.report_json`, the dense jet weight tables the engine replaced
 (one row per ordered multi-index) are the reference for its tables over
-distinct multi-indices.
+distinct multi-indices, the meshgrid and `np.unique` sampler the reference
+for `Chart.sample_points`, and the character-class tokenizer the reference
+for `exprdsl`'s on ASCII text.
 """
 
 import json
@@ -378,3 +380,75 @@ def _sig6(x):
 def reference_report_json(report: dict) -> str:
     """The report text `cli.report_json` must reproduce byte for byte (lists, not arrays)."""
     return json.dumps(_sig6(report), ensure_ascii=True, indent=2) + "\n"
+
+
+# --- reference sampler -----------------------------------------------------------------
+
+
+def reference_sample_points(chart: Chart) -> np.ndarray:
+    """`Chart.sample_points` as per-axis linspace, meshgrid and `np.unique` over rows."""
+    b = chart.bounds_array
+    lo = b[:, 0] + chart.margin
+    hi = b[:, 1] - chart.margin
+    axes = [np.linspace(lo[i], hi[i], chart.grid) for i in range(chart.dimension)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = [np.stack([m.ravel() for m in mesh], axis=-1)]
+    if chart.named_points:
+        pts.append(np.array([chart.named_points[k] for k in sorted(chart.named_points)], dtype=float))
+    if chart.n_random:
+        rng = np.random.default_rng(chart.seed)
+        pts.append(rng.uniform(lo, hi, size=(chart.n_random, chart.dimension)))
+    out = np.concatenate(pts, axis=0)
+    # drop exact duplicates (a named point may coincide with a grid node)
+    _, keep = np.unique(out.round(decimals=12), axis=0, return_index=True)
+    return out[np.sort(keep)]
+
+
+# --- reference tokenizer ----------------------------------------------------------------
+
+
+def reference_tokenize(src: str):
+    """`exprdsl`'s tokenizer as a character-class loop (str.isdigit, isalpha, isalnum)."""
+    toks = []
+    i = 0
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*/^()":
+            toks.append(exprdsl._Tok("op", c, i + 1))
+            i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            if j < n and src[j] == ".":
+                j += 1
+                while j < n and src[j].isdigit():
+                    j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdigit():
+                    j = k
+                    while j < n and src[j].isdigit():
+                        j += 1
+            if not math.isfinite(float(src[i:j])):
+                raise exprdsl.ParseError(i + 1, f"a finite number, not {src[i:j]!r}")
+            toks.append(exprdsl._Tok("num", src[i:j], i + 1))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(exprdsl._Tok("name", src[i:j], i + 1))
+            i = j
+            continue
+        raise exprdsl.ParseError(i + 1, f"a valid token, not {c!r}")
+    toks.append(exprdsl._Tok("eof", "", n + 1))
+    return toks

@@ -170,6 +170,10 @@ DISK = (
      "non-finite value in sub-expression '(1e+200 * 1e+200)' at point [-0.95, -0.95]"),
     (dict(GOOD, g00="1 + 1e400*0"), [], 2, "line 5, offset 15: parse error at offset 5:"
                                            " expected a finite number, not '1e400'"),
+    (dict(GOOD, g00="1 + x0\u00b2"), [], 2, "line 5, offset 17: parse error at offset 7:"
+                                             " expected a valid token, not '\u00b2'"),
+    (dict(GOOD, g00="1 + x0 + \u0663"), [], 2, "line 5, offset 20: parse error at offset 10:"
+                                               " expected a valid token, not '\u0663'"),
     (dict(GOOD, bounds="-1 nan, -1 1"), [], 2, "bounds must be finite"),
     (dict(GOOD, bounds="-1 inf, -1 1"), [], 2, "bounds must be finite"),
     (GOOD_SPEC + "margin = nan\n", [], 2, "margin must be positive"),
@@ -197,6 +201,7 @@ DISK = (
      "line 9, offset 11: named point 'a' is not inside the chart margin"),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
         "jet-too-big", "power-overflow", "product-overflow", "literal-overflow",
+        "superscript-digit", "non-ascii-digit",
         "nan-bound", "infinite-bound", "nan-margin", "nan-step-spec", "zero-step-spec",
         "nan-step-flag", "negative-tolerance-spec", "negative-tolerance-flag",
         "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "infinite-q",
@@ -205,7 +210,7 @@ DISK = (
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"
-        path.write_text(spec if isinstance(spec, str) else SPEC_2D.format(**spec))
+        path.write_text(spec if isinstance(spec, str) else SPEC_2D.format(**spec), encoding="utf-8")
         argv = [str(path) if a == "SPEC" else a for a in argv] or ["classify", str(path)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -216,6 +221,27 @@ def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_pa
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code == 3:
         assert err.startswith("numerical failure:")
+
+
+# g is defined for x0 >= -0.6710630390134659 only: the spec's seed, 42, samples a point with
+# x0 = -0.771, seed 4 none below x0 = -0.132
+HALF_PLANE = (
+    "dimension = 2\nq = 0.6666666666666666\nbounds = -1 1, -1 1\ngrid = 0\nrandom_points = 8\n"
+    "structure = J\nsign = +\ng[0][0] = 1 + sqrt(x0 - (-0.6710630390134659))\n"
+    "g[1][1] = 1 + sqrt(x0 - (-0.6710630390134659))\nj[0][1] = -1\nj[1][0] = 1\n"
+)
+
+
+def test_spec_fields_are_evaluated_only_where_the_command_reads_them(tmp_path, capsys):
+    """A run reads the metric at its own sample points or around its point, never at the
+    sample points of the spec's seed."""
+    spec = tmp_path / "half-plane.spec"
+    spec.write_text(HALF_PLANE)
+    assert run(capsys, "classify", str(spec), "--seed", "4")[::2] == (0, "")
+    assert run(capsys, "curvature", str(spec), "--point=0.2,0.1")[::2] == (0, "")
+    assert run(capsys, "classify", str(spec))[::2] == (
+        3, "numerical failure: square root of a negative number in sub-expression"
+           " 'sqrt((x0 - (-0.6710630390134659)))' at point [-0.7710630390134658, 0.9036824681098363]\n")
 
 
 def nan_at_origin(fn, name=None):

@@ -10,7 +10,9 @@ point exceeds the call bound. The engine calls each field once per jet
 order for the stack of sample points, except in chunks of consecutive
 points where a dimension-6 jet would otherwise hold more node values at
 once than `diffcalc.CHUNK_BYTES` (order 3 of g, and J_M at the order-2
-nodes). Tighten a bound when the engine gets cheaper; never raise one.
+nodes). Runs on spec files are counted from the moment the bundle is built,
+with the expression evaluations (`Expr.eval` calls) behind each field call.
+Tighten a bound when the engine gets cheaper; never raise one.
 
 The same runs count the multiply-adds with which the jet applies its
 weight tables, which field-evaluation counts cannot see, and one run
@@ -22,13 +24,16 @@ import gc
 import io
 import tracemalloc
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import numpy.random  # noqa: F401  (not first imported inside the traced run)
 import pytest
 
-from metallicgeo import cli, connections, diffcalc, metallic, zoo
+from metallicgeo import cli, connections, diffcalc, exprdsl, identities, metallic, specfile, zoo
 from metallicgeo.geometry import TensorField, max_abs
+
+S2XS2 = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "s2xs2.spec"
 
 BUILDERS = {
     "s2": zoo.fixture_sphere2,
@@ -50,6 +55,19 @@ BUDGET = {
     ("verify", "flat-k2"): (2601, 1377, 5, 3),
     ("verify", "flat-k3"): (5010, 1690, 12, 5),
     ("classify", "negative"): (272, 272, 1, 1),
+}
+
+# (command, spec file) -> (g points, J_M points, g calls, J_M calls, Expr.eval calls) of a run on
+# a spec file, counted from the moment the bundle is built: a field is evaluated only where the
+# command reads it, and each group of entries with equal trees once per call. s2xs2 has 4 g
+# entries (2 distinct) and 4 J entries (2 distinct), the s2 mirror 2 g entries (1 distinct) and
+# 2 J entries (2 distinct). curvature: the order-1 stencil (17 points) and the order-2 nodes (64)
+# of g, the stencil of J_M. A sweep of the spec's own sample points when the bundle is built
+# would add 9 g points, 1 g call and 4 evaluations.
+SPEC_BUDGET = {
+    ("curvature", "s2xs2"): (81, 17, 2, 1, 6),
+    ("classify", "s2"): (117, 117, 1, 1, 3),
+    ("verify", "s2xs2"): (1377, 729, 4, 2, 12),
 }
 
 # (command, fixture) -> multiply-adds of the jet's weight tables, weights.size x value.size per
@@ -117,6 +135,60 @@ def test_field_evaluations_within_budget(command, name, monkeypatch):
     assert counts["g_calls"] <= g_calls_max, counts
     assert counts["jm_calls"] <= jm_calls_max, counts
     assert counts["jet_madds"] <= JET_MADDS[(command, name)], counts
+
+
+@pytest.mark.parametrize("command,name", sorted(SPEC_BUDGET))
+def test_spec_field_evaluations_within_budget(command, name, tmp_path, monkeypatch):
+    counts = {"g": 0, "jm": 0, "g_calls": 0, "jm_calls": 0, "eval": 0}
+    field = specfile._expr_matrix_field
+
+    def counted_field(fname, *args, **kwargs):
+        fld = field(fname, *args, **kwargs)
+        key = "g" if fname == "g" else "jm"  # J_M is computed from the structure, call for call
+
+        def fn(pts):
+            counts[key] += len(pts)
+            counts[f"{key}_calls"] += 1
+            return fld.fn(pts)
+
+        return dataclasses.replace(fld, fn=fn)
+
+    expr_eval = exprdsl.Expr.eval
+
+    def counted_eval(self, *args):
+        counts["eval"] += 1
+        return expr_eval(self, *args)
+
+    monkeypatch.setattr(specfile, "_expr_matrix_field", counted_field)
+    monkeypatch.setattr(exprdsl.Expr, "eval", counted_eval)
+    if name == "s2xs2":
+        path = S2XS2
+    else:
+        path = tmp_path / f"{name}.spec"
+        path.write_text(zoo.get(name).spec_text, encoding="utf-8")
+    argv = {"classify": [], "verify": ["--suite", "all"],
+            "curvature": ["--point=0.1,0.2,-0.3,0.4"]}[command]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main([command, str(path), *argv, "--format", "json"]) == 0
+    g_max, jm_max, g_calls_max, jm_calls_max, eval_max = SPEC_BUDGET[(command, name)]
+    assert counts["g"] <= g_max, counts
+    assert counts["jm"] <= jm_max, counts
+    assert counts["g_calls"] <= g_calls_max, counts
+    assert counts["jm_calls"] <= jm_calls_max, counts
+    assert counts["eval"] <= eval_max, counts
+
+
+def test_divergence_of_w_computed_once_per_verify(monkeypatch):
+    """divergence-ricci-chain forms nabla^m nabla_j w_im once, for its row and its note."""
+    calls = []
+    divergence = identities._divergence_omega
+    monkeypatch.setattr(identities, "_divergence_omega",
+                        lambda ctx: calls.append(ctx) or divergence(ctx))
+    fx = BUILDERS["s6"]()
+    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--zoo", "s6", "--suite", "all", "--format", "json"]) == 0
+    assert len(calls) == 1
 
 
 def test_jet_never_calls_tensordot(monkeypatch):

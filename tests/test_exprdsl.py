@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from metallicgeo import exprdsl
 from metallicgeo.exprdsl import EvalDomainError, ParseError, parse
-from oracles import eval_per_point
+from oracles import eval_per_point, reference_tokenize
 
 
 def test_literal():
@@ -200,3 +200,30 @@ def test_domain_error_names_the_failing_row_of_a_stack(src, bad, subexpr):
     assert err.value.subexpr == subexpr
     assert err.value.point.tolist() == [bad]
     assert f"at point [{bad!r}]" in str(err.value)
+
+
+def _tokens_or_error(tokenize, src):
+    try:
+        return tokenize(src)
+    except ParseError as exc:
+        return exc.offset, exc.expected
+
+
+@given(st.text(alphabet="0123456789.eE+-*/^()_xyzwpisn \t\x0b\x1c\x1f", max_size=24)
+       | st.text(alphabet=st.characters(max_codepoint=127), max_size=24))
+@settings(max_examples=400, deadline=None)
+def test_ascii_tokens_match_the_reference_tokenizer(src):
+    """ASCII text gives the tokens, offsets and errors of the character-class tokenizer."""
+    assert _tokens_or_error(exprdsl._tokenize, src) == _tokens_or_error(reference_tokenize, src)
+
+
+@pytest.mark.parametrize("src,offset", [
+    ("1 + x0\u00b2", 7),           # superscript two: str.isdigit accepts it
+    ("1 + x0 + \u0663", 10),       # Arabic-Indic three: float() reads it as 3
+    ("x\u00e9 + 1", 2),            # a letter outside ASCII
+    ("1\u00a0+ x0", 2),            # no-break space: str.isspace accepts it
+])
+def test_non_ascii_character_is_a_parse_error_at_its_offset(src, offset):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert (err.value.offset, err.value.expected) == (offset, f"a valid token, not {src[offset - 1]!r}")

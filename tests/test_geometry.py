@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from metallicgeo.geometry import (
     inverse_metric,
     largest,
 )
-from oracles import const_field
+from metallicgeo import zoo
+from oracles import const_field, reference_sample_points
 
 
 def test_chart_grid_3x3_gives_9_points():
@@ -35,6 +37,36 @@ def test_chart_named_point_included():
                   named_points={"origin": (0.0, 0.0)})
     pts = chart.sample_points()
     assert any(np.allclose(p, [0.0, 0.0]) for p in pts)
+
+
+SQUARE = dict(dimension=2, bounds=((-1, 1), (-1, 1)), margin=0.1)
+SAMPLERS = {
+    # grid nodes at -0.9, 0 and 0.9: the origin, its -0.0 spelling and a point 1e-13 off
+    # a node are dropped, as is a point named twice
+    "named-on-grid-node": dict(SQUARE, grid=3, n_random=4, named_points={
+        "a": (0.0, 0.0), "b": (-0.0, 0.9), "c": (0.9 - 1e-13, -0.9), "d": (0.3, 0.2),
+        "e": (0.3, 0.2)}),
+    "grid-0": dict(SQUARE, grid=0, n_random=8, named_points={"o": (-0.0, 0.0)}),
+    "grid-1": dict(dimension=4, bounds=((-1, 1), (0, 2), (-3, 1), (-1, 0)), grid=1, n_random=9,
+                   margin=0.2, named_points={"m": (0.0, 1.0, -1.0, -0.5)}),
+    "dimension-6-729": dict(dimension=6, bounds=((-1, 1),) * 6, grid=3, n_random=5, margin=0.1,
+                            named_points={"o": (-0.0,) * 6, "p": (0.1,) * 6}),
+}
+
+
+@pytest.mark.parametrize("kwargs", SAMPLERS.values(), ids=SAMPLERS)
+def test_sample_points_match_the_reference_sampler(kwargs):
+    chart = Chart(**kwargs)
+    got, want = chart.sample_points(), reference_sample_points(chart)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", zoo.names())
+def test_zoo_sample_points_match_the_reference_sampler(name):
+    for seed in (0, 7, 123456):
+        chart = replace(zoo.get(name).bundle.chart, seed=seed)
+        got, want = chart.sample_points(), reference_sample_points(chart)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
 
 
 def test_chart_rejects_odd_dimension():

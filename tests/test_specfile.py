@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from metallicgeo import zoo
-from metallicgeo.metallic import VERDICT_KAHLER
+from metallicgeo import exprdsl, zoo
+from metallicgeo.metallic import VERDICT_KAHLER, jm_from_j_matrix
 from metallicgeo.specfile import (
     SpecFileError,
     build_bundle,
@@ -101,3 +101,64 @@ def test_tolerance_and_h_overrides():
     bundle = build_bundle(spec)
     assert bundle.tolerances.d1 == 1e-4
     assert bundle.scheme.h1 == 0.002
+
+
+SHARED = """
+dimension = 2
+q = 0.6666666666666666
+bounds = -1 1, -1 1
+structure = J
+sign = +
+g[1][1] = sqrt(x1) + 1
+g[0][0] = 1 + sqrt(x0)
+g[0][1] = sqrt(x1)+1
+j[0][1] = -1
+j[1][0] = 1
+j[0][0] = 0 * sqrt(x1) - 0
+j[1][1] = 0 * sqrt(x1) - 0
+"""
+
+
+def test_equal_entries_share_one_parse_and_one_evaluation(monkeypatch):
+    """Entries with the same text share one Expr, and entries with the same tree one
+    evaluation per field call; the value lands in every slot."""
+    counts = {"parse": 0, "eval": 0}
+    parse, expr_eval = exprdsl.parse, exprdsl.Expr.eval
+
+    def counted_parse(src):
+        counts["parse"] += 1
+        return parse(src)
+
+    def counted_eval(self, *args):
+        counts["eval"] += 1
+        return expr_eval(self, *args)
+
+    monkeypatch.setattr(exprdsl, "parse", counted_parse)
+    spec = parse_spec(SHARED)
+    assert counts["parse"] == 6  # 7 entries; j[0][0] and j[1][1] have the same text
+    assert spec.s_entries[(0, 0)] is spec.s_entries[(1, 1)]
+    monkeypatch.setattr(exprdsl.Expr, "eval", counted_eval)
+    bundle = build_bundle(spec)
+    pts = np.array([[0.25, 0.64], [0.5, 0.09]])
+    g = bundle.g(pts)
+    assert counts["eval"] == 2  # 1 + sqrt(x0), and sqrt(x1) + 1 in two spellings
+    counts["eval"] = 0
+    jm = bundle.jm(pts)
+    assert counts["eval"] == 3  # -1, 1 and 0 * sqrt(x1) - 0
+    J = np.zeros((2, 2, 2))
+    for (a, b), expr in spec.g_entries.items():
+        assert np.array_equal(g[:, a, b], expr_eval(expr, pts))
+        assert np.array_equal(g[:, b, a], expr_eval(expr, pts))
+    for (a, b), expr in spec.s_entries.items():
+        J[:, a, b] = expr_eval(expr, pts)
+    assert np.array_equal(jm, jm_from_j_matrix(J, bundle.params))
+
+
+def test_first_failing_entry_in_file_order_is_named():
+    """At a point where every sqrt fails, the error names sqrt(x1), whose first entry,
+    g[1][1], comes first in the file, though g[0][0] has the lower slot."""
+    bundle = build_bundle(parse_spec(SHARED))
+    with pytest.raises(exprdsl.EvalDomainError) as err:
+        bundle.g(np.array([[0.5, 0.5], [-0.5, -0.5]]))
+    assert err.value.subexpr == "sqrt(x1)"
+    assert err.value.point.tolist() == [-0.5, -0.5]

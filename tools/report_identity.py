@@ -5,7 +5,7 @@
     cmp before.json after.json                                         # byte-identical, or
     python3 tools/report_identity.py --compare before.json after.json  # within tiers
 
-The snapshot holds 69 runs of ``metallicgeo.cli.main``, each with its argv,
+The snapshot holds 75 runs of ``metallicgeo.cli.main``, each with its argv,
 exit code, stderr, raw stdout and parsed JSON report. ``timing_s`` is the
 one field a report does not promise to repeat: its value is masked in the
 stdout and the field is removed from the parsed report. The raw stdout
@@ -16,7 +16,11 @@ report. The runs are:
 * ``classify`` and ``verify --suite all|metallic|nearly|connections`` on
   the 7 zoo fixtures, on the spec files that mirror flat-k1, torus and s2,
   and on ``perfbench/specs/s2xs2.spec``;
-* ``curvature`` on each zoo fixture at one interior point;
+* ``curvature`` on each zoo fixture and on each of the 4 spec files at one
+  interior point;
+* ``classify`` and ``verify --suite all`` on ``s2xs2.spec`` with a
+  ``--seed`` override, so that the run's own sample points, not the
+  spec's, are the ones read;
 * ``verify --suite all`` on each zoo fixture at ``--q 1.5``. At the default
   q = 2/3 the coefficients 3q/2, 2/(3q) and sqrt(6q)/2 are all exactly 1.0,
   so a dropped or misplaced factor of q changes no report there.
@@ -94,6 +98,8 @@ def interior_point(bounds) -> str:
 
 def runs(repo: Path, zoo) -> tuple:
     """(spec file name -> text, argv list) in a fixed order."""
+    from metallicgeo.specfile import parse_spec
+
     specs = {f"{name}.spec": zoo.get(name).spec_text for name in MIRRORED}
     specs["s2xs2.spec"] = (repo / "perfbench" / "specs" / "s2xs2.spec").read_text(encoding="utf-8")
     sources = [["--zoo", name] for name in zoo.names()] + [[name] for name in specs]
@@ -104,6 +110,11 @@ def runs(repo: Path, zoo) -> tuple:
     for name in zoo.names():
         point = interior_point(zoo.get(name).bundle.chart.bounds)
         argvs.append(["curvature", "--zoo", name, f"--point={point}", "--format", "json"])
+    for name, text in specs.items():
+        point = interior_point(parse_spec(text).bounds)
+        argvs.append(["curvature", name, f"--point={point}", "--format", "json"])
+    argvs += [["classify", "s2xs2.spec", "--seed", "4", "--format", "json"],
+              ["verify", "s2xs2.spec", "--seed", "4", "--suite", "all", "--format", "json"]]
     argvs += [["verify", "--zoo", name, "--q", "1.5", "--suite", "all", "--format", "json"]
               for name in zoo.names()]
     return specs, argvs
