@@ -24,18 +24,18 @@ at each point of a stack: S, the pairing, nabla~ w, nabla~ g and the
 kind-specific terms. The bundle keeps them as one dict per kind of arrays
 stacked over the sample points, built once from the PointContext of those
 points; the JSON block of `connection_report` and the identity records of
-`connection_identity_results` both read those dicts, reduce them point by
-point with `geometry.largest`, and pair the two kinds row by row for the
--1/3 ratio. A connection is Levi-Civita plus its deformation, so
-`first_type` and `second_type` return S alone, and torsion and the symmetry
-checks are exact algebra over the computed nabla J_M.
+`connection_identity_results` both read those dicts, reduce them straight
+to their largest |entry| with `geometry.largest_abs`, and pair the two
+kinds row by row for the -1/3 ratio. A connection is Levi-Civita plus its
+deformation, so `first_type` and `second_type` return S alone, and torsion
+and the symmetry checks are exact algebra over the computed nabla J_M.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import largest, max_abs_per_point
+from .geometry import largest_abs
 from .identities import Identity, _result, _skip, _zero, evaluate, not_hermitian
 from .metallic import StructureBundle, VERDICT_ALMOST_KAHLER, VERDICT_KAHLER
 
@@ -125,7 +125,8 @@ def _terms(bundle: StructureBundle, kind: str) -> dict:
 
 
 def _ratio(bundle: StructureBundle) -> tuple:
-    """(|S_second + 3 S_first|, |S_second|) at each sample point of a nearly bundle."""
+    """The arrays of S_second + 3 S_first = 0, scaled by S_second, over the sample points of a
+    nearly bundle."""
     second = _terms(bundle, "second")["S"]
     return _zero(second + 3.0 * _terms(bundle, "first")["S"], second)
 
@@ -163,12 +164,12 @@ def connection_report(bundle: StructureBundle) -> dict:
             out["notes"].append(f"{kind}: {exc}")
             continue
         out["connections"][kind] = {
-            key: largest(max_abs_per_point(fn(terms)), points, f"{kind}-type connection {key}")
+            key: largest_abs(points, f"{kind}-type connection {key}", fn(terms))
             for key, fn in _REPORT_ROWS + _KIND_REPORT_ROWS[kind]
         }
         if kind == "second" and _second_form(bundle) == "nearly":
-            out["deformation_ratio_residual"] = largest(
-                _ratio(bundle)[0], points, "deformation ratio residual")
+            out["deformation_ratio_residual"] = largest_abs(
+                points, "deformation ratio residual", _ratio(bundle)[0])
     return out
 
 
@@ -192,7 +193,7 @@ SECOND_TYPE_SKEW = (
 )
 SECOND_TYPE_LEVI = (
     Identity("second-type-equals-levi-civita", None, "alg",
-             lambda t: (max_abs_per_point(t["S"]), np.ones(len(t["S"])))),
+             lambda t: (t["S"], np.ones(len(t["S"])))),
     Identity("second-type-preserves-omega", None, "d1", _preserves_omega),
 )
 SECOND_TYPE_NEARLY = (

@@ -12,13 +12,17 @@ Index conventions used throughout the package:
 
 All pointwise operations here are pure functions of immutable inputs;
 field calls, the inverse metric and the chart-bounds check accept a stack
-of points as well as one point. `max_abs_per_point`
-reduces a stacked tensor to one value per point, and `largest` reduces such
-a vector over the sample points: every reported value goes through it.
+of points as well as one point. Every reported value goes through
+`largest_abs`, which reduces tensors stacked over the sample points
+straight to the largest |entry|, one reduction per tensor. Only when that
+number is not finite does it form the per-point values
+(`max_abs_per_point`) and hand them to `largest`, which names the first
+point whose value is not finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -35,6 +39,7 @@ __all__ = [
     "max_abs",
     "max_abs_per_point",
     "largest",
+    "largest_abs",
 ]
 
 DET_TOL = 1e-10  # times Hadamard's bound on |det g|; see inverse_metric
@@ -66,13 +71,18 @@ def max_abs(arr) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def max_abs_per_point(arr) -> np.ndarray:
-    """The largest |entry| at each point of a stack: |arr| reduced over every axis but the
-    first, from the largest and the smallest entry, so that no copy of |arr| is made (a NaN
-    stays a NaN). An all-zero row gives +0.0: np.maximum(0.0, -0.0) is -0.0, so 0.0 is added."""
-    arr = np.asarray(arr, dtype=float)
-    arr = arr.reshape(len(arr), -1)
-    return np.maximum(arr.max(axis=1, initial=0.0), -arr.min(axis=1, initial=0.0)) + 0.0
+def max_abs_per_point(*arrays) -> np.ndarray:
+    """The largest |entry| at each point of one or more stacks over the same points: each
+    |arr| reduced over every axis but the first, from the largest and the smallest entry, so
+    that no copy of |arr| is made, then the largest over the stacks (a NaN stays a NaN). An
+    all-zero row gives +0.0: np.maximum(0.0, -0.0) is -0.0, so 0.0 is added."""
+    per_array = []
+    for arr in arrays:
+        arr = np.asarray(arr, dtype=float)
+        arr = arr.reshape(len(arr), -1)
+        per_array.append(np.maximum(arr.max(axis=1, initial=0.0), -arr.min(axis=1, initial=0.0))
+                         + 0.0)
+    return np.max(per_array, axis=0)
 
 
 def largest(values, points, quantity: str) -> float:
@@ -85,6 +95,24 @@ def largest(values, points, quantity: str) -> float:
         k = int(np.argmin(finite))
         raise NumericalError(f"{quantity} is {values[k]:g} at point {points[k].tolist()}")
     return float(values.max()) if values.size else 0.0
+
+
+def largest_abs(points, quantity: str, *arrays) -> float:
+    """The largest |entry| of the arrays, each stacked over `points` (point axis first), 0.0
+    for none: `largest(max_abs_per_point(*arrays), ...)`, reduced straight to the scalar.
+
+    max is exact and |x| is never -0.0, so the value is the same to the bit. A NaN stays a
+    NaN and -inf becomes inf, so a finite result means that every entry is finite. When one
+    is not, the per-point values are formed after all, and `largest` raises NumericalError
+    naming `quantity` and the first point whose value is not finite.
+    """
+    worst = 0.0
+    for arr in arrays:
+        value = float(np.abs(arr).max(initial=0.0))
+        if not math.isfinite(value):
+            return largest(max_abs_per_point(*arrays), points, quantity)
+        worst = max(worst, value)
+    return worst
 
 
 @dataclass(frozen=True)

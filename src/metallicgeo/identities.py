@@ -10,12 +10,14 @@ known to close only for special parameter values, so their pass flags are
 informational and do not drive exit codes.
 
 Each identity is one `Identity` record: its gate, its tolerance tier and
-the residual with its scale at every sample point, as two (m,) vectors
-computed from the one PointContext of the stacked sample points (every
-member carries the point axis first). `evaluate` applies the gates, calls
-each record once and reduces its vectors with `geometry.largest`, so every
-checker below is its table plus, where an identity does not fit a record,
-a few explicit lines.
+the arrays of its residual and of the terms behind its scale, computed
+from the one PointContext of the stacked sample points (every member
+carries the point axis first). `evaluate` applies the gates, calls each
+record once and reduces its arrays straight to the two numbers with
+`geometry.largest_abs`, as it does the observations quoted in notes; the
+per-point values are formed only to name the point of a value that is not
+finite. So every checker below is its table plus, where an identity does
+not fit a record, a few explicit lines.
 
 Conventions: see diffcalc. In particular H_ji = R_hji^t (J_M)_t^h and
 S*_ji = -H_jt (J_M)_i^t, the arrangement under which the contracted
@@ -34,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import largest, max_abs_per_point
+from .geometry import largest_abs
 from .metallic import StructureBundle, VERDICT_KAHLER, VERDICT_NONE
 
 __all__ = [
@@ -95,13 +97,15 @@ def _skip(id_: str, note: str) -> IdentityResult:
     return IdentityResult(id=id_, skipped=True, passed=False, note=note)
 
 
-def _result(id_: str, pair: tuple, points, tol: float, asserted: bool = True,
+def _result(id_: str, arrays: tuple, points, tol: float, asserted: bool = True,
             note: str = "") -> IdentityResult:
-    """Reduce the (residual, scale) vectors, entry k at points[k], with `geometry.largest`: a
-    value that is not finite is a NumericalError naming the identity and point, not a failed
+    """Reduce a row's arrays (residual, *terms), stacked over `points`, with
+    `geometry.largest_abs`: the residual first, then the scale over all the terms. A value
+    that is not finite is a NumericalError naming the identity and point, not a failed
     check."""
-    max_res = largest(pair[0], points, f"residual of {id_}")
-    scale = largest(pair[1], points, f"scale of {id_}")
+    residual, *terms = arrays
+    max_res = largest_abs(points, f"residual of {id_}", residual)
+    scale = largest_abs(points, f"scale of {id_}", *terms)
     rel = max_res / max(1.0, scale)
     return IdentityResult(
         id=id_, max_residual=max_res, scale=scale, tolerance=tol,
@@ -124,7 +128,9 @@ not_nearly = _gate(lambda cls: cls.nearly, "needs a nearly metallic Kähler bund
 
 @dataclass(frozen=True)
 class Identity:
-    """One residual check: fn(stacked values) -> (residual, scale), two (m,) vectors.
+    """One residual check: fn(stacked values) -> (residual, *terms), arrays stacked over
+    the points. The residual is the largest |entry| of the first array, the scale that of
+    all the others.
 
     gate returns why the bundle is outside the identity's hypothesis class
     ("" when it is inside; None means no gate); tier names the Tolerances
@@ -159,9 +165,9 @@ def evaluate(bundle: StructureBundle, identities, values=None) -> list:
 
 
 def _zero(residual: np.ndarray, *terms) -> tuple:
-    """Residual of `residual = 0` at each point, with the largest entry of any of the terms
-    there as its scale."""
-    return max_abs_per_point(residual), np.max([max_abs_per_point(t) for t in terms], axis=0)
+    """The arrays of `residual = 0`, with the largest entry of any of the terms as its
+    scale."""
+    return (residual, *terms)
 
 
 def _diff(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
@@ -339,7 +345,9 @@ def check_ricci_pair_identities(bundle: StructureBundle) -> list:
     ))
 
 
-def _ricci_cycle(ctx, derived: bool) -> tuple:
+def _cycle_terms(ctx) -> tuple:
+    """The terms both cycle rows share: the left side, the right side's common part, that
+    part plus the JMhat term, (nabla_{J_M Y} S)(X, B) and the JMhat term itself."""
     p, q = ctx.p, ctx.q
     covS, J, Jhat = ctx.cov_ricci, ctx.J, ctx.Jhat
     a = 1 + 1.5 * q
@@ -350,9 +358,13 @@ def _ricci_cycle(ctx, derived: bool) -> tuple:
     # (nabla_{J_M Y} S)(X, B) = J[a, y] covS[a, x, b]
     covS_JY = np.einsum("...ay,...axb->...yxb", J, covS)
     term_hat = np.einsum("...yxb,...bz->...zxy", covS_JY, Jhat)
+    return lhs, rhs_common, rhs_common + (2.0 / (3 * q) + 1) * term_hat, covS_JY, term_hat
+
+
+def _ricci_cycle(ctx, shared: tuple, derived: bool) -> tuple:
+    lhs, rhs_common, rhs, covS_JY, term_hat = shared
     last = np.einsum("...yxz->...zxy", covS_JY) if derived else term_hat
-    r = lhs - (rhs_common + (2.0 / (3 * q) + 1) * term_hat - p * last)
-    return _zero(r, lhs, rhs_common, term_hat)
+    return _zero(lhs - (rhs - ctx.p * last), lhs, rhs_common, term_hat)
 
 
 def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
@@ -364,14 +376,24 @@ def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
         + (2/3q + 1)(nabla_{J_M Y} S)(X, JMhat Z) - p (nabla_{J_M Y} S)(X, JMhat Z),
     and the derivation-level variant with (nabla_{J_M Y} S)(X, Z) in the
     last term. Third derivatives of g: loosest tier, report-only. Both
-    rows read the cached nabla S of the stacked context.
+    rows read the cached nabla S of the stacked context, and the terms they
+    share are formed once per context.
     """
     note = "report-only: statement and derivation disagree in one argument"
+    shared = {}  # id(context) -> (context, its _cycle_terms)
+
+    def row(derived: bool) -> Callable:
+        def fn(ctx):
+            if id(ctx) not in shared:
+                shared[id(ctx)] = ctx, _cycle_terms(ctx)
+            return _ricci_cycle(ctx, shared[id(ctx)][1], derived)
+        return fn
+
     return evaluate(bundle, (
-        Identity("ricci-derivative-cycle(stated)", not_kahler, "d3",
-                 lambda ctx: _ricci_cycle(ctx, derived=False), asserted=False, note=note),
-        Identity("ricci-derivative-cycle(derived)", not_kahler, "d3",
-                 lambda ctx: _ricci_cycle(ctx, derived=True), asserted=False, note=note),
+        Identity("ricci-derivative-cycle(stated)", not_kahler, "d3", row(derived=False),
+                 asserted=False, note=note),
+        Identity("ricci-derivative-cycle(derived)", not_kahler, "d3", row(derived=True),
+                 asserted=False, note=note),
     ))
 
 
@@ -417,8 +439,7 @@ def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
     chain = evaluate(bundle, [Identity("divergence-ricci-chain", not_nearly, "d2", residual)])[0]
     if chain.skipped:
         return chain
-    obs = largest(max_abs_per_point(kept["lhs"]), bundle.sample_points,
-                  "observed |nabla^m nabla_j w_im|")
+    obs = largest_abs(bundle.sample_points, "observed |nabla^m nabla_j w_im|", kept["lhs"])
     return replace(chain,
                    note=f"observed |nabla^m nabla_j w_im| = {obs:.6g} (reported, not asserted)")
 
@@ -461,7 +482,7 @@ def _ricci_omega_trace(ctx, raw: bool = False) -> tuple:
     w_up = np.einsum("...jm,...tm->...jt", np.einsum("...ji,...im->...jm", ctx.ginv, ctx.omega),
                      ctx.ginv)
     trace = np.einsum("...jt,...jt->...", ctx.curvature.ricci if raw else ricci_sym, w_up)
-    return np.abs(trace), max_abs_per_point(ricci_sym)
+    return trace, ricci_sym
 
 
 def check_scalar_star(bundle: StructureBundle) -> list:
@@ -482,8 +503,8 @@ def check_scalar_star(bundle: StructureBundle) -> list:
         return [relation, _skip(id_, relation.note)]
     points = bundle.sample_points
     ctx = bundle.context(points)
-    raw_obs = largest(_ricci_omega_trace(ctx, raw=True)[0], points,
-                      "raw (unsymmetrized) trace S_jt w^jt")
+    raw_obs = largest_abs(points, "raw (unsymmetrized) trace S_jt w^jt",
+                          _ricci_omega_trace(ctx, raw=True)[0])
     trace = _result(id_, _ricci_omega_trace(ctx), points, 1e-10,
                     note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")
     return [relation, replace(trace, passed=trace.max_residual < 1e-10)]

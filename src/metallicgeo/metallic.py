@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .diffcalc import DiffScheme, PointContext
-from .geometry import Chart, TensorField, largest, max_abs_per_point
+from .geometry import Chart, TensorField, largest_abs
 
 __all__ = [
     "MetallicParams",
@@ -187,26 +187,26 @@ class ClassificationReport:
 def _hyperbolic_derived(ctx) -> np.ndarray:
     """g(J_M X, J_M Y) + p g(X, J_M Y) - (3/2) q g(X, Y), the derived compatibility form."""
     pair = np.einsum("...ib,...bm->...im", np.einsum("...ai,...ab->...ib", ctx.J, ctx.g), ctx.J)
-    return max_abs_per_point(pair + ctx.p * np.swapaxes(ctx.omega, -1, -2) - 1.5 * ctx.q * ctx.g)
+    return pair + ctx.p * np.swapaxes(ctx.omega, -1, -2) - 1.5 * ctx.q * ctx.g
 
 
 def _skew_residual(ctx) -> np.ndarray:
-    return max_abs_per_point(ctx.omega + np.swapaxes(ctx.omega, -1, -2))
+    return ctx.omega + np.swapaxes(ctx.omega, -1, -2)
 
 
-# (residual name, tolerance tier, stacked ctx -> (m,) residual at each point)
+# (residual name, tolerance tier, stacked ctx -> array stacked over the points whose largest
+# |entry| is the residual); rows with the same function share one value
 RESIDUALS = (
-    ("polynomial", "alg", lambda ctx: max_abs_per_point(
-        ctx.J @ ctx.J - ctx.p * ctx.J + 1.5 * ctx.q * np.eye(ctx.n))),
-    ("conjugate_polynomial", "alg", lambda ctx: max_abs_per_point(
-        ctx.Jhat @ ctx.Jhat - ctx.p * ctx.Jhat + 1.5 * ctx.q * np.eye(ctx.n))),
+    ("polynomial", "alg", lambda ctx: ctx.J @ ctx.J - ctx.p * ctx.J + 1.5 * ctx.q * np.eye(ctx.n)),
+    ("conjugate_polynomial", "alg",
+     lambda ctx: ctx.Jhat @ ctx.Jhat - ctx.p * ctx.Jhat + 1.5 * ctx.q * np.eye(ctx.n)),
     ("hyperbolic_direct", "alg", _skew_residual),
     ("hyperbolic_derived", "alg", _hyperbolic_derived),
     ("omega_skewness", "alg", _skew_residual),
-    ("max_domega", "d1", lambda ctx: max_abs_per_point(ctx.domega)),
-    ("max_nijenhuis", "d1", lambda ctx: max_abs_per_point(ctx.N)),
-    ("max_cov_jm", "d1", lambda ctx: max_abs_per_point(ctx.covJ)),
-    ("max_sym_cov_jm", "d1", lambda ctx: max_abs_per_point(ctx.sym_covJ)),
+    ("max_domega", "d1", lambda ctx: ctx.domega),
+    ("max_nijenhuis", "d1", lambda ctx: ctx.N),
+    ("max_cov_jm", "d1", lambda ctx: ctx.covJ),
+    ("max_sym_cov_jm", "d1", lambda ctx: ctx.sym_covJ),
 )
 
 
@@ -223,9 +223,13 @@ def classify(bundle: StructureBundle) -> ClassificationReport:
     finite at some point raises NumericalError naming that point.
     """
     tol = bundle.tolerances
-    ctx = bundle.context(bundle.sample_points)
-    res = {name: largest(fn(ctx), bundle.sample_points, f"classification residual {name}")
-           for name, _, fn in RESIDUALS}
+    points = bundle.sample_points
+    ctx = bundle.context(points)
+    value = {}  # function -> its residual, reduced once for every row that names it
+    for name, _, fn in RESIDUALS:
+        if fn not in value:
+            value[fn] = largest_abs(points, f"classification residual {name}", fn(ctx))
+    res = {name: value[fn] for name, _, fn in RESIDUALS}
 
     hermitian = res["polynomial"] < tol.alg and res["hyperbolic_direct"] < tol.alg
     closed = hermitian and res["max_domega"] < tol.d1

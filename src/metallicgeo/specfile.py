@@ -17,14 +17,15 @@ One `key = value` assignment per line; `#` starts a comment. Keys:
     sign = + | -                        required when structure = J
     j[a][b] = <expression>              components of J  (rows act on vectors)
     jm[a][b] = <expression>             components of J_M when structure = JM
-    point NAME = 0.1 -0.2               named sample point (repeatable)
+    point NAME = 0.1 -0.2               named sample point (repeatable, one per NAME)
     h = 0.001                           optional differencing step override
     tol_alg | tol_d1 | tol_d2 | tol_d3  optional tolerance overrides
 
 Component expressions use the DSL of `exprdsl` (coordinates x0..x{n-1}).
 `j[a][b]`/`jm[a][b]` is the matrix entry in row a, column b of the matrix
 acting on coordinate vectors: (J v)^a = sum_b J[a][b] v^b. Parse failures
-carry the 1-based line number and offset.
+carry the 1-based line number and offset. A key given twice, a component
+or a named point too, is a parse failure on its second line.
 """
 
 from __future__ import annotations
@@ -86,11 +87,20 @@ def _parse_number(text: str, line_no: int, col: int, kind=float):
         raise SpecFileError(line_no, col, f"expected a {kind.__name__}, got {text!r}") from None
 
 
+def _given_once(given_at: dict, key: str, line_no: int) -> None:
+    """Record that `key` is given on line_no; a key given before is a SpecFileError, where a
+    later value would silently replace the earlier one."""
+    if key in given_at:
+        raise SpecFileError(line_no, 1, f"repeated key {key!r}, first given on line {given_at[key]}")
+    given_at[key] = line_no
+
+
 def parse_spec(text: str) -> ManifoldSpec:
     """Parse spec text; raises SpecFileError with line/offset on failure."""
     spec = ManifoldSpec()
     seen_structure_keys, point_at = set(), {}  # point_at: named point -> (line, offset)
     parsed = {}  # expression text -> Expr: entries with the same text share one
+    given_at = {}  # key (a component as g[i][j], a point as "point NAME") -> its line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -107,6 +117,7 @@ def parse_spec(text: str) -> ManifoldSpec:
         m = _INDEXED.match(key)
         if m:
             what, i, j = m.group(1), int(m.group(2)), int(m.group(3))
+            _given_once(given_at, f"{what}[{i}][{j}]", line_no)
             expr = parsed.get(value)
             if expr is None:
                 try:
@@ -124,6 +135,7 @@ def parse_spec(text: str) -> ManifoldSpec:
 
         m = _POINT.match(key)
         if m:
+            _given_once(given_at, f"point {m.group(1)}", line_no)
             try:
                 spec.named_points[m.group(1)] = tuple(float(tok) for tok in value.split())
             except ValueError:
@@ -131,6 +143,7 @@ def parse_spec(text: str) -> ManifoldSpec:
             point_at[m.group(1)] = (line_no, value_col)
             continue
 
+        _given_once(given_at, key, line_no)
         if key == "bounds":
             pairs = []
             for chunk in value.split(","):

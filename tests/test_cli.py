@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metallicgeo import connections, identities, zoo
+from metallicgeo import connections, identities, metallic, zoo
 from metallicgeo.cli import main, make_parser, report_json
 
 
@@ -199,6 +199,14 @@ DISK = (
     (GOOD_SPEC + "grid = -3\n", [], 2, "grid must be non-negative, got -3"),
     (GOOD_SPEC + "point a = 5 5\n", [], 2,
      "line 9, offset 11: named point 'a' is not inside the chart margin"),
+    # a later value silently replaced the first: g[0][0] = 0 gave a singular metric, exit 3
+    (GOOD_SPEC + "g[0][0] = 0\n", [], 2,
+     "line 9, offset 1: repeated key 'g[0][0]', first given on line 5"),
+    (GOOD_SPEC + "jm[1][0] = 2\n", [], 2,
+     "line 9, offset 1: repeated key 'jm[1][0]', first given on line 8"),
+    (GOOD_SPEC + "point a = 0.1 0.2\npoint a = 0.3 0.4\n", [], 2,
+     "line 10, offset 1: repeated key 'point a', first given on line 9"),
+    (GOOD_SPEC + "q = 1.5\n", [], 2, "line 9, offset 1: repeated key 'q', first given on line 2"),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
         "jet-too-big", "power-overflow", "product-overflow", "literal-overflow",
         "superscript-digit", "non-ascii-digit",
@@ -206,7 +214,8 @@ DISK = (
         "nan-step-flag", "negative-tolerance-spec", "negative-tolerance-flag",
         "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "infinite-q",
         "q-1e308", "q-1e307", "q-1e10", "short-point-4d", "short-point-2d", "negative-grid",
-        "point-outside-margin"])
+        "point-outside-margin", "repeated-metric-entry", "repeated-structure-entry",
+        "repeated-point", "repeated-setting"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"
@@ -244,38 +253,109 @@ def test_spec_fields_are_evaluated_only_where_the_command_reads_them(tmp_path, c
            " 'sqrt((x0 - (-0.6710630390134659)))' at point [-0.7710630390134658, 0.9036824681098363]\n")
 
 
-def nan_at_origin(fn, name=None):
-    """fn, whose last argument is a stack of points or their context, with its residual
-    vector (or the entry `name` of its dict) NaN at the row of the origin."""
-    def patched(*args):
-        out = fn(*args)
-        point = args[-1]
-        origin = ~np.any(getattr(point, "point", point), axis=-1)
-        assert origin.sum() == 1
-        values = np.array(out[0] if name is None else out[name])
-        values[origin] = math.nan
-        return (values, out[1]) if name is None else dict(out, **{name: values})
-
-    return patched
+def with_bad_entry(array, points, value: float, row=None) -> np.ndarray:
+    """A copy of `array`, stacked over `points`, with the last entry at the origin (or at
+    points[row]) set to value."""
+    origin = ~np.any(points, axis=-1)
+    assert origin.sum() == 1
+    out = np.array(array, dtype=float)
+    out.reshape(len(out), -1)[origin if row is None else row, -1] = value
+    return out
 
 
-@pytest.mark.parametrize("module,fn,name,message", [
-    (identities, "_star_contraction", None, "residual of star-conjugate-contraction"),
-    # the torsion is read by the connections block alone, not by any identity record
-    (connections, "connection_terms", "torsion", "first-type connection torsion_norm"),
-], ids=["identity-row", "connections-block"])
-def test_verify_names_the_point_of_a_nan(module, fn, name, message, monkeypatch, capsys):
-    monkeypatch.setattr(module, fn, nan_at_origin(getattr(module, fn), name))
-    # the cached s6 bundle memoizes its connection terms: build it afresh so that the patched
-    # function runs, and drop it afterwards so that no later test reads the NaN terms
+def spoil_classification(value, monkeypatch):
+    """max_nijenhuis, a classification residual."""
+    def spoiled(fn):
+        return lambda ctx: with_bad_entry(fn(ctx), ctx.point, value)
+
+    monkeypatch.setattr(metallic, "RESIDUALS", tuple(
+        (name, tier, spoiled(fn) if name == "max_nijenhuis" else fn)
+        for name, tier, fn in metallic.RESIDUALS))
+
+
+def spoil_zero_argument(index: int, first_point_too: int = None):
+    """The array at `index` of the residual-and-terms arrays of star-conjugate-contraction,
+    and the one at `first_point_too` at the first sample point."""
+    def spoil(value, monkeypatch):
+        row, zero = identities._star_contraction, identities._zero
+
+        def spoiled_row(ctx):
+            def spoiled_zero(*arrays):
+                arrays = list(arrays)
+                arrays[index] = with_bad_entry(arrays[index], ctx.point, value)
+                if first_point_too is not None:
+                    arrays[first_point_too] = with_bad_entry(arrays[first_point_too],
+                                                             ctx.point, value, row=0)
+                return zero(*arrays)
+
+            monkeypatch.setattr(identities, "_zero", spoiled_zero)
+            try:
+                return row(ctx)
+            finally:
+                monkeypatch.setattr(identities, "_zero", zero)
+
+        monkeypatch.setattr(identities, "_star_contraction", spoiled_row)
+
+    return spoil
+
+
+def spoil_note(value, monkeypatch):
+    """The raw Ricci trace quoted in the note of ricci-omega-trace-zero."""
+    trace = identities._ricci_omega_trace
+
+    def spoiled(ctx, raw=False):
+        out = trace(ctx, raw=raw)
+        return (with_bad_entry(out[0], ctx.point, value), *out[1:]) if raw else out
+
+    monkeypatch.setattr(identities, "_ricci_omega_trace", spoiled)
+
+
+def spoil_connections_block(value, monkeypatch):
+    """The first-type torsion, which the connections block reads and no identity record."""
+    terms = connections.connection_terms
+
+    def spoiled(bundle, kind, point):
+        out = terms(bundle, kind, point)
+        if kind == "first":
+            out = dict(out, torsion=with_bad_entry(out["torsion"], point, value))
+        return out
+
+    monkeypatch.setattr(connections, "connection_terms", spoiled)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("spoil,command,message,first", [
+    (spoil_classification, "classify", "classification residual max_nijenhuis", False),
+    (spoil_zero_argument(0), "verify", "residual of star-conjugate-contraction", False),
+    # the residual is checked before the scale, which is not finite at an earlier point
+    (spoil_zero_argument(0, first_point_too=1), "verify", "residual of star-conjugate-contraction",
+     False),
+    # the residual is formed before the terms are spoiled, so only the scale is not finite
+    (spoil_zero_argument(2), "verify", "scale of star-conjugate-contraction", False),
+    # the scale at each point is the largest over all the terms: the first point where it is
+    # not finite is the first sample point, not the origin where the first term is spoiled
+    (spoil_zero_argument(1, first_point_too=2), "verify", "scale of star-conjugate-contraction",
+     True),
+    (spoil_note, "verify", "raw (unsymmetrized) trace S_jt w^jt", False),
+    (spoil_connections_block, "verify", "first-type connection torsion_norm", False),
+], ids=["classification", "identity-residual", "identity-residual-before-scale",
+        "identity-scale-one-term", "identity-scale-two-terms", "note", "connections-block"])
+def test_value_that_is_not_finite_names_its_point(spoil, command, message, first, value,
+                                                  monkeypatch, capsys):
+    """A reported value that is not finite at one sample point, the origin of s6, is a
+    numerical failure naming the value, what it is and that point."""
+    spoil(value, monkeypatch)
+    # the cached s6 bundle memoizes its values: build it afresh so that the spoiled function
+    # runs, and drop it afterwards so that no later test reads the spoiled values
     zoo.get.cache_clear()
     try:
-        code, out, err = run(capsys, "verify", "--zoo", "s6", "--suite", "all", "--format", "json")
+        argv = ["--suite", "all"] if command == "verify" else []
+        code, out, err = run(capsys, command, "--zoo", "s6", *argv, "--format", "json")
     finally:
         zoo.get.cache_clear()
-    assert code == 3
-    assert err == f"numerical failure: {message} is nan at point {[0.0] * 6}\n"
-    assert "NaN" not in out
+    point = zoo.get("s6").bundle.sample_points[0].tolist() if first else [0.0] * 6
+    assert (code, out) == (3, "")
+    assert err == f"numerical failure: {message} is {value} at point {point}\n"
 
 
 def test_classify_singular_metric_exit_3(tmp_path, capsys):

@@ -14,6 +14,8 @@ from metallicgeo.geometry import (
     TensorField,
     inverse_metric,
     largest,
+    largest_abs,
+    max_abs_per_point,
 )
 from metallicgeo import zoo
 from oracles import const_field, reference_sample_points
@@ -105,6 +107,45 @@ def test_largest_names_the_point_of_a_value_that_is_not_finite(bad, k):
     with pytest.raises(NumericalError, match=re.escape(
             f"scale of some-row is {bad:g} at point {points[k].tolist()}")):
         largest(values, points, "scale of some-row")
+
+
+def reference_largest_abs(points, quantity, *arrays) -> float:
+    """What largest_abs reduces straight to its scalar: the per-point values, then `largest`."""
+    return largest(max_abs_per_point(*arrays), points, quantity)
+
+
+@pytest.mark.parametrize("shapes", [[(5,)], [(5, 3, 3)], [(5, 2, 2, 2), (5, 2, 2), (5, 4)]])
+def test_largest_abs_is_the_largest_per_point_value_to_the_bit(shapes):
+    rng = np.random.default_rng(7)
+    points = rng.uniform(-1, 1, size=(5, 2))
+    arrays = [rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+              for shape in shapes]
+    cases = [arrays, [-a for a in arrays], [np.zeros(shape) for shape in shapes],
+             [np.full(shape, -0.0) for shape in shapes], [np.zeros((5, 0))]]
+    for case in cases:
+        got = largest_abs(points, "residual of x", *case)
+        want = reference_largest_abs(points, "residual of x", *case)
+        assert type(got) is float and got == want and math.copysign(1.0, got) == 1.0
+    assert largest_abs(points, "scale of x") == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [[(0, 3)], [(2, 0)], [(1, 3), (2, 1)]],
+                         ids=["first-array", "last-array", "two-arrays"])
+def test_largest_abs_names_the_point_as_the_per_point_values_do(bad, where):
+    """A value that is not finite names the first point where the largest over all the
+    arrays is not finite, even when the first array that holds one holds it at a later
+    point."""
+    points = np.array([[0.1 * k, 0.2] for k in range(5)])
+    arrays = [np.ones((5, 2, 2)), np.ones((5, 3)), np.ones(5)]
+    for index, k in where:
+        arrays[index].reshape(5, -1)[k, -1] = bad
+    with pytest.raises(NumericalError) as want:
+        reference_largest_abs(points, "scale of some-row", *arrays)
+    with pytest.raises(NumericalError) as got:
+        largest_abs(points, "scale of some-row", *arrays)
+    assert str(got.value) == str(want.value)
+    assert f"at point {points[min(k for _, k in where)].tolist()}" in str(got.value)
 
 
 def test_inverse_metric_identity_and_diagonal():

@@ -16,7 +16,7 @@ import pytest
 
 from metallicgeo import connections, identities, zoo
 from metallicgeo.connections import GateError, connection_terms
-from metallicgeo.geometry import max_abs
+from metallicgeo.geometry import max_abs, max_abs_per_point
 from metallicgeo.metallic import RESIDUALS
 
 SHIFT = 1e-3
@@ -25,6 +25,12 @@ SHIFT = 1e-3
 def close(got, want, tol: float, what):
     allowance = SHIFT * tol * max(1.0, max_abs(want))
     assert max_abs(np.asarray(got) - np.asarray(want)) <= allowance, what
+
+
+def per_point(arrays) -> tuple:
+    """An identity row's (residual, scale) at each point, from its arrays (residual, *terms)."""
+    residual, *terms = arrays
+    return max_abs_per_point(residual), max_abs_per_point(*terms)
 
 
 def identity_rows(bundle, monkeypatch) -> list:
@@ -61,14 +67,15 @@ def test_each_row_of_the_stack_is_its_own_point(name, monkeypatch):
         alone = bundle.context(points[k:k + 1])  # the point as a stack of one
         single = bundle.context(point)           # the point as one point
         for res, tier, fn in RESIDUALS:
-            close(fn(stack)[k], fn(alone)[0], getattr(tol, tier), (name, k, res))
+            close(max_abs_per_point(fn(stack))[k], max_abs_per_point(fn(alone))[0],
+                  getattr(tol, tier), (name, k, res))
         for ident, values in rows:
             if values is None:
-                one = ident.fn(alone)
+                one = per_point(ident.fn(alone))
             else:
                 kind = next(kd for kd, terms in kinds.items() if terms is values)
-                one = ident.fn(connection_terms(bundle, kind, points[k:k + 1]))
-            many = ident.fn(stack if values is None else values)
+                one = per_point(ident.fn(connection_terms(bundle, kind, points[k:k + 1])))
+            many = per_point(ident.fn(stack if values is None else values))
             scale = max(1.0, one[1][0])
             for got, want in zip(many, one):
                 assert abs(got[k] - want[0]) <= SHIFT * getattr(tol, ident.tier) * scale, \
