@@ -24,11 +24,12 @@ at each point of a stack: S, the pairing, nabla~ w, nabla~ g and the
 kind-specific terms. The bundle keeps them as one dict per kind of arrays
 stacked over the sample points, built once from the PointContext of those
 points; the JSON block of `connection_report` and the identity records of
-`connection_identity_results` both read those dicts, reduce them straight
-to their largest |entry| with `geometry.largest_abs`, and pair the two
-kinds row by row for the -1/3 ratio. A connection is Levi-Civita plus its
-deformation, so `first_type` and `second_type` return S alone, and torsion
-and the symmetry checks are exact algebra over the computed nabla J_M.
+`connection_identity_results` both read those dicts and reduce them
+straight to their largest |entry| with `geometry.largest_abs`, so every
+array either reads, the -1/3 ratio of the two kinds' S included, is formed
+once. A connection is Levi-Civita plus its deformation, so `first_type`
+and `second_type` return S alone, and torsion and the symmetry checks are
+exact algebra over the computed nabla J_M.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
     S is the deformation S[..., h, i, j], SJ the pairing S_J[..., i, j, k] =
     g(S(d_i, d_j), J_M d_k), nw and ng the residuals (nabla~_i w)_jk and
     (nabla~_i g)_jk, sym the pairing's defining symmetry (zero when it
-    holds), expansion nabla~ w recomputed through the pairing and cov_omega
-    the Levi-Civita nabla w. Second type adds four = nabla~ w - 4 nabla w.
+    holds), consistency nabla~ w minus its expansion through the pairing
+    and cov_omega the Levi-Civita nabla w. Second type adds
+    four = nabla~ w - 4 nabla w.
     """
     S = (first_type if kind == "first" else second_type)(bundle, point)
     ctx = bundle.context(point)
@@ -107,7 +109,7 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
         "S": S, "torsion": S - np.swapaxes(S, -2, -1), "SJ": SJ, "nw": nw,
         "ng": -np.einsum("...tij,...tk->...ijk", S, g) - np.einsum("...tik,...jt->...ijk", S, g),
         "sym": SJ + np.einsum("...ijk->...ikj" if kind == "first" else "...ijk->...kji", SJ),
-        "expansion": cov_omega + SJ - np.einsum("...ijk->...ikj", SJ),
+        "consistency": nw - (cov_omega + SJ - np.einsum("...ijk->...ikj", SJ)),
         "cov_omega": cov_omega,
     }
     if kind == "second":
@@ -116,19 +118,15 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
 
 
 def _terms(bundle: StructureBundle, kind: str) -> dict:
-    """The terms stacked over the sample points; a gated kind raises GateError."""
-    if kind == "second":
-        _second_form(bundle)
+    """The terms stacked over the sample points; a gated kind raises GateError. On a nearly
+    bundle the second kind adds ratio = S_second + 3 S_first, which vanishes."""
+    form = _second_form(bundle) if kind == "second" else None
     if kind not in bundle._connections:
-        bundle._connections[kind] = connection_terms(bundle, kind, bundle.sample_points)
+        terms = connection_terms(bundle, kind, bundle.sample_points)
+        if form == "nearly":
+            terms["ratio"] = terms["S"] + 3.0 * _terms(bundle, "first")["S"]
+        bundle._connections[kind] = terms
     return bundle._connections[kind]
-
-
-def _ratio(bundle: StructureBundle) -> tuple:
-    """The arrays of S_second + 3 S_first = 0, scaled by S_second, over the sample points of a
-    nearly bundle."""
-    second = _terms(bundle, "second")["S"]
-    return _zero(second + 3.0 * _terms(bundle, "first")["S"], second)
 
 
 # (report key, terms -> array whose largest entry over the points is reported)
@@ -138,7 +136,7 @@ _REPORT_ROWS = (
     ("nabla_omega_residual", lambda t: t["nw"]),
     ("nabla_g_residual", lambda t: t["ng"]),
     ("pairing_symmetry_residual", lambda t: t["sym"]),
-    ("expansion_consistency", lambda t: t["nw"] - t["expansion"]),
+    ("expansion_consistency", lambda t: t["consistency"]),
 )
 _KIND_REPORT_ROWS = {
     "first": (("metric_theorem_residual", lambda t: t["ng"]),),
@@ -167,9 +165,9 @@ def connection_report(bundle: StructureBundle) -> dict:
             key: largest_abs(points, f"{kind}-type connection {key}", fn(terms))
             for key, fn in _REPORT_ROWS + _KIND_REPORT_ROWS[kind]
         }
-        if kind == "second" and _second_form(bundle) == "nearly":
+        if "ratio" in terms:
             out["deformation_ratio_residual"] = largest_abs(
-                points, "deformation ratio residual", _ratio(bundle)[0])
+                points, "deformation ratio residual", terms["ratio"])
     return out
 
 
@@ -186,7 +184,7 @@ FIRST_TYPE_IDENTITIES = (
     Identity("first-type-pairing-skew", None, "alg", _pairing_symmetry),
     Identity("first-type-metric-theorem", None, "d1", lambda t: _zero(t["ng"], t["ng"])),
     Identity("first-type-expansion-consistency", None, "alg",
-             lambda t: _zero(t["nw"] - t["expansion"], t["nw"])),
+             lambda t: _zero(t["consistency"], t["nw"])),
 )
 SECOND_TYPE_SKEW = (
     Identity("second-type-pairing-outer-skew", None, "d1", _pairing_symmetry),
@@ -221,6 +219,6 @@ def connection_identity_results(bundle: StructureBundle) -> list:
     results += evaluate(bundle, SECOND_TYPE_SKEW, values=second)
     if form == "levi":
         return results + evaluate(bundle, SECOND_TYPE_LEVI, values=second)
-    ratio = _result("second-type-deformation-ratio", _ratio(bundle), bundle.sample_points,
-                    1e-10, note="second deformation = -3 x first")
+    ratio = _result("second-type-deformation-ratio", _zero(second["ratio"], second["S"]),
+                    bundle.sample_points, 1e-10, note="second deformation = -3 x first")
     return results + [ratio] + evaluate(bundle, SECOND_TYPE_NEARLY, values=second)

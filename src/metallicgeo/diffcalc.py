@@ -41,8 +41,8 @@ well, and every order-1 quantity is read off those values. They give g,
 d g, g^-1 (inverted once) and Gamma (`christoffel`, algebra on g^-1 and
 d g); J and d J; and w = J_M g at the points and the nodes, hence d w,
 nabla w (`covariant_derivative`: plain partials plus Gamma corrections)
-and dw (from the skew part of w). The node values are not kept.
-`partial_all` is the order-1 jet of any field at a point. Orders 2 (axis
+and dw (from the skew part of w). The node values are not kept; a
+MetricJet of any field gives its order-1 jet, `dg`. Orders 2 (axis
 and face nodes) and 3 (adding axis nodes at 2 h2 and cube nodes) are
 built at h = h2. g is evaluated at the order-2 nodes of every point in
 one call and kept (nabla nabla w reads them); the order-2 differences,
@@ -81,7 +81,6 @@ __all__ = [
     "DiffScheme",
     "CurvaturePack",
     "partial",
-    "partial_all",
     "christoffel",
     "covariant_derivative",
     "riemann",
@@ -105,6 +104,14 @@ class DiffScheme:
     def __post_init__(self):
         if not 0.0 < self.h1 < np.inf:
             raise ValueError(f"step h must be positive and finite, got {self.h1:g}")
+        # a jet weight of order k at step h is at most (4/3) / (h/2)^k: order 1 at 2 h1,
+        # orders 2 and 3 at h2 (`_jet_table`)
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            steps = np.array([2.0 * self.h1, self.h2, self.h2]) / 2.0
+            finite = np.isfinite((4.0 / 3.0) / steps ** np.arange(1, 4)).all()
+        if not finite:
+            raise ValueError(f"step h={self.h1:g} is too small: the jet weights at h2={self.h2:g}"
+                             " are not finite")
 
     @property
     def h2(self) -> float:
@@ -133,18 +140,10 @@ WEIGHTS_1D = np.array([
 WEIGHTS_1D.flags.writeable = False
 
 
-def partial_all(fn, point, scheme: DiffScheme | None = None):
-    """Central-difference partial derivatives at one point: out[a, ...] = d_a fn.
-
-    fn is called once, at the point and its 4n first-derivative nodes: the
-    order-1 part of a `MetricJet` of fn.
-    """
-    return MetricJet(fn, point, scheme).dg
-
-
 def partial(fn, point, axis: int, scheme: DiffScheme | None = None):
-    """One partial derivative d_axis fn at a point, the axis-th slice of `partial_all`."""
-    return partial_all(fn, point, scheme)[axis]
+    """One partial derivative d_axis fn at a point: the axis-th slice of the order-1 jet of
+    fn, `MetricJet(fn, point, scheme).dg`."""
+    return MetricJet(fn, point, scheme).dg[axis]
 
 
 class JetTable(NamedTuple):
@@ -273,11 +272,9 @@ class CurvaturePack:
         }
 
 
-def riemann(g_fn, point, scheme: DiffScheme | None = None, jet=None) -> CurvaturePack:
-    """Curvature at a point (or a stack of points) from the metric's jet there: by default a
-    fresh `MetricJet` of g_fn, and a PointContext passes itself, so that nabla nabla w reuses
-    its nodes."""
-    jet = jet or MetricJet(g_fn, point, scheme)
+def riemann(jet) -> CurvaturePack:
+    """Curvature at the point (or the stack of points) of a `MetricJet`, from its connection
+    and the connection's derivatives."""
     gamma, dGamma = jet.gamma, jet.dgamma  # dGamma[..., k, h, i, j]
     # R_kji^h = d_k G^h_ji - d_j G^h_ki + G^t_ji G^h_kt - G^t_ki G^h_jt
     Rup = (
@@ -427,7 +424,7 @@ class MetricJet:
 
     @cached_property
     def curvature(self) -> CurvaturePack:
-        return riemann(self.g_fn, self.point, self.scheme, jet=self)
+        return riemann(self)
 
     @cached_property
     def cov_ricci(self) -> np.ndarray:

@@ -12,10 +12,12 @@ Index conventions used throughout the package:
 
 All pointwise operations here are pure functions of immutable inputs;
 field calls, the inverse metric and the chart-bounds check accept a stack
-of points as well as one point. Every reported value goes through
-`largest_abs`, which reduces tensors stacked over the sample points
-straight to the largest |entry|, one reduction per tensor. Only when that
-number is not finite does it form the per-point values
+of points as well as one point. `first_outside` is the one chart-bounds
+test: the chart applies it to its named points and to every stencil, and
+the spec parser to the named points it locates by line. Every reported
+value goes through `largest_abs`, which reduces tensors stacked over the
+sample points straight to the largest |entry|, one reduction per tensor.
+Only when that number is not finite does it form the per-point values
 (`max_abs_per_point`) and hand them to `largest`, which names the first
 point whose value is not finite.
 """
@@ -35,6 +37,7 @@ __all__ = [
     "NumericalError",
     "Chart",
     "TensorField",
+    "first_outside",
     "inverse_metric",
     "max_abs",
     "max_abs_per_point",
@@ -115,6 +118,16 @@ def largest_abs(points, quantity: str, *arrays) -> float:
     return worst
 
 
+def first_outside(points, bounds, reach: float = 0.0) -> int | None:
+    """The index of the first of `points`, one point (n,) or a stack (m, n), with a coordinate
+    outside lo + reach <= x <= hi - reach for its (lo, hi) pair of `bounds`; None when every
+    point keeps `reach` from the bounds. A NaN coordinate is outside."""
+    b = np.asarray(bounds, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, len(b))
+    clear = np.all((pts >= b[:, 0] + reach) & (pts <= b[:, 1] - reach), axis=1)
+    return None if clear.all() else int(np.argmin(clear))
+
+
 @dataclass(frozen=True)
 class Chart:
     """A single coordinate domain of even dimension with a sampling policy.
@@ -150,7 +163,7 @@ class Chart:
         for name, pt in self.named_points.items():
             if np.shape(pt) != (self.dimension,):
                 raise ValueError(f"named point {name!r} needs {self.dimension} coordinates, got {np.size(pt)}")
-            if not self.contains(pt, margin=self.margin):
+            if first_outside(pt, b, self.margin) is not None:
                 raise ValueError(f"named point {name!r} is not inside the chart margin")
         if self.sample_count() < 8:
             raise ValueError("sample policy must yield at least 8 points")
@@ -162,21 +175,14 @@ class Chart:
     def sample_count(self) -> int:
         return self.grid**self.dimension + self.n_random + len(self.named_points)
 
-    def contains(self, point, margin: float = 0.0) -> bool:
-        p = np.asarray(point, dtype=float)
-        b = self.bounds_array
-        return bool(np.all(p >= b[:, 0] + margin) and np.all(p <= b[:, 1] - margin))
-
     def require_inside(self, point, reach: float = 0.0):
         """Raise ChartBoundsError unless point +- reach stays inside the bounds, for one point
         (n,) or each point of a stack (m, n); the error names the first point that fails."""
-        pts = np.asarray(point, dtype=float).reshape(-1, self.dimension)
-        b = self.bounds_array
-        clear = np.all((pts >= b[:, 0] + reach) & (pts <= b[:, 1] - reach), axis=1)
-        if clear.all():
+        k = first_outside(point, self.bounds, reach)
+        if k is None:
             return
-        bad = pts[np.argmin(clear)]
-        if not self.contains(bad):
+        bad = np.asarray(point, dtype=float).reshape(-1, self.dimension)[k]
+        if first_outside(bad, self.bounds) is not None:
             raise ChartBoundsError(f"point {bad.tolist()} is outside the chart")
         raise ChartBoundsError(f"point {bad.tolist()} is too close to the boundary for reach {reach:g}")
 
@@ -217,14 +223,12 @@ class TensorField:
 
     sig is the axis signature ('u'/'d' per array axis). fn maps a stack of
     points, shape (m, n), to the stack of their component arrays, shape
-    (m, ...); calling the field accepts one point or a stack. Declared
-    symmetries are validated against sample points by `validate_on`.
+    (m, ...); calling the field accepts one point or a stack.
     """
 
     name: str
     sig: str
     fn: Callable[[np.ndarray], np.ndarray]
-    symmetric_pairs: tuple = ()
 
     def __call__(self, point) -> np.ndarray:
         """Components at one point (n,) -> (...), or at a stack (m, n) -> (m, ...)."""
@@ -232,19 +236,6 @@ class TensorField:
         if pts.ndim == 1:
             return np.asarray(self.fn(pts[None, :]), dtype=float)[0]
         return np.asarray(self.fn(pts), dtype=float)
-
-    def validate_on(self, points, sym_tol: float = 1e-12):
-        """Check declared symmetries (and shape) at every given point."""
-        points = np.asarray(points, dtype=float)
-        arr = self(points)
-        if arr.ndim != len(self.sig) + 1:
-            raise GeometryError(f"field {self.name!r} returned rank {arr.ndim - 1}, signature is {self.sig!r}")
-        for a, b in self.symmetric_pairs:
-            bad = np.max(np.abs(arr - np.swapaxes(arr, a + 1, b + 1)).reshape(len(points), -1),
-                         axis=1, initial=0.0) > sym_tol
-            if bad.any():
-                raise GeometryError(f"field {self.name!r} is not symmetric in axes ({a},{b})"
-                                    f" at {points[np.argmax(bad)].tolist()}")
 
 
 def inverse_metric(g: np.ndarray, point=None) -> np.ndarray:

@@ -31,6 +31,7 @@ d_a w_bc + d_b w_ca + d_c w_ab.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -380,19 +381,13 @@ def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
     share are formed once per context.
     """
     note = "report-only: statement and derivation disagree in one argument"
-    shared = {}  # id(context) -> (context, its _cycle_terms)
-
-    def row(derived: bool) -> Callable:
-        def fn(ctx):
-            if id(ctx) not in shared:
-                shared[id(ctx)] = ctx, _cycle_terms(ctx)
-            return _ricci_cycle(ctx, shared[id(ctx)][1], derived)
-        return fn
-
+    terms = functools.cache(_cycle_terms)
     return evaluate(bundle, (
-        Identity("ricci-derivative-cycle(stated)", not_kahler, "d3", row(derived=False),
+        Identity("ricci-derivative-cycle(stated)", not_kahler, "d3",
+                 lambda ctx: _ricci_cycle(ctx, terms(ctx), derived=False),
                  asserted=False, note=note),
-        Identity("ricci-derivative-cycle(derived)", not_kahler, "d3", row(derived=True),
+        Identity("ricci-derivative-cycle(derived)", not_kahler, "d3",
+                 lambda ctx: _ricci_cycle(ctx, terms(ctx), derived=True),
                  asserted=False, note=note),
     ))
 
@@ -474,15 +469,17 @@ def _scalar_star_relation(ctx) -> tuple:
     return _zero(lhs - rhs, lhs, 1.5 * q * ctx.curvature.scalar, ctx.norm_covJ_sq)
 
 
-def _ricci_omega_trace(ctx, raw: bool = False) -> tuple:
+def _ricci_omega_trace(ctx) -> tuple:
+    """(raw trace, trace, symmetrised Ricci): S_jt w^jt with the raw Ricci tensor and with its
+    symmetric part."""
     # the Ricci tensor is symmetric by theorem; its raw finite-difference
     # asymmetry is measured by the curvature invariants, so the mixed trace
     # is taken against the symmetric part (and the raw value observed)
     ricci_sym = 0.5 * (ctx.curvature.ricci + np.swapaxes(ctx.curvature.ricci, -1, -2))
     w_up = np.einsum("...jm,...tm->...jt", np.einsum("...ji,...im->...jm", ctx.ginv, ctx.omega),
                      ctx.ginv)
-    trace = np.einsum("...jt,...jt->...", ctx.curvature.ricci if raw else ricci_sym, w_up)
-    return trace, ricci_sym
+    raw = np.einsum("...jt,...jt->...", ctx.curvature.ricci, w_up)
+    return raw, np.einsum("...jt,...jt->...", ricci_sym, w_up), ricci_sym
 
 
 def check_scalar_star(bundle: StructureBundle) -> list:
@@ -502,12 +499,11 @@ def check_scalar_star(bundle: StructureBundle) -> list:
     if relation.skipped:
         return [relation, _skip(id_, relation.note)]
     points = bundle.sample_points
-    ctx = bundle.context(points)
-    raw_obs = largest_abs(points, "raw (unsymmetrized) trace S_jt w^jt",
-                          _ricci_omega_trace(ctx, raw=True)[0])
-    trace = _result(id_, _ricci_omega_trace(ctx), points, 1e-10,
-                    note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")
-    return [relation, replace(trace, passed=trace.max_residual < 1e-10)]
+    raw, trace, ricci_sym = _ricci_omega_trace(bundle.context(points))
+    raw_obs = largest_abs(points, "raw (unsymmetrized) trace S_jt w^jt", raw)
+    row = _result(id_, (trace, ricci_sym), points, 1e-10,
+                  note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")
+    return [relation, replace(row, passed=row.max_residual < 1e-10)]
 
 
 def check_nearly_nijenhuis(bundle: StructureBundle) -> list:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import exprdsl
 from .diffcalc import DiffScheme
-from .geometry import Chart, TensorField
+from .geometry import Chart, TensorField, first_outside
 from .metallic import MetallicParams, StructureBundle, Tolerances
 
 __all__ = ["SpecFileError", "ManifoldSpec", "parse_spec", "build_bundle", "spec_sha256"]
@@ -189,14 +189,12 @@ def parse_spec(text: str) -> ManifoldSpec:
     if not spec.s_entries:
         raise SpecFileError(1, 1, "no structure components given")
     n = spec.dimension
-    bounds = np.asarray(spec.bounds, dtype=float)
     # bounds or a margin that the chart rejects are reported by the chart itself
-    checkable = np.isfinite(bounds).all() and np.isfinite(spec.margin)
+    checkable = np.isfinite(spec.bounds).all() and np.isfinite(spec.margin)
     for name, pt in spec.named_points.items():
         if len(pt) != n:
             raise SpecFileError(*point_at[name], f"named point {name!r} needs {n} coordinates, got {len(pt)}")
-        inside = (bounds[:, 0] + spec.margin <= pt) & (pt <= bounds[:, 1] - spec.margin)
-        if checkable and not inside.all():
+        if checkable and first_outside(pt, spec.bounds, spec.margin) is not None:
             raise SpecFileError(*point_at[name], f"named point {name!r} is not inside the chart margin")
     for (i, j) in list(spec.g_entries) + list(spec.s_entries):
         if not (0 <= i < n and 0 <= j < n):
@@ -236,8 +234,7 @@ def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool, sig: s
                 out[:, i, j] = v
         return out
 
-    return TensorField(name=name, sig=sig, fn=fn,
-                       symmetric_pairs=((0, 1),) if symmetric else ())
+    return TensorField(name=name, sig=sig, fn=fn)
 
 
 def build_bundle(spec: ManifoldSpec) -> StructureBundle:

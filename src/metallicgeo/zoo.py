@@ -71,14 +71,14 @@ def _std_complex_structure(k: int) -> np.ndarray:
     return J
 
 
-def _const_field(name: str, sig: str, value: np.ndarray, symmetric_pairs=()) -> TensorField:
+def _const_field(name: str, sig: str, value: np.ndarray) -> TensorField:
     value = np.asarray(value, dtype=float)
-    return TensorField(name=name, sig=sig, symmetric_pairs=symmetric_pairs,
+    return TensorField(name=name, sig=sig,
                        fn=lambda pts: np.broadcast_to(value, (len(pts),) + value.shape))
 
 
 def _delta_metric(n: int) -> TensorField:
-    return _const_field("delta", "dd", np.eye(n), symmetric_pairs=((0, 1),))
+    return _const_field("delta", "dd", np.eye(n))
 
 
 def _conformal_factor(pts: np.ndarray) -> np.ndarray:
@@ -94,7 +94,7 @@ def _conformal_round_metric(n: int) -> TensorField:
     def fn(pts):
         return _conformal_factor(pts)[:, None, None] * eye
 
-    return TensorField(name="round-metric", sig="dd", fn=fn, symmetric_pairs=((0, 1),))
+    return TensorField(name="round-metric", sig="dd", fn=fn)
 
 
 def _mirror_spec(name, dim, bounds, q, g_entries, j_entries, grid, n_random, seed) -> str:

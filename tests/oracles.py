@@ -4,8 +4,8 @@ The engine's fields map stacks of points, (m, n) -> (m, ...). Most
 references here are the per-point forms: they take one point at a time,
 and the tests assert that the stacked engine agrees with them row by row.
 The nested stencils the engine's jet replaced are kept as references too,
-and so are stacked first partials (a row loop over the engine's
-single-point `partial_all`), the stacked, field-calling Christoffel
+and so are stacked first partials (a row loop over the order-1 jet of the
+engine's single-point `MetricJet`), the stacked, field-calling Christoffel
 coefficients and a test-only curved Kahler fixture whose Ricci tensor has
 a closed form. The JSON report writer the CLI replaced (round every float,
 then the standard library's indenting encoder) is the reference for
@@ -24,8 +24,8 @@ from itertools import combinations_with_replacement, permutations, product
 import numpy as np
 
 from metallicgeo import exprdsl
-from metallicgeo.diffcalc import (WEIGHTS_1D, DiffScheme, JetTable, christoffel,
-                                  covariant_derivative, partial_all)
+from metallicgeo.diffcalc import (WEIGHTS_1D, DiffScheme, JetTable, MetricJet, christoffel,
+                                  covariant_derivative)
 from metallicgeo.geometry import Chart, TensorField, inverse_metric, max_abs
 from metallicgeo.metallic import MetallicParams, StructureBundle
 from metallicgeo.octonions import cross7_matrix
@@ -52,7 +52,7 @@ def central(fn, point, axis: int, h: float, order: int):
 
     Nodes come in the order +2h, +h, -h, -2h (order 4) or +h, -h (order
     2), each as a one-row stack. The per-axis form of the engine's
-    stencils: `partial_all`, the engine's order-1 jet, evaluates fields at
+    stencils: `MetricJet.dg`, the engine's order-1 jet, evaluates fields at
     the same nodes as `partial_all_per_axis`, built from this, and agrees
     with it to roundoff (it differences f(node) - f(point) and sums in
     another order).
@@ -87,10 +87,10 @@ def partial_all_per_axis(fn, point, scheme: DiffScheme, stage: int) -> np.ndarra
 def stacked_partial_all(fn, point, scheme: DiffScheme | None = None) -> np.ndarray:
     """out[..., a, ...] = d_a fn at a point (n,) or at every point of a stack (..., n).
 
-    A row loop over the engine's single-point `partial_all`.
+    A row loop over the engine's single-point order-1 jet, `MetricJet.dg`.
     """
     point = np.asarray(point, dtype=float)
-    rows = [partial_all(fn, p, scheme) for p in point.reshape(-1, point.shape[-1])]
+    rows = [MetricJet(fn, p, scheme).dg for p in point.reshape(-1, point.shape[-1])]
     return np.stack(rows).reshape(point.shape[:-1] + rows[0].shape)
 
 
@@ -162,7 +162,7 @@ def metric_compat_residual(g_fn, point, h: float) -> float:
     """
     point = np.asarray(point, dtype=float)
     gamma = christoffel_field(g_fn, point, DiffScheme(h))
-    dg_ref = partial_all(g_fn, point, DiffScheme())
+    dg_ref = MetricJet(g_fn, point).dg
     g = at(g_fn, point)
     corr = np.einsum("tai,tj->aij", gamma, g) + np.einsum("taj,ti->aij", gamma, g)
     return max_abs(dg_ref - corr)
@@ -306,7 +306,7 @@ def kahler_quartic_bundle(q: float = 2.0 / 3.0) -> StructureBundle:
     chart = Chart(dimension=4, bounds=((-0.6, 0.6),) * 4, grid=1, n_random=8, seed=19,
                   margin=0.1)
     J = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
-    g = TensorField("kahler-quartic", "dd", kahler_quartic_metric, symmetric_pairs=((0, 1),))
+    g = TensorField("kahler-quartic", "dd", kahler_quartic_metric)
     return StructureBundle.from_j(chart, g, TensorField("standard-J", "ud", const_field(J)),
                                   MetallicParams(0.0, q))
 

@@ -180,6 +180,9 @@ DISK = (
     (GOOD_SPEC + "h = nan\n", [], 2, "step h must be positive and finite, got nan"),
     (GOOD_SPEC + "h = 0\n", [], 2, "step h must be positive and finite, got 0"),
     (None, ["verify", "--zoo", "s2", "--h", "nan"], 2, "step h must be positive and finite"),
+    # (h2/2)^3 underflows, so the order-3 jet weights are inf: the cycle rows were NaN, exit 3
+    (None, ["verify", "--zoo", "s2", "--h", "1e-130"], 2,
+     "step h=1e-130 is too small: the jet weights at h2=4.64159e-109 are not finite"),
     (GOOD_SPEC + "tol_d3 = -1\n", [], 2, "tolerance d3 must be positive and finite"),
     (None, ["verify", "--zoo", "s2", "--tol-d1", "-1"], 2, "tolerance d1 must be positive"),
     (None, ["verify", "--zoo", "s2", "--tol-d1", "0"], 2, "tolerance d1 must be positive"),
@@ -211,7 +214,7 @@ DISK = (
         "jet-too-big", "power-overflow", "product-overflow", "literal-overflow",
         "superscript-digit", "non-ascii-digit",
         "nan-bound", "infinite-bound", "nan-margin", "nan-step-spec", "zero-step-spec",
-        "nan-step-flag", "negative-tolerance-spec", "negative-tolerance-flag",
+        "nan-step-flag", "tiny-step-flag", "negative-tolerance-spec", "negative-tolerance-flag",
         "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "infinite-q",
         "q-1e308", "q-1e307", "q-1e10", "short-point-4d", "short-point-2d", "negative-grid",
         "point-outside-margin", "repeated-metric-entry", "repeated-structure-entry",
@@ -303,9 +306,9 @@ def spoil_note(value, monkeypatch):
     """The raw Ricci trace quoted in the note of ricci-omega-trace-zero."""
     trace = identities._ricci_omega_trace
 
-    def spoiled(ctx, raw=False):
-        out = trace(ctx, raw=raw)
-        return (with_bad_entry(out[0], ctx.point, value), *out[1:]) if raw else out
+    def spoiled(ctx):
+        raw, *rest = trace(ctx)
+        return (with_bad_entry(raw, ctx.point, value), *rest)
 
     monkeypatch.setattr(identities, "_ricci_omega_trace", spoiled)
 

@@ -35,8 +35,7 @@ def symplectic_shear_bundle():
         return P
 
     g = TensorField(name="shear-metric", sig="dd",
-                    fn=lambda pts: np.swapaxes(shear(pts), 1, 2) @ shear(pts),
-                    symmetric_pairs=((0, 1),))
+                    fn=lambda pts: np.swapaxes(shear(pts), 1, 2) @ shear(pts))
     j_field = TensorField(name="J-shear", sig="ud",
                           fn=lambda pts: np.linalg.solve(shear(pts), J0 @ shear(pts)))
     chart = Chart(dimension=4, bounds=((-1.0, 1.0),) * 4, grid=2, margin=0.1)

@@ -4,10 +4,10 @@ import pytest
 from metallicgeo import zoo
 from metallicgeo.diffcalc import (
     DiffScheme,
+    MetricJet,
     covariant_derivative,
     nijenhuis,
     partial,
-    partial_all,
     riemann,
 )
 from metallicgeo.geometry import Chart, ChartBoundsError, SingularMetricError, TensorField, max_abs
@@ -91,7 +91,7 @@ def test_partial_all_bit_identical_to_per_axis_stencils(n):
                     return fn
 
                 ref = partial_all_per_axis(logged("ref"), pt, scheme, stage=1)
-                got = partial_all(logged("got"), pt, scheme)
+                got = MetricJet(logged("got"), pt, scheme).dg
                 assert len(calls["got"]) == 1
                 rows = calls["got"][0]
                 assert len(rows) == 1 + 4 * n and np.array_equal(rows[0], pt)
@@ -152,7 +152,7 @@ def test_covariant_derivative_of_metric_vanishes():
         bundle = zoo.get(name).bundle
         pt = bundle.sample_points[0]
         ctx = bundle.context(pt)
-        res = covariant_derivative(partial_all(bundle.g, pt, bundle.scheme), ctx.g, "dd",
+        res = covariant_derivative(MetricJet(bundle.g, pt, bundle.scheme).dg, ctx.g, "dd",
                                    ctx.gamma)
         assert max_abs(res) < 1e-6
 
@@ -161,7 +161,7 @@ def test_covariant_derivative_constant_tensor_flat():
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     pt = np.array([0.1, 0.2])
     gamma = christoffel_field(const_field(np.eye(2)), pt)
-    res = covariant_derivative(partial_all(const_field(J), pt), J, "ud", gamma)
+    res = covariant_derivative(MetricJet(const_field(J), pt).dg, J, "ud", gamma)
     assert max_abs(res) < 1e-12
 
 
@@ -191,14 +191,14 @@ def test_divergence_of_omega_flat_metallic():
 
 
 def test_riemann_flat_zero():
-    pack = riemann(const_field(np.eye(4)), np.array([0.1, 0.2, -0.3, 0.0]))
+    pack = riemann(MetricJet(const_field(np.eye(4)), np.array([0.1, 0.2, -0.3, 0.0])))
     assert max_abs(pack.Rdown) < 1e-10
     assert abs(pack.scalar) < 1e-10
 
 
 def test_riemann_s2_matches_constant_curvature_oracle():
     for pt in (np.array([0.0, 0.0]), np.array([0.4, -0.5])):
-        pack = riemann(round_metric, pt)
+        pack = riemann(MetricJet(round_metric, pt))
         g = at(round_metric, pt)
         assert max_abs(pack.Rdown - constant_curvature_oracle(g)) < 1e-6
         assert pack.scalar == pytest.approx(2.0, abs=1e-6)
@@ -207,7 +207,7 @@ def test_riemann_s2_matches_constant_curvature_oracle():
 
 def test_riemann_s6_scalar_30():
     pt = np.array([0.2, -0.1, 0.3, 0.0, -0.2, 0.1])
-    pack = riemann(round_metric, pt)
+    pack = riemann(MetricJet(round_metric, pt))
     assert pack.scalar == pytest.approx(30.0, abs=1e-4)
     g = at(round_metric, pt)
     assert max_abs(pack.Rdown - constant_curvature_oracle(g)) / max_abs(pack.Rdown) < 1e-4
@@ -254,7 +254,7 @@ def test_exterior_cross_check_orientation_on_s6():
 
 def test_nijenhuis_constant_structure_zero():
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert max_abs(nijenhuis(J, partial_all(const_field(J), np.array([0.4, 0.2])))) < 1e-12
+    assert max_abs(nijenhuis(J, MetricJet(const_field(J), np.array([0.4, 0.2])).dg)) < 1e-12
 
 
 def test_nijenhuis_s2_integrable():

@@ -328,3 +328,50 @@ def test_shared_terms_formed_once(monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--zoo", "s2", "--suite", "all", "--format", "json"]) == 0
     assert calls == {"skew": 1, "cycle": 1}
+
+
+def test_connection_arrays_formed_once(monkeypatch):
+    """The connections block and the identity rows reduce the same kept arrays: on s6 the
+    -1/3 ratio S_second + 3 S_first twice (block and row), the first type's nabla~ w minus its
+    expansion twice (block and row) and the second type's once (block only). When each
+    reader formed its own, the block and the rows formed each of these arrays again."""
+    kept, reduced = {}, []
+    terms = connections.connection_terms
+
+    def recorded_terms(bundle, kind, point):
+        kept[kind] = terms(bundle, kind, point)
+        return kept[kind]
+
+    monkeypatch.setattr(connections, "connection_terms", recorded_terms)
+    for module in (connections, identities):
+        def recorded(points, quantity, *arrays, _fn=module.largest_abs):
+            reduced.extend(id(a) for a in arrays)
+            return _fn(points, quantity, *arrays)
+
+        monkeypatch.setattr(module, "largest_abs", recorded)
+    fx = BUILDERS["s6"]()
+    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--zoo", "s6", "--suite", "all", "--format", "json"]) == 0
+    counts = [reduced.count(id(kept["second"]["ratio"])),
+              reduced.count(id(kept["first"]["consistency"])),
+              reduced.count(id(kept["second"]["consistency"]))]
+    assert counts == [2, 2, 1]
+
+
+def test_ricci_omega_trace_formed_once(monkeypatch):
+    """One nearly verify forms the symmetrised Ricci tensor and w^jt once, for the raw trace
+    quoted in the note and for the asserted trace; they were formed once for each."""
+    calls = []
+    trace = identities._ricci_omega_trace
+
+    def counted(ctx):
+        calls.append(ctx)
+        return trace(ctx)
+
+    monkeypatch.setattr(identities, "_ricci_omega_trace", counted)
+    fx = BUILDERS["s6"]()
+    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--zoo", "s6", "--suite", "all", "--format", "json"]) == 0
+    assert len(calls) == 1

@@ -8,7 +8,6 @@ import pytest
 from metallicgeo.geometry import (
     Chart,
     ChartBoundsError,
-    GeometryError,
     NumericalError,
     SingularMetricError,
     TensorField,
@@ -18,7 +17,8 @@ from metallicgeo.geometry import (
     max_abs_per_point,
 )
 from metallicgeo import zoo
-from oracles import const_field, reference_sample_points
+from metallicgeo.specfile import SpecFileError, parse_spec
+from oracles import reference_sample_points
 
 
 def test_chart_grid_3x3_gives_9_points():
@@ -188,12 +188,37 @@ def test_chart_require_inside_names_the_failure():
         chart.require_inside([(0.0, 0.0), (5.0, 0.0), (0.999, 0.0)], reach=0.005)
 
 
-def test_tensorfield_validates_declared_symmetry():
-    bad = TensorField(name="bad", sig="dd", fn=const_field([[0.0, 1.0], [0.0, 0.0]]),
-                      symmetric_pairs=((0, 1),))
-    with pytest.raises(Exception):
-        bad.validate_on(np.zeros((1, 2)))
+MARGIN_SPEC = (
+    "dimension = 2\nq = 0.6666666666666666\nbounds = {lo!r} {hi!r}, {lo!r} {hi!r}\n"
+    "margin = {margin!r}\nstructure = J\nsign = +\ng[0][0] = 1\ng[1][1] = 1\n"
+    "j[0][1] = -1\nj[1][0] = 1\npoint e = {x!r} {y!r}\n"
+)
 
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+@pytest.mark.parametrize("lo,hi,margin", [(-1.0, 1.0, 0.1), (-0.6, 0.6, 0.05), (0.3, 2.7, 0.07)])
+def test_margin_edge_is_inside_for_every_bounds_check(lo, hi, margin, side):
+    """A coordinate exactly at lo + margin (or hi - margin) passes the named-point check of
+    the chart, the spec parser's located check and require_inside(reach=margin); one float
+    step further out fails all three."""
+    edge = lo + margin if side == "lo" else hi - margin
+    past = np.nextafter(edge, -np.inf if side == "lo" else np.inf)
+    bounds, mid = ((lo, hi), (lo, hi)), 0.5 * (lo + hi)
+    chart = Chart(dimension=2, bounds=bounds, margin=margin)
+    for x, inside in ((edge, True), (past, False)):
+        point = (float(x), mid)
+        text = MARGIN_SPEC.format(lo=lo, hi=hi, margin=margin, x=float(x), y=mid)
+        if inside:
+            Chart(dimension=2, bounds=bounds, margin=margin, named_points={"e": point})
+            assert parse_spec(text).named_points == {"e": point}
+            chart.require_inside(point, reach=margin)
+            continue
+        with pytest.raises(ValueError, match="named point 'e' is not inside the chart margin"):
+            Chart(dimension=2, bounds=bounds, margin=margin, named_points={"e": point})
+        with pytest.raises(SpecFileError, match="line 11, offset 11: named point 'e' is not inside"):
+            parse_spec(text)
+        with pytest.raises(ChartBoundsError, match="too close to the boundary"):
+            chart.require_inside(point, reach=margin)
 
 
 def test_inverse_metric_stack_names_the_singular_row():
@@ -212,14 +237,3 @@ def test_field_accepts_a_point_or_a_stack():
     pts = np.array([[2.0, 0.0], [3.0, 1.0]])
     assert field(pts).shape == (2, 2, 2)
     assert np.array_equal(field(pts[1]), 3.0 * np.eye(2))
-
-
-def test_validate_on_names_the_asymmetric_row():
-    def fn(pts):
-        out = np.tile(np.eye(2), (len(pts), 1, 1))
-        out[:, 0, 1] = pts[:, 0]  # symmetric only where x0 = 0
-        return out
-
-    field = TensorField("g", "dd", fn, symmetric_pairs=((0, 1),))
-    with pytest.raises(GeometryError, match=r"at \[0\.5, 0\.2\]"):
-        field.validate_on(np.array([[0.0, 0.1], [0.5, 0.2], [0.0, 0.3]]))

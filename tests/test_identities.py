@@ -33,7 +33,7 @@ def algebraic_p1_bundle():
     and the shear makes the failure visible at derivative level too."""
     params = MetallicParams(1.0, 1.0)
     chart = Chart(dimension=4, bounds=((-1.0, 1.0),) * 4, grid=2, margin=0.1)
-    g = TensorField(name="delta", sig="dd", fn=const_field(np.eye(4)), symmetric_pairs=((0, 1),))
+    g = TensorField(name="delta", sig="dd", fn=const_field(np.eye(4)))
     J0 = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     def sheared(pts):

@@ -5,7 +5,7 @@
     cmp before.json after.json                                         # byte-identical, or
     python3 tools/report_identity.py --compare before.json after.json  # within tiers
 
-The snapshot holds 75 runs of ``metallicgeo.cli.main``, each with its argv,
+The snapshot holds 77 runs of ``metallicgeo.cli.main``, each with its argv,
 exit code, stderr, raw stdout and parsed JSON report. ``timing_s`` is the
 one field a report does not promise to repeat: its value is masked in the
 stdout and the field is removed from the parsed report. The raw stdout
@@ -23,7 +23,11 @@ report. The runs are:
   spec's, are the ones read;
 * ``verify --suite all`` on each zoo fixture at ``--q 1.5``. At the default
   q = 2/3 the coefficients 3q/2, 2/(3q) and sqrt(6q)/2 are all exactly 1.0,
-  so a dropped or misplaced factor of q changes no report there.
+  so a dropped or misplaced factor of q changes no report there;
+* the s2 mirror spec with a named point exactly lo + margin from its first
+  bound (``verify --suite all``, accepted) and one float step further out
+  (``classify``, a located parse error, exit 2), so that the chart-bounds
+  check is pinned at its edge.
 
 Spec files are copied into a fresh directory that becomes the working
 directory and are named by bare file name, so ``source.name`` in the
@@ -117,6 +121,13 @@ def runs(repo: Path, zoo) -> tuple:
               ["verify", "s2xs2.spec", "--seed", "4", "--suite", "all", "--format", "json"]]
     argvs += [["verify", "--zoo", name, "--q", "1.5", "--suite", "all", "--format", "json"]
               for name in zoo.names()]
+    s2 = parse_spec(specs["s2.spec"])
+    edge = s2.bounds[0][0] + s2.margin
+    specs["s2-edge.spec"] = specs["s2.spec"] + f"point edge = {edge!r} 0.0\n"
+    specs["s2-past-edge.spec"] = (specs["s2.spec"]
+                                  + f"point edge = {math.nextafter(edge, -math.inf)!r} 0.0\n")
+    argvs += [["verify", "s2-edge.spec", "--suite", "all", "--format", "json"],
+              ["classify", "s2-past-edge.spec", "--format", "json"]]
     return specs, argvs
 
 
