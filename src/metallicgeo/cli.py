@@ -65,27 +65,25 @@ def _bundle_from_args(args) -> tuple[StructureBundle, dict]:
 
 
 def _build_bundle(args) -> tuple[StructureBundle, dict]:
-    if args.zoo:
-        q = args.q if args.q is not None else zoo.DEFAULT_Q
-        fx = zoo.get(args.zoo, q)
-        bundle = fx.bundle
-        source = {"kind": "zoo", "name": fx.name, "sha256": spec_sha256(fx.spec_text or fx.name)}
-    else:
-        text = Path(args.spec).read_text(encoding="utf-8")
-        bundle = build_bundle(parse_spec(text))
-        source = {"kind": "file", "name": args.spec, "sha256": spec_sha256(text)}
+    """The run's bundle: --seed, --h and --tol-* replace the source's own settings before
+    the bundle checks its chart against its step."""
+    seed, h = args.seed, args.h
     tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
     tol = {k: v for k, v in tol.items() if v is not None}
-    overrides = {}
-    if args.seed is not None:
-        overrides["chart"] = replace(bundle.chart, seed=args.seed)
-    if args.h is not None:
-        overrides["scheme"] = DiffScheme(args.h)
-    if tol:
-        overrides["tolerances"] = replace(bundle.tolerances, **tol)
-    if overrides:
-        bundle = replace(bundle, **overrides)
-    return bundle, source
+    if not args.zoo:
+        text = Path(args.spec).read_text(encoding="utf-8")
+        spec = parse_spec(text)
+        spec = replace(spec, seed=spec.seed if seed is None else seed,
+                       h=spec.h if h is None else h, tol={**spec.tol, **tol})
+        return build_bundle(spec), {"kind": "file", "name": args.spec, "sha256": spec_sha256(text)}
+    fx = zoo.get(args.zoo, zoo.DEFAULT_Q if args.q is None else args.q)
+    bundle = fx.bundle  # built and checked with the fixture's own settings
+    if seed is not None or h is not None or tol:
+        chart = bundle.chart if seed is None else replace(bundle.chart, seed=seed)
+        scheme = bundle.scheme if h is None else DiffScheme(h)
+        bundle = replace(bundle, chart=chart, scheme=scheme,
+                         tolerances=replace(bundle.tolerances, **tol))
+    return bundle, {"kind": "zoo", "name": fx.name, "sha256": spec_sha256(fx.spec_text or fx.name)}
 
 
 def _base_report(bundle: StructureBundle, source: dict) -> dict:

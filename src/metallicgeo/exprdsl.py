@@ -216,14 +216,16 @@ class Expr:
     """An immutable parsed expression.
 
     Pure value object: evaluation has no side effects, so one Expr may be
-    evaluated from many threads concurrently.
+    evaluated from many threads concurrently. The largest coordinate index
+    the tree references is found once, here, not on every evaluation.
     """
 
-    __slots__ = ("root", "source")
+    __slots__ = ("root", "source", "_max_coord")
 
     def __init__(self, root: _Node, source: str = ""):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "_max_coord", root.max_coord())
 
     def __setattr__(self, *_):
         raise AttributeError("Expr is immutable")
@@ -232,7 +234,7 @@ class Expr:
         """Evaluate at one point (n,) -> float, or at a stack of points (m, n) -> array (m,)."""
         pts = np.asarray(point, dtype=float)
         stack = pts.reshape(1, -1) if pts.ndim == 1 else pts
-        n = self.max_coord() + 1
+        n = self._max_coord + 1
         if stack.shape[1] < n:
             raise ValueError(
                 f"expression references x{n - 1} but the point has only"
@@ -248,7 +250,8 @@ class Expr:
         return self.root.render()
 
     def max_coord(self) -> int:
-        return self.root.max_coord()
+        """Largest coordinate index referenced, -1 if none (a constant expression)."""
+        return self._max_coord
 
     def __repr__(self):
         return f"Expr({self.render()})"

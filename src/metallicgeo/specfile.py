@@ -218,6 +218,11 @@ def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool, sig: s
     to every slot of the group (both triangles of an off-diagonal metric
     entry), so the first entry that fails to evaluate is still the first in
     file order.
+
+    A field none of whose entries references a coordinate is constant: its
+    value is evaluated once, at the first point the field is called at (a
+    domain error names that point), and every call returns a read-only
+    broadcast view of it, which allocates nothing per point.
     """
     groups = {}  # tree -> (expr, slots)
     for (i, j), expr in entries.items():
@@ -234,6 +239,16 @@ def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool, sig: s
                 out[:, i, j] = v
         return out
 
+    if all(expr.max_coord() < 0 for expr, _ in groups.values()):
+        value = None  # (n, n), once evaluated; two threads that race evaluate it alike
+
+        def const_fn(pts):
+            nonlocal value
+            if value is None:
+                value = fn(pts[:1])[0]
+            return np.broadcast_to(value, (len(pts), n, n))
+
+        return TensorField(name=name, sig=sig, fn=const_fn)
     return TensorField(name=name, sig=sig, fn=fn)
 
 

@@ -9,10 +9,15 @@ pointwise but is neither closed nor integrable.
 
 All fixtures use p = 0 (see the metallic module note on the trace
 obstruction); q defaults to 2/3, which makes J_M equal the underlying
-almost complex structure. Metrics and structures are closed-form code;
-the flat, torus and 2-sphere fixtures also carry a mirrored DSL spec file
-used to cross-check the text-format path. Like every field, each maps a
-stack of points (m, n) to a stack of component arrays (m, ...).
+almost complex structure. Six fixtures (flat-k1/2/3, torus, s2 and
+negative) are defined once, as manifold spec text (see `specfile`) with
+their whole chart: bounds, grid, seed, margin and named points. The text
+is the fixture's `spec_text`: a report hashes it into `source.sha256`,
+and a spec file holding it gives the same report as `--zoo`. s6 needs
+the octonion cross product, which the expression DSL cannot write, so it
+is the one fixture given as Python fields; it keeps that path under test.
+Like every field, each maps a stack of points (m, n) to a stack of
+component arrays (m, ...).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .metallic import (
     VERDICT_NONE,
 )
 from .octonions import cross7_matrix
+from .specfile import build_bundle, parse_spec
 
 __all__ = ["Fixture", "names", "get", "fixture_flat", "fixture_torus",
            "fixture_sphere2", "fixture_sphere6", "fixture_negative"]
@@ -62,23 +68,11 @@ class Fixture:
         return self
 
 
-def _std_complex_structure(k: int) -> np.ndarray:
-    """Block-diagonal rotation by +90 degrees on R^{2k}."""
-    J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    J = np.zeros((2 * k, 2 * k))
-    for b in range(k):
-        J[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = J2
-    return J
-
-
-def _const_field(name: str, sig: str, value: np.ndarray) -> TensorField:
-    value = np.asarray(value, dtype=float)
-    return TensorField(name=name, sig=sig,
-                       fn=lambda pts: np.broadcast_to(value, (len(pts),) + value.shape))
-
-
-def _delta_metric(n: int) -> TensorField:
-    return _const_field("delta", "dd", np.eye(n))
+def _spec_fixture(text: str, expected_verdict: str, expected_nearly: bool, notes: str) -> Fixture:
+    """The fixture that spec `text` defines; the text is also its `spec_text`."""
+    spec = parse_spec(text)
+    return Fixture(name=spec.name, bundle=build_bundle(spec), expected_verdict=expected_verdict,
+                   expected_nearly=expected_nearly, spec_text=text, notes=notes)
 
 
 def _conformal_factor(pts: np.ndarray) -> np.ndarray:
@@ -97,27 +91,6 @@ def _conformal_round_metric(n: int) -> TensorField:
     return TensorField(name="round-metric", sig="dd", fn=fn)
 
 
-def _mirror_spec(name, dim, bounds, q, g_entries, j_entries, grid, n_random, seed) -> str:
-    lines = [
-        f"# mirrored spec for the built-in {name} fixture",
-        f"name = {name}",
-        f"dimension = {dim}",
-        "p = 0.0",
-        f"q = {q!r}",
-        "bounds = " + ", ".join(f"{lo!r} {hi!r}" for lo, hi in bounds),
-        f"grid = {grid}",
-        f"random_points = {n_random}",
-        f"seed = {seed}",
-        "structure = J",
-        "sign = +",
-    ]
-    for (i, j), expr in sorted(g_entries.items()):
-        lines.append(f"g[{i}][{j}] = {expr}")
-    for (i, j), expr in sorted(j_entries.items()):
-        lines.append(f"j[{i}][{j}] = {expr}")
-    return "\n".join(lines) + "\n"
-
-
 def fixture_flat(k: int = 1, q: float = DEFAULT_Q, p: float = 0.0) -> Fixture:
     """Flat R^{2k} with the standard block structure; metallic Kahler for p = 0.
 
@@ -126,62 +99,62 @@ def fixture_flat(k: int = 1, q: float = DEFAULT_Q, p: float = 0.0) -> Fixture:
     cannot, so the expected verdict drops to not metallic-Hermitian.
     """
     n = 2 * k
-    params = MetallicParams(p, q)
     grid = {1: 3, 2: 2, 3: 1}.get(k, 1)
-    n_random = 0 if grid**n >= 8 else 8
-    chart = Chart(dimension=n, bounds=tuple(((-1.0, 1.0),) * n), grid=grid,
-                  n_random=n_random, seed=42, margin=0.1,
-                  named_points={"origin": (0.0,) * n})
-    g = _delta_metric(n)
-    j_field = _const_field("J-standard", "ud", _std_complex_structure(k))
-    bundle = StructureBundle.from_j(chart, g, j_field, params, name=f"flat-k{k}")
-    expected = VERDICT_KAHLER if p == 0.0 else VERDICT_NONE
-    spec_text = None
-    if p == 0.0:
-        J = _std_complex_structure(k)
-        g_entries = {(i, i): "1" for i in range(n)}
-        j_entries = {(a, b): repr(float(J[a, b]))
-                     for a in range(n) for b in range(n) if J[a, b] != 0.0}
-        spec_text = _mirror_spec(f"flat-k{k}", n, ((-1.0, 1.0),) * n, q,
-                                 g_entries, j_entries, grid, n_random, 42)
-    return Fixture(name=f"flat-k{k}", bundle=bundle, expected_verdict=expected,
-                   expected_nearly=(p == 0.0), spec_text=spec_text,
-                   notes="flat chart, parallel structure" if p == 0.0 else
+    lines = [f"name = flat-k{k}", f"dimension = {n}", f"p = {p!r}", f"q = {q!r}",
+             "bounds = " + ", ".join(["-1 1"] * n), f"grid = {grid}",
+             f"random_points = {0 if grid**n >= 8 else 8}", "seed = 42", "margin = 0.1",
+             "point origin = " + " ".join(["0"] * n), "structure = J", "sign = +"]
+    lines += [f"g[{i}][{i}] = 1" for i in range(n)]
+    for b in range(0, n, 2):  # rotation by +90 degrees in each coordinate plane
+        lines += [f"j[{b}][{b + 1}] = -1", f"j[{b + 1}][{b}] = 1"]
+    kahler = p == 0.0
+    return _spec_fixture("\n".join(lines) + "\n", VERDICT_KAHLER if kahler else VERDICT_NONE,
+                         kahler, "flat chart, parallel structure" if kahler else
                          "documents the p != 0 trace obstruction")
 
 
 def fixture_torus(q: float = DEFAULT_Q) -> Fixture:
     """Flat metric on a periodic-style chart away from the origin."""
-    params = MetallicParams(0.0, q)
-    bounds = ((0.1, 6.18), (0.1, 6.18))
-    chart = Chart(dimension=2, bounds=bounds, grid=3, n_random=2, seed=7, margin=0.1)
-    g = _delta_metric(2)
-    j_field = _const_field("J-standard", "ud", _std_complex_structure(1))
-    bundle = StructureBundle.from_j(chart, g, j_field, params, name="torus")
-    spec_text = _mirror_spec("torus", 2, bounds, q,
-                             {(0, 0): "1", (1, 1): "1"},
-                             {(0, 1): "-1", (1, 0): "1"}, 3, 2, 7)
-    return Fixture(name="torus", bundle=bundle, expected_verdict=VERDICT_KAHLER,
-                   expected_nearly=True, spec_text=spec_text,
-                   notes="flat, compact-style chart with nontrivial coordinates")
+    return _spec_fixture(f"""\
+name = torus
+dimension = 2
+p = 0.0
+q = {q!r}
+bounds = 0.1 6.18, 0.1 6.18
+grid = 3
+random_points = 2
+seed = 7
+margin = 0.1
+structure = J
+sign = +
+g[0][0] = 1
+g[1][1] = 1
+j[0][1] = -1
+j[1][0] = 1
+""", VERDICT_KAHLER, True, "flat, compact-style chart with nontrivial coordinates")
 
 
 def fixture_sphere2(q: float = DEFAULT_Q) -> Fixture:
     """Unit 2-sphere, stereographic chart; scalar curvature 2 everywhere."""
-    params = MetallicParams(0.0, q)
-    bounds = ((-0.9, 0.9), (-0.9, 0.9))
-    chart = Chart(dimension=2, bounds=bounds, grid=3, n_random=4, seed=11, margin=0.09,
-                  named_points={"origin": (0.0, 0.0)})
-    g = _conformal_round_metric(2)
-    j_field = _const_field("J-rot90", "ud", _std_complex_structure(1))
-    bundle = StructureBundle.from_j(chart, g, j_field, params, name="s2")
-    spec_text = _mirror_spec(
-        "s2", 2, bounds, q,
-        {(0, 0): "4/(1 + x0^2 + x1^2)^2", (1, 1): "4/(1 + x0^2 + x1^2)^2"},
-        {(0, 1): "-1", (1, 0): "1"}, 3, 4, 11)
-    return Fixture(name="s2", bundle=bundle, expected_verdict=VERDICT_KAHLER,
-                   expected_nearly=True, spec_text=spec_text,
-                   notes="curved metallic Kahler control; Ricci equals g")
+    # |x|^2 is summed before 1 is added, as `_conformal_factor` (the s6 metric) sums it
+    return _spec_fixture(f"""\
+name = s2
+dimension = 2
+p = 0.0
+q = {q!r}
+bounds = -0.9 0.9, -0.9 0.9
+grid = 3
+random_points = 4
+seed = 11
+margin = 0.09
+point origin = 0 0
+structure = J
+sign = +
+g[0][0] = 4/(1 + (x0^2 + x1^2))^2
+g[1][1] = 4/(1 + (x0^2 + x1^2))^2
+j[0][1] = -1
+j[1][0] = 1
+""", VERDICT_KAHLER, True, "curved metallic Kahler control; Ricci equals g")
 
 
 def _sphere6_embedding(pts: np.ndarray):
@@ -228,37 +201,40 @@ def fixture_sphere6(q: float = DEFAULT_Q) -> Fixture:
                    notes="canonical nearly Kahler control; scalar curvature 30")
 
 
-def _rotation_conjugated_structure(rate: float = 0.3) -> TensorField:
-    """J(x) = R(theta) J_std R(theta)^T on R^4 with theta = rate * x0.
-
-    The rotation acts in the (e1, e2) plane, which does not commute with
-    the block structure, so the conjugated field genuinely varies while
-    staying orthogonal-conjugated (hence Hermitian for the flat metric).
-    """
-    J0 = _std_complex_structure(2)
-
-    def fn(pts):
-        th = rate * pts[:, 0]
-        R = np.tile(np.eye(4), (len(pts), 1, 1))
-        c, s = np.cos(th), np.sin(th)
-        R[:, 1, 1], R[:, 1, 2], R[:, 2, 1], R[:, 2, 2] = c, -s, s, c
-        return R @ J0 @ np.swapaxes(R, 1, 2)
-
-    return TensorField(name="J-rotated", sig="ud", fn=fn)
-
-
 def fixture_negative(q: float = DEFAULT_Q) -> Fixture:
     """Pointwise Hermitian but neither closed nor integrable: the control
-    that exercises the verdict ladder below metallic Kahler."""
-    params = MetallicParams(0.0, q)
-    chart = Chart(dimension=4, bounds=tuple(((-1.0, 1.0),) * 4), grid=2,
-                  n_random=0, seed=3, margin=0.1)
-    g = _delta_metric(4)
-    bundle = StructureBundle.from_j(chart, g, _rotation_conjugated_structure(), params,
-                                    name="negative")
-    return Fixture(name="negative", bundle=bundle, expected_verdict=VERDICT_HERMITIAN,
-                   expected_nearly=False,
-                   notes="position-dependent rotation conjugation; d-omega and N both large")
+    that exercises the verdict ladder below metallic Kahler.
+
+    J = R J_std R^T on flat R^4, where R rotates the (e1, e2) plane by
+    0.3 x0. The rotation does not commute with the block structure, so J
+    genuinely varies while staying orthogonally conjugated, hence Hermitian
+    for the flat metric.
+    """
+    return _spec_fixture(f"""\
+name = negative
+dimension = 4
+p = 0.0
+q = {q!r}
+bounds = -1 1, -1 1, -1 1, -1 1
+grid = 2
+random_points = 0
+seed = 3
+margin = 0.1
+structure = J
+sign = +
+g[0][0] = 1
+g[1][1] = 1
+g[2][2] = 1
+g[3][3] = 1
+j[0][1] = -cos(0.3*x0)
+j[0][2] = -sin(0.3*x0)
+j[1][0] = cos(0.3*x0)
+j[1][3] = sin(0.3*x0)
+j[2][0] = sin(0.3*x0)
+j[2][3] = -cos(0.3*x0)
+j[3][1] = -sin(0.3*x0)
+j[3][2] = cos(0.3*x0)
+""", VERDICT_HERMITIAN, False, "position-dependent rotation conjugation; d-omega and N both large")
 
 
 _BUILDERS = {

@@ -168,6 +168,9 @@ DISK = (
      "non-finite value in sub-expression '((3.0 + x0) ^ 700.0)' at point [0.0, -0.95]"),
     (dict(GOOD, g00="1e200 * 1e200 * (1 + x0^2)"), [], 3,
      "non-finite value in sub-expression '(1e+200 * 1e+200)' at point [-0.95, -0.95]"),
+    # a constant field is evaluated once, at the first sample point
+    (dict(GOOD, g00="1/(1-1)"), [], 3,
+     "division by zero in sub-expression '(1.0 / (1.0 - 1.0))' at point [-0.95, -0.95]"),
     (dict(GOOD, g00="1 + 1e400*0"), [], 2, "line 5, offset 15: parse error at offset 5:"
                                            " expected a finite number, not '1e400'"),
     (dict(GOOD, g00="1 + x0\u00b2"), [], 2, "line 5, offset 17: parse error at offset 7:"
@@ -211,7 +214,7 @@ DISK = (
      "line 10, offset 1: repeated key 'point a', first given on line 9"),
     (GOOD_SPEC + "q = 1.5\n", [], 2, "line 9, offset 1: repeated key 'q', first given on line 2"),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
-        "jet-too-big", "power-overflow", "product-overflow", "literal-overflow",
+        "jet-too-big", "power-overflow", "product-overflow", "constant-domain", "literal-overflow",
         "superscript-digit", "non-ascii-digit",
         "nan-bound", "infinite-bound", "nan-margin", "nan-step-spec", "zero-step-spec",
         "nan-step-flag", "tiny-step-flag", "negative-tolerance-spec", "negative-tolerance-flag",
@@ -233,6 +236,34 @@ def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_pa
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code == 3:
         assert err.startswith("numerical failure:")
+
+
+# bounds +-0.01 with margin 0.005: the default step, h2 = 0.00316, leaves the chart
+TINY = (
+    "dimension = 2\nq = 0.6666666666666666\nbounds = -0.01 0.01, -0.01 0.01\nmargin = 0.005\n"
+    "random_points = 2\nstructure = J\nsign = +\ng[0][0] = 1 + x0^2\ng[1][1] = 1 + x0^2\n"
+    "j[0][1] = -1\nj[1][0] = 1\n"
+)
+
+
+def test_command_line_settings_replace_the_spec_settings_before_the_chart_check(tmp_path, capsys):
+    """--h, --seed and --tol-* give the report that the same settings written in the spec
+    give: the spec's own step, which does not fit the chart, is never checked."""
+    flags, in_file = tmp_path / "flags.spec", tmp_path / "in-file.spec"
+    flags.write_text(TINY)
+    in_file.write_text(TINY + "h = 1e-4\nseed = 5\ntol_d1 = 2e-5\n")
+    code, _, err = run(capsys, "classify", str(flags))
+    assert code == 2 and "must stay below half the chart margin" in err
+    reports = []
+    for argv in ([str(flags), "--h", "1e-4", "--seed", "5", "--tol-d1", "2e-5"], [str(in_file)]):
+        code, out, err = run(capsys, "verify", *argv, "--suite", "all", "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        del report["timing_s"], report["source"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert (reports[0]["seed"], reports[0]["scheme"]["h1"], reports[0]["tolerances"]["d1"]) == (
+        5, 1e-4, 2e-5)
 
 
 # g is defined for x0 >= -0.6710630390134659 only: the spec's seed, 42, samples a point with

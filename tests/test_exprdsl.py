@@ -90,6 +90,21 @@ def test_missing_point_coordinate():
         parse("x3").eval((1.0, 2.0))
 
 
+def test_eval_does_not_walk_the_tree_for_its_coordinates(monkeypatch):
+    """The largest coordinate index is found once, when the Expr is made."""
+    expr = parse("sin(x0) * (x2 + 1)")
+
+    def walked(_node):
+        raise AssertionError("max_coord walked the tree")
+
+    for node in (exprdsl.Coord, exprdsl.Bin, exprdsl.Call, exprdsl.Neg):
+        monkeypatch.setattr(node, "max_coord", walked)
+    assert expr.max_coord() == 2
+    assert expr.eval((0.0, 5.0, 1.0)) == 0.0
+    with pytest.raises(ValueError, match="references x2"):
+        expr.eval((1.0, 2.0))
+
+
 def test_functions_match_math_module():
     """Each name applies its numpy ufunc exactly, and that ufunc is the math function.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metallicgeo import exprdsl, zoo
+from metallicgeo import exprdsl
 from metallicgeo.metallic import VERDICT_KAHLER, jm_from_j_matrix
 from metallicgeo.specfile import (
     SpecFileError,
@@ -88,13 +88,6 @@ def test_sha256_stable():
     assert spec_sha256(GOOD) != spec_sha256(GOOD + " ")
 
 
-def test_zoo_mirrors_reproduce_verdicts():
-    for name in ("flat-k1", "torus", "s2"):
-        fx = zoo.get(name)
-        bundle = build_bundle(parse_spec(fx.spec_text))
-        assert bundle.classification().verdict == fx.expected_verdict, name
-
-
 def test_tolerance_and_h_overrides():
     text = GOOD + "tol_d1 = 1e-4\nh = 0.002\n"
     spec = parse_spec(text)
@@ -162,3 +155,39 @@ def test_first_failing_entry_in_file_order_is_named():
         bundle.g(np.array([[0.5, 0.5], [-0.5, -0.5]]))
     assert err.value.subexpr == "sqrt(x1)"
     assert err.value.point.tolist() == [-0.5, -0.5]
+
+
+CONSTANT = """
+dimension = 2
+q = 0.6666666666666666
+bounds = -1 1, -1 1
+structure = JM
+g[0][0] = 2
+g[0][1] = 1/2
+g[1][1] = 1
+jm[0][1] = -1
+jm[1][0] = 1
+"""
+
+
+def test_constant_field_is_one_read_only_value(monkeypatch):
+    """A field none of whose entries references a coordinate is evaluated once, at the first
+    point it is called at; every call returns a read-only broadcast of that value."""
+    counts = {"eval": 0}
+    expr_eval = exprdsl.Expr.eval
+
+    def counted_eval(self, *args):
+        counts["eval"] += 1
+        return expr_eval(self, *args)
+
+    monkeypatch.setattr(exprdsl.Expr, "eval", counted_eval)
+    bundle = build_bundle(parse_spec(CONSTANT))
+    pts = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6]])
+    for field, want, evals in ((bundle.g, [[2.0, 0.5], [0.5, 1.0]], 3),
+                               (bundle.jm, [[0.0, -1.0], [1.0, 0.0]], 2)):
+        counts["eval"] = 0
+        for stack in (pts, pts[1:], pts[0]):
+            value = field(stack)
+            assert not value.flags.writeable
+            assert np.array_equal(value, np.broadcast_to(want, np.shape(stack)[:-1] + (2, 2)))
+        assert counts["eval"] == evals  # one per distinct entry, at the first call only

@@ -1,9 +1,14 @@
+import io
+import json
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
-from metallicgeo import zoo
+from metallicgeo import cli, zoo
 from metallicgeo.geometry import max_abs
 from metallicgeo.metallic import VERDICT_KAHLER, VERDICT_NEARLY, VERDICT_HERMITIAN, jm_from_j_matrix
+from metallicgeo.specfile import build_bundle, parse_spec
 
 import oracles
 
@@ -126,9 +131,34 @@ def test_parallel_equivalence_threshold_property():
 
 
 def test_mirrored_specs_exist_for_representable_fixtures():
-    for name in ("flat-k1", "torus", "s2"):
+    for name in ("flat-k1", "flat-k2", "flat-k3", "torus", "s2", "negative"):
         assert zoo.get(name).spec_text
     assert zoo.get("s6").spec_text is None
+
+
+def test_zoo_and_its_spec_file_give_one_report(tmp_path):
+    """A fixture's spec text, written to a file, is the whole fixture: the file gives the
+    `--zoo` report, apart from the source's kind and name, and its chart, which no report
+    of a flat fixture shows."""
+    checked = 0
+    for name in zoo.names():
+        text = zoo.get(name).spec_text
+        if text is None:
+            continue
+        assert build_bundle(parse_spec(text)).chart == zoo.get(name).bundle.chart, name
+        path = tmp_path / f"{name}.spec"
+        path.write_text(text, encoding="utf-8")
+        reports = []
+        for source in (["--zoo", name], [str(path)]):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert cli.main(["verify", *source, "--suite", "all", "--format", "json"]) == 0
+            report = json.loads(buf.getvalue())
+            del report["timing_s"], report["source"]["kind"], report["source"]["name"]
+            reports.append(report)
+        assert reports[0] == reports[1], name
+        checked += 1
+    assert checked == 6
 
 
 def test_unknown_fixture_raises():
@@ -167,7 +197,6 @@ def test_stacked_fields_match_per_point_formulas():
         (s6.g, oracles.round_metric, s6_pts),
         (zoo._sphere6_structure(), oracles.sphere6_structure, s6_pts),
         (s6.jm, lambda p: jm_from_j_matrix(oracles.sphere6_structure(p), s6.params), s6_pts),
-        (zoo._rotation_conjugated_structure(), oracles.rotation_conjugated_structure, neg_pts),
         (negative.jm, lambda p: jm_from_j_matrix(oracles.rotation_conjugated_structure(p),
                                                  negative.params), neg_pts),
     ]

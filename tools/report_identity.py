@@ -14,8 +14,8 @@ number spelling (``1e-05`` against ``1.0e-05``) that parses to the same
 report. The runs are:
 
 * ``classify`` and ``verify --suite all|metallic|nearly|connections`` on
-  the 7 zoo fixtures, on the spec files that mirror flat-k1, torus and s2,
-  and on ``perfbench/specs/s2xs2.spec``;
+  the 7 zoo fixtures, on spec files holding the spec text of flat-k1,
+  torus and s2, and on ``perfbench/specs/s2xs2.spec``;
 * ``curvature`` on each zoo fixture and on each of the 4 spec files at one
   interior point;
 * ``classify`` and ``verify --suite all`` on ``s2xs2.spec`` with a
@@ -24,7 +24,7 @@ report. The runs are:
 * ``verify --suite all`` on each zoo fixture at ``--q 1.5``. At the default
   q = 2/3 the coefficients 3q/2, 2/(3q) and sqrt(6q)/2 are all exactly 1.0,
   so a dropped or misplaced factor of q changes no report there;
-* the s2 mirror spec with a named point exactly lo + margin from its first
+* the s2 spec file with a named point exactly lo + margin from its first
   bound (``verify --suite all``, accepted) and one float step further out
   (``classify``, a located parse error, exit 2), so that the chart-bounds
   check is pinned at its edge.
