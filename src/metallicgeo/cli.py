@@ -65,15 +65,16 @@ def _bundle_from_args(args) -> tuple[StructureBundle, dict]:
 
 
 def _build_bundle(args) -> tuple[StructureBundle, dict]:
-    """The run's bundle: --seed, --h and --tol-* replace the source's own settings before
-    the bundle checks its chart against its step."""
+    """The run's bundle: --q, --seed, --h and --tol-* replace the source's own settings
+    before the bundle checks its chart against its step."""
     seed, h = args.seed, args.h
     tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
     tol = {k: v for k, v in tol.items() if v is not None}
     if not args.zoo:
         text = Path(args.spec).read_text(encoding="utf-8")
         spec = parse_spec(text)
-        spec = replace(spec, seed=spec.seed if seed is None else seed,
+        spec = replace(spec, q=spec.q if args.q is None else args.q,
+                       seed=spec.seed if seed is None else seed,
                        h=spec.h if h is None else h, tol={**spec.tol, **tol})
         return build_bundle(spec), {"kind": "file", "name": args.spec, "sha256": spec_sha256(text)}
     fx = zoo.get(args.zoo, zoo.DEFAULT_Q if args.q is None else args.q)
@@ -315,7 +316,7 @@ def make_parser() -> argparse.ArgumentParser:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("spec", nargs="?", help="manifold spec file")
         src.add_argument("--zoo", choices=zoo.names(), help="built-in fixture")
-        p.add_argument("--q", type=float, default=None, help="zoo structure parameter q")
+        p.add_argument("--q", type=float, default=None, help="structure parameter q override")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=None, help="sample-point seed override")
         p.add_argument("--h", type=float, default=None, help="first-derivative step override")

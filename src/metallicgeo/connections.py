@@ -16,8 +16,13 @@ Both connections deform Levi-Civita by a (1,2)-tensor S:
   w-residual is reported without being asserted while the derived
   4 nabla w consistency is. Levi-Civita does not preserve w on an almost
   metallic Kahler bundle that is not metallic Kahler, and no closed form
-  is derived there or outside the two classes above, so the constructor
-  raises GateError and the connection is reported as skipped.
+  is derived there or outside the two classes above.
+
+Each kind is gated as every identity row is, by a function that returns why
+the bundle is outside its class ("" inside it): `not_hermitian` for the first
+type, `no_second_type` for the second. The report and the suite read that
+reason and skip a gated kind with it; `first_type` and `second_type` hold
+only the formulas.
 
 `connection_terms` computes every quantity of one connection at a point or
 at each point of a stack: S, the pairing, nabla~ w, nabla~ g and the
@@ -40,49 +45,50 @@ from .geometry import largest_abs
 from .identities import Identity, _result, _skip, _zero, evaluate, not_hermitian
 from .metallic import StructureBundle, VERDICT_ALMOST_KAHLER, VERDICT_KAHLER
 
-__all__ = ["first_type", "second_type", "connection_terms", "connection_report",
-           "connection_identity_results", "GateError"]
+__all__ = ["first_type", "second_type", "no_second_type", "connection_terms",
+           "connection_report", "connection_identity_results"]
 
 
-class GateError(RuntimeError):
-    """The bundle's classification does not admit this connection."""
-
-
-def _second_form(bundle: StructureBundle) -> str:
-    """'levi' (S = 0) on metallic Kahler, 'nearly' for the nearly closed form, else GateError."""
+def no_second_type(bundle: StructureBundle) -> str:
+    """Why the bundle has no second-type connection in closed form, "" when it has one."""
     cls = bundle.classification()
-    if cls.verdict == VERDICT_KAHLER:
-        return "levi"
-    if cls.nearly:
-        return "nearly"
+    if cls.verdict == VERDICT_KAHLER or cls.nearly:
+        return ""
     if cls.verdict == VERDICT_ALMOST_KAHLER:
-        raise GateError("second-type connection: Levi-Civita preserves w only when "
-                        "nabla J_M = 0, and no closed form is derived for almost metallic "
-                        "Kähler bundles that are not metallic Kähler")
-    raise GateError("second-type connection has a closed form only on almost "
-                    "metallic Kähler or nearly metallic Kähler bundles")
+        return ("second-type connection: Levi-Civita preserves w only when nabla J_M = 0, "
+                "and no closed form is derived for almost metallic Kähler bundles that are "
+                "not metallic Kähler")
+    return ("second-type connection has a closed form only on almost metallic Kähler or "
+            "nearly metallic Kähler bundles")
+
+
+# kind -> why the bundle has no connection of that kind, "" when it has one
+_GATES = {"first": lambda bundle: not_hermitian(bundle) and f"connection {not_hermitian(bundle)}",
+          "second": no_second_type}
+
+
+def _levi(bundle: StructureBundle) -> bool:
+    """Whether the second-type connection is Levi-Civita itself (S = 0)."""
+    return bundle.classification().verdict == VERDICT_KAHLER
 
 
 def first_type(bundle: StructureBundle, point) -> np.ndarray:
-    """Deformation S[..., h, i, j] = (1/3q) JMhat (nabla J_M) at a point or a stack of points;
-    gate: almost metallic Hermitian."""
-    reason = not_hermitian(bundle)
-    if reason:
-        raise GateError(f"connection {reason}")
+    """Deformation S[..., h, i, j] = (1/3q) JMhat (nabla J_M) at a point or a stack of points.
+    It is a connection of the bundle where `not_hermitian` gives no reason."""
     ctx = bundle.context(point)
     q = bundle.params.q
     return (1.0 / (3.0 * q)) * np.einsum("...ht,...itj->...hij", ctx.Jhat, ctx.covJ)
 
 
 def second_type(bundle: StructureBundle, point) -> np.ndarray:
-    """Deformation S[..., h, i, j] of the second-type connection where a closed form exists.
+    """Deformation S[..., h, i, j] of the second-type connection where `no_second_type` gives
+    no reason.
 
     Metallic Kahler: S = 0 (Levi-Civita exactly). Nearly metallic Kahler:
-    S = -(1/q) JMhat (nabla J_M). Anything else: GateError.
+    S = -(1/q) JMhat (nabla J_M).
     """
-    form = _second_form(bundle)
     ctx = bundle.context(point)
-    if form == "levi":
+    if _levi(bundle):
         return np.zeros_like(ctx.gamma)
     q = bundle.params.q
     return -(1.0 / q) * np.einsum("...ht,...itj->...hij", ctx.Jhat, ctx.covJ)
@@ -118,30 +124,22 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
 
 
 def _terms(bundle: StructureBundle, kind: str) -> dict:
-    """The terms stacked over the sample points; a gated kind raises GateError. On a nearly
-    bundle the second kind adds ratio = S_second + 3 S_first, which vanishes."""
-    form = _second_form(bundle) if kind == "second" else None
+    """The terms stacked over the sample points of a kind the bundle's gate admits. On a
+    nearly bundle the second kind adds ratio = S_second + 3 S_first, which vanishes."""
     if kind not in bundle._connections:
         terms = connection_terms(bundle, kind, bundle.sample_points)
-        if form == "nearly":
+        if kind == "second" and not _levi(bundle):
             terms["ratio"] = terms["S"] + 3.0 * _terms(bundle, "first")["S"]
         bundle._connections[kind] = terms
     return bundle._connections[kind]
 
 
-# (report key, terms -> array whose largest entry over the points is reported)
-_REPORT_ROWS = (
-    ("deformation_norm", lambda t: t["S"]),
-    ("torsion_norm", lambda t: t["torsion"]),
-    ("nabla_omega_residual", lambda t: t["nw"]),
-    ("nabla_g_residual", lambda t: t["ng"]),
-    ("pairing_symmetry_residual", lambda t: t["sym"]),
-    ("expansion_consistency", lambda t: t["consistency"]),
-)
-_KIND_REPORT_ROWS = {
-    "first": (("metric_theorem_residual", lambda t: t["ng"]),),
-    "second": (("omega_vs_4covomega", lambda t: t["four"]),),
-}
+# (report key, key of the terms whose largest entry over the points is reported)
+_REPORT_ROWS = (("deformation_norm", "S"), ("torsion_norm", "torsion"),
+                ("nabla_omega_residual", "nw"), ("nabla_g_residual", "ng"),
+                ("pairing_symmetry_residual", "sym"), ("expansion_consistency", "consistency"))
+_KIND_REPORT_ROWS = {"first": (("metric_theorem_residual", "ng"),),
+                     "second": (("omega_vs_4covomega", "four"),)}
 
 
 def connection_report(bundle: StructureBundle) -> dict:
@@ -155,15 +153,15 @@ def connection_report(bundle: StructureBundle) -> dict:
     out: dict = {"connections": {}, "notes": []}
     points = bundle.sample_points
     for kind in ("first", "second"):
-        try:
-            terms = _terms(bundle, kind)
-        except GateError as exc:
-            out["connections"][kind] = {"skipped": str(exc)}
-            out["notes"].append(f"{kind}: {exc}")
+        reason = _GATES[kind](bundle)
+        if reason:
+            out["connections"][kind] = {"skipped": reason}
+            out["notes"].append(f"{kind}: {reason}")
             continue
+        terms = _terms(bundle, kind)
         out["connections"][kind] = {
-            key: largest_abs(points, f"{kind}-type connection {key}", fn(terms))
-            for key, fn in _REPORT_ROWS + _KIND_REPORT_ROWS[kind]
+            key: largest_abs(points, f"{kind}-type connection {key}", terms[term])
+            for key, term in _REPORT_ROWS + _KIND_REPORT_ROWS[kind]
         }
         if "ratio" in terms:
             out["deformation_ratio_residual"] = largest_abs(
@@ -211,13 +209,12 @@ def connection_identity_results(bundle: StructureBundle) -> list:
         return [_skip("first-type-preserves-omega", reason),
                 _skip("second-type-connection", reason)]
     results = evaluate(bundle, FIRST_TYPE_IDENTITIES, values=_terms(bundle, "first"))
-    try:
-        form = _second_form(bundle)
-    except GateError as exc:
-        return results + [_skip("second-type-connection", str(exc))]
+    reason = no_second_type(bundle)
+    if reason:
+        return results + [_skip("second-type-connection", reason)]
     second = _terms(bundle, "second")
     results += evaluate(bundle, SECOND_TYPE_SKEW, values=second)
-    if form == "levi":
+    if _levi(bundle):
         return results + evaluate(bundle, SECOND_TYPE_LEVI, values=second)
     ratio = _result("second-type-deformation-ratio", _zero(second["ratio"], second["S"]),
                     bundle.sample_points, 1e-10, note="second deformation = -3 x first")

@@ -3,8 +3,9 @@
 Index conventions used throughout the package:
 
 * a tensor's components are stored in a dense numpy array, one axis per
-  slot, with a signature string of 'u' (contravariant) and 'd' (covariant)
-  characters aligned with the axes;
+  slot; where the valence matters (`diffcalc.covariant_derivative`), a
+  signature string of 'u' (contravariant) and 'd' (covariant) characters
+  aligned with the axes names it;
 * a (1,1) structure tensor J has signature "ud" and J[h, i] is the
   component with upper index h and lower index i, so that J @ v transforms
   a coordinate vector v;
@@ -221,13 +222,11 @@ class Chart:
 class TensorField:
     """A map from chart points to components of fixed valence.
 
-    sig is the axis signature ('u'/'d' per array axis). fn maps a stack of
-    points, shape (m, n), to the stack of their component arrays, shape
-    (m, ...); calling the field accepts one point or a stack.
+    fn maps a stack of points, shape (m, n), to the stack of their component
+    arrays, shape (m, ...); calling the field accepts one point or a stack.
     """
 
     name: str
-    sig: str
     fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, point) -> np.ndarray:

@@ -1,23 +1,30 @@
-"""Residual checkers for the tensor identities of metallic Kahler geometry.
+"""Residual checks for the tensor identities of metallic Kahler geometry.
 
-Every checker returns IdentityResult records carrying the raw maximum
-residual over the sample points, the scale (largest norm of any term of
-the identity), the relative residual max/max(1, scale) and a pass flag at
-the identity's tolerance tier. A checker whose hypothesis class is not
-met reports skipped, never failed. Checkers marked asserted=False are
-report-only: they evaluate statements whose classical coefficients are
-known to close only for special parameter values, so their pass flags are
-informational and do not drive exit codes.
+Each identity is one `Identity` row: its id, its gate, its tolerance tier
+and a function that gives the arrays of its residual and of the terms
+behind its scale, computed from the one PointContext of the stacked sample
+points (every member carries the point axis first). The rows live in
+module-level tables, and the suites hand those tables to `evaluate`, the
+one pipeline: it applies the gates, calls each row once and reduces its
+arrays straight to the two numbers with `geometry.largest_abs`, as it does
+the observations quoted in notes; the per-point values are formed only to
+name the point of a value that is not finite. Every result carries the raw
+maximum residual over the sample points, the scale (largest norm of any
+term of the identity), the relative residual max/max(1, scale) and a pass
+flag at the identity's tier.
 
-Each identity is one `Identity` record: its gate, its tolerance tier and
-the arrays of its residual and of the terms behind its scale, computed
-from the one PointContext of the stacked sample points (every member
-carries the point axis first). `evaluate` applies the gates, calls each
-record once and reduces its arrays straight to the two numbers with
-`geometry.largest_abs`, as it does the observations quoted in notes; the
-per-point values are formed only to name the point of a value that is not
-finite. So every checker below is its table plus, where an identity does
-not fit a record, a few explicit lines.
+One gate rule holds for every row, the connection rows included: a gate is
+a function of the bundle that returns why the bundle is outside the row's
+hypothesis class ("" inside it), and a gated row is reported skipped with
+that reason, never failed. Rows marked asserted=False are report-only:
+they evaluate statements whose classical coefficients are known to close
+only for special parameter values, so their pass flags are informational
+and do not drive exit codes. A check is a function only where a table
+does not suffice: a conditional note (`check_covderiv_identities`), an
+absolute bound (`check_scalar_star`), an observation quoted in a note
+(`check_divergence_ricci_chain`), and the checks that
+`perfbench/tracing.py` times by name, which the suites call as module
+globals so that its patches take effect.
 
 Conventions: see diffcalc. In particular H_ji = R_hji^t (J_M)_t^h and
 S*_ji = -H_jt (J_M)_i^t, the arrangement under which the contracted
@@ -41,27 +48,11 @@ from .geometry import largest_abs
 from .metallic import StructureBundle, VERDICT_KAHLER, VERDICT_NONE
 
 __all__ = [
-    "IdentityResult",
-    "Identity",
-    "evaluate",
-    "not_hermitian",
-    "not_kahler",
-    "not_nearly",
-    "check_covderiv_identities",
-    "check_f_properties",
-    "check_f_nijenhuis_balance",
-    "check_curvature_commutation",
-    "check_ricci_pair_identities",
-    "check_ricci_derivative_cycle",
-    "check_divergence_ricci_chain",
-    "check_ricci_hyperbolic",
-    "check_ricci_star_hyperbolic",
-    "check_scalar_star",
-    "check_star_pack",
-    "check_nearly_nijenhuis",
-    "check_exterior_cross",
-    "run_suite",
-    "SUITES",
+    "IdentityResult", "Identity", "evaluate", "not_hermitian", "not_kahler", "not_nearly",
+    "F_HERMITIAN", "F_NIJENHUIS_BALANCE", "EXTERIOR_CROSS", "RICCI_PAIR", "F_NEARLY",
+    "NEARLY_NIJENHUIS", "STAR_PACK", "RICCI_HYPERBOLIC", "RICCI_STAR_HYPERBOLIC",
+    "check_covderiv_identities", "check_curvature_commutation", "check_ricci_derivative_cycle",
+    "check_divergence_ricci_chain", "check_scalar_star", "run_suite", "SUITES",
 ]
 
 
@@ -105,13 +96,12 @@ def _result(id_: str, arrays: tuple, points, tol: float, asserted: bool = True,
     that is not finite is a NumericalError naming the identity and point, not a failed
     check."""
     residual, *terms = arrays
-    max_res = largest_abs(points, f"residual of {id_}", residual)
-    scale = largest_abs(points, f"scale of {id_}", *terms)
-    rel = max_res / max(1.0, scale)
-    return IdentityResult(
-        id=id_, max_residual=max_res, scale=scale, tolerance=tol,
-        passed=rel < tol, asserted=asserted, note=note,
+    row = IdentityResult(
+        id=id_, max_residual=largest_abs(points, f"residual of {id_}", residual),
+        scale=largest_abs(points, f"scale of {id_}", *terms), tolerance=tol,
+        asserted=asserted, note=note,
     )
+    return replace(row, passed=row.relative < tol)
 
 
 # --- gates: the reason a bundle is outside a hypothesis class, "" inside it ---
@@ -216,36 +206,15 @@ def check_covderiv_identities(bundle: StructureBundle) -> list:
     return [exchange, skew]
 
 
-def check_f_properties(bundle: StructureBundle, mode: str) -> list:
-    """Structure-rescaling properties of F(X, Y, Z) = g((nabla_X J_M) Y, Z).
-
-    hermitian mode: F(X,Y,Z) = -F(X,Z,Y) and F(X, J_M Y, J_M Z) = (3/2) q F(X,Z,Y).
-    nearly mode: F(J_M X, Y, J_M Z) = (3q/2) F(Y,X,Z) and
-    F(J_M X, J_M Y, Z) = (3q/2) F(Y,X,Z) (the p-term of the general form
-    vanishes: the gates admit only skew-compatible pairs, hence p = 0).
-    """
-    if mode == "hermitian":
-        return evaluate(bundle, (
-            Identity("f-skew-last-args", not_hermitian, "d1",
-                     lambda ctx: _zero(ctx.F + np.einsum("...ijk->...ikj", ctx.F), ctx.F)),
-            Identity("f-structure-pair-rescale", not_hermitian, "d1",
-                     lambda ctx: _diff(_structure_pair(ctx.F, ctx.J),
-                                       1.5 * ctx.q * np.einsum("...ikj->...ijk", ctx.F))),
-        ))
-    if mode == "nearly":
-        return evaluate(bundle, (
-            Identity("f-nearly-outer-rescale", not_nearly, "d1",
-                     lambda ctx: _diff(np.einsum("...ijc,...ck->...ijk",
-                                                 np.einsum("...ajc,...ai->...ijc", ctx.F, ctx.J),
-                                                 ctx.J),
-                                       1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
-            Identity("f-nearly-double-structure", not_nearly, "d1",
-                     lambda ctx: _diff(np.einsum("...ibk,...bj->...ijk",
-                                                 np.einsum("...abk,...ai->...ibk", ctx.F, ctx.J),
-                                                 ctx.J),
-                                       1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
-        ))
-    raise ValueError("mode must be 'hermitian' or 'nearly'")
+# F(X, Y, Z) = g((nabla_X J_M) Y, Z) under structure rescaling, on an almost metallic
+# Hermitian bundle: F(X,Y,Z) = -F(X,Z,Y) and F(X, J_M Y, J_M Z) = (3/2) q F(X,Z,Y).
+F_HERMITIAN = (
+    Identity("f-skew-last-args", not_hermitian, "d1",
+             lambda ctx: _zero(ctx.F + np.einsum("...ijk->...ikj", ctx.F), ctx.F)),
+    Identity("f-structure-pair-rescale", not_hermitian, "d1",
+             lambda ctx: _diff(_structure_pair(ctx.F, ctx.J),
+                               1.5 * ctx.q * np.einsum("...ikj->...ijk", ctx.F))),
+)
 
 
 def _balance(ctx) -> tuple:
@@ -256,32 +225,24 @@ def _balance(ctx) -> tuple:
     return _diff(left, right)
 
 
-def check_f_nijenhuis_balance(bundle: StructureBundle) -> IdentityResult:
-    """Balance between F, the Nijenhuis tensor and the covariant cyclic sum:
+# Balance between F, the Nijenhuis tensor and the covariant cyclic sum:
+#
+#     3q F(X,Y,Z) + g(JMhat X, N(Y,Z)) = cart(X, J_M Y, J_M Z) - (3q/2) cart(X,Y,Z),
+#
+# where cart is the displayed cyclic sum g(Y,(nabla_X J_M)Z) + cycles (equal to minus the
+# coordinate dw on a skew-compatible bundle). A nontrivial cancellation when N and dw are
+# both large.
+F_NIJENHUIS_BALANCE = (Identity("f-nijenhuis-dw-balance", not_hermitian, "d1", _balance),)
 
-        3q F(X,Y,Z) + g(JMhat X, N(Y,Z))
-            = cart(X, J_M Y, J_M Z) - (3q/2) cart(X,Y,Z),
-
-    where cart is the displayed cyclic sum g(Y,(nabla_X J_M)Z) + cycles
-    (equal to minus the coordinate dw on a skew-compatible bundle). A
-    nontrivial cancellation when N and dw are both large.
-    """
-    return evaluate(bundle, [Identity("f-nijenhuis-dw-balance", not_hermitian, "d1", _balance)])[0]
-
-
-def check_exterior_cross(bundle: StructureBundle) -> IdentityResult:
-    """Coordinate exterior derivative vs the covariant cyclic sum.
-
-    Two independent computation paths for the same 3-form content. With the
-    conventions of this package the coordinate dw equals MINUS the displayed
-    cyclic sum; that one orientation is asserted, so a sign error in either
-    path fails the check.
-    """
-    return evaluate(bundle, [Identity(
-        "dw-cartan-cross-check",
-        lambda b: not_hermitian(b) and "the cyclic-sum form needs skew compatibility", "d1",
-        lambda ctx: _diff(ctx.domega, -_cartan_sum(ctx.F)),
-        note="matching orientation: dw = -cartan-sum")])[0]
+# Coordinate exterior derivative against the covariant cyclic sum: two independent
+# computation paths for the same 3-form content. With the conventions of this package the
+# coordinate dw equals MINUS the displayed cyclic sum; that one orientation is asserted, so
+# a sign error in either path fails the row.
+EXTERIOR_CROSS = (Identity(
+    "dw-cartan-cross-check",
+    lambda b: not_hermitian(b) and "the cyclic-sum form needs skew compatibility", "d1",
+    lambda ctx: _diff(ctx.domega, -_cartan_sum(ctx.F)),
+    note="matching orientation: dw = -cartan-sum"),)
 
 
 # --- curvature-tier identities ---------------------------------------------------
@@ -306,44 +267,54 @@ def check_curvature_commutation(bundle: StructureBundle) -> list:
     ))
 
 
-def _ricci_pair(ctx, row: str) -> tuple:
-    """One of the three Ricci contractions reported by check_ricci_pair_identities."""
-    p, q = ctx.p, ctx.q
-    S, J, Jhat, Rup = ctx.curvature.ricci, ctx.J, ctx.Jhat, ctx.curvature.Rup
-    SXJY = np.einsum("...ia,...aj->...ij", S, J)
-    if row == "pair":
-        SJJ = np.einsum("...ib,...bj->...ij", np.einsum("...ab,...ai->...ib", S, J), J)
-        c1 = p * p - 9 * q * q * p * p / 4 + 9 * q * q / 4
-        c2 = 3 * p * q / 2 - 9 * q * q * p / 4
-        r1 = SJJ - c1 * S - c2 * SXJY
-        return _zero(r1, SJJ, c1 * S, c2 * SXJY)
-    TR = np.einsum("...ib,...bj->...ij", np.einsum("...ibtm,...tm->...ib", Rup, Jhat), J)
-    if row == "trace-stated":
-        r2 = (1 + 1.5 * q) * S - p * SXJY + (2.0 / (3 * q)) * TR
-        return _zero(r2, (1 + 1.5 * q) * S, (2.0 / (3 * q)) * TR)
-    r3 = S + (2.0 / (3 * q)) * TR + p * SXJY - 1.5 * q * SXJY
-    return _zero(r3, S, (2.0 / (3 * q)) * TR)
+def _ricci_j(ctx) -> np.ndarray:
+    """S(X, J_M Y)."""
+    return np.einsum("...ia,...aj->...ij", ctx.curvature.ricci, ctx.J)
 
 
-def check_ricci_pair_identities(bundle: StructureBundle) -> list:
-    """Ricci contractions of the parallel-structure identities, report-only.
+def _trace_rj(ctx) -> np.ndarray:
+    """TR_ij = tr(R(X, J_M Y) o JMhat)."""
+    return np.einsum("...ib,...bj->...ij",
+                     np.einsum("...ibtm,...tm->...ib", ctx.curvature.Rup, ctx.Jhat), ctx.J)
 
-    The classical statements of both contractions rely on substituting the
-    frame e_i -> J_M e_i inside a trace without the (3q/2) normalization,
-    so they close only for special parameter values (q = 2/3 with p = 0).
-    Three residuals are reported and none is asserted: the pair identity and
-    the trace identity in their stated forms, and the derivation-level
-    variant of the trace identity.
-    """
-    note = "report-only: the stated coefficients close only for special (p, q)"
-    return evaluate(bundle, (
-        Identity("ricci-structure-pair(stated)", not_kahler, "d2",
-                 lambda ctx: _ricci_pair(ctx, "pair"), asserted=False, note=note),
-        Identity("ricci-trace-form(stated)", not_kahler, "d2",
-                 lambda ctx: _ricci_pair(ctx, "trace-stated"), asserted=False, note=note),
-        Identity("ricci-trace-form(derived)", not_kahler, "d2",
-                 lambda ctx: _ricci_pair(ctx, "trace-derived"), asserted=False, note=note),
-    ))
+
+def _ricci_structure_pair(ctx) -> tuple:
+    p, q, S = ctx.p, ctx.q, ctx.curvature.ricci
+    SXJY = _ricci_j(ctx)
+    SJJ = np.einsum("...ib,...bj->...ij", np.einsum("...ab,...ai->...ib", S, ctx.J), ctx.J)
+    c1 = p * p - 9 * q * q * p * p / 4 + 9 * q * q / 4
+    c2 = 3 * p * q / 2 - 9 * q * q * p / 4
+    r1 = SJJ - c1 * S - c2 * SXJY
+    return _zero(r1, SJJ, c1 * S, c2 * SXJY)
+
+
+def _ricci_trace_stated(ctx) -> tuple:
+    p, q, S = ctx.p, ctx.q, ctx.curvature.ricci
+    TR = (2.0 / (3 * q)) * _trace_rj(ctx)
+    return _zero((1 + 1.5 * q) * S - p * _ricci_j(ctx) + TR, (1 + 1.5 * q) * S, TR)
+
+
+def _ricci_trace_derived(ctx) -> tuple:
+    p, q, S = ctx.p, ctx.q, ctx.curvature.ricci
+    SXJY, TR = _ricci_j(ctx), (2.0 / (3 * q)) * _trace_rj(ctx)
+    return _zero(S + TR + p * SXJY - 1.5 * q * SXJY, S, TR)
+
+
+# Ricci contractions of the parallel-structure identities, report-only. The classical
+# statements of both contractions rely on substituting the frame e_i -> J_M e_i inside a
+# trace without the (3q/2) normalization, so they close only for special parameter values
+# (q = 2/3 with p = 0). Three residuals are reported and none is asserted: the pair
+# identity and the trace identity in their stated forms, and the derivation-level variant
+# of the trace identity.
+_PAIR_NOTE = "report-only: the stated coefficients close only for special (p, q)"
+RICCI_PAIR = (
+    Identity("ricci-structure-pair(stated)", not_kahler, "d2", _ricci_structure_pair,
+             asserted=False, note=_PAIR_NOTE),
+    Identity("ricci-trace-form(stated)", not_kahler, "d2", _ricci_trace_stated,
+             asserted=False, note=_PAIR_NOTE),
+    Identity("ricci-trace-form(derived)", not_kahler, "d2", _ricci_trace_derived,
+             asserted=False, note=_PAIR_NOTE),
+)
 
 
 def _cycle_terms(ctx) -> tuple:
@@ -395,18 +366,46 @@ def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
 # --- star curvature and the nearly-tier identities --------------------------------
 
 
+# F under structure rescaling on a nearly metallic Kahler bundle:
+# F(J_M X, Y, J_M Z) = (3q/2) F(Y,X,Z) and F(J_M X, J_M Y, Z) = (3q/2) F(Y,X,Z). The p-term
+# of the general form vanishes: the gate admits only skew-compatible pairs, hence p = 0.
+F_NEARLY = (
+    Identity("f-nearly-outer-rescale", not_nearly, "d1",
+             lambda ctx: _diff(np.einsum("...ijc,...ck->...ijk",
+                                         np.einsum("...ajc,...ai->...ijc", ctx.F, ctx.J), ctx.J),
+                               1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
+    Identity("f-nearly-double-structure", not_nearly, "d1",
+             lambda ctx: _diff(np.einsum("...ibk,...bj->...ijk",
+                                         np.einsum("...abk,...ai->...ibk", ctx.F, ctx.J), ctx.J),
+                               1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
+)
+
+# Two independent pipelines for N on a nearly metallic Kahler bundle,
+#
+#     N(X, Y) = -4 J_M (nabla_X J_M) Y:
+#
+# the bracket formula (plain partials) against the covariant-derivative form (the general
+# form 2 (p I - 2 J_M)(nabla_X J_M) Y at p = 0, which the gate implies), plus the
+# coordinate trace (nabla_i J_M)_j^i = 0.
+NEARLY_NIJENHUIS = (
+    Identity("nijenhuis-covderiv-form", not_nearly, "d1",
+             lambda ctx: _diff(ctx.N, -4.0 * np.einsum("...ht,...itj->...ijh", ctx.J, ctx.covJ))),
+    Identity("structure-divergence-free", not_nearly, "d1",
+             lambda ctx: _zero(np.einsum("...iij->...j", ctx.covJ), ctx.covJ)),
+)
+
+
 def _star_contraction(ctx) -> tuple:
     lhs = np.einsum("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat)
     return _zero(lhs + 1.5 * ctx.q * ctx.H, lhs, 1.5 * ctx.q * ctx.H)
 
 
-def check_star_pack(bundle: StructureBundle) -> list:
-    """H antisymmetry (curvature tier) and the purely algebraic conjugate
-    contraction S*_jt (JMhat)_i^t = -(3/2) q H_ji (algebraic tier)."""
-    return evaluate(bundle, (
-        Identity("h-antisymmetry", None, "d2", lambda ctx: _skew_part(ctx.H)),
-        Identity("star-conjugate-contraction", None, "alg", _star_contraction),
-    ))
+# H antisymmetry (curvature tier) and the purely algebraic conjugate contraction
+# S*_jt (JMhat)_i^t = -(3/2) q H_ji (algebraic tier), on every bundle.
+STAR_PACK = (
+    Identity("h-antisymmetry", None, "d2", lambda ctx: _skew_part(ctx.H)),
+    Identity("star-conjugate-contraction", None, "alg", _star_contraction),
+)
 
 
 def _divergence_omega(ctx) -> np.ndarray:
@@ -439,11 +438,10 @@ def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
                    note=f"observed |nabla^m nabla_j w_im| = {obs:.6g} (reported, not asserted)")
 
 
-def check_ricci_hyperbolic(bundle: StructureBundle) -> IdentityResult:
-    """S_ti (J_M)_j^t = -S_jt (J_M)_i^t on a nearly metallic Kahler bundle."""
-    return evaluate(bundle, [Identity(
-        "ricci-hyperbolic", not_nearly, "d2",
-        lambda ctx: _skew_part(np.einsum("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J)))])[0]
+# S_ti (J_M)_j^t = -S_jt (J_M)_i^t on a nearly metallic Kahler bundle.
+RICCI_HYPERBOLIC = (Identity(
+    "ricci-hyperbolic", not_nearly, "d2",
+    lambda ctx: _skew_part(np.einsum("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J))),)
 
 
 def _ricci_star_hyperbolic(ctx) -> tuple:
@@ -452,14 +450,13 @@ def _ricci_star_hyperbolic(ctx) -> tuple:
     return _zero(A - B, A)
 
 
-def check_ricci_star_hyperbolic(bundle: StructureBundle) -> list:
-    """S*_jm (JMhat)_i^m = -S*_mi (JMhat)_j^m, plus the intermediate
-    cancellation of the two curvature contractions behind it."""
-    return evaluate(bundle, (
-        Identity("ricci-star-hyperbolic", not_nearly, "d2", _ricci_star_hyperbolic),
-        Identity("star-contraction-cancel", not_nearly, "d2",
-                 lambda ctx: _skew_part(np.einsum("...jm,...mi->...ji", ctx.Sstar, ctx.Jhat))),
-    ))
+# S*_jm (JMhat)_i^m = -S*_mi (JMhat)_j^m on a nearly metallic Kahler bundle, plus the
+# intermediate cancellation of the two curvature contractions behind it.
+RICCI_STAR_HYPERBOLIC = (
+    Identity("ricci-star-hyperbolic", not_nearly, "d2", _ricci_star_hyperbolic),
+    Identity("star-contraction-cancel", not_nearly, "d2",
+             lambda ctx: _skew_part(np.einsum("...jm,...mi->...ji", ctx.Sstar, ctx.Jhat))),
+)
 
 
 def _scalar_star_relation(ctx) -> tuple:
@@ -506,47 +503,24 @@ def check_scalar_star(bundle: StructureBundle) -> list:
     return [relation, replace(row, passed=row.max_residual < 1e-10)]
 
 
-def check_nearly_nijenhuis(bundle: StructureBundle) -> list:
-    """Two independent pipelines for N on a nearly metallic Kahler bundle:
-
-        N(X, Y) = -4 J_M (nabla_X J_M) Y,
-
-    bracket formula (plain partials) against the covariant-derivative form
-    (the general form 2 (p I - 2 J_M)(nabla_X J_M) Y, at p = 0, which the
-    gate implies), plus the coordinate trace (nabla_i J_M)_j^i = 0.
-    """
-    return evaluate(bundle, (
-        Identity("nijenhuis-covderiv-form", not_nearly, "d1",
-                 lambda ctx: _diff(ctx.N,
-                                   -4.0 * np.einsum("...ht,...itj->...ijh", ctx.J, ctx.covJ))),
-        Identity("structure-divergence-free", not_nearly, "d1",
-                 lambda ctx: _zero(np.einsum("...iij->...j", ctx.covJ), ctx.covJ)),
-    ))
-
-
 # --- suites ----------------------------------------------------------------------
 
 
 def suite_metallic(bundle: StructureBundle) -> list:
     return [
         *check_covderiv_identities(bundle),
-        *check_f_properties(bundle, "hermitian"),
-        check_f_nijenhuis_balance(bundle),
-        check_exterior_cross(bundle),
+        *evaluate(bundle, F_HERMITIAN + F_NIJENHUIS_BALANCE + EXTERIOR_CROSS),
         *check_curvature_commutation(bundle),
-        *check_ricci_pair_identities(bundle),
+        *evaluate(bundle, RICCI_PAIR),
         *check_ricci_derivative_cycle(bundle),
     ]
 
 
 def suite_nearly(bundle: StructureBundle) -> list:
     return [
-        *check_f_properties(bundle, "nearly"),
-        *check_nearly_nijenhuis(bundle),
-        *check_star_pack(bundle),
+        *evaluate(bundle, F_NEARLY + NEARLY_NIJENHUIS + STAR_PACK),
         check_divergence_ricci_chain(bundle),
-        check_ricci_hyperbolic(bundle),
-        *check_ricci_star_hyperbolic(bundle),
+        *evaluate(bundle, RICCI_HYPERBOLIC + RICCI_STAR_HYPERBOLIC),
         *check_scalar_star(bundle),
     ]
 

@@ -89,7 +89,7 @@ def jm_from_j(j_field: TensorField, params: MetallicParams, sign: int = +1) -> T
     def fn(pts):
         return jm_from_j_matrix(j_field(pts), params, sign)
 
-    return TensorField(name=f"{j_field.name}->metallic", sig="ud", fn=fn)
+    return TensorField(name=f"{j_field.name}->metallic", fn=fn)
 
 
 # --- tolerances ----------------------------------------------------------------

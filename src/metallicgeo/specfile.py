@@ -210,7 +210,7 @@ def spec_sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool, sig: str) -> TensorField:
+def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool) -> TensorField:
     """The matrix field of `entries`, (row, column) -> Expr.
 
     Entries whose parsed trees are equal form one group, in the file order of
@@ -248,8 +248,8 @@ def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool, sig: s
                 value = fn(pts[:1])[0]
             return np.broadcast_to(value, (len(pts), n, n))
 
-        return TensorField(name=name, sig=sig, fn=const_fn)
-    return TensorField(name=name, sig=sig, fn=fn)
+        return TensorField(name=name, fn=const_fn)
+    return TensorField(name=name, fn=fn)
 
 
 def build_bundle(spec: ManifoldSpec) -> StructureBundle:
@@ -267,11 +267,10 @@ def build_bundle(spec: ManifoldSpec) -> StructureBundle:
     chart = Chart(dimension=spec.dimension, bounds=spec.bounds, grid=spec.grid,
                   n_random=spec.random_points, seed=spec.seed, margin=spec.margin,
                   named_points=spec.named_points)
-    g = _expr_matrix_field("g", spec.dimension, spec.g_entries, symmetric=True, sig="dd")
+    g = _expr_matrix_field("g", spec.dimension, spec.g_entries, symmetric=True)
     scheme = DiffScheme(spec.h) if spec.h is not None else DiffScheme()
     tol = Tolerances(**{k: v for k, v in spec.tol.items()}) if spec.tol else Tolerances()
-    struct = _expr_matrix_field("structure", spec.dimension, spec.s_entries,
-                                symmetric=False, sig="ud")
+    struct = _expr_matrix_field("structure", spec.dimension, spec.s_entries, symmetric=False)
     if spec.structure == "J":
         return StructureBundle.from_j(chart, g, struct, params, sign=spec.sign,
                                       scheme=scheme, tolerances=tol, name=spec.name)

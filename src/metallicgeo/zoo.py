@@ -53,7 +53,6 @@ class Fixture:
     expected_verdict: str
     expected_nearly: bool
     spec_text: Optional[str] = None
-    notes: str = ""
 
     def validate(self):
         """Self-check of the polynomial identity and the declared verdict (NumericalError)."""
@@ -68,11 +67,11 @@ class Fixture:
         return self
 
 
-def _spec_fixture(text: str, expected_verdict: str, expected_nearly: bool, notes: str) -> Fixture:
+def _spec_fixture(text: str, expected_verdict: str, expected_nearly: bool) -> Fixture:
     """The fixture that spec `text` defines; the text is also its `spec_text`."""
     spec = parse_spec(text)
     return Fixture(name=spec.name, bundle=build_bundle(spec), expected_verdict=expected_verdict,
-                   expected_nearly=expected_nearly, spec_text=text, notes=notes)
+                   expected_nearly=expected_nearly, spec_text=text)
 
 
 def _conformal_factor(pts: np.ndarray) -> np.ndarray:
@@ -88,7 +87,7 @@ def _conformal_round_metric(n: int) -> TensorField:
     def fn(pts):
         return _conformal_factor(pts)[:, None, None] * eye
 
-    return TensorField(name="round-metric", sig="dd", fn=fn)
+    return TensorField(name="round-metric", fn=fn)
 
 
 def fixture_flat(k: int = 1, q: float = DEFAULT_Q, p: float = 0.0) -> Fixture:
@@ -109,8 +108,7 @@ def fixture_flat(k: int = 1, q: float = DEFAULT_Q, p: float = 0.0) -> Fixture:
         lines += [f"j[{b}][{b + 1}] = -1", f"j[{b + 1}][{b}] = 1"]
     kahler = p == 0.0
     return _spec_fixture("\n".join(lines) + "\n", VERDICT_KAHLER if kahler else VERDICT_NONE,
-                         kahler, "flat chart, parallel structure" if kahler else
-                         "documents the p != 0 trace obstruction")
+                         kahler)
 
 
 def fixture_torus(q: float = DEFAULT_Q) -> Fixture:
@@ -131,7 +129,7 @@ g[0][0] = 1
 g[1][1] = 1
 j[0][1] = -1
 j[1][0] = 1
-""", VERDICT_KAHLER, True, "flat, compact-style chart with nontrivial coordinates")
+""", VERDICT_KAHLER, True)
 
 
 def fixture_sphere2(q: float = DEFAULT_Q) -> Fixture:
@@ -154,7 +152,7 @@ g[0][0] = 4/(1 + (x0^2 + x1^2))^2
 g[1][1] = 4/(1 + (x0^2 + x1^2))^2
 j[0][1] = -1
 j[1][0] = 1
-""", VERDICT_KAHLER, True, "curved metallic Kahler control; Ricci equals g")
+""", VERDICT_KAHLER, True)
 
 
 def _sphere6_embedding(pts: np.ndarray):
@@ -184,7 +182,7 @@ def _sphere6_structure() -> TensorField:
         u, D = _sphere6_embedding(pts)
         return (np.swapaxes(D, 1, 2) @ cross7_matrix(u) @ D) / _conformal_factor(pts)[:, None, None]
 
-    return TensorField(name="J-cross-product", sig="ud", fn=fn)
+    return TensorField(name="J-cross-product", fn=fn)
 
 
 def fixture_sphere6(q: float = DEFAULT_Q) -> Fixture:
@@ -197,8 +195,7 @@ def fixture_sphere6(q: float = DEFAULT_Q) -> Fixture:
     g = _conformal_round_metric(6)
     bundle = StructureBundle.from_j(chart, g, _sphere6_structure(), params, name="s6")
     return Fixture(name="s6", bundle=bundle, expected_verdict=VERDICT_NEARLY,
-                   expected_nearly=True,
-                   notes="canonical nearly Kahler control; scalar curvature 30")
+                   expected_nearly=True)
 
 
 def fixture_negative(q: float = DEFAULT_Q) -> Fixture:
@@ -234,7 +231,7 @@ j[2][0] = sin(0.3*x0)
 j[2][3] = -cos(0.3*x0)
 j[3][1] = -sin(0.3*x0)
 j[3][2] = cos(0.3*x0)
-""", VERDICT_HERMITIAN, False, "position-dependent rotation conjugation; d-omega and N both large")
+""", VERDICT_HERMITIAN, False)
 
 
 _BUILDERS = {

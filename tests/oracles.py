@@ -306,8 +306,8 @@ def kahler_quartic_bundle(q: float = 2.0 / 3.0) -> StructureBundle:
     chart = Chart(dimension=4, bounds=((-0.6, 0.6),) * 4, grid=1, n_random=8, seed=19,
                   margin=0.1)
     J = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
-    g = TensorField("kahler-quartic", "dd", kahler_quartic_metric)
-    return StructureBundle.from_j(chart, g, TensorField("standard-J", "ud", const_field(J)),
+    g = TensorField("kahler-quartic", kahler_quartic_metric)
+    return StructureBundle.from_j(chart, g, TensorField("standard-J", const_field(J)),
                                   MetallicParams(0.0, q))
 
 

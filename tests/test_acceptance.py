@@ -17,16 +17,18 @@ from metallicgeo.connections import connection_identity_results, first_type, sec
 from metallicgeo.exprdsl import parse
 from metallicgeo.geometry import max_abs
 from metallicgeo.identities import (
+    F_HERMITIAN,
+    F_NEARLY,
+    F_NIJENHUIS_BALANCE,
+    NEARLY_NIJENHUIS,
+    RICCI_HYPERBOLIC,
+    RICCI_STAR_HYPERBOLIC,
+    STAR_PACK,
     check_covderiv_identities,
     check_curvature_commutation,
     check_divergence_ricci_chain,
-    check_f_nijenhuis_balance,
-    check_f_properties,
-    check_nearly_nijenhuis,
-    check_ricci_hyperbolic,
-    check_ricci_star_hyperbolic,
     check_scalar_star,
-    check_star_pack,
+    evaluate,
 )
 from metallicgeo.metallic import (
     MetallicParams,
@@ -130,8 +132,7 @@ def test_criterion_4_metallic_identity_suite_on_s2():
     for q in (2.0 / 3.0, 2.0):
         bundle = zoo.get("s2", q).bundle
         results = (check_covderiv_identities(bundle)
-                   + check_f_properties(bundle, "hermitian")
-                   + [check_f_nijenhuis_balance(bundle)]
+                   + evaluate(bundle, F_HERMITIAN + F_NIJENHUIS_BALANCE)
                    + check_curvature_commutation(bundle))
         for r in results:
             if r.skipped or r.relative >= 1e-4:
@@ -151,18 +152,18 @@ def test_criterion_5_nearly_identity_suite_on_s6():
             ok = False
             details.append(label)
 
-    for r in check_f_properties(bundle, "nearly"):
+    for r in evaluate(bundle, F_NEARLY):
         need((not r.skipped) and r.relative < 1e-5, f"{r.id} rel")
-    nij = {r.id: r for r in check_nearly_nijenhuis(bundle)}
+    nij = {r.id: r for r in evaluate(bundle, NEARLY_NIJENHUIS)}
     cross = nij["nijenhuis-covderiv-form"]
     need(cross.relative < 1e-5, "nijenhuis cross-pipeline")
     need(cross.scale > 0.1, "nijenhuis term norms > 0.1")
     chain = check_divergence_ricci_chain(bundle)
     need(chain.relative < 1e-4, "divergence-ricci chain")
-    need(check_ricci_hyperbolic(bundle).relative < 1e-4, "ricci hyperbolic")
-    star_hyp = {r.id: r for r in check_ricci_star_hyperbolic(bundle)}
+    need(evaluate(bundle, RICCI_HYPERBOLIC)[0].relative < 1e-4, "ricci hyperbolic")
+    star_hyp = {r.id: r for r in evaluate(bundle, RICCI_STAR_HYPERBOLIC)}
     need(star_hyp["ricci-star-hyperbolic"].relative < 1e-4, "ricci* hyperbolic")
-    star = {r.id: r for r in check_star_pack(bundle)}
+    star = {r.id: r for r in evaluate(bundle, STAR_PACK)}
     need(star["star-conjugate-contraction"].relative < 1e-8, "conjugate contraction (algebraic)")
     scal = {r.id: r for r in check_scalar_star(bundle)}
     need(scal["scalar-star-relation"].relative < 1e-3, "scalar* relation")

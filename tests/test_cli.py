@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -72,6 +73,23 @@ def test_verify_exit_1_when_an_asserted_check_fails(capsys, tmp_path):
                        "--tol-d2", "1e-18")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("q", ["1.5", "0.3"])
+def test_q_applies_to_a_spec_file(q, tmp_path, capsys):
+    """--q replaces a spec file's own q, as it does a zoo fixture's: s2's spec text in a file
+    gives the `--zoo s2` report at the same q, apart from the source and the timing."""
+    path = tmp_path / "s2.spec"
+    path.write_text(zoo.get("s2").spec_text, encoding="utf-8")
+    reports = []
+    for source in (["--zoo", "s2"], [str(path)]):
+        code, out, _ = run(capsys, "verify", *source, "--q", q, "--suite", "all", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        del report["source"], report["timing_s"]
+        reports.append(report)
+    assert reports[0]["params"]["q"] == float(q)
+    assert reports[0] == reports[1]
 
 
 def test_curvature_s2_origin(capsys):
@@ -328,7 +346,9 @@ def spoil_zero_argument(index: int, first_point_too: int = None):
             finally:
                 monkeypatch.setattr(identities, "_zero", zero)
 
-        monkeypatch.setattr(identities, "_star_contraction", spoiled_row)
+        monkeypatch.setattr(identities, "STAR_PACK", tuple(
+            dataclasses.replace(ident, fn=spoiled_row) if ident.fn is row else ident
+            for ident in identities.STAR_PACK))
 
     return spoil
 

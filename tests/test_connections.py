@@ -1,17 +1,16 @@
 import numpy as np
-import pytest
 
 from metallicgeo import zoo
 from metallicgeo.connections import (
-    GateError,
     connection_identity_results,
     connection_report,
     connection_terms,
     first_type,
+    no_second_type,
     second_type,
 )
 from metallicgeo.geometry import Chart, TensorField, max_abs
-from metallicgeo.identities import run_suite
+from metallicgeo.identities import not_hermitian, run_suite
 from metallicgeo.metallic import MetallicParams, StructureBundle, VERDICT_ALMOST_KAHLER
 
 
@@ -34,10 +33,8 @@ def symplectic_shear_bundle():
         P[:, 3, 2] = 0.3 * pts[:, 0]
         return P
 
-    g = TensorField(name="shear-metric", sig="dd",
-                    fn=lambda pts: np.swapaxes(shear(pts), 1, 2) @ shear(pts))
-    j_field = TensorField(name="J-shear", sig="ud",
-                          fn=lambda pts: np.linalg.solve(shear(pts), J0 @ shear(pts)))
+    g = TensorField(name="shear-metric", fn=lambda pts: np.swapaxes(shear(pts), 1, 2) @ shear(pts))
+    j_field = TensorField(name="J-shear", fn=lambda pts: np.linalg.solve(shear(pts), J0 @ shear(pts)))
     chart = Chart(dimension=4, bounds=((-1.0, 1.0),) * 4, grid=2, margin=0.1)
     return StructureBundle.from_j(chart, g, j_field, MetallicParams(0.0, 2.0 / 3.0),
                                   name="symplectic-shear")
@@ -65,9 +62,16 @@ def test_first_type_deformation_formula_s6():
 
 
 def test_first_type_gate():
-    fx = zoo.fixture_flat(1, q=1.0, p=1.0)  # fails skew compatibility
-    with pytest.raises(GateError):
-        first_type(fx.bundle, np.zeros(2))
+    """The first type is gated by `not_hermitian`: both the suite and the report skip it with
+    that reason."""
+    bundle = zoo.fixture_flat(1, q=1.0, p=1.0).bundle  # fails skew compatibility
+    reason = not_hermitian(bundle)
+    assert reason == "needs an almost metallic Hermitian bundle"
+    res = by_id(connection_identity_results(bundle))
+    assert res["first-type-preserves-omega"].skipped
+    assert res["first-type-preserves-omega"].note == reason
+    assert res["second-type-connection"].skipped
+    assert connection_report(bundle)["connections"]["first"] == {"skipped": f"connection {reason}"}
 
 
 def test_second_type_levi_civita_branch_on_s2():
@@ -85,8 +89,19 @@ def test_second_type_nearly_branch_is_minus_three_first():
 
 
 def test_second_type_gate_fails_on_hermitian_only():
-    with pytest.raises(GateError):
-        second_type(zoo.get("negative").bundle, np.zeros(4))
+    """`no_second_type` admits metallic Kahler and nearly bundles only; a gated bundle's
+    second type is skipped with the reason in the suite and in the report."""
+    assert no_second_type(zoo.get("s2").bundle) == ""
+    assert no_second_type(zoo.get("s6").bundle) == ""
+    bundle = zoo.get("negative").bundle
+    reason = no_second_type(bundle)
+    assert "closed form only on almost metallic Kähler or nearly" in reason
+    res = by_id(connection_identity_results(bundle))
+    assert res["second-type-connection"].skipped and res["second-type-connection"].note == reason
+    assert not res["first-type-preserves-omega"].skipped
+    rep = connection_report(bundle)
+    assert rep["connections"]["second"] == {"skipped": reason}
+    assert rep["notes"] == [f"second: {reason}"]
 
 
 def test_connection_identity_results_s2():
@@ -144,8 +159,7 @@ def test_second_type_skipped_on_almost_kahler_not_kahler():
     cls = bundle.classification()
     assert cls.verdict == VERDICT_ALMOST_KAHLER
     assert cls.residuals["max_nijenhuis"] > 0.1
-    with pytest.raises(GateError, match="Levi-Civita preserves w only when nabla J_M = 0"):
-        second_type(bundle, bundle.sample_points[0])
+    assert "Levi-Civita preserves w only when nabla J_M = 0" in no_second_type(bundle)
     results = by_id(run_suite(bundle, "connections"))
     assert results["second-type-connection"].skipped
     assert "Levi-Civita" in results["second-type-connection"].note

@@ -118,7 +118,7 @@ def test_partial_sin_at_zero():
 
 def test_partial_boundary_guard():
     chart = Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=3, margin=0.1)
-    eye = TensorField("delta", "dd", const_field(np.eye(2)))
+    eye = TensorField("delta", const_field(np.eye(2)))
     bundle = StructureBundle(chart, eye, eye, MetallicParams(0.0, 2.0 / 3.0))
     with pytest.raises(ChartBoundsError, match="too close to the boundary"):
         bundle.context(np.array([0.9995, 0.0]))

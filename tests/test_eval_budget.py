@@ -108,7 +108,7 @@ def counting_fixture(name, counts):
             counts[f"{key}_calls"] += 1
             return fld(pts)
 
-        return TensorField(name=fld.name, sig=fld.sig, fn=fn)
+        return TensorField(name=fld.name, fn=fn)
 
     bundle = dataclasses.replace(b, g=counted(b.g, "g"), jm=counted(b.jm, "jm"))
     return dataclasses.replace(fx, bundle=bundle)
@@ -335,7 +335,9 @@ def test_connection_arrays_formed_once(monkeypatch):
     """The connections block and the identity rows reduce the same kept arrays: on s6 the
     -1/3 ratio S_second + 3 S_first twice (block and row), the first type's nabla~ w minus its
     expansion twice (block and row) and the second type's once (block only). When each
-    reader formed its own, the block and the rows formed each of these arrays again."""
+    reader formed its own, the block and the rows formed each of these arrays again. Every
+    reduced array is kept, so the counts compare identities, not ids that a freed temporary
+    may hand on."""
     kept, reduced = {}, []
     terms = connections.connection_terms
 
@@ -346,7 +348,7 @@ def test_connection_arrays_formed_once(monkeypatch):
     monkeypatch.setattr(connections, "connection_terms", recorded_terms)
     for module in (connections, identities):
         def recorded(points, quantity, *arrays, _fn=module.largest_abs):
-            reduced.extend(id(a) for a in arrays)
+            reduced.extend(arrays)
             return _fn(points, quantity, *arrays)
 
         monkeypatch.setattr(module, "largest_abs", recorded)
@@ -354,9 +356,9 @@ def test_connection_arrays_formed_once(monkeypatch):
     monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--zoo", "s6", "--suite", "all", "--format", "json"]) == 0
-    counts = [reduced.count(id(kept["second"]["ratio"])),
-              reduced.count(id(kept["first"]["consistency"])),
-              reduced.count(id(kept["second"]["consistency"]))]
+    counts = [sum(a is array for a in reduced)
+              for array in (kept["second"]["ratio"], kept["first"]["consistency"],
+                            kept["second"]["consistency"])]
     assert counts == [2, 2, 1]
 
 

@@ -233,7 +233,7 @@ def test_inverse_metric_stack_names_the_singular_row():
 
 
 def test_field_accepts_a_point_or_a_stack():
-    field = TensorField("scaled", "dd", lambda pts: pts[:, :1, None] * np.eye(2))
+    field = TensorField("scaled", lambda pts: pts[:, :1, None] * np.eye(2))
     pts = np.array([[2.0, 0.0], [3.0, 1.0]])
     assert field(pts).shape == (2, 2, 2)
     assert np.array_equal(field(pts[1]), 3.0 * np.eye(2))

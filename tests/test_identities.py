@@ -1,26 +1,35 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from metallicgeo import identities, zoo
 from metallicgeo.geometry import Chart, TensorField, max_abs
 from metallicgeo.identities import (
+    EXTERIOR_CROSS,
+    F_HERMITIAN,
+    F_NEARLY,
+    F_NIJENHUIS_BALANCE,
+    NEARLY_NIJENHUIS,
+    RICCI_HYPERBOLIC,
+    RICCI_PAIR,
+    RICCI_STAR_HYPERBOLIC,
+    STAR_PACK,
     check_covderiv_identities,
     check_curvature_commutation,
     check_divergence_ricci_chain,
-    check_exterior_cross,
-    check_f_nijenhuis_balance,
-    check_f_properties,
-    check_nearly_nijenhuis,
     check_ricci_derivative_cycle,
-    check_ricci_hyperbolic,
-    check_ricci_pair_identities,
-    check_ricci_star_hyperbolic,
     check_scalar_star,
-    check_star_pack,
+    evaluate,
+    not_hermitian,
+    not_nearly,
     run_suite,
 )
 from metallicgeo.metallic import MetallicParams, StructureBundle
 from oracles import const_field
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected_identities.json"
 
 
 def by_id(results):
@@ -33,7 +42,7 @@ def algebraic_p1_bundle():
     and the shear makes the failure visible at derivative level too."""
     params = MetallicParams(1.0, 1.0)
     chart = Chart(dimension=4, bounds=((-1.0, 1.0),) * 4, grid=2, margin=0.1)
-    g = TensorField(name="delta", sig="dd", fn=const_field(np.eye(4)))
+    g = TensorField(name="delta", fn=const_field(np.eye(4)))
     J0 = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     def sheared(pts):
@@ -41,7 +50,7 @@ def algebraic_p1_bundle():
         A[:, 1, 2] = 0.3 * pts[:, 0]
         return A @ J0 @ np.linalg.inv(A)
 
-    j_field = TensorField(name="J-sheared", sig="ud", fn=sheared)
+    j_field = TensorField(name="J-sheared", fn=sheared)
     return StructureBundle.from_j(chart, g, j_field, params, name="algebraic-p1")
 
 
@@ -72,42 +81,50 @@ def test_covderiv_exchange_passes_but_skew_fails_for_p1():
 
 def test_f_properties_modes_and_gates():
     flat = zoo.get("flat-k1").bundle
-    for mode in ("hermitian", "nearly"):
-        for r in check_f_properties(flat, mode):
+    for table in (F_HERMITIAN, F_NEARLY):
+        for r in evaluate(flat, table):
             assert r.passed and r.max_residual < 1e-12
-    s2 = by_id(check_f_properties(zoo.get("s2").bundle, "hermitian"))
+    s2 = by_id(evaluate(zoo.get("s2").bundle, F_HERMITIAN))
     assert all(r.passed for r in s2.values())
-    s6 = by_id(check_f_properties(zoo.get("s6").bundle, "nearly"))
+    s6 = by_id(evaluate(zoo.get("s6").bundle, F_NEARLY))
     assert all(r.passed and r.relative < 1e-5 for r in s6.values())
-    # gate: nearly mode on a non-nearly bundle is skipped, never failed
-    neg = check_f_properties(zoo.get("negative").bundle, "nearly")
+    # gate: the nearly table on a non-nearly bundle is skipped, never failed
+    neg = evaluate(zoo.get("negative").bundle, F_NEARLY)
     assert all(r.skipped for r in neg)
 
 
-def test_f_properties_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        check_f_properties(zoo.get("flat-k1").bundle, "other")
+def test_f_tables_skip_with_their_gate_reason():
+    """Each F table is gated by one reason function, and a gated row carries its reason."""
+    assert {r.gate for r in F_HERMITIAN} == {not_hermitian}
+    assert {r.gate for r in F_NEARLY} == {not_nearly}
+    neg = zoo.get("negative").bundle  # almost metallic Hermitian, not nearly
+    assert not any(r.skipped for r in evaluate(neg, F_HERMITIAN))
+    assert [r.note for r in evaluate(neg, F_NEARLY)] == ["needs a nearly metallic Kähler bundle"] * 2
+    flat_p1 = zoo.fixture_flat(1, q=1.0, p=1.0).bundle  # fails skew compatibility
+    notes = {r.note for r in evaluate(flat_p1, F_HERMITIAN + F_NIJENHUIS_BALANCE)}
+    assert notes == {"needs an almost metallic Hermitian bundle"}
+    assert evaluate(flat_p1, EXTERIOR_CROSS)[0].note == "the cyclic-sum form needs skew compatibility"
 
 
 def test_balance_identity_trivial_flat():
-    r = check_f_nijenhuis_balance(zoo.get("flat-k1").bundle)
+    r = evaluate(zoo.get("flat-k1").bundle, F_NIJENHUIS_BALANCE)[0]
     assert r.passed and r.max_residual < 1e-12
 
 
 def test_balance_identity_nontrivial_cancellation_s6():
-    r = check_f_nijenhuis_balance(zoo.get("s6").bundle)
+    r = evaluate(zoo.get("s6").bundle, F_NIJENHUIS_BALANCE)[0]
     assert r.passed and r.relative < 1e-5
     assert r.scale > 0.1  # individually large terms
 
 
 def test_balance_identity_on_negative_fixture():
     # nonzero N and nonzero d-omega together, still balances
-    r = check_f_nijenhuis_balance(zoo.get("negative").bundle)
+    r = evaluate(zoo.get("negative").bundle, F_NIJENHUIS_BALANCE)[0]
     assert r.passed and r.scale > 0.1
 
 
 def test_exterior_cross_check_matches_minus_orientation():
-    r = check_exterior_cross(zoo.get("s6").bundle)
+    r = evaluate(zoo.get("s6").bundle, EXTERIOR_CROSS)[0]
     assert r.passed
     assert "-" in r.note
 
@@ -116,7 +133,7 @@ def test_exterior_cross_check_fails_when_the_cyclic_sum_flips_sign(monkeypatch):
     """Only dw = -cartan-sum is asserted, so a sign error in either path fails the check."""
     cartan_sum = identities._cartan_sum
     monkeypatch.setattr(identities, "_cartan_sum", lambda F: -cartan_sum(F))
-    r = check_exterior_cross(zoo.get("s6").bundle)
+    r = evaluate(zoo.get("s6").bundle, EXTERIOR_CROSS)[0]
     assert not r.passed and r.relative > 1.0, r
 
 
@@ -137,7 +154,7 @@ def test_curvature_commutation_on_s2_both_q():
 
 
 def test_ricci_pair_identities_report_only():
-    res = check_ricci_pair_identities(zoo.get("s2").bundle)
+    res = evaluate(zoo.get("s2").bundle, RICCI_PAIR)
     assert all(not r.asserted for r in res)
     d = by_id(res)
     # at q = 2/3 the stated coefficients do close
@@ -146,7 +163,7 @@ def test_ricci_pair_identities_report_only():
 
 
 def test_ricci_pair_stated_form_fails_at_q2_but_is_not_asserted():
-    res = by_id(check_ricci_pair_identities(zoo.get("s2", 2.0).bundle))
+    res = by_id(evaluate(zoo.get("s2", 2.0).bundle, RICCI_PAIR))
     assert not res["ricci-structure-pair(stated)"].passed
     assert not res["ricci-structure-pair(stated)"].asserted
 
@@ -192,7 +209,7 @@ def test_star_curvature_s6_values():
 
 
 def test_star_pack_checks_on_s6():
-    res = by_id(check_star_pack(zoo.get("s6").bundle))
+    res = by_id(evaluate(zoo.get("s6").bundle, STAR_PACK))
     assert res["h-antisymmetry"].relative < 1e-4
     assert res["star-conjugate-contraction"].relative < 1e-8
 
@@ -210,12 +227,12 @@ def test_divergence_ricci_chain_zero_both_sides_on_metallic_kahler():
 
 
 def test_ricci_hyperbolic_on_s6_and_gate():
-    assert check_ricci_hyperbolic(zoo.get("s6").bundle).relative < 1e-4
-    assert check_ricci_hyperbolic(zoo.get("negative").bundle).skipped
+    assert evaluate(zoo.get("s6").bundle, RICCI_HYPERBOLIC)[0].relative < 1e-4
+    assert evaluate(zoo.get("negative").bundle, RICCI_HYPERBOLIC)[0].skipped
 
 
 def test_ricci_star_hyperbolic_on_s6():
-    res = by_id(check_ricci_star_hyperbolic(zoo.get("s6").bundle))
+    res = by_id(evaluate(zoo.get("s6").bundle, RICCI_STAR_HYPERBOLIC))
     assert res["ricci-star-hyperbolic"].relative < 1e-4
     assert res["star-contraction-cancel"].relative < 1e-4
 
@@ -229,7 +246,7 @@ def test_scalar_star_relation_s6():
 
 
 def test_nearly_nijenhuis_two_pipelines_s6():
-    res = by_id(check_nearly_nijenhuis(zoo.get("s6").bundle))
+    res = by_id(evaluate(zoo.get("s6").bundle, NEARLY_NIJENHUIS))
     cross = res["nijenhuis-covderiv-form"]
     assert cross.passed and cross.relative < 1e-5
     assert cross.scale > 0.1
@@ -259,7 +276,7 @@ def test_algebraic_identities_pass_on_every_fixture():
         bundle = zoo.get(name).bundle
         res = by_id(check_covderiv_identities(bundle))
         assert res["covderiv-conjugate-exchange"].relative < 1e-8, name
-        star = by_id(check_star_pack(bundle))
+        star = by_id(evaluate(bundle, STAR_PACK))
         assert star["star-conjugate-contraction"].relative < 1e-8, name
         q = bundle.params.q
         ctx = bundle.context(bundle.sample_points)
@@ -276,3 +293,13 @@ def test_run_suite_all_and_unknown():
     assert len(out) > 20
     with pytest.raises(KeyError):
         run_suite(zoo.get("flat-k1").bundle, "bogus")
+
+
+@pytest.mark.parametrize("name", zoo.names())
+def test_row_order_is_the_benchmarks(name):
+    """Every zoo fixture gives the rows the benchmark expects of its verdict, in order and
+    with their skipped flags, so a reshuffled table fails here and not only in the
+    benchmark."""
+    fx = zoo.get(name)
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[fx.expected_verdict]
+    assert [[r.id, r.skipped] for r in run_suite(fx.bundle, "all")] == expected

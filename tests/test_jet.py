@@ -186,7 +186,7 @@ def recording(bundle, nodes: list):
             nodes.append(np.array(pts, dtype=float))
             return fld(pts)
 
-        return TensorField(fld.name, fld.sig, fn)
+        return TensorField(fld.name, fn)
 
     return dataclasses.replace(bundle, g=wrap(bundle.g), jm=wrap(bundle.jm))
 

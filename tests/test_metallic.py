@@ -208,6 +208,6 @@ def test_classify_names_the_point_of_a_nan_residual():
         out[np.all(pts == bad, axis=1)] = np.nan
         return out
 
-    broken = dataclasses.replace(bundle, jm=TensorField(name="jm", sig="ud", fn=jm))
+    broken = dataclasses.replace(bundle, jm=TensorField(name="jm", fn=jm))
     with pytest.raises(NumericalError, match=re.escape(f"is nan at point {bad.tolist()}")):
         broken.classification()

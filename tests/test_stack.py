@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from metallicgeo import connections, identities, zoo
-from metallicgeo.connections import GateError, connection_terms
+from metallicgeo.connections import connection_terms
 from metallicgeo.geometry import max_abs, max_abs_per_point
 from metallicgeo.metallic import RESIDUALS
 
@@ -57,12 +57,8 @@ def test_each_row_of_the_stack_is_its_own_point(name, monkeypatch):
     stack = bundle.context(points)
     rows = identity_rows(bundle, monkeypatch)
     assert rows
-    kinds = {}
-    for kind in ("first", "second"):
-        try:
-            kinds[kind] = connections._terms(bundle, kind)
-        except GateError:
-            pass
+    kinds = {kind: connections._terms(bundle, kind)
+             for kind, gate in connections._GATES.items() if not gate(bundle)}
     for k, point in enumerate(points):
         alone = bundle.context(points[k:k + 1])  # the point as a stack of one
         single = bundle.context(point)           # the point as one point
