@@ -55,9 +55,15 @@ class InputError(Exception):
     """A chart, structure parameter, step or tolerance that the engine rejects (exit 2)."""
 
 
-def _bundle_from_args(args) -> tuple[StructureBundle, dict]:
+def _bundle_from_args(args, draw_samples: bool = True) -> tuple[StructureBundle, dict]:
+    """The run's bundle and source; a setting the engine rejects is an InputError (exit 2).
+    classify and verify read the sample points, so they are drawn here, where a policy
+    with fewer than 8 distinct points is rejected too; curvature draws none."""
     try:
-        return _build_bundle(args)
+        bundle, source = _build_bundle(args)
+        if draw_samples:
+            bundle.chart.sample_points()
+        return bundle, source
     except SpecFileError:
         raise
     except ValueError as exc:
@@ -263,7 +269,7 @@ def cmd_verify(args) -> int:
 
 def cmd_curvature(args) -> int:
     t0 = time.perf_counter()
-    bundle, source = _bundle_from_args(args)
+    bundle, source = _bundle_from_args(args, draw_samples=False)
     try:
         point = np.array([float(tok) for tok in args.point.split(",")], dtype=float)
     except ValueError:

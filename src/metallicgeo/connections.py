@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import largest_abs
+from .geometry import contract, largest_abs
 from .identities import Identity, _result, _skip, _zero, evaluate, not_hermitian
 from .metallic import StructureBundle, VERDICT_ALMOST_KAHLER, VERDICT_KAHLER
 
@@ -77,7 +77,7 @@ def first_type(bundle: StructureBundle, point) -> np.ndarray:
     It is a connection of the bundle where `not_hermitian` gives no reason."""
     ctx = bundle.context(point)
     q = bundle.params.q
-    return (1.0 / (3.0 * q)) * np.einsum("...ht,...itj->...hij", ctx.Jhat, ctx.covJ)
+    return (1.0 / (3.0 * q)) * contract("...ht,...itj->...hij", ctx.Jhat, ctx.covJ)
 
 
 def second_type(bundle: StructureBundle, point) -> np.ndarray:
@@ -91,7 +91,7 @@ def second_type(bundle: StructureBundle, point) -> np.ndarray:
     if _levi(bundle):
         return np.zeros_like(ctx.gamma)
     q = bundle.params.q
-    return -(1.0 / q) * np.einsum("...ht,...itj->...hij", ctx.Jhat, ctx.covJ)
+    return -(1.0 / q) * contract("...ht,...itj->...hij", ctx.Jhat, ctx.covJ)
 
 
 def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
@@ -107,13 +107,13 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
     S = (first_type if kind == "first" else second_type)(bundle, point)
     ctx = bundle.context(point)
     w, g, cov_omega = ctx.omega, ctx.g, ctx.cov_omega
-    SJ = np.einsum("...tij,...kt->...ijk", S, w)
-    nw = (cov_omega - np.einsum("...tij,...tk->...ijk", S, w)
-          - np.einsum("...tik,...jt->...ijk", S, w))
+    SJ = contract("...tij,...kt->...ijk", S, w)
+    nw = (cov_omega - contract("...tij,...tk->...ijk", S, w)
+          - contract("...tik,...jt->...ijk", S, w))
     terms = {
         # Levi-Civita is symmetric, so torsion is carried by the deformation
         "S": S, "torsion": S - np.swapaxes(S, -2, -1), "SJ": SJ, "nw": nw,
-        "ng": -np.einsum("...tij,...tk->...ijk", S, g) - np.einsum("...tik,...jt->...ijk", S, g),
+        "ng": -contract("...tij,...tk->...ijk", S, g) - contract("...tik,...jt->...ijk", S, g),
         "sym": SJ + np.einsum("...ijk->...ikj" if kind == "first" else "...ijk->...kji", SJ),
         "consistency": nw - (cov_omega + SJ - np.einsum("...ijk->...ikj", SJ)),
         "cov_omega": cov_omega,

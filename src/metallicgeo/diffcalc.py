@@ -27,8 +27,17 @@ every ordered multi-index to its row; `MetricJet._jet` weights each row's
 node values in one einsum and expands the rows by indexing, so the work
 grows with the distinct partials and their nodes (56 rows of 16 of 476
 nodes at order 3 in dimension 6), not with a dense (n,)*order table over
-all the nodes, and none of it goes through BLAS. Tables are cached per
+all the nodes. That einsum makes no BLAS call. Tables are cached per
 (n, h, order).
+
+A field marked constant (`TensorField.constant`, a spec field none of
+whose entries references a coordinate) is evaluated at the points alone.
+Its jets are exact zeros, built with no node and no weight: a constant g
+has zero d g, d d g, d d d g, d Gamma, d d Gamma and nabla Ricci, a
+constant J_M zero d J, and w = J_M g is differenced at the nodes of
+whichever field is not constant (dw and nabla nabla w are zero when both
+are). The differences f(node) - f(point) of a constant field are exactly
+0.0 too, so marking a field changes no value.
 
 A jet serves one point (n,) or a stack of points (m, n): every member
 carries the stack's point axis first, written with leading `...` axes, so
@@ -59,7 +68,9 @@ g Gamma = L/2 (L_tij = d_i g_tj + d_j g_ti - d_t g_ij) once and twice
 gives d Gamma and d d Gamma, with d g from order 1. Riemann
 reads (Gamma, d Gamma), nabla Ricci d d Gamma, and nabla nabla w the
 order-2 jet of w = J_M g. The jet agrees with nested stencils to roundoff
-and truncation (Riemann to ~1e-10).
+and truncation (Riemann to ~1e-10). Every two-operand contraction of this
+algebra (and of the checks) goes through `geometry.contract`, one batched
+matrix product per contraction; traces and transposes stay on np.einsum.
 
 Fields map a stack of points (m, n) to a stack of values (m, ...).
 Everything is a pure function of (field, points); a MetricJet or
@@ -75,7 +86,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Chart, inverse_metric, max_abs
+from .geometry import Chart, contract, inverse_metric, max_abs
 
 __all__ = [
     "DiffScheme",
@@ -205,35 +216,24 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
 
 def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Levi-Civita coefficients gamma[..., h, i, j] from g^-1 and dg[..., a, i, j] = d_a g_ij."""
-    return 0.5 * np.einsum("...ht,...itj->...hij", ginv, _first_kind(dg))
+    return 0.5 * contract("...ht,...itj->...hij", ginv, _first_kind(dg))
 
 
 def _cov_correct(value: np.ndarray, sig: str, gamma: np.ndarray) -> np.ndarray:
     """Gamma corrections for every slot; returns corr[..., a, ...] to add to d_a T.
 
-    value and gamma carry the same leading (stack) axes. Each slot's term is
-    one batched matrix product over the summed index t, of T with that slot
-    last and of Gamma arranged as [t, (a, x)], x the slot's new index.
+    value and gamma carry the same leading (stack) axes, or axes that broadcast. Each
+    slot's term is one `contract` over the summed index t: + Gamma^x_at T^{...t...} for
+    an upper slot x, - Gamma^t_ax T_{...t...} for a lower one.
     """
-    n = gamma.shape[-1]
-    lead = gamma.shape[:-3]
-    k, p = len(lead), len(sig) - 1
-    corr = np.zeros(lead + (n,) + value.shape[k:])
-    stack = list(range(k))
-    for axis, kind in enumerate(sig):
-        rest = [k + s for s in range(p + 1) if s != axis]
-        moved = value.transpose(stack + rest + [k + axis]).reshape(lead + (-1, n))
-        # 'u': + Gamma^x_at T^{...t...}, Gamma as [t, a, x]; 'd': - Gamma^t_ax T_{...t...}
-        arranged = np.swapaxes(gamma, -3, -1) if kind == "u" else gamma
-        term = (moved @ arranged.reshape(lead + (n, n * n))).reshape(
-            lead + tuple(value.shape[r] for r in rest) + (n, n))
-        # [..., rest, a, x] -> [..., a, rest before the slot, x, rest after it]
-        term = term.transpose(stack + [k + p] + list(range(k, k + axis)) + [k + p + 1]
-                              + list(range(k + axis, k + p)))
+    slots = "bcdefg"[:len(sig)]
+    corr = 0.0  # 0.0 - t, unlike -t, gives a zero term as +0.0
+    for axis, (x, kind) in enumerate(zip(slots, sig)):
+        moved = slots[:axis] + "t" + slots[axis + 1:]
         if kind == "u":
-            corr += term
+            corr = corr + contract(f"...{moved},...{x}at->...a{slots}", value, gamma)
         else:
-            corr -= term
+            corr = corr - contract(f"...{moved},...ta{x}->...a{slots}", value, gamma)
     return corr
 
 
@@ -280,12 +280,12 @@ def riemann(jet) -> CurvaturePack:
     Rup = (
         np.einsum("...khji->...kjih", dGamma)
         - np.einsum("...jhki->...kjih", dGamma)
-        + np.einsum("...tji,...hkt->...kjih", gamma, gamma)
-        - np.einsum("...tki,...hjt->...kjih", gamma, gamma)
+        + contract("...tji,...hkt->...kjih", gamma, gamma)
+        - contract("...tki,...hjt->...kjih", gamma, gamma)
     )
-    Rdown = np.einsum("...kjit,...tl->...kjil", Rup, jet.g)
+    Rdown = contract("...kjit,...tl->...kjil", Rup, jet.g)
     ricci = np.einsum("...hjih->...ji", Rup)
-    scalar = np.einsum("...ji,...ji->...", jet.ginv, ricci)
+    scalar = contract("...ji,...ji->...", jet.ginv, ricci)
     return CurvaturePack(Rup=Rup, Rdown=Rdown, ricci=ricci, scalar=scalar)
 
 
@@ -296,9 +296,14 @@ def nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
     antisymmetry in (i, j) is structural.
     N_ij^h = J_i^t d_t J_j^h - J_j^t d_t J_i^h + (d_j J_i^t) J_t^h - (d_i J_j^t) J_t^h
     """
-    term1 = np.einsum("...ti,...thj->...ijh", J, dJ)
-    term3 = np.einsum("...jti,...ht->...ijh", dJ, J)
+    term1 = contract("...ti,...thj->...ijh", J, dJ)
+    term3 = contract("...jti,...ht->...ijh", dJ, J)
     return term1 - np.swapaxes(term1, -3, -2) + term3 - np.swapaxes(term3, -3, -2)
+
+
+def _constant(fn) -> bool:
+    """Whether a field is marked constant (`TensorField.constant`); a plain function is not."""
+    return getattr(fn, "constant", False)
 
 
 def _from_order1(key: str, doc: str | None = None) -> property:
@@ -322,6 +327,7 @@ class MetricJet:
 
     def __init__(self, g_fn, point, scheme: DiffScheme | None = None):
         self.g_fn = g_fn
+        self.g_constant = _constant(g_fn)
         self.point = np.asarray(point, dtype=float)
         self.scheme = scheme or DiffScheme()
         self.n = self.point.shape[-1]
@@ -343,6 +349,19 @@ class MetricJet:
         out = np.einsum("rk,rk...->r...", table.weights, diff[table.cols])[table.expand]
         return np.moveaxis(out, range(order), range(1, order + 1)) if self.point.ndim > 1 else out
 
+    def _zeros(self, order: int, value: np.ndarray) -> np.ndarray:
+        """The jet of `order` of a constant field whose value at the points is `value`, laid
+        out as `_jet`'s: exact zeros."""
+        lead = value.shape[:self.point.ndim - 1]
+        return np.zeros(lead + (self.n,) * order + value.shape[len(lead):])
+
+    def _order1_jet(self, values: np.ndarray) -> np.ndarray:
+        """The order-1 jet of `_stencil` values; zeros for a constant field's, which hold the
+        points alone."""
+        if len(values) == 1:
+            return self._zeros(1, values[0])
+        return self._jet(1, values[0], values[1:])
+
     def _nodes(self, disp: np.ndarray, rows=...) -> np.ndarray:
         """nodes[k, ...] = point + disp[k] for every point of `rows`."""
         pts = self.point[rows]
@@ -354,7 +373,10 @@ class MetricJet:
         return values.reshape(nodes.shape[:-1] + values.shape[1:])
 
     def _stencil(self, fn) -> np.ndarray:
-        """fn at the points (node 0) and at their 4n order-1 nodes."""
+        """fn at the points (node 0) and at their 4n order-1 nodes; a constant field at the
+        points alone, values[:1], which broadcasts against another field's nodes."""
+        if _constant(fn):
+            return self._call(fn, self.point[None])
         return self._call(fn, np.concatenate([self.point[None], self._nodes(self._table(1).disp)]))
 
     def _chunks(self, order: int) -> list:
@@ -374,7 +396,7 @@ class MetricJet:
         """The order-1 quantities, from g at the points and their nodes (`_stencil`); a
         PointContext adds those of J_M. The value at the points is a copy, so that keeping it
         does not keep the node values."""
-        return {"g": g[0].copy(), "dg": self._jet(1, g[0], g[1:])}
+        return {"g": g[0].copy(), "dg": self._order1_jet(g)}
 
     g = _from_order1("g")
     dg = _from_order1("dg", "dg[..., a, i, j] = d_a g_ij.")
@@ -390,37 +412,47 @@ class MetricJet:
     @cached_property
     def g_nodes2(self) -> np.ndarray:
         """g at the order-2 nodes of every point, nodes[k, ...], from one call. They are kept
-        (nabla nabla w reads them), so evaluating them in chunks would save nothing, and
-        joining the chunks would copy a constant field's broadcast values."""
+        (nabla nabla w reads them), so evaluating them in chunks would save nothing. A
+        constant g is its value at the points, g[None], with no call."""
+        if self.g_constant:
+            return self.g[None]
         return self._call(self.g_fn, self._nodes(self._table(2).disp))
 
     @cached_property
     def ddg(self) -> np.ndarray:
+        if self.g_constant:
+            return self._zeros(2, self.g)
         return _join(self._jet(2, self.g[rows], self.g_nodes2[:, rows]) for rows in self._chunks(2))
 
     def dddg(self, rows=...) -> np.ndarray:
         """d_a d_b d_c g at the points of `rows`, anew on each call: nabla Ricci reads it once per
         chunk, and a jet keeps none."""
+        if self.g_constant:
+            return self._zeros(3, self.g[rows])
         return self._jet(3, self.g[rows], self.g_nodes2[:, rows],
                          self._call(self.g_fn, self._nodes(self._table(3).disp, rows)))
 
     @cached_property
     def dgamma(self) -> np.ndarray:
         """dgamma[..., a, h, i, j] = d_a Gamma^h_ij, from g d_a Gamma = d_a L / 2 - d_a g Gamma."""
+        if self.g_constant:
+            return self._zeros(2, self.g)
         rhs = (0.5 * np.einsum("...aitj->...atij", _first_kind(self.ddg))
-               - np.einsum("...ats,...sij->...atij", self.dg, self.gamma))
-        return np.einsum("...ht,...atij->...ahij", self.ginv, rhs)
+               - contract("...ats,...sij->...atij", self.dg, self.gamma))
+        return contract("...ht,...atij->...ahij", self.ginv, rhs)
 
     def ddgamma(self, rows=...) -> np.ndarray:
         """ddgamma[..., a, b, h, i, j] = d_a d_b Gamma^h_ij at the points of `rows`, anew on each
         call, like `dddg`, from
         g d_a d_b Gamma = d_a d_b L / 2 - d_a d_b g Gamma - d_a g d_b Gamma - d_b g d_a Gamma."""
+        if self.g_constant:
+            return self._zeros(3, self.g[rows])
         gamma, ginv = self.gamma[rows], self.ginv[rows]
-        cross = np.einsum("...ats,...bsij->...abtij", self.dg[rows], self.dgamma[rows])
+        cross = contract("...ats,...bsij->...abtij", self.dg[rows], self.dgamma[rows])
         rhs = (0.5 * np.einsum("...abitj->...abtij", _first_kind(self.dddg(rows)))
-               - np.einsum("...abts,...sij->...abtij", self.ddg[rows], gamma)
+               - contract("...abts,...sij->...abtij", self.ddg[rows], gamma)
                - cross - np.swapaxes(cross, -5, -4))
-        return np.einsum("...ht,...abtij->...abhij", ginv, rhs)
+        return contract("...ht,...abtij->...abhij", ginv, rhs)
 
     @cached_property
     def curvature(self) -> CurvaturePack:
@@ -429,7 +461,9 @@ class MetricJet:
     @cached_property
     def cov_ricci(self) -> np.ndarray:
         """cov_ricci[..., a, j, i] = (nabla_a S)_ji, with d_a S_ji = d_a R_hji^h from the order-3
-        jet, one chunk of points at a time."""
+        jet, one chunk of points at a time; zeros for a constant g."""
+        if self.g_constant:
+            return self._zeros(1, self.g)
         return _join(self._cov_ricci(rows) for rows in self._chunks(3))
 
     def _cov_ricci(self, rows) -> np.ndarray:
@@ -437,8 +471,8 @@ class MetricJet:
         dS = (np.einsum("...ahhji->...aji", ddG) - np.einsum("...ajhhi->...aji", ddG)
               + np.einsum("...atji,...hht->...aji", dG, G)
               + np.einsum("...tji,...ahht->...aji", G, dG)
-              - np.einsum("...athi,...hjt->...aji", dG, G)
-              - np.einsum("...thi,...ahjt->...aji", G, dG))
+              - contract("...athi,...hjt->...aji", dG, G)
+              - contract("...thi,...ahjt->...aji", G, dG))
         return covariant_derivative(dS, self.curvature.ricci[rows], "dd", G)
 
 
@@ -451,21 +485,23 @@ class PointContext(MetricJet):
     def __init__(self, g_fn, j_fn, p: float, q: float, point, scheme: DiffScheme | None = None):
         super().__init__(g_fn, point, scheme)
         self.j_fn = j_fn
+        self.j_constant = _constant(j_fn)
         self.p = float(p)
         self.q = float(q)
 
     def _first_order(self, g: np.ndarray) -> dict:
-        """Adds one stencil of J_M, and w = J_M g at the points and their nodes from both."""
+        """Adds one stencil of J_M, and w = J_M g at the points and their nodes from both (at
+        the points alone when both fields are constant)."""
         J = self._stencil(self.j_fn)
         w = np.swapaxes(J, -1, -2) @ g
         # dw differentiates the antisymmetric part of w: identical whenever the
         # bundle is skew-compatible, and still a well-defined 2-form (hence a
         # reportable residual) on bundles that fail that compatibility
         skew_w = 0.5 * (w - np.swapaxes(w, -1, -2))
-        skew = self._jet(1, skew_w[0], skew_w[1:])
+        skew = self._order1_jet(skew_w)
         return super()._first_order(g) | {
-            "J": J[0].copy(), "dJ": self._jet(1, J[0], J[1:]),
-            "omega": w[0].copy(), "dw": self._jet(1, w[0], w[1:]),
+            "J": J[0].copy(), "dJ": self._order1_jet(J),
+            "omega": w[0].copy(), "dw": self._order1_jet(w),
             "domega": skew + np.einsum("...bca->...abc", skew) + np.einsum("...cab->...abc", skew),
         }
 
@@ -498,7 +534,7 @@ class PointContext(MetricJet):
     @cached_property
     def F(self) -> np.ndarray:
         """F[..., i, j, k] = g((nabla_i J) d_j, d_k) = g_kt (nabla_i J)_j^t."""
-        return np.einsum("...itj,...tk->...ijk", self.covJ, self.g)
+        return contract("...itj,...tk->...ijk", self.covJ, self.g)
 
     @cached_property
     def cov_omega(self) -> np.ndarray:
@@ -519,45 +555,47 @@ class PointContext(MetricJet):
         identity nabla_h nabla_j (J_M)_i^h = S_jt (J_M)_i^t - H_ji; raising
         the 2-form's slots in the opposite order flips the sign.
         """
-        return np.einsum("...hjit,...ht->...ji", self.curvature.Rup, self.J)
+        return contract("...hjit,...ht->...ji", self.curvature.Rup, self.J)
 
     @cached_property
     def Sstar(self) -> np.ndarray:
         """Ricci-star: S*_ji = -H_jt (J_M)_i^t, as 0 - H J_M, which unlike -(H J_M) gives a
         zero entry as +0.0."""
-        return 0.0 - np.einsum("...jt,...ti->...ji", self.H, self.J)
+        return 0.0 - contract("...jt,...ti->...ji", self.H, self.J)
 
     @cached_property
     def scalar_star(self) -> float | np.ndarray:
-        return np.einsum("...nj,...jn->...", self.ginv, self.Sstar)
+        return contract("...nj,...jn->...", self.ginv, self.Sstar)
 
     @cached_property
     def norm_covJ_sq(self) -> float | np.ndarray:
         """g^{km} g_{jt} g^{is} (nabla_m J)_i^t (nabla_k J)_s^j (signed for indefinite g), as
         one contraction at a time."""
-        raised = np.einsum("...km,...mti->...kti", self.ginv, self.covJ)  # nabla^k J
-        lowered = np.einsum("...jt,...kti->...kji", self.g, raised)
+        raised = contract("...km,...mti->...kti", self.ginv, self.covJ)  # nabla^k J
+        lowered = contract("...jt,...kti->...kji", self.g, raised)
         return np.einsum("...kji,...kjs,...is->...", lowered, self.covJ, self.ginv)
 
     # --- second derivatives ---
 
     @cached_property
     def covcov_omega(self) -> np.ndarray:
-        """covcov[..., a, b, i, m] = (nabla_a nabla_b w)_im, one chunk of points at a time."""
+        """covcov[..., a, b, i, m] = (nabla_a nabla_b w)_im, one chunk of points at a time;
+        zeros when g and J_M are both constant (w is then constant and Gamma zero)."""
+        if self.g_constant and self.j_constant:
+            return self._zeros(2, self.omega)
         return _join(self._covcov_omega(rows) for rows in self._chunks(2))
 
     def _covcov_omega(self, rows) -> np.ndarray:
         """nabla nabla w at the points of `rows`, from the order-2 jet of w: d_a (nabla_b w) is
         d_a d_b w plus d_a of the connection terms of nabla_b w."""
-        n, gamma, w, dw = self.n, self.gamma[rows], self.omega[rows], self.dw[rows]
-        J_nodes = self._call(self.j_fn, self._nodes(self._table(2).disp, rows))
+        gamma, w, dw = self.gamma[rows], self.omega[rows], self.dw[rows]
+        if self.j_constant:
+            J_nodes = self.J[rows][None]
+        else:
+            J_nodes = self._call(self.j_fn, self._nodes(self._table(2).disp, rows))
         w_nodes = np.swapaxes(J_nodes, -1, -2) @ self.g_nodes2[:, rows]
         del J_nodes
-        ddw = self._jet(2, w, w_nodes)
-        stack = gamma.shape[:-3]
-        d_cov = (ddw
-                 + _cov_correct(dw, "dd", np.broadcast_to(gamma[..., None, :, :, :],
-                                                          stack + (n,) + gamma.shape[-3:]))
-                 + _cov_correct(np.broadcast_to(w[..., None, :, :], stack + (n,) + w.shape[-2:]),
-                                "dd", self.dgamma[rows]))
+        ddw = self._zeros(2, w) if len(w_nodes) == 1 else self._jet(2, w, w_nodes)
+        d_cov = (ddw + _cov_correct(dw, "dd", gamma[..., None, :, :, :])
+                 + _cov_correct(w[..., None, :, :], "dd", self.dgamma[rows]))
         return covariant_derivative(d_cov, self.cov_omega[rows], "ddd", gamma)

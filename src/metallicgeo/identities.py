@@ -44,7 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import largest_abs
+from .geometry import contract, largest_abs
 from .metallic import StructureBundle, VERDICT_KAHLER, VERDICT_NONE
 
 __all__ = [
@@ -69,7 +69,7 @@ class IdentityResult:
 
     @property
     def relative(self) -> float:
-        return self.max_residual / max(1.0, self.scale)
+        return _relative(self.max_residual, self.scale)
 
     def as_dict(self) -> dict:
         return {
@@ -89,19 +89,23 @@ def _skip(id_: str, note: str) -> IdentityResult:
     return IdentityResult(id=id_, skipped=True, passed=False, note=note)
 
 
+def _relative(residual: float, scale: float) -> float:
+    return residual / max(1.0, scale)
+
+
 def _result(id_: str, arrays: tuple, points, tol: float, asserted: bool = True,
-            note: str = "") -> IdentityResult:
+            note: str = "", absolute: bool = False) -> IdentityResult:
     """Reduce a row's arrays (residual, *terms), stacked over `points`, with
-    `geometry.largest_abs`: the residual first, then the scale over all the terms. A value
-    that is not finite is a NumericalError naming the identity and point, not a failed
-    check."""
+    `geometry.largest_abs`: the residual first, then the scale over all the terms. The row
+    passes when its relative residual (its residual itself, if `absolute`) is below tol. A
+    value that is not finite is a NumericalError naming the identity and point, not a
+    failed check."""
     residual, *terms = arrays
-    row = IdentityResult(
-        id=id_, max_residual=largest_abs(points, f"residual of {id_}", residual),
-        scale=largest_abs(points, f"scale of {id_}", *terms), tolerance=tol,
-        asserted=asserted, note=note,
-    )
-    return replace(row, passed=row.relative < tol)
+    max_residual = largest_abs(points, f"residual of {id_}", residual)
+    scale = largest_abs(points, f"scale of {id_}", *terms)
+    measured = max_residual if absolute else _relative(max_residual, scale)
+    return IdentityResult(id=id_, max_residual=max_residual, scale=scale, tolerance=tol,
+                          passed=measured < tol, asserted=asserted, note=note)
 
 
 # --- gates: the reason a bundle is outside a hypothesis class, "" inside it ---
@@ -173,7 +177,7 @@ def _skew_part(M: np.ndarray) -> tuple:
 
 def _structure_pair(T: np.ndarray, J: np.ndarray) -> np.ndarray:
     """T(X, J_M Y, J_M Z) = T[..., i, a, b] J[..., a, j] J[..., b, k], one slot at a time."""
-    return np.einsum("...ijb,...bk->...ijk", np.einsum("...iab,...aj->...ijb", T, J), J)
+    return contract("...ijb,...bk->...ijk", contract("...iab,...aj->...ijb", T, J), J)
 
 
 def _cartan_sum(F: np.ndarray) -> np.ndarray:
@@ -196,8 +200,8 @@ def check_covderiv_identities(bundle: StructureBundle) -> list:
     """
     exchange, skew = evaluate(bundle, (
         Identity("covderiv-conjugate-exchange", None, "d1",
-                 lambda ctx: _diff(np.einsum("...aht,...tj->...ajh", ctx.covJ, ctx.J),
-                                   np.einsum("...ht,...atj->...ajh", ctx.Jhat, ctx.covJ))),
+                 lambda ctx: _diff(contract("...aht,...tj->...ajh", ctx.covJ, ctx.J),
+                                   contract("...ht,...atj->...ajh", ctx.Jhat, ctx.covJ))),
         Identity("covderiv-skew-adjoint", None, "d1",
                  lambda ctx: _zero(ctx.F + np.einsum("...ajk->...akj", ctx.F), ctx.F)),
     ))
@@ -219,8 +223,8 @@ F_HERMITIAN = (
 
 def _balance(ctx) -> tuple:
     cart = _cartan_sum(ctx.F)
-    Jhat_g = np.einsum("...ai,...at->...it", ctx.Jhat, ctx.g)
-    left = 3.0 * ctx.q * ctx.F + np.einsum("...it,...jkt->...ijk", Jhat_g, ctx.N)
+    Jhat_g = contract("...ai,...at->...it", ctx.Jhat, ctx.g)
+    left = 3.0 * ctx.q * ctx.F + contract("...it,...jkt->...ijk", Jhat_g, ctx.N)
     right = _structure_pair(cart, ctx.J) - 1.5 * ctx.q * cart
     return _diff(left, right)
 
@@ -256,12 +260,12 @@ def check_curvature_commutation(bundle: StructureBundle) -> list:
     """
     return evaluate(bundle, (
         Identity("curvature-structure-commute", not_kahler, "d2",
-                 lambda ctx: _zero(np.einsum("...ti,...kjth->...kjih", ctx.J, ctx.curvature.Rup)
-                                   - np.einsum("...kjit,...ht->...kjih", ctx.curvature.Rup, ctx.J),
+                 lambda ctx: _zero(contract("...ti,...kjth->...kjih", ctx.J, ctx.curvature.Rup)
+                                   - contract("...kjit,...ht->...kjih", ctx.curvature.Rup, ctx.J),
                                    ctx.curvature.Rup)),
         Identity("curvature-structure-pair", not_kahler, "d2",
-                 lambda ctx: _diff(np.einsum("...bj,...kbih->...kjih", ctx.J,
-                                             np.einsum("...ak,...abih->...kbih",
+                 lambda ctx: _diff(contract("...bj,...kbih->...kjih", ctx.J,
+                                             contract("...ak,...abih->...kbih",
                                                        ctx.J, ctx.curvature.Rup)),
                                    1.5 * ctx.q * ctx.curvature.Rup)),
     ))
@@ -269,19 +273,19 @@ def check_curvature_commutation(bundle: StructureBundle) -> list:
 
 def _ricci_j(ctx) -> np.ndarray:
     """S(X, J_M Y)."""
-    return np.einsum("...ia,...aj->...ij", ctx.curvature.ricci, ctx.J)
+    return contract("...ia,...aj->...ij", ctx.curvature.ricci, ctx.J)
 
 
 def _trace_rj(ctx) -> np.ndarray:
     """TR_ij = tr(R(X, J_M Y) o JMhat)."""
-    return np.einsum("...ib,...bj->...ij",
-                     np.einsum("...ibtm,...tm->...ib", ctx.curvature.Rup, ctx.Jhat), ctx.J)
+    return contract("...ib,...bj->...ij",
+                     contract("...ibtm,...tm->...ib", ctx.curvature.Rup, ctx.Jhat), ctx.J)
 
 
 def _ricci_structure_pair(ctx) -> tuple:
     p, q, S = ctx.p, ctx.q, ctx.curvature.ricci
     SXJY = _ricci_j(ctx)
-    SJJ = np.einsum("...ib,...bj->...ij", np.einsum("...ab,...ai->...ib", S, ctx.J), ctx.J)
+    SJJ = contract("...ib,...bj->...ij", contract("...ab,...ai->...ib", S, ctx.J), ctx.J)
     c1 = p * p - 9 * q * q * p * p / 4 + 9 * q * q / 4
     c2 = 3 * p * q / 2 - 9 * q * q * p / 4
     r1 = SJJ - c1 * S - c2 * SXJY
@@ -323,13 +327,13 @@ def _cycle_terms(ctx) -> tuple:
     p, q = ctx.p, ctx.q
     covS, J, Jhat = ctx.cov_ricci, ctx.J, ctx.Jhat
     a = 1 + 1.5 * q
-    covS_J = np.einsum("...zxa,...ay->...zxy", covS, J)       # (nabla_Z S)(X, J_M Y)
+    covS_J = contract("...zxa,...ay->...zxy", covS, J)       # (nabla_Z S)(X, J_M Y)
     lhs = a * covS - p * covS_J                       # [z, x, y]
     rhs_common = (a * np.einsum("...xzy->...zxy", covS)
-                  - p * np.einsum("...xza,...ay->...zxy", covS, J))
+                  - p * contract("...xza,...ay->...zxy", covS, J))
     # (nabla_{J_M Y} S)(X, B) = J[a, y] covS[a, x, b]
-    covS_JY = np.einsum("...ay,...axb->...yxb", J, covS)
-    term_hat = np.einsum("...yxb,...bz->...zxy", covS_JY, Jhat)
+    covS_JY = contract("...ay,...axb->...yxb", J, covS)
+    term_hat = contract("...yxb,...bz->...zxy", covS_JY, Jhat)
     return lhs, rhs_common, rhs_common + (2.0 / (3 * q) + 1) * term_hat, covS_JY, term_hat
 
 
@@ -371,12 +375,12 @@ def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
 # of the general form vanishes: the gate admits only skew-compatible pairs, hence p = 0.
 F_NEARLY = (
     Identity("f-nearly-outer-rescale", not_nearly, "d1",
-             lambda ctx: _diff(np.einsum("...ijc,...ck->...ijk",
-                                         np.einsum("...ajc,...ai->...ijc", ctx.F, ctx.J), ctx.J),
+             lambda ctx: _diff(contract("...ijc,...ck->...ijk",
+                                         contract("...ajc,...ai->...ijc", ctx.F, ctx.J), ctx.J),
                                1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
     Identity("f-nearly-double-structure", not_nearly, "d1",
-             lambda ctx: _diff(np.einsum("...ibk,...bj->...ijk",
-                                         np.einsum("...abk,...ai->...ibk", ctx.F, ctx.J), ctx.J),
+             lambda ctx: _diff(contract("...ibk,...bj->...ijk",
+                                         contract("...abk,...ai->...ibk", ctx.F, ctx.J), ctx.J),
                                1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
 )
 
@@ -389,14 +393,14 @@ F_NEARLY = (
 # coordinate trace (nabla_i J_M)_j^i = 0.
 NEARLY_NIJENHUIS = (
     Identity("nijenhuis-covderiv-form", not_nearly, "d1",
-             lambda ctx: _diff(ctx.N, -4.0 * np.einsum("...ht,...itj->...ijh", ctx.J, ctx.covJ))),
+             lambda ctx: _diff(ctx.N, -4.0 * contract("...ht,...itj->...ijh", ctx.J, ctx.covJ))),
     Identity("structure-divergence-free", not_nearly, "d1",
              lambda ctx: _zero(np.einsum("...iij->...j", ctx.covJ), ctx.covJ)),
 )
 
 
 def _star_contraction(ctx) -> tuple:
-    lhs = np.einsum("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat)
+    lhs = contract("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat)
     return _zero(lhs + 1.5 * ctx.q * ctx.H, lhs, 1.5 * ctx.q * ctx.H)
 
 
@@ -410,7 +414,7 @@ STAR_PACK = (
 
 def _divergence_omega(ctx) -> np.ndarray:
     """nabla^m nabla_j w_im from the second covariant derivative of w."""
-    return np.einsum("...tjim,...mt->...ji", ctx.covcov_omega, ctx.ginv)
+    return contract("...tjim,...mt->...ji", ctx.covcov_omega, ctx.ginv)
 
 
 def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
@@ -427,8 +431,8 @@ def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
 
     def residual(ctx):
         kept["lhs"] = lhs = _divergence_omega(ctx)
-        return _diff(lhs, np.einsum("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J)
-                     + (2.0 / (3 * ctx.q)) * np.einsum("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat))
+        return _diff(lhs, contract("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J)
+                     + (2.0 / (3 * ctx.q)) * contract("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat))
 
     chain = evaluate(bundle, [Identity("divergence-ricci-chain", not_nearly, "d2", residual)])[0]
     if chain.skipped:
@@ -441,12 +445,12 @@ def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
 # S_ti (J_M)_j^t = -S_jt (J_M)_i^t on a nearly metallic Kahler bundle.
 RICCI_HYPERBOLIC = (Identity(
     "ricci-hyperbolic", not_nearly, "d2",
-    lambda ctx: _skew_part(np.einsum("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J))),)
+    lambda ctx: _skew_part(contract("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J))),)
 
 
 def _ricci_star_hyperbolic(ctx) -> tuple:
-    A = np.einsum("...jm,...mi->...ji", ctx.Sstar, ctx.Jhat)
-    B = -np.einsum("...mi,...mj->...ji", ctx.Sstar, ctx.Jhat)
+    A = contract("...jm,...mi->...ji", ctx.Sstar, ctx.Jhat)
+    B = -contract("...mi,...mj->...ji", ctx.Sstar, ctx.Jhat)
     return _zero(A - B, A)
 
 
@@ -455,7 +459,7 @@ def _ricci_star_hyperbolic(ctx) -> tuple:
 RICCI_STAR_HYPERBOLIC = (
     Identity("ricci-star-hyperbolic", not_nearly, "d2", _ricci_star_hyperbolic),
     Identity("star-contraction-cancel", not_nearly, "d2",
-             lambda ctx: _skew_part(np.einsum("...jm,...mi->...ji", ctx.Sstar, ctx.Jhat))),
+             lambda ctx: _skew_part(contract("...jm,...mi->...ji", ctx.Sstar, ctx.Jhat))),
 )
 
 
@@ -473,10 +477,10 @@ def _ricci_omega_trace(ctx) -> tuple:
     # asymmetry is measured by the curvature invariants, so the mixed trace
     # is taken against the symmetric part (and the raw value observed)
     ricci_sym = 0.5 * (ctx.curvature.ricci + np.swapaxes(ctx.curvature.ricci, -1, -2))
-    w_up = np.einsum("...jm,...tm->...jt", np.einsum("...ji,...im->...jm", ctx.ginv, ctx.omega),
+    w_up = contract("...jm,...tm->...jt", contract("...ji,...im->...jm", ctx.ginv, ctx.omega),
                      ctx.ginv)
-    raw = np.einsum("...jt,...jt->...", ctx.curvature.ricci, w_up)
-    return raw, np.einsum("...jt,...jt->...", ricci_sym, w_up), ricci_sym
+    raw = contract("...jt,...jt->...", ctx.curvature.ricci, w_up)
+    return raw, contract("...jt,...jt->...", ricci_sym, w_up), ricci_sym
 
 
 def check_scalar_star(bundle: StructureBundle) -> list:
@@ -498,9 +502,8 @@ def check_scalar_star(bundle: StructureBundle) -> list:
     points = bundle.sample_points
     raw, trace, ricci_sym = _ricci_omega_trace(bundle.context(points))
     raw_obs = largest_abs(points, "raw (unsymmetrized) trace S_jt w^jt", raw)
-    row = _result(id_, (trace, ricci_sym), points, 1e-10,
-                  note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")
-    return [relation, replace(row, passed=row.max_residual < 1e-10)]
+    return [relation, _result(id_, (trace, ricci_sym), points, 1e-10, absolute=True,
+                              note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")]
 
 
 # --- suites ----------------------------------------------------------------------

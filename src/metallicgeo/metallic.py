@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .diffcalc import DiffScheme, PointContext
-from .geometry import Chart, TensorField, largest_abs
+from .geometry import Chart, TensorField, contract, largest_abs
 
 __all__ = [
     "MetallicParams",
@@ -86,10 +85,11 @@ def jm_from_j_matrix(J: np.ndarray, params: MetallicParams, sign: int = +1) -> n
 
 
 def jm_from_j(j_field: TensorField, params: MetallicParams, sign: int = +1) -> TensorField:
+    """The J_M field of an almost complex field J; constant when J is."""
     def fn(pts):
         return jm_from_j_matrix(j_field(pts), params, sign)
 
-    return TensorField(name=f"{j_field.name}->metallic", fn=fn)
+    return TensorField(name=f"{j_field.name}->metallic", fn=fn, constant=j_field.constant)
 
 
 # --- tolerances ----------------------------------------------------------------
@@ -141,7 +141,7 @@ class StructureBundle:
     def from_j(cls, chart, g, j_field, params, sign=+1, **kw) -> "StructureBundle":
         return cls(chart, g, jm_from_j(j_field, params, sign), params, **kw)
 
-    @cached_property
+    @property
     def sample_points(self) -> np.ndarray:
         return self.chart.sample_points()
 
@@ -186,7 +186,7 @@ class ClassificationReport:
 
 def _hyperbolic_derived(ctx) -> np.ndarray:
     """g(J_M X, J_M Y) + p g(X, J_M Y) - (3/2) q g(X, Y), the derived compatibility form."""
-    pair = np.einsum("...ib,...bm->...im", np.einsum("...ai,...ab->...ib", ctx.J, ctx.g), ctx.J)
+    pair = contract("...ib,...bm->...im", contract("...ai,...ab->...ib", ctx.J, ctx.g), ctx.J)
     return pair + ctx.p * np.swapaxes(ctx.omega, -1, -2) - 1.5 * ctx.q * ctx.g
 
 

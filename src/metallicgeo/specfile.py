@@ -219,10 +219,11 @@ def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool) -> Ten
     entry), so the first entry that fails to evaluate is still the first in
     file order.
 
-    A field none of whose entries references a coordinate is constant: its
-    value is evaluated once, at the first point the field is called at (a
-    domain error names that point), and every call returns a read-only
-    broadcast view of it, which allocates nothing per point.
+    A field none of whose entries references a coordinate is constant, and is
+    marked so (`TensorField.constant`): its value is evaluated once, at the
+    first point the field is called at (a domain error names that point), and
+    every call returns a read-only broadcast view of it, which allocates
+    nothing per point.
     """
     groups = {}  # tree -> (expr, slots)
     for (i, j), expr in entries.items():
@@ -248,7 +249,7 @@ def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool) -> Ten
                 value = fn(pts[:1])[0]
             return np.broadcast_to(value, (len(pts), n, n))
 
-        return TensorField(name=name, fn=const_fn)
+        return TensorField(name=name, fn=const_fn, constant=True)
     return TensorField(name=name, fn=fn)
 
 

@@ -311,6 +311,24 @@ def kahler_quartic_bundle(q: float = 2.0 / 3.0) -> StructureBundle:
                                   MetallicParams(0.0, q))
 
 
+def _s2_cubed_spec() -> str:
+    lines = ["# Product of three unit 2-spheres, each in a stereographic chart, with the",
+             "# standard block structure: metallic Kahler, scalar curvature 2 + 2 + 2 = 6.",
+             "name = s2xs2xs2", "dimension = 6", "p = 0.0", "q = 0.6666666666666666",
+             "bounds = " + ", ".join(["-0.9 0.9"] * 6), "grid = 1", "random_points = 9",
+             "seed = 17", "margin = 0.09", "structure = J", "sign = +"]
+    for b in range(0, 6, 2):
+        lines += [f"g[{i}][{i}] = 4/(1 + x{b}^2 + x{b + 1}^2)^2" for i in (b, b + 1)]
+        lines += [f"j[{b}][{b + 1}] = -1", f"j[{b + 1}][{b}] = 1"]
+    return "\n".join(lines) + "\n"
+
+
+# A curved Kahler spec in dimension 6, written like perfbench/specs/s2xs2.spec: its g is not
+# constant, so a verify builds every jet order of g at 10 points of dimension 6, order 3
+# included, which the flat dimension-6 fixture (constant g and J_M) never builds.
+S2_CUBED_SPEC = _s2_cubed_spec()
+
+
 # --- per-point tree-walking expression evaluator -------------------------------
 
 

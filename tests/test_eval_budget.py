@@ -24,6 +24,7 @@ import dataclasses
 import gc
 import io
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -34,6 +35,7 @@ import pytest
 
 from metallicgeo import cli, connections, diffcalc, exprdsl, identities, metallic, specfile, zoo
 from metallicgeo.geometry import TensorField, max_abs, max_abs_per_point
+from oracles import S2_CUBED_SPEC
 
 S2XS2 = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "s2xs2.spec"
 
@@ -45,18 +47,20 @@ BUILDERS = {
     "negative": zoo.fixture_negative,
 }
 
-# (command, fixture) -> (g points, J_M points, g calls, J_M calls). g: one call for order 1,
-# one for the order-2 nodes and, on Kahler bundles (ricci-derivative-cycle), one per chunk
-# at order 3: 1 chunk for s2 (13 points), 3 for flat-k2 (17 points of dimension 4), 10 for
-# flat-k3 (10 points of dimension 6). J_M: one call for order 1 and one per order-2 chunk of
-# nabla nabla w (16 points each at dimension 4, 3 at dimension 6: 2 chunks for flat-k2, 3 for
-# s6, 4 for flat-k3).
+# (command, fixture) -> (g points, J_M points, g calls, J_M calls). A field that is not
+# constant: g one call for order 1, one for the order-2 nodes and, on Kahler bundles
+# (ricci-derivative-cycle), one per chunk at order 3 (1 chunk for s2, 13 points); J_M one
+# call for order 1 and one per order-2 chunk of nabla nabla w (3 points each at dimension 6:
+# 3 chunks for s6). A constant field (g and J_M of flat-k2 and flat-k3, g of negative, J_M of
+# s2) is called once, at the sample points. Before constant fields were marked, flat-k2 took
+# (2601, 1377, 5, 3), flat-k3 (5010, 1690, 12, 5), s2 (377, 325, 3, 2) and negative
+# (272, 272, 1, 1).
 BUDGET = {
-    ("verify", "s2"): (377, 325, 3, 2),
+    ("verify", "s2"): (377, 13, 3, 1),
     ("verify", "s6"): (1521, 1521, 2, 4),
-    ("verify", "flat-k2"): (2601, 1377, 5, 3),
-    ("verify", "flat-k3"): (5010, 1690, 12, 5),
-    ("classify", "negative"): (272, 272, 1, 1),
+    ("verify", "flat-k2"): (17, 17, 1, 1),
+    ("verify", "flat-k3"): (10, 10, 1, 1),
+    ("classify", "negative"): (16, 272, 1, 1),
 }
 
 # (command, spec file) -> (g points, J_M points, g calls, J_M calls, Expr.eval calls) of a run on
@@ -64,24 +68,31 @@ BUDGET = {
 # command reads it, and each group of entries with equal trees once per call (a constant field
 # once, at its first call). s2xs2 has 4 g entries (2 distinct) and 4 J entries (2 distinct), the
 # s2 spec text 2 g entries (1 distinct) and 2 J entries (2 distinct). curvature: the order-1
-# stencil (17 points) and the order-2 nodes (64) of g, the stencil of J_M. A sweep of the spec's
-# own sample points when the bundle is built would add 9 g points, 1 g call and 4 evaluations.
+# stencil (17 points) and the order-2 nodes (64) of g, and J_M, a constant field, at the point
+# alone. A sweep of the spec's own sample points when the bundle is built would add 9 g points,
+# 1 g call and 4 evaluations. The constant J_M of each spec took a full stencil before constant
+# fields were marked: 17, 117 and 729 J_M points, and 2 J_M calls on s2xs2 verify. s2xs2xs2
+# (`oracles.S2_CUBED_SPEC`) builds every jet order of g in dimension 6 at its 10 points: one
+# call for order 1, one for the order-2 nodes and one per chunk of one point at order 3.
 SPEC_BUDGET = {
-    ("curvature", "s2xs2"): (81, 17, 2, 1, 6),
-    ("classify", "s2"): (117, 117, 1, 1, 3),
-    ("verify", "s2xs2"): (1377, 729, 4, 2, 12),
+    ("curvature", "s2xs2"): (81, 1, 2, 1, 6),
+    ("classify", "s2"): (117, 13, 1, 1, 3),
+    ("verify", "s2xs2"): (1377, 9, 4, 1, 12),
+    ("verify", "s2xs2xs2"): (5010, 10, 12, 1, 38),
 }
 
 # (command, fixture) -> multiply-adds of the jet's weight tables, weights.size x value.size per
 # `MetricJet._jet` call, measured with one row per distinct partial of each order (padded to
 # the widest row, 16 at order 3); the dense tables of one row per ordered multi-index took
-# 18 304, 3 545 856, 2 994 176, 40 953 600 and 65 536
+# 18 304, 3 545 856, 2 994 176, 40 953 600 and 65 536. A constant field has no jet: before
+# constant fields were marked, s2 took 6 656, flat-k2 147 968, flat-k3 478 080 and
+# negative 16 384.
 JET_MADDS = {
-    ("verify", "s2"): 6_656,
+    ("verify", "s2"): 6_240,
     ("verify", "s6"): 139_968,
-    ("verify", "flat-k2"): 147_968,
-    ("verify", "flat-k3"): 478_080,
-    ("classify", "negative"): 16_384,
+    ("verify", "flat-k2"): 0,
+    ("verify", "flat-k3"): 0,
+    ("classify", "negative"): 12_288,
 }
 
 # fixture -> (connection_terms calls, first_type calls) in one `verify --suite all`: the terms
@@ -90,11 +101,11 @@ JET_MADDS = {
 # the first-type deformation once
 CONNECTION_BUDGET = {"s2": (2, 1), "s6": (2, 1), "negative": (1, 1)}
 
-# tracemalloc peak of `verify --suite all` on flat-k3 once the jet's weight tables exist, in
-# bytes: 1.33 MB measured with the stacked context (the bundle keeps its connection terms),
-# 1.50 MB with chunks twice as large (CHUNK_BYTES = 2^18), 2.4 MB when every context kept
-# its order-3 jet
-PEAK_BYTES = 1_500_000
+# tracemalloc peak of `verify --suite all` on s2xs2xs2 (`oracles.S2_CUBED_SPEC`) once the jet's
+# weight tables exist, in bytes: 1.63 MB measured before the contraction kernel and constant
+# fields, 1.62 MB after them, 1.99 MB with chunks twice as large (CHUNK_BYTES = 2^18) and
+# 2.92 MB when every context kept its order-3 jet
+PEAK_BYTES = 1_800_000
 
 
 def counting_fixture(name, counts):
@@ -108,7 +119,7 @@ def counting_fixture(name, counts):
             counts[f"{key}_calls"] += 1
             return fld(pts)
 
-        return TensorField(name=fld.name, fn=fn)
+        return TensorField(name=fld.name, fn=fn, constant=fld.constant)
 
     bundle = dataclasses.replace(b, g=counted(b.g, "g"), jm=counted(b.jm, "jm"))
     return dataclasses.replace(fx, bundle=bundle)
@@ -144,6 +155,8 @@ def test_spec_field_evaluations_within_budget(command, name, tmp_path, monkeypat
     # the zoo builds its spec fixtures through specfile too: fetch the text before counting
     if name == "s2xs2":
         path = S2XS2
+    elif name == "s2xs2xs2":
+        path = s2_cubed_path(tmp_path)
     else:
         path = tmp_path / f"{name}.spec"
         path.write_text(zoo.get(name).spec_text, encoding="utf-8")
@@ -194,40 +207,60 @@ def test_divergence_of_w_computed_once_per_verify(monkeypatch):
     assert len(calls) == 1
 
 
-def test_jet_never_calls_tensordot(monkeypatch):
+def s2_cubed_path(tmp_path) -> Path:
+    path = tmp_path / "s2xs2xs2.spec"
+    path.write_text(S2_CUBED_SPEC, encoding="utf-8")
+    return path
+
+
+def test_jet_never_calls_tensordot(monkeypatch, tmp_path):
     """Every jet order of a dimension-6 verify, order 3 included, is applied without
     `np.tensordot`, whose multithreaded BLAS time swings with the load on the machine."""
 
     def no_tensordot(*args, **kwargs):
         raise AssertionError("np.tensordot called")
 
-    fx = BUILDERS["flat-k3"]()
-    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
+    path = s2_cubed_path(tmp_path)
     monkeypatch.setattr(np, "tensordot", no_tensordot)
     with redirect_stdout(io.StringIO()):
-        assert cli.main(["verify", "--zoo", "flat-k3", "--suite", "all", "--format", "json"]) == 0
+        assert cli.main(["verify", str(path), "--suite", "all", "--format", "json"]) == 0
 
 
-def test_verify_memory_peak_flat_k3(monkeypatch):
+def test_verify_memory_peak_s2_cubed(tmp_path):
     """Contexts keep the order-2 jet of g, not the order-3 one.
 
     nabla Ricci reads d d d g and d d Gamma once; a context that kept them
     would hold n^5 more numbers of each per point, and the traced peak of
     one verify would grow about 2-fold.
     """
-    fx = BUILDERS["flat-k3"]()
-    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
+    path = s2_cubed_path(tmp_path)
     # the weight tables are built once per process; the order-3 table builds the order-2 one
-    diffcalc._jet_table(fx.bundle.chart.dimension, fx.bundle.scheme.h2, 3)
+    diffcalc._jet_table(6, diffcalc.DiffScheme().h2, 3)
     gc.collect()
     tracemalloc.start()
     try:
         with redirect_stdout(io.StringIO()):
-            assert cli.main(["verify", "--zoo", "flat-k3", "--suite", "all", "--format", "json"]) == 0
+            assert cli.main(["verify", str(path), "--suite", "all", "--format", "json"]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BYTES, peak
+
+
+@pytest.mark.parametrize("case", ["s6", "s2xs2xs2"])
+def test_dimension_6_verify_stays_on_one_core(case, tmp_path):
+    """A dimension-6 verify takes at most 1.2 times its wall time in process CPU time: the
+    batched matrix products of `geometry.contract` are small enough that BLAS runs them on
+    the calling thread, where a BLAS thread pool would add its spinning threads' time."""
+    argv = ["--zoo", "s6"] if case == "s6" else [str(s2_cubed_path(tmp_path))]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", *argv, "--suite", "all", "--format", "json"]) == 0
+        wall, cpu = time.perf_counter(), time.process_time()
+        for seed in range(1, 6):
+            assert cli.main(["verify", *argv, "--suite", "all", "--format", "json",
+                             "--seed", str(seed)]) == 0
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    assert cpu <= 1.2 * wall, (cpu, wall)
 
 
 def test_one_first_derivative_stencil_per_point(monkeypatch):

@@ -1,5 +1,8 @@
+import functools
+import io
 import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +19,7 @@ from metallicgeo.geometry import (
     largest_abs,
     max_abs_per_point,
 )
-from metallicgeo import zoo
+from metallicgeo import cli, zoo
 from metallicgeo.specfile import SpecFileError, parse_spec
 from oracles import reference_sample_points
 
@@ -81,13 +84,79 @@ def test_chart_rejects_small_sample_budget():
         Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=2, n_random=0, margin=0.1)
 
 
+CORNER_SPEC = """\
+dimension = 2
+q = 0.6666666666666666
+bounds = -1 1, -1 1
+grid = 2
+random_points = {n_random}
+margin = 0.1
+point corner = -0.9 -0.9
+structure = J
+sign = +
+g[0][0] = 1
+g[1][1] = 1
+j[0][1] = -1
+j[1][0] = 1
+"""
+
+
+def test_chart_counts_distinct_sample_points(tmp_path):
+    """4 grid nodes, 3 random points and a named point on a grid node are 7 distinct points,
+    not the 8 the policy asks for; one more random point makes 8. The distinct points are
+    counted when they are drawn: classify and verify reject the policy (exit 2), curvature,
+    which reads no sample point, runs."""
+    kwargs = dict(dimension=2, bounds=((-1, 1), (-1, 1)), grid=2, margin=0.1,
+                  named_points={"corner": (-0.9, -0.9)})
+    chart = Chart(n_random=3, **kwargs)
+    for _ in range(2):  # a failed draw is not kept
+        with pytest.raises(ValueError, match="at least 8 distinct points, got 7"):
+            chart.sample_points()
+    assert len(Chart(n_random=4, **kwargs).sample_points()) == 8
+    path = tmp_path / "corner.spec"
+    path.write_text(CORNER_SPEC.format(n_random=3), encoding="utf-8")
+    for argv, code in ((["classify"], 2), (["verify", "--suite", "all"], 2),
+                       (["curvature", "--point=0.1,0.2"], 0)):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert cli.main([argv[0], str(path), *argv[1:]]) == code, argv
+        assert ("at least 8 distinct points, got 7" in err.getvalue()) == (code == 2)
+    with redirect_stdout(io.StringIO()):
+        path.write_text(CORNER_SPEC.format(n_random=4), encoding="utf-8")
+        assert cli.main(["classify", str(path)]) == 0
+
+
+def test_sample_points_drawn_once_per_chart(monkeypatch):
+    """A chart draws its sample points once, when they are first asked for: the CLI's
+    distinct-count check and the bundle of a run with `--seed` read one read-only array."""
+    drawn = []
+    draw = Chart._sample_points.func
+
+    def counted(chart):
+        drawn.append(chart)
+        return draw(chart)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Chart, "_sample_points")
+    monkeypatch.setattr(Chart, "_sample_points", prop)
+    zoo.get.cache_clear()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--zoo", "s2", "--seed", "5", "--format", "json"]) == 0
+    finally:
+        zoo.get.cache_clear()
+    assert [c.seed for c in drawn] == [11, 5]  # the fixture's chart, then the run's
+    points = drawn[1].sample_points()
+    assert points is drawn[1].sample_points() and not points.flags.writeable
+
+
 @pytest.mark.parametrize("kwargs,message", [
     (dict(named_points={"a": (0.1,)}), "named point 'a' needs 2 coordinates, got 1"),
     (dict(named_points={"a": (0.1, 0.2, 0.3)}), "named point 'a' needs 2 coordinates, got 3"),
     (dict(grid=-3), "grid must be non-negative, got -3"),
 ], ids=["short-point", "long-point", "negative-grid"])
 def test_chart_names_a_malformed_setting(kwargs, message):
-    # a 1-coordinate point broadcasts through the bounds check; (-3)^2 passes the sample count
+    # a 1-coordinate point broadcasts through the bounds check
     with pytest.raises(ValueError, match=re.escape(message)):
         Chart(dimension=2, bounds=((-1, 1), (-1, 1)), margin=0.1, **kwargs)
 

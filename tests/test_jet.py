@@ -215,3 +215,64 @@ def test_every_node_lies_within_reach(case, monkeypatch, tmp_path):
     assert box.max() <= scheme.reach * (1 + 1e-12)
     assert box.max() >= scheme.reach * (1 - 1e-12)  # the order-3 axis nodes are evaluated
     assert first_outside(pts, chart.bounds) is None
+
+
+# --- constant fields -----------------------------------------------------------------
+
+MEMBERS = ("g", "dg", "ddg", "ginv", "gamma", "dgamma", "J", "dJ", "omega", "dw", "domega",
+           "covJ", "cov_omega", "cov_ricci", "covcov_omega")
+
+
+def members(ctx) -> dict:
+    """Every array a context computes, the order-3 ones and the curvature included."""
+    return {**{name: getattr(ctx, name) for name in MEMBERS}, "dddg": ctx.dddg(),
+            "ddgamma": ctx.ddgamma(), "Rup": ctx.curvature.Rup}
+
+
+def unmarked(fld) -> TensorField:
+    return dataclasses.replace(fld, constant=False)
+
+
+@pytest.mark.parametrize("name,g_constant,jm_constant", [
+    ("flat-k3", True, True), ("negative", True, False), ("s2", False, True)])
+def test_constant_field_is_called_at_the_points_alone(name, g_constant, jm_constant):
+    """A constant spec field is evaluated at the points of a context and at no node, its
+    jets are exact zeros (+0.0), and every member of the context equals, to the bit, what
+    the same field computes when it is not marked constant (the jets of its values at the
+    nodes are exactly 0 too)."""
+    bundle = zoo.get(name).bundle
+    assert (bundle.g.constant, bundle.jm.constant) == (g_constant, jm_constant)
+    calls = {"g": [], "jm": []}
+
+    def calling(fld, key):
+        def fn(pts):
+            calls[key].append(np.array(pts))
+            return fld.fn(pts)
+
+        return dataclasses.replace(fld, fn=fn)
+
+    marked = dataclasses.replace(bundle, g=calling(bundle.g, "g"), jm=calling(bundle.jm, "jm"))
+    plain = dataclasses.replace(bundle, g=unmarked(bundle.g), jm=unmarked(bundle.jm))
+    points = bundle.sample_points
+    for where in (points, points[0]):
+        got, want = members(marked.context(where)), members(plain.context(where))
+        for key, value in got.items():
+            assert value.shape == want[key].shape and np.array_equal(value, want[key]), key
+        zero = {"dg", "ddg", "dddg", "dgamma", "ddgamma", "cov_ricci"} if g_constant else set()
+        zero |= {"dJ"} if jm_constant else set()
+        for key in zero:
+            assert not got[key].any() and not np.signbit(got[key]).any(), key
+    for key, constant in (("g", g_constant), ("jm", jm_constant)):
+        if constant:
+            assert [len(pts) for pts in calls[key]] == [len(points), 1]
+            assert np.array_equal(calls[key][0], points) and np.array_equal(calls[key][1][0],
+                                                                              points[0])
+
+
+@pytest.mark.parametrize("name", zoo.names())
+def test_a_field_is_constant_when_no_entry_references_a_coordinate(name):
+    """flat-k* and torus have constant g and J_M; negative's J_M and s2's g each have entries
+    that reference a coordinate; s6 is given as Python fields, which are never constant."""
+    bundle = zoo.get(name).bundle
+    expected = {"negative": (True, False), "s2": (False, True), "s6": (False, False)}
+    assert (bundle.g.constant, bundle.jm.constant) == expected.get(name, (True, True))
