@@ -6,12 +6,12 @@
 
 Exit codes: 0 successful run (for verify: every asserted, non-skipped check
 passed), 1 at least one asserted identity failed, 2 invalid input (a spec
-parse error, with file, line and offset printed, or a chart, structure
-parameter, differencing step or tolerance the engine rejects), 3 numerical
-failure (singular metric, a point outside the chart, an expression
-evaluated outside its domain or to a non-finite value, a reported value
-that is not finite, named with its point, or a zoo fixture whose
-self-check fails at the given q).
+file that cannot be read, a spec parse error, with file, line and offset
+printed, or a chart, structure parameter, differencing step or tolerance
+the engine rejects), 3 numerical failure (singular metric, a point outside
+the chart, an expression evaluated outside its domain or to a non-finite
+value, a reported value that is not finite, named with its point, or a zoo
+fixture whose self-check fails at the given q).
 
 JSON reports are deterministic for a fixed spec and seed: fields are
 emitted in a fixed order, and every float is rounded to 6 significant
@@ -52,7 +52,8 @@ EXIT_NUMERIC = 3
 
 
 class InputError(Exception):
-    """A chart, structure parameter, step or tolerance that the engine rejects (exit 2)."""
+    """A spec file that cannot be read, or a chart, structure parameter, step or tolerance
+    that the engine rejects (exit 2)."""
 
 
 def _bundle_from_args(args, draw_samples: bool = True) -> tuple[StructureBundle, dict]:
@@ -77,7 +78,10 @@ def _build_bundle(args) -> tuple[StructureBundle, dict]:
     tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
     tol = {k: v for k, v in tol.items() if v is not None}
     if not args.zoo:
-        text = Path(args.spec).read_text(encoding="utf-8")
+        try:
+            text = Path(args.spec).read_text(encoding="utf-8")
+        except OSError as exc:  # missing, a directory, unreadable
+            raise InputError(str(exc)) from exc
         spec = parse_spec(text)
         spec = replace(spec, q=spec.q if args.q is None else args.q,
                        seed=spec.seed if seed is None else seed,
@@ -372,7 +376,7 @@ def main(argv=None) -> int:
         name = getattr(args, "spec", None) or "<spec>"
         print(f"parse error: {name}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (FileNotFoundError, InputError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SingularMetricError, ChartBoundsError, EvalDomainError, NumericalError) as exc:

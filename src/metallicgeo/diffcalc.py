@@ -30,14 +30,19 @@ nodes at order 3 in dimension 6), not with a dense (n,)*order table over
 all the nodes. That einsum makes no BLAS call. Tables are cached per
 (n, h, order).
 
-A field marked constant (`TensorField.constant`, a spec field none of
-whose entries references a coordinate) is evaluated at the points alone.
-Its jets are exact zeros, built with no node and no weight: a constant g
-has zero d g, d d g, d d d g, d Gamma, d d Gamma and nabla Ricci, a
-constant J_M zero d J, and w = J_M g is differenced at the nodes of
-whichever field is not constant (dw and nabla nabla w are zero when both
-are). The differences f(node) - f(point) of a constant field are exactly
-0.0 too, so marking a field changes no value.
+A field marked constant (`TensorField.constant`: a spec field none of
+whose entries references a coordinate, and J_M of a constant J) is
+evaluated at the points alone. Every field's values come from two
+helpers, `_stencil` (order 1) and `_at_nodes` (orders 2 and 3), which give
+a constant field's value at the points in place of its node values, and
+every jet order from one rule, `_derivative`: node values of at most one
+row have a jet of exact zeros, built with no weight. So a constant g has
+zero d g, d d g and d d d g, a constant J_M zero d J, and w = J_M g, whose
+node values broadcast from both fields, is differenced at the nodes of
+whichever is not constant. Three members skip their algebra as well:
+d Gamma and nabla Ricci are zeros for a constant g, and nabla nabla w when
+g and J_M are both constant. The differences f(node) - f(point) of a
+constant field are exactly 0.0 too, so marking a field changes no value.
 
 A jet serves one point (n,) or a stack of points (m, n): every member
 carries the stack's point axis first, written with leading `...` axes, so
@@ -355,12 +360,13 @@ class MetricJet:
         lead = value.shape[:self.point.ndim - 1]
         return np.zeros(lead + (self.n,) * order + value.shape[len(lead):])
 
-    def _order1_jet(self, values: np.ndarray) -> np.ndarray:
-        """The order-1 jet of `_stencil` values; zeros for a constant field's, which hold the
-        points alone."""
-        if len(values) == 1:
-            return self._zeros(1, values[0])
-        return self._jet(1, values[0], values[1:])
+    def _derivative(self, order: int, value: np.ndarray, *node_values) -> np.ndarray:
+        """One jet order of a field (`_jet`), or exact zeros when its node values hold at most
+        one row: a constant field's value at the points, which `_stencil` and `_at_nodes` give
+        for nodes and which broadcasts against another field's nodes."""
+        if all(len(nodes) <= 1 for nodes in node_values):
+            return self._zeros(order, value)
+        return self._jet(order, value, *node_values)
 
     def _nodes(self, disp: np.ndarray, rows=...) -> np.ndarray:
         """nodes[k, ...] = point + disp[k] for every point of `rows`."""
@@ -379,6 +385,13 @@ class MetricJet:
             return self._call(fn, self.point[None])
         return self._call(fn, np.concatenate([self.point[None], self._nodes(self._table(1).disp)]))
 
+    def _at_nodes(self, fn, value: np.ndarray, order: int, rows=...) -> np.ndarray:
+        """fn at the nodes `order` adds to the points of `rows`, values[k, ...], from one call;
+        a constant field is its value at those points, value[None], with no call."""
+        if _constant(fn):
+            return value[None]
+        return self._call(fn, self._nodes(self._table(order).disp, rows))
+
     def _chunks(self, order: int) -> list:
         """Row selections of consecutive points whose g values at the nodes of `order` fit
         CHUNK_BYTES, at least one point each; a one-point jet is one chunk, `...`."""
@@ -396,7 +409,7 @@ class MetricJet:
         """The order-1 quantities, from g at the points and their nodes (`_stencil`); a
         PointContext adds those of J_M. The value at the points is a copy, so that keeping it
         does not keep the node values."""
-        return {"g": g[0].copy(), "dg": self._order1_jet(g)}
+        return {"g": g[0].copy(), "dg": self._derivative(1, g[0], g[1:])}
 
     g = _from_order1("g")
     dg = _from_order1("dg", "dg[..., a, i, j] = d_a g_ij.")
@@ -411,26 +424,20 @@ class MetricJet:
 
     @cached_property
     def g_nodes2(self) -> np.ndarray:
-        """g at the order-2 nodes of every point, nodes[k, ...], from one call. They are kept
-        (nabla nabla w reads them), so evaluating them in chunks would save nothing. A
-        constant g is its value at the points, g[None], with no call."""
-        if self.g_constant:
-            return self.g[None]
-        return self._call(self.g_fn, self._nodes(self._table(2).disp))
+        """g at the order-2 nodes of every point (`_at_nodes`), from one call. They are kept
+        (nabla nabla w reads them), so evaluating them in chunks would save nothing."""
+        return self._at_nodes(self.g_fn, self.g, 2)
 
     @cached_property
     def ddg(self) -> np.ndarray:
-        if self.g_constant:
-            return self._zeros(2, self.g)
-        return _join(self._jet(2, self.g[rows], self.g_nodes2[:, rows]) for rows in self._chunks(2))
+        return _join(self._derivative(2, self.g[rows], self.g_nodes2[:, rows])
+                     for rows in self._chunks(2))
 
     def dddg(self, rows=...) -> np.ndarray:
         """d_a d_b d_c g at the points of `rows`, anew on each call: nabla Ricci reads it once per
         chunk, and a jet keeps none."""
-        if self.g_constant:
-            return self._zeros(3, self.g[rows])
-        return self._jet(3, self.g[rows], self.g_nodes2[:, rows],
-                         self._call(self.g_fn, self._nodes(self._table(3).disp, rows)))
+        g = self.g[rows]
+        return self._derivative(3, g, self.g_nodes2[:, rows], self._at_nodes(self.g_fn, g, 3, rows))
 
     @cached_property
     def dgamma(self) -> np.ndarray:
@@ -445,8 +452,6 @@ class MetricJet:
         """ddgamma[..., a, b, h, i, j] = d_a d_b Gamma^h_ij at the points of `rows`, anew on each
         call, like `dddg`, from
         g d_a d_b Gamma = d_a d_b L / 2 - d_a d_b g Gamma - d_a g d_b Gamma - d_b g d_a Gamma."""
-        if self.g_constant:
-            return self._zeros(3, self.g[rows])
         gamma, ginv = self.gamma[rows], self.ginv[rows]
         cross = contract("...ats,...bsij->...abtij", self.dg[rows], self.dgamma[rows])
         rhs = (0.5 * np.einsum("...abitj->...abtij", _first_kind(self.dddg(rows)))
@@ -498,10 +503,10 @@ class PointContext(MetricJet):
         # bundle is skew-compatible, and still a well-defined 2-form (hence a
         # reportable residual) on bundles that fail that compatibility
         skew_w = 0.5 * (w - np.swapaxes(w, -1, -2))
-        skew = self._order1_jet(skew_w)
+        skew = self._derivative(1, skew_w[0], skew_w[1:])
         return super()._first_order(g) | {
-            "J": J[0].copy(), "dJ": self._order1_jet(J),
-            "omega": w[0].copy(), "dw": self._order1_jet(w),
+            "J": J[0].copy(), "dJ": self._derivative(1, J[0], J[1:]),
+            "omega": w[0].copy(), "dw": self._derivative(1, w[0], w[1:]),
             "domega": skew + np.einsum("...bca->...abc", skew) + np.einsum("...cab->...abc", skew),
         }
 
@@ -589,13 +594,10 @@ class PointContext(MetricJet):
         """nabla nabla w at the points of `rows`, from the order-2 jet of w: d_a (nabla_b w) is
         d_a d_b w plus d_a of the connection terms of nabla_b w."""
         gamma, w, dw = self.gamma[rows], self.omega[rows], self.dw[rows]
-        if self.j_constant:
-            J_nodes = self.J[rows][None]
-        else:
-            J_nodes = self._call(self.j_fn, self._nodes(self._table(2).disp, rows))
+        J_nodes = self._at_nodes(self.j_fn, self.J[rows], 2, rows)
         w_nodes = np.swapaxes(J_nodes, -1, -2) @ self.g_nodes2[:, rows]
         del J_nodes
-        ddw = self._zeros(2, w) if len(w_nodes) == 1 else self._jet(2, w, w_nodes)
+        ddw = self._derivative(2, w, w_nodes)
         d_cov = (ddw + _cov_correct(dw, "dd", gamma[..., None, :, :, :])
                  + _cov_correct(w[..., None, :, :], "dd", self.dgamma[rows]))
         return covariant_derivative(d_cov, self.cov_omega[rows], "ddd", gamma)

@@ -129,7 +129,6 @@ class StructureBundle:
     params: MetallicParams
     scheme: DiffScheme = field(default_factory=DiffScheme)
     tolerances: Tolerances = field(default_factory=Tolerances)
-    name: str = "bundle"
 
     def __post_init__(self):
         self.scheme.check_chart(self.chart)

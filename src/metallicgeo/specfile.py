@@ -219,11 +219,9 @@ def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool) -> Ten
     entry), so the first entry that fails to evaluate is still the first in
     file order.
 
-    A field none of whose entries references a coordinate is constant, and is
-    marked so (`TensorField.constant`): its value is evaluated once, at the
-    first point the field is called at (a domain error names that point), and
-    every call returns a read-only broadcast view of it, which allocates
-    nothing per point.
+    A field none of whose entries references a coordinate is marked constant
+    (`TensorField.constant`), so that the engine evaluates it at the points
+    alone; it is evaluated like any other field, at every point it is called at.
     """
     groups = {}  # tree -> (expr, slots)
     for (i, j), expr in entries.items():
@@ -240,17 +238,8 @@ def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool) -> Ten
                 out[:, i, j] = v
         return out
 
-    if all(expr.max_coord() < 0 for expr, _ in groups.values()):
-        value = None  # (n, n), once evaluated; two threads that race evaluate it alike
-
-        def const_fn(pts):
-            nonlocal value
-            if value is None:
-                value = fn(pts[:1])[0]
-            return np.broadcast_to(value, (len(pts), n, n))
-
-        return TensorField(name=name, fn=const_fn, constant=True)
-    return TensorField(name=name, fn=fn)
+    constant = all(expr.max_coord() < 0 for expr, _ in groups.values())
+    return TensorField(name=name, fn=fn, constant=constant)
 
 
 def build_bundle(spec: ManifoldSpec) -> StructureBundle:
@@ -274,6 +263,5 @@ def build_bundle(spec: ManifoldSpec) -> StructureBundle:
     struct = _expr_matrix_field("structure", spec.dimension, spec.s_entries, symmetric=False)
     if spec.structure == "J":
         return StructureBundle.from_j(chart, g, struct, params, sign=spec.sign,
-                                      scheme=scheme, tolerances=tol, name=spec.name)
-    return StructureBundle(chart, g, struct, params, scheme=scheme,
-                           tolerances=tol, name=spec.name)
+                                      scheme=scheme, tolerances=tol)
+    return StructureBundle(chart, g, struct, params, scheme=scheme, tolerances=tol)

@@ -193,7 +193,7 @@ def fixture_sphere6(q: float = DEFAULT_Q) -> Fixture:
     chart = Chart(dimension=6, bounds=bounds, grid=1, n_random=7, seed=5, margin=0.06,
                   named_points={"origin": (0.0,) * 6})
     g = _conformal_round_metric(6)
-    bundle = StructureBundle.from_j(chart, g, _sphere6_structure(), params, name="s6")
+    bundle = StructureBundle.from_j(chart, g, _sphere6_structure(), params)
     return Fixture(name="s6", bundle=bundle, expected_verdict=VERDICT_NEARLY,
                    expected_nearly=True)
 

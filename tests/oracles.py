@@ -7,15 +7,17 @@ The nested stencils the engine's jet replaced are kept as references too,
 and so are stacked first partials (a row loop over the order-1 jet of the
 engine's single-point `MetricJet`), the stacked, field-calling Christoffel
 coefficients and a test-only curved Kahler fixture whose Ricci tensor has
-a closed form. The JSON report writer the CLI replaced (round every float,
-then the standard library's indenting encoder) is the reference for
-`cli.report_json`, the dense jet weight tables the engine replaced
-(one row per ordered multi-index) are the reference for its tables over
-distinct multi-indices, the meshgrid and `np.unique` sampler the reference
+a closed form. `observed` wraps a bundle's fields to record where the
+engine evaluates them. The JSON report writer the CLI replaced (round
+every float, then the standard library's indenting encoder) is the
+reference for `cli.report_json`, the dense jet weight tables the engine
+replaced (one row per ordered multi-index) are the reference for its
+tables over distinct multi-indices, the meshgrid and `np.unique` sampler the reference
 for `Chart.sample_points`, and the character-class tokenizer the reference
 for `exprdsl`'s on ASCII text.
 """
 
+import dataclasses
 import json
 import math
 from functools import lru_cache
@@ -45,6 +47,20 @@ def const_field(value):
     """The stacked field that is value at every point."""
     value = np.asarray(value, dtype=float)
     return lambda pts: np.broadcast_to(value, (len(pts),) + value.shape)
+
+
+def observed(bundle: StructureBundle, record) -> StructureBundle:
+    """The bundle with g and J_M that call record(key, pts), key "g" or "jm", with every stack
+    of points they are evaluated at. Each keeps its `constant` mark, so the engine takes the
+    path on the observed bundle that it takes on the bundle itself."""
+    def wrap(fld, key):
+        def fn(pts):
+            record(key, pts)
+            return fld.fn(pts)
+
+        return TensorField(fld.name, fn, constant=fld.constant)
+
+    return dataclasses.replace(bundle, g=wrap(bundle.g, "g"), jm=wrap(bundle.jm, "jm"))
 
 
 def central(fn, point, axis: int, h: float, order: int):

@@ -490,3 +490,17 @@ def test_spec_file_is_closed_after_reading(tmp_path):
                            "-m", "metallicgeo", "classify", str(spec)],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["classify", "verify", "curvature"])
+@pytest.mark.parametrize("spec", ["directory", "missing"])
+def test_unreadable_spec_exit_2_without_traceback(command, spec, tmp_path, capsys):
+    """A SPEC that is a directory or does not exist is bad input: exit 2, `error: ` and the
+    operating system's message, which names the path."""
+    path = tmp_path / "specs" if spec == "directory" else tmp_path / "absent.spec"
+    if spec == "directory":
+        path.mkdir()
+    argv = [command, str(path)] + (["--point=0.1,0.2"] if command == "curvature" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err

@@ -34,8 +34,8 @@ import numpy.random  # noqa: F401  (not first imported inside the traced run)
 import pytest
 
 from metallicgeo import cli, connections, diffcalc, exprdsl, identities, metallic, specfile, zoo
-from metallicgeo.geometry import TensorField, max_abs, max_abs_per_point
-from oracles import S2_CUBED_SPEC
+from metallicgeo.geometry import max_abs, max_abs_per_point
+from oracles import S2_CUBED_SPEC, observed
 
 S2XS2 = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "s2xs2.spec"
 
@@ -66,7 +66,7 @@ BUDGET = {
 # (command, spec file) -> (g points, J_M points, g calls, J_M calls, Expr.eval calls) of a run on
 # a spec file, counted from the moment the bundle is built: a field is evaluated only where the
 # command reads it, and each group of entries with equal trees once per call (a constant field
-# once, at its first call). s2xs2 has 4 g entries (2 distinct) and 4 J entries (2 distinct), the
+# is called at the points alone). s2xs2 has 4 g entries (2 distinct) and 4 J entries (2 distinct), the
 # s2 spec text 2 g entries (1 distinct) and 2 J entries (2 distinct). curvature: the order-1
 # stencil (17 points) and the order-2 nodes (64) of g, and J_M, a constant field, at the point
 # alone. A sweep of the spec's own sample points when the bundle is built would add 9 g points,
@@ -111,18 +111,12 @@ PEAK_BYTES = 1_800_000
 def counting_fixture(name, counts):
     """A fresh fixture whose bundle counts the points and calls that evaluate g and J_M."""
     fx = BUILDERS[name]()
-    b = fx.bundle
 
-    def counted(fld, key):
-        def fn(pts):
-            counts[key] += len(pts)
-            counts[f"{key}_calls"] += 1
-            return fld(pts)
+    def count(key, pts):
+        counts[key] += len(pts)
+        counts[f"{key}_calls"] += 1
 
-        return TensorField(name=fld.name, fn=fn, constant=fld.constant)
-
-    bundle = dataclasses.replace(b, g=counted(b.g, "g"), jm=counted(b.jm, "jm"))
-    return dataclasses.replace(fx, bundle=bundle)
+    return dataclasses.replace(fx, bundle=observed(fx.bundle, count))
 
 
 @pytest.mark.parametrize("command,name", sorted(BUDGET))

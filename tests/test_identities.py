@@ -51,7 +51,7 @@ def algebraic_p1_bundle():
         return A @ J0 @ np.linalg.inv(A)
 
     j_field = TensorField(name="J-sheared", fn=sheared)
-    return StructureBundle.from_j(chart, g, j_field, params, name="algebraic-p1")
+    return StructureBundle.from_j(chart, g, j_field, params)
 
 
 # --- first-derivative checks ---------------------------------------------------

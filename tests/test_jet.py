@@ -14,8 +14,8 @@ from metallicgeo.geometry import TensorField, first_outside, max_abs
 from metallicgeo.identities import check_ricci_derivative_cycle
 from metallicgeo.metallic import VERDICT_KAHLER
 from oracles import (christoffel_field, dense_jet_table, expanded_weights,
-                     kahler_quartic_bundle, kahler_quartic_ricci, partial_all_per_axis,
-                     stacked_partial_all)
+                     kahler_quartic_bundle, kahler_quartic_ricci, observed,
+                     partial_all_per_axis, stacked_partial_all)
 from test_cli import DISK
 
 # --- weight tables -------------------------------------------------------------
@@ -181,14 +181,7 @@ def test_second_partials_of_connection_are_symmetric(quartic):
 
 def recording(bundle, nodes: list):
     """The bundle with g and J_M that append every point they are evaluated at to nodes."""
-    def wrap(fld):
-        def fn(pts):
-            nodes.append(np.array(pts, dtype=float))
-            return fld(pts)
-
-        return TensorField(fld.name, fn)
-
-    return dataclasses.replace(bundle, g=wrap(bundle.g), jm=wrap(bundle.jm))
+    return observed(bundle, lambda key, pts: nodes.append(np.array(pts, dtype=float)))
 
 
 @pytest.mark.parametrize("case", ["s2", "kahler-quartic", "disk-spec"])
@@ -243,15 +236,7 @@ def test_constant_field_is_called_at_the_points_alone(name, g_constant, jm_const
     bundle = zoo.get(name).bundle
     assert (bundle.g.constant, bundle.jm.constant) == (g_constant, jm_constant)
     calls = {"g": [], "jm": []}
-
-    def calling(fld, key):
-        def fn(pts):
-            calls[key].append(np.array(pts))
-            return fld.fn(pts)
-
-        return dataclasses.replace(fld, fn=fn)
-
-    marked = dataclasses.replace(bundle, g=calling(bundle.g, "g"), jm=calling(bundle.jm, "jm"))
+    marked = observed(bundle, lambda key, pts: calls[key].append(np.array(pts)))
     plain = dataclasses.replace(bundle, g=unmarked(bundle.g), jm=unmarked(bundle.jm))
     points = bundle.sample_points
     for where in (points, points[0]):

@@ -170,9 +170,11 @@ jm[1][0] = 1
 """
 
 
-def test_constant_field_is_one_read_only_value(monkeypatch):
-    """A field none of whose entries references a coordinate is evaluated once, at the first
-    point it is called at; every call returns a read-only broadcast of that value."""
+def test_constant_field_is_marked_and_evaluated_like_any_other(monkeypatch):
+    """A field none of whose entries references a coordinate is marked constant. Like any
+    field, each call evaluates every distinct entry once and returns a fresh array holding
+    the value at every point of its stack. One entry that references a coordinate leaves
+    the field unmarked."""
     counts = {"eval": 0}
     expr_eval = exprdsl.Expr.eval
 
@@ -182,12 +184,15 @@ def test_constant_field_is_one_read_only_value(monkeypatch):
 
     monkeypatch.setattr(exprdsl.Expr, "eval", counted_eval)
     bundle = build_bundle(parse_spec(CONSTANT))
+    assert bundle.g.constant and bundle.jm.constant
     pts = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6]])
     for field, want, evals in ((bundle.g, [[2.0, 0.5], [0.5, 1.0]], 3),
                                (bundle.jm, [[0.0, -1.0], [1.0, 0.0]], 2)):
         counts["eval"] = 0
         for stack in (pts, pts[1:], pts[0]):
             value = field(stack)
-            assert not value.flags.writeable
             assert np.array_equal(value, np.broadcast_to(want, np.shape(stack)[:-1] + (2, 2)))
-        assert counts["eval"] == evals  # one per distinct entry, at the first call only
+            value[...] = np.nan  # no later call shares it
+        assert counts["eval"] == 3 * evals  # one per distinct entry and call
+    curved = CONSTANT.replace("g[1][1] = 1\n", "g[1][1] = 1 + x0^2\n")
+    assert not build_bundle(parse_spec(curved)).g.constant

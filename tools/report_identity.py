@@ -5,7 +5,7 @@
     cmp before.json after.json                                         # byte-identical, or
     python3 tools/report_identity.py --compare before.json after.json  # within tiers
 
-The snapshot holds 77 runs of ``metallicgeo.cli.main``, each with its argv,
+The snapshot holds 95 runs of ``metallicgeo.cli.main``, each with its argv,
 exit code, stderr, raw stdout and parsed JSON report. ``timing_s`` is the
 one field a report does not promise to repeat: its value is masked in the
 stdout and the field is removed from the parsed report. The raw stdout
@@ -18,16 +18,19 @@ report. The runs are:
   torus and s2, and on ``perfbench/specs/s2xs2.spec``;
 * ``curvature`` on each zoo fixture and on each of the 4 spec files at one
   interior point;
-* ``classify`` and ``verify --suite all`` on ``s2xs2.spec`` with a
-  ``--seed`` override, so that the run's own sample points, not the
-  spec's, are the ones read;
+* ``classify`` and ``verify --suite all`` on ``s2xs2.spec`` and on each
+  zoo fixture with a ``--seed`` override, so that the run's own sample
+  points, not the spec's, are the ones read, and a zoo bundle is rebuilt
+  with the command line's settings, as every benchmark zoo job rebuilds it;
+* ``verify --suite all`` on s2 with ``--h`` and ``--tol-d1`` overrides;
 * ``verify --suite all`` on each zoo fixture at ``--q 1.5``. At the default
   q = 2/3 the coefficients 3q/2, 2/(3q) and sqrt(6q)/2 are all exactly 1.0,
   so a dropped or misplaced factor of q changes no report there;
 * the s2 spec file with a named point exactly lo + margin from its first
   bound (``verify --suite all``, accepted) and one float step further out
   (``classify``, a located parse error, exit 2), so that the chart-bounds
-  check is pinned at its edge.
+  check is pinned at its edge;
+* one ``--format text`` run of each command on a zoo fixture.
 
 Spec files are copied into a fresh directory that becomes the working
 directory and are named by bare file name, so ``source.name`` in the
@@ -117,8 +120,11 @@ def runs(repo: Path, zoo) -> tuple:
     for name, text in specs.items():
         point = interior_point(parse_spec(text).bounds)
         argvs.append(["curvature", name, f"--point={point}", "--format", "json"])
-    argvs += [["classify", "s2xs2.spec", "--seed", "4", "--format", "json"],
-              ["verify", "s2xs2.spec", "--seed", "4", "--suite", "all", "--format", "json"]]
+    for source in [["s2xs2.spec"]] + [["--zoo", name] for name in zoo.names()]:
+        argvs += [["classify", *source, "--seed", "4", "--format", "json"],
+                  ["verify", *source, "--seed", "4", "--suite", "all", "--format", "json"]]
+    argvs.append(["verify", "--zoo", "s2", "--h", "0.002", "--tol-d1", "2e-5", "--suite", "all",
+                  "--format", "json"])
     argvs += [["verify", "--zoo", name, "--q", "1.5", "--suite", "all", "--format", "json"]
               for name in zoo.names()]
     s2 = parse_spec(specs["s2.spec"])
@@ -128,6 +134,10 @@ def runs(repo: Path, zoo) -> tuple:
                                   + f"point edge = {math.nextafter(edge, -math.inf)!r} 0.0\n")
     argvs += [["verify", "s2-edge.spec", "--suite", "all", "--format", "json"],
               ["classify", "s2-past-edge.spec", "--format", "json"]]
+    point = interior_point(zoo.get("s2").bundle.chart.bounds)
+    argvs += [["classify", "--zoo", "negative", "--format", "text"],
+              ["verify", "--zoo", "s6", "--suite", "all", "--format", "text"],
+              ["curvature", "--zoo", "s2", f"--point={point}", "--format", "text"]]
     return specs, argvs
 
 
