@@ -250,20 +250,14 @@ def cmd_verify(args) -> int:
     report["identities"] = [r.as_dict() for r in results]
     report["connections"] = connection_report(bundle) if args.suite in ("all", "connections") else None
     report["timing_s"] = time.perf_counter() - t0
-    failed = [r for r in results if (not r.skipped) and r.asserted and not r.passed]
+    failed = [r for r in results if r.status == "FAIL"]
     if args.format == "json":
         sys.stdout.write(report_json(report))
     else:
         _print_classification(report["classification"], sys.stdout)
         print(f"suite: {args.suite}", file=sys.stdout)
         for r in results:
-            if r.skipped:
-                status = "SKIP"
-            elif r.passed:
-                status = "pass"
-            else:
-                status = "FAIL" if r.asserted else "info"
-            line = f"  {r.id:36s} {status:4s} rel={r.relative:.6g} tol={r.tolerance:.6g}"
+            line = f"  {r.id:36s} {r.status:4s} rel={r.relative:.6g} tol={r.tolerance:.6g}"
             if r.note:
                 line += f"  ({r.note})"
             print(line, file=sys.stdout)

@@ -42,8 +42,9 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import contract, largest_abs
-from .identities import Identity, _result, _skip, _zero, evaluate, not_hermitian
-from .metallic import StructureBundle, VERDICT_ALMOST_KAHLER, VERDICT_KAHLER
+from .identities import not_hermitian
+from .metallic import (Identity, StructureBundle, VERDICT_ALMOST_KAHLER, VERDICT_KAHLER, _result,
+                       _skip, evaluate)
 
 __all__ = ["first_type", "second_type", "no_second_type", "connection_terms",
            "connection_report", "connection_identity_results"]
@@ -170,19 +171,19 @@ def connection_report(bundle: StructureBundle) -> dict:
 
 
 def _preserves_omega(t: dict) -> tuple:
-    return _zero(t["nw"], t["cov_omega"], t["SJ"])
+    return t["nw"], t["cov_omega"], t["SJ"]
 
 
 def _pairing_symmetry(t: dict) -> tuple:
-    return _zero(t["sym"], t["SJ"])
+    return t["sym"], t["SJ"]
 
 
 FIRST_TYPE_IDENTITIES = (
     Identity("first-type-preserves-omega", None, "d1", _preserves_omega),
     Identity("first-type-pairing-skew", None, "alg", _pairing_symmetry),
-    Identity("first-type-metric-theorem", None, "d1", lambda t: _zero(t["ng"], t["ng"])),
+    Identity("first-type-metric-theorem", None, "d1", lambda t: (t["ng"], t["ng"])),
     Identity("first-type-expansion-consistency", None, "alg",
-             lambda t: _zero(t["consistency"], t["nw"])),
+             lambda t: (t["consistency"], t["nw"])),
 )
 SECOND_TYPE_SKEW = (
     Identity("second-type-pairing-outer-skew", None, "d1", _pairing_symmetry),
@@ -197,7 +198,7 @@ SECOND_TYPE_NEARLY = (
              note="report-only: the nearly-case closed form does not "
                   "annihilate w; see second-type-omega-is-4covomega"),
     Identity("second-type-omega-is-4covomega", None, "alg",
-             lambda t: _zero(t["four"], t["nw"]),
+             lambda t: (t["four"], t["nw"]),
              note="derived consistency of the nearly-case closed form"),
 )
 
@@ -216,6 +217,6 @@ def connection_identity_results(bundle: StructureBundle) -> list:
     results += evaluate(bundle, SECOND_TYPE_SKEW, values=second)
     if _levi(bundle):
         return results + evaluate(bundle, SECOND_TYPE_LEVI, values=second)
-    ratio = _result("second-type-deformation-ratio", _zero(second["ratio"], second["S"]),
+    ratio = _result("second-type-deformation-ratio", (second["ratio"], second["S"]),
                     bundle.sample_points, 1e-10, note="second deformation = -3 x first")
     return results + [ratio] + evaluate(bundle, SECOND_TYPE_NEARLY, values=second)

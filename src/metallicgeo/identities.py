@@ -11,7 +11,8 @@ the observations quoted in notes; the per-point values are formed only to
 name the point of a value that is not finite. Every result carries the raw
 maximum residual over the sample points, the scale (largest norm of any
 term of the identity), the relative residual max/max(1, scale) and a pass
-flag at the identity's tier.
+flag at the identity's tier. `Identity`, `IdentityResult` and `evaluate` live
+in `metallic`, whose classification residuals are one more such table.
 
 One gate rule holds for every row, the connection rows included: a gate is
 a function of the bundle that returns why the bundle is outside the row's
@@ -39,73 +40,22 @@ d_a w_bc + d_b w_ca + d_c w_ab.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
 from .geometry import contract, largest_abs
-from .metallic import StructureBundle, VERDICT_KAHLER, VERDICT_NONE
+from .metallic import (Identity, IdentityResult, StructureBundle, VERDICT_KAHLER, VERDICT_NONE,
+                       _result, _skip, evaluate)
 
 __all__ = [
-    "IdentityResult", "Identity", "evaluate", "not_hermitian", "not_kahler", "not_nearly",
+    "not_hermitian", "not_kahler", "not_nearly",
     "F_HERMITIAN", "F_NIJENHUIS_BALANCE", "EXTERIOR_CROSS", "RICCI_PAIR", "F_NEARLY",
     "NEARLY_NIJENHUIS", "STAR_PACK", "RICCI_HYPERBOLIC", "RICCI_STAR_HYPERBOLIC",
     "check_covderiv_identities", "check_curvature_commutation", "check_ricci_derivative_cycle",
     "check_divergence_ricci_chain", "check_scalar_star", "run_suite", "SUITES",
 ]
-
-
-@dataclass(frozen=True)
-class IdentityResult:
-    id: str
-    max_residual: float = 0.0
-    scale: float = 0.0
-    tolerance: float = 0.0
-    passed: bool = False
-    skipped: bool = False
-    asserted: bool = True
-    note: str = ""
-
-    @property
-    def relative(self) -> float:
-        return _relative(self.max_residual, self.scale)
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "max_residual": self.max_residual,
-            "scale": self.scale,
-            "relative": self.relative,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "asserted": self.asserted,
-            "note": self.note,
-        }
-
-
-def _skip(id_: str, note: str) -> IdentityResult:
-    return IdentityResult(id=id_, skipped=True, passed=False, note=note)
-
-
-def _relative(residual: float, scale: float) -> float:
-    return residual / max(1.0, scale)
-
-
-def _result(id_: str, arrays: tuple, points, tol: float, asserted: bool = True,
-            note: str = "", absolute: bool = False) -> IdentityResult:
-    """Reduce a row's arrays (residual, *terms), stacked over `points`, with
-    `geometry.largest_abs`: the residual first, then the scale over all the terms. The row
-    passes when its relative residual (its residual itself, if `absolute`) is below tol. A
-    value that is not finite is a NumericalError naming the identity and point, not a
-    failed check."""
-    residual, *terms = arrays
-    max_residual = largest_abs(points, f"residual of {id_}", residual)
-    scale = largest_abs(points, f"scale of {id_}", *terms)
-    measured = max_residual if absolute else _relative(max_residual, scale)
-    return IdentityResult(id=id_, max_residual=max_residual, scale=scale, tolerance=tol,
-                          passed=measured < tol, asserted=asserted, note=note)
 
 
 # --- gates: the reason a bundle is outside a hypothesis class, "" inside it ---
@@ -121,58 +71,14 @@ not_kahler = _gate(lambda cls: cls.verdict == VERDICT_KAHLER, "needs a metallic 
 not_nearly = _gate(lambda cls: cls.nearly, "needs a nearly metallic Kähler bundle")
 
 
-@dataclass(frozen=True)
-class Identity:
-    """One residual check: fn(stacked values) -> (residual, *terms), arrays stacked over
-    the points. The residual is the largest |entry| of the first array, the scale that of
-    all the others.
-
-    gate returns why the bundle is outside the identity's hypothesis class
-    ("" when it is inside; None means no gate); tier names the Tolerances
-    field that holds the tolerance.
-    """
-
-    id: str
-    gate: Optional[Callable[[StructureBundle], str]]
-    tier: str
-    fn: Callable
-    asserted: bool = True
-    note: str = ""
-
-
-def evaluate(bundle: StructureBundle, identities, values=None) -> list:
-    """Gate, evaluate and aggregate identity records in table order.
-
-    Each record is called once, with the PointContext of the sample points,
-    or with the `values` stacked over them when the caller supplies them.
-    """
-    out = []
-    for ident in identities:
-        reason = ident.gate(bundle) if ident.gate else ""
-        if reason:
-            out.append(_skip(ident.id, reason))
-            continue
-        if values is None:
-            values = bundle.context(bundle.sample_points)
-        out.append(_result(ident.id, ident.fn(values), bundle.sample_points,
-                           getattr(bundle.tolerances, ident.tier), ident.asserted, ident.note))
-    return out
-
-
-def _zero(residual: np.ndarray, *terms) -> tuple:
-    """The arrays of `residual = 0`, with the largest entry of any of the terms as its
-    scale."""
-    return (residual, *terms)
-
-
 def _diff(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
     """Residual of lhs = rhs with the larger side's norm as its scale."""
-    return _zero(lhs - rhs, lhs, rhs)
+    return lhs - rhs, lhs, rhs
 
 
 def _skew_part(M: np.ndarray) -> tuple:
     """Residual of M = -M^T with the norm of M as its scale."""
-    return _zero(M + np.swapaxes(M, -1, -2), M)
+    return M + np.swapaxes(M, -1, -2), M
 
 
 def _structure_pair(T: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -203,7 +109,7 @@ def check_covderiv_identities(bundle: StructureBundle) -> list:
                  lambda ctx: _diff(contract("...aht,...tj->...ajh", ctx.covJ, ctx.J),
                                    contract("...ht,...atj->...ajh", ctx.Jhat, ctx.covJ))),
         Identity("covderiv-skew-adjoint", None, "d1",
-                 lambda ctx: _zero(ctx.F + np.einsum("...ajk->...akj", ctx.F), ctx.F)),
+                 lambda ctx: (ctx.F + np.einsum("...ajk->...akj", ctx.F), ctx.F)),
     ))
     if not_hermitian(bundle):
         skew = replace(skew, note="requires skew compatibility")
@@ -214,7 +120,7 @@ def check_covderiv_identities(bundle: StructureBundle) -> list:
 # Hermitian bundle: F(X,Y,Z) = -F(X,Z,Y) and F(X, J_M Y, J_M Z) = (3/2) q F(X,Z,Y).
 F_HERMITIAN = (
     Identity("f-skew-last-args", not_hermitian, "d1",
-             lambda ctx: _zero(ctx.F + np.einsum("...ijk->...ikj", ctx.F), ctx.F)),
+             lambda ctx: (ctx.F + np.einsum("...ijk->...ikj", ctx.F), ctx.F)),
     Identity("f-structure-pair-rescale", not_hermitian, "d1",
              lambda ctx: _diff(_structure_pair(ctx.F, ctx.J),
                                1.5 * ctx.q * np.einsum("...ikj->...ijk", ctx.F))),
@@ -260,9 +166,9 @@ def check_curvature_commutation(bundle: StructureBundle) -> list:
     """
     return evaluate(bundle, (
         Identity("curvature-structure-commute", not_kahler, "d2",
-                 lambda ctx: _zero(contract("...ti,...kjth->...kjih", ctx.J, ctx.curvature.Rup)
-                                   - contract("...kjit,...ht->...kjih", ctx.curvature.Rup, ctx.J),
-                                   ctx.curvature.Rup)),
+                 lambda ctx: (contract("...ti,...kjth->...kjih", ctx.J, ctx.curvature.Rup)
+                              - contract("...kjit,...ht->...kjih", ctx.curvature.Rup, ctx.J),
+                              ctx.curvature.Rup)),
         Identity("curvature-structure-pair", not_kahler, "d2",
                  lambda ctx: _diff(contract("...bj,...kbih->...kjih", ctx.J,
                                              contract("...ak,...abih->...kbih",
@@ -289,19 +195,19 @@ def _ricci_structure_pair(ctx) -> tuple:
     c1 = p * p - 9 * q * q * p * p / 4 + 9 * q * q / 4
     c2 = 3 * p * q / 2 - 9 * q * q * p / 4
     r1 = SJJ - c1 * S - c2 * SXJY
-    return _zero(r1, SJJ, c1 * S, c2 * SXJY)
+    return r1, SJJ, c1 * S, c2 * SXJY
 
 
 def _ricci_trace_stated(ctx) -> tuple:
     p, q, S = ctx.p, ctx.q, ctx.curvature.ricci
     TR = (2.0 / (3 * q)) * _trace_rj(ctx)
-    return _zero((1 + 1.5 * q) * S - p * _ricci_j(ctx) + TR, (1 + 1.5 * q) * S, TR)
+    return (1 + 1.5 * q) * S - p * _ricci_j(ctx) + TR, (1 + 1.5 * q) * S, TR
 
 
 def _ricci_trace_derived(ctx) -> tuple:
     p, q, S = ctx.p, ctx.q, ctx.curvature.ricci
     SXJY, TR = _ricci_j(ctx), (2.0 / (3 * q)) * _trace_rj(ctx)
-    return _zero(S + TR + p * SXJY - 1.5 * q * SXJY, S, TR)
+    return S + TR + p * SXJY - 1.5 * q * SXJY, S, TR
 
 
 # Ricci contractions of the parallel-structure identities, report-only. The classical
@@ -340,7 +246,7 @@ def _cycle_terms(ctx) -> tuple:
 def _ricci_cycle(ctx, shared: tuple, derived: bool) -> tuple:
     lhs, rhs_common, rhs, covS_JY, term_hat = shared
     last = np.einsum("...yxz->...zxy", covS_JY) if derived else term_hat
-    return _zero(lhs - (rhs - ctx.p * last), lhs, rhs_common, term_hat)
+    return lhs - (rhs - ctx.p * last), lhs, rhs_common, term_hat
 
 
 def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
@@ -395,13 +301,13 @@ NEARLY_NIJENHUIS = (
     Identity("nijenhuis-covderiv-form", not_nearly, "d1",
              lambda ctx: _diff(ctx.N, -4.0 * contract("...ht,...itj->...ijh", ctx.J, ctx.covJ))),
     Identity("structure-divergence-free", not_nearly, "d1",
-             lambda ctx: _zero(np.einsum("...iij->...j", ctx.covJ), ctx.covJ)),
+             lambda ctx: (np.einsum("...iij->...j", ctx.covJ), ctx.covJ)),
 )
 
 
 def _star_contraction(ctx) -> tuple:
     lhs = contract("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat)
-    return _zero(lhs + 1.5 * ctx.q * ctx.H, lhs, 1.5 * ctx.q * ctx.H)
+    return lhs + 1.5 * ctx.q * ctx.H, lhs, 1.5 * ctx.q * ctx.H
 
 
 # H antisymmetry (curvature tier) and the purely algebraic conjugate contraction
@@ -451,7 +357,7 @@ RICCI_HYPERBOLIC = (Identity(
 def _ricci_star_hyperbolic(ctx) -> tuple:
     A = contract("...jm,...mi->...ji", ctx.Sstar, ctx.Jhat)
     B = -contract("...mi,...mj->...ji", ctx.Sstar, ctx.Jhat)
-    return _zero(A - B, A)
+    return A - B, A
 
 
 # S*_jm (JMhat)_i^m = -S*_mi (JMhat)_j^m on a nearly metallic Kahler bundle, plus the
@@ -467,7 +373,7 @@ def _scalar_star_relation(ctx) -> tuple:
     q = ctx.q
     lhs = ctx.scalar_star
     rhs = 1.5 * q * ctx.curvature.scalar - ctx.norm_covJ_sq
-    return _zero(lhs - rhs, lhs, 1.5 * q * ctx.curvature.scalar, ctx.norm_covJ_sq)
+    return lhs - rhs, lhs, 1.5 * q * ctx.curvature.scalar, ctx.norm_covJ_sq
 
 
 def _ricci_omega_trace(ctx) -> tuple:

@@ -1,4 +1,4 @@
-"""Almost complex metallic structures, hyperbolic compatibility, classification.
+"""Metallic structures, hyperbolic compatibility, residual records and classification.
 
 A metallic structure is a (1,1)-tensor field J_M with
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,17 +28,9 @@ from .diffcalc import DiffScheme, PointContext
 from .geometry import Chart, TensorField, contract, largest_abs
 
 __all__ = [
-    "MetallicParams",
-    "jm_from_j_matrix",
-    "jm_from_j",
-    "StructureBundle",
-    "Tolerances",
-    "ClassificationReport",
-    "classify",
-    "VERDICT_NONE",
-    "VERDICT_HERMITIAN",
-    "VERDICT_ALMOST_KAHLER",
-    "VERDICT_KAHLER",
+    "MetallicParams", "jm_from_j_matrix", "jm_from_j", "StructureBundle", "Tolerances",
+    "Identity", "IdentityResult", "evaluate", "ClassificationReport", "CLASSIFICATION",
+    "classify", "VERDICT_NONE", "VERDICT_HERMITIAN", "VERDICT_ALMOST_KAHLER", "VERDICT_KAHLER",
     "VERDICT_NEARLY",
 ]
 
@@ -162,6 +154,116 @@ class StructureBundle:
         return self._classification
 
 
+# --- identity records and the one pipeline that evaluates them ----------------
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One residual check: fn(stacked values) -> (residual, *terms), arrays stacked over
+    the points. The residual is the largest |entry| of the first array, the scale that of
+    all the others (0 when there are none).
+
+    gate returns why the bundle is outside the identity's hypothesis class
+    ("" when it is inside; None means no gate); tier names the Tolerances
+    field that holds the tolerance.
+    """
+
+    id: str
+    gate: Optional[Callable[[StructureBundle], str]]
+    tier: str
+    fn: Callable
+    asserted: bool = True
+    note: str = ""
+
+
+@dataclass(frozen=True, slots=True)  # built for every row of every run
+class IdentityResult:
+    id: str
+    max_residual: float = 0.0
+    scale: float = 0.0
+    tolerance: float = 0.0
+    passed: bool = False
+    skipped: bool = False
+    asserted: bool = True
+    note: str = ""
+
+    @property
+    def relative(self) -> float:
+        return _relative(self.max_residual, self.scale)
+
+    @property
+    def status(self) -> str:
+        """SKIP, pass, FAIL (an asserted check that did not pass: the run fails) or info."""
+        if self.skipped:
+            return "SKIP"
+        if self.passed:
+            return "pass"
+        return "FAIL" if self.asserted else "info"
+
+    @property
+    def near_boundary(self) -> bool:
+        """Whether an evaluated record has tol/10 <= relative residual <= 10 tol."""
+        return not self.skipped and self.tolerance / 10.0 <= self.relative <= self.tolerance * 10.0
+
+    def as_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "max_residual": self.max_residual,
+            "scale": self.scale,
+            "relative": self.relative,
+            "tolerance": self.tolerance,
+            "passed": self.passed,
+            "skipped": self.skipped,
+            "asserted": self.asserted,
+            "note": self.note,
+        }
+
+
+def _skip(id_: str, note: str) -> IdentityResult:
+    return IdentityResult(id=id_, skipped=True, passed=False, note=note)
+
+
+def _relative(residual: float, scale: float) -> float:
+    return residual / max(1.0, scale)
+
+
+def _result(id_: str, arrays: tuple, points, tol: float, asserted: bool = True,
+            note: str = "", absolute: bool = False) -> IdentityResult:
+    """Reduce a row's arrays (residual, *terms), stacked over `points`, with
+    `geometry.largest_abs`: the residual first, then the scale over all the terms. The row
+    passes when its relative residual (its residual itself, if `absolute`) is below tol. A
+    value that is not finite is a NumericalError naming the identity and point, not a
+    failed check."""
+    residual, *terms = arrays
+    max_residual = largest_abs(points, f"residual of {id_}", residual)
+    scale = largest_abs(points, f"scale of {id_}", *terms)
+    measured = max_residual if absolute else _relative(max_residual, scale)
+    return IdentityResult(id=id_, max_residual=max_residual, scale=scale, tolerance=tol,
+                          passed=measured < tol, asserted=asserted, note=note)
+
+
+def evaluate(bundle: StructureBundle, identities, values=None) -> list:
+    """Gate, evaluate and aggregate identity records in table order.
+
+    Each row function is called once, with the PointContext of the sample
+    points, or with the `values` stacked over them when the caller supplies
+    them; rows of one call that name the same function share its arrays.
+    """
+    out, arrays = [], {}  # row function -> its arrays, for this call only
+    for ident in identities:
+        reason = ident.gate(bundle) if ident.gate else ""
+        if reason:
+            out.append(_skip(ident.id, reason))
+            continue
+        if values is None:
+            values = bundle.context(bundle.sample_points)
+        if ident.fn not in arrays:
+            arrays[ident.fn] = ident.fn(values)
+        out.append(_result(ident.id, arrays[ident.fn], bundle.sample_points,
+                           getattr(bundle.tolerances, ident.tier), ident.asserted, ident.note))
+    return out
+
+
 # --- classification -----------------------------------------------------------
 
 
@@ -169,48 +271,59 @@ class StructureBundle:
 class ClassificationReport:
     verdict: str
     nearly: bool
-    residuals: dict
-    near_boundary: tuple
+    rows: dict  # residual name -> its IdentityResult, in CLASSIFICATION order
     theorem_dN_equiv_covJ: bool  # closedness+integrability vs parallel structure
+
+    @property
+    def residuals(self) -> dict:
+        return {name: row.max_residual for name, row in self.rows.items()}
+
+    @property
+    def near_boundary(self) -> tuple:
+        return tuple(name for name, row in self.rows.items() if row.near_boundary)
 
     def as_dict(self) -> dict:
         return {
             "verdict": self.verdict,
             "nearly": self.nearly,
-            "residuals": dict(self.residuals),
+            "residuals": self.residuals,
             "near_boundary": list(self.near_boundary),
             "parallel_equivalence_consistent": self.theorem_dN_equiv_covJ,
         }
 
 
-def _hyperbolic_derived(ctx) -> np.ndarray:
+def _polynomial(J, ctx) -> tuple:
+    return (J @ J - ctx.p * J + 1.5 * ctx.q * np.eye(ctx.n),)
+
+
+def _hyperbolic_derived(ctx) -> tuple:
     """g(J_M X, J_M Y) + p g(X, J_M Y) - (3/2) q g(X, Y), the derived compatibility form."""
     pair = contract("...ib,...bm->...im", contract("...ai,...ab->...ib", ctx.J, ctx.g), ctx.J)
-    return pair + ctx.p * np.swapaxes(ctx.omega, -1, -2) - 1.5 * ctx.q * ctx.g
+    return (pair + ctx.p * np.swapaxes(ctx.omega, -1, -2) - 1.5 * ctx.q * ctx.g,)
 
 
-def _skew_residual(ctx) -> np.ndarray:
-    return ctx.omega + np.swapaxes(ctx.omega, -1, -2)
+def _skew_residual(ctx) -> tuple:
+    return (ctx.omega + np.swapaxes(ctx.omega, -1, -2),)
 
 
-# (residual name, tolerance tier, stacked ctx -> array stacked over the points whose largest
-# |entry| is the residual); rows with the same function share one value
-RESIDUALS = (
-    ("polynomial", "alg", lambda ctx: ctx.J @ ctx.J - ctx.p * ctx.J + 1.5 * ctx.q * np.eye(ctx.n)),
-    ("conjugate_polynomial", "alg",
-     lambda ctx: ctx.Jhat @ ctx.Jhat - ctx.p * ctx.Jhat + 1.5 * ctx.q * np.eye(ctx.n)),
-    ("hyperbolic_direct", "alg", _skew_residual),
-    ("hyperbolic_derived", "alg", _hyperbolic_derived),
-    ("omega_skewness", "alg", _skew_residual),
-    ("max_domega", "d1", lambda ctx: ctx.domega),
-    ("max_nijenhuis", "d1", lambda ctx: ctx.N),
-    ("max_cov_jm", "d1", lambda ctx: ctx.covJ),
-    ("max_sym_cov_jm", "d1", lambda ctx: ctx.sym_covJ),
+# The classification residuals: ungated rows with no terms, so each row's scale is 0, its
+# relative residual is its residual and it passes when that is below its tier. The two
+# rows that name `_skew_residual` share one array.
+CLASSIFICATION = (
+    Identity("polynomial", None, "alg", lambda ctx: _polynomial(ctx.J, ctx)),
+    Identity("conjugate_polynomial", None, "alg", lambda ctx: _polynomial(ctx.Jhat, ctx)),
+    Identity("hyperbolic_direct", None, "alg", _skew_residual),
+    Identity("hyperbolic_derived", None, "alg", _hyperbolic_derived),
+    Identity("omega_skewness", None, "alg", _skew_residual),
+    Identity("max_domega", None, "d1", lambda ctx: (ctx.domega,)),
+    Identity("max_nijenhuis", None, "d1", lambda ctx: (ctx.N,)),
+    Identity("max_cov_jm", None, "d1", lambda ctx: (ctx.covJ,)),
+    Identity("max_sym_cov_jm", None, "d1", lambda ctx: (ctx.sym_covJ,)),
 )
 
 
 def classify(bundle: StructureBundle) -> ClassificationReport:
-    """Compute every classification residual and pick the most specific verdict.
+    """Evaluate the CLASSIFICATION rows and pick the most specific verdict.
 
     Verdict ladder: polynomial identity + skew compatibility give almost
     metallic Hermitian; closed fundamental form adds almost metallic
@@ -221,20 +334,12 @@ def classify(bundle: StructureBundle) -> ClassificationReport:
     near-boundary rather than silently classified. A residual that is not
     finite at some point raises NumericalError naming that point.
     """
-    tol = bundle.tolerances
-    points = bundle.sample_points
-    ctx = bundle.context(points)
-    value = {}  # function -> its residual, reduced once for every row that names it
-    for name, _, fn in RESIDUALS:
-        if fn not in value:
-            value[fn] = largest_abs(points, f"classification residual {name}", fn(ctx))
-    res = {name: value[fn] for name, _, fn in RESIDUALS}
-
-    hermitian = res["polynomial"] < tol.alg and res["hyperbolic_direct"] < tol.alg
-    closed = hermitian and res["max_domega"] < tol.d1
-    integrable = hermitian and res["max_nijenhuis"] < tol.d1
-    parallel = hermitian and res["max_cov_jm"] < tol.d1
-    nearly = hermitian and res["max_sym_cov_jm"] < tol.d1
+    rows = {row.id: row for row in evaluate(bundle, CLASSIFICATION)}
+    hermitian = rows["polynomial"].passed and rows["hyperbolic_direct"].passed
+    closed = hermitian and rows["max_domega"].passed
+    integrable = hermitian and rows["max_nijenhuis"].passed
+    parallel = hermitian and rows["max_cov_jm"].passed
+    nearly = hermitian and rows["max_sym_cov_jm"].passed
 
     if not hermitian:
         verdict = VERDICT_NONE
@@ -246,15 +351,5 @@ def classify(bundle: StructureBundle) -> ClassificationReport:
         verdict = VERDICT_ALMOST_KAHLER
     else:
         verdict = VERDICT_HERMITIAN
-
-    near = tuple(
-        name for name, tier, _ in RESIDUALS
-        if getattr(tol, tier) / 10.0 <= res[name] <= getattr(tol, tier) * 10.0
-    )
-    return ClassificationReport(
-        verdict=verdict,
-        nearly=nearly,
-        residuals=res,
-        near_boundary=near,
-        theorem_dN_equiv_covJ=((closed and integrable) == parallel),
-    )
+    return ClassificationReport(verdict=verdict, nearly=nearly, rows=rows,
+                                theorem_dN_equiv_covJ=((closed and integrable) == parallel))

@@ -58,7 +58,7 @@ class Fixture:
         """Self-check of the polynomial identity and the declared verdict (NumericalError)."""
         cls = self.bundle.classification()
         at_q = f"fixture {self.name} at q = {self.bundle.params.q:g}"
-        if cls.residuals["polynomial"] > self.bundle.tolerances.alg:
+        if not cls.rows["polynomial"].passed:
             raise NumericalError(f"{at_q}: polynomial identity fails")
         if cls.verdict != self.expected_verdict:
             raise NumericalError(f"{at_q}: classified {cls.verdict!r}, expected {self.expected_verdict!r}")
@@ -256,8 +256,7 @@ def get(name: str, q: float = DEFAULT_Q) -> Fixture:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(names())}")
     fx = _BUILDERS[name](q).validate()
     if name == "negative":
-        cls = fx.bundle.classification()
-        worst = max(cls.residuals["max_domega"], cls.residuals["max_nijenhuis"])
-        if worst <= 1e-2:
+        rows = fx.bundle.classification().rows
+        if max(rows["max_domega"].max_residual, rows["max_nijenhuis"].max_residual) <= 1e-2:
             raise NumericalError(f"negative fixture at q = {q:g} is not negative enough")
     return fx

@@ -32,6 +32,28 @@ def test_classify_zoo_flat(capsys):
     assert "metallic Kähler" in out
 
 
+# the d1 residuals of the negative fixture are max_domega = max_cov_jm = 0.289,
+# max_nijenhuis = 0.3 and max_sym_cov_jm = 0.578; a residual r is near the boundary when
+# tol/10 <= r <= 10 tol, so max_nijenhuis is flagged for 0.03 <= tol <= 3
+@pytest.mark.parametrize("tol_d1,near", [
+    ("1e-05", []),
+    ("0.0295", ["max_domega", "max_cov_jm"]),
+    ("0.0305", ["max_domega", "max_nijenhuis", "max_cov_jm"]),
+    ("2.95", ["max_nijenhuis", "max_sym_cov_jm"]),
+    ("3.05", ["max_sym_cov_jm"]),
+])
+def test_near_boundary_residuals_on_both_sides_of_each_edge(tol_d1, near, capsys):
+    code, out, _ = run(capsys, "classify", "--zoo", "negative", "--tol-d1", tol_d1,
+                       "--format", "json")
+    cls = json.loads(out)["classification"]
+    assert code == 0
+    assert cls["residuals"]["max_nijenhuis"] == pytest.approx(0.3)
+    assert cls["near_boundary"] == near
+    code, out, _ = run(capsys, "classify", "--zoo", "negative", "--tol-d1", tol_d1)
+    lines = [line for line in out.splitlines() if line.startswith("near-boundary residuals")]
+    assert (code, lines) == (0, ["near-boundary residuals: " + ", ".join(near)] if near else [])
+
+
 def test_classify_malformed_spec_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.spec"
     bad.write_text("dimension = 2\nbounds = -1 1, -1 1\nstructure = JM\njm[0][0] = sin(x0\n")
@@ -318,33 +340,26 @@ def with_bad_entry(array, points, value: float, row=None) -> np.ndarray:
 def spoil_classification(value, monkeypatch):
     """max_nijenhuis, a classification residual."""
     def spoiled(fn):
-        return lambda ctx: with_bad_entry(fn(ctx), ctx.point, value)
+        return lambda ctx: (with_bad_entry(fn(ctx)[0], ctx.point, value),)
 
-    monkeypatch.setattr(metallic, "RESIDUALS", tuple(
-        (name, tier, spoiled(fn) if name == "max_nijenhuis" else fn)
-        for name, tier, fn in metallic.RESIDUALS))
+    monkeypatch.setattr(metallic, "CLASSIFICATION", tuple(
+        dataclasses.replace(row, fn=spoiled(row.fn)) if row.id == "max_nijenhuis" else row
+        for row in metallic.CLASSIFICATION))
 
 
-def spoil_zero_argument(index: int, first_point_too: int = None):
+def spoil_row_array(index: int, first_point_too: int = None):
     """The array at `index` of the residual-and-terms arrays of star-conjugate-contraction,
     and the one at `first_point_too` at the first sample point."""
     def spoil(value, monkeypatch):
-        row, zero = identities._star_contraction, identities._zero
+        row = identities._star_contraction
 
         def spoiled_row(ctx):
-            def spoiled_zero(*arrays):
-                arrays = list(arrays)
-                arrays[index] = with_bad_entry(arrays[index], ctx.point, value)
-                if first_point_too is not None:
-                    arrays[first_point_too] = with_bad_entry(arrays[first_point_too],
-                                                             ctx.point, value, row=0)
-                return zero(*arrays)
-
-            monkeypatch.setattr(identities, "_zero", spoiled_zero)
-            try:
-                return row(ctx)
-            finally:
-                monkeypatch.setattr(identities, "_zero", zero)
+            arrays = list(row(ctx))
+            arrays[index] = with_bad_entry(arrays[index], ctx.point, value)
+            if first_point_too is not None:
+                arrays[first_point_too] = with_bad_entry(arrays[first_point_too], ctx.point,
+                                                         value, row=0)
+            return tuple(arrays)
 
         monkeypatch.setattr(identities, "STAR_PACK", tuple(
             dataclasses.replace(ident, fn=spoiled_row) if ident.fn is row else ident
@@ -379,16 +394,16 @@ def spoil_connections_block(value, monkeypatch):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("spoil,command,message,first", [
-    (spoil_classification, "classify", "classification residual max_nijenhuis", False),
-    (spoil_zero_argument(0), "verify", "residual of star-conjugate-contraction", False),
+    (spoil_classification, "classify", "residual of max_nijenhuis", False),
+    (spoil_row_array(0), "verify", "residual of star-conjugate-contraction", False),
     # the residual is checked before the scale, which is not finite at an earlier point
-    (spoil_zero_argument(0, first_point_too=1), "verify", "residual of star-conjugate-contraction",
+    (spoil_row_array(0, first_point_too=1), "verify", "residual of star-conjugate-contraction",
      False),
     # the residual is formed before the terms are spoiled, so only the scale is not finite
-    (spoil_zero_argument(2), "verify", "scale of star-conjugate-contraction", False),
+    (spoil_row_array(2), "verify", "scale of star-conjugate-contraction", False),
     # the scale at each point is the largest over all the terms: the first point where it is
     # not finite is the first sample point, not the origin where the first term is spoiled
-    (spoil_zero_argument(1, first_point_too=2), "verify", "scale of star-conjugate-contraction",
+    (spoil_row_array(1, first_point_too=2), "verify", "scale of star-conjugate-contraction",
      True),
     (spoil_note, "verify", "raw (unsymmetrized) trace S_jt w^jt", False),
     (spoil_connections_block, "verify", "first-type connection torsion_norm", False),

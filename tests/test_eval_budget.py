@@ -273,8 +273,8 @@ def test_one_first_derivative_stencil_per_point(monkeypatch):
     points = bundle.sample_points
     ctx = diffcalc.PointContext(bundle.g, bundle.jm, bundle.params.p, bundle.params.q, points,
                                 bundle.scheme)
-    for _, _, measure in metallic.RESIDUALS:
-        residual = max_abs_per_point(measure(ctx))
+    for row in metallic.CLASSIFICATION:
+        residual = max_abs_per_point(*row.fn(ctx))
         assert residual.shape == (len(points),) and np.isfinite(residual).all()
     assert max_abs(ctx.cov_omega) > 0.1
     assert ctx.curvature.scalar == pytest.approx(np.full(len(points), 30.0), abs=1e-4)
@@ -348,8 +348,9 @@ def test_shared_terms_formed_once(monkeypatch):
         calls["cycle"] += 1
         return cycle(ctx)
 
-    monkeypatch.setattr(metallic, "RESIDUALS", tuple(
-        (name, tier, counted_skew if fn is skew else fn) for name, tier, fn in metallic.RESIDUALS))
+    monkeypatch.setattr(metallic, "CLASSIFICATION", tuple(
+        dataclasses.replace(row, fn=counted_skew) if row.fn is skew else row
+        for row in metallic.CLASSIFICATION))
     monkeypatch.setattr(identities, "_cycle_terms", counted_cycle)
     fx = BUILDERS["s2"]()
     monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
@@ -373,7 +374,7 @@ def test_connection_arrays_formed_once(monkeypatch):
         return kept[kind]
 
     monkeypatch.setattr(connections, "connection_terms", recorded_terms)
-    for module in (connections, identities):
+    for module in (connections, identities, metallic):
         def recorded(points, quantity, *arrays, _fn=module.largest_abs):
             reduced.extend(arrays)
             return _fn(points, quantity, *arrays)

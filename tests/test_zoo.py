@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from metallicgeo import cli, zoo
-from metallicgeo.geometry import max_abs
-from metallicgeo.metallic import VERDICT_KAHLER, VERDICT_NEARLY, VERDICT_HERMITIAN, jm_from_j_matrix
+from metallicgeo.geometry import NumericalError, max_abs
+from metallicgeo.metallic import (VERDICT_KAHLER, VERDICT_NEARLY, VERDICT_HERMITIAN, Tolerances,
+                                  jm_from_j_matrix)
 from metallicgeo.specfile import build_bundle, parse_spec
 
 import oracles
@@ -47,6 +49,16 @@ def test_flat_p_nonzero_documents_obstruction():
     assert cls.residuals["polynomial"] < 1e-12
     assert cls.residuals["hyperbolic_direct"] > 0.9
     assert fx.expected_verdict == cls.verdict
+
+
+def test_self_check_reads_the_polynomial_as_the_verdict_ladder_does():
+    """A polynomial residual equal to tol.alg fails the identity on the ladder, so the
+    self-check names the identity, not the verdict it brings down."""
+    fx = zoo.fixture_sphere6()
+    residual = fx.bundle.classification().residuals["polynomial"]  # 8.9e-16
+    bundle = dataclasses.replace(fx.bundle, tolerances=Tolerances(alg=residual))
+    with pytest.raises(NumericalError, match="polynomial identity fails"):
+        dataclasses.replace(fx, bundle=bundle).validate()
 
 
 def test_s2_scalar_curvature_everywhere():

@@ -5,7 +5,7 @@
     cmp before.json after.json                                         # byte-identical, or
     python3 tools/report_identity.py --compare before.json after.json  # within tiers
 
-The snapshot holds 95 runs of ``metallicgeo.cli.main``, each with its argv,
+The snapshot holds 96 runs of ``metallicgeo.cli.main``, each with its argv,
 exit code, stderr, raw stdout and parsed JSON report. ``timing_s`` is the
 one field a report does not promise to repeat: its value is masked in the
 stdout and the field is removed from the parsed report. The raw stdout
@@ -22,7 +22,9 @@ report. The runs are:
   zoo fixture with a ``--seed`` override, so that the run's own sample
   points, not the spec's, are the ones read, and a zoo bundle is rebuilt
   with the command line's settings, as every benchmark zoo job rebuilds it;
-* ``verify --suite all`` on s2 with ``--h`` and ``--tol-d1`` overrides;
+* ``verify --suite all`` on s2 with ``--h`` and ``--tol-d1`` overrides, and
+  ``classify`` on negative with a ``--tol-d1`` that puts three of its
+  residuals near the boundary, so that ``near_boundary`` is not empty;
 * ``verify --suite all`` on each zoo fixture at ``--q 1.5``. At the default
   q = 2/3 the coefficients 3q/2, 2/(3q) and sqrt(6q)/2 are all exactly 1.0,
   so a dropped or misplaced factor of q changes no report there;
@@ -55,7 +57,7 @@ no longer applies; ``--compare`` checks the parsed reports of two snapshots
   derivatives (the raw Ricci trace, nabla nabla w), so the numbers in it
   are held to tier d2 and their own magnitude, and its words must stay
   equal; a classification residual has the tier of
-  its row in ``metallic.RESIDUALS`` and its own magnitude as scale; the
+  its row in ``metallic.CLASSIFICATION`` and its own magnitude as scale; the
   curvature block is tier d2 (``norm_nabla_jm_sq``, a first-derivative
   quantity, d1) and the connections block d1, each field scaled by its
   largest entry.
@@ -125,6 +127,7 @@ def runs(repo: Path, zoo) -> tuple:
                   ["verify", *source, "--seed", "4", "--suite", "all", "--format", "json"]]
     argvs.append(["verify", "--zoo", "s2", "--h", "0.002", "--tol-d1", "2e-5", "--suite", "all",
                   "--format", "json"])
+    argvs.append(["classify", "--zoo", "negative", "--tol-d1", "0.05", "--format", "json"])
     argvs += [["verify", "--zoo", name, "--q", "1.5", "--suite", "all", "--format", "json"]
               for name in zoo.names()]
     s2 = parse_spec(specs["s2.spec"])
@@ -272,10 +275,11 @@ def main(argv=None) -> int:
     repo = Path(args.repo).resolve()
     if args.compare:
         import_cli(repo)
-        from metallicgeo.metallic import RESIDUALS
+        from metallicgeo.metallic import CLASSIFICATION
 
         before, after = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.compare)
-        problems, worst, worst_at = compare(before, after, {n: t for n, t, _ in RESIDUALS})
+        problems, worst, worst_at = compare(before, after,
+                                            {row.id: row.tier for row in CLASSIFICATION})
         for line in problems:
             print(line)
         print(f"{len(before)} reports compared; largest shift {worst:.3g} of its allowance"
