@@ -39,10 +39,20 @@ every jet order from one rule, `_derivative`: node values of at most one
 row have a jet of exact zeros, built with no weight. So a constant g has
 zero d g, d d g and d d d g, a constant J_M zero d J, and w = J_M g, whose
 node values broadcast from both fields, is differenced at the nodes of
-whichever is not constant. Three members skip their algebra as well:
-d Gamma and nabla Ricci are zeros for a constant g, and nabla nabla w when
-g and J_M are both constant. The differences f(node) - f(point) of a
+whichever is not constant. The differences f(node) - f(point) of a
 constant field are exactly 0.0 too, so marking a field changes no value.
+
+A constant g makes the jet flat (`MetricJet.flat`): its connection
+vanishes, and so does everything built from it. Such a jet inverts g at
+its first point and broadcasts that row (read-only) to the stack;
+Gamma, d Gamma, the curvature pack, H, Ricci-star and nabla Ricci are
+exact zeros (+0.0) formed with no algebra (`_zero_if_flat`), and each
+covariant derivative (nabla J_M, nabla w, nabla nabla w) is its plain
+partials plus 0.0 (`_nabla`). On a constant g those Gamma terms are
++0.0 to the bit, so adding 0.0, which turns a -0.0 partial into +0.0 as
+they do, changes no value either. Every flat member reads g^-1 first, as
+the curved ones do through Gamma, so a singular constant metric fails at
+the same point.
 
 A jet serves one point (n,) or a stack of points (m, n): every member
 carries the stack's point axis first, written with leading `...` axes, so
@@ -85,7 +95,7 @@ PointContext computes each order once and is read-only afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
@@ -311,6 +321,27 @@ def _constant(fn) -> bool:
     return getattr(fn, "constant", False)
 
 
+def _zero_if_flat(*ranks):
+    """A cached member of a MetricJet that on a flat jet (`MetricJet.flat`) is exact zeros
+    (+0.0), formed with no algebra: an array with `rank` axes of length n after the point
+    axis, or, given several ranks, a `CurvaturePack` of such arrays (rank 0 is the scalar).
+    g^-1 is read first, as the curved member reads it through Gamma, so that a singular
+    constant metric fails at the same point. On a curved jet the member is the method's
+    value."""
+    def member(method):
+        @wraps(method)
+        def value(self):
+            if not self.flat:
+                return method(self)
+            self.ginv
+            zeros = [np.zeros(self.point.shape[:-1] + (self.n,) * rank)[()] for rank in ranks]
+            return zeros[0] if len(zeros) == 1 else CurvaturePack(*zeros)
+
+        return cached_property(value)
+
+    return member
+
+
 def _from_order1(key: str, doc: str | None = None) -> property:
     """A member of a MetricJet read off its order-1 quantities."""
     return property(lambda self: self._order1[key], doc=doc)
@@ -328,11 +359,11 @@ class MetricJet:
     their 4n nodes each, for g, d g, g^-1 and the connection (`christoffel`); order 2
     (d d g, hence d Gamma and Riemann) and order 3 (d d d g, hence d d Gamma and
     nabla Ricci) evaluate g at the nodes they add, one call per chunk of consecutive
-    points (`_chunks`). Any field is accepted."""
+    points (`_chunks`). Any field is accepted; a constant one makes the jet flat."""
 
     def __init__(self, g_fn, point, scheme: DiffScheme | None = None):
         self.g_fn = g_fn
-        self.g_constant = _constant(g_fn)
+        self.flat = _constant(g_fn)  # a constant metric: its connection and curvature vanish
         self.point = np.asarray(point, dtype=float)
         self.scheme = scheme or DiffScheme()
         self.n = self.point.shape[-1]
@@ -392,10 +423,12 @@ class MetricJet:
             return value[None]
         return self._call(fn, self._nodes(self._table(order).disp, rows))
 
-    def _chunks(self, order: int) -> list:
-        """Row selections of consecutive points whose g values at the nodes of `order` fit
-        CHUNK_BYTES, at least one point each; a one-point jet is one chunk, `...`."""
-        if self.point.ndim == 1:
+    def _chunks(self, order: int, *fns) -> list:
+        """Row selections of consecutive points whose values of one (n, n) field at the nodes of
+        `order` fit CHUNK_BYTES, at least one point each, for a jet read off the fields `fns`.
+        A one-point jet is one chunk, `...`, and so is a jet of constant fields alone, which
+        have no node values."""
+        if self.point.ndim == 1 or all(map(_constant, fns)):
             return [...]
         size = max(1, CHUNK_BYTES // (8 * len(self._table(order).offsets) * self.n * self.n))
         return [slice(k, k + size) for k in range(0, len(self.point), size)]
@@ -416,11 +449,25 @@ class MetricJet:
 
     @cached_property
     def ginv(self) -> np.ndarray:
+        """g^-1; a flat jet's stack inverts g at its first point alone and broadcasts that row,
+        read-only: g is the same at every point, so its first singular row is the first."""
+        if self.flat and self.point.ndim > 1:
+            return np.broadcast_to(inverse_metric(self.g[0], self.point[0]), self.g.shape)
         return inverse_metric(self.g, self.point)
 
-    @cached_property
+    @_zero_if_flat(3)
     def gamma(self) -> np.ndarray:
         return christoffel(self.ginv, self.dg)
+
+    def _nabla(self, d: np.ndarray, curved) -> np.ndarray:
+        """A covariant derivative whose plain partials are d: curved(d), which adds the Gamma
+        terms, on a curved jet, and d + 0.0 on a flat one, whose Gamma terms are exact zeros
+        (+0.0): adding 0.0 turns a -0.0 partial into +0.0 as they do. g^-1 is read either
+        way."""
+        if not self.flat:
+            return curved(d)
+        self.ginv
+        return d + 0.0
 
     @cached_property
     def g_nodes2(self) -> np.ndarray:
@@ -431,7 +478,7 @@ class MetricJet:
     @cached_property
     def ddg(self) -> np.ndarray:
         return _join(self._derivative(2, self.g[rows], self.g_nodes2[:, rows])
-                     for rows in self._chunks(2))
+                     for rows in self._chunks(2, self.g_fn))
 
     def dddg(self, rows=...) -> np.ndarray:
         """d_a d_b d_c g at the points of `rows`, anew on each call: nabla Ricci reads it once per
@@ -439,11 +486,9 @@ class MetricJet:
         g = self.g[rows]
         return self._derivative(3, g, self.g_nodes2[:, rows], self._at_nodes(self.g_fn, g, 3, rows))
 
-    @cached_property
+    @_zero_if_flat(4)
     def dgamma(self) -> np.ndarray:
         """dgamma[..., a, h, i, j] = d_a Gamma^h_ij, from g d_a Gamma = d_a L / 2 - d_a g Gamma."""
-        if self.g_constant:
-            return self._zeros(2, self.g)
         rhs = (0.5 * np.einsum("...aitj->...atij", _first_kind(self.ddg))
                - contract("...ats,...sij->...atij", self.dg, self.gamma))
         return contract("...ht,...atij->...ahij", self.ginv, rhs)
@@ -459,17 +504,15 @@ class MetricJet:
                - cross - np.swapaxes(cross, -5, -4))
         return contract("...ht,...abtij->...abhij", ginv, rhs)
 
-    @cached_property
+    @_zero_if_flat(4, 4, 2, 0)
     def curvature(self) -> CurvaturePack:
         return riemann(self)
 
-    @cached_property
+    @_zero_if_flat(3)
     def cov_ricci(self) -> np.ndarray:
         """cov_ricci[..., a, j, i] = (nabla_a S)_ji, with d_a S_ji = d_a R_hji^h from the order-3
-        jet, one chunk of points at a time; zeros for a constant g."""
-        if self.g_constant:
-            return self._zeros(1, self.g)
-        return _join(self._cov_ricci(rows) for rows in self._chunks(3))
+        jet, one chunk of points at a time."""
+        return _join(self._cov_ricci(rows) for rows in self._chunks(3, self.g_fn))
 
     def _cov_ricci(self, rows) -> np.ndarray:
         G, dG, ddG = self.gamma[rows], self.dgamma[rows], self.ddgamma(rows)
@@ -490,7 +533,6 @@ class PointContext(MetricJet):
     def __init__(self, g_fn, j_fn, p: float, q: float, point, scheme: DiffScheme | None = None):
         super().__init__(g_fn, point, scheme)
         self.j_fn = j_fn
-        self.j_constant = _constant(j_fn)
         self.p = float(p)
         self.q = float(q)
 
@@ -529,7 +571,7 @@ class PointContext(MetricJet):
     @cached_property
     def covJ(self) -> np.ndarray:
         """covJ[..., a, h, i] = (nabla_a J)_i^h."""
-        return covariant_derivative(self.dJ, self.J, "ud", self.gamma)
+        return self._nabla(self.dJ, lambda d: covariant_derivative(d, self.J, "ud", self.gamma))
 
     @cached_property
     def sym_covJ(self) -> np.ndarray:
@@ -544,7 +586,8 @@ class PointContext(MetricJet):
     @cached_property
     def cov_omega(self) -> np.ndarray:
         """(nabla_a w)_im computed directly from w at the nodes (independent of F)."""
-        return covariant_derivative(self.dw, self.omega, "dd", self.gamma)
+        return self._nabla(self.dw, lambda d: covariant_derivative(d, self.omega, "dd",
+                                                                   self.gamma))
 
     @cached_property
     def N(self) -> np.ndarray:
@@ -552,7 +595,7 @@ class PointContext(MetricJet):
 
     # --- curvature ---
 
-    @cached_property
+    @_zero_if_flat(2)
     def H(self) -> np.ndarray:
         """H_ji = R_hji^t (J_M)_t^h, the curvature/2-form contraction.
 
@@ -562,7 +605,7 @@ class PointContext(MetricJet):
         """
         return contract("...hjit,...ht->...ji", self.curvature.Rup, self.J)
 
-    @cached_property
+    @_zero_if_flat(2)
     def Sstar(self) -> np.ndarray:
         """Ricci-star: S*_ji = -H_jt (J_M)_i^t, as 0 - H J_M, which unlike -(H J_M) gives a
         zero entry as +0.0."""
@@ -584,20 +627,22 @@ class PointContext(MetricJet):
 
     @cached_property
     def covcov_omega(self) -> np.ndarray:
-        """covcov[..., a, b, i, m] = (nabla_a nabla_b w)_im, one chunk of points at a time;
-        zeros when g and J_M are both constant (w is then constant and Gamma zero)."""
-        if self.g_constant and self.j_constant:
-            return self._zeros(2, self.omega)
-        return _join(self._covcov_omega(rows) for rows in self._chunks(2))
+        """covcov[..., a, b, i, m] = (nabla_a nabla_b w)_im, one chunk of points at a time."""
+        return _join(self._covcov_omega(rows) for rows in self._chunks(2, self.g_fn, self.j_fn))
 
     def _covcov_omega(self, rows) -> np.ndarray:
         """nabla nabla w at the points of `rows`, from the order-2 jet of w: d_a (nabla_b w) is
-        d_a d_b w plus d_a of the connection terms of nabla_b w."""
-        gamma, w, dw = self.gamma[rows], self.omega[rows], self.dw[rows]
+        d_a d_b w plus d_a of the connection terms of nabla_b w (`_nabla`). When J_M is
+        constant too, w has one node value per point and its jet is zeros (`_derivative`)."""
+        w = self.omega[rows]
         J_nodes = self._at_nodes(self.j_fn, self.J[rows], 2, rows)
         w_nodes = np.swapaxes(J_nodes, -1, -2) @ self.g_nodes2[:, rows]
         del J_nodes
-        ddw = self._derivative(2, w, w_nodes)
-        d_cov = (ddw + _cov_correct(dw, "dd", gamma[..., None, :, :, :])
-                 + _cov_correct(w[..., None, :, :], "dd", self.dgamma[rows]))
-        return covariant_derivative(d_cov, self.cov_omega[rows], "ddd", gamma)
+
+        def curved(ddw):
+            gamma = self.gamma[rows]
+            d_cov = (ddw + _cov_correct(self.dw[rows], "dd", gamma[..., None, :, :, :])
+                     + _cov_correct(w[..., None, :, :], "dd", self.dgamma[rows]))
+            return covariant_derivative(d_cov, self.cov_omega[rows], "ddd", gamma)
+
+        return self._nabla(self._derivative(2, w, w_nodes), curved)

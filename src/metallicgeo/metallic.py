@@ -186,10 +186,17 @@ class IdentityResult:
     skipped: bool = False
     asserted: bool = True
     note: str = ""
+    absolute: bool = False  # judged on max_residual itself, not on the relative residual
 
     @property
     def relative(self) -> float:
         return _relative(self.max_residual, self.scale)
+
+    @property
+    def judged(self) -> float:
+        """The number the record passes on (below its tolerance): `relative`, or the residual
+        itself when the record is `absolute`."""
+        return _judged(self.max_residual, self.scale, self.absolute)
 
     @property
     def status(self) -> str:
@@ -202,8 +209,8 @@ class IdentityResult:
 
     @property
     def near_boundary(self) -> bool:
-        """Whether an evaluated record has tol/10 <= relative residual <= 10 tol."""
-        return not self.skipped and self.tolerance / 10.0 <= self.relative <= self.tolerance * 10.0
+        """Whether an evaluated record has tol/10 <= `judged` <= 10 tol."""
+        return not self.skipped and self.tolerance / 10.0 <= self.judged <= self.tolerance * 10.0
 
     def as_dict(self) -> dict:
         return {
@@ -227,6 +234,10 @@ def _relative(residual: float, scale: float) -> float:
     return residual / max(1.0, scale)
 
 
+def _judged(residual: float, scale: float, absolute: bool) -> float:
+    return residual if absolute else _relative(residual, scale)
+
+
 def _result(id_: str, arrays: tuple, points, tol: float, asserted: bool = True,
             note: str = "", absolute: bool = False) -> IdentityResult:
     """Reduce a row's arrays (residual, *terms), stacked over `points`, with
@@ -237,9 +248,9 @@ def _result(id_: str, arrays: tuple, points, tol: float, asserted: bool = True,
     residual, *terms = arrays
     max_residual = largest_abs(points, f"residual of {id_}", residual)
     scale = largest_abs(points, f"scale of {id_}", *terms)
-    measured = max_residual if absolute else _relative(max_residual, scale)
     return IdentityResult(id=id_, max_residual=max_residual, scale=scale, tolerance=tol,
-                          passed=measured < tol, asserted=asserted, note=note)
+                          passed=_judged(max_residual, scale, absolute) < tol,
+                          asserted=asserted, note=note, absolute=absolute)
 
 
 def evaluate(bundle: StructureBundle, identities, values=None) -> list:

@@ -428,14 +428,21 @@ def test_value_that_is_not_finite_names_its_point(spoil, command, message, first
 
 
 def test_classify_singular_metric_exit_3(tmp_path, capsys):
+    """A constant singular metric is flat, so no Christoffel symbol is formed from it, yet
+    each command inverts it and fails at the first point it reads: the first sample point
+    (grid 3 on [-1, 1]^2, margin 0.05), or the point curvature is asked for."""
     spec = tmp_path / "singular.spec"
     spec.write_text(
         "dimension = 2\nq = 0.6666666666666666\nbounds = -1 1, -1 1\n"
         "structure = JM\ng[0][0] = 0\ng[1][1] = 1\njm[0][1] = -1\njm[1][0] = 1\n"
     )
-    code, _, err = run(capsys, "classify", str(spec))
-    assert code == 3
-    assert "singular" in err
+    message = "numerical failure: singular metric (|det g| <= 1e-10 x product of its row norms)"
+    for argv, point in ((["classify"], [-0.95, -0.95]),
+                        (["classify", "--format", "json"], [-0.95, -0.95]),
+                        (["verify", "--suite", "all"], [-0.95, -0.95]),
+                        (["curvature", "--point", "0.1,0.2"], [0.1, 0.2])):
+        code, out, err = run(capsys, argv[0], str(spec), *argv[1:])
+        assert (code, out, err) == (3, "", f"{message} at point {point}\n"), argv
 
 
 def test_json_report_round_trips(capsys):

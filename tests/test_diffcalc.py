@@ -5,6 +5,7 @@ from metallicgeo import zoo
 from metallicgeo.diffcalc import (
     DiffScheme,
     MetricJet,
+    PointContext,
     covariant_derivative,
     nijenhuis,
     partial,
@@ -304,3 +305,19 @@ def test_christoffel_stack_names_the_singular_point():
     with pytest.raises(SingularMetricError) as err:
         christoffel_field(g, np.array([[0.5, 0.1], [0.0, 0.2], [-0.5, 0.3]]))
     assert err.value.point.tolist() == [0.0, 0.2]
+
+
+@pytest.mark.parametrize("member", ["gamma", "dgamma", "curvature", "cov_ricci", "H", "Sstar",
+                                    "covJ", "cov_omega", "covcov_omega"])
+def test_flat_member_names_the_singular_point(member):
+    """A constant metric is flat: none of these members forms Christoffel symbols, yet each
+    inverts g first and fails as a curved one would, at the first point of its stack."""
+    g = TensorField("g", const_field(np.diag([0.0, 1.0])), constant=True)
+    jm = TensorField("jm", const_field([[0.0, -1.0], [1.0, 0.0]]), constant=True)
+    points = np.array([[0.5, 0.1], [0.0, 0.2]])
+    for where in (points, points[1]):
+        ctx = PointContext(g, jm, 0.0, 2.0 / 3.0, where)
+        assert ctx.flat
+        with pytest.raises(SingularMetricError) as err:
+            getattr(ctx, member)
+        assert err.value.point.tolist() == where.reshape(-1, 2)[0].tolist()

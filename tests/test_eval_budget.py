@@ -283,6 +283,50 @@ def test_one_first_derivative_stencil_per_point(monkeypatch):
     assert counts["g"] == counts["jm"] + len(points) * len(ctx._table(2)[0])
 
 
+# (command, fixture) -> (christoffel calls, riemann calls, rows inverted, contexts built) in one
+# `verify --suite all` (the context of the sample points) or `curvature` (the context of a
+# point 40 % of the way across each axis) on a fresh fixture. A constant metric is flat: it
+# forms no Christoffel symbol and no Riemann tensor, and inverts g at one point per context.
+# Before the flat rule, verify took (1, 1, 10, 1) on flat-k3 and (1, 1, 16, 1) on negative,
+# one row per sample point, and curvature (1, 1, 1, 1) on both. s2 is curved: one stack of
+# Christoffel symbols, one Riemann tensor and every point inverted, as before.
+CONNECTION_WORK = {
+    ("verify", "flat-k3"): (0, 0, 1, 1),
+    ("curvature", "flat-k3"): (0, 0, 1, 1),
+    ("verify", "negative"): (0, 0, 1, 1),
+    ("curvature", "negative"): (0, 0, 1, 1),
+    ("verify", "s2"): (1, 1, 13, 1),
+    ("curvature", "s2"): (1, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(CONNECTION_WORK))
+def test_flat_metric_forms_no_connection(command, name, monkeypatch):
+    """The Christoffel symbols, Riemann tensors and inverted rows of g of one CLI run."""
+    counts = {"christoffel": 0, "riemann": 0, "rows": 0, "contexts": 0}
+
+    def counted(module, fn_name, key, rows=lambda *args: 1):
+        fn = getattr(module, fn_name)
+
+        def call(*args, **kwargs):
+            counts[key] += rows(*args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn_name, call)
+
+    counted(diffcalc, "christoffel", "christoffel")
+    counted(diffcalc, "riemann", "riemann")
+    counted(diffcalc, "inverse_metric", "rows", lambda g, *rest: len(g.reshape(-1, *g.shape[-2:])))
+    counted(metallic, "PointContext", "contexts")
+    fx = BUILDERS[name]()
+    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
+    point = ",".join(repr(0.6 * lo + 0.4 * hi) for lo, hi in fx.bundle.chart.bounds)
+    argv = ["--suite", "all"] if command == "verify" else [f"--point={point}"]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--zoo", name, *argv, "--format", "json"]) == 0
+    assert tuple(counts.values()) == CONNECTION_WORK[(command, name)], counts
+
+
 @pytest.mark.parametrize("name", sorted(CONNECTION_BUDGET))
 def test_connection_terms_built_once_per_point(name, monkeypatch):
     """The connections suite and the report's connections block read one set of terms per

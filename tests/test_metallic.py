@@ -14,6 +14,7 @@ from metallicgeo.metallic import (
     VERDICT_KAHLER,
     VERDICT_NEARLY,
     VERDICT_NONE,
+    _result,
     jm_from_j_matrix,
 )
 
@@ -211,3 +212,22 @@ def test_classify_names_the_point_of_a_nan_residual():
     broken = dataclasses.replace(bundle, jm=TensorField(name="jm", fn=jm))
     with pytest.raises(NumericalError, match=re.escape(f"is nan at point {bad.tolist()}")):
         broken.classification()
+
+
+@pytest.mark.parametrize("residual,near", [(1e-10, True), (1e-8, False)])
+def test_near_boundary_reads_the_number_the_row_is_judged_on(residual, near):
+    """An absolute row (ricci-omega-trace-zero passes on its raw residual, with a scale of 20
+    on s6) is near the boundary when its raw residual lies within [tol/10, 10 tol], whatever
+    its relative residual: 1e-10 is near 1e-10 while 5e-12 is not, and 1e-8 is 100 tol while
+    5e-10 is near."""
+    points = np.zeros((2, 2))
+    record = _result("raw", (np.array([residual, 0.0]), np.array([20.0, 1.0])), points, 1e-10,
+                     absolute=True)
+    tol = record.tolerance
+    assert (record.max_residual, record.scale, record.judged) == (residual, 20.0, residual)
+    assert (tol / 10.0 <= record.relative <= 10.0 * tol) is not near
+    assert record.near_boundary is near
+    assert record.passed is (residual < tol)
+    relative = _result("rel", (np.array([residual, 0.0]), np.array([20.0, 1.0])), points, 1e-10)
+    assert (relative.judged, relative.near_boundary) == (relative.relative, not near)
+    assert record.as_dict() == dict(relative.as_dict(), id="raw", passed=record.passed)

@@ -5,7 +5,7 @@
     cmp before.json after.json                                         # byte-identical, or
     python3 tools/report_identity.py --compare before.json after.json  # within tiers
 
-The snapshot holds 96 runs of ``metallicgeo.cli.main``, each with its argv,
+The snapshot holds 100 runs of ``metallicgeo.cli.main``, each with its argv,
 exit code, stderr, raw stdout and parsed JSON report. ``timing_s`` is the
 one field a report does not promise to repeat: its value is masked in the
 stdout and the field is removed from the parsed report. The raw stdout
@@ -32,6 +32,11 @@ report. The runs are:
   bound (``verify --suite all``, accepted) and one float step further out
   (``classify``, a located parse error, exit 2), so that the chart-bounds
   check is pinned at its edge;
+* ``classify``, ``verify --suite all`` (also at ``--q 1.5``) and
+  ``curvature`` on ``flat-skew.spec`` (``FLAT_SKEW``), a constant metric
+  with off-diagonal entries of both signs in dimension 4. Its g^-1 has
+  signs too, so an entry of a zero contraction could round to ``-0.0``,
+  which a report spells apart from ``0.0``;
 * one ``--format text`` run of each command on a zoo fixture.
 
 Spec files are copied into a fresh directory that becomes the working
@@ -83,6 +88,37 @@ MIRRORED = ("flat-k1", "torus", "s2")
 SUITES = ("all", "metallic", "nearly", "connections")
 SHIFT = 1e-3  # allowed shift of a numeric result, in units of tier tolerance x max(1, scale)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")  # a number quoted in a note
+# g = Q^T Q and J = Q^-1 J0 Q for the standard J0 and an integer Q of determinant 1, so that the
+# pair is metallic Kahler with integer entries: g^-1 = [[2, 0, 1, 0], [0, 1, 0, 0],
+# [1, 0, 2, -1], [0, 0, -1, 1]]
+FLAT_SKEW = """name = flat-skew
+dimension = 4
+p = 0.0
+q = 0.6666666666666666
+bounds = -1 1, -1 1, -1 1, -1 1
+grid = 2
+random_points = 3
+seed = 5
+margin = 0.1
+structure = J
+sign = +
+g[0][0] = 1
+g[0][2] = -1
+g[0][3] = -1
+g[1][1] = 1
+g[2][2] = 2
+g[2][3] = 2
+g[3][3] = 3
+j[0][1] = -1
+j[0][3] = -1
+j[1][0] = 1
+j[1][2] = -1
+j[1][3] = -1
+j[2][2] = -1
+j[2][3] = -2
+j[3][2] = 1
+j[3][3] = 1
+"""
 TIMING = re.compile(r'^(\s*"timing_s": ).*$', re.MULTILINE)  # its value is masked in stdout
 
 
@@ -137,6 +173,12 @@ def runs(repo: Path, zoo) -> tuple:
                                   + f"point edge = {math.nextafter(edge, -math.inf)!r} 0.0\n")
     argvs += [["verify", "s2-edge.spec", "--suite", "all", "--format", "json"],
               ["classify", "s2-past-edge.spec", "--format", "json"]]
+    specs["flat-skew.spec"] = FLAT_SKEW
+    point = interior_point(parse_spec(FLAT_SKEW).bounds)
+    argvs += [["classify", "flat-skew.spec", "--format", "json"],
+              ["verify", "flat-skew.spec", "--suite", "all", "--format", "json"],
+              ["verify", "flat-skew.spec", "--q", "1.5", "--suite", "all", "--format", "json"],
+              ["curvature", "flat-skew.spec", f"--point={point}", "--format", "json"]]
     point = interior_point(zoo.get("s2").bundle.chart.bounds)
     argvs += [["classify", "--zoo", "negative", "--format", "text"],
               ["verify", "--zoo", "s6", "--suite", "all", "--format", "text"],
