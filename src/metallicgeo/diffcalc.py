@@ -45,12 +45,13 @@ constant field are exactly 0.0 too, so marking a field changes no value.
 A constant g makes the jet flat (`MetricJet.flat`): its connection
 vanishes, and so does everything built from it. Such a jet inverts g at
 its first point and broadcasts that row (read-only) to the stack;
-Gamma, d Gamma, the curvature pack, H, Ricci-star and nabla Ricci are
-exact zeros (+0.0) formed with no algebra (`_zero_if_flat`), and each
-covariant derivative (nabla J_M, nabla w, nabla nabla w) is its plain
-partials plus 0.0 (`_nabla`). On a constant g those Gamma terms are
-+0.0 to the bit, so adding 0.0, which turns a -0.0 partial into +0.0 as
-they do, changes no value either. Every flat member reads g^-1 first, as
+Gamma, d Gamma, the curvature pack (`riemann` returns it as such), H,
+Ricci-star and nabla Ricci, and nabla nabla w when J_M is constant too,
+are exact zeros (+0.0) formed with no algebra (`MetricJet.flat_zeros`),
+and every other covariant derivative (nabla J_M, nabla w, nabla nabla w)
+is its plain partials plus 0.0 (`_nabla`). On a constant g those Gamma
+terms are +0.0 to the bit, so adding 0.0, which turns a -0.0 partial
+into +0.0 as they do, changes no value either. Every flat member reads g^-1 first, as
 the curved ones do through Gamma, so a singular constant metric fails at
 the same point.
 
@@ -289,7 +290,9 @@ class CurvaturePack:
 
 def riemann(jet) -> CurvaturePack:
     """Curvature at the point (or the stack of points) of a `MetricJet`, from its connection
-    and the connection's derivatives."""
+    and the connection's derivatives; a flat jet's is exact zeros, formed with no algebra."""
+    if jet.flat:
+        return CurvaturePack(*map(jet.flat_zeros, (4, 4, 2, 0)))
     gamma, dGamma = jet.gamma, jet.dgamma  # dGamma[..., k, h, i, j]
     # R_kji^h = d_k G^h_ji - d_j G^h_ki + G^t_ji G^h_kt - G^t_ki G^h_jt
     Rup = (
@@ -321,21 +324,14 @@ def _constant(fn) -> bool:
     return getattr(fn, "constant", False)
 
 
-def _zero_if_flat(*ranks):
-    """A cached member of a MetricJet that on a flat jet (`MetricJet.flat`) is exact zeros
-    (+0.0), formed with no algebra: an array with `rank` axes of length n after the point
-    axis, or, given several ranks, a `CurvaturePack` of such arrays (rank 0 is the scalar).
-    g^-1 is read first, as the curved member reads it through Gamma, so that a singular
-    constant metric fails at the same point. On a curved jet the member is the method's
-    value."""
+def _zero_if_flat(rank: int):
+    """A cached member of a MetricJet that on a flat jet is exact zeros with `rank` axes of
+    length n after the point axis (`MetricJet.flat_zeros`), and on a curved one the
+    method's value."""
     def member(method):
         @wraps(method)
         def value(self):
-            if not self.flat:
-                return method(self)
-            self.ginv
-            zeros = [np.zeros(self.point.shape[:-1] + (self.n,) * rank)[()] for rank in ranks]
-            return zeros[0] if len(zeros) == 1 else CurvaturePack(*zeros)
+            return self.flat_zeros(rank) if self.flat else method(self)
 
         return cached_property(value)
 
@@ -423,12 +419,10 @@ class MetricJet:
             return value[None]
         return self._call(fn, self._nodes(self._table(order).disp, rows))
 
-    def _chunks(self, order: int, *fns) -> list:
-        """Row selections of consecutive points whose values of one (n, n) field at the nodes of
-        `order` fit CHUNK_BYTES, at least one point each, for a jet read off the fields `fns`.
-        A one-point jet is one chunk, `...`, and so is a jet of constant fields alone, which
-        have no node values."""
-        if self.point.ndim == 1 or all(map(_constant, fns)):
+    def _chunks(self, order: int) -> list:
+        """Row selections of consecutive points whose g values at the nodes of `order` fit
+        CHUNK_BYTES, at least one point each; a one-point jet is one chunk, `...`."""
+        if self.point.ndim == 1:
             return [...]
         size = max(1, CHUNK_BYTES // (8 * len(self._table(order).offsets) * self.n * self.n))
         return [slice(k, k + size) for k in range(0, len(self.point), size)]
@@ -455,6 +449,14 @@ class MetricJet:
             return np.broadcast_to(inverse_metric(self.g[0], self.point[0]), self.g.shape)
         return inverse_metric(self.g, self.point)
 
+    def flat_zeros(self, rank: int) -> np.ndarray:
+        """A member of a flat jet built from its connection: exact zeros (+0.0) with `rank`
+        axes of length n after the point axis (rank 0 is a scalar). g^-1 is read first, as
+        the curved member reads it through Gamma, so that a singular constant metric fails
+        at the same point."""
+        self.ginv
+        return np.zeros(self.point.shape[:-1] + (self.n,) * rank)[()]
+
     @_zero_if_flat(3)
     def gamma(self) -> np.ndarray:
         return christoffel(self.ginv, self.dg)
@@ -478,7 +480,7 @@ class MetricJet:
     @cached_property
     def ddg(self) -> np.ndarray:
         return _join(self._derivative(2, self.g[rows], self.g_nodes2[:, rows])
-                     for rows in self._chunks(2, self.g_fn))
+                     for rows in self._chunks(2))
 
     def dddg(self, rows=...) -> np.ndarray:
         """d_a d_b d_c g at the points of `rows`, anew on each call: nabla Ricci reads it once per
@@ -504,7 +506,7 @@ class MetricJet:
                - cross - np.swapaxes(cross, -5, -4))
         return contract("...ht,...abtij->...abhij", ginv, rhs)
 
-    @_zero_if_flat(4, 4, 2, 0)
+    @cached_property
     def curvature(self) -> CurvaturePack:
         return riemann(self)
 
@@ -512,7 +514,7 @@ class MetricJet:
     def cov_ricci(self) -> np.ndarray:
         """cov_ricci[..., a, j, i] = (nabla_a S)_ji, with d_a S_ji = d_a R_hji^h from the order-3
         jet, one chunk of points at a time."""
-        return _join(self._cov_ricci(rows) for rows in self._chunks(3, self.g_fn))
+        return _join(self._cov_ricci(rows) for rows in self._chunks(3))
 
     def _cov_ricci(self, rows) -> np.ndarray:
         G, dG, ddG = self.gamma[rows], self.dgamma[rows], self.ddgamma(rows)
@@ -627,13 +629,15 @@ class PointContext(MetricJet):
 
     @cached_property
     def covcov_omega(self) -> np.ndarray:
-        """covcov[..., a, b, i, m] = (nabla_a nabla_b w)_im, one chunk of points at a time."""
-        return _join(self._covcov_omega(rows) for rows in self._chunks(2, self.g_fn, self.j_fn))
+        """covcov[..., a, b, i, m] = (nabla_a nabla_b w)_im, one chunk of points at a time;
+        exact zeros on a flat jet whose J_M is constant too, where w is constant."""
+        if self.flat and _constant(self.j_fn):
+            return self.flat_zeros(4)
+        return _join(self._covcov_omega(rows) for rows in self._chunks(2))
 
     def _covcov_omega(self, rows) -> np.ndarray:
         """nabla nabla w at the points of `rows`, from the order-2 jet of w: d_a (nabla_b w) is
-        d_a d_b w plus d_a of the connection terms of nabla_b w (`_nabla`). When J_M is
-        constant too, w has one node value per point and its jet is zeros (`_derivative`)."""
+        d_a d_b w plus d_a of the connection terms of nabla_b w (`_nabla`)."""
         w = self.omega[rows]
         J_nodes = self._at_nodes(self.j_fn, self.J[rows], 2, rows)
         w_nodes = np.swapaxes(J_nodes, -1, -2) @ self.g_nodes2[:, rows]

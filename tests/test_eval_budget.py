@@ -283,39 +283,49 @@ def test_one_first_derivative_stencil_per_point(monkeypatch):
     assert counts["g"] == counts["jm"] + len(points) * len(ctx._table(2)[0])
 
 
-# (command, fixture) -> (christoffel calls, riemann calls, rows inverted, contexts built) in one
-# `verify --suite all` (the context of the sample points) or `curvature` (the context of a
-# point 40 % of the way across each axis) on a fresh fixture. A constant metric is flat: it
-# forms no Christoffel symbol and no Riemann tensor, and inverts g at one point per context.
-# Before the flat rule, verify took (1, 1, 10, 1) on flat-k3 and (1, 1, 16, 1) on negative,
-# one row per sample point, and curvature (1, 1, 1, 1) on both. s2 is curved: one stack of
-# Christoffel symbols, one Riemann tensor and every point inverted, as before.
+# (command, fixture) -> (christoffel calls, riemann calls, contractions made inside riemann,
+# rows inverted, contexts built) in one `verify --suite all` (the context of the sample
+# points) or `curvature` (the context of a point 40 % of the way across each axis) on a fresh
+# fixture. A constant metric is flat: it forms no Christoffel symbol, its curvature is the
+# zeros `riemann` returns with no algebra, and it inverts g at one point per context; verify
+# on negative reads no curvature at all, since its Kähler rows are gated and H and Ricci-star
+# are zeros of their own. Before the flat rule, verify took (1, 1, 4, 10, 1) on flat-k3 and
+# (1, 1, 4, 16, 1) on negative, one row per sample point, and curvature (1, 1, 5, 1, 1) on
+# both. s2 is curved: one stack of Christoffel symbols and one Riemann tensor (which forms
+# d Gamma, and in curvature Gamma too, on its first read), and every point inverted, as before.
 CONNECTION_WORK = {
-    ("verify", "flat-k3"): (0, 0, 1, 1),
-    ("curvature", "flat-k3"): (0, 0, 1, 1),
-    ("verify", "negative"): (0, 0, 1, 1),
-    ("curvature", "negative"): (0, 0, 1, 1),
-    ("verify", "s2"): (1, 1, 13, 1),
-    ("curvature", "s2"): (1, 1, 1, 1),
+    ("verify", "flat-k3"): (0, 1, 0, 1, 1),
+    ("curvature", "flat-k3"): (0, 1, 0, 1, 1),
+    ("verify", "negative"): (0, 0, 0, 1, 1),
+    ("curvature", "negative"): (0, 1, 0, 1, 1),
+    ("verify", "s2"): (1, 1, 6, 13, 1),
+    ("curvature", "s2"): (1, 1, 7, 1, 1),
 }
 
 
 @pytest.mark.parametrize("command,name", sorted(CONNECTION_WORK))
 def test_flat_metric_forms_no_connection(command, name, monkeypatch):
-    """The Christoffel symbols, Riemann tensors and inverted rows of g of one CLI run."""
-    counts = {"christoffel": 0, "riemann": 0, "rows": 0, "contexts": 0}
+    """The Christoffel symbols, Riemann tensors, curvature contractions and inverted rows of
+    g of one CLI run."""
+    counts = {"christoffel": 0, "riemann": 0, "in_riemann": 0, "rows": 0, "contexts": 0}
+    inside = []
 
     def counted(module, fn_name, key, rows=lambda *args: 1):
         fn = getattr(module, fn_name)
 
         def call(*args, **kwargs):
             counts[key] += rows(*args)
-            return fn(*args, **kwargs)
+            inside.append(key)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
 
         monkeypatch.setattr(module, fn_name, call)
 
     counted(diffcalc, "christoffel", "christoffel")
     counted(diffcalc, "riemann", "riemann")
+    counted(diffcalc, "contract", "in_riemann", lambda *args: "riemann" in inside)
     counted(diffcalc, "inverse_metric", "rows", lambda g, *rest: len(g.reshape(-1, *g.shape[-2:])))
     counted(metallic, "PointContext", "contexts")
     fx = BUILDERS[name]()
