@@ -44,16 +44,16 @@ constant field are exactly 0.0 too, so marking a field changes no value.
 
 A constant g makes the jet flat (`MetricJet.flat`): its connection
 vanishes, and so does everything built from it. Such a jet inverts g at
-its first point and broadcasts that row (read-only) to the stack;
-Gamma, d Gamma, the curvature pack (`riemann` returns it as such), H,
-Ricci-star and nabla Ricci, and nabla nabla w when J_M is constant too,
-are exact zeros (+0.0) formed with no algebra (`MetricJet.flat_zeros`),
-and every other covariant derivative (nabla J_M, nabla w, nabla nabla w)
-is its plain partials plus 0.0 (`_nabla`). On a constant g those Gamma
-terms are +0.0 to the bit, so adding 0.0, which turns a -0.0 partial
-into +0.0 as they do, changes no value either. Every flat member reads g^-1 first, as
-the curved ones do through Gamma, so a singular constant metric fails at
-the same point.
+its first point and broadcasts that row (read-only) to the stack.
+Gamma, d Gamma, the curvature pack (`riemann` returns it so), H,
+Ricci-star, nabla Ricci, and nabla nabla w when J_M is constant too, are
+exact zeros (+0.0) formed with no algebra (`MetricJet.flat_zeros`); any
+other covariant derivative (nabla J_M, nabla w, nabla nabla w) is its
+plain partials plus 0.0 (`MetricJet.flat_nabla`). On a constant g those
+Gamma terms are +0.0 to the bit, so adding 0.0, which turns a -0.0
+partial into +0.0 as they do, changes no value either. Every flat member
+reads g^-1 first, as the curved ones do through Gamma, so a singular
+constant metric fails at the same point.
 
 A jet serves one point (n,) or a stack of points (m, n): every member
 carries the stack's point axis first, written with leading `...` axes, so
@@ -96,7 +96,7 @@ PointContext computes each order once and is read-only afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
@@ -324,20 +324,6 @@ def _constant(fn) -> bool:
     return getattr(fn, "constant", False)
 
 
-def _zero_if_flat(rank: int):
-    """A cached member of a MetricJet that on a flat jet is exact zeros with `rank` axes of
-    length n after the point axis (`MetricJet.flat_zeros`), and on a curved one the
-    method's value."""
-    def member(method):
-        @wraps(method)
-        def value(self):
-            return self.flat_zeros(rank) if self.flat else method(self)
-
-        return cached_property(value)
-
-    return member
-
-
 def _from_order1(key: str, doc: str | None = None) -> property:
     """A member of a MetricJet read off its order-1 quantities."""
     return property(lambda self: self._order1[key], doc=doc)
@@ -457,19 +443,16 @@ class MetricJet:
         self.ginv
         return np.zeros(self.point.shape[:-1] + (self.n,) * rank)[()]
 
-    @_zero_if_flat(3)
-    def gamma(self) -> np.ndarray:
-        return christoffel(self.ginv, self.dg)
-
-    def _nabla(self, d: np.ndarray, curved) -> np.ndarray:
-        """A covariant derivative whose plain partials are d: curved(d), which adds the Gamma
-        terms, on a curved jet, and d + 0.0 on a flat one, whose Gamma terms are exact zeros
-        (+0.0): adding 0.0 turns a -0.0 partial into +0.0 as they do. g^-1 is read either
-        way."""
-        if not self.flat:
-            return curved(d)
+    def flat_nabla(self, d: np.ndarray) -> np.ndarray:
+        """A covariant derivative on a flat jet, whose plain partials are d: d + 0.0, since its
+        Gamma terms are exact zeros (+0.0), and adding 0.0 turns a -0.0 partial into +0.0 as
+        they do. g^-1 is read first, as for `flat_zeros`."""
         self.ginv
         return d + 0.0
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return self.flat_zeros(3) if self.flat else christoffel(self.ginv, self.dg)
 
     @cached_property
     def g_nodes2(self) -> np.ndarray:
@@ -488,9 +471,11 @@ class MetricJet:
         g = self.g[rows]
         return self._derivative(3, g, self.g_nodes2[:, rows], self._at_nodes(self.g_fn, g, 3, rows))
 
-    @_zero_if_flat(4)
+    @cached_property
     def dgamma(self) -> np.ndarray:
         """dgamma[..., a, h, i, j] = d_a Gamma^h_ij, from g d_a Gamma = d_a L / 2 - d_a g Gamma."""
+        if self.flat:
+            return self.flat_zeros(4)
         rhs = (0.5 * np.einsum("...aitj->...atij", _first_kind(self.ddg))
                - contract("...ats,...sij->...atij", self.dg, self.gamma))
         return contract("...ht,...atij->...ahij", self.ginv, rhs)
@@ -510,10 +495,12 @@ class MetricJet:
     def curvature(self) -> CurvaturePack:
         return riemann(self)
 
-    @_zero_if_flat(3)
+    @cached_property
     def cov_ricci(self) -> np.ndarray:
         """cov_ricci[..., a, j, i] = (nabla_a S)_ji, with d_a S_ji = d_a R_hji^h from the order-3
         jet, one chunk of points at a time."""
+        if self.flat:
+            return self.flat_zeros(3)
         return _join(self._cov_ricci(rows) for rows in self._chunks(3))
 
     def _cov_ricci(self, rows) -> np.ndarray:
@@ -573,7 +560,9 @@ class PointContext(MetricJet):
     @cached_property
     def covJ(self) -> np.ndarray:
         """covJ[..., a, h, i] = (nabla_a J)_i^h."""
-        return self._nabla(self.dJ, lambda d: covariant_derivative(d, self.J, "ud", self.gamma))
+        if self.flat:
+            return self.flat_nabla(self.dJ)
+        return covariant_derivative(self.dJ, self.J, "ud", self.gamma)
 
     @cached_property
     def sym_covJ(self) -> np.ndarray:
@@ -588,8 +577,9 @@ class PointContext(MetricJet):
     @cached_property
     def cov_omega(self) -> np.ndarray:
         """(nabla_a w)_im computed directly from w at the nodes (independent of F)."""
-        return self._nabla(self.dw, lambda d: covariant_derivative(d, self.omega, "dd",
-                                                                   self.gamma))
+        if self.flat:
+            return self.flat_nabla(self.dw)
+        return covariant_derivative(self.dw, self.omega, "dd", self.gamma)
 
     @cached_property
     def N(self) -> np.ndarray:
@@ -597,7 +587,7 @@ class PointContext(MetricJet):
 
     # --- curvature ---
 
-    @_zero_if_flat(2)
+    @cached_property
     def H(self) -> np.ndarray:
         """H_ji = R_hji^t (J_M)_t^h, the curvature/2-form contraction.
 
@@ -605,12 +595,16 @@ class PointContext(MetricJet):
         identity nabla_h nabla_j (J_M)_i^h = S_jt (J_M)_i^t - H_ji; raising
         the 2-form's slots in the opposite order flips the sign.
         """
+        if self.flat:
+            return self.flat_zeros(2)
         return contract("...hjit,...ht->...ji", self.curvature.Rup, self.J)
 
-    @_zero_if_flat(2)
+    @cached_property
     def Sstar(self) -> np.ndarray:
         """Ricci-star: S*_ji = -H_jt (J_M)_i^t, as 0 - H J_M, which unlike -(H J_M) gives a
         zero entry as +0.0."""
+        if self.flat:
+            return self.flat_zeros(2)
         return 0.0 - contract("...jt,...ti->...ji", self.H, self.J)
 
     @cached_property
@@ -637,16 +631,16 @@ class PointContext(MetricJet):
 
     def _covcov_omega(self, rows) -> np.ndarray:
         """nabla nabla w at the points of `rows`, from the order-2 jet of w: d_a (nabla_b w) is
-        d_a d_b w plus d_a of the connection terms of nabla_b w (`_nabla`)."""
+        d_a d_b w plus d_a of the connection terms of nabla_b w, which a flat jet drops
+        (`flat_nabla`)."""
         w = self.omega[rows]
         J_nodes = self._at_nodes(self.j_fn, self.J[rows], 2, rows)
         w_nodes = np.swapaxes(J_nodes, -1, -2) @ self.g_nodes2[:, rows]
         del J_nodes
-
-        def curved(ddw):
-            gamma = self.gamma[rows]
-            d_cov = (ddw + _cov_correct(self.dw[rows], "dd", gamma[..., None, :, :, :])
-                     + _cov_correct(w[..., None, :, :], "dd", self.dgamma[rows]))
-            return covariant_derivative(d_cov, self.cov_omega[rows], "ddd", gamma)
-
-        return self._nabla(self._derivative(2, w, w_nodes), curved)
+        ddw = self._derivative(2, w, w_nodes)
+        if self.flat:
+            return self.flat_nabla(ddw)
+        gamma = self.gamma[rows]
+        d_cov = (ddw + _cov_correct(self.dw[rows], "dd", gamma[..., None, :, :, :])
+                 + _cov_correct(w[..., None, :, :], "dd", self.dgamma[rows]))
+        return covariant_derivative(d_cov, self.cov_omega[rows], "ddd", gamma)
