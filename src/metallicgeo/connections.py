@@ -64,8 +64,7 @@ def no_second_type(bundle: StructureBundle) -> str:
 
 
 # kind -> why the bundle has no connection of that kind, "" when it has one
-_GATES = {"first": lambda bundle: not_hermitian(bundle) and f"connection {not_hermitian(bundle)}",
-          "second": no_second_type}
+_GATES = {"first": not_hermitian, "second": no_second_type}
 
 
 def _levi(bundle: StructureBundle) -> bool:

@@ -267,15 +267,17 @@ def inverse_metric(g: np.ndarray, point=None) -> np.ndarray:
     stack of points, used to name the first row whose metric is singular.
     The metric counts as singular when |det g| is at most DET_TOL times
     Hadamard's bound, the product of the row norms: both scale alike under
-    g -> c g, so the test does not depend on the units of the coordinates.
+    g -> c g, so the test does not depend on the units of the coordinates. An
+    inverse that is not finite (a subnormal g underflows the bound) is singular.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[-1]
     singular = np.abs(np.linalg.det(g)) <= DET_TOL * np.prod(np.linalg.norm(g, axis=-1), axis=-1)
     if not singular.any():
         ginv = np.linalg.inv(g)
-        residual = np.abs(g @ ginv - np.eye(n)).reshape(singular.shape + (-1,)).max(axis=-1)
-        singular = residual > 1e-10
+        singular = ~np.isfinite(ginv).all(axis=(-2, -1))
+    if not singular.any():
+        singular = np.abs(g @ ginv - np.eye(n)).max(axis=(-2, -1)) > 1e-10
         if not singular.any():
             return ginv
     first = np.unravel_index(np.argmax(singular), singular.shape)

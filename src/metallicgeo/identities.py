@@ -17,11 +17,12 @@ in `metallic`, whose classification residuals are one more such table.
 One gate rule holds for every row, the connection rows included: a gate is
 a function of the bundle that returns why the bundle is outside the row's
 hypothesis class ("" inside it), and a gated row is reported skipped with
-that reason, never failed. Rows marked asserted=False are report-only:
-they evaluate statements whose classical coefficients are known to close
-only for special parameter values, so their pass flags are informational
-and do not drive exit codes. A check is a function only where a table
-does not suffice: a conditional note (`check_covderiv_identities`), an
+that reason, never failed. Every row of a table here names one of the
+gates below, so an asserted row fails only inside its hypothesis. Rows
+marked asserted=False are report-only: they evaluate statements whose
+classical coefficients are known to close only for special parameter
+values, so their pass flags are informational and do not drive exit
+codes. A check is a function only where a table does not suffice: an
 absolute bound (`check_scalar_star`), an observation quoted in a note
 (`check_divergence_ricci_chain`), and the checks that
 `perfbench/tracing.py` times by name, which the suites call as module
@@ -50,10 +51,10 @@ from .metallic import (Identity, IdentityResult, StructureBundle, VERDICT_KAHLER
                        _result, _skip, evaluate)
 
 __all__ = [
-    "not_hermitian", "not_kahler", "not_nearly",
-    "F_HERMITIAN", "F_NIJENHUIS_BALANCE", "EXTERIOR_CROSS", "RICCI_PAIR", "F_NEARLY",
+    "not_metallic", "not_hermitian", "not_kahler", "not_nearly",
+    "COVDERIV", "F_HERMITIAN", "F_NIJENHUIS_BALANCE", "EXTERIOR_CROSS", "RICCI_PAIR", "F_NEARLY",
     "NEARLY_NIJENHUIS", "STAR_PACK", "RICCI_HYPERBOLIC", "RICCI_STAR_HYPERBOLIC",
-    "check_covderiv_identities", "check_curvature_commutation", "check_ricci_derivative_cycle",
+    "check_curvature_commutation", "check_ricci_derivative_cycle",
     "check_divergence_ricci_chain", "check_scalar_star", "run_suite", "SUITES",
 ]
 
@@ -65,6 +66,7 @@ def _gate(admits: Callable, reason: str) -> Callable[[StructureBundle], str]:
     return lambda bundle: "" if admits(bundle.classification()) else reason
 
 
+not_metallic = _gate(lambda cls: cls.rows["polynomial"].passed, "needs a metallic structure")
 not_hermitian = _gate(lambda cls: cls.verdict != VERDICT_NONE,
                       "needs an almost metallic Hermitian bundle")
 not_kahler = _gate(lambda cls: cls.verdict == VERDICT_KAHLER, "needs a metallic Kähler bundle")
@@ -95,32 +97,28 @@ def _cartan_sum(F: np.ndarray) -> np.ndarray:
 # --- first-derivative identities -------------------------------------------------
 
 
-def check_covderiv_identities(bundle: StructureBundle) -> list:
-    """Two facts about nabla J_M on a skew-compatible bundle.
+def _f_skew(ctx) -> tuple:
+    """F(X,Y,Z) = -F(X,Z,Y), with the norm of F as its scale."""
+    return _skew_part(ctx.F)
 
-    (i) (nabla_X J_M) J_M Y = (pI - J_M)(nabla_X J_M) Y is algebraic: it only
-    needs the polynomial identity, so it is checked on any bundle that
-    satisfies it. (ii) g((nabla_X J_M) Y, Z) = -g(Y, (nabla_X J_M) Z)
-    additionally needs skew compatibility; on a non-hyperbolic bundle it is
-    still evaluated so the failure scale is visible in the report.
-    """
-    exchange, skew = evaluate(bundle, (
-        Identity("covderiv-conjugate-exchange", None, "d1",
-                 lambda ctx: _diff(contract("...aht,...tj->...ajh", ctx.covJ, ctx.J),
-                                   contract("...ht,...atj->...ajh", ctx.Jhat, ctx.covJ))),
-        Identity("covderiv-skew-adjoint", None, "d1",
-                 lambda ctx: (ctx.F + np.einsum("...ajk->...akj", ctx.F), ctx.F)),
-    ))
-    if not_hermitian(bundle):
-        skew = replace(skew, note="requires skew compatibility")
-    return [exchange, skew]
+
+# Two facts about nabla J_M. (nabla_X J_M) J_M Y = (pI - J_M)(nabla_X J_M) Y is the
+# derivative of the polynomial identity J_M^2 - p J_M + (3q/2) I = 0 alone, so it needs only
+# a metallic structure. g((nabla_X J_M) Y, Z) = -g(Y, (nabla_X J_M) Z) also needs skew
+# compatibility: it states F(X,Y,Z) = -F(X,Z,Y), as f-skew-last-args does, so both rows
+# name one function and `evaluate` forms its array once.
+COVDERIV = (
+    Identity("covderiv-conjugate-exchange", not_metallic, "d1",
+             lambda ctx: _diff(contract("...aht,...tj->...ajh", ctx.covJ, ctx.J),
+                               contract("...ht,...atj->...ajh", ctx.Jhat, ctx.covJ))),
+    Identity("covderiv-skew-adjoint", not_hermitian, "d1", _f_skew),
+)
 
 
 # F(X, Y, Z) = g((nabla_X J_M) Y, Z) under structure rescaling, on an almost metallic
 # Hermitian bundle: F(X,Y,Z) = -F(X,Z,Y) and F(X, J_M Y, J_M Z) = (3/2) q F(X,Z,Y).
 F_HERMITIAN = (
-    Identity("f-skew-last-args", not_hermitian, "d1",
-             lambda ctx: (ctx.F + np.einsum("...ijk->...ikj", ctx.F), ctx.F)),
+    Identity("f-skew-last-args", not_hermitian, "d1", _f_skew),
     Identity("f-structure-pair-rescale", not_hermitian, "d1",
              lambda ctx: _diff(_structure_pair(ctx.F, ctx.J),
                                1.5 * ctx.q * np.einsum("...ikj->...ijk", ctx.F))),
@@ -148,11 +146,9 @@ F_NIJENHUIS_BALANCE = (Identity("f-nijenhuis-dw-balance", not_hermitian, "d1", _
 # computation paths for the same 3-form content. With the conventions of this package the
 # coordinate dw equals MINUS the displayed cyclic sum; that one orientation is asserted, so
 # a sign error in either path fails the row.
-EXTERIOR_CROSS = (Identity(
-    "dw-cartan-cross-check",
-    lambda b: not_hermitian(b) and "the cyclic-sum form needs skew compatibility", "d1",
-    lambda ctx: _diff(ctx.domega, -_cartan_sum(ctx.F)),
-    note="matching orientation: dw = -cartan-sum"),)
+EXTERIOR_CROSS = (Identity("dw-cartan-cross-check", not_hermitian, "d1",
+                           lambda ctx: _diff(ctx.domega, -_cartan_sum(ctx.F)),
+                           note="matching orientation: dw = -cartan-sum"),)
 
 
 # --- curvature-tier identities ---------------------------------------------------
@@ -310,11 +306,12 @@ def _star_contraction(ctx) -> tuple:
     return lhs + 1.5 * ctx.q * ctx.H, lhs, 1.5 * ctx.q * ctx.H
 
 
-# H antisymmetry (curvature tier) and the purely algebraic conjugate contraction
-# S*_jt (JMhat)_i^t = -(3/2) q H_ji (algebraic tier), on every bundle.
+# H antisymmetry (curvature tier), which needs skew compatibility, and the conjugate
+# contraction S*_jt (JMhat)_i^t = -(3/2) q H_ji (algebraic tier), which follows from
+# J_M JMhat = (3q/2) I, the polynomial identity alone.
 STAR_PACK = (
-    Identity("h-antisymmetry", None, "d2", lambda ctx: _skew_part(ctx.H)),
-    Identity("star-conjugate-contraction", None, "alg", _star_contraction),
+    Identity("h-antisymmetry", not_hermitian, "d2", lambda ctx: _skew_part(ctx.H)),
+    Identity("star-conjugate-contraction", not_metallic, "alg", _star_contraction),
 )
 
 
@@ -417,8 +414,7 @@ def check_scalar_star(bundle: StructureBundle) -> list:
 
 def suite_metallic(bundle: StructureBundle) -> list:
     return [
-        *check_covderiv_identities(bundle),
-        *evaluate(bundle, F_HERMITIAN + F_NIJENHUIS_BALANCE + EXTERIOR_CROSS),
+        *evaluate(bundle, COVDERIV + F_HERMITIAN + F_NIJENHUIS_BALANCE + EXTERIOR_CROSS),
         *check_curvature_commutation(bundle),
         *evaluate(bundle, RICCI_PAIR),
         *check_ricci_derivative_cycle(bundle),

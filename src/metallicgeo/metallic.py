@@ -43,8 +43,8 @@ VERDICT_NEARLY = "nearly metallic Kähler"
 
 @dataclass(frozen=True)
 class MetallicParams:
-    """Admissible structure parameters: q > 0 and p^2 < 6q, with (3q/2)^2 finite (the
-    highest power of q a check forms; past it a residual would overflow to inf or NaN)."""
+    """Admissible structure parameters: q > 0 and p^2 < 6q, with (3q/2)^2 and 2/(3q) finite
+    (the extreme powers a check forms; past them a residual would overflow to inf or NaN)."""
 
     p: float
     q: float
@@ -53,6 +53,8 @@ class MetallicParams:
         if not (0.0 < self.q and math.isfinite(1.5 * self.q * 1.5 * self.q)):
             raise ValueError(f"q must be strictly positive and finite, with (3q/2)^2 finite,"
                              f" got {self.q:g}")
+        if not math.isfinite(2.0 / (3.0 * self.q)):
+            raise ValueError(f"q is too small: 2/(3q) is not finite, got {self.q:g}")
         if not (self.p * self.p < 6.0 * self.q):
             raise ValueError("p must satisfy -sqrt(6q) < p < sqrt(6q)")
 

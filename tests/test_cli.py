@@ -12,6 +12,7 @@ import pytest
 
 from metallicgeo import connections, identities, metallic, zoo
 from metallicgeo.cli import main, make_parser, report_json
+from metallicgeo.specfile import build_bundle, parse_spec
 
 
 def run(capsys, *argv):
@@ -238,6 +239,13 @@ DISK = (
     (None, ["classify", "--zoo", "s2", "--q", "1e307"], 2, "with (3q/2)^2 finite, got 1e+307"),
     (None, ["classify", "--zoo", "s2", "--q", "1e10"], 3,
      "fixture s2 at q = 1e+10: polynomial identity fails"),
+    # 2/(3q) overflows: the Ricci pair and chain rows were NaN, with a RuntimeWarning, exit 3
+    (None, ["verify", "--zoo", "s2", "--q", "1e-320"], 2,
+     "q is too small: 2/(3q) is not finite, got 9.99989e-321"),
+    # Hadamard's bound underflows to 0 and g^-1 holds inf: g @ g^-1 warned and held NaN, and
+    # max_cov_jm was blamed for it
+    (dict(GOOD, g00="1e-320"), ["verify", "SPEC", "--suite", "all"], 3,
+     "singular metric (|det g| <= 1e-10 x product of its row norms) at point [-0.95, -0.95]"),
     (SPEC_2D.format(**dict(GOOD, dim=4, bounds="-1 1, -1 1, -1 1, -1 1")) + "point a = 0.1 0.2\n",
      [], 2, "line 9, offset 11: named point 'a' needs 4 coordinates, got 2"),
     (GOOD_SPEC + "point a = 0.1\n", [], 2,
@@ -259,7 +267,7 @@ DISK = (
         "nan-bound", "infinite-bound", "nan-margin", "nan-step-spec", "zero-step-spec",
         "nan-step-flag", "tiny-step-flag", "negative-tolerance-spec", "negative-tolerance-flag",
         "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "infinite-q",
-        "q-1e308", "q-1e307", "q-1e10", "short-point-4d", "short-point-2d", "negative-grid",
+        "q-1e308", "q-1e307", "q-1e10", "q-1e-320", "subnormal-metric", "short-point-4d", "short-point-2d", "negative-grid",
         "point-outside-margin", "repeated-metric-entry", "repeated-structure-entry",
         "repeated-point", "repeated-setting"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
@@ -425,6 +433,37 @@ def test_value_that_is_not_finite_names_its_point(spoil, command, message, first
     point = zoo.get("s6").bundle.sample_points[0].tolist() if first else [0.0] * 6
     assert (code, out) == (3, "")
     assert err == f"numerical failure: {message} is {value} at point {point}\n"
+
+
+# s2 with one entry changed. g00 = 1e5 keeps the polynomial identity and breaks skew
+# compatibility; the sheared j01 breaks both. The classifier calls either bundle "not
+# metallic-Hermitian", and each row listed here ran outside its hypothesis and failed
+# (exit 1, an asserted identity failed) until it was gated.
+@pytest.mark.parametrize("old,new,gated", [
+    ("g[0][0] = 4/(1 + (x0^2 + x1^2))^2", "g[0][0] = 1e5",
+     {"covderiv-skew-adjoint": identities.not_hermitian,
+      "h-antisymmetry": identities.not_hermitian}),
+    ("j[0][1] = -1", "j[0][1] = -1 - 0.3*x0",
+     {"covderiv-conjugate-exchange": identities.not_metallic,
+      "covderiv-skew-adjoint": identities.not_hermitian,
+      "h-antisymmetry": identities.not_hermitian,
+      "star-conjugate-contraction": identities.not_metallic}),
+], ids=["skew-compatibility-fails", "polynomial-fails"])
+def test_rows_outside_their_hypothesis_skip_with_its_reason(old, new, gated, tmp_path, capsys):
+    text = zoo.get("s2").spec_text
+    assert old in text
+    path = tmp_path / "s2-mutated.spec"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    bundle = build_bundle(parse_spec(path.read_text(encoding="utf-8")))
+    code, out, err = run(capsys, "verify", str(path), "--suite", "all", "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["classification"]["verdict"] == metallic.VERDICT_NONE
+    rows = {row["id"]: row for row in report["identities"]}
+    for id_, gate in gated.items():
+        assert gate(bundle), id_
+        assert (rows[id_]["skipped"], rows[id_]["note"]) == (True, gate(bundle)), id_
+    assert all(row["skipped"] for row in rows.values() if not row["passed"])
 
 
 def test_classify_singular_metric_exit_3(tmp_path, capsys):

@@ -70,7 +70,7 @@ def test_first_type_gate():
     assert res["first-type-preserves-omega"].skipped
     assert res["first-type-preserves-omega"].note == reason
     assert res["second-type-connection"].skipped
-    assert connection_report(bundle)["connections"]["first"] == {"skipped": f"connection {reason}"}
+    assert connection_report(bundle)["connections"]["first"] == {"skipped": reason}
 
 
 def test_second_type_levi_civita_branch_on_s2():

@@ -7,6 +7,7 @@ import pytest
 from metallicgeo import identities, zoo
 from metallicgeo.geometry import Chart, TensorField, max_abs
 from metallicgeo.identities import (
+    COVDERIV,
     EXTERIOR_CROSS,
     F_HERMITIAN,
     F_NEARLY,
@@ -16,17 +17,17 @@ from metallicgeo.identities import (
     RICCI_PAIR,
     RICCI_STAR_HYPERBOLIC,
     STAR_PACK,
-    check_covderiv_identities,
     check_curvature_commutation,
     check_divergence_ricci_chain,
     check_ricci_derivative_cycle,
     check_scalar_star,
     evaluate,
     not_hermitian,
+    not_metallic,
     not_nearly,
     run_suite,
 )
-from metallicgeo.metallic import MetallicParams, StructureBundle
+from metallicgeo.metallic import Identity, MetallicParams, StructureBundle
 from oracles import const_field
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected_identities.json"
@@ -58,25 +59,44 @@ def algebraic_p1_bundle():
 
 
 def test_covderiv_identities_trivial_on_flat():
-    res = by_id(check_covderiv_identities(zoo.get("flat-k1").bundle))
+    res = by_id(evaluate(zoo.get("flat-k1").bundle, COVDERIV))
     assert res["covderiv-conjugate-exchange"].max_residual < 1e-12
     assert res["covderiv-skew-adjoint"].max_residual < 1e-12
 
 
 def test_covderiv_identities_on_s6():
-    res = by_id(check_covderiv_identities(zoo.get("s6").bundle))
+    res = by_id(evaluate(zoo.get("s6").bundle, COVDERIV))
     assert res["covderiv-conjugate-exchange"].passed
     assert res["covderiv-skew-adjoint"].passed
     assert res["covderiv-conjugate-exchange"].relative < 1e-5
 
 
 def test_covderiv_exchange_passes_but_skew_fails_for_p1():
+    """The polynomial identity holds and skew compatibility does not: the exchange row, which
+    needs only the first, runs and passes; the skew row is gated by the second."""
     bundle = algebraic_p1_bundle()
-    res = by_id(check_covderiv_identities(bundle))
+    assert not_metallic(bundle) == ""
+    res = by_id(evaluate(bundle, COVDERIV))
     assert res["covderiv-conjugate-exchange"].passed  # algebraic, holds anyway
     skew = res["covderiv-skew-adjoint"]
-    assert not skew.passed
-    assert skew.max_residual > 0.05  # p-scale failure, not noise
+    assert skew.skipped and skew.note == not_hermitian(bundle)
+    assert skew.note == "needs an almost metallic Hermitian bundle"
+
+
+def test_every_identities_row_names_a_gate():
+    """One gate rule for every row: no row of a table of the `identities` module is ungated,
+    so an asserted row runs only inside its hypothesis class."""
+    gates = {identities.not_metallic, identities.not_hermitian, identities.not_kahler,
+             identities.not_nearly}
+    tables = {name: table for name, table in vars(identities).items()
+              if isinstance(table, tuple) and table
+              and all(isinstance(row, Identity) for row in table)}
+    assert set(tables) == {"COVDERIV", "F_HERMITIAN", "F_NIJENHUIS_BALANCE", "EXTERIOR_CROSS",
+                           "RICCI_PAIR", "F_NEARLY", "NEARLY_NIJENHUIS", "STAR_PACK",
+                           "RICCI_HYPERBOLIC", "RICCI_STAR_HYPERBOLIC"}
+    for name, table in tables.items():
+        for row in table:
+            assert row.gate in gates, (name, row.id)
 
 
 def test_f_properties_modes_and_gates():
@@ -103,7 +123,7 @@ def test_f_tables_skip_with_their_gate_reason():
     flat_p1 = zoo.fixture_flat(1, q=1.0, p=1.0).bundle  # fails skew compatibility
     notes = {r.note for r in evaluate(flat_p1, F_HERMITIAN + F_NIJENHUIS_BALANCE)}
     assert notes == {"needs an almost metallic Hermitian bundle"}
-    assert evaluate(flat_p1, EXTERIOR_CROSS)[0].note == "the cyclic-sum form needs skew compatibility"
+    assert evaluate(flat_p1, EXTERIOR_CROSS)[0].note == "needs an almost metallic Hermitian bundle"
 
 
 def test_balance_identity_trivial_flat():
@@ -266,7 +286,7 @@ def test_gate_discipline_reports_skipped_never_failed():
         if r.id in gated:
             assert r.skipped, r.id
         else:
-            # ungated algebraic facts run anywhere and must not fail
+            # rows behind a weaker gate, which the Hermitian bundle passes, must not fail
             assert r.skipped or r.passed, r.id
 
 
@@ -274,7 +294,7 @@ def test_algebraic_identities_pass_on_every_fixture():
     """Purely algebraic consequences hold regardless of geometry."""
     for name in zoo.names():
         bundle = zoo.get(name).bundle
-        res = by_id(check_covderiv_identities(bundle))
+        res = by_id(evaluate(bundle, COVDERIV))
         assert res["covderiv-conjugate-exchange"].relative < 1e-8, name
         star = by_id(evaluate(bundle, STAR_PACK))
         assert star["star-conjugate-contraction"].relative < 1e-8, name

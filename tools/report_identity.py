@@ -5,7 +5,7 @@
     cmp before.json after.json                                         # byte-identical, or
     python3 tools/report_identity.py --compare before.json after.json  # within tiers
 
-The snapshot holds 100 runs of ``metallicgeo.cli.main``, each with its argv,
+The snapshot holds 104 runs of ``metallicgeo.cli.main``, each with its argv,
 exit code, stderr, raw stdout and parsed JSON report. ``timing_s`` is the
 one field a report does not promise to repeat: its value is masked in the
 stdout and the field is removed from the parsed report. The raw stdout
@@ -37,6 +37,11 @@ report. The runs are:
   with off-diagonal entries of both signs in dimension 4. Its g^-1 has
   signs too, so an entry of a zero contraction could round to ``-0.0``,
   which a report spells apart from ``0.0``;
+* ``classify`` and ``verify --suite all`` on two copies of the s2 spec with one entry
+  changed (``S2_MUTATIONS``), so that the lowest verdict, "not metallic-Hermitian", is
+  covered: ``g[0][0] = 1e5`` keeps the polynomial identity and breaks skew compatibility,
+  and a sheared ``j[0][1]`` breaks both. Every asserted row these bundles are outside of
+  is reported skipped with its gate's reason;
 * one ``--format text`` run of each command on a zoo fixture.
 
 Spec files are copied into a fresh directory that becomes the working
@@ -119,6 +124,9 @@ j[2][3] = -2
 j[3][2] = 1
 j[3][3] = 1
 """
+# spec file name -> (the s2 spec line it replaces, the new line)
+S2_MUTATIONS = {"s2-skew-broken.spec": ("g[0][0] = 4/(1 + (x0^2 + x1^2))^2", "g[0][0] = 1e5"),
+                "s2-sheared.spec": ("j[0][1] = -1", "j[0][1] = -1 - 0.3*x0")}
 TIMING = re.compile(r'^(\s*"timing_s": ).*$', re.MULTILINE)  # its value is masked in stdout
 
 
@@ -179,6 +187,10 @@ def runs(repo: Path, zoo) -> tuple:
               ["verify", "flat-skew.spec", "--suite", "all", "--format", "json"],
               ["verify", "flat-skew.spec", "--q", "1.5", "--suite", "all", "--format", "json"],
               ["curvature", "flat-skew.spec", f"--point={point}", "--format", "json"]]
+    for name, (line, mutated) in S2_MUTATIONS.items():
+        specs[name] = specs["s2.spec"].replace(line, mutated)
+        argvs += [["classify", name, "--format", "json"],
+                  ["verify", name, "--suite", "all", "--format", "json"]]
     point = interior_point(zoo.get("s2").bundle.chart.bounds)
     argvs += [["classify", "--zoo", "negative", "--format", "text"],
               ["verify", "--zoo", "s6", "--suite", "all", "--format", "text"],
