@@ -52,8 +52,9 @@ EXIT_NUMERIC = 3
 
 
 class InputError(Exception):
-    """A spec file that cannot be read, or a chart, structure parameter, step or tolerance
-    that the engine rejects (exit 2)."""
+    """A spec file that cannot be read, a chart, structure parameter, step or tolerance
+    that the engine rejects, or a `--point` that is not numbers or has the wrong number of
+    coordinates (exit 2)."""
 
 
 def _bundle_from_args(args, draw_samples: bool = True) -> tuple[StructureBundle, dict]:
@@ -271,12 +272,10 @@ def cmd_curvature(args) -> int:
     try:
         point = np.array([float(tok) for tok in args.point.split(",")], dtype=float)
     except ValueError:
-        print("error: --point needs comma-separated numbers", file=sys.stderr)
-        return EXIT_PARSE
+        raise InputError("--point needs comma-separated numbers") from None
     if point.size != bundle.chart.dimension:
-        print(f"error: point has {point.size} coordinates, chart dimension is "
-              f"{bundle.chart.dimension}", file=sys.stderr)
-        return EXIT_PARSE
+        raise InputError(f"point has {point.size} coordinates, chart dimension is "
+                         f"{bundle.chart.dimension}")
     ctx = bundle.context(point)
     pack = ctx.curvature
     report = _base_report(bundle, source)

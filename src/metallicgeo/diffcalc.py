@@ -47,13 +47,9 @@ vanishes, and so does everything built from it. Such a jet inverts g at
 its first point and broadcasts that row (read-only) to the stack.
 Gamma, d Gamma, the curvature pack (`riemann` returns it so), H,
 Ricci-star, nabla Ricci, and nabla nabla w when J_M is constant too, are
-exact zeros (+0.0) formed with no algebra (`MetricJet.flat_zeros`); any
-other covariant derivative (nabla J_M, nabla w, nabla nabla w) is its
-plain partials plus 0.0 (`MetricJet.flat_nabla`). On a constant g those
-Gamma terms are +0.0 to the bit, so adding 0.0, which turns a -0.0
-partial into +0.0 as they do, changes no value either. Every flat member
-reads g^-1 first, as the curved ones do through Gamma, so a singular
-constant metric fails at the same point.
+exact zeros (+0.0) formed with no algebra (`MetricJet.flat_zeros`), which
+reads g^-1 first, as the curved members do, so a singular constant
+metric fails at the same point.
 
 A jet serves one point (n,) or a stack of points (m, n): every member
 carries the stack's point axis first, written with leading `...` axes, so
@@ -66,8 +62,8 @@ well, and every order-1 quantity is read off those values. They give g,
 d g, g^-1 (inverted once) and Gamma (`christoffel`, algebra on g^-1 and
 d g); J and d J; and w = J_M g at the points and the nodes, hence d w,
 nabla w (`covariant_derivative`: plain partials plus Gamma corrections)
-and dw (from the skew part of w). The node values are not kept; a
-MetricJet of any field gives its order-1 jet, `dg`. Orders 2 (axis
+and dw (the cyclic sum of the skew part of d w). The node values are not
+kept; a MetricJet of any field gives its order-1 jet, `dg`. Orders 2 (axis
 and face nodes) and 3 (adding axis nodes at 2 h2 and cube nodes) are
 built at h = h2. g is evaluated at the order-2 nodes of every point in
 one call and kept (nabla nabla w reads them); the order-2 differences,
@@ -443,13 +439,6 @@ class MetricJet:
         self.ginv
         return np.zeros(self.point.shape[:-1] + (self.n,) * rank)[()]
 
-    def flat_nabla(self, d: np.ndarray) -> np.ndarray:
-        """A covariant derivative on a flat jet, whose plain partials are d: d + 0.0, since its
-        Gamma terms are exact zeros (+0.0), and adding 0.0 turns a -0.0 partial into +0.0 as
-        they do. g^-1 is read first, as for `flat_zeros`."""
-        self.ginv
-        return d + 0.0
-
     @cached_property
     def gamma(self) -> np.ndarray:
         return self.flat_zeros(3) if self.flat else christoffel(self.ginv, self.dg)
@@ -530,15 +519,9 @@ class PointContext(MetricJet):
         the points alone when both fields are constant)."""
         J = self._stencil(self.j_fn)
         w = np.swapaxes(J, -1, -2) @ g
-        # dw differentiates the antisymmetric part of w: identical whenever the
-        # bundle is skew-compatible, and still a well-defined 2-form (hence a
-        # reportable residual) on bundles that fail that compatibility
-        skew_w = 0.5 * (w - np.swapaxes(w, -1, -2))
-        skew = self._derivative(1, skew_w[0], skew_w[1:])
         return super()._first_order(g) | {
             "J": J[0].copy(), "dJ": self._derivative(1, J[0], J[1:]),
             "omega": w[0].copy(), "dw": self._derivative(1, w[0], w[1:]),
-            "domega": skew + np.einsum("...bca->...abc", skew) + np.einsum("...cab->...abc", skew),
         }
 
     # --- algebra at the points ---
@@ -555,13 +538,18 @@ class PointContext(MetricJet):
 
     dJ = _from_order1("dJ", "dJ[..., a, h, i] = d_a (J_M)_i^h.")
     dw = _from_order1("dw", "dw[..., a, i, m] = d_a w_im.")
-    domega = _from_order1("domega", "domega[..., a, b, c] = d_a w_bc + d_b w_ca + d_c w_ab.")
+
+    @cached_property
+    def domega(self) -> np.ndarray:
+        """domega[..., a, b, c] = d_a w_bc + d_b w_ca + d_c w_ab of the skew part of w, read
+        off d w (the jet is linear): w's own on a skew-compatible bundle, and still a 2-form,
+        hence a reportable residual, on one that is not."""
+        skew = 0.5 * (self.dw - np.swapaxes(self.dw, -1, -2))
+        return skew + np.einsum("...bca->...abc", skew) + np.einsum("...cab->...abc", skew)
 
     @cached_property
     def covJ(self) -> np.ndarray:
         """covJ[..., a, h, i] = (nabla_a J)_i^h."""
-        if self.flat:
-            return self.flat_nabla(self.dJ)
         return covariant_derivative(self.dJ, self.J, "ud", self.gamma)
 
     @cached_property
@@ -577,8 +565,6 @@ class PointContext(MetricJet):
     @cached_property
     def cov_omega(self) -> np.ndarray:
         """(nabla_a w)_im computed directly from w at the nodes (independent of F)."""
-        if self.flat:
-            return self.flat_nabla(self.dw)
         return covariant_derivative(self.dw, self.omega, "dd", self.gamma)
 
     @cached_property
@@ -631,16 +617,13 @@ class PointContext(MetricJet):
 
     def _covcov_omega(self, rows) -> np.ndarray:
         """nabla nabla w at the points of `rows`, from the order-2 jet of w: d_a (nabla_b w) is
-        d_a d_b w plus d_a of the connection terms of nabla_b w, which a flat jet drops
-        (`flat_nabla`)."""
+        d_a d_b w plus d_a of the connection terms of nabla_b w."""
         w = self.omega[rows]
         J_nodes = self._at_nodes(self.j_fn, self.J[rows], 2, rows)
         w_nodes = np.swapaxes(J_nodes, -1, -2) @ self.g_nodes2[:, rows]
         del J_nodes
-        ddw = self._derivative(2, w, w_nodes)
-        if self.flat:
-            return self.flat_nabla(ddw)
         gamma = self.gamma[rows]
-        d_cov = (ddw + _cov_correct(self.dw[rows], "dd", gamma[..., None, :, :, :])
+        d_cov = (self._derivative(2, w, w_nodes)
+                 + _cov_correct(self.dw[rows], "dd", gamma[..., None, :, :, :])
                  + _cov_correct(w[..., None, :, :], "dd", self.dgamma[rows]))
         return covariant_derivative(d_cov, self.cov_omega[rows], "ddd", gamma)

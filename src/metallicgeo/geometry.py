@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 DET_TOL = 1e-10  # times Hadamard's bound on |det g|; see inverse_metric
+# most points a sample policy may name: a context keeps g at the order-2 nodes of every
+# sample point, 4n^2 n^2 8-byte numbers each (41 KB at n = 6, 170 MB for 4096 points)
+MAX_SAMPLE_POINTS = 4096
 
 
 class GeometryError(RuntimeError):
@@ -147,8 +150,9 @@ class Chart:
     deterministic per-axis grid, seeded pseudo-random interior points and
     optional named points, all kept at least `margin` away from the bounds
     so finite-difference stencils stay inside. The policy must name at least
-    8 points, which the chart checks when it is built; they are drawn once,
-    when first asked for, and at least 8 of them must be distinct.
+    8 points and at most MAX_SAMPLE_POINTS, which the chart checks when it is
+    built; they are drawn once, when first asked for, and at least 8 of them
+    must be distinct.
     """
 
     dimension: int
@@ -178,8 +182,12 @@ class Chart:
                 raise ValueError(f"named point {name!r} needs {self.dimension} coordinates, got {np.size(pt)}")
             if first_outside(pt, b, self.margin) is not None:
                 raise ValueError(f"named point {name!r} is not inside the chart margin")
-        if self.grid**self.dimension + self.n_random + len(self.named_points) < 8:
+        count = self.grid**self.dimension + self.n_random + len(self.named_points)
+        if count < 8:
             raise ValueError("sample policy must yield at least 8 points")
+        if count > MAX_SAMPLE_POINTS:
+            raise ValueError(f"sample policy must yield at most {MAX_SAMPLE_POINTS} points,"
+                             f" got {count}")
 
     @property
     def bounds_array(self) -> np.ndarray:

@@ -155,6 +155,29 @@ def test_curvature_malformed_point_exit_2(value, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value,message", [
+    ("a,0.1", "error: --point needs comma-separated numbers\n"),
+    ("0.1", "error: point has 1 coordinates, chart dimension is 2\n"),
+], ids=["not-a-number", "one-coordinate"])
+def test_curvature_malformed_point_message(value, message, capsys):
+    assert run(capsys, "curvature", "--zoo", "s2", f"--point={value}") == (2, "", message)
+
+
+# a sample policy of 40^6 grid points (dimension 6) or 10^12 random points made numpy fail to
+# allocate the sample points (183 GiB, 14.6 TiB), a MemoryError with a traceback, exit 1
+@pytest.mark.parametrize("name,old,new,count", [
+    ("flat-k3", "grid = 1\n", "grid = 40\n", 40**6 + 8 + 1),
+    ("s2", "random_points = 4\n", "random_points = 1000000000000\n", 3**2 + 10**12 + 1),
+], ids=["grid-40-dimension-6", "random-points-1e12"])
+def test_oversized_sample_policy_exit_2(name, old, new, count, tmp_path, capsys):
+    text = zoo.get(name).spec_text
+    assert old in text
+    path = tmp_path / f"{name}.spec"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert run(capsys, "verify", str(path)) == (
+        2, "", f"error: sample policy must yield at most 4096 points, got {count}\n")
+
+
 @pytest.mark.parametrize("value", ["-0.18,-0.18", "-.18,0.2"])
 def test_curvature_point_with_negative_first_coordinate(value, capsys):
     reports = []

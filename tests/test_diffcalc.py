@@ -321,3 +321,45 @@ def test_flat_member_names_the_singular_point(member):
         with pytest.raises(SingularMetricError) as err:
             getattr(ctx, member)
         assert err.value.point.tolist() == where.reshape(-1, 2)[0].tolist()
+
+
+# a constant metric with off-diagonal entries of both signs (the metric of the flat-skew spec
+# of `tools/report_identity.py`), and a J_M that varies with the point, so that the partials of
+# J_M and w, and the values the zero connection multiplies, carry signs
+SKEW_METRIC = np.array([[1.0, 0.0, -1.0, -1.0], [0.0, 1.0, 0.0, 0.0],
+                        [-1.0, 0.0, 2.0, 2.0], [-1.0, 0.0, 2.0, 3.0]])
+SKEW_J0 = np.array([[0.0, -1.0, 0.0, -1.0], [1.0, 0.0, -1.0, -1.0],
+                    [0.0, 0.0, -1.0, -2.0], [0.0, 0.0, 1.0, 1.0]])
+SKEW_K = np.array([[0.5, -1.0, 0.0, 2.0], [-0.5, 0.0, 1.5, 0.0],
+                   [0.0, 1.0, -2.0, 0.5], [1.0, 0.0, 0.0, -1.0]])
+
+
+def varying_jm(pts):
+    x = np.asarray(pts, dtype=float)
+    return (SKEW_J0 + 0.3 * np.sin(x[:, 0])[:, None, None] * SKEW_K
+            - 0.2 * (x[:, 1] * x[:, 3])[:, None, None] * SKEW_K.T)
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_flat_covariant_derivatives_are_their_partials_plus_zero():
+    """On a flat jet whose J_M varies, nabla J_M, nabla w and nabla nabla w take the curved
+    path on the zero connection, whose every Gamma term is +0.0: each equals its plain
+    partials plus 0.0 to the bit, sign bits included (nabla nabla w those of the order-2 jet
+    of w, differenced as a field of its own)."""
+    negative = zoo.get("negative").bundle
+    g = TensorField("g", const_field(SKEW_METRIC), constant=True)
+    skew = lambda where: PointContext(g, TensorField("jm", varying_jm), 0.0, 2.0 / 3.0, where)
+    stack = np.random.default_rng(7).uniform(-0.5, 0.5, size=(5, 4))
+    for context, points in ((negative.context, negative.sample_points), (skew, stack)):
+        for where in (points, points[0]):
+            ctx = context(where)
+            assert ctx.flat and not ctx.j_fn.constant
+            omega = MetricJet(lambda pts: np.swapaxes(ctx.j_fn(pts), -1, -2) @ ctx.g_fn(pts),
+                              where, ctx.scheme)
+            assert same_bits(ctx.covJ, ctx.dJ + 0.0)
+            assert same_bits(ctx.cov_omega, ctx.dw + 0.0)
+            assert same_bits(ctx.covcov_omega, omega.ddg + 0.0)
+            assert max_abs(ctx.dJ) > 0.01 and max_abs(ctx.covcov_omega) > 0.01
