@@ -102,7 +102,7 @@ def _base_report(bundle: StructureBundle, source: dict) -> dict:
     return {
         "version": __version__,
         "source": source,
-        "params": {"p": bundle.params.p, "q": bundle.params.q,
+        "params": {"p": 0.0, "q": bundle.params.q,
                    "dimension": bundle.chart.dimension},
         "seed": bundle.chart.seed,
         "scheme": {"h1": bundle.scheme.h1, "order1": ORDER1,

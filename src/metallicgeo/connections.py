@@ -1,12 +1,12 @@
 """Linear connections with torsion that preserve the fundamental 2-form.
 
-Both connections deform Levi-Civita by a (1,2)-tensor S:
+Both connections deform Levi-Civita by a (1,2)-tensor S, written with the
+conjugate structure JMhat = pI - J_M, which is -J_M since p = 0 (see
+metallic):
 
 * first type: S(X, Y) = (1/3q) JMhat (nabla_X J_M) Y, defined on any
   skew-compatible bundle; it annihilates w, its deformation pairing
-  S_J(X,Y,Z) = g(S(X,Y), J_M Z) is skew in (Y, Z), and its metric residual
-  is (p/3q) g(Y, (nabla_X J_M) Z), so it is metric on every bundle it is
-  built on (skew compatibility forces p = 0);
+  S_J(X,Y,Z) = g(S(X,Y), J_M Z) is skew in (Y, Z), and it is metric;
 * second type: the deformation pairing is skew in the outer arguments
   (X, Z). On a metallic Kahler bundle it is S = 0, Levi-Civita itself,
   which preserves w because nabla J_M = 0. On a nearly metallic Kahler
@@ -73,11 +73,12 @@ def _levi(bundle: StructureBundle) -> bool:
 
 
 def first_type(bundle: StructureBundle, point) -> np.ndarray:
-    """Deformation S[..., h, i, j] = (1/3q) JMhat (nabla J_M) at a point or a stack of points.
-    It is a connection of the bundle where `not_hermitian` gives no reason."""
+    """Deformation S[..., h, i, j] = (1/3q) JMhat (nabla J_M) = -(1/3q) J_M (nabla J_M) at a
+    point or a stack of points. It is a connection of the bundle where `not_hermitian` gives
+    no reason."""
     ctx = bundle.context(point)
     q = bundle.params.q
-    return (1.0 / (3.0 * q)) * contract("...ht,...itj->...hij", ctx.Jhat, ctx.covJ)
+    return -(1.0 / (3.0 * q)) * contract("...ht,...itj->...hij", ctx.J, ctx.covJ)
 
 
 def second_type(bundle: StructureBundle, point) -> np.ndarray:
@@ -85,13 +86,13 @@ def second_type(bundle: StructureBundle, point) -> np.ndarray:
     no reason.
 
     Metallic Kahler: S = 0 (Levi-Civita exactly). Nearly metallic Kahler:
-    S = -(1/q) JMhat (nabla J_M).
+    S = -(1/q) JMhat (nabla J_M) = (1/q) J_M (nabla J_M).
     """
     ctx = bundle.context(point)
     if _levi(bundle):
         return np.zeros_like(ctx.gamma)
     q = bundle.params.q
-    return -(1.0 / q) * contract("...ht,...itj->...hij", ctx.Jhat, ctx.covJ)
+    return (1.0 / q) * contract("...ht,...itj->...hij", ctx.J, ctx.covJ)
 
 
 def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:

@@ -508,10 +508,9 @@ class PointContext(MetricJet):
     at most once; the object is effectively immutable after the caches fill, so contexts may
     be shared freely."""
 
-    def __init__(self, g_fn, j_fn, p: float, q: float, point, scheme: DiffScheme | None = None):
+    def __init__(self, g_fn, j_fn, q: float, point, scheme: DiffScheme | None = None):
         super().__init__(g_fn, point, scheme)
         self.j_fn = j_fn
-        self.p = float(p)
         self.q = float(q)
 
     def _first_order(self, g: np.ndarray) -> dict:
@@ -527,11 +526,6 @@ class PointContext(MetricJet):
     # --- algebra at the points ---
 
     J = _from_order1("J")
-
-    @cached_property
-    def Jhat(self) -> np.ndarray:
-        return self.p * np.eye(self.n) - self.J
-
     omega = _from_order1("omega", "w_im = (J_M)_i^t g_tm.")
 
     # --- first derivatives ---

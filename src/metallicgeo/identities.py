@@ -28,11 +28,12 @@ absolute bound (`check_scalar_star`), an observation quoted in a note
 `perfbench/tracing.py` times by name, which the suites call as module
 globals so that its patches take effect.
 
-Conventions: see diffcalc. In particular H_ji = R_hji^t (J_M)_t^h and
-S*_ji = -H_jt (J_M)_i^t, the arrangement under which the contracted
-commutation chain
+Conventions: see diffcalc. The structure parameter p is 0 (see metallic),
+so the conjugate structure JMhat = pI - J_M is -J_M, and each row writes
+it as -J_M. H_ji = R_hji^t (J_M)_t^h and S*_ji = -H_jt (J_M)_i^t, the
+arrangement under which the contracted commutation chain
 
-    nabla^m nabla_j w_im = S_jt (J_M)_i^t + (2/3q) S*_jt (JMhat)_i^t
+    nabla^m nabla_j w_im = S_jt (J_M)_i^t - (2/3q) S*_jt (J_M)_i^t
 
 closes, and dw_abc denotes the coordinate exterior derivative
 d_a w_bc + d_b w_ca + d_c w_ab.
@@ -40,7 +41,6 @@ d_a w_bc + d_b w_ca + d_c w_ab.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import replace
 from typing import Callable
 
@@ -102,15 +102,15 @@ def _f_skew(ctx) -> tuple:
     return _skew_part(ctx.F)
 
 
-# Two facts about nabla J_M. (nabla_X J_M) J_M Y = (pI - J_M)(nabla_X J_M) Y is the
-# derivative of the polynomial identity J_M^2 - p J_M + (3q/2) I = 0 alone, so it needs only
-# a metallic structure. g((nabla_X J_M) Y, Z) = -g(Y, (nabla_X J_M) Z) also needs skew
+# Two facts about nabla J_M. (nabla_X J_M) J_M Y = -J_M (nabla_X J_M) Y is the derivative
+# of the polynomial identity J_M^2 + (3q/2) I = 0 alone, so it needs only a metallic
+# structure. g((nabla_X J_M) Y, Z) = -g(Y, (nabla_X J_M) Z) also needs skew
 # compatibility: it states F(X,Y,Z) = -F(X,Z,Y), as f-skew-last-args does, so both rows
 # name one function and `evaluate` forms its array once.
 COVDERIV = (
     Identity("covderiv-conjugate-exchange", not_metallic, "d1",
              lambda ctx: _diff(contract("...aht,...tj->...ajh", ctx.covJ, ctx.J),
-                               contract("...ht,...atj->...ajh", ctx.Jhat, ctx.covJ))),
+                               -contract("...ht,...atj->...ajh", ctx.J, ctx.covJ))),
     Identity("covderiv-skew-adjoint", not_hermitian, "d1", _f_skew),
 )
 
@@ -127,15 +127,15 @@ F_HERMITIAN = (
 
 def _balance(ctx) -> tuple:
     cart = _cartan_sum(ctx.F)
-    Jhat_g = contract("...ai,...at->...it", ctx.Jhat, ctx.g)
-    left = 3.0 * ctx.q * ctx.F + contract("...it,...jkt->...ijk", Jhat_g, ctx.N)
+    J_g = contract("...ai,...at->...it", ctx.J, ctx.g)
+    left = 3.0 * ctx.q * ctx.F - contract("...it,...jkt->...ijk", J_g, ctx.N)
     right = _structure_pair(cart, ctx.J) - 1.5 * ctx.q * cart
     return _diff(left, right)
 
 
 # Balance between F, the Nijenhuis tensor and the covariant cyclic sum:
 #
-#     3q F(X,Y,Z) + g(JMhat X, N(Y,Z)) = cart(X, J_M Y, J_M Z) - (3q/2) cart(X,Y,Z),
+#     3q F(X,Y,Z) - g(J_M X, N(Y,Z)) = cart(X, J_M Y, J_M Z) - (3q/2) cart(X,Y,Z),
 #
 # where cart is the displayed cyclic sum g(Y,(nabla_X J_M)Z) + cycles (equal to minus the
 # coordinate dw on a skew-compatible bundle). A nontrivial cancellation when N and dw are
@@ -155,7 +155,7 @@ EXTERIOR_CROSS = (Identity("dw-cartan-cross-check", not_hermitian, "d1",
 
 
 def check_curvature_commutation(bundle: StructureBundle) -> list:
-    """Parallel-structure curvature identities (p = 0 behind the Kahler gate):
+    """Parallel-structure curvature identities:
 
         R(X,Y) J_M Z = J_M R(X,Y) Z,
         R(J_M X, J_M Y) Z = (3q/2) R(X,Y) Z.
@@ -179,37 +179,34 @@ def _ricci_j(ctx) -> np.ndarray:
 
 
 def _trace_rj(ctx) -> np.ndarray:
-    """TR_ij = tr(R(X, J_M Y) o JMhat)."""
+    """TR_ij = tr(R(X, J_M Y) o J_M), which is minus the trace with JMhat."""
     return contract("...ib,...bj->...ij",
-                     contract("...ibtm,...tm->...ib", ctx.curvature.Rup, ctx.Jhat), ctx.J)
+                     contract("...ibtm,...tm->...ib", ctx.curvature.Rup, ctx.J), ctx.J)
 
 
 def _ricci_structure_pair(ctx) -> tuple:
-    p, q, S = ctx.p, ctx.q, ctx.curvature.ricci
-    SXJY = _ricci_j(ctx)
+    q, S = ctx.q, ctx.curvature.ricci
     SJJ = contract("...ib,...bj->...ij", contract("...ab,...ai->...ib", S, ctx.J), ctx.J)
-    c1 = p * p - 9 * q * q * p * p / 4 + 9 * q * q / 4
-    c2 = 3 * p * q / 2 - 9 * q * q * p / 4
-    r1 = SJJ - c1 * S - c2 * SXJY
-    return r1, SJJ, c1 * S, c2 * SXJY
+    c1 = 9 * q * q / 4
+    return SJJ - c1 * S, SJJ, c1 * S
 
 
 def _ricci_trace_stated(ctx) -> tuple:
-    p, q, S = ctx.p, ctx.q, ctx.curvature.ricci
+    q, S = ctx.q, ctx.curvature.ricci
     TR = (2.0 / (3 * q)) * _trace_rj(ctx)
-    return (1 + 1.5 * q) * S - p * _ricci_j(ctx) + TR, (1 + 1.5 * q) * S, TR
+    return (1 + 1.5 * q) * S - TR, (1 + 1.5 * q) * S, TR
 
 
 def _ricci_trace_derived(ctx) -> tuple:
-    p, q, S = ctx.p, ctx.q, ctx.curvature.ricci
-    SXJY, TR = _ricci_j(ctx), (2.0 / (3 * q)) * _trace_rj(ctx)
-    return S + TR + p * SXJY - 1.5 * q * SXJY, S, TR
+    q, S = ctx.q, ctx.curvature.ricci
+    TR = (2.0 / (3 * q)) * _trace_rj(ctx)
+    return S - TR - 1.5 * q * _ricci_j(ctx), S, TR
 
 
 # Ricci contractions of the parallel-structure identities, report-only. The classical
 # statements of both contractions rely on substituting the frame e_i -> J_M e_i inside a
 # trace without the (3q/2) normalization, so they close only for special parameter values
-# (q = 2/3 with p = 0). Three residuals are reported and none is asserted: the pair
+# (q = 2/3). Three residuals are reported and none is asserted: the pair
 # identity and the trace identity in their stated forms, and the derivation-level variant
 # of the trace identity.
 _PAIR_NOTE = "report-only: the stated coefficients close only for special (p, q)"
@@ -223,48 +220,35 @@ RICCI_PAIR = (
 )
 
 
-def _cycle_terms(ctx) -> tuple:
-    """The terms both cycle rows share: the left side, the right side's common part, that
-    part plus the JMhat term, (nabla_{J_M Y} S)(X, B) and the JMhat term itself."""
-    p, q = ctx.p, ctx.q
-    covS, J, Jhat = ctx.cov_ricci, ctx.J, ctx.Jhat
+def _ricci_cycle(ctx) -> tuple:
+    """The cycle's residual, its left side, the right side's first term and its last term
+    (nabla_{J_M Y} S)(X, J_M Z), all indexed [z, x, y]."""
+    q, covS, J = ctx.q, ctx.cov_ricci, ctx.J
     a = 1 + 1.5 * q
-    covS_J = contract("...zxa,...ay->...zxy", covS, J)       # (nabla_Z S)(X, J_M Y)
-    lhs = a * covS - p * covS_J                       # [z, x, y]
-    rhs_common = (a * np.einsum("...xzy->...zxy", covS)
-                  - p * contract("...xza,...ay->...zxy", covS, J))
-    # (nabla_{J_M Y} S)(X, B) = J[a, y] covS[a, x, b]
-    covS_JY = contract("...ay,...axb->...yxb", J, covS)
-    term_hat = contract("...yxb,...bz->...zxy", covS_JY, Jhat)
-    return lhs, rhs_common, rhs_common + (2.0 / (3 * q) + 1) * term_hat, covS_JY, term_hat
-
-
-def _ricci_cycle(ctx, shared: tuple, derived: bool) -> tuple:
-    lhs, rhs_common, rhs, covS_JY, term_hat = shared
-    last = np.einsum("...yxz->...zxy", covS_JY) if derived else term_hat
-    return lhs - (rhs - ctx.p * last), lhs, rhs_common, term_hat
+    lhs = a * covS
+    rhs_common = a * np.einsum("...xzy->...zxy", covS)
+    # (nabla_{J_M Y} S)(X, J_M Z) = J[a, y] covS[a, x, b] J[b, z]
+    term = contract("...yxb,...bz->...zxy", contract("...ay,...axb->...yxb", J, covS), J)
+    return lhs - (rhs_common - (2.0 / (3 * q) + 1) * term), lhs, rhs_common, term
 
 
 def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
-    """Second-Bianchi-style cycle for nabla S on a metallic Kahler bundle.
+    """Second-Bianchi-style cycle for nabla S on a metallic Kahler bundle:
 
-    As stated:
-        (1+3q/2)(nabla_Z S)(X,Y) - p (nabla_Z S)(X, J_M Y)
-      = (1+3q/2)(nabla_X S)(Z,Y) - p (nabla_X S)(Z, J_M Y)
-        + (2/3q + 1)(nabla_{J_M Y} S)(X, JMhat Z) - p (nabla_{J_M Y} S)(X, JMhat Z),
-    and the derivation-level variant with (nabla_{J_M Y} S)(X, Z) in the
-    last term. Third derivatives of g: loosest tier, report-only. Both
-    rows read the cached nabla S of the stacked context, and the terms they
-    share are formed once per context.
+        (1+3q/2)(nabla_Z S)(X,Y)
+      = (1+3q/2)(nabla_X S)(Z,Y) + (2/3q + 1)(nabla_{J_M Y} S)(X, JMhat Z),
+
+    with JMhat = -J_M. The statement and the derivation-level variant differ
+    only in a term proportional to p, which is 0, so both rows name one
+    function and `evaluate` forms its arrays once. Third derivatives of g:
+    loosest tier, report-only; they read the cached nabla S of the stacked
+    context.
     """
     note = "report-only: statement and derivation disagree in one argument"
-    terms = functools.cache(_cycle_terms)
     return evaluate(bundle, (
-        Identity("ricci-derivative-cycle(stated)", not_kahler, "d3",
-                 lambda ctx: _ricci_cycle(ctx, terms(ctx), derived=False),
+        Identity("ricci-derivative-cycle(stated)", not_kahler, "d3", _ricci_cycle,
                  asserted=False, note=note),
-        Identity("ricci-derivative-cycle(derived)", not_kahler, "d3",
-                 lambda ctx: _ricci_cycle(ctx, terms(ctx), derived=True),
+        Identity("ricci-derivative-cycle(derived)", not_kahler, "d3", _ricci_cycle,
                  asserted=False, note=note),
     ))
 
@@ -273,8 +257,7 @@ def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
 
 
 # F under structure rescaling on a nearly metallic Kahler bundle:
-# F(J_M X, Y, J_M Z) = (3q/2) F(Y,X,Z) and F(J_M X, J_M Y, Z) = (3q/2) F(Y,X,Z). The p-term
-# of the general form vanishes: the gate admits only skew-compatible pairs, hence p = 0.
+# F(J_M X, Y, J_M Z) = (3q/2) F(Y,X,Z) and F(J_M X, J_M Y, Z) = (3q/2) F(Y,X,Z).
 F_NEARLY = (
     Identity("f-nearly-outer-rescale", not_nearly, "d1",
              lambda ctx: _diff(contract("...ijc,...ck->...ijk",
@@ -290,8 +273,7 @@ F_NEARLY = (
 #
 #     N(X, Y) = -4 J_M (nabla_X J_M) Y:
 #
-# the bracket formula (plain partials) against the covariant-derivative form (the general
-# form 2 (p I - 2 J_M)(nabla_X J_M) Y at p = 0, which the gate implies), plus the
+# the bracket formula (plain partials) against the covariant-derivative form, plus the
 # coordinate trace (nabla_i J_M)_j^i = 0.
 NEARLY_NIJENHUIS = (
     Identity("nijenhuis-covderiv-form", not_nearly, "d1",
@@ -302,13 +284,13 @@ NEARLY_NIJENHUIS = (
 
 
 def _star_contraction(ctx) -> tuple:
-    lhs = contract("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat)
-    return lhs + 1.5 * ctx.q * ctx.H, lhs, 1.5 * ctx.q * ctx.H
+    return _diff(1.5 * ctx.q * ctx.H, contract("...jt,...ti->...ji", ctx.Sstar, ctx.J))
 
 
 # H antisymmetry (curvature tier), which needs skew compatibility, and the conjugate
-# contraction S*_jt (JMhat)_i^t = -(3/2) q H_ji (algebraic tier), which follows from
-# J_M JMhat = (3q/2) I, the polynomial identity alone.
+# contraction S*_jt (JMhat)_i^t = -(3/2) q H_ji, that is S*_jt (J_M)_i^t = (3/2) q H_ji
+# (algebraic tier), which follows from J_M JMhat = -J_M^2 = (3q/2) I, the polynomial
+# identity alone.
 STAR_PACK = (
     Identity("h-antisymmetry", not_hermitian, "d2", lambda ctx: _skew_part(ctx.H)),
     Identity("star-conjugate-contraction", not_metallic, "alg", _star_contraction),
@@ -323,11 +305,11 @@ def _divergence_omega(ctx) -> np.ndarray:
 def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
     """Contracted commutation chain on a nearly metallic Kahler bundle:
 
-        nabla^m nabla_j w_im  =  S_jt (J_M)_i^t + (2/3q) S*_jt (JMhat)_i^t,
+        nabla^m nabla_j w_im  =  S_jt (J_M)_i^t - (2/3q) S*_jt (J_M)_i^t,
 
     left side from the order-2 jet of w, right side from curvature
     contractions. The observed norm of the left side itself is reported
-    (its vanishing is equivalent to S J_M = -(2/3q) S* JMhat) but not
+    (its vanishing is equivalent to S J_M = (2/3q) S* J_M) but not
     asserted.
     """
     kept = {}  # the left side of the row's last evaluation, for the note
@@ -335,7 +317,7 @@ def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
     def residual(ctx):
         kept["lhs"] = lhs = _divergence_omega(ctx)
         return _diff(lhs, contract("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J)
-                     + (2.0 / (3 * ctx.q)) * contract("...jt,...ti->...ji", ctx.Sstar, ctx.Jhat))
+                     - (2.0 / (3 * ctx.q)) * contract("...jt,...ti->...ji", ctx.Sstar, ctx.J))
 
     chain = evaluate(bundle, [Identity("divergence-ricci-chain", not_nearly, "d2", residual)])[0]
     if chain.skipped:
@@ -352,17 +334,18 @@ RICCI_HYPERBOLIC = (Identity(
 
 
 def _ricci_star_hyperbolic(ctx) -> tuple:
-    A = contract("...jm,...mi->...ji", ctx.Sstar, ctx.Jhat)
-    B = -contract("...mi,...mj->...ji", ctx.Sstar, ctx.Jhat)
+    A = contract("...jm,...mi->...ji", ctx.Sstar, ctx.J)
+    B = -contract("...mi,...mj->...ji", ctx.Sstar, ctx.J)
     return A - B, A
 
 
-# S*_jm (JMhat)_i^m = -S*_mi (JMhat)_j^m on a nearly metallic Kahler bundle, plus the
-# intermediate cancellation of the two curvature contractions behind it.
+# S*_jm (JMhat)_i^m = -S*_mi (JMhat)_j^m on a nearly metallic Kahler bundle, with J_M in
+# place of JMhat = -J_M on both sides, plus the intermediate cancellation of the two
+# curvature contractions behind it.
 RICCI_STAR_HYPERBOLIC = (
     Identity("ricci-star-hyperbolic", not_nearly, "d2", _ricci_star_hyperbolic),
     Identity("star-contraction-cancel", not_nearly, "d2",
-             lambda ctx: _skew_part(contract("...jm,...mi->...ji", ctx.Sstar, ctx.Jhat))),
+             lambda ctx: _skew_part(contract("...jm,...mi->...ji", ctx.Sstar, ctx.J))),
 )
 
 
@@ -391,8 +374,7 @@ def check_scalar_star(bundle: StructureBundle) -> list:
 
         S*_c = (3/2) q S_c - |nabla J_M|^2,
 
-    left and right sides from independent pipelines (the general form adds
-    p S_jt w^jt, zero behind the gate, where p = 0). The mixed trace
+    left and right sides from independent pipelines. The mixed trace
     S_jt w^jt pairs a symmetric with an antisymmetric tensor and must
     vanish on any bundle; it is asserted as a sub-check whose raw residual
     must stay below a fixed 1e-10.

@@ -2,18 +2,17 @@
 
 A metallic structure is a (1,1)-tensor field J_M with
 
-    J_M^2 - p J_M + (3/2) q I = 0,   q > 0,  -sqrt(6q) < p < sqrt(6q),
+    J_M^2 - p J_M + (3/2) q I = 0,   q > 0,
 
-the conjugate structure is pI - J_M, and an almost complex structure J
-corresponds to J_M = (p/2) I +- (sqrt(6q - p^2)/2) J. A metric is
-hyperbolic when g(J_M X, Y) = -g(X, J_M Y), which makes the fundamental
-2-form w(X, Y) = g(J_M X, Y) skew.
+and a metric is hyperbolic when g(J_M X, Y) = -g(X, J_M Y), which makes the
+fundamental 2-form w(X, Y) = g(J_M X, Y) skew.
 
-Note on the parameter p: skewness of w forces the g-trace of J_M to
+The engine takes p = 0. Skewness of w forces the g-trace of J_M to
 vanish, while the polynomial identity forces trace J_M = p k on a
-2k-dimensional chart. A nondegenerate hyperbolic pair therefore requires
-p = 0; the classifier stays generic in (p, q) and simply reports the
-residuals, and the built-in fixtures use p = 0.
+2k-dimensional chart, so no pair with p != 0 is metallic-Hermitian, and
+every term in p would only ever multiply roundoff. At p = 0 the conjugate
+structure pI - J_M is -J_M, and an almost complex structure J corresponds
+to J_M = +-(sqrt(6q)/2) J.
 """
 
 from __future__ import annotations
@@ -43,10 +42,9 @@ VERDICT_NEARLY = "nearly metallic Kähler"
 
 @dataclass(frozen=True)
 class MetallicParams:
-    """Admissible structure parameters: q > 0 and p^2 < 6q, with (3q/2)^2 and 2/(3q) finite
-    (the extreme powers a check forms; past them a residual would overflow to inf or NaN)."""
+    """The structure parameter q: q > 0, with (3q/2)^2 and 2/(3q) finite (the extreme powers
+    a check forms; past them a residual would overflow to inf or NaN). p is 0."""
 
-    p: float
     q: float
 
     def __post_init__(self):
@@ -55,24 +53,22 @@ class MetallicParams:
                              f" got {self.q:g}")
         if not math.isfinite(2.0 / (3.0 * self.q)):
             raise ValueError(f"q is too small: 2/(3q) is not finite, got {self.q:g}")
-        if not (self.p * self.p < 6.0 * self.q):
-            raise ValueError("p must satisfy -sqrt(6q) < p < sqrt(6q)")
 
     @property
     def coeff(self) -> float:
-        """The real coefficient sqrt(6q - p^2)/2 linking J and J_M."""
-        return math.sqrt(6.0 * self.q - self.p * self.p) / 2.0
+        """The real coefficient sqrt(6q)/2 linking J and J_M."""
+        return math.sqrt(6.0 * self.q) / 2.0
 
 
 # --- pointwise matrix algebra -----------------------------------------------
 
 
 def jm_from_j_matrix(J: np.ndarray, params: MetallicParams, sign: int = +1) -> np.ndarray:
-    """J_M = (p/2) I + sign * (sqrt(6q - p^2)/2) J for an almost complex J (or a stack of them)."""
+    """J_M = sign * (sqrt(6q)/2) J for an almost complex J (or a stack of them)."""
     J = np.asarray(J, dtype=float)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    return (params.p / 2.0) * np.eye(J.shape[-1]) + sign * params.coeff * J
+    return sign * params.coeff * J
 
 
 # --- field-level wrappers ----------------------------------------------------
@@ -146,7 +142,7 @@ class StructureBundle:
         ctx = self._contexts.get(key)
         if ctx is None:
             self.chart.require_inside(point, self.scheme.reach)
-            ctx = PointContext(self.g, self.jm, self.params.p, self.params.q, point, self.scheme)
+            ctx = PointContext(self.g, self.jm, self.params.q, point, self.scheme)
             self._contexts[key] = ctx
         return ctx
 
@@ -305,14 +301,15 @@ class ClassificationReport:
         }
 
 
-def _polynomial(J, ctx) -> tuple:
-    return (J @ J - ctx.p * J + 1.5 * ctx.q * np.eye(ctx.n),)
+def _polynomial(ctx) -> tuple:
+    """J_M^2 + (3/2) q I, which is also the conjugate's: (-J_M)(-J_M) = J_M J_M to the bit."""
+    return (ctx.J @ ctx.J + 1.5 * ctx.q * np.eye(ctx.n),)
 
 
 def _hyperbolic_derived(ctx) -> tuple:
-    """g(J_M X, J_M Y) + p g(X, J_M Y) - (3/2) q g(X, Y), the derived compatibility form."""
+    """g(J_M X, J_M Y) - (3/2) q g(X, Y), the derived compatibility form."""
     pair = contract("...ib,...bm->...im", contract("...ai,...ab->...ib", ctx.J, ctx.g), ctx.J)
-    return (pair + ctx.p * np.swapaxes(ctx.omega, -1, -2) - 1.5 * ctx.q * ctx.g,)
+    return (pair - 1.5 * ctx.q * ctx.g,)
 
 
 def _skew_residual(ctx) -> tuple:
@@ -320,11 +317,11 @@ def _skew_residual(ctx) -> tuple:
 
 
 # The classification residuals: ungated rows with no terms, so each row's scale is 0, its
-# relative residual is its residual and it passes when that is below its tier. The two
-# rows that name `_skew_residual` share one array.
+# relative residual is its residual and it passes when that is below its tier. Rows that
+# name one function share one array: the two polynomial rows, and the two skew rows.
 CLASSIFICATION = (
-    Identity("polynomial", None, "alg", lambda ctx: _polynomial(ctx.J, ctx)),
-    Identity("conjugate_polynomial", None, "alg", lambda ctx: _polynomial(ctx.Jhat, ctx)),
+    Identity("polynomial", None, "alg", _polynomial),
+    Identity("conjugate_polynomial", None, "alg", _polynomial),
     Identity("hyperbolic_direct", None, "alg", _skew_residual),
     Identity("hyperbolic_derived", None, "alg", _hyperbolic_derived),
     Identity("omega_skewness", None, "alg", _skew_residual),

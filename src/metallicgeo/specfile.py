@@ -4,7 +4,7 @@ One `key = value` assignment per line; `#` starts a comment. Keys:
 
     name = my-manifold                  optional label
     dimension = 2                       even, >= 2
-    p = 0.0
+    p = 0.0                             optional; any other value is an error
     q = 0.6666666666666666
     bounds = -1 1, -1 1                 one "lo hi" pair per coordinate
     grid = 3                            per-axis grid count        (default 3)
@@ -20,6 +20,10 @@ One `key = value` assignment per line; `#` starts a comment. Keys:
     point NAME = 0.1 -0.2               named sample point (repeatable, one per NAME)
     h = 0.001                           optional differencing step override
     tol_alg | tol_d1 | tol_d2 | tol_d3  optional tolerance overrides
+
+The structure parameter p must be 0: a skew fundamental form needs
+tr J_M = 0, and the polynomial identity gives tr J_M = p * dimension/2.
+The key is kept so that spec text written with `p = 0.0` stays valid.
 
 Component expressions use the DSL of `exprdsl` (coordinates x0..x{n-1}).
 `j[a][b]`/`jm[a][b]` is the matrix entry in row a, column b of the matrix
@@ -63,7 +67,6 @@ _SCALARS = {"dimension", "p", "q", "grid", "random_points", "seed", "margin", "h
 @dataclass
 class ManifoldSpec:
     dimension: int = 0
-    p: float = 0.0
     q: float = 0.0
     bounds: tuple = ()
     grid: int = 3
@@ -173,6 +176,11 @@ def parse_spec(text: str) -> ManifoldSpec:
             spec.tol[key[4:]] = _parse_number(value, line_no, value_col)
         elif key == "h":
             spec.h = _parse_number(value, line_no, value_col)
+        elif key == "p":
+            if _parse_number(value, line_no, value_col) != 0.0:
+                raise SpecFileError(line_no, value_col, "p must be 0: a skew fundamental form"
+                                    " needs tr J_M = 0, and the polynomial gives"
+                                    " tr J_M = p·dimension/2")
         else:
             setattr(spec, key, _parse_number(value, line_no, value_col))
 
@@ -253,7 +261,7 @@ def build_bundle(spec: ManifoldSpec) -> StructureBundle:
     singular metric is raised there and names its point. The metric needs no
     symmetry check: one value fills both triangles of each entry.
     """
-    params = MetallicParams(spec.p, spec.q)
+    params = MetallicParams(spec.q)
     chart = Chart(dimension=spec.dimension, bounds=spec.bounds, grid=spec.grid,
                   n_random=spec.random_points, seed=spec.seed, margin=spec.margin,
                   named_points=spec.named_points)

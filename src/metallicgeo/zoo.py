@@ -7,8 +7,8 @@ metallic Kahler). One negative control is a flat chart with a
 position-dependent rotation-conjugated structure that stays Hermitian
 pointwise but is neither closed nor integrable.
 
-All fixtures use p = 0 (see the metallic module note on the trace
-obstruction); q defaults to 2/3, which makes J_M equal the underlying
+The engine takes p = 0 (see the metallic module note on the trace
+obstruction), and every spec text says so; q defaults to 2/3, which makes J_M equal the underlying
 almost complex structure. Six fixtures (flat-k1/2/3, torus, s2 and
 negative) are defined once, as manifold spec text (see `specfile`) with
 their whole chart: bounds, grid, seed, margin and named points. The text
@@ -35,7 +35,6 @@ from .metallic import (
     VERDICT_HERMITIAN,
     VERDICT_KAHLER,
     VERDICT_NEARLY,
-    VERDICT_NONE,
 )
 from .octonions import cross7_matrix
 from .specfile import build_bundle, parse_spec
@@ -90,25 +89,18 @@ def _conformal_round_metric(n: int) -> TensorField:
     return TensorField(name="round-metric", fn=fn)
 
 
-def fixture_flat(k: int = 1, q: float = DEFAULT_Q, p: float = 0.0) -> Fixture:
-    """Flat R^{2k} with the standard block structure; metallic Kahler for p = 0.
-
-    Requesting p != 0 builds the bundle anyway and documents the trace
-    obstruction: the polynomial identity holds but skew compatibility
-    cannot, so the expected verdict drops to not metallic-Hermitian.
-    """
+def fixture_flat(k: int = 1, q: float = DEFAULT_Q) -> Fixture:
+    """Flat R^{2k} with the standard block structure: metallic Kahler."""
     n = 2 * k
     grid = {1: 3, 2: 2, 3: 1}.get(k, 1)
-    lines = [f"name = flat-k{k}", f"dimension = {n}", f"p = {p!r}", f"q = {q!r}",
+    lines = [f"name = flat-k{k}", f"dimension = {n}", "p = 0.0", f"q = {q!r}",
              "bounds = " + ", ".join(["-1 1"] * n), f"grid = {grid}",
              f"random_points = {0 if grid**n >= 8 else 8}", "seed = 42", "margin = 0.1",
              "point origin = " + " ".join(["0"] * n), "structure = J", "sign = +"]
     lines += [f"g[{i}][{i}] = 1" for i in range(n)]
     for b in range(0, n, 2):  # rotation by +90 degrees in each coordinate plane
         lines += [f"j[{b}][{b + 1}] = -1", f"j[{b + 1}][{b}] = 1"]
-    kahler = p == 0.0
-    return _spec_fixture("\n".join(lines) + "\n", VERDICT_KAHLER if kahler else VERDICT_NONE,
-                         kahler)
+    return _spec_fixture("\n".join(lines) + "\n", VERDICT_KAHLER, True)
 
 
 def fixture_torus(q: float = DEFAULT_Q) -> Fixture:
@@ -187,7 +179,7 @@ def _sphere6_structure() -> TensorField:
 
 def fixture_sphere6(q: float = DEFAULT_Q) -> Fixture:
     """Unit 6-sphere with the cross-product structure: nearly but not metallic Kahler."""
-    params = MetallicParams(0.0, q)
+    params = MetallicParams(q)
     # bounds keep |x| <= 0.54*sqrt(6) ~ 1.32 < 1.5 so the pullback stays well conditioned
     bounds = tuple(((-0.6, 0.6),) * 6)
     chart = Chart(dimension=6, bounds=bounds, grid=1, n_random=7, seed=5, margin=0.06,
@@ -249,9 +241,15 @@ def names() -> tuple:
     return tuple(sorted(_BUILDERS))
 
 
-@lru_cache(maxsize=None)
 def get(name: str, q: float = DEFAULT_Q) -> Fixture:
-    """Fetch (and on first use validate) a fixture by name."""
+    """Fetch (and on first use validate) a fixture by name: one object per (name, q),
+    however q is passed. `get.cache_info()` and `get.cache_clear()` read and clear the
+    cache."""
+    return _cached(name, q)
+
+
+@lru_cache(maxsize=None)
+def _cached(name: str, q: float) -> Fixture:
     if name not in _BUILDERS:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(names())}")
     fx = _BUILDERS[name](q).validate()
@@ -260,3 +258,6 @@ def get(name: str, q: float = DEFAULT_Q) -> Fixture:
         if max(rows["max_domega"].max_residual, rows["max_nijenhuis"].max_residual) <= 1e-2:
             raise NumericalError(f"negative fixture at q = {q:g} is not negative enough")
     return fx
+
+
+get.cache_info, get.cache_clear = _cached.cache_info, _cached.cache_clear

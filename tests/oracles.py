@@ -6,8 +6,9 @@ and the tests assert that the stacked engine agrees with them row by row.
 The nested stencils the engine's jet replaced are kept as references too,
 and so are stacked first partials (a row loop over the order-1 jet of the
 engine's single-point `MetricJet`), the stacked, field-calling Christoffel
-coefficients and a test-only curved Kahler fixture whose Ricci tensor has
-a closed form. `observed` wraps a bundle's fields to record where the
+coefficients, a test-only curved Kahler fixture whose Ricci tensor has
+a closed form and a flat bundle that is not metallic-Hermitian because its
+metric is not J-invariant. `observed` wraps a bundle's fields to record where the
 engine evaluates them. The JSON report writer the CLI replaced (round
 every float, then the standard library's indenting encoder) is the
 reference for `cli.report_json`, the dense jet weight tables the engine
@@ -324,7 +325,16 @@ def kahler_quartic_bundle(q: float = 2.0 / 3.0) -> StructureBundle:
     J = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
     g = TensorField("kahler-quartic", kahler_quartic_metric)
     return StructureBundle.from_j(chart, g, TensorField("standard-J", const_field(J)),
-                                  MetallicParams(0.0, q))
+                                  MetallicParams(q))
+
+
+def anisotropic_flat_bundle(a: float) -> StructureBundle:
+    """flat-k1 with g[0][0] = a: still flat and J_M^2 = -(3q/2) I, but the metric is not
+    J-invariant, so for a != 1 the pair is not metallic-Hermitian: |w + w^T| = |a - 1|."""
+    from metallicgeo import specfile, zoo
+
+    text = zoo.fixture_flat(1).spec_text.replace("g[0][0] = 1\n", f"g[0][0] = {a!r}\n")
+    return specfile.build_bundle(specfile.parse_spec(text))
 
 
 def _s2_cubed_spec() -> str:

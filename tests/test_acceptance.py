@@ -5,7 +5,6 @@ are produced. Every tolerance is pinned here; nothing is deferred.
 """
 
 import json
-import math
 import random
 
 import numpy as np
@@ -55,20 +54,20 @@ def test_criterion_1_algebra_suite():
         k = (case % 3) + 1
         n = 2 * k
         q = float(rng.uniform(0.1, 4.0))
-        p = float(rng.uniform(-0.95, 0.95)) * math.sqrt(6.0 * q)
-        params = MetallicParams(p, q)
+        sign = (+1, -1)[case % 2]
+        params = MetallicParams(q)
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         J = Q @ np.kron(np.eye(k), J2) @ Q.T
-        JM = jm_from_j_matrix(J, params, +1)
-        back = (JM - (p / 2.0) * np.eye(n)) / params.coeff
+        JM = jm_from_j_matrix(J, params, sign)
+        back = JM / (sign * params.coeff)
         worst_rt = max(worst_rt, max_abs(back - J))
-        hat = p * np.eye(n) - JM
+        hat = -JM  # the conjugate pI - J_M at p = 0
         for M in (JM, hat):
-            worst_poly = max(worst_poly, max_abs(M @ M - p * M + 1.5 * q * np.eye(n)))
+            worst_poly = max(worst_poly, max_abs(M @ M + 1.5 * q * np.eye(n)))
         worst_prod = max(worst_prod, max_abs(JM @ hat - 1.5 * q * np.eye(n)),
                          max_abs(hat @ JM - 1.5 * q * np.eye(n)))
     ok = worst_rt < 1e-12 and worst_poly < 1e-12 and worst_prod < 1e-12
-    report(1, "algebra suite (50 random (p,q), k in {1,2,3})", ok,
+    report(1, "algebra suite (50 random q, both signs, k in {1,2,3})", ok,
            f"round-trip {worst_rt:.2e}, polynomial {worst_poly:.2e}, product {worst_prod:.2e}")
 
 

@@ -211,6 +211,8 @@ SPEC_2D = (
 )
 GOOD = dict(dim=2, q="0.6666666666666666", bounds="-1 1, -1 1", g00="1")
 GOOD_SPEC = SPEC_2D.format(**GOOD)
+P_REASON = ("line 9, offset 5: p must be 0: a skew fundamental form needs tr J_M = 0, and the"
+            " polynomial gives tr J_M = p\u00b7dimension/2")
 # a metric defined only on |x0| <= 1: a stencil that leaves the chart evaluates it outside
 DISK = (
     "dimension = 2\nq = 0.6666666666666666\nbounds = -1 1, -1 1\nmargin = 0.1\n"
@@ -284,6 +286,9 @@ DISK = (
     (GOOD_SPEC + "point a = 0.1 0.2\npoint a = 0.3 0.4\n", [], 2,
      "line 10, offset 1: repeated key 'point a', first given on line 9"),
     (GOOD_SPEC + "q = 1.5\n", [], 2, "line 9, offset 1: repeated key 'q', first given on line 2"),
+    # the engine takes p = 0, so any other value, however small, names its line and the reason
+    (GOOD_SPEC + "p = 0.5\n", [], 2, P_REASON),
+    (GOOD_SPEC + "p = -1e-9\n", [], 2, P_REASON),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
         "jet-too-big", "power-overflow", "product-overflow", "constant-domain", "literal-overflow",
         "superscript-digit", "non-ascii-digit",
@@ -292,7 +297,7 @@ DISK = (
         "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "infinite-q",
         "q-1e308", "q-1e307", "q-1e10", "q-1e-320", "subnormal-metric", "short-point-4d", "short-point-2d", "negative-grid",
         "point-outside-margin", "repeated-metric-entry", "repeated-structure-entry",
-        "repeated-point", "repeated-setting"])
+        "repeated-point", "repeated-setting", "nonzero-p", "tiny-nonzero-p"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"
@@ -307,6 +312,17 @@ def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_pa
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code == 3:
         assert err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("value", ["0", "0.0", "-0.0"])
+def test_zero_p_is_accepted(value, tmp_path, capsys):
+    """The engine takes p = 0, which a spec may spell as it likes; any other value is a parse
+    error (test_bad_input_exit_code_without_traceback)."""
+    path = tmp_path / "p.spec"
+    path.write_text(GOOD_SPEC + f"p = {value}\n", encoding="utf-8")
+    code, out, _ = run(capsys, "classify", str(path), "--format", "json")
+    assert code == 0
+    assert '"p": 0.0,' in out and json.loads(out)["params"]["p"] == 0.0
 
 
 # bounds +-0.01 with margin 0.005: the default step, h2 = 0.00316, leaves the chart

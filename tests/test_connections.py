@@ -12,6 +12,7 @@ from metallicgeo.connections import (
 from metallicgeo.geometry import Chart, TensorField, max_abs
 from metallicgeo.identities import not_hermitian, run_suite
 from metallicgeo.metallic import MetallicParams, StructureBundle, VERDICT_ALMOST_KAHLER
+from oracles import anisotropic_flat_bundle
 
 
 def by_id(results):
@@ -36,7 +37,7 @@ def symplectic_shear_bundle():
     g = TensorField(name="shear-metric", fn=lambda pts: np.swapaxes(shear(pts), 1, 2) @ shear(pts))
     j_field = TensorField(name="J-shear", fn=lambda pts: np.linalg.solve(shear(pts), J0 @ shear(pts)))
     chart = Chart(dimension=4, bounds=((-1.0, 1.0),) * 4, grid=2, margin=0.1)
-    return StructureBundle.from_j(chart, g, j_field, MetallicParams(0.0, 2.0 / 3.0))
+    return StructureBundle.from_j(chart, g, j_field, MetallicParams(2.0 / 3.0))
 
 
 def test_first_type_equals_levi_civita_on_flat():
@@ -52,7 +53,7 @@ def test_first_type_deformation_formula_s6():
     S = first_type(bundle, pt)
     ctx = bundle.context(pt)
     q = bundle.params.q
-    expected = (1.0 / (3.0 * q)) * np.einsum("ht,itj->hij", ctx.Jhat, ctx.covJ)
+    expected = (1.0 / (3.0 * q)) * np.einsum("ht,itj->hij", -ctx.J, ctx.covJ)  # JMhat = -J_M
     assert max_abs(S - expected) < 1e-10
     # torsion carried by the antisymmetrized deformation
     torsion = S - np.swapaxes(S, 1, 2)
@@ -63,7 +64,7 @@ def test_first_type_deformation_formula_s6():
 def test_first_type_gate():
     """The first type is gated by `not_hermitian`: both the suite and the report skip it with
     that reason."""
-    bundle = zoo.fixture_flat(1, q=1.0, p=1.0).bundle  # fails skew compatibility
+    bundle = anisotropic_flat_bundle(2.0)  # fails skew compatibility
     reason = not_hermitian(bundle)
     assert reason == "needs an almost metallic Hermitian bundle"
     res = by_id(connection_identity_results(bundle))

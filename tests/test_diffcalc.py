@@ -120,7 +120,7 @@ def test_partial_sin_at_zero():
 def test_partial_boundary_guard():
     chart = Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=3, margin=0.1)
     eye = TensorField("delta", const_field(np.eye(2)))
-    bundle = StructureBundle(chart, eye, eye, MetallicParams(0.0, 2.0 / 3.0))
+    bundle = StructureBundle(chart, eye, eye, MetallicParams(2.0 / 3.0))
     with pytest.raises(ChartBoundsError, match="too close to the boundary"):
         bundle.context(np.array([0.9995, 0.0]))
 
@@ -316,7 +316,7 @@ def test_flat_member_names_the_singular_point(member):
     jm = TensorField("jm", const_field([[0.0, -1.0], [1.0, 0.0]]), constant=True)
     points = np.array([[0.5, 0.1], [0.0, 0.2]])
     for where in (points, points[1]):
-        ctx = PointContext(g, jm, 0.0, 2.0 / 3.0, where)
+        ctx = PointContext(g, jm, 2.0 / 3.0, where)
         assert ctx.flat
         with pytest.raises(SingularMetricError) as err:
             getattr(ctx, member)
@@ -351,7 +351,7 @@ def test_flat_covariant_derivatives_are_their_partials_plus_zero():
     of w, differenced as a field of its own)."""
     negative = zoo.get("negative").bundle
     g = TensorField("g", const_field(SKEW_METRIC), constant=True)
-    skew = lambda where: PointContext(g, TensorField("jm", varying_jm), 0.0, 2.0 / 3.0, where)
+    skew = lambda where: PointContext(g, TensorField("jm", varying_jm), 2.0 / 3.0, where)
     stack = np.random.default_rng(7).uniform(-0.5, 0.5, size=(5, 4))
     for context, points in ((negative.context, negative.sample_points), (skew, stack)):
         for where in (points, points[0]):

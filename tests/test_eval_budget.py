@@ -272,8 +272,7 @@ def test_one_first_derivative_stencil_per_point(monkeypatch):
 
     monkeypatch.setattr(diffcalc, "inverse_metric", counted_inverse)
     points = bundle.sample_points
-    ctx = diffcalc.PointContext(bundle.g, bundle.jm, bundle.params.p, bundle.params.q, points,
-                                bundle.scheme)
+    ctx = diffcalc.PointContext(bundle.g, bundle.jm, bundle.params.q, points, bundle.scheme)
     for row in metallic.CLASSIFICATION:
         residual = max_abs_per_point(*row.fn(ctx))
         assert residual.shape == (len(points),) and np.isfinite(residual).all()
@@ -390,28 +389,29 @@ def test_passing_run_forms_no_per_point_values(command, name, monkeypatch):
 
 
 def test_shared_terms_formed_once(monkeypatch):
-    """classify forms the skew part of w once for hyperbolic_direct and omega_skewness, and
-    the two ricci-derivative-cycle rows share one set of nabla S terms."""
-    calls = {"skew": 0, "cycle": 0}
-    skew, cycle = metallic._skew_residual, identities._cycle_terms
+    """Rows that name one function share its arrays: classify forms J_M^2 + (3q/2) I once for
+    polynomial and conjugate_polynomial and the skew part of w once for hyperbolic_direct
+    and omega_skewness, and the two ricci-derivative-cycle rows form the cycle once."""
+    calls = {"polynomial": 0, "skew": 0, "cycle": 0}
+    shared = {metallic._polynomial: "polynomial", metallic._skew_residual: "skew"}
+    cycle = identities._ricci_cycle
 
-    def counted_skew(ctx):
-        calls["skew"] += 1
-        return skew(ctx)
+    def counted(fn, key):
+        def wrapper(ctx):
+            calls[key] += 1
+            return fn(ctx)
+        return wrapper
 
-    def counted_cycle(ctx):
-        calls["cycle"] += 1
-        return cycle(ctx)
-
+    wrappers = {fn: counted(fn, key) for fn, key in shared.items()}
     monkeypatch.setattr(metallic, "CLASSIFICATION", tuple(
-        dataclasses.replace(row, fn=counted_skew) if row.fn is skew else row
+        dataclasses.replace(row, fn=wrappers[row.fn]) if row.fn in wrappers else row
         for row in metallic.CLASSIFICATION))
-    monkeypatch.setattr(identities, "_cycle_terms", counted_cycle)
+    monkeypatch.setattr(identities, "_ricci_cycle", counted(cycle, "cycle"))
     fx = BUILDERS["s2"]()
     monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--zoo", "s2", "--suite", "all", "--format", "json"]) == 0
-    assert calls == {"skew": 1, "cycle": 1}
+    assert calls == {"polynomial": 1, "skew": 1, "cycle": 1}
 
 
 def test_connection_arrays_formed_once(monkeypatch):

@@ -28,7 +28,7 @@ from metallicgeo.identities import (
     run_suite,
 )
 from metallicgeo.metallic import Identity, MetallicParams, StructureBundle
-from oracles import const_field
+from oracles import anisotropic_flat_bundle, const_field
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected_identities.json"
 
@@ -37,11 +37,11 @@ def by_id(results):
     return {r.id: r for r in results}
 
 
-def algebraic_p1_bundle():
-    """Flat, position-dependent structure with p = 1 and a shear conjugation:
-    the polynomial identity holds pointwise while skew compatibility fails,
-    and the shear makes the failure visible at derivative level too."""
-    params = MetallicParams(1.0, 1.0)
+def sheared_bundle():
+    """Flat, position-dependent structure conjugated by a shear: the polynomial identity
+    holds pointwise while skew compatibility fails away from x0 = 0, and the shear makes
+    the failure visible at derivative level too."""
+    params = MetallicParams(1.0)
     chart = Chart(dimension=4, bounds=((-1.0, 1.0),) * 4, grid=2, margin=0.1)
     g = TensorField(name="delta", fn=const_field(np.eye(4)))
     J0 = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -71,10 +71,10 @@ def test_covderiv_identities_on_s6():
     assert res["covderiv-conjugate-exchange"].relative < 1e-5
 
 
-def test_covderiv_exchange_passes_but_skew_fails_for_p1():
+def test_covderiv_exchange_passes_but_skew_fails_on_a_shear():
     """The polynomial identity holds and skew compatibility does not: the exchange row, which
     needs only the first, runs and passes; the skew row is gated by the second."""
-    bundle = algebraic_p1_bundle()
+    bundle = sheared_bundle()
     assert not_metallic(bundle) == ""
     res = by_id(evaluate(bundle, COVDERIV))
     assert res["covderiv-conjugate-exchange"].passed  # algebraic, holds anyway
@@ -120,10 +120,11 @@ def test_f_tables_skip_with_their_gate_reason():
     neg = zoo.get("negative").bundle  # almost metallic Hermitian, not nearly
     assert not any(r.skipped for r in evaluate(neg, F_HERMITIAN))
     assert [r.note for r in evaluate(neg, F_NEARLY)] == ["needs a nearly metallic Kähler bundle"] * 2
-    flat_p1 = zoo.fixture_flat(1, q=1.0, p=1.0).bundle  # fails skew compatibility
-    notes = {r.note for r in evaluate(flat_p1, F_HERMITIAN + F_NIJENHUIS_BALANCE)}
+    anisotropic = anisotropic_flat_bundle(2.0)  # fails skew compatibility
+    notes = {r.note for r in evaluate(anisotropic, F_HERMITIAN + F_NIJENHUIS_BALANCE)}
     assert notes == {"needs an almost metallic Hermitian bundle"}
-    assert evaluate(flat_p1, EXTERIOR_CROSS)[0].note == "needs an almost metallic Hermitian bundle"
+    assert (evaluate(anisotropic, EXTERIOR_CROSS)[0].note
+            == "needs an almost metallic Hermitian bundle")
 
 
 def test_balance_identity_trivial_flat():
@@ -224,7 +225,7 @@ def test_star_curvature_s6_values():
     assert ctx.scalar_star == pytest.approx(6.0, abs=1e-6)
     assert ctx.norm_covJ_sq == pytest.approx(24.0, abs=1e-8)
     assert max_abs(ctx.H + ctx.H.T) / max(1.0, max_abs(ctx.H)) < 1e-4
-    lhs = np.einsum("jt,ti->ji", ctx.Sstar, ctx.Jhat)
+    lhs = np.einsum("jt,ti->ji", ctx.Sstar, -ctx.J)  # S* JMhat, JMhat = -J_M
     assert max_abs(lhs + 1.5 * q * ctx.H) / max(1.0, max_abs(lhs)) < 1e-8
 
 
@@ -300,8 +301,8 @@ def test_algebraic_identities_pass_on_every_fixture():
         assert star["star-conjugate-contraction"].relative < 1e-8, name
         q = bundle.params.q
         ctx = bundle.context(bundle.sample_points)
-        # structure times conjugate is (3/2) q I
-        assert max_abs(ctx.J @ ctx.Jhat - 1.5 * q * np.eye(ctx.n)) < 1e-8, name
+        # structure times conjugate -J_M is (3/2) q I
+        assert max_abs(ctx.J @ -ctx.J - 1.5 * q * np.eye(ctx.n)) < 1e-8, name
         # symmetric Ricci against the doubly raised 2-form vanishes
         ricci_sym = 0.5 * (ctx.curvature.ricci + np.swapaxes(ctx.curvature.ricci, -1, -2))
         w_up = np.einsum("...ji,...tm,...im->...jt", ctx.ginv, ctx.ginv, ctx.omega)

@@ -17,92 +17,95 @@ from metallicgeo.metallic import (
     _result,
     jm_from_j_matrix,
 )
+from oracles import anisotropic_flat_bundle
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def polynomial_residual(JM, params):
     eye = np.eye(JM.shape[0])
-    return max_abs(JM @ JM - params.p * JM + 1.5 * params.q * eye)
+    return max_abs(JM @ JM + 1.5 * params.q * eye)
 
 
-def quadratic_root_oracle(p, q):
-    """Independent quadratic-formula root of z^2 - p z + (3/2) q."""
-    disc = cmath.sqrt(complex(p * p - 6.0 * q, 0.0))
-    r1 = (p + disc) / 2.0
-    r2 = (p - disc) / 2.0
+def quadratic_root_oracle(q):
+    """Independent quadratic-formula root of z^2 + (3/2) q with positive imaginary part."""
+    disc = cmath.sqrt(complex(-6.0 * q, 0.0))
+    r1, r2 = disc / 2.0, -disc / 2.0
     return r1 if r1.imag > 0 else r2
 
 
 def test_params_admissibility():
-    MetallicParams(1.0, 1.0)
-    with pytest.raises(ValueError):
-        MetallicParams(1.0, 0.0)
-    with pytest.raises(ValueError):
-        MetallicParams(3.0, 1.0)  # 9 > 6
+    MetallicParams(1.0)
+    for q in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            MetallicParams(q)
 
 
 def test_metallic_mean_golden_case():
-    # the metallic mean is the root p/2 + i coeff of z^2 - p z + (3/2) q
-    assert MetallicParams(1.0, 1.0).coeff == pytest.approx(math.sqrt(5.0) / 2.0)
+    # the metallic mean is the root i coeff of z^2 + (3/2) q; at q = 5/6 its coefficient
+    # sqrt(5)/2 is the golden ratio less 1/2
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    assert MetallicParams(5.0 / 6.0).coeff == pytest.approx(golden - 0.5)
 
 
 def test_metallic_mean_reduces_to_i():
-    assert MetallicParams(0.0, 2.0 / 3.0).coeff == pytest.approx(1.0)
+    assert MetallicParams(2.0 / 3.0).coeff == pytest.approx(1.0)
 
 
 def test_metallic_mean_against_quadratic_oracle():
-    for p, q in [(2.0, 1.0), (0.5, 0.3), (-1.0, 2.0)]:
-        m = complex(p / 2.0, MetallicParams(p, q).coeff)
-        assert m == pytest.approx(quadratic_root_oracle(p, q), abs=1e-12)
-        assert m ** 2 - p * m + 1.5 * q == pytest.approx(0.0, abs=1e-12)
+    for q in (1.0, 0.3, 2.0):
+        m = complex(0.0, MetallicParams(q).coeff)
+        assert m == pytest.approx(quadratic_root_oracle(q), abs=1e-12)
+        for root in (m, -m):  # both signs of the structure
+            assert root ** 2 + 1.5 * q == pytest.approx(0.0, abs=1e-12)
 
 
 def test_jm_from_j_q_two_thirds_is_identity_map():
-    params = MetallicParams(0.0, 2.0 / 3.0)
+    params = MetallicParams(2.0 / 3.0)
     assert np.allclose(jm_from_j_matrix(J2, params, +1), J2)
 
 
 def test_jm_from_j_golden_brute_force():
-    params = MetallicParams(1.0, 1.0)
-    JM = jm_from_j_matrix(J2, params, +1)
-    expected = 0.5 * np.eye(2) + (math.sqrt(5.0) / 2.0) * J2
-    assert np.allclose(JM, expected)
-    # brute-force 2x2 polynomial check
-    assert max_abs(JM @ JM - JM + 1.5 * np.eye(2)) < 1e-12
+    params = MetallicParams(5.0 / 6.0)
+    for sign in (+1, -1):
+        JM = jm_from_j_matrix(J2, params, sign)
+        assert np.allclose(JM, sign * (math.sqrt(5.0) / 2.0) * J2)
+        # brute-force 2x2 polynomial check: (3/2) q = 5/4
+        assert max_abs(JM @ JM + 1.25 * np.eye(2)) < 1e-12
 
 
 def test_signs_give_mutual_conjugates():
-    params = MetallicParams(1.0, 1.0)
+    params = MetallicParams(5.0 / 6.0)
     plus = jm_from_j_matrix(J2, params, +1)
     minus = jm_from_j_matrix(J2, params, -1)
-    assert np.allclose(minus, params.p * np.eye(2) - plus)
+    assert np.array_equal(minus, -plus)  # the conjugate pI - J_M at p = 0
 
 
 def test_round_trip_random_structures():
     rng = np.random.default_rng(3)
-    for _ in range(100):
+    for case in range(100):
         k = int(rng.choice([1, 2, 3]))
         n = 2 * k
         q = float(rng.uniform(0.1, 4.0))
-        p = float(rng.uniform(-1, 1)) * 0.95 * math.sqrt(6.0 * q)
-        params = MetallicParams(p, q)
+        sign = (+1, -1)[case % 2]
+        params = MetallicParams(q)
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         Jstd = np.kron(np.eye(k), J2)
         J = Q @ Jstd @ Q.T
-        JM = jm_from_j_matrix(J, params, +1)
+        JM = jm_from_j_matrix(J, params, sign)
         assert polynomial_residual(JM, params) < 1e-12
-        back = (JM - (p / 2.0) * np.eye(n)) / params.coeff
+        back = JM / (sign * params.coeff)
         assert max_abs(back - J) < 1e-12
 
 
 def test_conjugate_involution_and_product():
-    params = MetallicParams(1.0, 1.0)
-    JM = jm_from_j_matrix(J2, params, +1)
-    hat = params.p * np.eye(2) - JM
-    assert np.allclose(JM @ hat, 1.5 * np.eye(2))          # (3/2) q I with q = 1
-    assert np.allclose(hat @ JM, 1.5 * np.eye(2))
-    assert polynomial_residual(hat, params) < 1e-12
+    params = MetallicParams(5.0 / 6.0)
+    for sign in (+1, -1):
+        JM = jm_from_j_matrix(J2, params, sign)
+        hat = -JM
+        assert np.allclose(JM @ hat, 1.25 * np.eye(2))          # (3/2) q I with q = 5/6
+        assert np.allclose(hat @ JM, 1.25 * np.eye(2))
+        assert polynomial_residual(hat, params) < 1e-12
 
 
 def test_check_hyperbolic_flat_skew_case():
@@ -110,13 +113,13 @@ def test_check_hyperbolic_flat_skew_case():
     assert res["hyperbolic_direct"] < 1e-12 and res["hyperbolic_derived"] < 1e-12
 
 
-def test_check_hyperbolic_p_nonzero_fails_with_p_scale():
-    # flat bundle with p = 1: the symmetric part of w equals p * g
-    from metallicgeo.zoo import fixture_flat
-
-    fx = fixture_flat(1, q=1.0, p=1.0)
-    cls = fx.bundle.classification()
-    assert cls.residuals["hyperbolic_direct"] == pytest.approx(1.0, abs=1e-12)  # p * delta diagonal
+def test_check_hyperbolic_fails_with_the_metric_anisotropy():
+    # flat-k1 with g = diag(a, 1): w = J^T g = [[0, 1], [-a, 0]], so w + w^T has a - 1 off
+    # the diagonal, while the polynomial identity still holds
+    bundle = anisotropic_flat_bundle(3.0)
+    cls = bundle.classification()
+    assert cls.residuals["hyperbolic_direct"] == pytest.approx(2.0, abs=1e-12)
+    assert cls.residuals["polynomial"] < 1e-12
     assert cls.verdict == VERDICT_NONE
 
 
@@ -126,11 +129,11 @@ def test_check_hyperbolic_s6():
 
 
 def test_hyperbolicity_quartet_vanishes_for_p_zero():
-    # J, its conjugate -J, J_M and its conjugate pI - J_M are all skew-compatible;
+    # J, its conjugate -J, J_M and its conjugate pI - J_M = -J_M are all skew-compatible;
     # the s2 fixture's J is the constant rotation J2
     bundle = zoo.get("s2").bundle
     ctx = bundle.context(bundle.sample_points)
-    for A in (J2, -J2, ctx.J, ctx.Jhat):
+    for A in (J2, -J2, ctx.J, -ctx.J):
         w = np.einsum("...ti,...tm->...im", A, ctx.g)
         assert max_abs(w + np.swapaxes(w, -1, -2)) < 1e-8
 

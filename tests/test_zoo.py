@@ -8,8 +8,8 @@ import pytest
 
 from metallicgeo import cli, zoo
 from metallicgeo.geometry import NumericalError, max_abs
-from metallicgeo.metallic import (VERDICT_KAHLER, VERDICT_NEARLY, VERDICT_HERMITIAN, Tolerances,
-                                  jm_from_j_matrix)
+from metallicgeo.metallic import (VERDICT_KAHLER, VERDICT_NEARLY, VERDICT_HERMITIAN, VERDICT_NONE,
+                                  Tolerances, jm_from_j_matrix)
 from metallicgeo.specfile import build_bundle, parse_spec
 
 import oracles
@@ -18,6 +18,17 @@ import oracles
 def test_all_fixtures_self_validate():
     for name in zoo.names():
         zoo.get(name)  # validation runs at first load
+
+
+def test_get_returns_one_fixture_however_q_is_passed():
+    """The cache key is (name, q), not the call's spelling: the default q, q given by position
+    and q given by keyword are one entry, so the fixture is built and validated once."""
+    zoo.get.cache_clear()
+    fx = zoo.get("s2")
+    assert zoo.get("s2", zoo.DEFAULT_Q) is fx
+    assert zoo.get("s2", q=zoo.DEFAULT_Q) is fx
+    info = zoo.get.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 def test_expected_verdicts():
@@ -43,12 +54,13 @@ def test_flat_k2_polynomial_with_q_2():
     assert fx.bundle.classification().verdict == VERDICT_KAHLER
 
 
-def test_flat_p_nonzero_documents_obstruction():
-    fx = zoo.fixture_flat(1, q=1.0, p=1.0)
-    cls = fx.bundle.classification()
+def test_flat_anisotropic_metric_is_not_hermitian():
+    """A metric that is not J-invariant breaks skew compatibility and keeps the polynomial
+    identity: the verdict drops to the lowest rung."""
+    cls = oracles.anisotropic_flat_bundle(2.0).classification()
     assert cls.residuals["polynomial"] < 1e-12
     assert cls.residuals["hyperbolic_direct"] > 0.9
-    assert fx.expected_verdict == cls.verdict
+    assert cls.verdict == VERDICT_NONE
 
 
 def test_self_check_reads_the_polynomial_as_the_verdict_ladder_does():
