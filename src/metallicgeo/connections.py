@@ -20,7 +20,7 @@ metallic):
 
 Each kind is gated as every identity row is, by a function that returns why
 the bundle is outside its class ("" inside it): `not_hermitian` for the first
-type, `no_second_type` for the second. The report and the suite read that
+type, `no_second_type` for the second, both from `metallic`. The report and the suite read that
 reason and skip a gated kind with it; `first_type` and `second_type` hold
 only the formulas.
 
@@ -28,12 +28,13 @@ only the formulas.
 at each point of a stack: S, the pairing, nabla~ w, nabla~ g and the
 kind-specific terms. The bundle keeps them as one dict per kind of arrays
 stacked over the sample points, built once from the PointContext of those
-points; the JSON block of `connection_report` and the identity records of
-`connection_identity_results` both read those dicts and reduce them
+points; the identity records of `connection_identity_results` and the JSON
+block of `connection_report` both read those dicts and reduce them
 straight to their largest |entry| with `geometry.largest_abs`, so every
 array either reads, the -1/3 ratio of the two kinds' S included, is formed
-once. A connection is Levi-Civita plus its deformation, so `first_type`
-and `second_type` return S alone, and torsion and the symmetry checks are
+once, and the block holds only the numbers that no row reports. A
+connection is Levi-Civita plus its deformation, so `first_type` and
+`second_type` return S alone, and torsion and the symmetry checks are
 exact algebra over the computed nabla J_M.
 """
 
@@ -42,25 +43,11 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import contract, largest_abs
-from .identities import not_hermitian
-from .metallic import (Identity, StructureBundle, VERDICT_ALMOST_KAHLER, VERDICT_KAHLER, _result,
-                       _skip, evaluate)
+from .metallic import (Identity, StructureBundle, VERDICT_KAHLER, _result, _skip, evaluate,
+                       no_second_type, not_hermitian)
 
-__all__ = ["first_type", "second_type", "no_second_type", "connection_terms",
-           "connection_report", "connection_identity_results"]
-
-
-def no_second_type(bundle: StructureBundle) -> str:
-    """Why the bundle has no second-type connection in closed form, "" when it has one."""
-    cls = bundle.classification()
-    if cls.verdict == VERDICT_KAHLER or cls.nearly:
-        return ""
-    if cls.verdict == VERDICT_ALMOST_KAHLER:
-        return ("second-type connection: Levi-Civita preserves w only when nabla J_M = 0, "
-                "and no closed form is derived for almost metallic Kähler bundles that are "
-                "not metallic Kähler")
-    return ("second-type connection has a closed form only on almost metallic Kähler or "
-            "nearly metallic Kähler bundles")
+__all__ = ["first_type", "second_type", "connection_terms", "connection_report",
+           "connection_identity_results"]
 
 
 # kind -> why the bundle has no connection of that kind, "" when it has one
@@ -135,22 +122,19 @@ def _terms(bundle: StructureBundle, kind: str) -> dict:
     return bundle._connections[kind]
 
 
-# (report key, key of the terms whose largest entry over the points is reported)
-_REPORT_ROWS = (("deformation_norm", "S"), ("torsion_norm", "torsion"),
-                ("nabla_omega_residual", "nw"), ("nabla_g_residual", "ng"),
-                ("pairing_symmetry_residual", "sym"), ("expansion_consistency", "consistency"))
-_KIND_REPORT_ROWS = {"first": (("metric_theorem_residual", "ng"),),
-                     "second": (("omega_vs_4covomega", "four"),)}
+# kind -> (report key, key of the terms whose largest entry over the points is reported).
+# The block holds only what no identity row reports: the first type's nabla~ g and
+# expansion consistency are rows, the second type's are not.
+_REPORT_ROWS = {
+    "first": (("deformation_norm", "S"), ("torsion_norm", "torsion")),
+    "second": (("deformation_norm", "S"), ("torsion_norm", "torsion"),
+               ("nabla_g_residual", "ng"), ("expansion_consistency", "consistency")),
+}
 
 
 def connection_report(bundle: StructureBundle) -> dict:
-    """Tabulated residuals for every constructible connection on the bundle.
-
-    Per connection: deformation and torsion norms, the w- and g-residuals,
-    the defining symmetry of the pairing, the derivation-consistency
-    expansion, plus the first-type metric theorem residual and, when both
-    connections exist with nonzero deformation, the -1/3 deformation ratio.
-    """
+    """The `_REPORT_ROWS` numbers of each constructible connection on the bundle; a kind the
+    bundle's gate rejects is reported skipped with its reason."""
     out: dict = {"connections": {}, "notes": []}
     points = bundle.sample_points
     for kind in ("first", "second"):
@@ -162,11 +146,8 @@ def connection_report(bundle: StructureBundle) -> dict:
         terms = _terms(bundle, kind)
         out["connections"][kind] = {
             key: largest_abs(points, f"{kind}-type connection {key}", terms[term])
-            for key, term in _REPORT_ROWS + _KIND_REPORT_ROWS[kind]
+            for key, term in _REPORT_ROWS[kind]
         }
-        if "ratio" in terms:
-            out["deformation_ratio_residual"] = largest_abs(
-                points, "deformation ratio residual", terms["ratio"])
     return out
 
 

@@ -1,4 +1,4 @@
-"""Metallic structures, hyperbolic compatibility, residual records and classification.
+"""Metallic structures, residual records, classification and the gates that read it.
 
 A metallic structure is a (1,1)-tensor field J_M with
 
@@ -24,13 +24,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diffcalc import DiffScheme, PointContext
-from .geometry import Chart, TensorField, contract, largest_abs
+from .geometry import Chart, TensorField, largest_abs
 
 __all__ = [
     "MetallicParams", "jm_from_j_matrix", "jm_from_j", "StructureBundle", "Tolerances",
     "Identity", "IdentityResult", "evaluate", "ClassificationReport", "CLASSIFICATION",
     "classify", "VERDICT_NONE", "VERDICT_HERMITIAN", "VERDICT_ALMOST_KAHLER", "VERDICT_KAHLER",
-    "VERDICT_NEARLY",
+    "VERDICT_NEARLY", "not_metallic", "not_hermitian", "not_kahler", "not_nearly",
+    "no_second_type",
 ]
 
 VERDICT_NONE = "not metallic-Hermitian"
@@ -306,25 +307,17 @@ def _polynomial(ctx) -> tuple:
     return (ctx.J @ ctx.J + 1.5 * ctx.q * np.eye(ctx.n),)
 
 
-def _hyperbolic_derived(ctx) -> tuple:
-    """g(J_M X, J_M Y) - (3/2) q g(X, Y), the derived compatibility form."""
-    pair = contract("...ib,...bm->...im", contract("...ai,...ab->...ib", ctx.J, ctx.g), ctx.J)
-    return (pair - 1.5 * ctx.q * ctx.g,)
-
-
 def _skew_residual(ctx) -> tuple:
+    """w + w^T. Given the polynomial, g(J_M X, J_M Y) = (3q/2) g(X, Y) holds exactly when
+    this vanishes, so no separate row checks that form."""
     return (ctx.omega + np.swapaxes(ctx.omega, -1, -2),)
 
 
 # The classification residuals: ungated rows with no terms, so each row's scale is 0, its
-# relative residual is its residual and it passes when that is below its tier. Rows that
-# name one function share one array: the two polynomial rows, and the two skew rows.
+# relative residual is its residual and it passes when that is below its tier.
 CLASSIFICATION = (
     Identity("polynomial", None, "alg", _polynomial),
-    Identity("conjugate_polynomial", None, "alg", _polynomial),
     Identity("hyperbolic_direct", None, "alg", _skew_residual),
-    Identity("hyperbolic_derived", None, "alg", _hyperbolic_derived),
-    Identity("omega_skewness", None, "alg", _skew_residual),
     Identity("max_domega", None, "d1", lambda ctx: (ctx.domega,)),
     Identity("max_nijenhuis", None, "d1", lambda ctx: (ctx.N,)),
     Identity("max_cov_jm", None, "d1", lambda ctx: (ctx.covJ,)),
@@ -363,3 +356,31 @@ def classify(bundle: StructureBundle) -> ClassificationReport:
         verdict = VERDICT_HERMITIAN
     return ClassificationReport(verdict=verdict, nearly=nearly, rows=rows,
                                 theorem_dN_equiv_covJ=((closed and integrable) == parallel))
+
+
+# --- gates: the reason a bundle is outside a hypothesis class, "" inside it; every
+# identity row and connection kind names one ---
+
+
+def _gate(admits: Callable, reason: str) -> Callable[[StructureBundle], str]:
+    return lambda bundle: "" if admits(bundle.classification()) else reason
+
+
+not_metallic = _gate(lambda cls: cls.rows["polynomial"].passed, "needs a metallic structure")
+not_hermitian = _gate(lambda cls: cls.verdict != VERDICT_NONE,
+                      "needs an almost metallic Hermitian bundle")
+not_kahler = _gate(lambda cls: cls.verdict == VERDICT_KAHLER, "needs a metallic Kähler bundle")
+not_nearly = _gate(lambda cls: cls.nearly, "needs a nearly metallic Kähler bundle")
+
+
+def no_second_type(bundle: StructureBundle) -> str:
+    """Why the bundle has no second-type connection in closed form, "" when it has one."""
+    cls = bundle.classification()
+    if cls.verdict == VERDICT_KAHLER or cls.nearly:
+        return ""
+    if cls.verdict == VERDICT_ALMOST_KAHLER:
+        return ("second-type connection: Levi-Civita preserves w only when nabla J_M = 0, "
+                "and no closed form is derived for almost metallic Kähler bundles that are "
+                "not metallic Kähler")
+    return ("second-type connection has a closed form only on almost metallic Kähler or "
+            "nearly metallic Kähler bundles")

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tomllib
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metallicgeo
 from metallicgeo import connections, identities, metallic, zoo
 from metallicgeo.cli import main, make_parser, report_json
 from metallicgeo.specfile import build_bundle, parse_spec
@@ -53,6 +55,16 @@ def test_near_boundary_residuals_on_both_sides_of_each_edge(tol_d1, near, capsys
     code, out, _ = run(capsys, "classify", "--zoo", "negative", "--tol-d1", tol_d1)
     lines = [line for line in out.splitlines() if line.startswith("near-boundary residuals")]
     assert (code, lines) == (0, ["near-boundary residuals: " + ", ".join(near)] if near else [])
+
+
+def test_report_version_is_the_package_version(capsys):
+    """A report's `version`, its one schema marker, is the package's own version, and the
+    packaging metadata states the same."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == metallicgeo.__version__
+    code, out, _ = run(capsys, "classify", "--zoo", "flat-k1", "--format", "json")
+    assert (code, json.loads(out)["version"]) == (0, metallicgeo.__version__)
 
 
 def test_classify_malformed_spec_exit_2(tmp_path, capsys):

@@ -127,31 +127,42 @@ def test_connection_identity_results_s6():
 
 
 def test_connection_report_flat_all_zero():
-    rep = connection_report(zoo.get("flat-k1").bundle)
+    bundle = zoo.get("flat-k1").bundle
+    rep = connection_report(bundle)
     for kind in ("first", "second"):
-        rows = rep["connections"][kind]
-        assert rows["deformation_norm"] < 1e-12
-        assert rows["nabla_omega_residual"] < 1e-12
-        assert rows["nabla_g_residual"] < 1e-12
+        assert rep["connections"][kind]["deformation_norm"] < 1e-12
+    assert rep["connections"]["second"]["nabla_g_residual"] < 1e-12
+    res = by_id(connection_identity_results(bundle))
+    for id_ in ("first-type-preserves-omega", "first-type-metric-theorem",
+                "second-type-preserves-omega"):
+        assert res[id_].max_residual < 1e-12
 
 
 def test_connection_report_s6_ratio_and_residuals():
-    rep = connection_report(zoo.get("s6").bundle)
+    """The block holds the numbers no row reports; the rest are the rows' residuals."""
+    bundle = zoo.get("s6").bundle
+    rep = connection_report(bundle)
     first = rep["connections"]["first"]
     second = rep["connections"]["second"]
-    assert first["nabla_omega_residual"] < 1e-5
-    assert first["metric_theorem_residual"] < 1e-5
+    assert list(first) == ["deformation_norm", "torsion_norm"]
+    assert list(second) == ["deformation_norm", "torsion_norm", "nabla_g_residual",
+                            "expansion_consistency"]
+    assert list(rep) == ["connections", "notes"]
     assert first["deformation_norm"] > 0.01
-    assert second["omega_vs_4covomega"] < 1e-8
-    assert rep["deformation_ratio_residual"] < 1e-10
-    assert first["expansion_consistency"] < 1e-8
     assert second["expansion_consistency"] < 1e-8
+    res = by_id(connection_identity_results(bundle))
+    assert res["first-type-preserves-omega"].max_residual < 1e-5
+    assert res["first-type-metric-theorem"].max_residual < 1e-5
+    assert res["second-type-omega-is-4covomega"].max_residual < 1e-8
+    assert res["second-type-deformation-ratio"].max_residual < 1e-10
+    assert res["first-type-expansion-consistency"].max_residual < 1e-8
 
 
 def test_connection_report_negative_second_skipped():
-    rep = connection_report(zoo.get("negative").bundle)
-    assert "skipped" in rep["connections"]["second"]
-    assert rep["connections"]["first"]["nabla_omega_residual"] < 1e-5
+    bundle = zoo.get("negative").bundle
+    assert "skipped" in connection_report(bundle)["connections"]["second"]
+    res = by_id(connection_identity_results(bundle))
+    assert res["first-type-preserves-omega"].max_residual < 1e-5
 
 
 def test_second_type_skipped_on_almost_kahler_not_kahler():

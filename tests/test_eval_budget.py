@@ -389,12 +389,10 @@ def test_passing_run_forms_no_per_point_values(command, name, monkeypatch):
 
 
 def test_shared_terms_formed_once(monkeypatch):
-    """Rows that name one function share its arrays: classify forms J_M^2 + (3q/2) I once for
-    polynomial and conjugate_polynomial and the skew part of w once for hyperbolic_direct
-    and omega_skewness, and the two ricci-derivative-cycle rows form the cycle once."""
-    calls = {"polynomial": 0, "skew": 0, "cycle": 0}
-    shared = {metallic._polynomial: "polynomial", metallic._skew_residual: "skew"}
-    cycle = identities._ricci_cycle
+    """Rows of one `evaluate` call that name one function share its arrays: the metallic
+    suite forms F's skew part once for covderiv-skew-adjoint and f-skew-last-args, and
+    the two ricci-derivative-cycle rows form the cycle once."""
+    calls = {"f_skew": 0, "cycle": 0}
 
     def counted(fn, key):
         def wrapper(ctx):
@@ -402,25 +400,26 @@ def test_shared_terms_formed_once(monkeypatch):
             return fn(ctx)
         return wrapper
 
-    wrappers = {fn: counted(fn, key) for fn, key in shared.items()}
-    monkeypatch.setattr(metallic, "CLASSIFICATION", tuple(
-        dataclasses.replace(row, fn=wrappers[row.fn]) if row.fn in wrappers else row
-        for row in metallic.CLASSIFICATION))
-    monkeypatch.setattr(identities, "_ricci_cycle", counted(cycle, "cycle"))
+    f_skew = counted(identities._f_skew, "f_skew")
+    for table in ("COVDERIV", "F_HERMITIAN"):
+        monkeypatch.setattr(identities, table, tuple(
+            dataclasses.replace(row, fn=f_skew) if row.fn is identities._f_skew else row
+            for row in getattr(identities, table)))
+    monkeypatch.setattr(identities, "_ricci_cycle", counted(identities._ricci_cycle, "cycle"))
     fx = BUILDERS["s2"]()
     monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--zoo", "s2", "--suite", "all", "--format", "json"]) == 0
-    assert calls == {"polynomial": 1, "skew": 1, "cycle": 1}
+    assert calls == {"f_skew": 1, "cycle": 1}
 
 
 def test_connection_arrays_formed_once(monkeypatch):
-    """The connections block and the identity rows reduce the same kept arrays: on s6 the
-    -1/3 ratio S_second + 3 S_first twice (block and row), the first type's nabla~ w minus its
-    expansion twice (block and row) and the second type's once (block only). When each
-    reader formed its own, the block and the rows formed each of these arrays again. Every
-    reduced array is kept, so the counts compare identities, not ids that a freed temporary
-    may hand on."""
+    """The connections block and the identity rows reduce the kept arrays, each once: on s6
+    the -1/3 ratio S_second + 3 S_first and the first type's nabla~ w minus its expansion
+    (rows only), and the second type's (block only). When each reader formed its own, the
+    block and the rows formed each of these arrays again; when the block repeated a row,
+    both reduced it. Every reduced array is kept, so the counts compare identities, not ids
+    that a freed temporary may hand on."""
     kept, reduced = {}, []
     terms = connections.connection_terms
 
@@ -442,7 +441,7 @@ def test_connection_arrays_formed_once(monkeypatch):
     counts = [sum(a is array for a in reduced)
               for array in (kept["second"]["ratio"], kept["first"]["consistency"],
                             kept["second"]["consistency"])]
-    assert counts == [2, 2, 1]
+    assert counts == [1, 1, 1]
 
 
 def test_ricci_omega_trace_formed_once(monkeypatch):

@@ -1,10 +1,12 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metallicgeo import identities, zoo
+from metallicgeo import connections, identities, metallic, zoo
 from metallicgeo.geometry import Chart, TensorField, max_abs
 from metallicgeo.identities import (
     COVDERIV,
@@ -97,6 +99,24 @@ def test_every_identities_row_names_a_gate():
     for name, table in tables.items():
         for row in table:
             assert row.gate in gates, (name, row.id)
+
+
+def test_gates_live_beside_the_ladder_and_connections_does_not_import_identities():
+    """The gates are `metallic`'s, which `identities` and `connections` import; importing
+    `connections` alone loads no `identities`."""
+    assert identities.not_hermitian is metallic.not_hermitian
+    assert connections.no_second_type is metallic.no_second_type
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import metallicgeo.connections; "
+            "assert 'metallicgeo.identities' not in sys.modules")
+    src = Path(metallic.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code, str(src)], check=True)
+
+
+def test_connections_suite_looks_up_the_connection_rows_when_it_runs(monkeypatch):
+    """The suite reads `connections.connection_identity_results` at call time, so a function
+    patched onto that module (as a tracer does) is the one that runs."""
+    monkeypatch.setattr(connections, "connection_identity_results", lambda bundle: ["patched"])
+    assert run_suite(zoo.get("s2").bundle, "connections") == ["patched"]
 
 
 def test_f_properties_modes_and_gates():

@@ -60,6 +60,9 @@ no longer applies; ``--compare`` checks the parsed reports of two snapshots
   flag, ``near_boundary``, identity ids, passed/skipped/asserted flags,
   notes) are equal, and so is every number that is a setting rather than
   a result (parameters, steps, tolerances, points);
+* both reports hold the same classification residual keys, each a row of
+  the checkout's ``metallic.CLASSIFICATION``; a run where they differ is a
+  problem that names the keys, and its numbers are not compared;
 * every numeric result moves by at most 1e-3 x its tier's tolerance x
   max(1, scale). The tier and scale of an identity are its own
   ``tolerance`` and ``scale`` (a skipped identity has tolerance 0, so its
@@ -281,6 +284,22 @@ def _shift(before, after) -> float:
     return abs(after - before)
 
 
+def _residual_keys(report: dict) -> list:
+    return list((report.get("classification") or {}).get("residuals", ()))
+
+
+def _residual_key_change(before: dict, after: dict, residual_tiers: dict) -> str:
+    """The classification residual keys that only one report holds, or that no row of
+    ``metallic.CLASSIFICATION`` gives a tier for; "" when there are none."""
+    b, a = _residual_keys(before), _residual_keys(after)
+    parts = [f"{label} {', '.join(keys)}" for label, keys in (
+        ("only before:", [k for k in b if k not in a]),
+        ("only after:", [k for k in a if k not in b]),
+        ("no row in this checkout:", [k for k in b if k in a and k not in residual_tiers]))
+        if keys]
+    return "; ".join(parts)
+
+
 def compare(before: list, after: list, residual_tiers: dict) -> tuple:
     """(problems, largest shift as a fraction of its allowance, where) for two snapshots."""
     if [r["argv"] for r in before] != [r["argv"] for r in after]:
@@ -295,6 +314,10 @@ def compare(before: list, after: list, residual_tiers: dict) -> tuple:
         if not (isinstance(b["report"], dict) and isinstance(a["report"], dict)):
             if b["report"] != a["report"]:
                 problems.append(f"{run}: the non-JSON output differs")
+            continue
+        changed = _residual_key_change(b["report"], a["report"], residual_tiers)
+        if changed:
+            problems.append(f"{run}: classification residual keys differ: {changed}")
             continue
         fields = list(result_fields(b["report"], residual_tiers))
         paths = [path for path, *_ in fields]
