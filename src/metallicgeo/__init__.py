@@ -5,7 +5,7 @@ charts, classifies (metric, structure) pairs, and verifies the associated
 tensor identities as quantified residual checks.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from . import diffcalc, exprdsl, geometry, metallic, octonions  # noqa: F401
 from .diffcalc import DiffScheme  # noqa: F401

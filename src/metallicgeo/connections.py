@@ -20,22 +20,25 @@ metallic):
 
 Each kind is gated as every identity row is, by a function that returns why
 the bundle is outside its class ("" inside it): `not_hermitian` for the first
-type, `no_second_type` for the second, both from `metallic`. The report and the suite read that
-reason and skip a gated kind with it; `first_type` and `second_type` hold
-only the formulas.
+type, `no_second_type` for the second, both from `metallic`. The suite reads
+that reason alone and skips a gated kind with it; `first_type` and
+`second_type` hold only the formulas.
 
-`connection_terms` computes every quantity of one connection at a point or
-at each point of a stack: S, the pairing, nabla~ w, nabla~ g and the
-kind-specific terms. The bundle keeps them as one dict per kind of arrays
-stacked over the sample points, built once from the PointContext of those
-points; the identity records of `connection_identity_results` and the JSON
-block of `connection_report` both read those dicts and reduce them
-straight to their largest |entry| with `geometry.largest_abs`, so every
-array either reads, the -1/3 ratio of the two kinds' S included, is formed
-once, and the block holds only the numbers that no row reports. A
-connection is Levi-Civita plus its deformation, so `first_type` and
-`second_type` return S alone, and torsion and the symmetry checks are
-exact algebra over the computed nabla J_M.
+`connection_terms` computes every quantity of one connection that a row or
+the report reads, at a point or at each point of a stack: S, the pairing,
+nabla~ w and the kind-specific terms. The bundle keeps them as one dict per
+kind of arrays stacked over the sample points, built once from the
+PointContext of those points; the identity records of
+`connection_identity_results` and the JSON block of `connection_report` both
+read those dicts and reduce them straight to their largest |entry| with
+`geometry.largest_abs`, so every array either reads, the -1/3 ratio of the
+two kinds' S included, is formed once. The block holds the two numbers no
+row reports, the first type's deformation and torsion norms: the second
+type's are 0 where S = 0 and 3 x the first type's where S_second = -3
+S_first, and a gated kind's reason is the suite's skip record. A connection
+is Levi-Civita plus its deformation, so `first_type` and `second_type`
+return S alone, and torsion and the symmetry checks are exact algebra over
+the computed nabla J_M.
 """
 
 from __future__ import annotations
@@ -48,10 +51,6 @@ from .metallic import (Identity, StructureBundle, VERDICT_KAHLER, _result, _skip
 
 __all__ = ["first_type", "second_type", "connection_terms", "connection_report",
            "connection_identity_results"]
-
-
-# kind -> why the bundle has no connection of that kind, "" when it has one
-_GATES = {"first": not_hermitian, "second": no_second_type}
 
 
 def _levi(bundle: StructureBundle) -> bool:
@@ -86,11 +85,11 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
     """Every term of the `kind` ("first" or "second") connection at a point or a stack.
 
     S is the deformation S[..., h, i, j], SJ the pairing S_J[..., i, j, k] =
-    g(S(d_i, d_j), J_M d_k), nw and ng the residuals (nabla~_i w)_jk and
-    (nabla~_i g)_jk, sym the pairing's defining symmetry (zero when it
-    holds), consistency nabla~ w minus its expansion through the pairing
-    and cov_omega the Levi-Civita nabla w. Second type adds
-    four = nabla~ w - 4 nabla w.
+    g(S(d_i, d_j), J_M d_k), nw the residual (nabla~_i w)_jk, sym the
+    pairing's defining symmetry (zero when it holds) and cov_omega the
+    Levi-Civita nabla w. First type adds torsion, ng = (nabla~_i g)_jk and
+    consistency, nabla~ w minus its expansion through the pairing; second
+    type adds four = nabla~ w - 4 nabla w.
     """
     S = (first_type if kind == "first" else second_type)(bundle, point)
     ctx = bundle.context(point)
@@ -99,14 +98,17 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
     nw = (cov_omega - contract("...tij,...tk->...ijk", S, w)
           - contract("...tik,...jt->...ijk", S, w))
     terms = {
-        # Levi-Civita is symmetric, so torsion is carried by the deformation
-        "S": S, "torsion": S - np.swapaxes(S, -2, -1), "SJ": SJ, "nw": nw,
-        "ng": -contract("...tij,...tk->...ijk", S, g) - contract("...tik,...jt->...ijk", S, g),
+        "S": S, "SJ": SJ, "nw": nw,
         "sym": SJ + np.einsum("...ijk->...ikj" if kind == "first" else "...ijk->...kji", SJ),
-        "consistency": nw - (cov_omega + SJ - np.einsum("...ijk->...ikj", SJ)),
         "cov_omega": cov_omega,
     }
-    if kind == "second":
+    if kind == "first":
+        # Levi-Civita is symmetric, so torsion is carried by the deformation
+        terms["torsion"] = S - np.swapaxes(S, -2, -1)
+        terms["ng"] = (-contract("...tij,...tk->...ijk", S, g)
+                       - contract("...tik,...jt->...ijk", S, g))
+        terms["consistency"] = nw - (cov_omega + SJ - np.einsum("...ijk->...ikj", SJ))
+    else:
         terms["four"] = nw - 4.0 * cov_omega
     return terms
 
@@ -122,33 +124,15 @@ def _terms(bundle: StructureBundle, kind: str) -> dict:
     return bundle._connections[kind]
 
 
-# kind -> (report key, key of the terms whose largest entry over the points is reported).
-# The block holds only what no identity row reports: the first type's nabla~ g and
-# expansion consistency are rows, the second type's are not.
-_REPORT_ROWS = {
-    "first": (("deformation_norm", "S"), ("torsion_norm", "torsion")),
-    "second": (("deformation_norm", "S"), ("torsion_norm", "torsion"),
-               ("nabla_g_residual", "ng"), ("expansion_consistency", "consistency")),
-}
-
-
 def connection_report(bundle: StructureBundle) -> dict:
-    """The `_REPORT_ROWS` numbers of each constructible connection on the bundle; a kind the
-    bundle's gate rejects is reported skipped with its reason."""
-    out: dict = {"connections": {}, "notes": []}
-    points = bundle.sample_points
-    for kind in ("first", "second"):
-        reason = _GATES[kind](bundle)
-        if reason:
-            out["connections"][kind] = {"skipped": reason}
-            out["notes"].append(f"{kind}: {reason}")
-            continue
-        terms = _terms(bundle, kind)
-        out["connections"][kind] = {
-            key: largest_abs(points, f"{kind}-type connection {key}", terms[term])
-            for key, term in _REPORT_ROWS[kind]
-        }
-    return out
+    """The first-type connection's deformation and torsion norms on a bundle `not_hermitian`
+    admits, which no identity row reports; {} otherwise."""
+    if not_hermitian(bundle):
+        return {}
+    terms = _terms(bundle, "first")
+    return {"first": {key: largest_abs(bundle.sample_points, f"first-type connection {key}",
+                                       terms[term])
+                      for key, term in (("deformation_norm", "S"), ("torsion_norm", "torsion"))}}
 
 
 def _preserves_omega(t: dict) -> tuple:
@@ -187,10 +171,8 @@ SECOND_TYPE_NEARLY = (
 def connection_identity_results(bundle: StructureBundle) -> list:
     """The connection suite as IdentityResult records (shared gating rules)."""
     reason = not_hermitian(bundle)
-    if reason:
-        return [_skip("first-type-preserves-omega", reason),
-                _skip("second-type-connection", reason)]
-    results = evaluate(bundle, FIRST_TYPE_IDENTITIES, values=_terms(bundle, "first"))
+    results = ([_skip("first-type-preserves-omega", reason)] if reason
+               else evaluate(bundle, FIRST_TYPE_IDENTITIES, values=_terms(bundle, "first")))
     reason = no_second_type(bundle)
     if reason:
         return results + [_skip("second-type-connection", reason)]

@@ -23,10 +23,12 @@ hypothesis. Rows marked asserted=False are report-only: they evaluate
 statements whose classical coefficients close only at special parameter
 values or at none, so their pass flags are informational and do not
 drive exit codes. A check is a function only where a table does not suffice: an
-absolute bound (`check_scalar_star`), an observation quoted in a note
-(`check_divergence_ricci_chain`), and the checks that
-`perfbench/tracing.py` times by name, which the suites call as module
-globals so that its patches take effect; `suite_connections` looks up
+absolute bound (`check_scalar_star`) and an observation quoted in a note
+(`check_divergence_ricci_chain`). `check_curvature_commutation` and
+`check_ricci_derivative_cycle` are each one `evaluate` call on a module table
+(`CURVATURE_COMMUTATION`, `RICCI_CYCLE`), kept as functions because
+`perfbench/tracing.py` times them by name; the suites call them as module
+globals so that its patches take effect, and `suite_connections` looks up
 `connections.connection_identity_results` on that module for the same
 reason.
 
@@ -56,8 +58,8 @@ from .metallic import (Identity, IdentityResult, StructureBundle, _result, _skip
 __all__ = [
     "COVDERIV", "F_HERMITIAN", "F_NIJENHUIS_BALANCE", "EXTERIOR_CROSS", "RICCI_PAIR", "F_NEARLY",
     "NEARLY_NIJENHUIS", "STAR_PACK", "RICCI_HYPERBOLIC", "RICCI_STAR_HYPERBOLIC",
-    "check_curvature_commutation", "check_ricci_derivative_cycle",
-    "check_divergence_ricci_chain", "check_scalar_star", "run_suite", "SUITES",
+    "CURVATURE_COMMUTATION", "RICCI_CYCLE", "check_curvature_commutation",
+    "check_ricci_derivative_cycle", "check_divergence_ricci_chain", "check_scalar_star", "run_suite", "SUITES",
 ]
 
 
@@ -142,23 +144,25 @@ EXTERIOR_CROSS = (Identity("dw-cartan-cross-check", not_hermitian, "d1",
 # --- curvature-tier identities ---------------------------------------------------
 
 
-def check_curvature_commutation(bundle: StructureBundle) -> list:
-    """Parallel-structure curvature identities:
+# Parallel-structure curvature identities on a metallic Kahler bundle:
+#
+#     R(X,Y) J_M Z = J_M R(X,Y) Z,
+#     R(J_M X, J_M Y) Z = (3q/2) R(X,Y) Z.
+CURVATURE_COMMUTATION = (
+    Identity("curvature-structure-commute", not_kahler, "d2",
+             lambda ctx: (contract("...ti,...kjth->...kjih", ctx.J, ctx.curvature.Rup)
+                          - contract("...kjit,...ht->...kjih", ctx.curvature.Rup, ctx.J),
+                          ctx.curvature.Rup)),
+    Identity("curvature-structure-pair", not_kahler, "d2",
+             lambda ctx: _diff(contract("...bj,...kbih->...kjih", ctx.J,
+                                         contract("...ak,...abih->...kbih",
+                                                   ctx.J, ctx.curvature.Rup)),
+                               1.5 * ctx.q * ctx.curvature.Rup)),
+)
 
-        R(X,Y) J_M Z = J_M R(X,Y) Z,
-        R(J_M X, J_M Y) Z = (3q/2) R(X,Y) Z.
-    """
-    return evaluate(bundle, (
-        Identity("curvature-structure-commute", not_kahler, "d2",
-                 lambda ctx: (contract("...ti,...kjth->...kjih", ctx.J, ctx.curvature.Rup)
-                              - contract("...kjit,...ht->...kjih", ctx.curvature.Rup, ctx.J),
-                              ctx.curvature.Rup)),
-        Identity("curvature-structure-pair", not_kahler, "d2",
-                 lambda ctx: _diff(contract("...bj,...kbih->...kjih", ctx.J,
-                                             contract("...ak,...abih->...kbih",
-                                                       ctx.J, ctx.curvature.Rup)),
-                                   1.5 * ctx.q * ctx.curvature.Rup)),
-    ))
+
+def check_curvature_commutation(bundle: StructureBundle) -> list:
+    return evaluate(bundle, CURVATURE_COMMUTATION)
 
 
 def _ricci_j(ctx) -> np.ndarray:
@@ -220,25 +224,26 @@ def _ricci_cycle(ctx) -> tuple:
     return lhs - (rhs_common - (2.0 / (3 * q) + 1) * term), lhs, rhs_common, term
 
 
+# Second-Bianchi-style cycle for nabla S on a metallic Kahler bundle:
+#
+#     (1+3q/2)(nabla_Z S)(X,Y)
+#   = (1+3q/2)(nabla_X S)(Z,Y) + (2/3q + 1)(nabla_{J_M Y} S)(X, JMhat Z),
+#
+# with JMhat = -J_M. The statement and the derivation-level variant differ only in a term
+# proportional to p, which is 0, so both rows name one function and `evaluate` forms its
+# arrays once. Third derivatives of g: loosest tier, report-only; they read the cached
+# nabla S of the stacked context.
+_CYCLE_NOTE = "report-only: at p = 0 statement and derivation are one cycle"
+RICCI_CYCLE = (
+    Identity("ricci-derivative-cycle(stated)", not_kahler, "d3", _ricci_cycle,
+             asserted=False, note=_CYCLE_NOTE),
+    Identity("ricci-derivative-cycle(derived)", not_kahler, "d3", _ricci_cycle,
+             asserted=False, note=_CYCLE_NOTE),
+)
+
+
 def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
-    """Second-Bianchi-style cycle for nabla S on a metallic Kahler bundle:
-
-        (1+3q/2)(nabla_Z S)(X,Y)
-      = (1+3q/2)(nabla_X S)(Z,Y) + (2/3q + 1)(nabla_{J_M Y} S)(X, JMhat Z),
-
-    with JMhat = -J_M. The statement and the derivation-level variant differ
-    only in a term proportional to p, which is 0, so both rows name one
-    function and `evaluate` forms its arrays once. Third derivatives of g:
-    loosest tier, report-only; they read the cached nabla S of the stacked
-    context.
-    """
-    note = "report-only: at p = 0 statement and derivation are one cycle"
-    return evaluate(bundle, (
-        Identity("ricci-derivative-cycle(stated)", not_kahler, "d3", _ricci_cycle,
-                 asserted=False, note=note),
-        Identity("ricci-derivative-cycle(derived)", not_kahler, "d3", _ricci_cycle,
-                 asserted=False, note=note),
-    ))
+    return evaluate(bundle, RICCI_CYCLE)
 
 
 # --- star curvature and the nearly-tier identities --------------------------------

@@ -374,7 +374,11 @@ not_nearly = _gate(lambda cls: cls.nearly, "needs a nearly metallic Kähler bund
 
 
 def no_second_type(bundle: StructureBundle) -> str:
-    """Why the bundle has no second-type connection in closed form, "" when it has one."""
+    """Why the bundle has no second-type connection in closed form, "" when it has one;
+    `not_hermitian`'s reason first, so that it decides the second kind alone."""
+    reason = not_hermitian(bundle)
+    if reason:
+        return reason
     cls = bundle.classification()
     if cls.verdict == VERDICT_KAHLER or cls.nearly:
         return ""
@@ -382,5 +386,5 @@ def no_second_type(bundle: StructureBundle) -> str:
         return ("second-type connection: Levi-Civita preserves w only when nabla J_M = 0, "
                 "and no closed form is derived for almost metallic Kähler bundles that are "
                 "not metallic Kähler")
-    return ("second-type connection has a closed form only on almost metallic Kähler or "
+    return ("second-type connection has a closed form only on metallic Kähler or "
             "nearly metallic Kähler bundles")

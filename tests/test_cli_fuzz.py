@@ -35,29 +35,22 @@ HOSTILE = ("nan", "inf", "-inf", "1e400", "1/0", "ln(0)", "sqrt(-1)", "exp(1000)
 FLAGS = ("--h", "--q", "--tol-d1")
 
 # The gate of every row an asserted result can come from: the rows of the `identities`
-# tables, and those that checks and the connections suite build themselves.
+# tables, and those that checks and the connections suite build themselves or leave
+# ungated in their tables.
 _TABLE_GATES = {row.id: row.gate for table in vars(identities).values()
                 if isinstance(table, tuple) and table
                 and all(isinstance(row, Identity) for row in table) for row in table}
 
 
-def _second_type(bundle) -> str:
-    return identities.not_hermitian(bundle) or connections.no_second_type(bundle)
-
-
 GATES = {
     **_TABLE_GATES,
-    "curvature-structure-commute": identities.not_kahler,
-    "curvature-structure-pair": identities.not_kahler,
-    "ricci-derivative-cycle(stated)": identities.not_kahler,
-    "ricci-derivative-cycle(derived)": identities.not_kahler,
     "divergence-ricci-chain": identities.not_nearly,
     "scalar-star-relation": identities.not_nearly,
     "ricci-omega-trace-zero": identities.not_nearly,
     **{row.id: identities.not_hermitian for row in connections.FIRST_TYPE_IDENTITIES},
-    **{row.id: _second_type for row in connections.SECOND_TYPE_SKEW
+    **{row.id: connections.no_second_type for row in connections.SECOND_TYPE_SKEW
        + connections.SECOND_TYPE_LEVI + connections.SECOND_TYPE_NEARLY},
-    "second-type-deformation-ratio": _second_type,
+    "second-type-deformation-ratio": connections.no_second_type,
 }
 
 

@@ -1,4 +1,8 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from metallicgeo import zoo
 from metallicgeo.connections import (
@@ -12,7 +16,10 @@ from metallicgeo.connections import (
 from metallicgeo.geometry import Chart, TensorField, max_abs
 from metallicgeo.identities import not_hermitian, run_suite
 from metallicgeo.metallic import MetallicParams, StructureBundle, VERDICT_ALMOST_KAHLER
+from metallicgeo.specfile import build_bundle, parse_spec
 from oracles import anisotropic_flat_bundle
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_identity.py"
 
 
 def by_id(results):
@@ -62,8 +69,8 @@ def test_first_type_deformation_formula_s6():
 
 
 def test_first_type_gate():
-    """The first type is gated by `not_hermitian`: both the suite and the report skip it with
-    that reason."""
+    """The first type is gated by `not_hermitian`: the suite skips it with that reason, and
+    the report has no block entry for it."""
     bundle = anisotropic_flat_bundle(2.0)  # fails skew compatibility
     reason = not_hermitian(bundle)
     assert reason == "needs an almost metallic Hermitian bundle"
@@ -71,7 +78,7 @@ def test_first_type_gate():
     assert res["first-type-preserves-omega"].skipped
     assert res["first-type-preserves-omega"].note == reason
     assert res["second-type-connection"].skipped
-    assert connection_report(bundle)["connections"]["first"] == {"skipped": reason}
+    assert connection_report(bundle) == {}
 
 
 def test_second_type_levi_civita_branch_on_s2():
@@ -90,18 +97,18 @@ def test_second_type_nearly_branch_is_minus_three_first():
 
 def test_second_type_gate_fails_on_hermitian_only():
     """`no_second_type` admits metallic Kahler and nearly bundles only; a gated bundle's
-    second type is skipped with the reason in the suite and in the report."""
+    second type is skipped with the reason in the suite, and the report has no entry for
+    it."""
     assert no_second_type(zoo.get("s2").bundle) == ""
     assert no_second_type(zoo.get("s6").bundle) == ""
     bundle = zoo.get("negative").bundle
     reason = no_second_type(bundle)
-    assert "closed form only on almost metallic Kähler or nearly" in reason
+    assert reason == ("second-type connection has a closed form only on metallic Kähler or "
+                      "nearly metallic Kähler bundles")
     res = by_id(connection_identity_results(bundle))
     assert res["second-type-connection"].skipped and res["second-type-connection"].note == reason
     assert not res["first-type-preserves-omega"].skipped
-    rep = connection_report(bundle)
-    assert rep["connections"]["second"] == {"skipped": reason}
-    assert rep["notes"] == [f"second: {reason}"]
+    assert list(connection_report(bundle)) == ["first"]
 
 
 def test_connection_identity_results_s2():
@@ -128,10 +135,8 @@ def test_connection_identity_results_s6():
 
 def test_connection_report_flat_all_zero():
     bundle = zoo.get("flat-k1").bundle
-    rep = connection_report(bundle)
-    for kind in ("first", "second"):
-        assert rep["connections"][kind]["deformation_norm"] < 1e-12
-    assert rep["connections"]["second"]["nabla_g_residual"] < 1e-12
+    first = connection_report(bundle)["first"]
+    assert first["deformation_norm"] < 1e-12 and first["torsion_norm"] < 1e-12
     res = by_id(connection_identity_results(bundle))
     for id_ in ("first-type-preserves-omega", "first-type-metric-theorem",
                 "second-type-preserves-omega"):
@@ -139,17 +144,15 @@ def test_connection_report_flat_all_zero():
 
 
 def test_connection_report_s6_ratio_and_residuals():
-    """The block holds the numbers no row reports; the rest are the rows' residuals."""
+    """The block holds the two numbers no row reports, which are independent; the rest are
+    the rows' residuals."""
     bundle = zoo.get("s6").bundle
     rep = connection_report(bundle)
-    first = rep["connections"]["first"]
-    second = rep["connections"]["second"]
+    assert list(rep) == ["first"]
+    first = rep["first"]
     assert list(first) == ["deformation_norm", "torsion_norm"]
-    assert list(second) == ["deformation_norm", "torsion_norm", "nabla_g_residual",
-                            "expansion_consistency"]
-    assert list(rep) == ["connections", "notes"]
-    assert first["deformation_norm"] > 0.01
-    assert second["expansion_consistency"] < 1e-8
+    assert abs(first["deformation_norm"] - 1.0) < 1e-6
+    assert abs(first["torsion_norm"] - 2.0) < 1e-6
     res = by_id(connection_identity_results(bundle))
     assert res["first-type-preserves-omega"].max_residual < 1e-5
     assert res["first-type-metric-theorem"].max_residual < 1e-5
@@ -160,7 +163,7 @@ def test_connection_report_s6_ratio_and_residuals():
 
 def test_connection_report_negative_second_skipped():
     bundle = zoo.get("negative").bundle
-    assert "skipped" in connection_report(bundle)["connections"]["second"]
+    assert "second" not in connection_report(bundle)
     res = by_id(connection_identity_results(bundle))
     assert res["first-type-preserves-omega"].max_residual < 1e-5
 
@@ -176,4 +179,43 @@ def test_second_type_skipped_on_almost_kahler_not_kahler():
     assert "Levi-Civita" in results["second-type-connection"].note
     assert results["first-type-preserves-omega"].passed
     assert not [r.id for r in results.values() if r.asserted and not r.skipped and not r.passed]
-    assert "skipped" in connection_report(bundle)["connections"]["second"]
+    assert list(connection_report(bundle)) == ["first"]
+
+
+def load_s2_mutations() -> dict:
+    """`tools/report_identity.py`'s S2_MUTATIONS: spec name -> (s2 line, the line replacing
+    it), two copies of the s2 spec that are not almost metallic Hermitian."""
+    spec = importlib.util.spec_from_file_location("report_identity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.S2_MUTATIONS
+
+
+S2_MUTATIONS = load_s2_mutations()
+GATED_BUNDLES = {
+    "negative": lambda: zoo.get("negative").bundle,
+    **{name: lambda line=line, new=new: build_bundle(parse_spec(
+        zoo.get("s2").spec_text.replace(line, new))) for name, (line, new) in S2_MUTATIONS.items()},
+    "symplectic-shear": symplectic_shear_bundle,
+    "s2": lambda: zoo.get("s2").bundle,
+    "s6": lambda: zoo.get("s6").bundle,
+}
+
+
+@pytest.mark.parametrize("name", GATED_BUNDLES)
+def test_one_gate_per_kind_decides_every_skip(name):
+    """The block holds the first type's two norms exactly where `not_hermitian` admits the
+    bundle, and a kind that its gate rejects is one skipped record of the suite, with that
+    gate's reason as its note: `not_hermitian` for the first kind, `no_second_type` alone for
+    the second."""
+    bundle = GATED_BUNDLES[name]()
+    block = connection_report(bundle)
+    assert list(block) == ([] if not_hermitian(bundle) else ["first"])
+    assert all(isinstance(value, float) for norms in block.values() for value in norms.values())
+    results = run_suite(bundle, "all")
+    for kind, gate in (("first", not_hermitian), ("second", no_second_type)):
+        records = [r for r in results if r.id.startswith(f"{kind}-type")]
+        if gate(bundle):
+            assert [(r.skipped, r.note) for r in records] == [(True, gate(bundle))], kind
+        else:
+            assert records and not any(r.skipped for r in records), kind

@@ -400,12 +400,13 @@ def test_shared_terms_formed_once(monkeypatch):
             return fn(ctx)
         return wrapper
 
-    f_skew = counted(identities._f_skew, "f_skew")
-    for table in ("COVDERIV", "F_HERMITIAN"):
-        monkeypatch.setattr(identities, table, tuple(
-            dataclasses.replace(row, fn=f_skew) if row.fn is identities._f_skew else row
-            for row in getattr(identities, table)))
-    monkeypatch.setattr(identities, "_ricci_cycle", counted(identities._ricci_cycle, "cycle"))
+    for fn, key, tables in ((identities._f_skew, "f_skew", ("COVDERIV", "F_HERMITIAN")),
+                            (identities._ricci_cycle, "cycle", ("RICCI_CYCLE",))):
+        wrapped = counted(fn, key)
+        for table in tables:
+            monkeypatch.setattr(identities, table, tuple(
+                dataclasses.replace(row, fn=wrapped) if row.fn is fn else row
+                for row in getattr(identities, table)))
     fx = BUILDERS["s2"]()
     monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
     with redirect_stdout(io.StringIO()):
@@ -416,10 +417,11 @@ def test_shared_terms_formed_once(monkeypatch):
 def test_connection_arrays_formed_once(monkeypatch):
     """The connections block and the identity rows reduce the kept arrays, each once: on s6
     the -1/3 ratio S_second + 3 S_first and the first type's nabla~ w minus its expansion
-    (rows only), and the second type's (block only). When each reader formed its own, the
-    block and the rows formed each of these arrays again; when the block repeated a row,
-    both reduced it. Every reduced array is kept, so the counts compare identities, not ids
-    that a freed temporary may hand on."""
+    (rows only), and the first type's torsion (block only); the second type forms no
+    expansion consistency and no torsion. When each reader formed its own, the block and
+    the rows formed each of these arrays again; when the block repeated a row, both reduced
+    it. Every reduced array is kept, so the counts compare identities, not ids that a freed
+    temporary may hand on."""
     kept, reduced = {}, []
     terms = connections.connection_terms
 
@@ -440,8 +442,9 @@ def test_connection_arrays_formed_once(monkeypatch):
         assert cli.main(["verify", "--zoo", "s6", "--suite", "all", "--format", "json"]) == 0
     counts = [sum(a is array for a in reduced)
               for array in (kept["second"]["ratio"], kept["first"]["consistency"],
-                            kept["second"]["consistency"])]
+                            kept["first"]["torsion"])]
     assert counts == [1, 1, 1]
+    assert not {"consistency", "torsion", "ng"} & kept["second"].keys()
 
 
 def test_ricci_omega_trace_formed_once(monkeypatch):

@@ -94,8 +94,9 @@ def test_every_identities_row_names_a_gate():
               if isinstance(table, tuple) and table
               and all(isinstance(row, Identity) for row in table)}
     assert set(tables) == {"COVDERIV", "F_HERMITIAN", "F_NIJENHUIS_BALANCE", "EXTERIOR_CROSS",
-                           "RICCI_PAIR", "F_NEARLY", "NEARLY_NIJENHUIS", "STAR_PACK",
-                           "RICCI_HYPERBOLIC", "RICCI_STAR_HYPERBOLIC"}
+                           "CURVATURE_COMMUTATION", "RICCI_PAIR", "RICCI_CYCLE", "F_NEARLY",
+                           "NEARLY_NIJENHUIS", "STAR_PACK", "RICCI_HYPERBOLIC",
+                           "RICCI_STAR_HYPERBOLIC"}
     for name, table in tables.items():
         for row in table:
             assert row.gate in gates, (name, row.id)

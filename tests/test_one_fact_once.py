@@ -42,10 +42,10 @@ def entries(report: dict) -> dict:
     out.update((f"identity {rec['id']}", rec["max_residual"])
                for rec in report["identities"] if not rec["skipped"])
 
-    def block(node, path):  # the per-kind entries sit under the block's own "connections"
+    def block(node, path):
         if isinstance(node, dict):
             for key, value in node.items():
-                block(value, path if key == "connections" else f"{path} {key}")
+                block(value, f"{path} {key}")
         elif isinstance(node, float):
             out[path] = node
 

@@ -60,3 +60,24 @@ def test_compare_names_a_changed_set_of_classification_residuals(snapshot, tmp_p
     assert compared.returncode == 1 and compared.stderr == ""
     assert compared.stdout.splitlines()[0].endswith(
         ": classification residual keys differ: no row in this checkout: retired_residual")
+
+
+def test_compare_names_changed_connections_block_keys(snapshot, tmp_path):
+    """A snapshot whose connections blocks hold a key that the other's do not is a problem
+    naming the key by its path in the block, exit 1, not "a non-numeric field differs"."""
+    records = json.loads(snapshot.read_text(encoding="utf-8"))
+    changed = 0
+    for rec in records:
+        block = rec["report"].get("connections") if isinstance(rec["report"], dict) else None
+        if block:
+            block["first"]["retired_norm"] = 0.0
+            changed += 1
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(records), encoding="utf-8")
+    compared = tool("--compare", old, snapshot, cwd=tmp_path)
+    assert (compared.returncode, compared.stderr) == (1, ""), compared.stderr
+    *problems, summary = compared.stdout.splitlines()
+    assert len(problems) == changed > 0
+    assert all(line.endswith(": connections block keys differ: only before: "
+                             "first.retired_norm") for line in problems), problems[0]
+    assert summary.startswith("104 reports compared")

@@ -61,8 +61,9 @@ no longer applies; ``--compare`` checks the parsed reports of two snapshots
   notes) are equal, and so is every number that is a setting rather than
   a result (parameters, steps, tolerances, points);
 * both reports hold the same classification residual keys, each a row of
-  the checkout's ``metallic.CLASSIFICATION``; a run where they differ is a
-  problem that names the keys, and its numbers are not compared;
+  the checkout's ``metallic.CLASSIFICATION``, and the same keys in their
+  connections block; a run where they differ is a problem that names the
+  keys, and its numbers are not compared;
 * every numeric result moves by at most 1e-3 x its tier's tolerance x
   max(1, scale). The tier and scale of an identity are its own
   ``tolerance`` and ``scale`` (a skipped identity has tolerance 0, so its
@@ -288,16 +289,33 @@ def _residual_keys(report: dict) -> list:
     return list((report.get("classification") or {}).get("residuals", ()))
 
 
+def _block_keys(report: dict) -> list:
+    """The dotted path of every entry of the report's connections block."""
+    def paths(node, prefix):
+        if isinstance(node, dict) and node:
+            for key, value in node.items():
+                yield from paths(value, f"{prefix}.{key}" if prefix else key)
+        elif prefix:
+            yield prefix
+
+    return list(paths(report.get("connections") or {}, ""))
+
+
+def _key_change(b: list, a: list, *extra) -> str:
+    """The keys that only one of the key lists b (before) and a (after) holds, and any
+    (label, keys) of extra, as one line; "" when there are none."""
+    parts = [f"{label} {', '.join(keys)}" for label, keys in (
+        ("only before:", [k for k in b if k not in a]),
+        ("only after:", [k for k in a if k not in b]), *extra) if keys]
+    return "; ".join(parts)
+
+
 def _residual_key_change(before: dict, after: dict, residual_tiers: dict) -> str:
     """The classification residual keys that only one report holds, or that no row of
     ``metallic.CLASSIFICATION`` gives a tier for; "" when there are none."""
     b, a = _residual_keys(before), _residual_keys(after)
-    parts = [f"{label} {', '.join(keys)}" for label, keys in (
-        ("only before:", [k for k in b if k not in a]),
-        ("only after:", [k for k in a if k not in b]),
-        ("no row in this checkout:", [k for k in b if k in a and k not in residual_tiers]))
-        if keys]
-    return "; ".join(parts)
+    return _key_change(b, a, ("no row in this checkout:",
+                              [k for k in b if k in a and k not in residual_tiers]))
 
 
 def compare(before: list, after: list, residual_tiers: dict) -> tuple:
@@ -318,6 +336,10 @@ def compare(before: list, after: list, residual_tiers: dict) -> tuple:
         changed = _residual_key_change(b["report"], a["report"], residual_tiers)
         if changed:
             problems.append(f"{run}: classification residual keys differ: {changed}")
+            continue
+        changed = _key_change(_block_keys(b["report"]), _block_keys(a["report"]))
+        if changed:
+            problems.append(f"{run}: connections block keys differ: {changed}")
             continue
         fields = list(result_fields(b["report"], residual_tiers))
         paths = [path for path, *_ in fields]
