@@ -278,16 +278,17 @@ def cmd_curvature(args) -> int:
                          f"{bundle.chart.dimension}")
     ctx = bundle.context(point)
     pack = ctx.curvature
+    c = bundle.params.coeff  # the context's H is of degree 1 in J_M = c J, the rest of 2
     report = _base_report(bundle, source)
     report["point"] = [float(v) for v in point]
-    report["curvature"] = {
+    report["curvature"] = block = {
         "riemann_lowered": pack.Rdown,
         "ricci": pack.ricci,
         "scalar": pack.scalar,
-        "H": ctx.H,
-        "ricci_star": ctx.Sstar,
-        "scalar_star": ctx.scalar_star,
-        "norm_nabla_jm_sq": ctx.norm_covJ_sq,
+        "H": c * ctx.H,
+        "ricci_star": c * c * ctx.Sstar,
+        "scalar_star": c * c * ctx.scalar_star,
+        "norm_nabla_jm_sq": c * c * ctx.norm_covJ_sq,
         "symmetry_residuals": pack.symmetry_residuals(),
     }
     report["timing_s"] = time.perf_counter() - t0
@@ -296,12 +297,12 @@ def cmd_curvature(args) -> int:
     else:
         print(f"point: {point.tolist()}")
         print(f"scalar curvature:  {pack.scalar:.6g}")
-        print(f"scalar* curvature: {ctx.scalar_star:.6g}")
-        print(f"|nabla J_M|^2:     {ctx.norm_covJ_sq:.6g}")
+        print(f"scalar* curvature: {block['scalar_star']:.6g}")
+        print(f"|nabla J_M|^2:     {block['norm_nabla_jm_sq']:.6g}")
         with np.printoptions(precision=6, suppress=False):
             print("ricci:"); print(np.array2string(pack.ricci))
-            print("ricci*:"); print(np.array2string(ctx.Sstar))
-            print("H:"); print(np.array2string(ctx.H))
+            print("ricci*:"); print(np.array2string(block["ricci_star"]))
+            print("H:"); print(np.array2string(block["H"]))
             print("riemann (lowered):"); print(np.array2string(pack.Rdown))
     return EXIT_OK
 

@@ -18,6 +18,12 @@ metallic):
   metallic Kahler bundle that is not metallic Kahler, and no closed form
   is derived there or outside the two classes above.
 
+With J_M = c J, c^2 = 3q/2, both deformations are free of q:
+S_first = -(1/2) J (nabla J) and S_second = (3/2) J (nabla J), so they are
+computed on the unit structure J of the PointContext and this module reads
+no q. S and its torsion are of degree 0 in c, and the pairing and every w
+term of degree 1; each row declares its degree, as every identity row does.
+
 Each kind is gated as every identity row is, by a function that returns why
 the bundle is outside its class ("" inside it): `not_hermitian` for the first
 type, `no_second_type` for the second, both from `metallic`. The suite reads
@@ -59,12 +65,11 @@ def _levi(bundle: StructureBundle) -> bool:
 
 
 def first_type(bundle: StructureBundle, point) -> np.ndarray:
-    """Deformation S[..., h, i, j] = (1/3q) JMhat (nabla J_M) = -(1/3q) J_M (nabla J_M) at a
-    point or a stack of points. It is a connection of the bundle where `not_hermitian` gives
-    no reason."""
+    """Deformation S[..., h, i, j] = (1/3q) JMhat (nabla J_M) = -(1/2) J (nabla J) at a point
+    or a stack of points. It is a connection of the bundle where `not_hermitian` gives no
+    reason."""
     ctx = bundle.context(point)
-    q = bundle.params.q
-    return -(1.0 / (3.0 * q)) * contract("...ht,...itj->...hij", ctx.J, ctx.covJ)
+    return -0.5 * contract("...ht,...itj->...hij", ctx.J, ctx.covJ)
 
 
 def second_type(bundle: StructureBundle, point) -> np.ndarray:
@@ -72,20 +77,19 @@ def second_type(bundle: StructureBundle, point) -> np.ndarray:
     no reason.
 
     Metallic Kahler: S = 0 (Levi-Civita exactly). Nearly metallic Kahler:
-    S = -(1/q) JMhat (nabla J_M) = (1/q) J_M (nabla J_M).
+    S = -(1/q) JMhat (nabla J_M) = (3/2) J (nabla J).
     """
     ctx = bundle.context(point)
     if _levi(bundle):
         return np.zeros_like(ctx.gamma)
-    q = bundle.params.q
-    return (1.0 / q) * contract("...ht,...itj->...hij", ctx.J, ctx.covJ)
+    return 1.5 * contract("...ht,...itj->...hij", ctx.J, ctx.covJ)
 
 
 def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
     """Every term of the `kind` ("first" or "second") connection at a point or a stack.
 
     S is the deformation S[..., h, i, j], SJ the pairing S_J[..., i, j, k] =
-    g(S(d_i, d_j), J_M d_k), nw the residual (nabla~_i w)_jk, sym the
+    g(S(d_i, d_j), J d_k), nw the residual (nabla~_i w)_jk, sym the
     pairing's defining symmetry (zero when it holds) and cov_omega the
     Levi-Civita nabla w. First type adds torsion, ng = (nabla~_i g)_jk and
     consistency, nabla~ w minus its expansion through the pairing; second
@@ -143,28 +147,29 @@ def _pairing_symmetry(t: dict) -> tuple:
     return t["sym"], t["SJ"]
 
 
+# S and g are of degree 0 in c, and w, nabla w, the pairing and nabla~ w of degree 1.
 FIRST_TYPE_IDENTITIES = (
-    Identity("first-type-preserves-omega", None, "d1", _preserves_omega),
-    Identity("first-type-pairing-skew", None, "alg", _pairing_symmetry),
-    Identity("first-type-metric-theorem", None, "d1", lambda t: (t["ng"], t["ng"])),
+    Identity("first-type-preserves-omega", None, "d1", _preserves_omega, degree=1),
+    Identity("first-type-pairing-skew", None, "alg", _pairing_symmetry, degree=1),
+    Identity("first-type-metric-theorem", None, "d1", lambda t: (t["ng"], t["ng"]), degree=0),
     Identity("first-type-expansion-consistency", None, "alg",
-             lambda t: (t["consistency"], t["nw"])),
+             lambda t: (t["consistency"], t["nw"]), degree=1),
 )
 SECOND_TYPE_SKEW = (
-    Identity("second-type-pairing-outer-skew", None, "d1", _pairing_symmetry),
+    Identity("second-type-pairing-outer-skew", None, "d1", _pairing_symmetry, degree=1),
 )
 SECOND_TYPE_LEVI = (
     Identity("second-type-equals-levi-civita", None, "alg",
-             lambda t: (t["S"], np.ones(len(t["S"])))),
-    Identity("second-type-preserves-omega", None, "d1", _preserves_omega),
+             lambda t: (t["S"], np.ones(len(t["S"]))), degree=0),
+    Identity("second-type-preserves-omega", None, "d1", _preserves_omega, degree=1),
 )
 SECOND_TYPE_NEARLY = (
     Identity("second-type-omega-residual", None, "d1", _preserves_omega, asserted=False,
              note="report-only: the nearly-case closed form does not "
-                  "annihilate w; see second-type-omega-is-4covomega"),
+                  "annihilate w; see second-type-omega-is-4covomega", degree=1),
     Identity("second-type-omega-is-4covomega", None, "alg",
              lambda t: (t["four"], t["nw"]),
-             note="derived consistency of the nearly-case closed form"),
+             note="derived consistency of the nearly-case closed form", degree=1),
 )
 
 

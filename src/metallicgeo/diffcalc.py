@@ -60,7 +60,8 @@ x +- h1 e_a, x +- 2 h1 e_a; each field is called once for it, at every
 point and its 4n nodes: a MetricJet evaluates g, a PointContext J_M as
 well, and every order-1 quantity is read off those values. They give g,
 d g, g^-1 (inverted once) and Gamma (`christoffel`, algebra on g^-1 and
-d g); J and d J; and w = J_M g at the points and the nodes, hence d w,
+d g); the unit structure J = J_M / c and d J; and w = J g at the points
+and the nodes, hence d w,
 nabla w (`covariant_derivative`: plain partials plus Gamma corrections)
 and dw (the cyclic sum of the skew part of d w). The node values are not
 kept; a MetricJet of any field gives its order-1 jet, `dg`. Orders 2 (axis
@@ -79,7 +80,7 @@ Curvature and its derivatives are algebra on the jet: differentiating
 g Gamma = L/2 (L_tij = d_i g_tj + d_j g_ti - d_t g_ij) once and twice
 gives d Gamma and d d Gamma, with d g from order 1. Riemann
 reads (Gamma, d Gamma), nabla Ricci d d Gamma, and nabla nabla w the
-order-2 jet of w = J_M g. The jet agrees with nested stencils to roundoff
+order-2 jet of w = J g. The jet agrees with nested stencils to roundoff
 and truncation (Riemann to ~1e-10). Every two-operand contraction of this
 algebra (and of the checks) goes through `geometry.contract`, one batched
 matrix product per contraction; traces and transposes stay on np.einsum.
@@ -98,7 +99,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Chart, contract, inverse_metric, max_abs
+from .geometry import Chart, TensorField, contract, inverse_metric, max_abs
 
 __all__ = [
     "DiffScheme",
@@ -506,16 +507,22 @@ class PointContext(MetricJet):
     """Lazy cache of every derived quantity of a (g, J_M) pair at one point or at each point
     of a stack: the metric's jet and what the structure adds. Every cached member is computed
     at most once; the object is effectively immutable after the caches fill, so contexts may
-    be shared freely."""
+    be shared freely.
+
+    The structure members are those of the unit structure J = J_M / c, c = sqrt(3q/2), so
+    that J^2 = -I: `j_fn` divides each value of the J_M field by c as it is read, and no
+    member depends on q. A quantity of degree k in J is c^-k times its metallic form. q is
+    kept for the report-only rows, whose coefficients are not homogeneous in c."""
 
     def __init__(self, g_fn, j_fn, q: float, point, scheme: DiffScheme | None = None):
         super().__init__(g_fn, point, scheme)
-        self.j_fn = j_fn
         self.q = float(q)
+        c = np.sqrt(6.0 * self.q) / 2.0  # as metallic.MetallicParams.coeff
+        self.j_fn = TensorField("J", lambda pts: j_fn(pts) / c, constant=_constant(j_fn))
 
     def _first_order(self, g: np.ndarray) -> dict:
-        """Adds one stencil of J_M, and w = J_M g at the points and their nodes from both (at
-        the points alone when both fields are constant)."""
+        """Adds one stencil of J, and w = J g at the points and their nodes from both (at the
+        points alone when both fields are constant)."""
         J = self._stencil(self.j_fn)
         w = np.swapaxes(J, -1, -2) @ g
         return super()._first_order(g) | {
@@ -526,11 +533,11 @@ class PointContext(MetricJet):
     # --- algebra at the points ---
 
     J = _from_order1("J")
-    omega = _from_order1("omega", "w_im = (J_M)_i^t g_tm.")
+    omega = _from_order1("omega", "w_im = J_i^t g_tm, the 2-form of J, w_M / c.")
 
     # --- first derivatives ---
 
-    dJ = _from_order1("dJ", "dJ[..., a, h, i] = d_a (J_M)_i^h.")
+    dJ = _from_order1("dJ", "dJ[..., a, h, i] = d_a J_i^h.")
     dw = _from_order1("dw", "dw[..., a, i, m] = d_a w_im.")
 
     @cached_property
@@ -553,7 +560,7 @@ class PointContext(MetricJet):
 
     @cached_property
     def F(self) -> np.ndarray:
-        """F[..., i, j, k] = g((nabla_i J) d_j, d_k) = g_kt (nabla_i J)_j^t."""
+        """F[..., i, j, k] = g((nabla_i J) d_j, d_k) = g_kt (nabla_i J)_j^t, which is F_M / c."""
         return contract("...itj,...tk->...ijk", self.covJ, self.g)
 
     @cached_property
@@ -563,17 +570,18 @@ class PointContext(MetricJet):
 
     @cached_property
     def N(self) -> np.ndarray:
+        """The Nijenhuis tensor of J, N_M / c^2."""
         return nijenhuis(self.J, self.dJ)
 
     # --- curvature ---
 
     @cached_property
     def H(self) -> np.ndarray:
-        """H_ji = R_hji^t (J_M)_t^h, the curvature/2-form contraction.
+        """H_ji = R_hji^t J_t^h, the curvature/2-form contraction of J (H_M / c).
 
         This is the arrangement that satisfies the contracted commutation
-        identity nabla_h nabla_j (J_M)_i^h = S_jt (J_M)_i^t - H_ji; raising
-        the 2-form's slots in the opposite order flips the sign.
+        identity nabla_h nabla_j J_i^h = S_jt J_i^t - H_ji; raising the
+        2-form's slots in the opposite order flips the sign.
         """
         if self.flat:
             return self.flat_zeros(2)
@@ -581,20 +589,21 @@ class PointContext(MetricJet):
 
     @cached_property
     def Sstar(self) -> np.ndarray:
-        """Ricci-star: S*_ji = -H_jt (J_M)_i^t, as 0 - H J_M, which unlike -(H J_M) gives a
-        zero entry as +0.0."""
+        """Ricci-star of J: S*_ji = -H_jt J_i^t (S*_M / c^2), as 0 - H J, which unlike -(H J)
+        gives a zero entry as +0.0."""
         if self.flat:
             return self.flat_zeros(2)
         return 0.0 - contract("...jt,...ti->...ji", self.H, self.J)
 
     @cached_property
     def scalar_star(self) -> float | np.ndarray:
+        """g^{ij} S*_ji, the scalar* curvature of J (S*_c / c^2)."""
         return contract("...nj,...jn->...", self.ginv, self.Sstar)
 
     @cached_property
     def norm_covJ_sq(self) -> float | np.ndarray:
         """g^{km} g_{jt} g^{is} (nabla_m J)_i^t (nabla_k J)_s^j (signed for indefinite g), as
-        one contraction at a time."""
+        one contraction at a time: |nabla J_M|^2 / c^2."""
         raised = contract("...km,...mti->...kti", self.ginv, self.covJ)  # nabla^k J
         lowered = contract("...jt,...kti->...kji", self.g, raised)
         return np.einsum("...kji,...kjs,...is->...", lowered, self.covJ, self.ginv)
@@ -604,7 +613,7 @@ class PointContext(MetricJet):
     @cached_property
     def covcov_omega(self) -> np.ndarray:
         """covcov[..., a, b, i, m] = (nabla_a nabla_b w)_im, one chunk of points at a time;
-        exact zeros on a flat jet whose J_M is constant too, where w is constant."""
+        exact zeros on a flat jet whose J is constant too, where w is constant."""
         if self.flat and _constant(self.j_fn):
             return self.flat_zeros(4)
         return _join(self._covcov_omega(rows) for rows in self._chunks(2))

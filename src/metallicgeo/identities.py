@@ -33,11 +33,17 @@ globals so that its patches take effect, and `suite_connections` looks up
 reason.
 
 Conventions: see diffcalc. The structure parameter p is 0 (see metallic),
-so the conjugate structure JMhat = pI - J_M is -J_M, and each row writes
-it as -J_M. H_ji = R_hji^t (J_M)_t^h and S*_ji = -H_jt (J_M)_i^t, the
-arrangement under which the contracted commutation chain
+so J_M = c J with c = sqrt(3q/2) and J^2 = -I, and the conjugate structure
+JMhat = pI - J_M is -J_M. Every asserted row is stated on the unit
+structure J of the PointContext, with no q in it: a metallic identity
+whose terms are all of degree k in J_M is c^k times the identity on J, so
+a row declares k as its `degree` and `evaluate` reports c^k times its
+numbers, those of the metallic form. The report-only rows mix degrees and
+form their metallic numbers from q themselves. H_ji = R_hji^t J_t^h and
+S*_ji = -H_jt J_i^t, the arrangement under which the contracted
+commutation chain
 
-    nabla^m nabla_j w_im = S_jt (J_M)_i^t - (2/3q) S*_jt (J_M)_i^t
+    nabla^m nabla_j w_im = S_jt J_i^t - S*_jt J_i^t
 
 closes, and dw_abc denotes the coordinate exterior derivative
 d_a w_bc + d_b w_ca + d_c w_ab.
@@ -74,7 +80,7 @@ def _skew_part(M: np.ndarray) -> tuple:
 
 
 def _structure_pair(T: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """T(X, J_M Y, J_M Z) = T[..., i, a, b] J[..., a, j] J[..., b, k], one slot at a time."""
+    """T(X, J Y, J Z) = T[..., i, a, b] J[..., a, j] J[..., b, k], one slot at a time."""
     return contract("...ijb,...bk->...ijk", contract("...iab,...aj->...ijb", T, J), J)
 
 
@@ -92,45 +98,48 @@ def _f_skew(ctx) -> tuple:
     return _skew_part(ctx.F)
 
 
-# Two facts about nabla J_M. (nabla_X J_M) J_M Y = -J_M (nabla_X J_M) Y is the derivative
-# of the polynomial identity J_M^2 + (3q/2) I = 0 alone, so it needs only a metallic
-# structure. g((nabla_X J_M) Y, Z) = -g(Y, (nabla_X J_M) Z) also needs skew
-# compatibility: it states F(X,Y,Z) = -F(X,Z,Y), as f-skew-last-args does, so both rows
-# name one function and `evaluate` forms its array once.
+# Two facts about nabla J. (nabla_X J) J Y = -J (nabla_X J) Y is the derivative of the
+# polynomial identity J^2 + I = 0 alone, so it needs only a metallic structure.
+# g((nabla_X J) Y, Z) = -g(Y, (nabla_X J) Z) also needs skew compatibility: it states
+# F(X,Y,Z) = -F(X,Z,Y), as f-skew-last-args does, so both rows name one function and
+# `evaluate` forms its array once.
 COVDERIV = (
     Identity("covderiv-conjugate-exchange", not_metallic, "d1",
              lambda ctx: _diff(contract("...aht,...tj->...ajh", ctx.covJ, ctx.J),
-                               -contract("...ht,...atj->...ajh", ctx.J, ctx.covJ))),
-    Identity("covderiv-skew-adjoint", not_hermitian, "d1", _f_skew),
+                               -contract("...ht,...atj->...ajh", ctx.J, ctx.covJ)), degree=2),
+    Identity("covderiv-skew-adjoint", not_hermitian, "d1", _f_skew, degree=1),
 )
 
 
-# F(X, Y, Z) = g((nabla_X J_M) Y, Z) under structure rescaling, on an almost metallic
-# Hermitian bundle: F(X,Y,Z) = -F(X,Z,Y) and F(X, J_M Y, J_M Z) = (3/2) q F(X,Z,Y).
+# F(X, Y, Z) = g((nabla_X J) Y, Z) under the structure, on an almost metallic Hermitian
+# bundle: F(X,Y,Z) = -F(X,Z,Y) and F(X, J Y, J Z) = F(X,Z,Y), which is
+# F(X, J_M Y, J_M Z) = (3/2) q F(X,Z,Y) in the metallic form.
 F_HERMITIAN = (
-    Identity("f-skew-last-args", not_hermitian, "d1", _f_skew),
+    Identity("f-skew-last-args", not_hermitian, "d1", _f_skew, degree=1),
     Identity("f-structure-pair-rescale", not_hermitian, "d1",
              lambda ctx: _diff(_structure_pair(ctx.F, ctx.J),
-                               1.5 * ctx.q * np.einsum("...ikj->...ijk", ctx.F))),
+                               np.einsum("...ikj->...ijk", ctx.F)), degree=3),
 )
 
 
 def _balance(ctx) -> tuple:
     cart = _cartan_sum(ctx.F)
     J_g = contract("...ai,...at->...it", ctx.J, ctx.g)
-    left = 3.0 * ctx.q * ctx.F - contract("...it,...jkt->...ijk", J_g, ctx.N)
-    right = _structure_pair(cart, ctx.J) - 1.5 * ctx.q * cart
+    left = 2.0 * ctx.F - contract("...it,...jkt->...ijk", J_g, ctx.N)
+    right = _structure_pair(cart, ctx.J) - cart
     return _diff(left, right)
 
 
 # Balance between F, the Nijenhuis tensor and the covariant cyclic sum:
 #
-#     3q F(X,Y,Z) - g(J_M X, N(Y,Z)) = cart(X, J_M Y, J_M Z) - (3q/2) cart(X,Y,Z),
+#     2 F(X,Y,Z) - g(J X, N(Y,Z)) = cart(X, J Y, J Z) - cart(X,Y,Z),
 #
-# where cart is the displayed cyclic sum g(Y,(nabla_X J_M)Z) + cycles (equal to minus the
+# the metallic 3q F - g(J_M X, N) = cart(X, J_M Y, J_M Z) - (3q/2) cart divided by c^3,
+# where cart is the displayed cyclic sum g(Y,(nabla_X J)Z) + cycles (equal to minus the
 # coordinate dw on a skew-compatible bundle). A nontrivial cancellation when N and dw are
 # both large.
-F_NIJENHUIS_BALANCE = (Identity("f-nijenhuis-dw-balance", not_hermitian, "d1", _balance),)
+F_NIJENHUIS_BALANCE = (Identity("f-nijenhuis-dw-balance", not_hermitian, "d1", _balance,
+                                degree=3),)
 
 # Coordinate exterior derivative against the covariant cyclic sum: two independent
 # computation paths for the same 3-form content. With the conventions of this package the
@@ -138,26 +147,31 @@ F_NIJENHUIS_BALANCE = (Identity("f-nijenhuis-dw-balance", not_hermitian, "d1", _
 # a sign error in either path fails the row.
 EXTERIOR_CROSS = (Identity("dw-cartan-cross-check", not_hermitian, "d1",
                            lambda ctx: _diff(ctx.domega, -_cartan_sum(ctx.F)),
-                           note="matching orientation: dw = -cartan-sum"),)
+                           note="matching orientation: dw = -cartan-sum", degree=1),)
 
 
 # --- curvature-tier identities ---------------------------------------------------
 
 
+def _commute(ctx) -> tuple:
+    """R(X,Y) + J R(X,Y) J, with the norm of R as its scale."""
+    Rup = ctx.curvature.Rup
+    RJ = contract("...ti,...kjth->...kjih", ctx.J, Rup)
+    return Rup + contract("...kjit,...ht->...kjih", RJ, ctx.J), Rup
+
+
 # Parallel-structure curvature identities on a metallic Kahler bundle:
 #
-#     R(X,Y) J_M Z = J_M R(X,Y) Z,
-#     R(J_M X, J_M Y) Z = (3q/2) R(X,Y) Z.
+#     R(X,Y) J Z = J R(X,Y) Z, stated as R(X,Y) + J R(X,Y) J = 0 (J^2 = -I), whose both
+#       sides are of degree 0 in c, as the scale |R| is,
+#     R(J X, J Y) Z = R(X,Y) Z, that is R(J_M X, J_M Y) Z = (3q/2) R(X,Y) Z.
 CURVATURE_COMMUTATION = (
-    Identity("curvature-structure-commute", not_kahler, "d2",
-             lambda ctx: (contract("...ti,...kjth->...kjih", ctx.J, ctx.curvature.Rup)
-                          - contract("...kjit,...ht->...kjih", ctx.curvature.Rup, ctx.J),
-                          ctx.curvature.Rup)),
+    Identity("curvature-structure-commute", not_kahler, "d2", _commute, degree=0),
     Identity("curvature-structure-pair", not_kahler, "d2",
              lambda ctx: _diff(contract("...bj,...kbih->...kjih", ctx.J,
                                          contract("...ak,...abih->...kbih",
                                                    ctx.J, ctx.curvature.Rup)),
-                               1.5 * ctx.q * ctx.curvature.Rup)),
+                               ctx.curvature.Rup), degree=2),
 )
 
 
@@ -166,33 +180,38 @@ def check_curvature_commutation(bundle: StructureBundle) -> list:
 
 
 def _ricci_j(ctx) -> np.ndarray:
-    """S(X, J_M Y)."""
+    """S(X, J Y)."""
     return contract("...ia,...aj->...ij", ctx.curvature.ricci, ctx.J)
 
 
 def _trace_rj(ctx) -> np.ndarray:
-    """TR_ij = tr(R(X, J_M Y) o J_M), which is minus the trace with JMhat."""
+    """TR_ij = tr(R(X, J Y) o J), which is minus the trace with -J."""
     return contract("...ib,...bj->...ij",
                      contract("...ibtm,...tm->...ib", ctx.curvature.Rup, ctx.J), ctx.J)
 
 
+# The report-only rows below mix degrees in c, so each declares degree 0 and forms its
+# metallic numbers itself: a term of degree k in J_M is (3q/2)^(k/2) times its value on J.
+
+
 def _ricci_structure_pair(ctx) -> tuple:
     q, S = ctx.q, ctx.curvature.ricci
-    SJJ = contract("...ib,...bj->...ij", contract("...ab,...ai->...ib", S, ctx.J), ctx.J)
+    SJJ = 1.5 * q * contract("...ib,...bj->...ij",
+                             contract("...ab,...ai->...ib", S, ctx.J), ctx.J)
     c1 = 9 * q * q / 4
     return SJJ - c1 * S, SJJ, c1 * S
 
 
 def _ricci_trace_stated(ctx) -> tuple:
     q, S = ctx.q, ctx.curvature.ricci
-    TR = (2.0 / (3 * q)) * _trace_rj(ctx)
+    TR = _trace_rj(ctx)  # (2/3q) tr(R(X, J_M Y) o J_M)
     return (1 + 1.5 * q) * S - TR, (1 + 1.5 * q) * S, TR
 
 
 def _ricci_trace_derived(ctx) -> tuple:
     q, S = ctx.q, ctx.curvature.ricci
-    TR = (2.0 / (3 * q)) * _trace_rj(ctx)
-    return S - TR - 1.5 * q * _ricci_j(ctx), S, TR
+    TR = _trace_rj(ctx)
+    return S - TR - (1.5 * q) ** 1.5 * _ricci_j(ctx), S, TR  # (3q/2) S(X, J_M Y)
 
 
 # Ricci contractions of the parallel-structure identities, report-only. The classical
@@ -204,11 +223,12 @@ def _ricci_trace_derived(ctx) -> tuple:
 _STATED_NOTE = "report-only: the stated coefficients close only at q = 2/3"
 RICCI_PAIR = (
     Identity("ricci-structure-pair(stated)", not_kahler, "d2", _ricci_structure_pair,
-             asserted=False, note=_STATED_NOTE),
+             asserted=False, note=_STATED_NOTE, degree=0),
     Identity("ricci-trace-form(stated)", not_kahler, "d2", _ricci_trace_stated,
-             asserted=False, note=_STATED_NOTE),
+             asserted=False, note=_STATED_NOTE, degree=0),
     Identity("ricci-trace-form(derived)", not_kahler, "d2", _ricci_trace_derived,
-             asserted=False, note="report-only: the derived coefficients close at no q"),
+             asserted=False, note="report-only: the derived coefficients close at no q",
+             degree=0),
 )
 
 
@@ -219,8 +239,9 @@ def _ricci_cycle(ctx) -> tuple:
     a = 1 + 1.5 * q
     lhs = a * covS
     rhs_common = a * np.einsum("...xzy->...zxy", covS)
-    # (nabla_{J_M Y} S)(X, J_M Z) = J[a, y] covS[a, x, b] J[b, z]
-    term = contract("...yxb,...bz->...zxy", contract("...ay,...axb->...yxb", J, covS), J)
+    # (nabla_{J_M Y} S)(X, J_M Z) = (3q/2) J[a, y] covS[a, x, b] J[b, z]
+    term = 1.5 * q * contract("...yxb,...bz->...zxy",
+                              contract("...ay,...axb->...yxb", J, covS), J)
     return lhs - (rhs_common - (2.0 / (3 * q) + 1) * term), lhs, rhs_common, term
 
 
@@ -236,9 +257,9 @@ def _ricci_cycle(ctx) -> tuple:
 _CYCLE_NOTE = "report-only: at p = 0 statement and derivation are one cycle"
 RICCI_CYCLE = (
     Identity("ricci-derivative-cycle(stated)", not_kahler, "d3", _ricci_cycle,
-             asserted=False, note=_CYCLE_NOTE),
+             asserted=False, note=_CYCLE_NOTE, degree=0),
     Identity("ricci-derivative-cycle(derived)", not_kahler, "d3", _ricci_cycle,
-             asserted=False, note=_CYCLE_NOTE),
+             asserted=False, note=_CYCLE_NOTE, degree=0),
 )
 
 
@@ -249,44 +270,46 @@ def check_ricci_derivative_cycle(bundle: StructureBundle) -> list:
 # --- star curvature and the nearly-tier identities --------------------------------
 
 
-# F under structure rescaling on a nearly metallic Kahler bundle:
-# F(J_M X, Y, J_M Z) = (3q/2) F(Y,X,Z) and F(J_M X, J_M Y, Z) = (3q/2) F(Y,X,Z).
+# F under the structure on a nearly metallic Kahler bundle: F(J X, Y, J Z) = F(Y,X,Z) and
+# F(J X, J Y, Z) = F(Y,X,Z), that is F(J_M X, Y, J_M Z) = (3q/2) F(Y,X,Z) and
+# F(J_M X, J_M Y, Z) = (3q/2) F(Y,X,Z) in the metallic form.
 F_NEARLY = (
     Identity("f-nearly-outer-rescale", not_nearly, "d1",
              lambda ctx: _diff(contract("...ijc,...ck->...ijk",
                                          contract("...ajc,...ai->...ijc", ctx.F, ctx.J), ctx.J),
-                               1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
+                               np.einsum("...jik->...ijk", ctx.F)), degree=3),
     Identity("f-nearly-double-structure", not_nearly, "d1",
              lambda ctx: _diff(contract("...ibk,...bj->...ijk",
                                          contract("...abk,...ai->...ibk", ctx.F, ctx.J), ctx.J),
-                               1.5 * ctx.q * np.einsum("...jik->...ijk", ctx.F))),
+                               np.einsum("...jik->...ijk", ctx.F)), degree=3),
 )
 
 # Two independent pipelines for N on a nearly metallic Kahler bundle,
 #
-#     N(X, Y) = -4 J_M (nabla_X J_M) Y:
+#     N(X, Y) = -4 J (nabla_X J) Y:
 #
 # the bracket formula (plain partials) against the covariant-derivative form, plus the
-# coordinate trace (nabla_i J_M)_j^i = 0.
+# coordinate trace (nabla_i J)_j^i = 0.
 NEARLY_NIJENHUIS = (
     Identity("nijenhuis-covderiv-form", not_nearly, "d1",
-             lambda ctx: _diff(ctx.N, -4.0 * contract("...ht,...itj->...ijh", ctx.J, ctx.covJ))),
+             lambda ctx: _diff(ctx.N, -4.0 * contract("...ht,...itj->...ijh", ctx.J, ctx.covJ)),
+             degree=2),
     Identity("structure-divergence-free", not_nearly, "d1",
-             lambda ctx: (np.einsum("...iij->...j", ctx.covJ), ctx.covJ)),
+             lambda ctx: (np.einsum("...iij->...j", ctx.covJ), ctx.covJ), degree=1),
 )
 
 
 def _star_contraction(ctx) -> tuple:
-    return _diff(1.5 * ctx.q * ctx.H, contract("...jt,...ti->...ji", ctx.Sstar, ctx.J))
+    return _diff(ctx.H, contract("...jt,...ti->...ji", ctx.Sstar, ctx.J))
 
 
 # H antisymmetry (curvature tier), which needs skew compatibility, and the conjugate
-# contraction S*_jt (JMhat)_i^t = -(3/2) q H_ji, that is S*_jt (J_M)_i^t = (3/2) q H_ji
-# (algebraic tier), which follows from J_M JMhat = -J_M^2 = (3q/2) I, the polynomial
-# identity alone.
+# contraction S*_jt (-J)_i^t = -H_ji, that is S*_jt J_i^t = H_ji, or
+# S*_jt (J_M)_i^t = (3/2) q H_ji in the metallic form (algebraic tier), which follows from
+# J (-J) = I, the polynomial identity alone.
 STAR_PACK = (
-    Identity("h-antisymmetry", not_hermitian, "d2", lambda ctx: _skew_part(ctx.H)),
-    Identity("star-conjugate-contraction", not_metallic, "alg", _star_contraction),
+    Identity("h-antisymmetry", not_hermitian, "d2", lambda ctx: _skew_part(ctx.H), degree=1),
+    Identity("star-conjugate-contraction", not_metallic, "alg", _star_contraction, degree=3),
 )
 
 
@@ -298,32 +321,36 @@ def _divergence_omega(ctx) -> np.ndarray:
 def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
     """Contracted commutation chain on a nearly metallic Kahler bundle:
 
-        nabla^m nabla_j w_im  =  S_jt (J_M)_i^t - (2/3q) S*_jt (J_M)_i^t,
+        nabla^m nabla_j w_im  =  S_jt J_i^t - S*_jt J_i^t,
 
-    left side from the order-2 jet of w, right side from curvature
-    contractions. The observed norm of the left side itself is reported
-    (its vanishing is equivalent to S J_M = (2/3q) S* J_M) but not
-    asserted.
+    which is nabla^m nabla_j (w_M)_im = S_jt (J_M)_i^t - (2/3q) (S*_M)_jt (J_M)_i^t
+    divided by c, left side from the order-2 jet of w, right side from
+    curvature contractions. The observed norm of the left side itself, in
+    the metallic form, is reported (its vanishing is equivalent to
+    S J = S* J) but not asserted.
     """
     kept = {}  # the left side of the row's last evaluation, for the note
 
     def residual(ctx):
         kept["lhs"] = lhs = _divergence_omega(ctx)
         return _diff(lhs, contract("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J)
-                     - (2.0 / (3 * ctx.q)) * contract("...jt,...ti->...ji", ctx.Sstar, ctx.J))
+                     - contract("...jt,...ti->...ji", ctx.Sstar, ctx.J))
 
-    chain = evaluate(bundle, [Identity("divergence-ricci-chain", not_nearly, "d2", residual)])[0]
+    chain = evaluate(bundle, [Identity("divergence-ricci-chain", not_nearly, "d2", residual,
+                                       degree=1)])[0]
     if chain.skipped:
         return chain
-    obs = largest_abs(bundle.sample_points, "observed |nabla^m nabla_j w_im|", kept["lhs"])
+    obs = bundle.params.coeff * largest_abs(bundle.sample_points,
+                                            "observed |nabla^m nabla_j w_im|", kept["lhs"])
     return replace(chain,
                    note=f"observed |nabla^m nabla_j w_im| = {obs:.6g} (reported, not asserted)")
 
 
-# S_ti (J_M)_j^t = -S_jt (J_M)_i^t on a nearly metallic Kahler bundle.
+# S_ti J_j^t = -S_jt J_i^t on a nearly metallic Kahler bundle.
 RICCI_HYPERBOLIC = (Identity(
     "ricci-hyperbolic", not_nearly, "d2",
-    lambda ctx: _skew_part(contract("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J))),)
+    lambda ctx: _skew_part(contract("...jt,...ti->...ji", ctx.curvature.ricci, ctx.J)),
+    degree=1),)
 
 
 def _ricci_star_hyperbolic(ctx) -> tuple:
@@ -332,21 +359,21 @@ def _ricci_star_hyperbolic(ctx) -> tuple:
     return A - B, A
 
 
-# S*_jm (JMhat)_i^m = -S*_mi (JMhat)_j^m on a nearly metallic Kahler bundle, with J_M in
-# place of JMhat = -J_M on both sides, plus the intermediate cancellation of the two
-# curvature contractions behind it.
+# S*_jm (-J)_i^m = -S*_mi (-J)_j^m on a nearly metallic Kahler bundle, with J in place of
+# -J on both sides, plus the intermediate cancellation of the two curvature contractions
+# behind it.
 RICCI_STAR_HYPERBOLIC = (
-    Identity("ricci-star-hyperbolic", not_nearly, "d2", _ricci_star_hyperbolic),
+    Identity("ricci-star-hyperbolic", not_nearly, "d2", _ricci_star_hyperbolic, degree=3),
     Identity("star-contraction-cancel", not_nearly, "d2",
-             lambda ctx: _skew_part(contract("...jm,...mi->...ji", ctx.Sstar, ctx.J))),
+             lambda ctx: _skew_part(contract("...jm,...mi->...ji", ctx.Sstar, ctx.J)),
+             degree=3),
 )
 
 
 def _scalar_star_relation(ctx) -> tuple:
-    q = ctx.q
     lhs = ctx.scalar_star
-    rhs = 1.5 * q * ctx.curvature.scalar - ctx.norm_covJ_sq
-    return lhs - rhs, lhs, 1.5 * q * ctx.curvature.scalar, ctx.norm_covJ_sq
+    rhs = ctx.curvature.scalar - ctx.norm_covJ_sq
+    return lhs - rhs, lhs, ctx.curvature.scalar, ctx.norm_covJ_sq
 
 
 def _ricci_omega_trace(ctx) -> tuple:
@@ -365,22 +392,23 @@ def _ricci_omega_trace(ctx) -> tuple:
 def check_scalar_star(bundle: StructureBundle) -> list:
     """Scalar vs scalar-star relation on a nearly metallic Kahler bundle:
 
-        S*_c = (3/2) q S_c - |nabla J_M|^2,
+        S*_c = S_c - |nabla J|^2,
 
-    left and right sides from independent pipelines. The mixed trace
-    S_jt w^jt pairs a symmetric with an antisymmetric tensor and must
-    vanish on any bundle; it is asserted as a sub-check whose raw residual
-    must stay below a fixed 1e-10.
+    which is S*_c = (3/2) q S_c - |nabla J_M|^2 divided by c^2, left and
+    right sides from independent pipelines. The mixed trace S_jt w^jt pairs
+    a symmetric with an antisymmetric tensor and must vanish on any bundle;
+    it is asserted as a sub-check whose raw residual, that of the metallic
+    w_M = c w, must stay below a fixed 1e-10.
     """
     relation = evaluate(bundle, [Identity("scalar-star-relation", not_nearly, "d3",
-                                          _scalar_star_relation)])[0]
+                                          _scalar_star_relation, degree=2)])[0]
     id_ = "ricci-omega-trace-zero"
     if relation.skipped:
         return [relation, _skip(id_, relation.note)]
-    points = bundle.sample_points
+    points, c = bundle.sample_points, bundle.params.coeff
     raw, trace, ricci_sym = _ricci_omega_trace(bundle.context(points))
-    raw_obs = largest_abs(points, "raw (unsymmetrized) trace S_jt w^jt", raw)
-    return [relation, _result(id_, (trace, ricci_sym), points, 1e-10, absolute=True,
+    raw_obs = c * largest_abs(points, "raw (unsymmetrized) trace S_jt w^jt", raw)
+    return [relation, _result(id_, (c * trace, ricci_sym), points, 1e-10, absolute=True,
                               note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")]
 
 

@@ -44,7 +44,8 @@ VERDICT_NEARLY = "nearly metallic Kähler"
 @dataclass(frozen=True)
 class MetallicParams:
     """The structure parameter q: q > 0, with (3q/2)^2 and 2/(3q) finite (the extreme powers
-    a check forms; past them a residual would overflow to inf or NaN). p is 0."""
+    the report-only Ricci rows form; past them a residual would overflow to inf or NaN).
+    Every other row is computed on J = J_M / c and scaled by a power c^k <= c^3. p is 0."""
 
     q: float
 
@@ -164,7 +165,10 @@ class Identity:
 
     gate returns why the bundle is outside the identity's hypothesis class
     ("" when it is inside; None means no gate); tier names the Tolerances
-    field that holds the tolerance.
+    field that holds the tolerance. fn states the identity on the unit
+    structure J = J_M / c, c = sqrt(3q/2), with no q in it; degree is the
+    power of c that turns its arrays into those of the metallic form, so
+    that both numbers are reported, and judged, as the metallic form's.
     """
 
     id: str
@@ -173,6 +177,7 @@ class Identity:
     fn: Callable
     asserted: bool = True
     note: str = ""
+    degree: int = field(kw_only=True)
 
 
 @dataclass(frozen=True, slots=True)  # built for every row of every run
@@ -238,15 +243,15 @@ def _judged(residual: float, scale: float, absolute: bool) -> float:
 
 
 def _result(id_: str, arrays: tuple, points, tol: float, asserted: bool = True,
-            note: str = "", absolute: bool = False) -> IdentityResult:
+            note: str = "", absolute: bool = False, factor: float = 1.0) -> IdentityResult:
     """Reduce a row's arrays (residual, *terms), stacked over `points`, with
-    `geometry.largest_abs`: the residual first, then the scale over all the terms. The row
-    passes when its relative residual (its residual itself, if `absolute`) is below tol. A
-    value that is not finite is a NumericalError naming the identity and point, not a
-    failed check."""
+    `geometry.largest_abs`: the residual first, then the scale over all the terms, each
+    times `factor`. The row passes when its relative residual (its residual itself, if
+    `absolute`) is below tol. A value that is not finite is a NumericalError naming the
+    identity and point, not a failed check."""
     residual, *terms = arrays
-    max_residual = largest_abs(points, f"residual of {id_}", residual)
-    scale = largest_abs(points, f"scale of {id_}", *terms)
+    max_residual = factor * largest_abs(points, f"residual of {id_}", residual)
+    scale = factor * largest_abs(points, f"scale of {id_}", *terms)
     return IdentityResult(id=id_, max_residual=max_residual, scale=scale, tolerance=tol,
                           passed=_judged(max_residual, scale, absolute) < tol,
                           asserted=asserted, note=note, absolute=absolute)
@@ -258,8 +263,11 @@ def evaluate(bundle: StructureBundle, identities, values=None) -> list:
     Each row function is called once, with the PointContext of the sample
     points, or with the `values` stacked over them when the caller supplies
     them; rows of one call that name the same function share its arrays.
+    Both numbers of a row are c^degree times those of its arrays, which are
+    the unit structure's.
     """
     out, arrays = [], {}  # row function -> its arrays, for this call only
+    c = bundle.params.coeff
     for ident in identities:
         reason = ident.gate(bundle) if ident.gate else ""
         if reason:
@@ -270,7 +278,8 @@ def evaluate(bundle: StructureBundle, identities, values=None) -> list:
         if ident.fn not in arrays:
             arrays[ident.fn] = ident.fn(values)
         out.append(_result(ident.id, arrays[ident.fn], bundle.sample_points,
-                           getattr(bundle.tolerances, ident.tier), ident.asserted, ident.note))
+                           getattr(bundle.tolerances, ident.tier), ident.asserted, ident.note,
+                           factor=c ** ident.degree))
     return out
 
 
@@ -303,25 +312,26 @@ class ClassificationReport:
 
 
 def _polynomial(ctx) -> tuple:
-    """J_M^2 + (3/2) q I, which is also the conjugate's: (-J_M)(-J_M) = J_M J_M to the bit."""
-    return (ctx.J @ ctx.J + 1.5 * ctx.q * np.eye(ctx.n),)
+    """J^2 + I, c^-2 (J_M^2 + (3/2) q I), which is also the conjugate's: (-J)(-J) = J J to
+    the bit."""
+    return (ctx.J @ ctx.J + np.eye(ctx.n),)
 
 
 def _skew_residual(ctx) -> tuple:
-    """w + w^T. Given the polynomial, g(J_M X, J_M Y) = (3q/2) g(X, Y) holds exactly when
-    this vanishes, so no separate row checks that form."""
+    """w + w^T. Given the polynomial, g(J X, J Y) = g(X, Y) holds exactly when this
+    vanishes, so no separate row checks that form."""
     return (ctx.omega + np.swapaxes(ctx.omega, -1, -2),)
 
 
 # The classification residuals: ungated rows with no terms, so each row's scale is 0, its
-# relative residual is its residual and it passes when that is below its tier.
+# relative residual is its (metallic-form) residual and it passes when that is below its tier.
 CLASSIFICATION = (
-    Identity("polynomial", None, "alg", _polynomial),
-    Identity("hyperbolic_direct", None, "alg", _skew_residual),
-    Identity("max_domega", None, "d1", lambda ctx: (ctx.domega,)),
-    Identity("max_nijenhuis", None, "d1", lambda ctx: (ctx.N,)),
-    Identity("max_cov_jm", None, "d1", lambda ctx: (ctx.covJ,)),
-    Identity("max_sym_cov_jm", None, "d1", lambda ctx: (ctx.sym_covJ,)),
+    Identity("polynomial", None, "alg", _polynomial, degree=2),
+    Identity("hyperbolic_direct", None, "alg", _skew_residual, degree=1),
+    Identity("max_domega", None, "d1", lambda ctx: (ctx.domega,), degree=1),
+    Identity("max_nijenhuis", None, "d1", lambda ctx: (ctx.N,), degree=2),
+    Identity("max_cov_jm", None, "d1", lambda ctx: (ctx.covJ,), degree=1),
+    Identity("max_sym_cov_jm", None, "d1", lambda ctx: (ctx.sym_covJ,), degree=1),
 )
 
 

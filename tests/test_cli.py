@@ -270,12 +270,13 @@ DISK = (
     (None, ["verify", "--zoo", "s2", "--tol-d1", "nan"], 2, "tolerance d1 must be positive"),
     (None, ["verify", "--zoo", "s2", "--seed", "-1"], 2, "seed and random_points must be"),
     (None, ["verify", "--zoo", "s2", "--q", "inf"], 2, "q must be strictly positive and finite"),
-    # 6q overflows; (3q/2)^2, which the Ricci pair rows form, overflows; roundoff of the
-    # order of q eps in J_M^2 + (3/2) q I exceeds the algebraic tier
+    # 6q overflows; (3q/2)^2, which the Ricci pair rows form, overflows; the roundoff of
+    # J^2 + I on s6, whose J is no signed permutation, times c^2 = 3q/2 exceeds the absolute
+    # algebraic tier (s2's J^2 + I is exact zeros, so s2 passes at this q)
     (None, ["classify", "--zoo", "s2", "--q", "1e308"], 2, "with (3q/2)^2 finite, got 1e+308"),
     (None, ["classify", "--zoo", "s2", "--q", "1e307"], 2, "with (3q/2)^2 finite, got 1e+307"),
-    (None, ["classify", "--zoo", "s2", "--q", "1e10"], 3,
-     "fixture s2 at q = 1e+10: polynomial identity fails"),
+    (None, ["classify", "--zoo", "s6", "--q", "1e10"], 3,
+     "fixture s6 at q = 1e+10: polynomial identity fails"),
     # 2/(3q) overflows: the Ricci pair and chain rows were NaN, with a RuntimeWarning, exit 3
     (None, ["verify", "--zoo", "s2", "--q", "1e-320"], 2,
      "q is too small: 2/(3q) is not finite, got 9.99989e-321"),

@@ -2,10 +2,14 @@
 
 The entries of a report are its classification residuals, the numbers of its
 connections block and the `max_residual` of each evaluated identity row. Over
-`verify --suite all` on every zoo fixture at three values of q, two entries
-repeat each other when they appear together on at least two reports, are
-non-zero on at least one and are equal on every report where both appear. A
-new row or block entry that restates an old one then fails here at once.
+`verify --suite all` on every zoo fixture, and the same report of
+`oracles.kahler_quartic_bundle`, at three values of q, two entries repeat
+each other when they appear together on at least two reports, are non-zero
+on at least one and are equal on every report where both appear. A new row
+or block entry that restates an old one then fails here at once. The
+quartic bundle is a curved Kähler bundle whose Ricci tensor is not a
+multiple of g; without it s2 is the only one, and there rows that state
+different facts all read the same roundoff.
 """
 
 import io
@@ -16,7 +20,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from metallicgeo import cli, zoo
-from metallicgeo.connections import connection_identity_results
+from metallicgeo.connections import connection_report
+from metallicgeo.identities import run_suite
 from oracles import kahler_quartic_bundle
 
 QS = (2.0 / 3.0, 1.5, 0.3)
@@ -30,9 +35,6 @@ ALLOWED = {
                "identity ricci-derivative-cycle(derived)"}):
         "at p = 0 both name one function; their ids are pinned by "
         "perfbench/expected_identities.json until the benchmark renames identity ids",
-    frozenset({"identity first-type-preserves-omega", "identity second-type-preserves-omega"}):
-        "equal on the zoo's Kähler reports only: they differ on a curved Kähler bundle whose "
-        "Ricci tensor is not a multiple of g (test_preserves_omega_rows_differ_off_the_zoo)",
 }
 
 
@@ -63,6 +65,14 @@ def reports() -> list:
                              "--format", "json"])
         assert code == 0, (name, q)
         out.append(entries(json.loads(text.getvalue())))
+    for q in QS:
+        bundle = kahler_quartic_bundle(q)
+        results = run_suite(bundle, "all")
+        assert not [r.id for r in results if r.status == "FAIL"], q
+        report = {"classification": bundle.classification().as_dict(),
+                  "identities": [r.as_dict() for r in results],
+                  "connections": connection_report(bundle)}
+        out.append(entries(json.loads(cli.report_json(report))))  # rounded as verify rounds
     return out
 
 
@@ -82,7 +92,7 @@ def repeated_pairs(reports: list) -> set:
 
 
 def test_no_report_entry_repeats_another(reports):
-    assert len(reports) == len(zoo.names()) * len(QS)
+    assert len(reports) == (len(zoo.names()) + 1) * len(QS)
     extra = repeated_pairs(reports) - ALLOWED.keys()
     assert not extra, "entries that repeat each other: " + "; ".join(
         " = ".join(sorted(pair)) for pair in sorted(extra, key=sorted))
@@ -91,8 +101,3 @@ def test_no_report_entry_repeats_another(reports):
 def test_every_allowed_pair_still_repeats(reports):
     """An allowed pair that no longer repeats is taken off the list."""
     assert ALLOWED.keys() <= repeated_pairs(reports)
-
-
-def test_preserves_omega_rows_differ_off_the_zoo():
-    res = {r.id: r.max_residual for r in connection_identity_results(kahler_quartic_bundle())}
-    assert res["first-type-preserves-omega"] != res["second-type-preserves-omega"]

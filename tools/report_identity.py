@@ -25,9 +25,11 @@ report. The runs are:
 * ``verify --suite all`` on s2 with ``--h`` and ``--tol-d1`` overrides, and
   ``classify`` on negative with a ``--tol-d1`` that puts three of its
   residuals near the boundary, so that ``near_boundary`` is not empty;
-* ``verify --suite all`` on each zoo fixture at ``--q 1.5``. At the default
-  q = 2/3 the coefficients 3q/2, 2/(3q) and sqrt(6q)/2 are all exactly 1.0,
-  so a dropped or misplaced factor of q changes no report there;
+* ``verify --suite all`` on each zoo fixture at ``--q 1.5``, which check the
+  declared degrees: every row is computed on J = J_M / c and scaled by
+  c^degree, and at the default q = 2/3, c = sqrt(3q/2), 3q/2 and 2/(3q) are
+  all exactly 1.0, so a wrong degree, or a misplaced q in a report-only
+  row, changes no report there;
 * the s2 spec file with a named point exactly lo + margin from its first
   bound (``verify --suite all``, accepted) and one float step further out
   (``classify``, a located parse error, exit 2), so that the chart-bounds
