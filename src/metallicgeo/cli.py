@@ -74,7 +74,10 @@ def _bundle_from_args(args, draw_samples: bool = True) -> tuple[StructureBundle,
 
 def _build_bundle(args) -> tuple[StructureBundle, dict]:
     """The run's bundle: --q, --seed, --h and --tol-* replace the source's own settings
-    before the bundle checks its chart against its step."""
+    before the bundle checks its chart against its step. A zoo fixture is built and checked
+    with its own settings, --q apart, and an override builds the run's bundle on its fields,
+    with empty caches: --seed re-draws only the seeded rows (`Chart.reseeded`), while the
+    grid, the named points and the chart checks stay the fixture's."""
     seed, h = args.seed, args.h
     tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
     tol = {k: v for k, v in tol.items() if v is not None}
@@ -89,12 +92,12 @@ def _build_bundle(args) -> tuple[StructureBundle, dict]:
                        h=spec.h if h is None else h, tol={**spec.tol, **tol})
         return build_bundle(spec), {"kind": "file", "name": args.spec, "sha256": spec_sha256(text)}
     fx = zoo.get(args.zoo, zoo.DEFAULT_Q if args.q is None else args.q)
-    bundle = fx.bundle  # built and checked with the fixture's own settings
+    bundle = fx.bundle
     if seed is not None or h is not None or tol:
-        chart = bundle.chart if seed is None else replace(bundle.chart, seed=seed)
-        scheme = bundle.scheme if h is None else DiffScheme(h)
-        bundle = replace(bundle, chart=chart, scheme=scheme,
-                         tolerances=replace(bundle.tolerances, **tol))
+        bundle = replace(bundle,
+                         chart=bundle.chart if seed is None else bundle.chart.reseeded(seed),
+                         scheme=bundle.scheme if h is None else DiffScheme(h),
+                         tolerances=replace(bundle.tolerances, **tol) if tol else bundle.tolerances)
     return bundle, {"kind": "zoo", "name": fx.name, "sha256": spec_sha256(fx.spec_text or fx.name)}
 
 

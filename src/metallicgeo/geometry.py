@@ -34,7 +34,7 @@ it is in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple
 
@@ -142,6 +142,12 @@ def first_outside(points, bounds, reach: float = 0.0) -> int | None:
     return None if clear.all() else int(np.argmin(clear))
 
 
+def _check_draw(seed: int, n_random: int):
+    """A chart's seed and its count of random points must be non-negative (ValueError)."""
+    if seed < 0 or n_random < 0:
+        raise ValueError("seed and random_points must be non-negative")
+
+
 @dataclass(frozen=True)
 class Chart:
     """A single coordinate domain of even dimension with a sampling policy.
@@ -173,8 +179,7 @@ class Chart:
             raise ValueError("bounds must be finite, with lo < hi in each pair")
         if not (self.margin > 0 and np.all(2 * self.margin < b[:, 1] - b[:, 0])):
             raise ValueError("margin must be positive and smaller than half of every extent")
-        if self.seed < 0 or self.n_random < 0:
-            raise ValueError("seed and random_points must be non-negative")
+        _check_draw(self.seed, self.n_random)
         if self.grid < 0:
             raise ValueError(f"grid must be non-negative, got {self.grid}")
         for name, pt in self.named_points.items():
@@ -204,6 +209,21 @@ class Chart:
             raise ChartBoundsError(f"point {bad.tolist()} is outside the chart")
         raise ChartBoundsError(f"point {bad.tolist()} is too close to the boundary for reach {reach:g}")
 
+    def reseeded(self, seed: int) -> "Chart":
+        """This chart with another seed: it draws the sample points of
+        `dataclasses.replace(self, seed=seed)` byte for byte, but checks the seed alone, as
+        the rest is this chart's, checked already by `__post_init__`, which does not run
+        again. Of the cached attributes it takes `_interior` and `_fixed_rows`, which no
+        seed moves, and `_sample_points` only where the policy draws no random point; any
+        other is formed again."""
+        _check_draw(seed, self.n_random)
+        chart = object.__new__(type(self))
+        chart.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)},
+                              seed=seed, _interior=self._interior, _fixed_rows=self._fixed_rows)
+        if not self.n_random:
+            chart.__dict__["_sample_points"] = self._sample_points
+        return chart
+
     def sample_points(self) -> np.ndarray:
         """Deterministic sample points: grid, then named (sorted), then random.
 
@@ -211,29 +231,44 @@ class Chart:
         that equals an earlier one when both are rounded to 12 decimals (a
         named point on a grid node) is dropped; rows are compared by value, so
         -0.0 equals 0.0. The array is drawn on the first call and kept, read-only;
-        fewer than 8 distinct points raise ValueError. A chart is built for every
-        command, a `curvature` run included, which reads no sample point, so the
-        points are not drawn when the chart is built.
+        fewer than 8 distinct points raise ValueError. `curvature` reads no sample
+        point, so the points are not drawn when the chart is built. A chart
+        `reseeded` for a `--seed` override draws only its random rows again.
         """
         return self._sample_points
 
     @cached_property
-    def _sample_points(self) -> np.ndarray:
+    def _interior(self) -> tuple:
+        """The lowest and the highest coordinates a sample point may have, per axis."""
         b = self.bounds_array
-        lo = b[:, 0] + self.margin
-        hi = b[:, 1] - self.margin
+        return b[:, 0] + self.margin, b[:, 1] - self.margin
+
+    @cached_property
+    def _fixed_rows(self) -> np.ndarray:
+        """The rows the policy fixes, whatever the seed, read-only: the grid, then the named
+        points (sorted)."""
+        lo, hi = self._interior
         n, k = self.dimension, self.grid
         axes = np.linspace(lo, hi, k, axis=1)  # row i: the k nodes of axis i
         grid = np.empty((k,) * n + (n,))
         for i in range(n):
             grid[..., i] = axes[i].reshape((k,) + (1,) * (n - 1 - i))
-        pts = [grid.reshape(k**n, n)]
+        rows = grid.reshape(k**n, n)
         if self.named_points:
-            pts.append(np.array([self.named_points[name] for name in sorted(self.named_points)], dtype=float))
+            named = np.array([self.named_points[name] for name in sorted(self.named_points)],
+                             dtype=float)
+            rows = np.concatenate([rows, named], axis=0)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _sample_points(self) -> np.ndarray:
+        out = self._fixed_rows
         if self.n_random:
+            lo, hi = self._interior
             rng = np.random.default_rng(self.seed)
-            pts.append(rng.uniform(lo, hi, size=(self.n_random, self.dimension)))
-        out = np.concatenate(pts, axis=0)
+            out = np.concatenate([out, rng.uniform(lo, hi, size=(self.n_random, self.dimension))],
+                                 axis=0)
         rounded = out.round(decimals=12)
         order = np.lexsort(rounded.T)  # stable: equal rows stay in their order
         ordered = rounded[order]

@@ -54,11 +54,14 @@ class Fixture:
     spec_text: Optional[str] = None
 
     def validate(self):
-        """Self-check of the polynomial identity and the declared verdict (NumericalError)."""
+        """Self-check of the polynomial identity and the declared verdict (NumericalError),
+        judged by the fixture's own tolerances: the CLI's --tol-* overrides apply only to
+        the run's bundle, after this check."""
         cls = self.bundle.classification()
         at_q = f"fixture {self.name} at q = {self.bundle.params.q:g}"
         if not cls.rows["polynomial"].passed:
-            raise NumericalError(f"{at_q}: polynomial identity fails")
+            raise NumericalError(f"{at_q}: polynomial identity fails by the fixture's own"
+                                 " tolerances (--tol-* applies only after this self-check)")
         if cls.verdict != self.expected_verdict:
             raise NumericalError(f"{at_q}: classified {cls.verdict!r}, expected {self.expected_verdict!r}")
         if cls.nearly != self.expected_nearly:

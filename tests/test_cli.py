@@ -269,14 +269,19 @@ DISK = (
     (None, ["verify", "--zoo", "s2", "--tol-d1", "0"], 2, "tolerance d1 must be positive"),
     (None, ["verify", "--zoo", "s2", "--tol-d1", "nan"], 2, "tolerance d1 must be positive"),
     (None, ["verify", "--zoo", "s2", "--seed", "-1"], 2, "seed and random_points must be"),
+    # flat-k1 draws no random point, so its seed is checked for its own sake
+    (None, ["classify", "--zoo", "flat-k1", "--seed", "-1"], 2,
+     "seed and random_points must be non-negative"),
     (None, ["verify", "--zoo", "s2", "--q", "inf"], 2, "q must be strictly positive and finite"),
     # 6q overflows; (3q/2)^2, which the Ricci pair rows form, overflows; the roundoff of
     # J^2 + I on s6, whose J is no signed permutation, times c^2 = 3q/2 exceeds the absolute
     # algebraic tier (s2's J^2 + I is exact zeros, so s2 passes at this q)
     (None, ["classify", "--zoo", "s2", "--q", "1e308"], 2, "with (3q/2)^2 finite, got 1e+308"),
     (None, ["classify", "--zoo", "s2", "--q", "1e307"], 2, "with (3q/2)^2 finite, got 1e+307"),
-    (None, ["classify", "--zoo", "s6", "--q", "1e10"], 3,
-     "fixture s6 at q = 1e+10: polynomial identity fails"),
+    # the fixture's self-check runs by its own tiers, before --tol-alg reaches the run
+    (None, ["classify", "--zoo", "s6", "--q", "1e10", "--tol-alg", "1"], 3,
+     "fixture s6 at q = 1e+10: polynomial identity fails by the fixture's own tolerances"
+     " (--tol-* applies only after this self-check)"),
     # 2/(3q) overflows: the Ricci pair and chain rows were NaN, with a RuntimeWarning, exit 3
     (None, ["verify", "--zoo", "s2", "--q", "1e-320"], 2,
      "q is too small: 2/(3q) is not finite, got 9.99989e-321"),
@@ -307,7 +312,8 @@ DISK = (
         "superscript-digit", "non-ascii-digit",
         "nan-bound", "infinite-bound", "nan-margin", "nan-step-spec", "zero-step-spec",
         "nan-step-flag", "tiny-step-flag", "negative-tolerance-spec", "negative-tolerance-flag",
-        "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "infinite-q",
+        "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "negative-seed-random-free",
+        "infinite-q",
         "q-1e308", "q-1e307", "q-1e10", "q-1e-320", "subnormal-metric", "short-point-4d", "short-point-2d", "negative-grid",
         "point-outside-margin", "repeated-metric-entry", "repeated-structure-entry",
         "repeated-point", "repeated-setting", "nonzero-p", "tiny-nonzero-p"])

@@ -19,7 +19,7 @@ from metallicgeo.geometry import (
     largest_abs,
     max_abs_per_point,
 )
-from metallicgeo import cli, zoo
+from metallicgeo import cli, metallic, zoo
 from metallicgeo.specfile import SpecFileError, parse_spec
 from oracles import reference_sample_points
 
@@ -68,10 +68,20 @@ def test_sample_points_match_the_reference_sampler(kwargs):
 
 @pytest.mark.parametrize("name", zoo.names())
 def test_zoo_sample_points_match_the_reference_sampler(name):
-    for seed in (0, 7, 123456):
-        chart = replace(zoo.get(name).bundle.chart, seed=seed)
-        got, want = chart.sample_points(), reference_sample_points(chart)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+    """A rebuilt chart and the fixture's chart reseeded draw the reference points, read-only;
+    the reseeded one shares the fixture's grid and named rows, and its points too where the
+    policy draws no random point."""
+    fixture = zoo.get(name).bundle.chart
+    for seed in (0, 1, 7, 12345, 123456, fixture.seed, 2**31 - 1):
+        chart, reseeded = replace(fixture, seed=seed), fixture.reseeded(seed)
+        assert reseeded == chart
+        want = reference_sample_points(chart)
+        for got in (chart.sample_points(), reseeded.sample_points()):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+            assert not got.flags.writeable
+        assert reseeded._fixed_rows is fixture._fixed_rows
+        assert not fixture._fixed_rows.flags.writeable
+        assert (reseeded.sample_points() is fixture.sample_points()) == (fixture.n_random == 0)
 
 
 def test_chart_rejects_odd_dimension():
@@ -148,6 +158,44 @@ def test_sample_points_drawn_once_per_chart(monkeypatch):
     assert [c.seed for c in drawn] == [11, 5]  # the fixture's chart, then the run's
     points = drawn[1].sample_points()
     assert points is drawn[1].sample_points() and not points.flags.writeable
+
+
+def _counted(counts, key, fn):
+    def call(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return call
+
+
+def test_zoo_seed_job_runs_no_chart_check_and_builds_no_grid(monkeypatch):
+    """With the fixtures built, a zoo `classify --seed` job runs no chart check and builds no
+    grid row: its chart is the fixture's, reseeded."""
+    for name in zoo.names():
+        zoo.get(name, zoo.DEFAULT_Q)
+    counts = {"post_init": 0, "linspace": 0}
+    monkeypatch.setattr(Chart, "__post_init__", _counted(counts, "post_init", Chart.__post_init__))
+    monkeypatch.setattr(np, "linspace", _counted(counts, "linspace", np.linspace))
+    for name in zoo.names():
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["classify", "--zoo", name, "--seed", "12345", "--format", "json"]) == 0
+        assert counts == {"post_init": 0, "linspace": 0}, name
+
+
+def test_each_zoo_job_builds_its_own_context_and_classification(monkeypatch):
+    """Zoo jobs with one seed or two share no context and no classification with each other or
+    with the fixture, also where the reseeded chart reads the fixture's points (flat-k1)."""
+    jobs = [("flat-k1", "1"), ("flat-k1", "1"), ("flat-k1", "2"), ("s2", "1"), ("s2", "1")]
+    fixtures = {name: zoo.get(name, zoo.DEFAULT_Q) for name, _ in jobs}
+    cached = {name: len(fx.bundle._contexts) for name, fx in fixtures.items()}
+    counts = {"contexts": 0, "classify": 0}
+    monkeypatch.setattr(metallic, "PointContext",
+                        _counted(counts, "contexts", metallic.PointContext))
+    monkeypatch.setattr(metallic, "classify", _counted(counts, "classify", metallic.classify))
+    for name, seed in jobs:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["classify", "--zoo", name, "--seed", seed]) == 0
+    assert counts == {"contexts": len(jobs), "classify": len(jobs)}
+    assert {name: len(fx.bundle._contexts) for name, fx in fixtures.items()} == cached
 
 
 @pytest.mark.parametrize("kwargs,message", [

@@ -20,8 +20,10 @@ report. The runs are:
   interior point;
 * ``classify`` and ``verify --suite all`` on ``s2xs2.spec`` and on each
   zoo fixture with a ``--seed`` override, so that the run's own sample
-  points, not the spec's, are the ones read, and a zoo bundle is rebuilt
-  with the command line's settings, as every benchmark zoo job rebuilds it;
+  points, not the spec's, are the ones read, and a zoo run builds its own
+  bundle on the fixture's chart reseeded, as every benchmark zoo job does:
+  the seeded rows are drawn again, the grid, the named points and the
+  chart checks stay the fixture's;
 * ``verify --suite all`` on s2 with ``--h`` and ``--tol-d1`` overrides, and
   ``classify`` on negative with a ``--tol-d1`` that puts three of its
   residuals near the boundary, so that ``near_boundary`` is not empty;
