@@ -312,7 +312,8 @@ def cmd_curvature(args) -> int:
 
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process on first use and never changed after."""
+    """The argument parser, built once per process on first use and never changed after; its
+    `commands` maps each subcommand's name to the parser that `main` gives the rest of argv."""
     parser = argparse.ArgumentParser(
         prog="metallicgeo",
         description="Classify and verify metallic Kahler structures on coordinate charts.")
@@ -345,6 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(p_curv)
     p_curv.add_argument("--point", required=True, help="comma-separated coordinates")
     p_curv.set_defaults(fn=cmd_curvature)
+    parser.commands = {"classify": p_classify, "verify": p_verify, "curvature": p_curv}
     return parser
 
 
@@ -365,8 +367,23 @@ def _join_point_value(argv: list) -> list:
 
 
 def main(argv=None) -> int:
+    """Run one command line (`sys.argv[1:]` by default) and return its exit code.
+
+    argv is parsed once: when it starts with a subcommand's name, that subcommand's parser
+    parses the rest, as argparse's subparser action would, and the top-level parser reports
+    any token left over ("unrecognized arguments", exit 2). Any other argv (empty, `-h`,
+    `--version`, an unknown name, an option first) goes to the top-level parser, which can
+    only print help, the version or an error for it.
+    """
     parser = make_parser()
-    args = parser.parse_args(_join_point_value(sys.argv[1:] if argv is None else list(argv)))
+    argv = _join_point_value(sys.argv[1:] if argv is None else list(argv))
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except SpecFileError as exc:

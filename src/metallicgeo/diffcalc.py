@@ -46,10 +46,16 @@ A constant g makes the jet flat (`MetricJet.flat`): its connection
 vanishes, and so does everything built from it. Such a jet inverts g at
 its first point and broadcasts that row (read-only) to the stack.
 Gamma, d Gamma, the curvature pack (`riemann` returns it so), H,
-Ricci-star, nabla Ricci, and nabla nabla w when J_M is constant too, are
-exact zeros (+0.0) formed with no algebra (`MetricJet.flat_zeros`), which
-reads g^-1 first, as the curved members do, so a singular constant
-metric fails at the same point.
+Ricci-star and nabla Ricci are exact zeros (+0.0) formed with no algebra
+(`MetricJet.flat_zeros`), which reads g^-1 first, as the curved members
+do, so a singular constant metric fails at the same point. Every Gamma
+term of a covariant derivative is +0.0 there, so a PointContext forms
+nabla J and nabla w as their plain partials plus 0.0, the curved path's
+bits, after reading g^-1. Every term of the Nijenhuis tensor carries d J,
+so a constant J_M has N = 0; when g and J_M are both constant, so is w
+(`PointContext.w_constant`), and dw, sym nabla J, F, |nabla J|^2 and
+nabla nabla w are exact zeros too. N and dw read no g^-1 for it, as
+their general forms do not; the others read it first (`flat_zeros`).
 
 A jet serves one point (n,) or a stack of points (m, n): every member
 carries the stack's point axis first, written with leading `...` axes, so
@@ -519,6 +525,7 @@ class PointContext(MetricJet):
         self.q = float(q)
         c = np.sqrt(6.0 * self.q) / 2.0  # as metallic.MetallicParams.coeff
         self.j_fn = TensorField("J", lambda pts: j_fn(pts) / c, constant=_constant(j_fn))
+        self.w_constant = self.flat and self.j_fn.constant  # w = J g is constant too
 
     def _first_order(self, g: np.ndarray) -> dict:
         """Adds one stencil of J, and w = J g at the points and their nodes from both (at the
@@ -529,6 +536,13 @@ class PointContext(MetricJet):
             "J": J[0].copy(), "dJ": self._derivative(1, J[0], J[1:]),
             "omega": w[0].copy(), "dw": self._derivative(1, w[0], w[1:]),
         }
+
+    def _flat_partials(self, d: np.ndarray) -> np.ndarray:
+        """The covariant derivative on a flat jet of a tensor whose plain partials are d:
+        d + 0.0, to the bit what `covariant_derivative` gives on the zero connection, whose
+        every Gamma term is +0.0. g^-1 is read first, as `flat_zeros` reads it."""
+        self.ginv
+        return d + 0.0
 
     # --- algebra at the points ---
 
@@ -544,33 +558,51 @@ class PointContext(MetricJet):
     def domega(self) -> np.ndarray:
         """domega[..., a, b, c] = d_a w_bc + d_b w_ca + d_c w_ab of the skew part of w, read
         off d w (the jet is linear): w's own on a skew-compatible bundle, and still a 2-form,
-        hence a reportable residual, on one that is not."""
+        hence a reportable residual, on one that is not. Exact zeros when w is constant
+        (`w_constant`), formed with no algebra and no g^-1, which the general form does not
+        read."""
+        if self.w_constant:
+            return np.zeros_like(self.dw)
         skew = 0.5 * (self.dw - np.swapaxes(self.dw, -1, -2))
         return skew + np.einsum("...bca->...abc", skew) + np.einsum("...cab->...abc", skew)
 
     @cached_property
     def covJ(self) -> np.ndarray:
-        """covJ[..., a, h, i] = (nabla_a J)_i^h."""
+        """covJ[..., a, h, i] = (nabla_a J)_i^h; on a flat jet d J + 0.0 (`_flat_partials`)."""
+        if self.flat:
+            return self._flat_partials(self.dJ)
         return covariant_derivative(self.dJ, self.J, "ud", self.gamma)
 
     @cached_property
     def sym_covJ(self) -> np.ndarray:
-        """(nabla_i J)_j^h + (nabla_j J)_i^h, the nearly-vanishing combination."""
+        """(nabla_i J)_j^h + (nabla_j J)_i^h, the nearly-vanishing combination; exact zeros
+        (`flat_zeros`) when w is constant."""
+        if self.w_constant:
+            return self.flat_zeros(3)
         return self.covJ + np.einsum("...ahi->...iha", self.covJ)
 
     @cached_property
     def F(self) -> np.ndarray:
-        """F[..., i, j, k] = g((nabla_i J) d_j, d_k) = g_kt (nabla_i J)_j^t, which is F_M / c."""
+        """F[..., i, j, k] = g((nabla_i J) d_j, d_k) = g_kt (nabla_i J)_j^t, which is F_M / c;
+        exact zeros (`flat_zeros`) when w is constant."""
+        if self.w_constant:
+            return self.flat_zeros(3)
         return contract("...itj,...tk->...ijk", self.covJ, self.g)
 
     @cached_property
     def cov_omega(self) -> np.ndarray:
-        """(nabla_a w)_im computed directly from w at the nodes (independent of F)."""
+        """(nabla_a w)_im computed directly from w at the nodes (independent of F); on a flat
+        jet d w + 0.0 (`_flat_partials`)."""
+        if self.flat:
+            return self._flat_partials(self.dw)
         return covariant_derivative(self.dw, self.omega, "dd", self.gamma)
 
     @cached_property
     def N(self) -> np.ndarray:
-        """The Nijenhuis tensor of J, N_M / c^2."""
+        """The Nijenhuis tensor of J, N_M / c^2; exact zeros when J is constant, since every
+        term of the bracket formula carries d J, formed with no algebra and no g^-1."""
+        if self.j_fn.constant:
+            return np.zeros_like(self.dJ)
         return nijenhuis(self.J, self.dJ)
 
     # --- curvature ---
@@ -603,7 +635,10 @@ class PointContext(MetricJet):
     @cached_property
     def norm_covJ_sq(self) -> float | np.ndarray:
         """g^{km} g_{jt} g^{is} (nabla_m J)_i^t (nabla_k J)_s^j (signed for indefinite g), as
-        one contraction at a time: |nabla J_M|^2 / c^2."""
+        one contraction at a time: |nabla J_M|^2 / c^2; exact zero
+        (`flat_zeros`) when w is constant."""
+        if self.w_constant:
+            return self.flat_zeros(0)
         raised = contract("...km,...mti->...kti", self.ginv, self.covJ)  # nabla^k J
         lowered = contract("...jt,...kti->...kji", self.g, raised)
         return np.einsum("...kji,...kjs,...is->...", lowered, self.covJ, self.ginv)
@@ -613,8 +648,8 @@ class PointContext(MetricJet):
     @cached_property
     def covcov_omega(self) -> np.ndarray:
         """covcov[..., a, b, i, m] = (nabla_a nabla_b w)_im, one chunk of points at a time;
-        exact zeros on a flat jet whose J is constant too, where w is constant."""
-        if self.flat and _constant(self.j_fn):
+        exact zeros (`flat_zeros`) when w is constant (`w_constant`)."""
+        if self.w_constant:
             return self.flat_zeros(4)
         return _join(self._covcov_omega(rows) for rows in self._chunks(2))
 

@@ -1,12 +1,14 @@
 """The paired A/B tool on two rounds of the plan: equal sides compare equal, every report
 field is there, and a side whose reports differ is named and exits 1. No timing is gated."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,6 +26,7 @@ def ab(base, change, cwd):
 def check_fields(report):
     assert report["workload"] == "classify-zoo" and report["seed"] == 1
     assert report["jobs"] == 14  # two rounds of the 7 zoo fixtures
+    assert report["blocks"] == 2  # one round per fresh worker pair
     assert set(report["kinds"]) == {"classify", "all"}
     for row in (*report["kinds"].values(), report["rounds"]):
         assert set(row) >= ROW
@@ -61,3 +64,19 @@ def test_a_side_whose_reports_differ_is_named(tmp_path):
     assert report["equal"] is False and len(report["differing"]) == 5
     assert report["differing"][0][:2] == ["classify", "--zoo"]
     check_fields(report)
+
+
+def test_worker_pair_bias_widens_the_interval():
+    """Four worker pairs whose speeds differ by up to 5 %: the interval over blocks, then
+    pairs, holds that spread; pooling the pairs as one block hides it."""
+    spec = importlib.util.spec_from_file_location("ab", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    noise = np.random.default_rng(1).standard_normal((4, 30))
+    change = (np.array([[0.95], [1.0], [1.05], [1.0]]) * (1 + 0.01 * noise)).ravel()
+    base = np.ones_like(change)
+    blocks = np.repeat(np.arange(4), 30)
+    lo, hi = tool.shift(base, change, blocks, np.random.default_rng(0))["ci95"]
+    assert lo < -0.04 and hi > 0.04
+    lo, hi = tool.shift(base, change, np.zeros(120), np.random.default_rng(0))["ci95"]
+    assert -0.01 < lo < hi < 0.01

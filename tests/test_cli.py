@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -596,6 +597,40 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert [run(capsys, *argv) for argv in (classify, verify)] == first
     assert first[0][0] == 0 and first[1][0] == 0
     assert make_parser() is parser
+
+
+def test_one_job_parses_its_argv_once(monkeypatch, capsys):
+    """The subcommand named first parses the rest of argv; the top-level parser does not
+    parse it first (which took a second `parse_known_args` call, through argparse's
+    subparser action)."""
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, "classify", "--zoo", "s2", "--format", "json")[0] == 0
+    assert calls == ["metallicgeo classify"]
+
+
+TOP_USAGE = "usage: metallicgeo [-h] [--version] {classify,verify,curvature} ...\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"
+                " (choose from 'classify', 'verify', 'curvature')"),
+    (["classify", "--zoo", "s2", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_top_level_parse_errors_keep_their_text(argv, message, capsys):
+    """An argv that names no subcommand, and a token the subcommand leaves over, are
+    reported by the top-level parser with its usage line, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"{TOP_USAGE}metallicgeo: error: {message}\n")
 
 
 def test_spec_file_is_closed_after_reading(tmp_path):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,16 @@ from metallicgeo.diffcalc import (
     partial,
     riemann,
 )
-from metallicgeo.geometry import Chart, ChartBoundsError, SingularMetricError, TensorField, max_abs
+from metallicgeo.geometry import (
+    Chart,
+    ChartBoundsError,
+    SingularMetricError,
+    TensorField,
+    contract,
+    max_abs,
+)
 from metallicgeo.metallic import MetallicParams, StructureBundle
+from metallicgeo.specfile import build_bundle, parse_spec
 from oracles import (
     at,
     christoffel_field,
@@ -308,7 +319,8 @@ def test_christoffel_stack_names_the_singular_point():
 
 
 @pytest.mark.parametrize("member", ["gamma", "dgamma", "curvature", "cov_ricci", "H", "Sstar",
-                                    "covJ", "cov_omega", "covcov_omega"])
+                                    "covJ", "cov_omega", "covcov_omega", "sym_covJ", "F",
+                                    "norm_covJ_sq"])
 def test_flat_member_names_the_singular_point(member):
     """A constant metric is flat: none of these members forms Christoffel symbols, yet each
     inverts g first and fails as a curved one would, at the first point of its stack."""
@@ -345,10 +357,11 @@ def same_bits(a, b) -> bool:
 
 
 def test_flat_covariant_derivatives_are_their_partials_plus_zero():
-    """On a flat jet whose J_M varies, nabla J_M, nabla w and nabla nabla w take the curved
-    path on the zero connection, whose every Gamma term is +0.0: each equals its plain
-    partials plus 0.0 to the bit, sign bits included (nabla nabla w those of the order-2 jet
-    of w, differenced as a field of its own)."""
+    """On a flat jet whose J_M varies, nabla J_M and nabla w are formed as their plain partials
+    plus 0.0, and nabla nabla w takes the curved path on the zero connection, whose every
+    Gamma term is +0.0: each equals its plain partials plus 0.0 to the bit, sign bits
+    included (nabla nabla w those of the order-2 jet of w, differenced as a field of its
+    own)."""
     negative = zoo.get("negative").bundle
     g = TensorField("g", const_field(SKEW_METRIC), constant=True)
     skew = lambda where: PointContext(g, TensorField("jm", varying_jm), 2.0 / 3.0, where)
@@ -363,3 +376,56 @@ def test_flat_covariant_derivatives_are_their_partials_plus_zero():
             assert same_bits(ctx.cov_omega, ctx.dw + 0.0)
             assert same_bits(ctx.covcov_omega, omega.ddg + 0.0)
             assert max_abs(ctx.dJ) > 0.01 and max_abs(ctx.covcov_omega) > 0.01
+
+
+ROOT = Path(__file__).resolve().parents[1]
+S2XS2 = ROOT / "perfbench" / "specs" / "s2xs2.spec"
+
+
+def flat_skew_text() -> str:
+    """The flat-skew spec of `tools/report_identity.py`."""
+    loader = importlib.util.spec_from_file_location("report_identity",
+                                                    ROOT / "tools" / "report_identity.py")
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module.FLAT_SKEW
+
+
+def general_forms(ctx) -> dict:
+    """Each member that a constant g or J_M makes known, by the formula it takes when neither
+    field is constant, on the context's own inputs."""
+    covJ = covariant_derivative(ctx.dJ, ctx.J, "ud", ctx.gamma)
+    skew = 0.5 * (ctx.dw - np.swapaxes(ctx.dw, -1, -2))
+    raised = contract("...km,...mti->...kti", ctx.ginv, covJ)
+    lowered = contract("...jt,...kti->...kji", ctx.g, raised)
+    return {
+        "covJ": covJ,
+        "cov_omega": covariant_derivative(ctx.dw, ctx.omega, "dd", ctx.gamma),
+        "N": nijenhuis(ctx.J, ctx.dJ),
+        "domega": skew + np.einsum("...bca->...abc", skew) + np.einsum("...cab->...abc", skew),
+        "sym_covJ": covJ + np.einsum("...ahi->...iha", covJ),
+        "F": contract("...itj,...tk->...ijk", covJ, ctx.g),
+        "norm_covJ_sq": np.einsum("...kji,...kjs,...is->...", lowered, covJ, ctx.ginv),
+    }
+
+
+@pytest.mark.parametrize("case", ["flat-k1", "flat-k2", "flat-k3", "torus", "negative", "s2",
+                                  "s2xs2", "flat-skew"])
+def test_known_zero_members_keep_the_general_bits(case):
+    """A flat jet's nabla J and nabla w, and the zeros of N (constant J_M) and of dw,
+    sym nabla J, F and |nabla J|^2 (both constant), equal the general formulas on the same
+    inputs to the bit, sign bits included, at the sample points and at one point; flat-skew's
+    g^-1 has entries of both signs."""
+    if case == "s2xs2":
+        bundle = build_bundle(parse_spec(S2XS2.read_text(encoding="utf-8")))
+    elif case == "flat-skew":
+        bundle = build_bundle(parse_spec(flat_skew_text()))
+    else:
+        bundle = zoo.get(case).bundle
+    constant = (bundle.g.constant, bundle.jm.constant)
+    assert constant == {"negative": (True, False), "s2": (False, True),
+                        "s2xs2": (False, True)}.get(case, (True, True))
+    for where in (bundle.sample_points, bundle.sample_points[0]):
+        ctx = PointContext(bundle.g, bundle.jm, bundle.params.q, where, bundle.scheme)
+        for member, expected in general_forms(ctx).items():
+            assert same_bits(getattr(ctx, member), expected), member

@@ -34,7 +34,7 @@ import numpy.random  # noqa: F401  (not first imported inside the traced run)
 import pytest
 
 from metallicgeo import cli, connections, diffcalc, exprdsl, identities, metallic, specfile, zoo
-from metallicgeo.geometry import max_abs, max_abs_per_point
+from metallicgeo.geometry import contract, max_abs, max_abs_per_point
 from oracles import S2_CUBED_SPEC, observed
 
 S2XS2 = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "s2xs2.spec"
@@ -463,3 +463,52 @@ def test_ricci_omega_trace_formed_once(monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--zoo", "s6", "--suite", "all", "--format", "json"]) == 0
     assert len(calls) == 1
+
+
+# (command, fixture) -> (contract calls in any module, np.einsum calls, covariant_derivative
+# calls, nijenhuis calls) in one job with its own --seed. A flat jet takes nabla J_M and nabla w
+# as their partials plus 0.0, a constant J_M has N = 0, and when both fields are constant dw,
+# sym nabla J_M, F and |nabla J_M|^2 are zeros too, each formed with no algebra: classify then
+# does none. Before these rules, classify took (4, 3, 1, 1) on flat-k1/2/3 and torus,
+# (4, 5, 1, 1) on negative and (5, 5, 1, 1) on s2, and verify --suite all (57, 18, 2, 1) on
+# flat-k3, (22, 14, 2, 1) on negative and (80, 32, 4, 1) on s2. s6 has neither field constant.
+# The contractions verify keeps on flat-k3 (38 in identity rows, 9 in the connections block and
+# scalar*) all act on exact-zero curvature or nabla J_M.
+KNOWN_ZERO_WORK = {
+    **{("classify", name): (0, 0, 0, 0) for name in ("flat-k1", "flat-k2", "flat-k3", "torus")},
+    ("classify", "negative"): (2, 5, 0, 1),
+    ("classify", "s2"): (3, 5, 1, 0),
+    ("classify", "s6"): (5, 11, 1, 1),
+    ("verify", "flat-k3"): (48, 14, 0, 0),
+    ("verify", "negative"): (18, 14, 0, 1),
+    ("verify", "s2"): (78, 32, 4, 0),
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(KNOWN_ZERO_WORK))
+def test_constant_fields_skip_known_algebra(command, name, monkeypatch):
+    """The contractions, einsums, covariant derivatives and Nijenhuis tensors of one job."""
+    zoo.get(name)  # the fixture checks its classification when it is first built
+    counts = dict.fromkeys(("contract", "einsum", "covariant_derivative", "nijenhuis"), 0)
+
+    def counted(module, fn_name, key):
+        fn = getattr(module, fn_name)
+
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn_name, call)
+
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "metallicgeo"]:
+        if getattr(module, "contract", None) is contract:
+            counted(module, "contract", "contract")
+    counted(np, "einsum", "einsum")
+    counted(diffcalc, "covariant_derivative", "covariant_derivative")
+    counted(diffcalc, "nijenhuis", "nijenhuis")
+    argv = [command, "--zoo", name, "--seed", "3", "--format", "json"]
+    if command == "verify":
+        argv += ["--suite", "all"]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert tuple(counts.values()) == KNOWN_ZERO_WORK[(command, name)], counts

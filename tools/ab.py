@@ -20,17 +20,26 @@ runs on one side and then on the other, and the side that goes first
 alternates from round to round; one worker is idle while the other runs. A
 job is timed as ``run.run_job`` times it: one ``cli.main`` call in process.
 
+Two worker processes of the same tree can differ in speed by a few per
+cent for the whole of their lives (where their memory landed, which core
+they share). So the rounds are run in ``BLOCKS`` consecutive blocks (fewer
+when there are fewer rounds), each by a fresh pair of workers, and the side
+that is started first, and goes first in the block's first round,
+alternates from block to block. The bootstrap intervals resample the
+blocks first and then the pairs within each block drawn, so that the bias
+of a worker pair widens the interval instead of shifting it unseen.
+
 Every job's exit code, stderr and stdout (with the value of ``timing_s``
 masked) must be equal on the two sides, and every answer must pass
 ``run.check``; otherwise the tool exits 1.
 
 Per job kind, and for all jobs, it prints the median job seconds of each
 side, the time shift of the change (the median over the pairs of the ratio
-change / base, minus one; negative is faster) with a bootstrap 95 % interval,
-and the number of pairs the change won. Per round, it prints the throughput
-shift (jobs over summed job seconds; positive is faster), with its interval
-and the rounds won. The last line of standard output is the same as one
-JSON object. No figure is a gate: the tool adds evidence to a speed claim.
+change / base, minus one; negative is faster) with a bootstrap 95 % interval
+over blocks and pairs, and the number of pairs the change won. Per round, it
+prints the throughput shift (jobs over summed job seconds; positive is
+faster), with its interval over blocks and rounds, and the rounds won. The
+last line of standard output is the same as one JSON object. No figure is a gate: the tool adds evidence to a speed claim.
 Uses the standard library and numpy only.
 """
 
@@ -54,6 +63,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PARTS = ("src", "perfbench")  # what a side needs of a checkout
 SIDES = ("base", "change")
 BOOTSTRAP = 2000
+BLOCKS = 4  # blocks of rounds, each run by a fresh pair of workers
 TIMING = re.compile(r'^(\s*"timing_s": ).*$', re.MULTILINE)  # its value is masked
 
 
@@ -144,13 +154,19 @@ class Worker:
 # --- statistics ---------------------------------------------------------------------------
 
 
-def shift(base, change, rng, faster=np.less) -> dict:
-    """The median of change / base minus one, its bootstrap 95 % interval over the pairs,
-    and the pairs won by the change (``faster(change, base)``)."""
+def shift(base, change, block, rng, faster=np.less) -> dict:
+    """The median of change / base minus one, its bootstrap 95 % interval, and the pairs won
+    by the change (``faster(change, base)``). A bootstrap sample draws as many blocks as there
+    are, with replacement, by the pairs' `block` labels, and then the pairs of each block drawn
+    with replacement."""
     base, change = np.asarray(base, dtype=float), np.asarray(change, dtype=float)
     ratio = change / base
-    resampled = np.median(ratio[rng.integers(0, len(ratio), size=(BOOTSTRAP, len(ratio)))],
-                          axis=1)
+    groups = [ratio[block == b] for b in np.unique(block)]
+    resampled = np.empty(BOOTSTRAP)
+    for k in range(BOOTSTRAP):
+        drawn = [groups[b] for b in rng.integers(0, len(groups), size=len(groups))]
+        resampled[k] = np.median(np.concatenate([g[rng.integers(0, len(g), size=len(g))]
+                                                 for g in drawn]))
     lo, hi = np.percentile(resampled, [2.5, 97.5])
     return {"pairs": len(ratio), "base_median": float(np.median(base)),
             "change_median": float(np.median(change)), "shift": float(np.median(ratio)) - 1.0,
@@ -167,50 +183,60 @@ def percent(x: float) -> str:
 
 def compare(args) -> dict:
     """Run both sides and return the report; see the module docstring."""
+    blocks = np.array_split(np.arange(args.rounds), min(BLOCKS, args.rounds))
+    seconds = {side: [] for side in SIDES}
+    failed = {side: [] for side in SIDES}
+    digests = {side: [] for side in SIDES}
+    block_of = []  # the block of each timed job, in plan order
+    plan = None
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         tmp = Path(tmp)
-        workers = {}
-        try:
-            for side in SIDES:
-                tree = build(getattr(args, side), tmp / side)
-                workers[side] = Worker(tree, tmp / f"run-{side}", args)
-            plan = workers["base"].plan
-            if plan != workers["change"].plan:
-                raise SystemExit("error: the two sides plan different job lists")
-            n = len(plan["argv"])
-            size = n // args.rounds  # jobs per round
-            seconds = {side: [] for side in SIDES}
-            failed = {side: [] for side in SIDES}
-            digests = {side: [] for side in SIDES}
-            for k, lo in enumerate(range(0, n, size)):
-                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                    for i, (dt, reason, digest) in enumerate(workers[side].run(lo, lo + size)):
-                        seconds[side].append(dt)
-                        digests[side].append(digest)
-                        if reason is not None:
-                            failed[side].append(f"{' '.join(plan['argv'][lo + i])}: {reason}")
-        finally:
-            for worker in workers.values():
-                worker.close()
-    # each side's lists follow the plan, as the rounds were run in plan order
+        trees = {side: build(getattr(args, side), tmp / side) for side in SIDES}
+        for b, rounds in enumerate(blocks):
+            order = SIDES if b % 2 == 0 else SIDES[::-1]
+            workers = {}
+            try:
+                for side in order:
+                    workers[side] = Worker(trees[side], tmp / f"run-{b}-{side}", args)
+                plan = plan or workers["base"].plan
+                if not plan == workers["base"].plan == workers["change"].plan:
+                    raise SystemExit("error: the two sides plan different job lists")
+                n = len(plan["argv"])
+                size = n // args.rounds  # jobs per round
+                for k, r in enumerate(rounds):
+                    lo = r * size
+                    for side in order if k % 2 == 0 else order[::-1]:
+                        for i, (dt, reason, digest) in enumerate(workers[side].run(lo, lo + size)):
+                            seconds[side].append(dt)
+                            digests[side].append(digest)
+                            if reason is not None:
+                                failed[side].append(f"{' '.join(plan['argv'][lo + i])}: {reason}")
+                block_of += [b] * (size * len(rounds))
+            finally:
+                for worker in workers.values():
+                    worker.close()
+    # each side's lists follow the plan, as the blocks and their rounds were run in plan order
     rng = np.random.default_rng(0)
-    kinds = np.array(plan["kinds"])
+    kinds, block_of = np.array(plan["kinds"]), np.array(block_of)
     base, change = (np.array(seconds[side]) for side in SIDES)
-    by_kind = {kind: shift(base[kinds == kind], change[kinds == kind], rng)
+    by_kind = {kind: shift(base[kinds == kind], change[kinds == kind], block_of[kinds == kind],
+                           rng)
                for kind in dict.fromkeys(plan["kinds"])}
-    by_kind["all"] = shift(base, change, rng)
+    by_kind["all"] = shift(base, change, block_of, rng)
     jobs_per_s = {side: [size / sum(seconds[side][lo:lo + size]) for lo in range(0, n, size)]
                   for side in SIDES}
-    rounds = shift(jobs_per_s["base"], jobs_per_s["change"], rng, faster=np.greater)
+    rounds = shift(jobs_per_s["base"], jobs_per_s["change"], block_of[::size], rng,
+                   faster=np.greater)
     differing = [plan["argv"][i] for i in range(n) if digests["base"][i] != digests["change"][i]]
-    return {"workload": args.workload, "seed": args.seed, "jobs": n,
+    return {"workload": args.workload, "seed": args.seed, "jobs": n, "blocks": len(blocks),
             "equal": not differing, "differing": differing[:5],
             "failed": {side: failed[side][:5] for side in SIDES},
             "kinds": by_kind, "rounds": {**rounds, "jobs_per_round": size}}
 
 
 def print_report(report: dict) -> None:
-    print(f"{report['workload']}, seed {report['seed']}: {report['jobs']} jobs on each side")
+    print(f"{report['workload']}, seed {report['seed']}: {report['jobs']} jobs on each side,"
+          f" in {report['blocks']} blocks of fresh worker pairs")
     print(f"{'kind':10s} {'pairs':>6s} {'base ms':>9s} {'change ms':>9s} {'time shift':>10s}"
           f"  {'95 % interval':22s} {'won':>9s}")
     for kind, row in report["kinds"].items():
