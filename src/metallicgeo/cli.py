@@ -64,7 +64,7 @@ def _bundle_from_args(args, draw_samples: bool = True) -> tuple[StructureBundle,
     try:
         bundle, source = _build_bundle(args)
         if draw_samples:
-            bundle.chart.sample_points()
+            bundle.sample_points
         return bundle, source
     except SpecFileError:
         raise
@@ -76,8 +76,7 @@ def _build_bundle(args) -> tuple[StructureBundle, dict]:
     """The run's bundle: --q, --seed, --h and --tol-* replace the source's own settings
     before the bundle checks its chart against its step. A zoo fixture is built and checked
     with its own settings, --q apart, and an override builds the run's bundle on its fields,
-    with empty caches: --seed re-draws only the seeded rows (`Chart.reseeded`), while the
-    grid, the named points and the chart checks stay the fixture's."""
+    its chart too, with empty caches."""
     seed, h = args.seed, args.h
     tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
     tol = {k: v for k, v in tol.items() if v is not None}
@@ -94,8 +93,7 @@ def _build_bundle(args) -> tuple[StructureBundle, dict]:
     fx = zoo.get(args.zoo, zoo.DEFAULT_Q if args.q is None else args.q)
     bundle = fx.bundle
     if seed is not None or h is not None or tol:
-        bundle = replace(bundle,
-                         chart=bundle.chart if seed is None else bundle.chart.reseeded(seed),
+        bundle = replace(bundle, seed=bundle.seed if seed is None else seed,
                          scheme=bundle.scheme if h is None else DiffScheme(h),
                          tolerances=replace(bundle.tolerances, **tol) if tol else bundle.tolerances)
     return bundle, {"kind": "zoo", "name": fx.name, "sha256": spec_sha256(fx.spec_text or fx.name)}
@@ -107,7 +105,7 @@ def _base_report(bundle: StructureBundle, source: dict) -> dict:
         "source": source,
         "params": {"p": 0.0, "q": bundle.params.q,
                    "dimension": bundle.chart.dimension},
-        "seed": bundle.chart.seed,
+        "seed": bundle.seed,
         "scheme": {"h1": bundle.scheme.h1, "order1": ORDER1,
                    "h2": bundle.scheme.h2, "order2": ORDER2, "richardson2": True},
         "tolerances": {"alg": bundle.tolerances.alg, "d1": bundle.tolerances.d1,

@@ -34,7 +34,7 @@ it is in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple
 
@@ -142,30 +142,24 @@ def first_outside(points, bounds, reach: float = 0.0) -> int | None:
     return None if clear.all() else int(np.argmin(clear))
 
 
-def _check_draw(seed: int, n_random: int):
-    """A chart's seed and its count of random points must be non-negative (ValueError)."""
-    if seed < 0 or n_random < 0:
-        raise ValueError("seed and random_points must be non-negative")
-
-
 @dataclass(frozen=True)
 class Chart:
     """A single coordinate domain of even dimension with a sampling policy.
 
     bounds is a (dim, 2) array of closed intervals. Sample points are a
-    deterministic per-axis grid, seeded pseudo-random interior points and
-    optional named points, all kept at least `margin` away from the bounds
-    so finite-difference stencils stay inside. The policy must name at least
-    8 points and at most MAX_SAMPLE_POINTS, which the chart checks when it is
-    built; they are drawn once, when first asked for, and at least 8 of them
-    must be distinct.
+    deterministic per-axis grid, pseudo-random interior points and optional
+    named points, all kept at least `margin` away from the bounds so
+    finite-difference stencils stay inside. The policy must name at least 8
+    points and at most MAX_SAMPLE_POINTS, which the chart checks when it is
+    built; at least 8 of the points drawn must be distinct. The seed of the
+    random points is a run setting, not the chart's (`StructureBundle.seed`),
+    so one chart serves every seed.
     """
 
     dimension: int
     bounds: tuple  # ((lo, hi), ...) per coordinate
     grid: int = 3
     n_random: int = 0
-    seed: int = 42
     margin: float = 0.05
     named_points: Mapping[str, tuple] = field(default_factory=dict)
 
@@ -179,7 +173,8 @@ class Chart:
             raise ValueError("bounds must be finite, with lo < hi in each pair")
         if not (self.margin > 0 and np.all(2 * self.margin < b[:, 1] - b[:, 0])):
             raise ValueError("margin must be positive and smaller than half of every extent")
-        _check_draw(self.seed, self.n_random)
+        if self.n_random < 0:
+            raise ValueError("seed and random_points must be non-negative")
         if self.grid < 0:
             raise ValueError(f"grid must be non-negative, got {self.grid}")
         for name, pt in self.named_points.items():
@@ -209,33 +204,24 @@ class Chart:
             raise ChartBoundsError(f"point {bad.tolist()} is outside the chart")
         raise ChartBoundsError(f"point {bad.tolist()} is too close to the boundary for reach {reach:g}")
 
-    def reseeded(self, seed: int) -> "Chart":
-        """This chart with another seed: it draws the sample points of
-        `dataclasses.replace(self, seed=seed)` byte for byte, but checks the seed alone, as
-        the rest is this chart's, checked already by `__post_init__`, which does not run
-        again. Of the cached attributes it takes `_interior` and `_fixed_rows`, which no
-        seed moves, and `_sample_points` only where the policy draws no random point; any
-        other is formed again."""
-        _check_draw(seed, self.n_random)
-        chart = object.__new__(type(self))
-        chart.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)},
-                              seed=seed, _interior=self._interior, _fixed_rows=self._fixed_rows)
-        if not self.n_random:
-            chart.__dict__["_sample_points"] = self._sample_points
-        return chart
+    def sample_points(self, seed: int) -> np.ndarray:
+        """Deterministic sample points for `seed`: grid, then named (sorted), then random.
 
-    def sample_points(self) -> np.ndarray:
-        """Deterministic sample points: grid, then named (sorted), then random.
-
-        The grid runs over its nodes with the last coordinate fastest. A row
-        that equals an earlier one when both are rounded to 12 decimals (a
-        named point on a grid node) is dropped; rows are compared by value, so
-        -0.0 equals 0.0. The array is drawn on the first call and kept, read-only;
-        fewer than 8 distinct points raise ValueError. `curvature` reads no sample
-        point, so the points are not drawn when the chart is built. A chart
-        `reseeded` for a `--seed` override draws only its random rows again.
+        The grid runs over its nodes with the last coordinate fastest, and the
+        n_random points come from `np.random.default_rng(seed)`. A row that
+        equals an earlier one when both are rounded to 12 decimals (a named
+        point on a grid node) is dropped; rows are compared by value, so -0.0
+        equals 0.0. The array is read-only; fewer than 8 distinct points raise
+        ValueError. A policy with no random point keeps its one array for every
+        seed; any other keeps nothing that depends on the seed, and draws
+        again on every call.
         """
-        return self._sample_points
+        if not self.n_random:
+            return self._random_free_points
+        lo, hi = self._interior
+        rng = np.random.default_rng(seed)
+        return _distinct(np.concatenate(
+            [self._fixed_rows, rng.uniform(lo, hi, size=(self.n_random, self.dimension))], axis=0))
 
     @cached_property
     def _interior(self) -> tuple:
@@ -262,23 +248,24 @@ class Chart:
         return rows
 
     @cached_property
-    def _sample_points(self) -> np.ndarray:
-        out = self._fixed_rows
-        if self.n_random:
-            lo, hi = self._interior
-            rng = np.random.default_rng(self.seed)
-            out = np.concatenate([out, rng.uniform(lo, hi, size=(self.n_random, self.dimension))],
-                                 axis=0)
-        rounded = out.round(decimals=12)
-        order = np.lexsort(rounded.T)  # stable: equal rows stay in their order
-        ordered = rounded[order]
-        first = np.ones(len(out), dtype=bool)
-        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        points = out[np.sort(order[first])]
-        if len(points) < 8:
-            raise ValueError(f"sample policy must yield at least 8 distinct points, got {len(points)}")
-        points.flags.writeable = False
-        return points
+    def _random_free_points(self) -> np.ndarray:
+        """The sample points of a policy that draws no random point, whatever the seed."""
+        return _distinct(self._fixed_rows)
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The rows not equal to an earlier one at 12 decimals, in their order, read-only; fewer
+    than 8 raise ValueError."""
+    rounded = rows.round(decimals=12)
+    order = np.lexsort(rounded.T)  # stable: equal rows stay in their order
+    ordered = rounded[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    points = rows[np.sort(order[first])]
+    if len(points) < 8:
+        raise ValueError(f"sample policy must yield at least 8 distinct points, got {len(points)}")
+    points.flags.writeable = False
+    return points
 
 
 @dataclass(frozen=True)

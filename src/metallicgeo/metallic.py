@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,9 +78,14 @@ def jm_from_j_matrix(J: np.ndarray, params: MetallicParams, sign: int = +1) -> n
 
 
 def jm_from_j(j_field: TensorField, params: MetallicParams, sign: int = +1) -> TensorField:
-    """The J_M field of an almost complex field J; constant when J is."""
+    """The J_M field of an almost complex field J, constant when J is; the sign is checked
+    here, once, and a call scales J by the one number sign * sqrt(6q)/2."""
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    factor = sign * params.coeff
+
     def fn(pts):
-        return jm_from_j_matrix(j_field(pts), params, sign)
+        return factor * j_field(pts)
 
     return TensorField(name=f"{j_field.name}->metallic", fn=fn, constant=j_field.constant)
 
@@ -109,9 +115,10 @@ class Tolerances:
 class StructureBundle:
     """Chart + metric + metallic structure, with one cached context of its sample points.
 
-    The bundle owns every setting of a run: the sample points (from the
-    chart), the differencing scheme and the tolerances. Immutable after
-    construction; classification, contexts and connection terms (one dict of
+    The bundle owns every setting of a run: the seed of the sample points
+    (which the chart draws), the differencing scheme and the tolerances; one
+    chart serves bundles of every seed. Immutable after construction; the
+    sample points, classification, contexts and connection terms (one dict of
     arrays stacked over the sample points per kind) are memoized.
     """
 
@@ -121,8 +128,11 @@ class StructureBundle:
     params: MetallicParams
     scheme: DiffScheme = field(default_factory=DiffScheme)
     tolerances: Tolerances = field(default_factory=Tolerances)
+    seed: int = 42
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed and random_points must be non-negative")
         self.scheme.check_chart(self.chart)
         self._contexts: dict = {}
         self._classification: Optional[ClassificationReport] = None
@@ -132,9 +142,9 @@ class StructureBundle:
     def from_j(cls, chart, g, j_field, params, sign=+1, **kw) -> "StructureBundle":
         return cls(chart, g, jm_from_j(j_field, params, sign), params, **kw)
 
-    @property
+    @cached_property
     def sample_points(self) -> np.ndarray:
-        return self.chart.sample_points()
+        return self.chart.sample_points(self.seed)
 
     def context(self, point) -> PointContext:
         """The context of one point (n,) or of a stack of points (m, n), such as the sample

@@ -87,7 +87,8 @@ def _parse_number(text: str, line_no: int, col: int, kind=float):
     try:
         return kind(text)
     except ValueError:
-        raise SpecFileError(line_no, col, f"expected a {kind.__name__}, got {text!r}") from None
+        article = "an" if kind is int else "a"
+        raise SpecFileError(line_no, col, f"expected {article} {kind.__name__}, got {text!r}") from None
 
 
 def _given_once(given_at: dict, key: str, line_no: int) -> None:
@@ -254,8 +255,9 @@ def build_bundle(spec: ManifoldSpec) -> StructureBundle:
     """Materialize a StructureBundle without evaluating a field.
 
     The chart, step, parameters and tolerances are checked here, by their own
-    constructors. The fields are evaluated only where a command reads them:
-    `classify` and `verify` at the run's sample points (after any --seed,
+    constructors, and the seed by the bundle, which carries it beside the step
+    and the tolerances. The fields are evaluated only where a command reads
+    them: `classify` and `verify` at the run's sample points (after any --seed,
     --h and tolerance overrides), as node 0 of the order-1 stencil, and
     `curvature` around its point. A domain error, a non-finite value or a
     singular metric is raised there and names its point. The metric needs no
@@ -263,7 +265,7 @@ def build_bundle(spec: ManifoldSpec) -> StructureBundle:
     """
     params = MetallicParams(spec.q)
     chart = Chart(dimension=spec.dimension, bounds=spec.bounds, grid=spec.grid,
-                  n_random=spec.random_points, seed=spec.seed, margin=spec.margin,
+                  n_random=spec.random_points, margin=spec.margin,
                   named_points=spec.named_points)
     g = _expr_matrix_field("g", spec.dimension, spec.g_entries, symmetric=True)
     scheme = DiffScheme(spec.h) if spec.h is not None else DiffScheme()
@@ -271,5 +273,5 @@ def build_bundle(spec: ManifoldSpec) -> StructureBundle:
     struct = _expr_matrix_field("structure", spec.dimension, spec.s_entries, symmetric=False)
     if spec.structure == "J":
         return StructureBundle.from_j(chart, g, struct, params, sign=spec.sign,
-                                      scheme=scheme, tolerances=tol)
-    return StructureBundle(chart, g, struct, params, scheme=scheme, tolerances=tol)
+                                      scheme=scheme, tolerances=tol, seed=spec.seed)
+    return StructureBundle(chart, g, struct, params, scheme=scheme, tolerances=tol, seed=spec.seed)

@@ -11,8 +11,8 @@ The engine takes p = 0 (see the metallic module note on the trace
 obstruction), and every spec text says so; q defaults to 2/3, which makes J_M equal the underlying
 almost complex structure. Six fixtures (flat-k1/2/3, torus, s2 and
 negative) are defined once, as manifold spec text (see `specfile`) with
-their whole chart: bounds, grid, seed, margin and named points. The text
-is the fixture's `spec_text`: a report hashes it into `source.sha256`,
+their whole sampling policy: bounds, grid, seed, margin and named points. The
+text is the fixture's `spec_text`: a report hashes it into `source.sha256`,
 and a spec file holding it gives the same report as `--zoo`. s6 needs
 the octonion cross product, which the expression DSL cannot write, so it
 is the one fixture given as Python fields; it keeps that path under test.
@@ -185,10 +185,10 @@ def fixture_sphere6(q: float = DEFAULT_Q) -> Fixture:
     params = MetallicParams(q)
     # bounds keep |x| <= 0.54*sqrt(6) ~ 1.32 < 1.5 so the pullback stays well conditioned
     bounds = tuple(((-0.6, 0.6),) * 6)
-    chart = Chart(dimension=6, bounds=bounds, grid=1, n_random=7, seed=5, margin=0.06,
+    chart = Chart(dimension=6, bounds=bounds, grid=1, n_random=7, margin=0.06,
                   named_points={"origin": (0.0,) * 6})
     g = _conformal_round_metric(6)
-    bundle = StructureBundle.from_j(chart, g, _sphere6_structure(), params)
+    bundle = StructureBundle.from_j(chart, g, _sphere6_structure(), params, seed=5)
     return Fixture(name="s6", bundle=bundle, expected_verdict=VERDICT_NEARLY,
                    expected_nearly=True)
 

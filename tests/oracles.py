@@ -320,12 +320,11 @@ def kahler_quartic_bundle(q: float = 2.0 / 3.0) -> StructureBundle:
     to g and nabla S != 0; the zoo's curved Kahler fixture, s2, has S = g and
     nabla S = 0.
     """
-    chart = Chart(dimension=4, bounds=((-0.6, 0.6),) * 4, grid=1, n_random=8, seed=19,
-                  margin=0.1)
+    chart = Chart(dimension=4, bounds=((-0.6, 0.6),) * 4, grid=1, n_random=8, margin=0.1)
     J = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
     g = TensorField("kahler-quartic", kahler_quartic_metric)
     return StructureBundle.from_j(chart, g, TensorField("standard-J", const_field(J)),
-                                  MetallicParams(q))
+                                  MetallicParams(q), seed=19)
 
 
 def anisotropic_flat_bundle(a: float) -> StructureBundle:
@@ -429,8 +428,8 @@ def reference_report_json(report: dict) -> str:
 # --- reference sampler -----------------------------------------------------------------
 
 
-def reference_sample_points(chart: Chart) -> np.ndarray:
-    """`Chart.sample_points` as per-axis linspace, meshgrid and `np.unique` over rows."""
+def reference_sample_points(chart: Chart, seed: int) -> np.ndarray:
+    """`Chart.sample_points(seed)` as per-axis linspace, meshgrid and `np.unique` over rows."""
     b = chart.bounds_array
     lo = b[:, 0] + chart.margin
     hi = b[:, 1] - chart.margin
@@ -440,7 +439,7 @@ def reference_sample_points(chart: Chart) -> np.ndarray:
     if chart.named_points:
         pts.append(np.array([chart.named_points[k] for k in sorted(chart.named_points)], dtype=float))
     if chart.n_random:
-        rng = np.random.default_rng(chart.seed)
+        rng = np.random.default_rng(seed)
         pts.append(rng.uniform(lo, hi, size=(chart.n_random, chart.dimension)))
     out = np.concatenate(pts, axis=0)
     # drop exact duplicates (a named point may coincide with a grid node)

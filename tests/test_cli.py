@@ -295,6 +295,8 @@ DISK = (
     (GOOD_SPEC + "point a = 0.1\n", [], 2,
      "line 9, offset 11: named point 'a' needs 2 coordinates, got 1"),
     (GOOD_SPEC + "grid = -3\n", [], 2, "grid must be non-negative, got -3"),
+    (GOOD_SPEC + "seed = -1\n", [], 2, "seed and random_points must be non-negative"),
+    (GOOD_SPEC + "seed = 1e3\n", [], 2, "line 9, offset 8: expected an int, got '1e3'"),
     (GOOD_SPEC + "point a = 5 5\n", [], 2,
      "line 9, offset 11: named point 'a' is not inside the chart margin"),
     # a later value silently replaced the first: g[0][0] = 0 gave a singular metric, exit 3
@@ -316,6 +318,7 @@ DISK = (
         "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "negative-seed-random-free",
         "infinite-q",
         "q-1e308", "q-1e307", "q-1e10", "q-1e-320", "subnormal-metric", "short-point-4d", "short-point-2d", "negative-grid",
+        "negative-seed-spec", "float-seed-spec",
         "point-outside-margin", "repeated-metric-entry", "repeated-structure-entry",
         "repeated-point", "repeated-setting", "nonzero-p", "tiny-nonzero-p"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):

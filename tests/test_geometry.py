@@ -1,9 +1,8 @@
-import functools
 import io
 import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,21 +25,21 @@ from oracles import reference_sample_points
 
 def test_chart_grid_3x3_gives_9_points():
     chart = Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=3, margin=0.1)
-    pts = chart.sample_points()
+    pts = chart.sample_points(42)
     assert pts.shape == (9, 2)
     assert np.all(np.abs(pts) <= 0.9 + 1e-12)
 
 
 def test_chart_determinism_for_fixed_seed():
     mk = lambda: Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=2, n_random=6,
-                       seed=42, margin=0.1).sample_points()
+                       margin=0.1).sample_points(42)
     assert np.array_equal(mk(), mk())
 
 
 def test_chart_named_point_included():
     chart = Chart(dimension=2, bounds=((-1, 1), (-1, 1)), grid=3, margin=0.1,
                   named_points={"origin": (0.0, 0.0)})
-    pts = chart.sample_points()
+    pts = chart.sample_points(42)
     assert any(np.allclose(p, [0.0, 0.0]) for p in pts)
 
 
@@ -62,26 +61,30 @@ SAMPLERS = {
 @pytest.mark.parametrize("kwargs", SAMPLERS.values(), ids=SAMPLERS)
 def test_sample_points_match_the_reference_sampler(kwargs):
     chart = Chart(**kwargs)
-    got, want = chart.sample_points(), reference_sample_points(chart)
+    got, want = chart.sample_points(42), reference_sample_points(chart, 42)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", zoo.names())
 def test_zoo_sample_points_match_the_reference_sampler(name):
-    """A rebuilt chart and the fixture's chart reseeded draw the reference points, read-only;
-    the reseeded one shares the fixture's grid and named rows, and its points too where the
-    policy draws no random point."""
-    fixture = zoo.get(name).bundle.chart
+    """One fixture chart serves bundles of every seed: each bundle draws the reference points
+    of its seed, read-only, once, and the chart keeps no entry that depends on the seed. A
+    policy that draws no random point gives every seed one array."""
+    fixture = zoo.get(name).bundle
+    chart = fixture.chart
+    seed_free = {f.name for f in fields(chart)} | {"_interior", "_fixed_rows",
+                                                   "_random_free_points"}
+    drawn = []
     for seed in (0, 1, 7, 12345, 123456, fixture.seed, 2**31 - 1):
-        chart, reseeded = replace(fixture, seed=seed), fixture.reseeded(seed)
-        assert reseeded == chart
-        want = reference_sample_points(chart)
-        for got in (chart.sample_points(), reseeded.sample_points()):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
-            assert not got.flags.writeable
-        assert reseeded._fixed_rows is fixture._fixed_rows
-        assert not fixture._fixed_rows.flags.writeable
-        assert (reseeded.sample_points() is fixture.sample_points()) == (fixture.n_random == 0)
+        bundle = replace(fixture, seed=seed)
+        assert bundle.chart is chart
+        got, want = bundle.sample_points, reference_sample_points(chart, seed)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+        assert not got.flags.writeable and bundle.sample_points is got
+        assert set(vars(chart)) <= seed_free, seed
+        drawn.append(got)
+    assert not chart._fixed_rows.flags.writeable
+    assert all((got is drawn[0]) == (chart.n_random == 0) for got in drawn[1:])
 
 
 def test_chart_rejects_odd_dimension():
@@ -121,8 +124,8 @@ def test_chart_counts_distinct_sample_points(tmp_path):
     chart = Chart(n_random=3, **kwargs)
     for _ in range(2):  # a failed draw is not kept
         with pytest.raises(ValueError, match="at least 8 distinct points, got 7"):
-            chart.sample_points()
-    assert len(Chart(n_random=4, **kwargs).sample_points()) == 8
+            chart.sample_points(42)
+    assert len(Chart(n_random=4, **kwargs).sample_points(42)) == 8
     path = tmp_path / "corner.spec"
     path.write_text(CORNER_SPEC.format(n_random=3), encoding="utf-8")
     for argv, code in ((["classify"], 2), (["verify", "--suite", "all"], 2),
@@ -136,28 +139,26 @@ def test_chart_counts_distinct_sample_points(tmp_path):
         assert cli.main(["classify", str(path)]) == 0
 
 
-def test_sample_points_drawn_once_per_chart(monkeypatch):
-    """A chart draws its sample points once, when they are first asked for: the CLI's
-    distinct-count check and the bundle of a run with `--seed` read one read-only array."""
+def test_sample_points_drawn_once_per_bundle(monkeypatch):
+    """A bundle draws its sample points once, when they are first asked for, from its chart
+    and its seed: the CLI's distinct-count check and the rows of a run with `--seed` read
+    one read-only array, drawn on the fixture's chart."""
     drawn = []
-    draw = Chart._sample_points.func
+    draw = Chart.sample_points
 
-    def counted(chart):
-        drawn.append(chart)
-        return draw(chart)
+    def counted(chart, seed):
+        drawn.append((chart, seed, draw(chart, seed)))
+        return drawn[-1][2]
 
-    prop = functools.cached_property(counted)
-    prop.__set_name__(Chart, "_sample_points")
-    monkeypatch.setattr(Chart, "_sample_points", prop)
+    monkeypatch.setattr(Chart, "sample_points", counted)
     zoo.get.cache_clear()
     try:
         with redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "--zoo", "s2", "--seed", "5", "--format", "json"]) == 0
     finally:
         zoo.get.cache_clear()
-    assert [c.seed for c in drawn] == [11, 5]  # the fixture's chart, then the run's
-    points = drawn[1].sample_points()
-    assert points is drawn[1].sample_points() and not points.flags.writeable
+    assert [seed for _, seed, _ in drawn] == [11, 5]  # the fixture's bundle, then the run's
+    assert drawn[0][0] is drawn[1][0] and not drawn[1][2].flags.writeable
 
 
 def _counted(counts, key, fn):
@@ -169,7 +170,7 @@ def _counted(counts, key, fn):
 
 def test_zoo_seed_job_runs_no_chart_check_and_builds_no_grid(monkeypatch):
     """With the fixtures built, a zoo `classify --seed` job runs no chart check and builds no
-    grid row: its chart is the fixture's, reseeded."""
+    grid row: its chart is the fixture's."""
     for name in zoo.names():
         zoo.get(name, zoo.DEFAULT_Q)
     counts = {"post_init": 0, "linspace": 0}
@@ -183,7 +184,7 @@ def test_zoo_seed_job_runs_no_chart_check_and_builds_no_grid(monkeypatch):
 
 def test_each_zoo_job_builds_its_own_context_and_classification(monkeypatch):
     """Zoo jobs with one seed or two share no context and no classification with each other or
-    with the fixture, also where the reseeded chart reads the fixture's points (flat-k1)."""
+    with the fixture, also where the run's bundle reads the fixture's points (flat-k1)."""
     jobs = [("flat-k1", "1"), ("flat-k1", "1"), ("flat-k1", "2"), ("s2", "1"), ("s2", "1")]
     fixtures = {name: zoo.get(name, zoo.DEFAULT_Q) for name, _ in jobs}
     cached = {name: len(fx.bundle._contexts) for name, fx in fixtures.items()}

@@ -193,17 +193,17 @@ def test_every_node_lies_within_reach(case, monkeypatch, tmp_path):
         build = cli.build_bundle
         monkeypatch.setattr(cli, "build_bundle", lambda spec: recording(build(spec), nodes))
         argv, scheme = [str(path), "--h", "0.027"], DiffScheme(0.027)
-        chart = build(cli.parse_spec(DISK)).chart
+        bundle = build(cli.parse_spec(DISK))
     else:
         bundle = zoo.fixture_sphere2().bundle if case == "s2" else kahler_quartic_bundle()
         fx = dataclasses.replace(zoo.get("s2"), bundle=recording(bundle, nodes))
         monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: fx)
-        argv, scheme, chart = ["--zoo", "s2"], bundle.scheme, bundle.chart
+        argv, scheme = ["--zoo", "s2"], bundle.scheme
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", *argv, "--suite", "all", "--format", "json"]) == 0
     pts = np.concatenate(nodes)
     assert 2.0 * scheme.h2 > 2.0 * scheme.h1 and scheme.reach == 2.0 * scheme.h2
-    centers = chart.sample_points()
+    chart, centers = bundle.chart, bundle.sample_points
     box = np.abs(pts[:, None, :] - centers[None, :, :]).max(axis=-1).min(axis=-1)
     assert box.max() <= scheme.reach * (1 + 1e-12)
     assert box.max() >= scheme.reach * (1 - 1e-12)  # the order-3 axis nodes are evaluated

@@ -14,6 +14,7 @@ from metallicgeo.metallic import (
     VERDICT_KAHLER,
     VERDICT_NEARLY,
     VERDICT_NONE,
+    StructureBundle,
     _result,
     jm_from_j_matrix,
 )
@@ -72,6 +73,17 @@ def test_jm_from_j_golden_brute_force():
         assert np.allclose(JM, sign * (math.sqrt(5.0) / 2.0) * J2)
         # brute-force 2x2 polynomial check: (3/2) q = 5/4
         assert max_abs(JM @ JM + 1.25 * np.eye(2)) < 1e-12
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_a_bad_sign_is_rejected_when_the_bundle_is_built(sign):
+    """The sign of J_M = sign * sqrt(6q)/2 J is checked when the field is built, not at the
+    field's first call inside a job."""
+    chart = zoo.get("flat-k1").bundle.chart
+    field = TensorField("J", lambda pts: np.broadcast_to(J2, (len(pts), 2, 2)))
+    g = TensorField("g", lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)))
+    with pytest.raises(ValueError, match="sign must be \\+1 or -1"):
+        StructureBundle.from_j(chart, g, field, MetallicParams(2.0 / 3.0), sign=sign)
 
 
 def test_signs_give_mutual_conjugates():

@@ -162,27 +162,32 @@ def test_mirrored_specs_exist_for_representable_fixtures():
 
 def test_zoo_and_its_spec_file_give_one_report(tmp_path):
     """A fixture's spec text, written to a file, is the whole fixture: the file gives the
-    `--zoo` report, apart from the source's kind and name, and its chart, which no report
-    of a flat fixture shows."""
+    `--zoo` report, apart from the source's kind and name, and its chart and seed, which no
+    report of a flat fixture shows; so does each with a `--seed`, which the spec-file path
+    writes into the spec and the zoo path into the fixture's bundle."""
     checked = 0
     for name in zoo.names():
         text = zoo.get(name).spec_text
         if text is None:
             continue
-        assert build_bundle(parse_spec(text)).chart == zoo.get(name).bundle.chart, name
+        built, fixture = build_bundle(parse_spec(text)), zoo.get(name).bundle
+        assert (built.chart, built.seed) == (fixture.chart, fixture.seed), name
         path = tmp_path / f"{name}.spec"
         path.write_text(text, encoding="utf-8")
-        reports = []
-        for source in (["--zoo", name], [str(path)]):
-            buf = io.StringIO()
-            with redirect_stdout(buf):
-                assert cli.main(["verify", *source, "--suite", "all", "--format", "json"]) == 0
-            report = json.loads(buf.getvalue())
-            del report["timing_s"], report["source"]["kind"], report["source"]["name"]
-            reports.append(report)
-        assert reports[0] == reports[1], name
-        checked += 1
-    assert checked == 6
+        for seed in ([], ["--seed", "4"]):
+            reports = []
+            for source in (["--zoo", name], [str(path)]):
+                buf = io.StringIO()
+                with redirect_stdout(buf):
+                    assert cli.main(["verify", *source, *seed, "--suite", "all",
+                                     "--format", "json"]) == 0
+                report = json.loads(buf.getvalue())
+                del report["timing_s"], report["source"]["kind"], report["source"]["name"]
+                reports.append(report)
+            assert reports[0] == reports[1], (name, seed)
+            assert reports[0]["seed"] == (int(seed[1]) if seed else fixture.seed)
+            checked += 1
+    assert checked == 12
 
 
 def test_unknown_fixture_raises():

@@ -21,9 +21,9 @@ report. The runs are:
 * ``classify`` and ``verify --suite all`` on ``s2xs2.spec`` and on each
   zoo fixture with a ``--seed`` override, so that the run's own sample
   points, not the spec's, are the ones read, and a zoo run builds its own
-  bundle on the fixture's chart reseeded, as every benchmark zoo job does:
-  the seeded rows are drawn again, the grid, the named points and the
-  chart checks stay the fixture's;
+  bundle, with the run's seed, on the fixture's chart, as every benchmark
+  zoo job does: the bundle draws the seeded rows again, the grid, the named
+  points and the chart checks stay the fixture's;
 * ``verify --suite all`` on s2 with ``--h`` and ``--tol-d1`` overrides, and
   ``classify`` on negative with a ``--tol-d1`` that puts three of its
   residuals near the boundary, so that ``near_boundary`` is not empty;
