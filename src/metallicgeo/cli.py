@@ -75,8 +75,9 @@ def _bundle_from_args(args, draw_samples: bool = True) -> tuple[StructureBundle,
 def _build_bundle(args) -> tuple[StructureBundle, dict]:
     """The run's bundle: --q, --seed, --h and --tol-* replace the source's own settings
     before the bundle checks its chart against its step. A zoo fixture is built and checked
-    with its own settings, --q apart, and an override builds the run's bundle on its fields,
-    its chart too, with empty caches."""
+    with its own settings, --q apart, and the run's bundle is always its own: one `replace`
+    of the checked fixture's bundle, on its chart, with the overrides and empty caches, so
+    that nothing the run computes stays on the fixture."""
     seed, h = args.seed, args.h
     tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
     tol = {k: v for k, v in tol.items() if v is not None}
@@ -91,11 +92,10 @@ def _build_bundle(args) -> tuple[StructureBundle, dict]:
                        h=spec.h if h is None else h, tol={**spec.tol, **tol})
         return build_bundle(spec), {"kind": "file", "name": args.spec, "sha256": spec_sha256(text)}
     fx = zoo.get(args.zoo, zoo.DEFAULT_Q if args.q is None else args.q)
-    bundle = fx.bundle
-    if seed is not None or h is not None or tol:
-        bundle = replace(bundle, seed=bundle.seed if seed is None else seed,
-                         scheme=bundle.scheme if h is None else DiffScheme(h),
-                         tolerances=replace(bundle.tolerances, **tol) if tol else bundle.tolerances)
+    checked = fx.bundle
+    bundle = replace(checked, seed=checked.seed if seed is None else seed,
+                     scheme=checked.scheme if h is None else DiffScheme(h),
+                     tolerances=replace(checked.tolerances, **tol) if tol else checked.tolerances)
     return bundle, {"kind": "zoo", "name": fx.name, "sha256": spec_sha256(fx.spec_text or fx.name)}
 
 

@@ -151,9 +151,10 @@ class Chart:
     named points, all kept at least `margin` away from the bounds so
     finite-difference stencils stay inside. The policy must name at least 8
     points and at most MAX_SAMPLE_POINTS, which the chart checks when it is
-    built; at least 8 of the points drawn must be distinct. The seed of the
-    random points is a run setting, not the chart's (`StructureBundle.seed`),
-    so one chart serves every seed.
+    built; at least 8 of the points drawn must be distinct. The chart settles
+    its distinct fixed points, the grid and the named points, once; a draw
+    appends the random points of its seed. The seed is a run setting, not the
+    chart's (`StructureBundle.seed`), so one chart serves every seed.
     """
 
     dimension: int
@@ -174,7 +175,7 @@ class Chart:
         if not (self.margin > 0 and np.all(2 * self.margin < b[:, 1] - b[:, 0])):
             raise ValueError("margin must be positive and smaller than half of every extent")
         if self.n_random < 0:
-            raise ValueError("seed and random_points must be non-negative")
+            raise ValueError(f"random_points must be non-negative, got {self.n_random}")
         if self.grid < 0:
             raise ValueError(f"grid must be non-negative, got {self.grid}")
         for name, pt in self.named_points.items():
@@ -205,23 +206,27 @@ class Chart:
         raise ChartBoundsError(f"point {bad.tolist()} is too close to the boundary for reach {reach:g}")
 
     def sample_points(self, seed: int) -> np.ndarray:
-        """Deterministic sample points for `seed`: grid, then named (sorted), then random.
+        """Deterministic sample points for `seed`: the chart's fixed points (`_fixed_points`),
+        then the n_random points of `np.random.default_rng(seed)`, read-only.
 
-        The grid runs over its nodes with the last coordinate fastest, and the
-        n_random points come from `np.random.default_rng(seed)`. A row that
-        equals an earlier one when both are rounded to 12 decimals (a named
-        point on a grid node) is dropped; rows are compared by value, so -0.0
-        equals 0.0. The array is read-only; fewer than 8 distinct points raise
-        ValueError. A policy with no random point keeps its one array for every
-        seed; any other keeps nothing that depends on the seed, and draws
-        again on every call.
+        A policy with no random point returns its fixed points themselves, one
+        array for every seed; any other draws again on every call, appending
+        the seed's rows to the fixed ones, and keeps nothing that depends on the
+        seed. The random rows are uniform doubles inside the margin and are not
+        compared with any other row: fewer than 8 points, the fixed ones and
+        n_random, raise ValueError.
         """
+        count = len(self._fixed_points) + self.n_random
+        if count < 8:
+            raise ValueError(f"sample policy must yield at least 8 distinct points, got {count}")
         if not self.n_random:
-            return self._random_free_points
+            return self._fixed_points
         lo, hi = self._interior
         rng = np.random.default_rng(seed)
-        return _distinct(np.concatenate(
-            [self._fixed_rows, rng.uniform(lo, hi, size=(self.n_random, self.dimension))], axis=0))
+        points = np.concatenate(
+            [self._fixed_points, rng.uniform(lo, hi, size=(self.n_random, self.dimension))])
+        points.flags.writeable = False
+        return points
 
     @cached_property
     def _interior(self) -> tuple:
@@ -230,9 +235,11 @@ class Chart:
         return b[:, 0] + self.margin, b[:, 1] - self.margin
 
     @cached_property
-    def _fixed_rows(self) -> np.ndarray:
-        """The rows the policy fixes, whatever the seed, read-only: the grid, then the named
-        points (sorted)."""
+    def _fixed_points(self) -> np.ndarray:
+        """The distinct points the policy fixes, whatever the seed, read-only: the grid, with
+        the last coordinate fastest, then the named points (sorted). A row that equals an
+        earlier one when both are rounded to 12 decimals (a named point on a grid node) is
+        dropped; rows are compared by value, so -0.0 equals 0.0."""
         lo, hi = self._interior
         n, k = self.dimension, self.grid
         axes = np.linspace(lo, hi, k, axis=1)  # row i: the k nodes of axis i
@@ -244,28 +251,14 @@ class Chart:
             named = np.array([self.named_points[name] for name in sorted(self.named_points)],
                              dtype=float)
             rows = np.concatenate([rows, named], axis=0)
-        rows.flags.writeable = False
-        return rows
-
-    @cached_property
-    def _random_free_points(self) -> np.ndarray:
-        """The sample points of a policy that draws no random point, whatever the seed."""
-        return _distinct(self._fixed_rows)
-
-
-def _distinct(rows: np.ndarray) -> np.ndarray:
-    """The rows not equal to an earlier one at 12 decimals, in their order, read-only; fewer
-    than 8 raise ValueError."""
-    rounded = rows.round(decimals=12)
-    order = np.lexsort(rounded.T)  # stable: equal rows stay in their order
-    ordered = rounded[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    points = rows[np.sort(order[first])]
-    if len(points) < 8:
-        raise ValueError(f"sample policy must yield at least 8 distinct points, got {len(points)}")
-    points.flags.writeable = False
-    return points
+        rounded = rows.round(decimals=12)
+        order = np.lexsort(rounded.T)  # stable: equal rows stay in their order
+        ordered = rounded[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        points = rows[np.sort(order[first])]
+        points.flags.writeable = False
+        return points
 
 
 @dataclass(frozen=True)

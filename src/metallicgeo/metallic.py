@@ -28,7 +28,7 @@ from .diffcalc import DiffScheme, PointContext
 from .geometry import Chart, TensorField, largest_abs
 
 __all__ = [
-    "MetallicParams", "jm_from_j_matrix", "jm_from_j", "StructureBundle", "Tolerances",
+    "MetallicParams", "jm_from_j", "StructureBundle", "Tolerances",
     "Identity", "IdentityResult", "evaluate", "ClassificationReport", "CLASSIFICATION",
     "classify", "VERDICT_NONE", "VERDICT_HERMITIAN", "VERDICT_ALMOST_KAHLER", "VERDICT_KAHLER",
     "VERDICT_NEARLY", "not_metallic", "not_hermitian", "not_kahler", "not_nearly",
@@ -61,17 +61,6 @@ class MetallicParams:
     def coeff(self) -> float:
         """The real coefficient sqrt(6q)/2 linking J and J_M."""
         return math.sqrt(6.0 * self.q) / 2.0
-
-
-# --- pointwise matrix algebra -----------------------------------------------
-
-
-def jm_from_j_matrix(J: np.ndarray, params: MetallicParams, sign: int = +1) -> np.ndarray:
-    """J_M = sign * (sqrt(6q)/2) J for an almost complex J (or a stack of them)."""
-    J = np.asarray(J, dtype=float)
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return sign * params.coeff * J
 
 
 # --- field-level wrappers ----------------------------------------------------
@@ -132,7 +121,7 @@ class StructureBundle:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValueError("seed and random_points must be non-negative")
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.scheme.check_chart(self.chart)
         self._contexts: dict = {}
         self._classification: Optional[ClassificationReport] = None

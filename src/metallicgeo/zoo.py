@@ -245,14 +245,19 @@ def names() -> tuple:
 
 
 def get(name: str, q: float = DEFAULT_Q) -> Fixture:
-    """Fetch (and on first use validate) a fixture by name: one object per (name, q),
-    however q is passed. `get.cache_info()` and `get.cache_clear()` read and clear the
-    cache."""
-    return _cached(name, q)
+    """A validated fixture by name. At DEFAULT_Q, however q is passed, it is one object per
+    name, built and validated on first use and kept; `get.cache_info()` and
+    `get.cache_clear()` read and clear that cache. At any other q the fixture is built and
+    validated for the caller, and not kept."""
+    return _checked(name) if q == DEFAULT_Q else _validated(name, q)
 
 
 @lru_cache(maxsize=None)
-def _cached(name: str, q: float) -> Fixture:
+def _checked(name: str) -> Fixture:
+    return _validated(name, DEFAULT_Q)
+
+
+def _validated(name: str, q: float) -> Fixture:
     if name not in _BUILDERS:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(names())}")
     fx = _BUILDERS[name](q).validate()
@@ -263,4 +268,4 @@ def _cached(name: str, q: float) -> Fixture:
     return fx
 
 
-get.cache_info, get.cache_clear = _cached.cache_info, _cached.cache_clear
+get.cache_info, get.cache_clear = _checked.cache_info, _checked.cache_clear

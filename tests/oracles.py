@@ -30,7 +30,7 @@ from metallicgeo import exprdsl
 from metallicgeo.diffcalc import (WEIGHTS_1D, DiffScheme, JetTable, MetricJet, christoffel,
                                   covariant_derivative)
 from metallicgeo.geometry import Chart, TensorField, inverse_metric, max_abs
-from metallicgeo.metallic import MetallicParams, StructureBundle
+from metallicgeo.metallic import MetallicParams, StructureBundle, jm_from_j
 from metallicgeo.octonions import cross7_matrix
 
 
@@ -48,6 +48,20 @@ def const_field(value):
     """The stacked field that is value at every point."""
     value = np.asarray(value, dtype=float)
     return lambda pts: np.broadcast_to(value, (len(pts),) + value.shape)
+
+
+def jm_from_j_matrix(J, params: MetallicParams, sign: int = +1) -> np.ndarray:
+    """The reference formula J_M = sign * (sqrt(6q)/2) J for an almost complex J (or a stack
+    of them)."""
+    return sign * (math.sqrt(6.0 * params.q) / 2.0) * np.asarray(J, dtype=float)
+
+
+def jm_field_at(J, params: MetallicParams, sign: int = +1) -> np.ndarray:
+    """J_M as the engine forms it, the field `jm_from_j` of the constant field J, evaluated
+    at a point."""
+    J = np.asarray(J, dtype=float)
+    field = TensorField("J", const_field(J), constant=True)
+    return jm_from_j(field, params, sign)(np.zeros(len(J)))
 
 
 def observed(bundle: StructureBundle, record) -> StructureBundle:

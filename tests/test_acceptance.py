@@ -34,9 +34,8 @@ from metallicgeo.metallic import (
     VERDICT_HERMITIAN,
     VERDICT_KAHLER,
     VERDICT_NEARLY,
-    jm_from_j_matrix,
 )
-from oracles import commutator_residual, metric_compat_residual
+from oracles import commutator_residual, jm_field_at, metric_compat_residual
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -58,7 +57,7 @@ def test_criterion_1_algebra_suite():
         params = MetallicParams(q)
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         J = Q @ np.kron(np.eye(k), J2) @ Q.T
-        JM = jm_from_j_matrix(J, params, sign)
+        JM = jm_field_at(J, params, sign)
         back = JM / (sign * params.coeff)
         worst_rt = max(worst_rt, max_abs(back - J))
         hat = -JM  # the conjugate pI - J_M at p = 0

@@ -269,10 +269,10 @@ DISK = (
     (None, ["verify", "--zoo", "s2", "--tol-d1", "-1"], 2, "tolerance d1 must be positive"),
     (None, ["verify", "--zoo", "s2", "--tol-d1", "0"], 2, "tolerance d1 must be positive"),
     (None, ["verify", "--zoo", "s2", "--tol-d1", "nan"], 2, "tolerance d1 must be positive"),
-    (None, ["verify", "--zoo", "s2", "--seed", "-1"], 2, "seed and random_points must be"),
+    (None, ["verify", "--zoo", "s2", "--seed", "-1"], 2, "seed must be non-negative, got -1"),
     # flat-k1 draws no random point, so its seed is checked for its own sake
     (None, ["classify", "--zoo", "flat-k1", "--seed", "-1"], 2,
-     "seed and random_points must be non-negative"),
+     "seed must be non-negative, got -1"),
     (None, ["verify", "--zoo", "s2", "--q", "inf"], 2, "q must be strictly positive and finite"),
     # 6q overflows; (3q/2)^2, which the Ricci pair rows form, overflows; the roundoff of
     # J^2 + I on s6, whose J is no signed permutation, times c^2 = 3q/2 exceeds the absolute
@@ -295,7 +295,8 @@ DISK = (
     (GOOD_SPEC + "point a = 0.1\n", [], 2,
      "line 9, offset 11: named point 'a' needs 2 coordinates, got 1"),
     (GOOD_SPEC + "grid = -3\n", [], 2, "grid must be non-negative, got -3"),
-    (GOOD_SPEC + "seed = -1\n", [], 2, "seed and random_points must be non-negative"),
+    (GOOD_SPEC + "seed = -1\n", [], 2, "seed must be non-negative, got -1"),
+    (GOOD_SPEC + "random_points = -1\n", [], 2, "random_points must be non-negative, got -1"),
     (GOOD_SPEC + "seed = 1e3\n", [], 2, "line 9, offset 8: expected an int, got '1e3'"),
     (GOOD_SPEC + "point a = 5 5\n", [], 2,
      "line 9, offset 11: named point 'a' is not inside the chart margin"),
@@ -318,7 +319,7 @@ DISK = (
         "zero-tolerance-flag", "nan-tolerance-flag", "negative-seed", "negative-seed-random-free",
         "infinite-q",
         "q-1e308", "q-1e307", "q-1e10", "q-1e-320", "subnormal-metric", "short-point-4d", "short-point-2d", "negative-grid",
-        "negative-seed-spec", "float-seed-spec",
+        "negative-seed-spec", "negative-random-points-spec", "float-seed-spec",
         "point-outside-margin", "repeated-metric-entry", "repeated-structure-entry",
         "repeated-point", "repeated-setting", "nonzero-p", "tiny-nonzero-p"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):

@@ -72,8 +72,7 @@ def test_zoo_sample_points_match_the_reference_sampler(name):
     policy that draws no random point gives every seed one array."""
     fixture = zoo.get(name).bundle
     chart = fixture.chart
-    seed_free = {f.name for f in fields(chart)} | {"_interior", "_fixed_rows",
-                                                   "_random_free_points"}
+    seed_free = {f.name for f in fields(chart)} | {"_interior", "_fixed_points"}
     drawn = []
     for seed in (0, 1, 7, 12345, 123456, fixture.seed, 2**31 - 1):
         bundle = replace(fixture, seed=seed)
@@ -83,7 +82,7 @@ def test_zoo_sample_points_match_the_reference_sampler(name):
         assert not got.flags.writeable and bundle.sample_points is got
         assert set(vars(chart)) <= seed_free, seed
         drawn.append(got)
-    assert not chart._fixed_rows.flags.writeable
+    assert not chart._fixed_points.flags.writeable
     assert all((got is drawn[0]) == (chart.n_random == 0) for got in drawn[1:])
 
 
@@ -183,19 +182,26 @@ def test_zoo_seed_job_runs_no_chart_check_and_builds_no_grid(monkeypatch):
 
 
 def test_each_zoo_job_builds_its_own_context_and_classification(monkeypatch):
-    """Zoo jobs with one seed or two share no context and no classification with each other or
-    with the fixture, also where the run's bundle reads the fixture's points (flat-k1)."""
-    jobs = [("flat-k1", "1"), ("flat-k1", "1"), ("flat-k1", "2"), ("s2", "1"), ("s2", "1")]
-    fixtures = {name: zoo.get(name, zoo.DEFAULT_Q) for name, _ in jobs}
+    """Zoo jobs with one seed, two or no override at all share no context and no
+    classification with each other or with the fixture, also where the run's bundle reads the
+    fixture's points (flat-k1, and every job with no --seed): a job with no override builds its
+    own bundle too, and nothing it computes stays on the fixture."""
+    jobs = [["classify", "--zoo", name, "--seed", seed]
+            for name, seed in [("flat-k1", "1"), ("flat-k1", "1"), ("flat-k1", "2"), ("s2", "1"),
+                               ("s2", "1")]]
+    jobs += [["classify", "--zoo", "s2"], ["verify", "--zoo", "s2", "--suite", "all"],
+             ["curvature", "--zoo", "s6", "--point=0.1,-0.2,0.05,0.3,-0.1,0.2"],
+             ["curvature", "--zoo", "s6", "--point=-0.3,0.1,0.2,0,0.15,-0.25"]]
+    fixtures = {name: zoo.get(name, zoo.DEFAULT_Q) for name in ("flat-k1", "s2", "s6")}
     cached = {name: len(fx.bundle._contexts) for name, fx in fixtures.items()}
     counts = {"contexts": 0, "classify": 0}
     monkeypatch.setattr(metallic, "PointContext",
                         _counted(counts, "contexts", metallic.PointContext))
     monkeypatch.setattr(metallic, "classify", _counted(counts, "classify", metallic.classify))
-    for name, seed in jobs:
+    for argv in jobs:
         with redirect_stdout(io.StringIO()):
-            assert cli.main(["classify", "--zoo", name, "--seed", seed]) == 0
-    assert counts == {"contexts": len(jobs), "classify": len(jobs)}
+            assert cli.main(argv) == 0, argv
+    assert counts == {"contexts": len(jobs), "classify": len(jobs) - 2}  # 2 curvature jobs
     assert {name: len(fx.bundle._contexts) for name, fx in fixtures.items()} == cached
 
 

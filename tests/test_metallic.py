@@ -16,9 +16,8 @@ from metallicgeo.metallic import (
     VERDICT_NONE,
     StructureBundle,
     _result,
-    jm_from_j_matrix,
 )
-from oracles import anisotropic_flat_bundle
+from oracles import anisotropic_flat_bundle, jm_field_at, jm_from_j_matrix
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -63,13 +62,14 @@ def test_metallic_mean_against_quadratic_oracle():
 
 def test_jm_from_j_q_two_thirds_is_identity_map():
     params = MetallicParams(2.0 / 3.0)
-    assert np.allclose(jm_from_j_matrix(J2, params, +1), J2)
+    assert np.allclose(jm_field_at(J2, params, +1), J2)
 
 
 def test_jm_from_j_golden_brute_force():
     params = MetallicParams(5.0 / 6.0)
     for sign in (+1, -1):
-        JM = jm_from_j_matrix(J2, params, sign)
+        JM = jm_field_at(J2, params, sign)
+        assert np.array_equal(JM, jm_from_j_matrix(J2, params, sign))
         assert np.allclose(JM, sign * (math.sqrt(5.0) / 2.0) * J2)
         # brute-force 2x2 polynomial check: (3/2) q = 5/4
         assert max_abs(JM @ JM + 1.25 * np.eye(2)) < 1e-12
@@ -88,8 +88,8 @@ def test_a_bad_sign_is_rejected_when_the_bundle_is_built(sign):
 
 def test_signs_give_mutual_conjugates():
     params = MetallicParams(5.0 / 6.0)
-    plus = jm_from_j_matrix(J2, params, +1)
-    minus = jm_from_j_matrix(J2, params, -1)
+    plus = jm_field_at(J2, params, +1)
+    minus = jm_field_at(J2, params, -1)
     assert np.array_equal(minus, -plus)  # the conjugate pI - J_M at p = 0
 
 
@@ -104,7 +104,7 @@ def test_round_trip_random_structures():
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         Jstd = np.kron(np.eye(k), J2)
         J = Q @ Jstd @ Q.T
-        JM = jm_from_j_matrix(J, params, sign)
+        JM = jm_field_at(J, params, sign)
         assert polynomial_residual(JM, params) < 1e-12
         back = JM / (sign * params.coeff)
         assert max_abs(back - J) < 1e-12
@@ -113,7 +113,7 @@ def test_round_trip_random_structures():
 def test_conjugate_involution_and_product():
     params = MetallicParams(5.0 / 6.0)
     for sign in (+1, -1):
-        JM = jm_from_j_matrix(J2, params, sign)
+        JM = jm_field_at(J2, params, sign)
         hat = -JM
         assert np.allclose(JM @ hat, 1.25 * np.eye(2))          # (3/2) q I with q = 5/6
         assert np.allclose(hat @ JM, 1.25 * np.eye(2))

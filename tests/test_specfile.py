@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from metallicgeo import exprdsl
-from metallicgeo.metallic import VERDICT_KAHLER, jm_from_j_matrix
+from metallicgeo.metallic import VERDICT_KAHLER
 from metallicgeo.specfile import (
     SpecFileError,
     build_bundle,
     parse_spec,
     spec_sha256,
 )
+from oracles import jm_from_j_matrix
 
 GOOD = """
 # a 2-sphere chart

@@ -9,7 +9,7 @@ import pytest
 from metallicgeo import cli, zoo
 from metallicgeo.geometry import NumericalError, max_abs
 from metallicgeo.metallic import (VERDICT_KAHLER, VERDICT_NEARLY, VERDICT_HERMITIAN, VERDICT_NONE,
-                                  Tolerances, jm_from_j_matrix)
+                                  Tolerances)
 from metallicgeo.specfile import build_bundle, parse_spec
 
 import oracles
@@ -21,14 +21,19 @@ def test_all_fixtures_self_validate():
 
 
 def test_get_returns_one_fixture_however_q_is_passed():
-    """The cache key is (name, q), not the call's spelling: the default q, q given by position
-    and q given by keyword are one entry, so the fixture is built and validated once."""
+    """The cache holds the default-q fixtures, one per name, not per spelling of the call:
+    the default q, q given by position and q given by keyword are one entry, so the fixture
+    is built and validated once. A fixture at any other q is built for its run and not kept."""
     zoo.get.cache_clear()
     fx = zoo.get("s2")
     assert zoo.get("s2", zoo.DEFAULT_Q) is fx
     assert zoo.get("s2", q=zoo.DEFAULT_Q) is fx
     info = zoo.get.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    for _ in range(2):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["classify", "--zoo", "s2", "--q", "1.5"]) == 0
+    assert zoo.get.cache_info().currsize == 1
 
 
 def test_expected_verdicts():
@@ -225,9 +230,10 @@ def test_stacked_fields_match_per_point_formulas():
         (s2.g, oracles.round_metric, s2_pts),
         (s6.g, oracles.round_metric, s6_pts),
         (zoo._sphere6_structure(), oracles.sphere6_structure, s6_pts),
-        (s6.jm, lambda p: jm_from_j_matrix(oracles.sphere6_structure(p), s6.params), s6_pts),
-        (negative.jm, lambda p: jm_from_j_matrix(oracles.rotation_conjugated_structure(p),
-                                                 negative.params), neg_pts),
+        (s6.jm, lambda p: oracles.jm_from_j_matrix(oracles.sphere6_structure(p), s6.params),
+         s6_pts),
+        (negative.jm, lambda p: oracles.jm_from_j_matrix(
+            oracles.rotation_conjugated_structure(p), negative.params), neg_pts),
     ]
     for field, per_point, pts in cases:
         for pt, value in zip(pts, field(pts)):

@@ -63,7 +63,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PARTS = ("src", "perfbench")  # what a side needs of a checkout
 SIDES = ("base", "change")
 BOOTSTRAP = 2000
-BLOCKS = 4  # blocks of rounds, each run by a fresh pair of workers
+BLOCKS = 10  # blocks of rounds, each run by a fresh pair of workers
 TIMING = re.compile(r'^(\s*"timing_s": ).*$', re.MULTILINE)  # its value is masked
 
 

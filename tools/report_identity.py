@@ -20,10 +20,11 @@ report. The runs are:
   interior point;
 * ``classify`` and ``verify --suite all`` on ``s2xs2.spec`` and on each
   zoo fixture with a ``--seed`` override, so that the run's own sample
-  points, not the spec's, are the ones read, and a zoo run builds its own
-  bundle, with the run's seed, on the fixture's chart, as every benchmark
-  zoo job does: the bundle draws the seeded rows again, the grid, the named
-  points and the chart checks stay the fixture's;
+  points, not the spec's, are the ones read. Every zoo run builds its own
+  bundle on the fixture's chart, as every benchmark zoo job does; with
+  ``--seed`` the bundle appends the run's random rows to the fixed points
+  the chart settled once (the grid and the named points), and the chart
+  checks stay the fixture's;
 * ``verify --suite all`` on s2 with ``--h`` and ``--tol-d1`` overrides, and
   ``classify`` on negative with a ``--tol-d1`` that puts three of its
   residuals near the boundary, so that ``near_boundary`` is not empty;
