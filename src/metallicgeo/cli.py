@@ -43,7 +43,7 @@ from .geometry import ChartBoundsError, NumericalError, SingularMetricError
 from .identities import run_suite
 from .connections import connection_report
 from .metallic import StructureBundle
-from .specfile import SpecFileError, build_bundle, parse_spec, spec_sha256
+from .specfile import ManifoldSpec, SpecFileError, build_bundle, parse_spec, spec_sha256
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -74,10 +74,12 @@ def _bundle_from_args(args, draw_samples: bool = True) -> tuple[StructureBundle,
 
 def _build_bundle(args) -> tuple[StructureBundle, dict]:
     """The run's bundle: --q, --seed, --h and --tol-* replace the source's own settings
-    before the bundle checks its chart against its step. A zoo fixture is built and checked
-    with its own settings, --q apart, and the run's bundle is always its own: one `replace`
-    of the checked fixture's bundle, on its chart, with the overrides and empty caches, so
-    that nothing the run computes stays on the fixture."""
+    before the bundle checks its chart against its step. A spec file is read on every run
+    and its text parsed once per process (`_parsed_spec`); the run's bundle is built by
+    `build_bundle` with the overrides, on the chart and fields the spec built once. A zoo
+    fixture is built and checked with its own settings, --q apart, and the run's bundle is
+    always its own: one `replace` of the checked fixture's bundle, on its chart, with the
+    overrides and empty caches, so that nothing the run computes stays on the fixture."""
     seed, h = args.seed, args.h
     tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
     tol = {k: v for k, v in tol.items() if v is not None}
@@ -86,17 +88,24 @@ def _build_bundle(args) -> tuple[StructureBundle, dict]:
             text = Path(args.spec).read_text(encoding="utf-8")
         except OSError as exc:  # missing, a directory, unreadable
             raise InputError(str(exc)) from exc
-        spec = parse_spec(text)
-        spec = replace(spec, q=spec.q if args.q is None else args.q,
-                       seed=spec.seed if seed is None else seed,
-                       h=spec.h if h is None else h, tol={**spec.tol, **tol})
-        return build_bundle(spec), {"kind": "file", "name": args.spec, "sha256": spec_sha256(text)}
+        bundle = build_bundle(_parsed_spec(text), q=args.q, seed=seed, h=h, tol=tol)
+        return bundle, {"kind": "file", "name": args.spec, "sha256": spec_sha256(text)}
     fx = zoo.get(args.zoo, zoo.DEFAULT_Q if args.q is None else args.q)
     checked = fx.bundle
     bundle = replace(checked, seed=checked.seed if seed is None else seed,
                      scheme=checked.scheme if h is None else DiffScheme(h),
                      tolerances=replace(checked.tolerances, **tol) if tol else checked.tolerances)
     return bundle, {"kind": "zoo", "name": fx.name, "sha256": spec_sha256(fx.spec_text or fx.name)}
+
+
+@functools.lru_cache(maxsize=16)
+def _parsed_spec(text: str) -> ManifoldSpec:
+    """The spec of `text`, parsed on first use and kept for the last 16 texts; a text that
+    fails to parse is parsed, and fails, again on every run. The key is the text, not a path,
+    so an edited file is parsed afresh. A kept spec is immutable and holds no engine result,
+    only its chart and fields: each run builds its own bundle on them with its own settings.
+    `_parsed_spec.cache_info()` and `_parsed_spec.cache_clear()` read and clear the cache."""
+    return parse_spec(text)
 
 
 def _base_report(bundle: StructureBundle, source: dict) -> dict:

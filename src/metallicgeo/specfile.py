@@ -30,13 +30,23 @@ Component expressions use the DSL of `exprdsl` (coordinates x0..x{n-1}).
 acting on coordinate vectors: (J v)^a = sum_b J[a][b] v^b. Parse failures
 carry the 1-based line number and offset. A key given twice, a component
 or a named point too, is a parse failure on its second line.
+
+A parsed `ManifoldSpec` is immutable. It builds its chart and its g and
+structure fields once, on first use, and `build_bundle` builds a new bundle
+on them with a run's own q, seed, step and tolerances. The CLI keeps the
+spec of each text it reads, keyed by the text (`cli._parsed_spec`), so a
+process parses a text and builds its chart and fields once, however many
+runs read it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -64,8 +74,12 @@ _SCALARS = {"dimension", "p", "q", "grid", "random_points", "seed", "margin", "h
             "tol_alg", "tol_d1", "tol_d2", "tol_d3", "structure", "sign", "name"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManifoldSpec:
+    """A parsed spec, immutable: its mappings are read-only views. The chart and the two
+    expression fields are built on first use and kept, so that every bundle built from one
+    spec shares them; a chart the engine rejects raises on every use."""
+
     dimension: int = 0
     q: float = 0.0
     bounds: tuple = ()
@@ -76,11 +90,26 @@ class ManifoldSpec:
     name: str = "spec"
     structure: str = ""          # "J" or "JM"
     sign: int = +1
-    g_entries: dict = dc_field(default_factory=dict)   # (i, j) -> parsed exprdsl.Expr
-    s_entries: dict = dc_field(default_factory=dict)   # (a, b) -> parsed exprdsl.Expr
-    named_points: dict = dc_field(default_factory=dict)
+    g_entries: Mapping = field(kw_only=True)  # (i, j) -> parsed exprdsl.Expr
+    s_entries: Mapping = field(kw_only=True)  # (a, b) -> parsed exprdsl.Expr
+    named_points: Mapping = field(kw_only=True)
     h: float | None = None
-    tol: dict = dc_field(default_factory=dict)
+    tol: Mapping = field(kw_only=True)
+
+    @cached_property
+    def chart(self) -> Chart:
+        return Chart(dimension=self.dimension, bounds=self.bounds, grid=self.grid,
+                     n_random=self.random_points, margin=self.margin,
+                     named_points=self.named_points)
+
+    @cached_property
+    def g_field(self) -> TensorField:
+        return _expr_matrix_field("g", self.dimension, self.g_entries, symmetric=True)
+
+    @cached_property
+    def s_field(self) -> TensorField:
+        """The structure as given: J or J_M, as `structure` says."""
+        return _expr_matrix_field("structure", self.dimension, self.s_entries, symmetric=False)
 
 
 def _parse_number(text: str, line_no: int, col: int, kind=float):
@@ -100,8 +129,10 @@ def _given_once(given_at: dict, key: str, line_no: int) -> None:
 
 
 def parse_spec(text: str) -> ManifoldSpec:
-    """Parse spec text; raises SpecFileError with line/offset on failure."""
-    spec = ManifoldSpec()
+    """Parse spec text into a new ManifoldSpec; raises SpecFileError with line/offset on
+    failure. Nothing is cached here: a caller that runs one text many times keeps the spec
+    (as `cli` does, per text), and with it the chart and fields the spec builds once."""
+    values, g_entries, s_entries, named_points, tol = {}, {}, {}, {}, {}
     seen_structure_keys, point_at = set(), {}  # point_at: named point -> (line, offset)
     parsed = {}  # expression text -> Expr: entries with the same text share one
     given_at = {}  # key (a component as g[i][j], a point as "point NAME") -> its line
@@ -131,17 +162,17 @@ def parse_spec(text: str) -> ManifoldSpec:
             if what == "g":
                 if j < i:
                     raise SpecFileError(line_no, 1, "metric entries use the upper triangle (i <= j)")
-                spec.g_entries[(i, j)] = expr
+                g_entries[(i, j)] = expr
             else:
                 seen_structure_keys.add(what)
-                spec.s_entries[(i, j)] = expr
+                s_entries[(i, j)] = expr
             continue
 
         m = _POINT.match(key)
         if m:
             _given_once(given_at, f"point {m.group(1)}", line_no)
             try:
-                spec.named_points[m.group(1)] = tuple(float(tok) for tok in value.split())
+                named_points[m.group(1)] = tuple(float(tok) for tok in value.split())
             except ValueError:
                 raise SpecFileError(line_no, value_col, "named point needs space-separated numbers") from None
             point_at[m.group(1)] = (line_no, value_col)
@@ -156,35 +187,36 @@ def parse_spec(text: str) -> ManifoldSpec:
                     raise SpecFileError(line_no, value_col, "bounds need 'lo hi' pairs separated by commas")
                 pairs.append((_parse_number(toks[0], line_no, value_col),
                               _parse_number(toks[1], line_no, value_col)))
-            spec.bounds = tuple(pairs)
+            values[key] = tuple(pairs)
             continue
 
         if key not in _SCALARS:
             raise SpecFileError(line_no, 1, f"unknown key {key!r}")
         if key == "name":
-            spec.name = value
+            values[key] = value
         elif key == "structure":
             if value not in ("J", "JM"):
                 raise SpecFileError(line_no, value_col, "structure must be J or JM")
-            spec.structure = value
+            values[key] = value
         elif key == "sign":
             if value not in ("+", "-"):
                 raise SpecFileError(line_no, value_col, "sign must be + or -")
-            spec.sign = +1 if value == "+" else -1
+            values[key] = +1 if value == "+" else -1
         elif key in ("dimension", "grid", "random_points", "seed"):
-            setattr(spec, key, _parse_number(value, line_no, value_col, int))
+            values[key] = _parse_number(value, line_no, value_col, int)
         elif key.startswith("tol_"):
-            spec.tol[key[4:]] = _parse_number(value, line_no, value_col)
-        elif key == "h":
-            spec.h = _parse_number(value, line_no, value_col)
+            tol[key[4:]] = _parse_number(value, line_no, value_col)
         elif key == "p":
             if _parse_number(value, line_no, value_col) != 0.0:
                 raise SpecFileError(line_no, value_col, "p must be 0: a skew fundamental form"
                                     " needs tr J_M = 0, and the polynomial gives"
                                     " tr J_M = p·dimension/2")
         else:
-            setattr(spec, key, _parse_number(value, line_no, value_col))
+            values[key] = _parse_number(value, line_no, value_col)
 
+    spec = ManifoldSpec(**values, g_entries=MappingProxyType(g_entries),
+                        s_entries=MappingProxyType(s_entries),
+                        named_points=MappingProxyType(named_points), tol=MappingProxyType(tol))
     if spec.dimension <= 0:
         raise SpecFileError(1, 1, "missing or invalid 'dimension'")
     if len(spec.bounds) != spec.dimension:
@@ -251,27 +283,32 @@ def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool) -> Ten
     return TensorField(name=name, fn=fn, constant=constant)
 
 
-def build_bundle(spec: ManifoldSpec) -> StructureBundle:
-    """Materialize a StructureBundle without evaluating a field.
+def build_bundle(spec: ManifoldSpec, *, q: float | None = None, seed: int | None = None,
+                 h: float | None = None, tol: Mapping | None = None) -> StructureBundle:
+    """Materialize a new StructureBundle of `spec` without evaluating a field.
 
-    The chart, step, parameters and tolerances are checked here, by their own
-    constructors, and the seed by the bundle, which carries it beside the step
-    and the tolerances. The fields are evaluated only where a command reads
-    them: `classify` and `verify` at the run's sample points (after any --seed,
-    --h and tolerance overrides), as node 0 of the order-1 stencil, and
-    `curvature` around its point. A domain error, a non-finite value or a
-    singular metric is raised there and names its point. The metric needs no
-    symmetry check: one value fills both triangles of each entry.
+    q, seed and h, when given, replace the spec's own settings, and each tier
+    in `tol` the spec's tolerance of that tier: the bundle is built with the
+    run's settings only, never first with the spec's. It is built on the
+    chart and the g and structure fields the spec built once; J_M, which
+    depends on q, is formed per bundle. Checks run in this order: the
+    structure parameter, the chart (by its constructor, on first use), the
+    step, the tolerances, then the seed and the step against the chart
+    margin (by the bundle). The fields are evaluated only where a command
+    reads them: `classify` and `verify` at the run's sample points, as node 0
+    of the order-1 stencil, and `curvature` around its point. A domain error,
+    a non-finite value or a singular metric is raised there and names its
+    point. The metric needs no symmetry check: one value fills both
+    triangles of each entry.
     """
-    params = MetallicParams(spec.q)
-    chart = Chart(dimension=spec.dimension, bounds=spec.bounds, grid=spec.grid,
-                  n_random=spec.random_points, margin=spec.margin,
-                  named_points=spec.named_points)
-    g = _expr_matrix_field("g", spec.dimension, spec.g_entries, symmetric=True)
-    scheme = DiffScheme(spec.h) if spec.h is not None else DiffScheme()
-    tol = Tolerances(**{k: v for k, v in spec.tol.items()}) if spec.tol else Tolerances()
-    struct = _expr_matrix_field("structure", spec.dimension, spec.s_entries, symmetric=False)
+    params = MetallicParams(spec.q if q is None else q)
+    chart, g, struct = spec.chart, spec.g_field, spec.s_field
+    h = spec.h if h is None else h
+    scheme = DiffScheme() if h is None else DiffScheme(h)
+    tolerances = Tolerances(**{**spec.tol, **(tol or {})})
+    seed = spec.seed if seed is None else seed
     if spec.structure == "J":
         return StructureBundle.from_j(chart, g, struct, params, sign=spec.sign,
-                                      scheme=scheme, tolerances=tol, seed=spec.seed)
-    return StructureBundle(chart, g, struct, params, scheme=scheme, tolerances=tol, seed=spec.seed)
+                                      scheme=scheme, tolerances=tolerances, seed=seed)
+    return StructureBundle(chart, g, struct, params, scheme=scheme, tolerances=tolerances,
+                           seed=seed)

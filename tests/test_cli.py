@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -13,9 +14,11 @@ import numpy as np
 import pytest
 
 import metallicgeo
-from metallicgeo import connections, identities, metallic, zoo
+from metallicgeo import cli, connections, identities, metallic, zoo
 from metallicgeo.cli import main, make_parser, report_json
-from metallicgeo.specfile import build_bundle, parse_spec
+from metallicgeo.specfile import build_bundle, parse_spec, spec_sha256
+
+S2XS2 = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "s2xs2.spec"
 
 
 def run(capsys, *argv):
@@ -226,6 +229,7 @@ GOOD = dict(dim=2, q="0.6666666666666666", bounds="-1 1, -1 1", g00="1")
 GOOD_SPEC = SPEC_2D.format(**GOOD)
 P_REASON = ("line 9, offset 5: p must be 0: a skew fundamental form needs tr J_M = 0, and the"
             " polynomial gives tr J_M = p\u00b7dimension/2")
+OWN_STEP_TOO_BIG = "margin = 0.09\nh = 0.5\n"  # h2 = 0.5^(5/6) = 0.561 reaches past the margin
 # a metric defined only on |x0| <= 1: a stencil that leaves the chart evaluates it outside
 DISK = (
     "dimension = 2\nq = 0.6666666666666666\nbounds = -1 1, -1 1\nmargin = 0.1\n"
@@ -311,6 +315,11 @@ DISK = (
     # the engine takes p = 0, so any other value, however small, names its line and the reason
     (GOOD_SPEC + "p = 0.5\n", [], 2, P_REASON),
     (GOOD_SPEC + "p = -1e-9\n", [], 2, P_REASON),
+    # the run's bundle is built with the run's settings only: the spec's own step, too large
+    # for its margin, is never checked against it when --h replaces it
+    (GOOD_SPEC + OWN_STEP_TOO_BIG, ["classify", "SPEC", "--h", "1e-3"], 0, ""),
+    (GOOD_SPEC + OWN_STEP_TOO_BIG, [], 2,
+     "step h2=0.561231 must stay below half the chart margin 0.09"),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
         "jet-too-big", "power-overflow", "product-overflow", "constant-domain", "literal-overflow",
         "superscript-digit", "non-ascii-digit",
@@ -321,7 +330,8 @@ DISK = (
         "q-1e308", "q-1e307", "q-1e10", "q-1e-320", "subnormal-metric", "short-point-4d", "short-point-2d", "negative-grid",
         "negative-seed-spec", "negative-random-points-spec", "float-seed-spec",
         "point-outside-margin", "repeated-metric-entry", "repeated-structure-entry",
-        "repeated-point", "repeated-setting", "nonzero-p", "tiny-nonzero-p"])
+        "repeated-point", "repeated-setting", "nonzero-p", "tiny-nonzero-p",
+        "own-step-overridden", "own-step-too-big"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"
@@ -333,6 +343,8 @@ def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_pa
     assert got == code
     assert message in err
     assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code == 3:
         assert err.startswith("numerical failure:")
@@ -662,3 +674,68 @@ def test_unreadable_spec_exit_2_without_traceback(command, spec, tmp_path, capsy
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
+# --- one parse per spec text ---------------------------------------------------------
+
+
+def test_runs_of_one_spec_text_parse_it_once(tmp_path, monkeypatch, capsys):
+    """Three runs of one spec file parse its text once, and each builds a bundle and a context
+    of its own. A file rewritten between two runs is parsed afresh: the report names the new
+    text and gives its verdict."""
+    text = zoo.get("s2").spec_text
+    parses, bundles, contexts = [], [], []
+    parse, build, point_context = cli.parse_spec, cli.build_bundle, metallic.PointContext
+    monkeypatch.setattr(cli, "parse_spec", lambda text: parses.append(text) or parse(text))
+    monkeypatch.setattr(cli, "build_bundle",
+                        lambda spec, **settings: bundles.append(build(spec, **settings))
+                        or bundles[-1])
+    monkeypatch.setattr(metallic, "PointContext",
+                        lambda *args: contexts.append(point_context(*args)) or contexts[-1])
+    cli._parsed_spec.cache_clear()
+    path = tmp_path / "s2.spec"
+    path.write_text(text, encoding="utf-8")
+    for _ in range(3):
+        code, out, _ = run(capsys, "classify", str(path), "--format", "json")
+        report = json.loads(out)
+        assert (code, report["source"]["sha256"]) == (0, spec_sha256(text))
+        assert report["classification"]["verdict"] == metallic.VERDICT_KAHLER
+    assert parses == [text]
+    assert len({id(b) for b in bundles}) == len(bundles) == 3
+    assert len({id(c) for c in contexts}) == len(contexts) == 3
+    mutated = text.replace("g[0][0] = 4/(1 + (x0^2 + x1^2))^2", "g[0][0] = 1e5")
+    path.write_text(mutated, encoding="utf-8")
+    code, out, _ = run(capsys, "classify", str(path), "--format", "json")
+    report = json.loads(out)
+    assert (code, report["source"]["sha256"]) == (0, spec_sha256(mutated))
+    assert report["classification"]["verdict"] == metallic.VERDICT_NONE
+    assert parses == [text, mutated]
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["verify", "--suite", "all"],
+                                  ["curvature", "--point=0.1,0.2,-0.3,0.4"]],
+                         ids=["classify", "verify", "curvature"])
+def test_warm_run_reports_as_a_cold_run(argv, capsys):
+    """A run of a spec text the process has already run, with other settings in between,
+    writes the report of a run on a fresh cache byte for byte (timing_s apart)."""
+    def report(*settings):
+        code, out, err = run(capsys, argv[0], str(S2XS2), *argv[1:], *settings,
+                             "--format", "json")
+        return code, err, re.sub(r'"timing_s": .*', "", out)
+
+    cli._parsed_spec.cache_clear()
+    cold = report()
+    assert cold[:2] == (0, "")
+    other = report("--q", "1.5", "--seed", "4", "--h", "0.002", "--tol-d1", "2e-5")
+    assert other[:2] == (0, "") and other != cold
+    assert report() == cold
+
+
+def test_spec_cache_keeps_the_last_16_texts(tmp_path, capsys):
+    cli._parsed_spec.cache_clear()
+    path = tmp_path / "named.spec"
+    for k in range(20):
+        path.write_text(GOOD_SPEC + f"name = text-{k}\n", encoding="utf-8")
+        assert run(capsys, "classify", str(path))[0] == 0
+    info = cli._parsed_spec.cache_info()
+    assert (info.misses, info.currsize) == (20, 16)

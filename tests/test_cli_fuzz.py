@@ -101,6 +101,7 @@ def check_run(text, argv: list) -> int:
             path.write_text(text, encoding="utf-8")
         argv = [str(path) if tok == "SPEC" else tok for tok in argv]
         zoo.get.cache_clear()  # each run builds its bundle as a fresh process does
+        cli._parsed_spec.cache_clear()
         code, out = run_main(argv)
         assert code in (0, 1, 2, 3), (argv, text)
         if code == 1:

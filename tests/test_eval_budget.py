@@ -10,8 +10,9 @@ point exceeds the call bound. The engine calls each field once per jet
 order for the stack of sample points, except in chunks of consecutive
 points where a dimension-6 jet would otherwise hold more node values at
 once than `diffcalc.CHUNK_BYTES` (order 3 of g, and J_M at the order-2
-nodes). Runs on spec files are counted from the moment the bundle is built,
-with the expression evaluations (`Expr.eval` calls) behind each field call.
+nodes). Runs on spec files parse their text afresh (the CLI's spec cache is
+cleared) and are counted from the moment the fields are built, with the
+expression evaluations (`Expr.eval` calls) behind each field call.
 Tighten a bound when the engine gets cheaper; never raise one.
 
 The same runs count the multiply-adds with which the jet applies its
@@ -179,8 +180,15 @@ def test_spec_field_evaluations_within_budget(command, name, tmp_path, monkeypat
     monkeypatch.setattr(exprdsl.Expr, "eval", counted_eval)
     argv = {"classify": [], "verify": ["--suite", "all"],
             "curvature": ["--point=0.1,0.2,-0.3,0.4"]}[command]
-    with redirect_stdout(io.StringIO()):
-        assert cli.main([command, str(path), *argv, "--format", "json"]) == 0
+    # the CLI keeps the spec of a text it has run, with its fields: parse the text afresh so
+    # that the run builds counted fields, and keep no counted field after the run
+    cli._parsed_spec.cache_clear()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main([command, str(path), *argv, "--format", "json"]) == 0
+    finally:
+        cli._parsed_spec.cache_clear()
+    assert min(counts.values()) > 0, counts  # a bound on a count of 0 would test nothing
     g_max, jm_max, g_calls_max, jm_calls_max, eval_max = SPEC_BUDGET[(command, name)]
     assert counts["g"] <= g_max, counts
     assert counts["jm"] <= jm_max, counts

@@ -191,7 +191,8 @@ def test_every_node_lies_within_reach(case, monkeypatch, tmp_path):
         path = tmp_path / "disk.spec"
         path.write_text(DISK)
         build = cli.build_bundle
-        monkeypatch.setattr(cli, "build_bundle", lambda spec: recording(build(spec), nodes))
+        monkeypatch.setattr(cli, "build_bundle",
+                            lambda spec, **settings: recording(build(spec, **settings), nodes))
         argv, scheme = [str(path), "--h", "0.027"], DiffScheme(0.027)
         bundle = build(cli.parse_spec(DISK))
     else:

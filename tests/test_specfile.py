@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from metallicgeo import exprdsl
-from metallicgeo.metallic import VERDICT_KAHLER
+from metallicgeo.diffcalc import DiffScheme
+from metallicgeo.metallic import VERDICT_KAHLER, Tolerances
 from metallicgeo.specfile import (
     SpecFileError,
     build_bundle,
@@ -44,6 +47,32 @@ def test_build_bundle_classifies_like_zoo():
     assert bundle.classification().verdict == VERDICT_KAHLER
     pt = np.array([0.2, -0.1])
     assert bundle.context(pt).curvature.scalar == pytest.approx(2.0, abs=1e-6)
+
+
+def test_spec_is_immutable_and_shares_its_chart_and_fields():
+    """A spec cannot be changed, nor can its mappings; every bundle built from it is new, with
+    its own settings, on the one chart and the two fields the spec built."""
+    spec = parse_spec(GOOD)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.q = 1.5
+    for mapping in (spec.g_entries, spec.s_entries, spec.named_points, spec.tol):
+        with pytest.raises(TypeError):
+            mapping["other"] = 0.0
+    own = build_bundle(spec)
+    run = build_bundle(spec, q=1.5, seed=4, h=0.002, tol={"d1": 2e-5})
+    assert own is not run and build_bundle(spec) is not own
+    assert own.chart is run.chart is spec.chart and own.g is run.g is spec.g_field
+    assert (own.params.q, own.seed, own.scheme, own.tolerances) == (
+        spec.q, 11, DiffScheme(), Tolerances())
+    assert (run.params.q, run.seed, run.scheme, run.tolerances) == (
+        1.5, 4, DiffScheme(0.002), Tolerances(d1=2e-5))
+
+
+def test_chart_the_engine_rejects_raises_on_every_build():
+    spec = parse_spec(GOOD + "margin = 0.9\n")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="margin must be positive and smaller"):
+            build_bundle(spec)
 
 
 def test_missing_dimension_is_located_error():

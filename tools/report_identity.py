@@ -51,9 +51,11 @@ report. The runs are:
 
 Spec files are copied into a fresh directory that becomes the working
 directory and are named by bare file name, so ``source.name`` in the
-reports does not depend on where either checkout lives. The zoo cache is
-cleared before every run, so each run builds its bundle the way a fresh
-CLI process does. Uses the standard library and numpy only.
+reports does not depend on where either checkout lives. The zoo cache and
+the CLI's cache of parsed spec texts (``cli._parsed_spec``, in a checkout
+that has one) are cleared before every run, so each run parses its spec and
+builds its bundle the way a fresh CLI process does. Uses the standard
+library and numpy only.
 
 A change that reorders floating-point sums (batched contractions, numpy
 ufuncs instead of the math module) moves residuals by roundoff, so ``cmp``
@@ -209,6 +211,8 @@ def runs(repo: Path, zoo) -> tuple:
 
 def run_one(cli, zoo, argv) -> dict:
     zoo.get.cache_clear()
+    if hasattr(cli, "_parsed_spec"):  # an older checkout parses the text on every run
+        cli._parsed_spec.cache_clear()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
