@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__, zoo
 from .diffcalc import ORDER1, ORDER2, DiffScheme
 from .exprdsl import EvalDomainError
-from .geometry import ChartBoundsError, NumericalError, SingularMetricError
+from .geometry import ChartBoundsError, NumericalError, SingularMetricError, largest_abs
 from .identities import run_suite
 from .connections import connection_report
 from .metallic import StructureBundle
@@ -301,6 +301,10 @@ def cmd_curvature(args) -> int:
         "norm_nabla_jm_sq": c * c * ctx.norm_covJ_sq,
         "symmetry_residuals": pack.symmetry_residuals(),
     }
+    numbers = [np.ravel(list(v.values()) if isinstance(v, dict) else v) for v in block.values()]
+    if not np.isfinite(np.concatenate(numbers)).all():  # name the first value not finite
+        for key, value in zip(block, numbers):
+            largest_abs(point[None], f"curvature {key}", value[None])
     report["timing_s"] = time.perf_counter() - t0
     if args.format == "json":
         sys.stdout.write(report_json(report))

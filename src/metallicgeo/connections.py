@@ -28,13 +28,14 @@ Each kind is gated as every identity row is, by a function that returns why
 the bundle is outside its class ("" inside it): `not_hermitian` for the first
 type, `no_second_type` for the second, both from `metallic`. The suite reads
 that reason alone and skips a gated kind with it; `first_type` and
-`second_type` hold only the formulas.
+`second_type` hold only the formulas on a PointContext, the second with a
+flag saying whether it is Levi-Civita (`_levi`).
 
 `connection_terms` computes every quantity of one connection that a row or
-the report reads, at a point or at each point of a stack: S, the pairing,
-nabla~ w and the kind-specific terms. The bundle keeps them as one dict per
-kind of arrays stacked over the sample points, built once from the
-PointContext of those points; the identity records of
+the report reads from a context: S, the pairing, nabla~ w and the
+kind-specific terms. The bundle keeps them as one dict per kind of arrays
+stacked over the sample points, built once from the bundle's
+`sample_context`; the identity records of
 `connection_identity_results` and the JSON block of `connection_report` both
 read those dicts and reduce them straight to their largest |entry| with
 `geometry.largest_abs`, so every array either reads, the -1/3 ratio of the
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .diffcalc import PointContext
 from .geometry import contract, largest_abs
 from .metallic import (Identity, StructureBundle, VERDICT_KAHLER, _result, _skip, evaluate,
                        no_second_type, not_hermitian)
@@ -64,29 +66,26 @@ def _levi(bundle: StructureBundle) -> bool:
     return bundle.classification().verdict == VERDICT_KAHLER
 
 
-def first_type(bundle: StructureBundle, point) -> np.ndarray:
-    """Deformation S[..., h, i, j] = (1/3q) JMhat (nabla J_M) = -(1/2) J (nabla J) at a point
-    or a stack of points. It is a connection of the bundle where `not_hermitian` gives no
-    reason."""
-    ctx = bundle.context(point)
+def first_type(ctx: PointContext) -> np.ndarray:
+    """Deformation S[..., h, i, j] = (1/3q) JMhat (nabla J_M) = -(1/2) J (nabla J) on `ctx`, of
+    a point or a stack. It is a connection of the bundle where `not_hermitian` gives no reason."""
     return -0.5 * contract("...ht,...itj->...hij", ctx.J, ctx.covJ)
 
 
-def second_type(bundle: StructureBundle, point) -> np.ndarray:
+def second_type(ctx: PointContext, levi: bool) -> np.ndarray:
     """Deformation S[..., h, i, j] of the second-type connection where `no_second_type` gives
-    no reason.
+    no reason, on `ctx`; `levi` says whether the bundle is metallic Kahler (`_levi`).
 
     Metallic Kahler: S = 0 (Levi-Civita exactly). Nearly metallic Kahler:
     S = -(1/q) JMhat (nabla J_M) = (3/2) J (nabla J).
     """
-    ctx = bundle.context(point)
-    if _levi(bundle):
+    if levi:
         return np.zeros_like(ctx.gamma)
     return 1.5 * contract("...ht,...itj->...hij", ctx.J, ctx.covJ)
 
 
-def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
-    """Every term of the `kind` ("first" or "second") connection at a point or a stack.
+def connection_terms(ctx: PointContext, kind: str, levi: bool = False) -> dict:
+    """Every term of the `kind` ("first" or "second") connection on `ctx`; `levi` as above.
 
     S is the deformation S[..., h, i, j], SJ the pairing S_J[..., i, j, k] =
     g(S(d_i, d_j), J d_k), nw the residual (nabla~_i w)_jk, sym the
@@ -95,8 +94,7 @@ def connection_terms(bundle: StructureBundle, kind: str, point) -> dict:
     consistency, nabla~ w minus its expansion through the pairing; second
     type adds four = nabla~ w - 4 nabla w.
     """
-    S = (first_type if kind == "first" else second_type)(bundle, point)
-    ctx = bundle.context(point)
+    S = first_type(ctx) if kind == "first" else second_type(ctx, levi)
     w, g, cov_omega = ctx.omega, ctx.g, ctx.cov_omega
     SJ = contract("...tij,...kt->...ijk", S, w)
     nw = (cov_omega - contract("...tij,...tk->...ijk", S, w)
@@ -121,7 +119,7 @@ def _terms(bundle: StructureBundle, kind: str) -> dict:
     """The terms stacked over the sample points of a kind the bundle's gate admits. On a
     nearly bundle the second kind adds ratio = S_second + 3 S_first, which vanishes."""
     if kind not in bundle._connections:
-        terms = connection_terms(bundle, kind, bundle.sample_points)
+        terms = connection_terms(bundle.sample_context, kind, _levi(bundle))
         if kind == "second" and not _levi(bundle):
             terms["ratio"] = terms["S"] + 3.0 * _terms(bundle, "first")["S"]
         bundle._connections[kind] = terms

@@ -105,7 +105,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Chart, TensorField, contract, inverse_metric, max_abs
+from .geometry import Chart, TensorField, contract, inverse_metric
 
 __all__ = [
     "DiffScheme",
@@ -280,15 +280,13 @@ class CurvaturePack:
         """Algebraic invariants of the lowered tensor, as relative residuals (largest over
         the pack's points)."""
         R = self.Rdown
-        scale = max(1.0, max_abs(R))
-        first_bianchi = (R + np.einsum("...jikl->...kjil", R)
-                         + np.einsum("...ikjl->...kjil", R))
-        return {
-            "antisym_first_pair": max_abs(R + np.swapaxes(R, -4, -3)) / scale,
-            "antisym_last_pair": max_abs(R + np.swapaxes(R, -2, -1)) / scale,
-            "pair_symmetry": max_abs(R - np.einsum("...klij->...ijkl", R)) / scale,
-            "first_bianchi": max_abs(first_bianchi) / scale,
-        }
+        scale = max(1.0, float(np.abs(R).max()))
+        return {name: float(np.abs(residual).max()) / scale for name, residual in (
+            ("antisym_first_pair", R + np.swapaxes(R, -4, -3)),
+            ("antisym_last_pair", R + np.swapaxes(R, -2, -1)),
+            ("pair_symmetry", R - np.einsum("...klij->...ijkl", R)),
+            ("first_bianchi", R + np.einsum("...jikl->...kjil", R)
+             + np.einsum("...ikjl->...kjil", R)))}
 
 
 def riemann(jet) -> CurvaturePack:

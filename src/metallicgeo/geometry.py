@@ -50,7 +50,6 @@ __all__ = [
     "first_outside",
     "inverse_metric",
     "contract",
-    "max_abs",
     "max_abs_per_point",
     "largest",
     "largest_abs",
@@ -81,11 +80,6 @@ class ChartBoundsError(GeometryError):
 
 class NumericalError(GeometryError):
     """A residual that is not finite, or a check that fails at the given parameters."""
-
-
-def max_abs(arr) -> float:
-    arr = np.asarray(arr, dtype=float)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
 def max_abs_per_point(*arrays) -> np.ndarray:
@@ -288,14 +282,18 @@ def inverse_metric(g: np.ndarray, point=None) -> np.ndarray:
 
     g is (n, n) or a stack (..., n, n), and point the matching point or
     stack of points, used to name the first row whose metric is singular.
-    The metric counts as singular when |det g| is at most DET_TOL times
-    Hadamard's bound, the product of the row norms: both scale alike under
-    g -> c g, so the test does not depend on the units of the coordinates. An
-    inverse that is not finite (a subnormal g underflows the bound) is singular.
+    The metric counts as singular unless |det g| exceeds DET_TOL times Hadamard's
+    bound, the product of the row norms, both taken with each row divided by its
+    largest |entry| (a zero row stays zero): that scales both alike, so the test
+    depends on no unit and neither number overflows or underflows. An inverse
+    that is not finite (that of a subnormal g overflows) is singular.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[-1]
-    singular = np.abs(np.linalg.det(g)) <= DET_TOL * np.prod(np.linalg.norm(g, axis=-1), axis=-1)
+    # each row over its largest |entry|, at least the least subnormal so a zero row stays 0
+    unit = g / np.maximum(np.abs(g).max(axis=-1, keepdims=True), 5e-324)
+    singular = ~(np.abs(np.linalg.det(unit))
+                 > DET_TOL * np.prod(np.linalg.norm(unit, axis=-1), axis=-1))
     if not singular.any():
         ginv = np.linalg.inv(g)
         singular = ~np.isfinite(ginv).all(axis=(-2, -1))

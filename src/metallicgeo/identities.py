@@ -406,7 +406,7 @@ def check_scalar_star(bundle: StructureBundle) -> list:
     if relation.skipped:
         return [relation, _skip(id_, relation.note)]
     points, c = bundle.sample_points, bundle.params.coeff
-    raw, trace, ricci_sym = _ricci_omega_trace(bundle.context(points))
+    raw, trace, ricci_sym = _ricci_omega_trace(bundle.sample_context)
     raw_obs = c * largest_abs(points, "raw (unsymmetrized) trace S_jt w^jt", raw)
     return [relation, _result(id_, (c * trace, ricci_sym), points, 1e-10, absolute=True,
                               note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")]

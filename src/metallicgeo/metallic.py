@@ -100,15 +100,17 @@ class Tolerances:
 # --- the bundle ----------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StructureBundle:
-    """Chart + metric + metallic structure, with one cached context of its sample points.
+    """Chart + metric + metallic structure, frozen, with one context of its sample points.
 
     The bundle owns every setting of a run: the seed of the sample points
     (which the chart draws), the differencing scheme and the tolerances; one
-    chart serves bundles of every seed. Immutable after construction; the
-    sample points, classification, contexts and connection terms (one dict of
-    arrays stacked over the sample points per kind) are memoized.
+    chart serves bundles of every seed. No field can be assigned. The sample
+    points, their context (`sample_context`), the classification and the
+    connection terms (one dict of arrays stacked over the sample points per
+    kind) are computed on first use and kept; `context(point)` builds a
+    context for its caller and keeps none.
     """
 
     chart: Chart
@@ -118,14 +120,12 @@ class StructureBundle:
     scheme: DiffScheme = field(default_factory=DiffScheme)
     tolerances: Tolerances = field(default_factory=Tolerances)
     seed: int = 42
+    _connections: dict = field(default_factory=dict, init=False, repr=False)  # kind -> terms
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.scheme.check_chart(self.chart)
-        self._contexts: dict = {}
-        self._classification: Optional[ClassificationReport] = None
-        self._connections: dict = {}  # kind -> terms stacked over the sample points
 
     @classmethod
     def from_j(cls, chart, g, j_field, params, sign=+1, **kw) -> "StructureBundle":
@@ -135,22 +135,24 @@ class StructureBundle:
     def sample_points(self) -> np.ndarray:
         return self.chart.sample_points(self.seed)
 
+    @cached_property
+    def sample_context(self) -> PointContext:
+        """The context of the sample points, which every check and connection reads."""
+        return self.context(self.sample_points)
+
     def context(self, point) -> PointContext:
-        """The context of one point (n,) or of a stack of points (m, n), such as the sample
-        points; each is built once, after its points pass the chart-bounds check."""
+        """A new context of one point (n,) or of a stack of points (m, n), built after its
+        points pass the chart-bounds check; the bundle does not keep it."""
         point = np.asarray(point, dtype=float)
-        key = (point.shape, point.tobytes())
-        ctx = self._contexts.get(key)
-        if ctx is None:
-            self.chart.require_inside(point, self.scheme.reach)
-            ctx = PointContext(self.g, self.jm, self.params.q, point, self.scheme)
-            self._contexts[key] = ctx
-        return ctx
+        self.chart.require_inside(point, self.scheme.reach)
+        return PointContext(self.g, self.jm, self.params.q, point, self.scheme)
 
     def classification(self) -> "ClassificationReport":
-        if self._classification is None:
-            self._classification = classify(self)
-        return self._classification
+        return self._classified
+
+    @cached_property
+    def _classified(self) -> "ClassificationReport":
+        return classify(self)
 
 
 # --- identity records and the one pipeline that evaluates them ----------------
@@ -267,13 +269,12 @@ def evaluate(bundle: StructureBundle, identities, values=None) -> list:
     """
     out, arrays = [], {}  # row function -> its arrays, for this call only
     c = bundle.params.coeff
+    values = bundle.sample_context if values is None else values
     for ident in identities:
         reason = ident.gate(bundle) if ident.gate else ""
         if reason:
             out.append(_skip(ident.id, reason))
             continue
-        if values is None:
-            values = bundle.context(bundle.sample_points)
         if ident.fn not in arrays:
             arrays[ident.fn] = ident.fn(values)
         out.append(_result(ident.id, arrays[ident.fn], bundle.sample_points,

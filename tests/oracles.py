@@ -29,9 +29,15 @@ import numpy as np
 from metallicgeo import exprdsl
 from metallicgeo.diffcalc import (WEIGHTS_1D, DiffScheme, JetTable, MetricJet, christoffel,
                                   covariant_derivative)
-from metallicgeo.geometry import Chart, TensorField, inverse_metric, max_abs
+from metallicgeo.geometry import Chart, TensorField, inverse_metric
 from metallicgeo.metallic import MetallicParams, StructureBundle, jm_from_j
 from metallicgeo.octonions import cross7_matrix
+
+
+def max_abs(arr) -> float:
+    """The largest |entry| of an array, 0.0 for an empty one."""
+    arr = np.asarray(arr, dtype=float)
+    return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
 def at(fn, point) -> np.ndarray:

@@ -14,7 +14,6 @@ from metallicgeo import zoo
 from metallicgeo.cli import main as cli_main
 from metallicgeo.connections import connection_identity_results, first_type, second_type
 from metallicgeo.exprdsl import parse
-from metallicgeo.geometry import max_abs
 from metallicgeo.identities import (
     COVDERIV,
     F_HERMITIAN,
@@ -35,7 +34,7 @@ from metallicgeo.metallic import (
     VERDICT_KAHLER,
     VERDICT_NEARLY,
 )
-from oracles import commutator_residual, jm_field_at, metric_compat_residual
+from oracles import commutator_residual, jm_field_at, max_abs, metric_compat_residual
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -184,14 +183,18 @@ def test_criterion_6_connection_suite():
         need(res["first-type-metric-theorem"].relative < 1e-5, f"{name} metric theorem")
     for name in ("flat-k1", "flat-k2", "torus", "s2"):
         bundle = zoo.get(name).bundle
+        levi = bundle.classification().verdict == VERDICT_KAHLER
         for pt in bundle.sample_points[:3]:
-            d1 = max_abs(first_type(bundle, pt))
-            d2 = max_abs(second_type(bundle, pt))
+            ctx = bundle.context(pt)
+            d1 = max_abs(first_type(ctx))
+            d2 = max_abs(second_type(ctx, levi))
             need(d1 < 1e-8 and d2 < 1e-8, f"{name} connections != Levi-Civita")
     s6 = zoo.get("s6").bundle
     gap = 0.0
+    levi = s6.classification().verdict == VERDICT_KAHLER
     for pt in s6.sample_points:
-        gap = max(gap, max_abs(second_type(s6, pt) + 3.0 * first_type(s6, pt)))
+        ctx = s6.context(pt)
+        gap = max(gap, max_abs(second_type(ctx, levi) + 3.0 * first_type(ctx)))
     need(gap < 1e-10, f"deformation ratio gap {gap:.2e}")
     report(6, "connection suite (first-type w and metric theorem; ratio -3)", ok,
            "; ".join(details))

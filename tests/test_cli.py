@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import metallicgeo
-from metallicgeo import cli, connections, identities, metallic, zoo
+from metallicgeo import cli, connections, diffcalc, identities, metallic, zoo
 from metallicgeo.cli import main, make_parser, report_json
 from metallicgeo.specfile import build_bundle, parse_spec, spec_sha256
 
@@ -350,6 +350,52 @@ def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_pa
         assert err.startswith("numerical failure:")
 
 
+def scaled_metric(name: str, factor: str, tmp_path) -> str:
+    """A spec file holding zoo fixture `name`'s text with each metric entry times `factor`."""
+    path = tmp_path / f"{name}-x{factor}.spec"
+    path.write_text(re.sub(r"^(g\[\d\]\[\d\] = )", rf"\g<1>{factor}*", zoo.get(name).spec_text,
+                           flags=re.M), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name,factor", [("flat-k2", "1e80"), ("flat-k2", "1e-90"),
+                                         ("torus", "1e160"), ("torus", "1e300")])
+def test_a_homothety_of_a_kahler_metric_stays_metallic_kahler(name, factor, tmp_path, capsys):
+    """g -> c g keeps a metallic Kähler pair metallic Kähler, with no RuntimeWarning. The
+    singularity test of g^-1 divides each row by its largest |entry| first; on the raw rows
+    |det g| or the product of the row norms overflowed or underflowed, and each of these
+    metrics was called singular at its first point (exit 3)."""
+    spec = scaled_metric(name, factor, tmp_path)
+    for argv in (["classify"], ["verify", "--suite", "all"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv[0], spec, *argv[1:], "--format", "json")
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["classification"]["verdict"] == metallic.VERDICT_KAHLER, argv
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_curvature_value_that_is_not_finite_names_its_point(fmt, tmp_path, capsys):
+    """Every number of the curvature block is checked before the report is written: on s2 with
+    g x 1e307 the lowered Riemann tensor overflows, and the run exits 3 naming it and the
+    point, where it wrote 34 NaN tokens with exit 0."""
+    spec = scaled_metric("s2", "1e307", tmp_path)
+    code, out, err = run(capsys, "curvature", spec, "--point=0.2,0.1", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: curvature riemann_lowered is nan at point [0.2, 0.1]\n"
+
+
+def test_curvature_symmetry_residual_that_is_not_finite_names_its_point(monkeypatch, capsys):
+    """The symmetry residuals are numbers of the curvature block too: one that is not finite
+    exits 3 naming them and the point."""
+    residuals = diffcalc.CurvaturePack.symmetry_residuals
+    monkeypatch.setattr(diffcalc.CurvaturePack, "symmetry_residuals",
+                        lambda pack: dict(residuals(pack), pair_symmetry=math.inf))
+    code, out, err = run(capsys, "curvature", "--zoo", "s2", "--point=0.1,-0.2")
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: curvature symmetry_residuals is inf at point [0.1, -0.2]\n"
+
+
 @pytest.mark.parametrize("value", ["0", "0.0", "-0.0"])
 def test_zero_p_is_accepted(value, tmp_path, capsys):
     """The engine takes p = 0, which a spec may spell as it likes; any other value is a parse
@@ -466,10 +512,10 @@ def spoil_connections_block(value, monkeypatch):
     """The first-type torsion, which the connections block reads and no identity record."""
     terms = connections.connection_terms
 
-    def spoiled(bundle, kind, point):
-        out = terms(bundle, kind, point)
+    def spoiled(ctx, kind, levi=False):
+        out = terms(ctx, kind, levi)
         if kind == "first":
-            out = dict(out, torsion=with_bad_entry(out["torsion"], point, value))
+            out = dict(out, torsion=with_bad_entry(out["torsion"], ctx.point, value))
         return out
 
     monkeypatch.setattr(connections, "connection_terms", spoiled)

@@ -13,11 +13,12 @@ from metallicgeo.connections import (
     no_second_type,
     second_type,
 )
-from metallicgeo.geometry import Chart, TensorField, max_abs
+from metallicgeo.geometry import Chart, TensorField
 from metallicgeo.identities import not_hermitian, run_suite
-from metallicgeo.metallic import MetallicParams, StructureBundle, VERDICT_ALMOST_KAHLER
+from metallicgeo.metallic import (MetallicParams, StructureBundle, VERDICT_ALMOST_KAHLER,
+                                  VERDICT_KAHLER)
 from metallicgeo.specfile import build_bundle, parse_spec
-from oracles import anisotropic_flat_bundle
+from oracles import anisotropic_flat_bundle, max_abs
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_identity.py"
 
@@ -49,7 +50,7 @@ def symplectic_shear_bundle():
 
 def test_first_type_equals_levi_civita_on_flat():
     bundle = zoo.get("flat-k1").bundle
-    S = first_type(bundle, np.array([0.3, -0.2]))
+    S = first_type(bundle.context(np.array([0.3, -0.2])))
     assert max_abs(S) < 1e-12
     assert max_abs(S - np.swapaxes(S, 1, 2)) < 1e-12  # torsion
 
@@ -57,15 +58,15 @@ def test_first_type_equals_levi_civita_on_flat():
 def test_first_type_deformation_formula_s6():
     bundle = zoo.get("s6").bundle
     pt = np.zeros(6)
-    S = first_type(bundle, pt)
     ctx = bundle.context(pt)
+    S = first_type(ctx)
     q = bundle.params.q
     expected = (1.0 / (3.0 * q)) * np.einsum("ht,itj->hij", -ctx.J, ctx.covJ)  # JMhat = -J_M
     assert max_abs(S - expected) < 1e-10
     # torsion carried by the antisymmetrized deformation
     torsion = S - np.swapaxes(S, 1, 2)
     assert max_abs(torsion) > 0.01
-    assert max_abs(connection_terms(bundle, "first", pt)["torsion"]) == max_abs(torsion)
+    assert max_abs(connection_terms(ctx, "first")["torsion"]) == max_abs(torsion)
 
 
 def test_first_type_gate():
@@ -83,14 +84,17 @@ def test_first_type_gate():
 
 def test_second_type_levi_civita_branch_on_s2():
     bundle = zoo.get("s2").bundle
-    assert max_abs(second_type(bundle, np.array([0.2, 0.1]))) == 0.0
+    levi = bundle.classification().verdict == VERDICT_KAHLER
+    assert levi
+    assert max_abs(second_type(bundle.context(np.array([0.2, 0.1])), levi)) == 0.0
 
 
 def test_second_type_nearly_branch_is_minus_three_first():
     bundle = zoo.get("s6").bundle
-    pt = np.zeros(6)
-    s1 = first_type(bundle, pt)
-    s2 = second_type(bundle, pt)
+    assert bundle.classification().verdict != VERDICT_KAHLER
+    ctx = bundle.context(np.zeros(6))
+    s1 = first_type(ctx)
+    s2 = second_type(ctx, levi=False)
     assert max_abs(s2 + 3.0 * s1) < 1e-10
     assert max_abs(s2) > 0.01
 

@@ -20,7 +20,6 @@ from metallicgeo.geometry import (
     SingularMetricError,
     TensorField,
     contract,
-    max_abs,
 )
 from metallicgeo.metallic import MetallicParams, StructureBundle
 from metallicgeo.specfile import build_bundle, parse_spec
@@ -29,6 +28,7 @@ from oracles import (
     christoffel_field,
     commutator_residual,
     const_field,
+    max_abs,
     metric_compat_residual,
     partial_all_per_axis,
     rowwise,

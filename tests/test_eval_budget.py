@@ -35,8 +35,8 @@ import numpy.random  # noqa: F401  (not first imported inside the traced run)
 import pytest
 
 from metallicgeo import cli, connections, diffcalc, exprdsl, identities, metallic, specfile, zoo
-from metallicgeo.geometry import contract, max_abs, max_abs_per_point
-from oracles import S2_CUBED_SPEC, observed
+from metallicgeo.geometry import contract, max_abs_per_point
+from oracles import S2_CUBED_SPEC, max_abs, observed
 
 S2XS2 = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "s2xs2.spec"
 

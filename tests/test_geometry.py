@@ -2,7 +2,7 @@ import io
 import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -181,6 +181,13 @@ def test_zoo_seed_job_runs_no_chart_check_and_builds_no_grid(monkeypatch):
         assert counts == {"post_init": 0, "linspace": 0}, name
 
 
+def kept(bundle) -> dict:
+    """What a bundle keeps: each member of vars(bundle) by identity, with the kinds of its
+    connection terms."""
+    return {key: (id(value), tuple(value) if isinstance(value, dict) else ())
+            for key, value in vars(bundle).items()}
+
+
 def test_each_zoo_job_builds_its_own_context_and_classification(monkeypatch):
     """Zoo jobs with one seed, two or no override at all share no context and no
     classification with each other or with the fixture, also where the run's bundle reads the
@@ -193,7 +200,7 @@ def test_each_zoo_job_builds_its_own_context_and_classification(monkeypatch):
              ["curvature", "--zoo", "s6", "--point=0.1,-0.2,0.05,0.3,-0.1,0.2"],
              ["curvature", "--zoo", "s6", "--point=-0.3,0.1,0.2,0,0.15,-0.25"]]
     fixtures = {name: zoo.get(name, zoo.DEFAULT_Q) for name in ("flat-k1", "s2", "s6")}
-    cached = {name: len(fx.bundle._contexts) for name, fx in fixtures.items()}
+    cached = {name: kept(fx.bundle) for name, fx in fixtures.items()}
     counts = {"contexts": 0, "classify": 0}
     monkeypatch.setattr(metallic, "PointContext",
                         _counted(counts, "contexts", metallic.PointContext))
@@ -202,7 +209,46 @@ def test_each_zoo_job_builds_its_own_context_and_classification(monkeypatch):
         with redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
     assert counts == {"contexts": len(jobs), "classify": len(jobs) - 2}  # 2 curvature jobs
-    assert {name: len(fx.bundle._contexts) for name, fx in fixtures.items()} == cached
+    assert {name: kept(fx.bundle) for name, fx in fixtures.items()} == cached
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--zoo", "s2"], ["classify", "--zoo", "negative", "--seed", "7"],
+    ["verify", "--zoo", "s6", "--suite", "all"], ["verify", "--zoo", "flat-k3", "--suite", "all"],
+    ["verify", "--zoo", "s2", "--suite", "all"], ["verify", "--zoo", "negative", "--suite", "all"],
+    ["curvature", "--zoo", "s2", "--point=0.1,-0.2"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_a_job_looks_up_the_one_context_it_builds(argv, monkeypatch):
+    """A classify, verify or curvature job asks its bundle for a context once, and builds one:
+    every check and connection reads the bundle's `sample_context`. When the bundle kept its
+    contexts keyed by their points, a verify job asked for the one context 11 to 14 times."""
+    zoo.get(argv[2], zoo.DEFAULT_Q)  # the fixture's own check builds its context first
+    counts = {"context": 0, "built": 0}
+    monkeypatch.setattr(metallic.StructureBundle, "context",
+                        _counted(counts, "context", metallic.StructureBundle.context))
+    monkeypatch.setattr(metallic, "PointContext", _counted(counts, "built", metallic.PointContext))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert counts == {"context": 1, "built": 1}
+
+
+def test_bundle_is_frozen_and_keeps_no_context_a_caller_asks_for():
+    """`context(point)` builds a new context on every call and the bundle keeps none of them,
+    so library calls on a cached fixture leave it as it was; a bundle field cannot be
+    assigned."""
+    fx = zoo.get("s2")
+    fx.bundle.classification()
+    before = kept(fx.bundle)
+    point = np.array([0.2, -0.1])
+    first, second = fx.bundle.context(point), fx.bundle.context(point)
+    assert first is not second
+    assert first.curvature.scalar == second.curvature.scalar
+    fx.bundle.context(fx.bundle.sample_points)
+    assert kept(fx.bundle) == before
+    with pytest.raises(FrozenInstanceError):
+        fx.bundle.seed = 7
+    with pytest.raises(FrozenInstanceError):
+        fx.bundle.scheme = fx.bundle.scheme
 
 
 @pytest.mark.parametrize("kwargs,message", [

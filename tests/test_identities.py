@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from metallicgeo import connections, identities, metallic, zoo
-from metallicgeo.geometry import Chart, TensorField, max_abs
+from metallicgeo.geometry import Chart, TensorField
 from metallicgeo.identities import (
     COVDERIV,
     EXTERIOR_CROSS,
@@ -30,7 +30,7 @@ from metallicgeo.identities import (
     run_suite,
 )
 from metallicgeo.metallic import Identity, MetallicParams, StructureBundle
-from oracles import anisotropic_flat_bundle, const_field
+from oracles import anisotropic_flat_bundle, const_field, max_abs
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected_identities.json"
 

@@ -10,11 +10,11 @@ import pytest
 
 from metallicgeo import cli, zoo
 from metallicgeo.diffcalc import DiffScheme, MetricJet, _jet_table, covariant_derivative
-from metallicgeo.geometry import TensorField, first_outside, max_abs
+from metallicgeo.geometry import TensorField, first_outside
 from metallicgeo.identities import check_ricci_derivative_cycle
 from metallicgeo.metallic import VERDICT_KAHLER
 from oracles import (christoffel_field, dense_jet_table, expanded_weights,
-                     kahler_quartic_bundle, kahler_quartic_ricci, observed,
+                     kahler_quartic_bundle, kahler_quartic_ricci, max_abs, observed,
                      partial_all_per_axis, stacked_partial_all)
 from test_cli import DISK
 

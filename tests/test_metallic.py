@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from metallicgeo import zoo
-from metallicgeo.geometry import NumericalError, TensorField, max_abs
+from metallicgeo.geometry import NumericalError, TensorField
 from metallicgeo.metallic import (
     MetallicParams,
     VERDICT_HERMITIAN,
@@ -17,7 +17,7 @@ from metallicgeo.metallic import (
     StructureBundle,
     _result,
 )
-from oracles import anisotropic_flat_bundle, jm_field_at, jm_from_j_matrix
+from oracles import anisotropic_flat_bundle, jm_field_at, jm_from_j_matrix, max_abs
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 

@@ -6,7 +6,8 @@ package (`metallic.PointContext`, `StructureBundle.context`,
 leaves such a patch on a name that nothing calls, and the traced benchmark
 then reads zeros. This runs the tracer, imported from its file and left
 unchanged, around one `verify` and one `curvature` job, each on a fresh s2
-fixture, so that no cached context hides the work.
+fixture, so that no cached context hides the work. Each job asks its bundle
+for a context exactly as many times as it builds one.
 """
 
 import importlib.util
@@ -47,4 +48,6 @@ def test_tracer_counts_the_engine_at_work(monkeypatch):
         assert counts["contexts_built"] > 0, (kind, counts)
         assert counts["riemann"] > 0, (kind, counts)
         assert counts["g_evals"] > 0, (kind, counts)
+        # a job asks for the one context it builds once: no look-up by points comes back
+        assert counts["context_lookups"] == counts["contexts_built"], (kind, counts)
     assert seen["verify"]["g_evals"] == BUDGET[("verify", "s2")][0], seen

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from metallicgeo import cli, zoo
-from metallicgeo.geometry import NumericalError, max_abs
+from metallicgeo.geometry import NumericalError
 from metallicgeo.metallic import (VERDICT_KAHLER, VERDICT_NEARLY, VERDICT_HERMITIAN, VERDICT_NONE,
                                   Tolerances)
 from metallicgeo.specfile import build_bundle, parse_spec
 
 import oracles
+from oracles import max_abs
 
 
 def test_all_fixtures_self_validate():
