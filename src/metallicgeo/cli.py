@@ -77,9 +77,11 @@ def _build_bundle(args) -> tuple[StructureBundle, dict]:
     before the bundle checks its chart against its step. A spec file is read on every run
     and its text parsed once per process (`_parsed_spec`); the run's bundle is built by
     `build_bundle` with the overrides, on the chart and fields the spec built once. A zoo
-    fixture is built and checked with its own settings, --q apart, and the run's bundle is
-    always its own: one `replace` of the checked fixture's bundle, on its chart, with the
-    overrides and empty caches, so that nothing the run computes stays on the fixture."""
+    fixture is checked with its own settings, at --q when it is given (`zoo.get`: the
+    checked fixture's bundle at that q), and the run's bundle is always its own: one
+    `replace` of the checked bundle, on its chart, with the overrides and empty caches, so
+    that nothing the run computes stays on the fixture. Either way `source.sha256` is the
+    hash of the one text of the source, whatever the flags."""
     seed, h = args.seed, args.h
     tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
     tol = {k: v for k, v in tol.items() if v is not None}
@@ -385,6 +387,11 @@ def main(argv=None) -> int:
     any token left over ("unrecognized arguments", exit 2). Any other argv (empty, `-h`,
     `--version`, an unknown name, an option first) goes to the top-level parser, which can
     only print help, the version or an error for it.
+
+    The command runs with numpy's floating-point warnings off. Every number a report carries
+    is judged by its value (one that is not finite is a numerical failure, exit 3, named
+    with its point), so a warning would decide nothing, and under `python -W error` it
+    would end the run in a traceback instead.
     """
     parser = make_parser()
     argv = _join_point_value(sys.argv[1:] if argv is None else list(argv))
@@ -396,7 +403,8 @@ def main(argv=None) -> int:
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # every reported number is judged by its value
+            return args.fn(args)
     except SpecFileError as exc:
         name = getattr(args, "spec", None) or "<spec>"
         print(f"parse error: {name}: {exc}", file=sys.stderr)

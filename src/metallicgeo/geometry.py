@@ -285,22 +285,23 @@ def inverse_metric(g: np.ndarray, point=None) -> np.ndarray:
     The metric counts as singular unless |det g| exceeds DET_TOL times Hadamard's
     bound, the product of the row norms, both taken with each row divided by its
     largest |entry| (a zero row stays zero): that scales both alike, so the test
-    depends on no unit and neither number overflows or underflows. An inverse
-    that is not finite (that of a subnormal g overflows) is singular.
+    depends on no unit and neither number overflows or underflows. Both tests
+    pass only on numbers, so a NaN or inf entry of g, or an inverse that is not
+    finite (that of a subnormal g overflows), is singular; they run with numpy's
+    floating-point warnings off, since the value decides.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[-1]
-    # each row over its largest |entry|, at least the least subnormal so a zero row stays 0
-    unit = g / np.maximum(np.abs(g).max(axis=-1, keepdims=True), 5e-324)
-    singular = ~(np.abs(np.linalg.det(unit))
-                 > DET_TOL * np.prod(np.linalg.norm(unit, axis=-1), axis=-1))
-    if not singular.any():
-        ginv = np.linalg.inv(g)
-        singular = ~np.isfinite(ginv).all(axis=(-2, -1))
-    if not singular.any():
-        singular = np.abs(g @ ginv - np.eye(n)).max(axis=(-2, -1)) > 1e-10
+    with np.errstate(all="ignore"):
+        # each row over its largest |entry|, at least the least subnormal so a zero row stays 0
+        unit = g / np.maximum(np.abs(g).max(axis=-1, keepdims=True), 5e-324)
+        singular = ~(np.abs(np.linalg.det(unit))
+                     > DET_TOL * np.prod(np.linalg.norm(unit, axis=-1), axis=-1))
         if not singular.any():
-            return ginv
+            ginv = np.linalg.inv(g)
+            singular = ~(np.abs(g @ ginv - np.eye(n)).max(axis=(-2, -1)) <= 1e-10)
+            if not singular.any():
+                return ginv
     first = np.unravel_index(np.argmax(singular), singular.shape)
     pts = np.full(g.shape[:-1], np.nan) if point is None else np.asarray(point, dtype=float)
     raise SingularMetricError(pts[first])

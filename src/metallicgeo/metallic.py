@@ -67,8 +67,9 @@ class MetallicParams:
 
 
 def jm_from_j(j_field: TensorField, params: MetallicParams, sign: int = +1) -> TensorField:
-    """The J_M field of an almost complex field J, constant when J is; the sign is checked
-    here, once, and a call scales J by the one number sign * sqrt(6q)/2."""
+    """The J_M field of an almost complex field J at q, constant when J is; the sign is
+    checked here, once, and a call scales J by the one number sign * sqrt(6q)/2. A bundle
+    given J derives its J_M with it (`StructureBundle.jm`)."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     factor = sign * params.coeff
@@ -104,32 +105,40 @@ class Tolerances:
 class StructureBundle:
     """Chart + metric + metallic structure, frozen, with one context of its sample points.
 
-    The bundle owns every setting of a run: the seed of the sample points
+    The structure is kept as given: J_M when `sign` is None, or an almost
+    complex J with J_M = sign * sqrt(3q/2) J. The bundle derives J_M (`jm`)
+    when it is built, where a sign other than +1 or -1 fails, so q is a run
+    setting like the others the bundle owns: the seed of the sample points
     (which the chart draws), the differencing scheme and the tolerances; one
-    chart serves bundles of every seed. No field can be assigned. The sample
-    points, their context (`sample_context`), the classification and the
-    connection terms (one dict of arrays stacked over the sample points per
-    kind) are computed on first use and kept; `context(point)` builds a
-    context for its caller and keeps none.
+    chart and one structure serve bundles of every q and seed. No field can
+    be assigned. The sample points, their context (`sample_context`), the
+    classification and the connection terms (one dict of arrays stacked over
+    the sample points per kind) are computed on first use and kept;
+    `context(point)` builds a context for its caller and keeps none.
     """
 
     chart: Chart
     g: TensorField
-    jm: TensorField
+    structure: TensorField  # J_M, or J when sign is +1 or -1
     params: MetallicParams
     scheme: DiffScheme = field(default_factory=DiffScheme)
     tolerances: Tolerances = field(default_factory=Tolerances)
     seed: int = 42
+    sign: Optional[int] = None
     _connections: dict = field(default_factory=dict, init=False, repr=False)  # kind -> terms
 
     def __post_init__(self):
+        self.jm  # derived now, so that a bad sign fails here
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.scheme.check_chart(self.chart)
 
-    @classmethod
-    def from_j(cls, chart, g, j_field, params, sign=+1, **kw) -> "StructureBundle":
-        return cls(chart, g, jm_from_j(j_field, params, sign), params, **kw)
+    @cached_property
+    def jm(self) -> TensorField:
+        """J_M: the structure itself, or `jm_from_j(structure, params, sign)`."""
+        if self.sign is None:
+            return self.structure
+        return jm_from_j(self.structure, self.params, self.sign)
 
     @cached_property
     def sample_points(self) -> np.ndarray:

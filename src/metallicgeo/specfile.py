@@ -290,8 +290,9 @@ def build_bundle(spec: ManifoldSpec, *, q: float | None = None, seed: int | None
     q, seed and h, when given, replace the spec's own settings, and each tier
     in `tol` the spec's tolerance of that tier: the bundle is built with the
     run's settings only, never first with the spec's. It is built on the
-    chart and the g and structure fields the spec built once; J_M, which
-    depends on q, is formed per bundle. Checks run in this order: the
+    chart and the g and structure fields the spec built once, with the
+    structure as the spec gives it (J with its sign, or J_M); the bundle
+    derives J_M, which depends on q. Checks run in this order: the
     structure parameter, the chart (by its constructor, on first use), the
     step, the tolerances, then the seed and the step against the chart
     margin (by the bundle). The fields are evaluated only where a command
@@ -306,9 +307,6 @@ def build_bundle(spec: ManifoldSpec, *, q: float | None = None, seed: int | None
     h = spec.h if h is None else h
     scheme = DiffScheme() if h is None else DiffScheme(h)
     tolerances = Tolerances(**{**spec.tol, **(tol or {})})
-    seed = spec.seed if seed is None else seed
-    if spec.structure == "J":
-        return StructureBundle.from_j(chart, g, struct, params, sign=spec.sign,
-                                      scheme=scheme, tolerances=tolerances, seed=seed)
     return StructureBundle(chart, g, struct, params, scheme=scheme, tolerances=tolerances,
-                           seed=seed)
+                           seed=spec.seed if seed is None else seed,
+                           sign=spec.sign if spec.structure == "J" else None)

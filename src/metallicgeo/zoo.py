@@ -8,12 +8,16 @@ position-dependent rotation-conjugated structure that stays Hermitian
 pointwise but is neither closed nor integrable.
 
 The engine takes p = 0 (see the metallic module note on the trace
-obstruction), and every spec text says so; q defaults to 2/3, which makes J_M equal the underlying
-almost complex structure. Six fixtures (flat-k1/2/3, torus, s2 and
-negative) are defined once, as manifold spec text (see `specfile`) with
-their whole sampling policy: bounds, grid, seed, margin and named points. The
-text is the fixture's `spec_text`: a report hashes it into `source.sha256`,
-and a spec file holding it gives the same report as `--zoo`. s6 needs
+obstruction), and every spec text says so; q is 2/3, which makes J_M equal
+the underlying almost complex structure. Every fixture gives its structure
+as J with a sign, so q is a run setting: the fixture at another q is the
+checked fixture's bundle at that q (`get`), derived, not built again. Six
+fixtures (flat-k1/2/3, torus, s2 and negative) are defined once, as
+manifold spec text (see `specfile`) with their whole sampling policy:
+bounds, grid, seed, margin and named points. The text is the fixture's
+`spec_text`, at every q: a report hashes it into `source.sha256`, and a
+spec file holding it gives the same report as `--zoo`, with the same
+flags, `--q` included. s6 needs
 the octonion cross product, which the expression DSL cannot write, so it
 is the one fixture given as Python fields; it keeps that path under test.
 Like every field, each maps a stack of points (m, n) to a stack of
@@ -22,7 +26,7 @@ component arrays (m, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -54,11 +58,13 @@ class Fixture:
     spec_text: Optional[str] = None
 
     def validate(self):
-        """Self-check of the polynomial identity and the declared verdict (NumericalError),
-        judged by the fixture's own tolerances: the CLI's --tol-* overrides apply only to
-        the run's bundle, after this check."""
+        """Self-check of the polynomial identity, the declared verdict and, for the negative
+        control, its margin from the verdicts above it (NumericalError), judged by the
+        fixture's own tolerances: the CLI's --tol-* overrides apply only to the run's
+        bundle, after this check."""
         cls = self.bundle.classification()
-        at_q = f"fixture {self.name} at q = {self.bundle.params.q:g}"
+        q = self.bundle.params.q
+        at_q = f"fixture {self.name} at q = {q:g}"
         if not cls.rows["polynomial"].passed:
             raise NumericalError(f"{at_q}: polynomial identity fails by the fixture's own"
                                  " tolerances (--tol-* applies only after this self-check)")
@@ -66,6 +72,9 @@ class Fixture:
             raise NumericalError(f"{at_q}: classified {cls.verdict!r}, expected {self.expected_verdict!r}")
         if cls.nearly != self.expected_nearly:
             raise NumericalError(f"{at_q}: nearly flag {cls.nearly} unexpected")
+        if self.name == "negative" and max(cls.rows["max_domega"].max_residual,
+                                           cls.rows["max_nijenhuis"].max_residual) <= 1e-2:
+            raise NumericalError(f"negative fixture at q = {q:g} is not negative enough")
         return self
 
 
@@ -92,11 +101,11 @@ def _conformal_round_metric(n: int) -> TensorField:
     return TensorField(name="round-metric", fn=fn)
 
 
-def fixture_flat(k: int = 1, q: float = DEFAULT_Q) -> Fixture:
+def fixture_flat(k: int = 1) -> Fixture:
     """Flat R^{2k} with the standard block structure: metallic Kahler."""
     n = 2 * k
     grid = {1: 3, 2: 2, 3: 1}.get(k, 1)
-    lines = [f"name = flat-k{k}", f"dimension = {n}", "p = 0.0", f"q = {q!r}",
+    lines = [f"name = flat-k{k}", f"dimension = {n}", "p = 0.0", f"q = {DEFAULT_Q!r}",
              "bounds = " + ", ".join(["-1 1"] * n), f"grid = {grid}",
              f"random_points = {0 if grid**n >= 8 else 8}", "seed = 42", "margin = 0.1",
              "point origin = " + " ".join(["0"] * n), "structure = J", "sign = +"]
@@ -106,13 +115,13 @@ def fixture_flat(k: int = 1, q: float = DEFAULT_Q) -> Fixture:
     return _spec_fixture("\n".join(lines) + "\n", VERDICT_KAHLER, True)
 
 
-def fixture_torus(q: float = DEFAULT_Q) -> Fixture:
+def fixture_torus() -> Fixture:
     """Flat metric on a periodic-style chart away from the origin."""
     return _spec_fixture(f"""\
 name = torus
 dimension = 2
 p = 0.0
-q = {q!r}
+q = {DEFAULT_Q!r}
 bounds = 0.1 6.18, 0.1 6.18
 grid = 3
 random_points = 2
@@ -127,14 +136,14 @@ j[1][0] = 1
 """, VERDICT_KAHLER, True)
 
 
-def fixture_sphere2(q: float = DEFAULT_Q) -> Fixture:
+def fixture_sphere2() -> Fixture:
     """Unit 2-sphere, stereographic chart; scalar curvature 2 everywhere."""
     # |x|^2 is summed before 1 is added, as `_conformal_factor` (the s6 metric) sums it
     return _spec_fixture(f"""\
 name = s2
 dimension = 2
 p = 0.0
-q = {q!r}
+q = {DEFAULT_Q!r}
 bounds = -0.9 0.9, -0.9 0.9
 grid = 3
 random_points = 4
@@ -180,20 +189,20 @@ def _sphere6_structure() -> TensorField:
     return TensorField(name="J-cross-product", fn=fn)
 
 
-def fixture_sphere6(q: float = DEFAULT_Q) -> Fixture:
+def fixture_sphere6() -> Fixture:
     """Unit 6-sphere with the cross-product structure: nearly but not metallic Kahler."""
-    params = MetallicParams(q)
     # bounds keep |x| <= 0.54*sqrt(6) ~ 1.32 < 1.5 so the pullback stays well conditioned
     bounds = tuple(((-0.6, 0.6),) * 6)
     chart = Chart(dimension=6, bounds=bounds, grid=1, n_random=7, margin=0.06,
                   named_points={"origin": (0.0,) * 6})
     g = _conformal_round_metric(6)
-    bundle = StructureBundle.from_j(chart, g, _sphere6_structure(), params, seed=5)
+    bundle = StructureBundle(chart, g, _sphere6_structure(), MetallicParams(DEFAULT_Q), seed=5,
+                             sign=+1)
     return Fixture(name="s6", bundle=bundle, expected_verdict=VERDICT_NEARLY,
                    expected_nearly=True)
 
 
-def fixture_negative(q: float = DEFAULT_Q) -> Fixture:
+def fixture_negative() -> Fixture:
     """Pointwise Hermitian but neither closed nor integrable: the control
     that exercises the verdict ladder below metallic Kahler.
 
@@ -206,7 +215,7 @@ def fixture_negative(q: float = DEFAULT_Q) -> Fixture:
 name = negative
 dimension = 4
 p = 0.0
-q = {q!r}
+q = {DEFAULT_Q!r}
 bounds = -1 1, -1 1, -1 1, -1 1
 grid = 2
 random_points = 0
@@ -230,9 +239,9 @@ j[3][2] = cos(0.3*x0)
 
 
 _BUILDERS = {
-    "flat-k1": lambda q: fixture_flat(1, q),
-    "flat-k2": lambda q: fixture_flat(2, q),
-    "flat-k3": lambda q: fixture_flat(3, q),
+    "flat-k1": lambda: fixture_flat(1),
+    "flat-k2": lambda: fixture_flat(2),
+    "flat-k3": lambda: fixture_flat(3),
     "torus": fixture_torus,
     "s2": fixture_sphere2,
     "s6": fixture_sphere6,
@@ -247,25 +256,20 @@ def names() -> tuple:
 def get(name: str, q: float = DEFAULT_Q) -> Fixture:
     """A validated fixture by name. At DEFAULT_Q, however q is passed, it is one object per
     name, built and validated on first use and kept; `get.cache_info()` and
-    `get.cache_clear()` read and clear that cache. At any other q the fixture is built and
-    validated for the caller, and not kept."""
-    return _checked(name) if q == DEFAULT_Q else _validated(name, q)
+    `get.cache_clear()` read and clear that cache. At any other q it is that checked
+    fixture with its bundle at q, one `replace` on the same chart, fields and text, which
+    is validated again for the caller and not kept: no spec text is parsed, no chart built."""
+    fx = _checked(name)
+    if q == DEFAULT_Q:
+        return fx
+    return replace(fx, bundle=replace(fx.bundle, params=MetallicParams(q))).validate()
 
 
 @lru_cache(maxsize=None)
 def _checked(name: str) -> Fixture:
-    return _validated(name, DEFAULT_Q)
-
-
-def _validated(name: str, q: float) -> Fixture:
     if name not in _BUILDERS:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(names())}")
-    fx = _BUILDERS[name](q).validate()
-    if name == "negative":
-        rows = fx.bundle.classification().rows
-        if max(rows["max_domega"].max_residual, rows["max_nijenhuis"].max_residual) <= 1e-2:
-            raise NumericalError(f"negative fixture at q = {q:g} is not negative enough")
-    return fx
+    return _BUILDERS[name]().validate()
 
 
 get.cache_info, get.cache_clear = _checked.cache_info, _checked.cache_clear

@@ -81,7 +81,8 @@ def observed(bundle: StructureBundle, record) -> StructureBundle:
 
         return TensorField(fld.name, fn, constant=fld.constant)
 
-    return dataclasses.replace(bundle, g=wrap(bundle.g, "g"), jm=wrap(bundle.jm, "jm"))
+    return dataclasses.replace(bundle, g=wrap(bundle.g, "g"), structure=wrap(bundle.jm, "jm"),
+                               sign=None)
 
 
 def central(fn, point, axis: int, h: float, order: int):
@@ -343,8 +344,8 @@ def kahler_quartic_bundle(q: float = 2.0 / 3.0) -> StructureBundle:
     chart = Chart(dimension=4, bounds=((-0.6, 0.6),) * 4, grid=1, n_random=8, margin=0.1)
     J = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
     g = TensorField("kahler-quartic", kahler_quartic_metric)
-    return StructureBundle.from_j(chart, g, TensorField("standard-J", const_field(J)),
-                                  MetallicParams(q), seed=19)
+    return StructureBundle(chart, g, TensorField("standard-J", const_field(J)), MetallicParams(q),
+                           seed=19, sign=+1)
 
 
 def anisotropic_flat_bundle(a: float) -> StructureBundle:

@@ -45,7 +45,7 @@ def symplectic_shear_bundle():
     g = TensorField(name="shear-metric", fn=lambda pts: np.swapaxes(shear(pts), 1, 2) @ shear(pts))
     j_field = TensorField(name="J-shear", fn=lambda pts: np.linalg.solve(shear(pts), J0 @ shear(pts)))
     chart = Chart(dimension=4, bounds=((-1.0, 1.0),) * 4, grid=2, margin=0.1)
-    return StructureBundle.from_j(chart, g, j_field, MetallicParams(2.0 / 3.0))
+    return StructureBundle(chart, g, j_field, MetallicParams(2.0 / 3.0), sign=+1)
 
 
 def test_first_type_equals_levi_civita_on_flat():

@@ -433,8 +433,8 @@ def test_connection_arrays_formed_once(monkeypatch):
     kept, reduced = {}, []
     terms = connections.connection_terms
 
-    def recorded_terms(bundle, kind, point):
-        kept[kind] = terms(bundle, kind, point)
+    def recorded_terms(ctx, kind, levi=False):
+        kept[kind] = terms(ctx, kind, levi)
         return kept[kind]
 
     monkeypatch.setattr(connections, "connection_terms", recorded_terms)

@@ -255,11 +255,12 @@ def test_bundle_is_frozen_and_keeps_no_context_a_caller_asks_for():
     (dict(named_points={"a": (0.1,)}), "named point 'a' needs 2 coordinates, got 1"),
     (dict(named_points={"a": (0.1, 0.2, 0.3)}), "named point 'a' needs 2 coordinates, got 3"),
     (dict(grid=-3), "grid must be non-negative, got -3"),
-], ids=["short-point", "long-point", "negative-grid"])
+    (dict(bounds=((-1, 1),)), "bounds must provide one (lo, hi) pair per coordinate"),
+], ids=["short-point", "long-point", "negative-grid", "one-bounds-pair"])
 def test_chart_names_a_malformed_setting(kwargs, message):
     # a 1-coordinate point broadcasts through the bounds check
     with pytest.raises(ValueError, match=re.escape(message)):
-        Chart(dimension=2, bounds=((-1, 1), (-1, 1)), margin=0.1, **kwargs)
+        Chart(**{"dimension": 2, "bounds": ((-1, 1), (-1, 1)), "margin": 0.1, **kwargs})
 
 
 def test_largest_reduces_per_point_values():
@@ -333,6 +334,17 @@ def test_inverse_metric_singular_names_point():
     with pytest.raises(SingularMetricError) as err:
         inverse_metric(np.zeros((2, 2)), point=(0.5, -0.5))
     assert "0.5" in str(err.value)
+
+
+@pytest.mark.parametrize("g", [[[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
+                               [[1e-320, 0.0], [0.0, 1e-320]]], ids=["nan", "inf", "subnormal"])
+def test_inverse_metric_of_a_metric_that_is_not_a_number_is_singular_without_a_warning(g):
+    """A NaN or inf entry warned (in det, in divide) before the metric was called singular,
+    and the inverse of a subnormal metric overflows: each is singular, named with its point,
+    and numpy's warnings decide nothing (the suite turns a warning into an error)."""
+    with pytest.raises(SingularMetricError) as err:
+        inverse_metric(np.array(g), point=(0.5, -0.5))
+    assert err.value.point.tolist() == [0.5, -0.5]
 
 
 def test_inverse_metric_nondegeneracy_is_scale_invariant():

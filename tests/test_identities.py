@@ -54,7 +54,7 @@ def sheared_bundle():
         return A @ J0 @ np.linalg.inv(A)
 
     j_field = TensorField(name="J-sheared", fn=sheared)
-    return StructureBundle.from_j(chart, g, j_field, params)
+    return StructureBundle(chart, g, j_field, params, sign=+1)
 
 
 # --- first-derivative checks ---------------------------------------------------

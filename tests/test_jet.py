@@ -244,7 +244,8 @@ def test_constant_field_is_called_at_the_points_alone(name, g_constant, jm_const
     assert (bundle.g.constant, bundle.jm.constant) == (g_constant, jm_constant)
     calls = {"g": [], "jm": []}
     marked = observed(bundle, lambda key, pts: calls[key].append(np.array(pts)))
-    plain = dataclasses.replace(bundle, g=unmarked(bundle.g), jm=unmarked(bundle.jm))
+    plain = dataclasses.replace(bundle, g=unmarked(bundle.g), structure=unmarked(bundle.jm),
+                                sign=None)
     points = bundle.sample_points
     for where in (points, points[0]):
         got, want = members(marked.context(where)), members(plain.context(where))

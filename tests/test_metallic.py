@@ -77,13 +77,13 @@ def test_jm_from_j_golden_brute_force():
 
 @pytest.mark.parametrize("sign", [0, 2, -2])
 def test_a_bad_sign_is_rejected_when_the_bundle_is_built(sign):
-    """The sign of J_M = sign * sqrt(6q)/2 J is checked when the field is built, not at the
-    field's first call inside a job."""
+    """The sign of J_M = sign * sqrt(6q)/2 J is checked when the bundle is built, where it
+    derives J_M, not at the field's first call inside a job."""
     chart = zoo.get("flat-k1").bundle.chart
     field = TensorField("J", lambda pts: np.broadcast_to(J2, (len(pts), 2, 2)))
     g = TensorField("g", lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)))
     with pytest.raises(ValueError, match="sign must be \\+1 or -1"):
-        StructureBundle.from_j(chart, g, field, MetallicParams(2.0 / 3.0), sign=sign)
+        StructureBundle(chart, g, field, MetallicParams(2.0 / 3.0), sign=sign)
 
 
 def test_signs_give_mutual_conjugates():
@@ -219,7 +219,7 @@ def test_classify_names_the_point_of_a_nan_residual():
         out[np.all(pts == bad, axis=1)] = np.nan
         return out
 
-    broken = dataclasses.replace(bundle, jm=TensorField(name="jm", fn=jm))
+    broken = dataclasses.replace(bundle, structure=TensorField(name="jm", fn=jm), sign=None)
     with pytest.raises(NumericalError, match=re.escape(f"is nan at point {bad.tolist()}")):
         broken.classification()
 

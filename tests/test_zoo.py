@@ -9,7 +9,7 @@ import pytest
 from metallicgeo import cli, zoo
 from metallicgeo.geometry import NumericalError
 from metallicgeo.metallic import (VERDICT_KAHLER, VERDICT_NEARLY, VERDICT_HERMITIAN, VERDICT_NONE,
-                                  Tolerances)
+                                  MetallicParams, Tolerances)
 from metallicgeo.specfile import build_bundle, parse_spec
 
 import oracles
@@ -24,7 +24,8 @@ def test_all_fixtures_self_validate():
 def test_get_returns_one_fixture_however_q_is_passed():
     """The cache holds the default-q fixtures, one per name, not per spelling of the call:
     the default q, q given by position and q given by keyword are one entry, so the fixture
-    is built and validated once. A fixture at any other q is built for its run and not kept."""
+    is built and validated once. A fixture at any other q is validated for its run and not
+    kept."""
     zoo.get.cache_clear()
     fx = zoo.get("s2")
     assert zoo.get("s2", zoo.DEFAULT_Q) is fx
@@ -35,6 +36,30 @@ def test_get_returns_one_fixture_however_q_is_passed():
         with redirect_stdout(io.StringIO()):
             assert cli.main(["classify", "--zoo", "s2", "--q", "1.5"]) == 0
     assert zoo.get.cache_info().currsize == 1
+
+
+def test_q_is_a_setting_of_the_bundle():
+    """A bundle derives J_M from the structure it was given and its q, so the checked
+    fixture's bundle at another q is one `replace`: it classifies as the fixture at that q
+    does, where a J_M built for the default q made it not metallic-Hermitian."""
+    at_q = dataclasses.replace(zoo.get("s2").bundle, params=MetallicParams(1.5))
+    assert at_q.classification().verdict == VERDICT_KAHLER
+    assert zoo.get("s2", 1.5).bundle.classification().verdict == VERDICT_KAHLER
+    assert np.array_equal(at_q.jm(np.zeros(2)), 1.5 * zoo.get("s2").bundle.jm(np.zeros(2)))
+
+
+def test_a_fixture_at_another_q_parses_no_spec_and_builds_no_chart(monkeypatch):
+    """The fixture at another q is the checked fixture on its chart, fields and text: asking
+    for it again parses no spec text, where each call parsed the text and built a chart."""
+    fx = zoo.get("s2")
+    zoo.get("s2", 1.5)
+    parsed = []
+    monkeypatch.setattr(zoo, "parse_spec", lambda text: parsed.append(text) or parse_spec(text))
+    at_q = zoo.get("s2", 1.5)
+    assert parsed == []
+    assert (at_q.bundle.chart, at_q.bundle.g, at_q.bundle.structure, at_q.spec_text) == (
+        fx.bundle.chart, fx.bundle.g, fx.bundle.structure, fx.spec_text)
+    assert at_q.bundle.params.q == 1.5 and at_q.bundle is not fx.bundle
 
 
 def test_expected_verdicts():
@@ -53,7 +78,7 @@ def test_expected_verdicts():
 
 def test_flat_k2_polynomial_with_q_2():
     # (sqrt(3) J)^2 = -3 I = -(3/2) * 2 * I
-    fx = zoo.fixture_flat(2, q=2.0)
+    fx = zoo.get("flat-k2", 2.0)
     pt = np.zeros(4)
     JM = fx.bundle.jm(pt)
     assert np.allclose(JM @ JM, -3.0 * np.eye(4))
@@ -170,7 +195,9 @@ def test_zoo_and_its_spec_file_give_one_report(tmp_path):
     """A fixture's spec text, written to a file, is the whole fixture: the file gives the
     `--zoo` report, apart from the source's kind and name, and its chart and seed, which no
     report of a flat fixture shows; so does each with a `--seed`, which the spec-file path
-    writes into the spec and the zoo path into the fixture's bundle."""
+    writes into the spec and the zoo path into the fixture's bundle, and with a `--q`, which
+    the zoo path writes into the checked fixture's bundle and which keeps the fixture's
+    text, and so its hash."""
     checked = 0
     for name in zoo.names():
         text = zoo.get(name).spec_text
@@ -180,20 +207,21 @@ def test_zoo_and_its_spec_file_give_one_report(tmp_path):
         assert (built.chart, built.seed) == (fixture.chart, fixture.seed), name
         path = tmp_path / f"{name}.spec"
         path.write_text(text, encoding="utf-8")
-        for seed in ([], ["--seed", "4"]):
+        for flags in ([], ["--seed", "4"], ["--q", "1.5"]):
             reports = []
             for source in (["--zoo", name], [str(path)]):
                 buf = io.StringIO()
                 with redirect_stdout(buf):
-                    assert cli.main(["verify", *source, *seed, "--suite", "all",
+                    assert cli.main(["verify", *source, *flags, "--suite", "all",
                                      "--format", "json"]) == 0
                 report = json.loads(buf.getvalue())
                 del report["timing_s"], report["source"]["kind"], report["source"]["name"]
                 reports.append(report)
-            assert reports[0] == reports[1], (name, seed)
-            assert reports[0]["seed"] == (int(seed[1]) if seed else fixture.seed)
+            assert reports[0] == reports[1], (name, flags)
+            assert reports[0]["seed"] == (4 if "--seed" in flags else fixture.seed)
+            assert reports[0]["params"]["q"] == (1.5 if "--q" in flags else 0.666667)
             checked += 1
-    assert checked == 12
+    assert checked == 18
 
 
 def test_unknown_fixture_raises():
