@@ -52,10 +52,12 @@ do, so a singular constant metric fails at the same point. Every Gamma
 term of a covariant derivative is +0.0 there, so a PointContext forms
 nabla J and nabla w as their plain partials plus 0.0, the curved path's
 bits, after reading g^-1. Every term of the Nijenhuis tensor carries d J,
-so a constant J_M has N = 0; when g and J_M are both constant, so is w
-(`PointContext.w_constant`), and dw, sym nabla J, F, |nabla J|^2 and
-nabla nabla w are exact zeros too. N and dw read no g^-1 for it, as
-their general forms do not; the others read it first (`flat_zeros`).
+so a constant J_M has N = 0, with no g^-1 read, as its general form
+makes none. When g and J_M are both constant, so is w
+(`PointContext.w_constant`): |nabla J|^2 is an exact zero (`flat_zeros`),
+and every identity row of tier d1, d2 or d3 is recorded as 0 unformed
+(`metallic.evaluate`), so dw, sym nabla J, F and nabla nabla w, which only
+those rows read, keep their general forms.
 
 A jet serves one point (n,) or a stack of points (m, n): every member
 carries the stack's point axis first, written with leading `...` axes, so
@@ -556,11 +558,7 @@ class PointContext(MetricJet):
     def domega(self) -> np.ndarray:
         """domega[..., a, b, c] = d_a w_bc + d_b w_ca + d_c w_ab of the skew part of w, read
         off d w (the jet is linear): w's own on a skew-compatible bundle, and still a 2-form,
-        hence a reportable residual, on one that is not. Exact zeros when w is constant
-        (`w_constant`), formed with no algebra and no g^-1, which the general form does not
-        read."""
-        if self.w_constant:
-            return np.zeros_like(self.dw)
+        hence a reportable residual, on one that is not."""
         skew = 0.5 * (self.dw - np.swapaxes(self.dw, -1, -2))
         return skew + np.einsum("...bca->...abc", skew) + np.einsum("...cab->...abc", skew)
 
@@ -573,18 +571,12 @@ class PointContext(MetricJet):
 
     @cached_property
     def sym_covJ(self) -> np.ndarray:
-        """(nabla_i J)_j^h + (nabla_j J)_i^h, the nearly-vanishing combination; exact zeros
-        (`flat_zeros`) when w is constant."""
-        if self.w_constant:
-            return self.flat_zeros(3)
+        """(nabla_i J)_j^h + (nabla_j J)_i^h, the nearly-vanishing combination."""
         return self.covJ + np.einsum("...ahi->...iha", self.covJ)
 
     @cached_property
     def F(self) -> np.ndarray:
-        """F[..., i, j, k] = g((nabla_i J) d_j, d_k) = g_kt (nabla_i J)_j^t, which is F_M / c;
-        exact zeros (`flat_zeros`) when w is constant."""
-        if self.w_constant:
-            return self.flat_zeros(3)
+        """F[..., i, j, k] = g((nabla_i J) d_j, d_k) = g_kt (nabla_i J)_j^t, which is F_M / c."""
         return contract("...itj,...tk->...ijk", self.covJ, self.g)
 
     @cached_property
@@ -645,10 +637,7 @@ class PointContext(MetricJet):
 
     @cached_property
     def covcov_omega(self) -> np.ndarray:
-        """covcov[..., a, b, i, m] = (nabla_a nabla_b w)_im, one chunk of points at a time;
-        exact zeros (`flat_zeros`) when w is constant (`w_constant`)."""
-        if self.w_constant:
-            return self.flat_zeros(4)
+        """covcov[..., a, b, i, m] = (nabla_a nabla_b w)_im, one chunk of points at a time."""
         return _join(self._covcov_omega(rows) for rows in self._chunks(2))
 
     def _covcov_omega(self, rows) -> np.ndarray:

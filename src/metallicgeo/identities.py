@@ -327,9 +327,9 @@ def check_divergence_ricci_chain(bundle: StructureBundle) -> IdentityResult:
     divided by c, left side from the order-2 jet of w, right side from
     curvature contractions. The observed norm of the left side itself, in
     the metallic form, is reported (its vanishing is equivalent to
-    S J = S* J) but not asserted.
+    S J = S* J) but not asserted; 0 on a constant pair, where `evaluate` forms no row.
     """
-    kept = {}  # the left side of the row's last evaluation, for the note
+    kept = {"lhs": 0.0}  # the left side of the row's evaluation, if any, for the note
 
     def residual(ctx):
         kept["lhs"] = lhs = _divergence_omega(ctx)

@@ -85,7 +85,7 @@ def jm_from_j(j_field: TensorField, params: MetallicParams, sign: int = +1) -> T
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Residual tiers by derivative depth."""
+    """Residual tiers by derivative depth; d1-d3 rows are known zeros on a constant pair."""
 
     alg: float = 1e-8     # no derivatives
     d1: float = 1e-5      # first-derivative identities
@@ -175,7 +175,8 @@ class Identity:
 
     gate returns why the bundle is outside the identity's hypothesis class
     ("" when it is inside; None means no gate); tier names the Tolerances
-    field that holds the tolerance. fn states the identity on the unit
+    field that holds the tolerance; every array of a d1, d2 or d3 row is
+    built from a derivative of g or J_M (`evaluate`). fn states the identity on the unit
     structure J = J_M / c, c = sqrt(3q/2), with no q in it; degree is the
     power of c that turns its arrays into those of the metallic form, so
     that both numbers are reported, and judged, as the metallic form's.
@@ -274,21 +275,28 @@ def evaluate(bundle: StructureBundle, identities, values=None) -> list:
     points, or with the `values` stacked over them when the caller supplies
     them; rows of one call that name the same function share its arrays.
     Both numbers of a row are c^degree times those of its arrays, which are
-    the unit structure's.
+    the unit structure's. When g and J_M are constant (`w_constant`), a d1-d3
+    row, built from their derivatives, is recorded unformed: 0.0 and 0.0,
+    passed, after g^-1 is read, as `flat_zeros` reads it. Alg rows are formed.
     """
     out, arrays = [], {}  # row function -> its arrays, for this call only
-    c = bundle.params.coeff
-    values = bundle.sample_context if values is None else values
+    c, ctx = bundle.params.coeff, bundle.sample_context
+    values = ctx if values is None else values
     for ident in identities:
         reason = ident.gate(bundle) if ident.gate else ""
         if reason:
             out.append(_skip(ident.id, reason))
             continue
+        tol = getattr(bundle.tolerances, ident.tier)
+        if ident.tier != "alg" and ctx.w_constant:
+            ctx.ginv  # read first, as `flat_zeros` reads it
+            out.append(IdentityResult(ident.id, tolerance=tol, passed=True,
+                                      asserted=ident.asserted, note=ident.note))
+            continue
         if ident.fn not in arrays:
             arrays[ident.fn] = ident.fn(values)
-        out.append(_result(ident.id, arrays[ident.fn], bundle.sample_points,
-                           getattr(bundle.tolerances, ident.tier), ident.asserted, ident.note,
-                           factor=c ** ident.degree))
+        out.append(_result(ident.id, arrays[ident.fn], bundle.sample_points, tol,
+                           ident.asserted, ident.note, factor=c ** ident.degree))
     return out
 
 

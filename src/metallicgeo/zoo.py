@@ -254,22 +254,24 @@ def names() -> tuple:
 
 
 def get(name: str, q: float = DEFAULT_Q) -> Fixture:
-    """A validated fixture by name. At DEFAULT_Q, however q is passed, it is one object per
-    name, built and validated on first use and kept; `get.cache_info()` and
-    `get.cache_clear()` read and clear that cache. At any other q it is that checked
-    fixture with its bundle at q, one `replace` on the same chart, fields and text, which
-    is validated again for the caller and not kept: no spec text is parsed, no chart built."""
-    fx = _checked(name)
-    if q == DEFAULT_Q:
-        return fx
-    return replace(fx, bundle=replace(fx.bundle, params=MetallicParams(q))).validate()
+    """A validated fixture by name: the fixture as built, one object per name, built on
+    first use and kept (`get.cache_info()` and `get.cache_clear()` read and clear that cache),
+    and validated at q. At DEFAULT_Q, however q is passed, it is that object, whose bundle
+    keeps its classification, so only the first call classifies it. At any other q it is a
+    copy with its bundle at q, one `replace` on the same chart, fields and text, validated at
+    q alone, for the caller, and not kept: no spec text is parsed, no chart built, and the
+    fixture is not classified at the default q first."""
+    fx = _built(name)
+    if q != DEFAULT_Q:
+        fx = replace(fx, bundle=replace(fx.bundle, params=MetallicParams(q)))
+    return fx.validate()
 
 
 @lru_cache(maxsize=None)
-def _checked(name: str) -> Fixture:
+def _built(name: str) -> Fixture:
     if name not in _BUILDERS:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(names())}")
-    return _BUILDERS[name]().validate()
+    return _BUILDERS[name]()
 
 
-get.cache_info, get.cache_clear = _checked.cache_info, _checked.cache_clear
+get.cache_info, get.cache_clear = _built.cache_info, _built.cache_clear

@@ -15,14 +15,17 @@ reference for `cli.report_json`, the dense jet weight tables the engine
 replaced (one row per ordered multi-index) are the reference for its
 tables over distinct multi-indices, the meshgrid and `np.unique` sampler the reference
 for `Chart.sample_points`, and the character-class tokenizer the reference
-for `exprdsl`'s on ASCII text.
+for `exprdsl`'s on ASCII text. `flat_skew_text` reads the flat-skew spec of
+`tools/report_identity.py`, a constant pair whose g^-1 has entries of both signs.
 """
 
 import dataclasses
+import importlib.util
 import json
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +35,16 @@ from metallicgeo.diffcalc import (WEIGHTS_1D, DiffScheme, JetTable, MetricJet, c
 from metallicgeo.geometry import Chart, TensorField, inverse_metric
 from metallicgeo.metallic import MetallicParams, StructureBundle, jm_from_j
 from metallicgeo.octonions import cross7_matrix
+
+
+def flat_skew_text() -> str:
+    """The flat-skew spec of `tools/report_identity.py`: a constant metric whose g^-1 has
+    entries of both signs, with a constant J_M."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "report_identity.py"
+    loader = importlib.util.spec_from_file_location("report_identity", tool)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module.FLAT_SKEW
 
 
 def max_abs(arr) -> float:

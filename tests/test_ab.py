@@ -28,7 +28,10 @@ def check_fields(report):
     assert report["jobs"] == 14  # two rounds of the 7 zoo fixtures
     assert report["blocks"] == 2  # one round per fresh worker pair
     assert set(report["kinds"]) == {"classify", "all"}
-    for row in (*report["kinds"].values(), report["rounds"]):
+    assert list(report["sources"]) == [f"classify {name}" for name in (
+        "flat-k1", "flat-k2", "flat-k3", "negative", "s2", "s6", "torus")]
+    assert all(row["pairs"] == 2 for row in report["sources"].values())
+    for row in (*report["kinds"].values(), *report["sources"].values(), report["rounds"]):
         assert set(row) >= ROW
         lo, hi = row["ci95"]
         assert lo <= hi and 0 <= row["won"] <= row["pairs"]

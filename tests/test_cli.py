@@ -615,7 +615,9 @@ def test_rows_outside_their_hypothesis_skip_with_its_reason(old, new, gated, tmp
 def test_classify_singular_metric_exit_3(tmp_path, capsys):
     """A constant singular metric is flat, so no Christoffel symbol is formed from it, yet
     each command inverts it and fails at the first point it reads: the first sample point
-    (grid 3 on [-1, 1]^2, margin 0.05), or the point curvature is asked for."""
+    (grid 3 on [-1, 1]^2, margin 0.05), or the point curvature is asked for. With J_M constant
+    too, the first derivative-tier row, which is recorded as 0 without being formed, reads
+    g^-1 first; every suite begins with classification, whose first such row is max_domega."""
     spec = tmp_path / "singular.spec"
     spec.write_text(
         "dimension = 2\nq = 0.6666666666666666\nbounds = -1 1, -1 1\n"
@@ -625,6 +627,9 @@ def test_classify_singular_metric_exit_3(tmp_path, capsys):
     for argv, point in ((["classify"], [-0.95, -0.95]),
                         (["classify", "--format", "json"], [-0.95, -0.95]),
                         (["verify", "--suite", "all"], [-0.95, -0.95]),
+                        (["verify", "--suite", "metallic"], [-0.95, -0.95]),
+                        (["verify", "--suite", "nearly"], [-0.95, -0.95]),
+                        (["verify", "--suite", "connections"], [-0.95, -0.95]),
                         (["curvature", "--point", "0.1,0.2"], [0.1, 0.2])):
         code, out, err = run(capsys, argv[0], str(spec), *argv[1:])
         assert (code, out, err) == (3, "", f"{message} at point {point}\n"), argv

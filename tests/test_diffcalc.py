@@ -1,4 +1,3 @@
-import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from oracles import (
     christoffel_field,
     commutator_residual,
     const_field,
+    flat_skew_text,
     max_abs,
     metric_compat_residual,
     partial_all_per_axis,
@@ -382,15 +382,6 @@ ROOT = Path(__file__).resolve().parents[1]
 S2XS2 = ROOT / "perfbench" / "specs" / "s2xs2.spec"
 
 
-def flat_skew_text() -> str:
-    """The flat-skew spec of `tools/report_identity.py`."""
-    loader = importlib.util.spec_from_file_location("report_identity",
-                                                    ROOT / "tools" / "report_identity.py")
-    module = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(module)
-    return module.FLAT_SKEW
-
-
 def general_forms(ctx) -> dict:
     """Each member that a constant g or J_M makes known, by the formula it takes when neither
     field is constant, on the context's own inputs."""
@@ -412,10 +403,10 @@ def general_forms(ctx) -> dict:
 @pytest.mark.parametrize("case", ["flat-k1", "flat-k2", "flat-k3", "torus", "negative", "s2",
                                   "s2xs2", "flat-skew"])
 def test_known_zero_members_keep_the_general_bits(case):
-    """A flat jet's nabla J and nabla w, and the zeros of N (constant J_M) and of dw,
-    sym nabla J, F and |nabla J|^2 (both constant), equal the general formulas on the same
-    inputs to the bit, sign bits included, at the sample points and at one point; flat-skew's
-    g^-1 has entries of both signs."""
+    """A flat jet's nabla J and nabla w, and the zeros of N (constant J_M) and of |nabla J|^2
+    (both constant), equal the general formulas on the same inputs to the bit, sign bits
+    included, at the sample points and at one point, as dw, sym nabla J and F, which have no
+    shortcut, do; flat-skew's g^-1 has entries of both signs."""
     if case == "s2xs2":
         bundle = build_bundle(parse_spec(S2XS2.read_text(encoding="utf-8")))
     elif case == "flat-skew":

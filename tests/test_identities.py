@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -30,7 +31,8 @@ from metallicgeo.identities import (
     run_suite,
 )
 from metallicgeo.metallic import Identity, MetallicParams, StructureBundle
-from oracles import anisotropic_flat_bundle, const_field, max_abs
+from metallicgeo.specfile import build_bundle, parse_spec
+from oracles import anisotropic_flat_bundle, const_field, flat_skew_text, max_abs
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected_identities.json"
 
@@ -345,3 +347,84 @@ def test_row_order_is_the_benchmarks(name):
     fx = zoo.get(name)
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[fx.expected_verdict]
     assert [[r.id, r.skipped] for r in run_suite(fx.bundle, "all")] == expected
+
+
+# --- known zeros of a constant (g, J_M) pair ---------------------------------------
+
+
+def identity_tables(module) -> list:
+    return [table for table in vars(module).values() if isinstance(table, tuple) and table
+            and all(isinstance(row, Identity) for row in table)]
+
+
+CONSTANT_PAIRS = {
+    **{f"{name}@{q:g}": lambda name=name, q=q: zoo.get(name, q).bundle
+       for name in ("flat-k1", "flat-k2", "flat-k3", "torus") for q in (2.0 / 3.0, 1.5)},
+    "flat-skew": lambda: build_bundle(parse_spec(flat_skew_text())),
+}
+
+
+def every_row(bundle, monkeypatch) -> list:
+    """(row, values it reads) for every row of every table: the classification, the tables
+    of `identities` and the connection tables on the bundle's terms of their kind, plus the
+    rows that `check_divergence_ricci_chain` and `check_scalar_star` build, caught on their
+    way to `evaluate`."""
+    ctx = bundle.sample_context
+    rows = [(row, ctx) for table in (metallic.CLASSIFICATION, *identity_tables(identities))
+            for row in table]
+    for table in identity_tables(connections):
+        kind = "first" if table is connections.FIRST_TYPE_IDENTITIES else "second"
+        rows += [(row, connections._terms(bundle, kind)) for row in table]
+    built = []
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "evaluate",
+                      lambda b, table, values=None: built.extend(table) or evaluate(b, table))
+        check_divergence_ricci_chain(bundle)
+        check_scalar_star(bundle)
+    assert [row.id for row in built] == ["divergence-ricci-chain", "scalar-star-relation"]
+    return rows + [(row, ctx) for row in built]
+
+
+@pytest.mark.parametrize("name", CONSTANT_PAIRS)
+def test_every_derivative_tier_array_is_zero_on_a_constant_pair(name, monkeypatch):
+    """The premise of the known-zero rule of `evaluate`: every array a d1, d2 or d3 row
+    returns is built from a derivative of g or J_M, so on a pair whose two fields are constant
+    each one is exactly 0. Algebraic rows are not: second-type-equals-levi-civita has
+    scale 1 there."""
+    bundle = CONSTANT_PAIRS[name]()
+    assert bundle.sample_context.w_constant
+    rows = every_row(bundle, monkeypatch)
+    assert len(rows) == 39
+    for row, values in rows:
+        if row.tier != "alg":
+            assert all(not np.any(array) for array in row.fn(values)), row.id
+    assert any(np.any(array) for row, values in rows if row.tier == "alg"
+               for array in row.fn(values))
+
+
+@pytest.mark.parametrize("name", CONSTANT_PAIRS)
+def test_a_constant_pair_records_derivative_tier_rows_unformed(name, monkeypatch):
+    """`evaluate` on a constant pair calls no row of tier d1, d2 or d3: each is recorded as
+    residual and scale 0.0, passed, with its own tolerance, note and assertion. Alg rows are
+    formed as before."""
+    bundle = CONSTANT_PAIRS[name]()
+
+    def raises(values):
+        raise AssertionError("a known-zero row was formed")
+
+    for row, values in every_row(bundle, monkeypatch):
+        known = row.tier != "alg"
+        probe = dataclasses.replace(row, fn=raises) if known else row
+        result = evaluate(bundle, [probe], None if values is bundle.sample_context else values)[0]
+        tol = getattr(bundle.tolerances, row.tier)
+        assert (result.id, result.tolerance, result.asserted, result.note) == (
+            row.id, tol, row.asserted, row.note)
+        if known:
+            assert (result.max_residual, result.scale, result.passed) == (0.0, 0.0, True)
+    monkeypatch.setattr(identities, "_divergence_omega", raises)
+    monkeypatch.setattr(identities, "_scalar_star_relation", raises)
+    results = by_id(run_suite(bundle, "all"))
+    assert results["divergence-ricci-chain"].note == (
+        "observed |nabla^m nabla_j w_im| = 0 (reported, not asserted)")
+    assert results["scalar-star-relation"].passed
+    assert results["second-type-equals-levi-civita"].scale == 1.0

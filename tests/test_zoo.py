@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from metallicgeo import cli, zoo
+from metallicgeo import cli, metallic, zoo
 from metallicgeo.geometry import NumericalError
 from metallicgeo.metallic import (VERDICT_KAHLER, VERDICT_NEARLY, VERDICT_HERMITIAN, VERDICT_NONE,
                                   MetallicParams, Tolerances)
@@ -60,6 +60,26 @@ def test_a_fixture_at_another_q_parses_no_spec_and_builds_no_chart(monkeypatch):
     assert (at_q.bundle.chart, at_q.bundle.g, at_q.bundle.structure, at_q.spec_text) == (
         fx.bundle.chart, fx.bundle.g, fx.bundle.structure, fx.spec_text)
     assert at_q.bundle.params.q == 1.5 and at_q.bundle is not fx.bundle
+
+
+def test_a_fixture_at_another_q_is_classified_once(monkeypatch):
+    """A fresh fixture at another q is checked at that q alone: one classification, where the
+    fixture was first checked at the default q, a classification the caller never read. After
+    `get.cache_clear()` each fresh call parses the spec text once, and the fixture at the
+    default q is classified on its first call only."""
+    calls, parsed = [], []
+    classify = metallic.classify
+    monkeypatch.setattr(metallic, "classify", lambda bundle: calls.append(bundle.params.q)
+                        or classify(bundle))
+    monkeypatch.setattr(zoo, "parse_spec", lambda text: parsed.append(text) or parse_spec(text))
+    for _ in range(2):
+        zoo.get.cache_clear()
+        assert zoo.get("s2", 1.5).bundle.classification().verdict == VERDICT_KAHLER
+        assert (calls, len(parsed)) == ([1.5], 1)
+        calls.clear(), parsed.clear()
+    for _ in range(2):
+        zoo.get("s2")
+        assert (calls, parsed) == ([zoo.DEFAULT_Q], [])
 
 
 def test_expected_verdicts():

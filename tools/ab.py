@@ -36,7 +36,10 @@ masked) must be equal on the two sides, and every answer must pass
 Per job kind, and for all jobs, it prints the median job seconds of each
 side, the time shift of the change (the median over the pairs of the ratio
 change / base, minus one; negative is faster) with a bootstrap 95 % interval
-over blocks and pairs, and the number of pairs the change won. Per round, it
+over blocks and pairs, and the number of pairs the change won. Below those,
+the same per source: the job kind with the ``--zoo`` fixture or the spec
+file a job runs on, so that a change that helps one class of input shows
+on the rows of that input alone. Per round, it
 prints the throughput shift (jobs over summed job seconds; positive is
 faster), with its interval over blocks and rounds, and the rounds won. The
 last line of standard output is the same as one JSON object. No figure is a gate: the tool adds evidence to a speed claim.
@@ -174,6 +177,13 @@ def shift(base, change, block, rng, faster=np.less) -> dict:
             "won": int(np.count_nonzero(faster(change, base)))}
 
 
+def source(kind: str, argv) -> str:
+    """A job's kind and the ``--zoo`` fixture or spec file name it runs on."""
+    if "--zoo" in argv:
+        return f"{kind} {argv[argv.index('--zoo') + 1]}"
+    return f"{kind} {next(Path(arg).name for arg in argv if arg.endswith('.spec'))}"
+
+
 def percent(x: float) -> str:
     return f"{100.0 * x:+.1f} %"
 
@@ -223,6 +233,10 @@ def compare(args) -> dict:
                            rng)
                for kind in dict.fromkeys(plan["kinds"])}
     by_kind["all"] = shift(base, change, block_of, rng)
+    sources = np.array([source(kind, argv) for kind, argv in zip(plan["kinds"], plan["argv"])])
+    by_source = {key: shift(base[sources == key], change[sources == key],
+                            block_of[sources == key], rng)
+                 for key in dict.fromkeys(sources)}
     jobs_per_s = {side: [size / sum(seconds[side][lo:lo + size]) for lo in range(0, n, size)]
                   for side in SIDES}
     rounds = shift(jobs_per_s["base"], jobs_per_s["change"], block_of[::size], rng,
@@ -231,19 +245,21 @@ def compare(args) -> dict:
     return {"workload": args.workload, "seed": args.seed, "jobs": n, "blocks": len(blocks),
             "equal": not differing, "differing": differing[:5],
             "failed": {side: failed[side][:5] for side in SIDES},
-            "kinds": by_kind, "rounds": {**rounds, "jobs_per_round": size}}
+            "kinds": by_kind, "sources": by_source,
+            "rounds": {**rounds, "jobs_per_round": size}}
 
 
 def print_report(report: dict) -> None:
     print(f"{report['workload']}, seed {report['seed']}: {report['jobs']} jobs on each side,"
           f" in {report['blocks']} blocks of fresh worker pairs")
-    print(f"{'kind':10s} {'pairs':>6s} {'base ms':>9s} {'change ms':>9s} {'time shift':>10s}"
-          f"  {'95 % interval':22s} {'won':>9s}")
-    for kind, row in report["kinds"].items():
-        interval = "[{}, {}]".format(*map(percent, row["ci95"]))
-        print(f"{kind:10s} {row['pairs']:6d} {1e3 * row['base_median']:9.3f}"
-              f" {1e3 * row['change_median']:9.3f} {percent(row['shift']):>10s}"
-              f"  {interval:22s} {row['won']:5d}/{row['pairs']}")
+    for label, width, rows in (("kind", 10, report["kinds"]), ("source", 22, report["sources"])):
+        print(f"{label:{width}s} {'pairs':>6s} {'base ms':>9s} {'change ms':>9s}"
+              f" {'time shift':>10s}  {'95 % interval':22s} {'won':>9s}")
+        for key, row in rows.items():
+            interval = "[{}, {}]".format(*map(percent, row["ci95"]))
+            print(f"{key:{width}s} {row['pairs']:6d} {1e3 * row['base_median']:9.3f}"
+                  f" {1e3 * row['change_median']:9.3f} {percent(row['shift']):>10s}"
+                  f"  {interval:22s} {row['won']:5d}/{row['pairs']}")
     row = report["rounds"]
     interval = "[{}, {}]".format(*map(percent, row["ci95"]))
     print(f"{row['pairs']} rounds of {row['jobs_per_round']} jobs: jobs/s"
