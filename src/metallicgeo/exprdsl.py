@@ -2,10 +2,13 @@
 
 Expressions define metric and structure components inside manifold spec
 files. They are parsed once into an immutable AST and evaluated in IEEE
-double precision, at one chart point or at a stack of points at once: each
-node maps the whole stack with one numpy ufunc. No symbolic
-differentiation is done here (derivatives are taken numerically
-downstream).
+double precision, at one chart point or at a stack of points at once. A
+`Program` is the one way trees are evaluated and rendered: it numbers the
+distinct sub-trees of one or more trees (the entries of a field, or the one
+tree of an `Expr`) and applies each once per run, one numpy ufunc over the
+whole stack. No method walks a tree by recursion, so an expression of any
+length evaluates. No symbolic differentiation is done here (derivatives are
+taken numerically downstream).
 
 Grammar (EBNF):
 
@@ -17,7 +20,9 @@ Grammar (EBNF):
     call    = FUNC "(" expr ")" ;
     NUMBER  = digits [ "." [digits] ] [ ("e"|"E") ["+"|"-"] digits ] ;
 
-A NUMBER that overflows a double, such as 1e400, is a parse error.
+A NUMBER that overflows a double, such as 1e400, is a parse error, and so
+is nesting deeper than 100 levels of parentheses, calls, unary minuses and
+"^" exponents (the parser recurses once per level).
 Precedence: "^" binds tightest and associates to the right, unary minus
 binds above "*" and "/", which bind above "+" and "-".
 
@@ -42,6 +47,7 @@ import numpy as np
 
 __all__ = [
     "Expr",
+    "Program",
     "ParseError",
     "EvalDomainError",
     "parse",
@@ -78,6 +84,13 @@ _UNARY = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "ln": np.l
           "sqrt": np.sqrt, "sinh": np.sinh, "cosh": np.cosh}
 
 
+class _NotFinite(Exception):
+    """A step's value is not finite at `point`; the program names the step's sub-expression."""
+
+    def __init__(self, reason: str, point):
+        self.reason, self.point = reason, point
+
+
 def _finite(node: "_Node", points: np.ndarray, value, *operands):
     """value, unless it is not finite at some point of the stack.
 
@@ -91,86 +104,75 @@ def _finite(node: "_Node", points: np.ndarray, value, *operands):
     if not finite.all():
         row = int(np.argmin(np.broadcast_to(finite, (len(points),))))
         at_row = [float(v if np.ndim(v) == 0 else v[row]) for v in operands]
-        raise EvalDomainError(node.domain_reason(*at_row), node.render(), points[row])
+        raise _NotFinite(node.domain_reason(*at_row), points[row])
     return value
 
 
 # --- AST nodes -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Node:
-    def eval(self, points):  # pragma: no cover - overridden
-        """Values at a stack of points (m, n): an array (m,), or a scalar if constant."""
-        raise NotImplementedError
+    """A node of a parsed tree; it knows its own fields only.
 
-    def render(self) -> str:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def max_coord(self) -> int:
-        """Largest coordinate index referenced, -1 if none."""
-        return -1
+    `apply(points, *operand values)` maps the values of its operands at a
+    stack of points (m, n) to its value: an array (m,), or a scalar if
+    constant. `pieces(*operand steps)` spells its text around the steps of
+    its operands. Neither looks at an operand's node, so no node method
+    walks a tree: `Program` does, once, without recursion.
+    """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lit(_Node):
     value: float
 
-    def eval(self, points):
+    def apply(self, points):
         return self.value
 
-    def render(self):
-        return repr(float(self.value))
+    def pieces(self):
+        return (repr(float(self.value)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(_Node):
     name: str
 
-    def eval(self, points):
+    def apply(self, points):
         return CONSTANTS[self.name]
 
-    def render(self):
-        return self.name
+    def pieces(self):
+        return (self.name,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Coord(_Node):
     index: int
 
-    def eval(self, points):
+    def apply(self, points):
         return points[:, self.index]
 
-    def render(self):
-        return f"x{self.index}"
-
-    def max_coord(self):
-        return self.index
+    def pieces(self):
+        return (f"x{self.index}",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
     operand: _Node
 
-    def eval(self, points):
-        return np.negative(self.operand.eval(points))
+    def apply(self, points, x):
+        return np.negative(x)
 
-    def render(self):
-        return f"(-{self.operand.render()})"
-
-    def max_coord(self):
-        return self.operand.max_coord()
+    def pieces(self, x):
+        return ("(-", x, ")")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bin(_Node):
     op: str
     left: _Node
     right: _Node
 
-    def eval(self, points):
-        a = self.left.eval(points)
-        b = self.right.eval(points)
+    def apply(self, points, a, b):
         return _finite(self, points, _BINARY[self.op](a, b), a, b)
 
     def domain_reason(self, a, b):
@@ -182,20 +184,16 @@ class Bin(_Node):
             return "negative power of zero"
         return "non-finite value"
 
-    def render(self):
-        return f"({self.left.render()} {self.op} {self.right.render()})"
-
-    def max_coord(self):
-        return max(self.left.max_coord(), self.right.max_coord())
+    def pieces(self, a, b):
+        return ("(", a, f" {self.op} ", b, ")")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
     func: str
     arg: _Node
 
-    def eval(self, points):
-        x = self.arg.eval(points)
+    def apply(self, points, x):
         return _finite(self, points, _UNARY[self.func](x), x)
 
     def domain_reason(self, x):
@@ -205,27 +203,97 @@ class Call(_Node):
             return "square root of a negative number"
         return "non-finite value"
 
-    def render(self):
-        return f"{self.func}({self.arg.render()})"
+    def pieces(self, x):
+        return (f"{self.func}(", x, ")")
 
-    def max_coord(self):
-        return self.arg.max_coord()
+
+class Program:
+    """One straight-line program over the distinct sub-trees of some expression trees.
+
+    Two sub-trees are one step when they have the same node type, the same
+    own fields and the same operand steps (value numbering). Steps are
+    numbered in the order in which a left-to-right depth-first walk of the
+    roots, in the order given, completes them, so every step comes after its
+    operands, and the first step whose value is not finite is the node a
+    walk of each tree in turn would meet first: a repeated sub-tree was
+    finite where it was first met. A run evaluates the leaves (literals,
+    constants, coordinates) and then every other step once, in that order,
+    and its domain error names that step's sub-expression and the first
+    point of the stack at which it fails.
+
+    A run keeps its values to itself, so one program may run from many
+    threads at once.
+    """
+
+    def __init__(self, roots):
+        roots = tuple(roots)
+        steps, number, step_of = [], {}, {}  # number: key -> step, step_of: id(node) -> step
+        for root in roots:
+            todo = [root]
+            while todo:
+                node = todo[-1]
+                fields = tuple(vars(node).values())
+                waiting = [f for f in fields if isinstance(f, _Node) and id(f) not in step_of]
+                if waiting:
+                    todo.extend(reversed(waiting))
+                    continue
+                todo.pop()
+                args = tuple(step_of[id(f)] for f in fields if isinstance(f, _Node))
+                key = (type(node), *(f for f in fields if not isinstance(f, _Node)), args)
+                k = step_of[id(node)] = number.setdefault(key, len(steps))
+                if k == len(steps):
+                    steps.append((node, args))
+        self.steps = tuple(steps)  # (node, operand steps)
+        self.roots = tuple(step_of[id(root)] for root in roots)
+        self.max_coord = max((node.index for node, _ in steps if isinstance(node, Coord)),
+                             default=-1)
+        self._leaves = tuple((k, node) for k, (node, args) in enumerate(steps) if not args)
+        # unary steps carry None as their second operand, so that `run` calls by arity
+        self._ops = tuple((k, node.apply, args[0], args[1] if len(args) > 1 else None)
+                          for k, (node, args) in enumerate(steps) if args)
+
+    def run(self, points: np.ndarray) -> list:
+        """The value of each root at a stack of points (m, n): an array (m,), or a scalar
+        if the root is constant."""
+        values = [None] * len(self.steps)
+        with np.errstate(all="ignore"):  # domain errors are found from masks instead
+            for k, leaf in self._leaves:
+                values[k] = leaf.apply(points)
+            try:
+                for k, apply, a, b in self._ops:
+                    values[k] = (apply(points, values[a]) if b is None
+                                 else apply(points, values[a], values[b]))
+            except _NotFinite as exc:
+                raise EvalDomainError(exc.reason, self.render(k), exc.point) from None
+        return [values[r] for r in self.roots]
+
+    def render(self, step: int) -> str:
+        """The fully parenthesized text of one step, spelled from the steps."""
+        out, todo = [], [step]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+            else:
+                node, args = self.steps[item]
+                todo.extend(reversed(node.pieces(*args)))
+        return "".join(out)
 
 
 class Expr:
-    """An immutable parsed expression.
+    """An immutable parsed expression: its tree and the one-root program that evaluates it.
 
     Pure value object: evaluation has no side effects, so one Expr may be
     evaluated from many threads concurrently. The largest coordinate index
     the tree references is found once, here, not on every evaluation.
     """
 
-    __slots__ = ("root", "source", "_max_coord")
+    __slots__ = ("root", "source", "_program")
 
     def __init__(self, root: _Node, source: str = ""):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "_max_coord", root.max_coord())
+        object.__setattr__(self, "_program", Program((root,)))
 
     def __setattr__(self, *_):
         raise AttributeError("Expr is immutable")
@@ -234,24 +302,23 @@ class Expr:
         """Evaluate at one point (n,) -> float, or at a stack of points (m, n) -> array (m,)."""
         pts = np.asarray(point, dtype=float)
         stack = pts.reshape(1, -1) if pts.ndim == 1 else pts
-        n = self._max_coord + 1
+        n = self._program.max_coord + 1
         if stack.shape[1] < n:
             raise ValueError(
                 f"expression references x{n - 1} but the point has only"
                 f" {stack.shape[1]} coordinate(s)"
             )
-        with np.errstate(all="ignore"):  # domain errors are found from masks instead
-            value = self.root.eval(stack)
+        value, = self._program.run(stack)
         values = np.full(len(stack), value) if np.ndim(value) == 0 else np.array(value, dtype=float)
         return float(values[0]) if pts.ndim == 1 else values
 
     def render(self) -> str:
         """Fully parenthesized text form; parse(render()) evaluates identically."""
-        return self.root.render()
+        return self._program.render(self._program.roots[0])
 
     def max_coord(self) -> int:
         """Largest coordinate index referenced, -1 if none (a constant expression)."""
-        return self._max_coord
+        return self._program.max_coord
 
     def __repr__(self):
         return f"Expr({self.render()})"
@@ -292,11 +359,26 @@ def _tokenize(src: str):
 # --- recursive descent parser ----------------------------------------------
 
 
+# deepest nesting of parentheses, calls, unary minuses and "^" exponents: the parser
+# recurses once per level, and Python's stack is bounded
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, t: _Tok, parse):
+        """parse(), one level of nesting deeper; past _MAX_NESTING levels, a ParseError at t."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(t.offset, f"nesting at most {_MAX_NESTING} deep")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -343,7 +425,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(t, self.unary))
         return self.power()
 
     def power(self) -> _Node:
@@ -351,7 +433,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text == "^":
             self.advance()
-            return Bin("^", base, self.unary())
+            return Bin("^", base, self.nested(t, self.unary))
         return base
 
     def atom(self) -> _Node:
@@ -361,7 +443,7 @@ class _Parser:
             return Lit(float(t.text))
         if t.kind == "op" and t.text == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(t, self.expr)
             self.expect_op(")")
             return node
         if t.kind == "name":
@@ -376,7 +458,7 @@ class _Parser:
             if name not in FUNCTIONS:
                 raise ParseError(t.offset, f"a function name, not {name!r}")
             self.advance()
-            arg = self.expr()
+            arg = self.nested(nxt, self.expr)
             self.expect_op(")")
             return Call(name, arg)
         if name in CONSTANTS:

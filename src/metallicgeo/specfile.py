@@ -26,6 +26,9 @@ tr J_M = 0, and the polynomial identity gives tr J_M = p * dimension/2.
 The key is kept so that spec text written with `p = 0.0` stays valid.
 
 Component expressions use the DSL of `exprdsl` (coordinates x0..x{n-1}).
+Each entry is parsed on its own; the g entries, and the structure entries,
+each make one `exprdsl.Program`, so a field call evaluates every distinct
+sub-expression of the field once, wherever entries repeat it.
 `j[a][b]`/`jm[a][b]` is the matrix entry in row a, column b of the matrix
 acting on coordinate vectors: (J v)^a = sum_b J[a][b] v^b. Parse failures
 carry the 1-based line number and offset. A key given twice, a component
@@ -134,7 +137,6 @@ def parse_spec(text: str) -> ManifoldSpec:
     (as `cli` does, per text), and with it the chart and fields the spec builds once."""
     values, g_entries, s_entries, named_points, tol = {}, {}, {}, {}, {}
     seen_structure_keys, point_at = set(), {}  # point_at: named point -> (line, offset)
-    parsed = {}  # expression text -> Expr: entries with the same text share one
     given_at = {}  # key (a component as g[i][j], a point as "point NAME") -> its line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -153,12 +155,10 @@ def parse_spec(text: str) -> ManifoldSpec:
         if m:
             what, i, j = m.group(1), int(m.group(2)), int(m.group(3))
             _given_once(given_at, f"{what}[{i}][{j}]", line_no)
-            expr = parsed.get(value)
-            if expr is None:
-                try:
-                    expr = parsed[value] = exprdsl.parse(value)
-                except exprdsl.ParseError as exc:
-                    raise SpecFileError(line_no, value_col + exc.offset - 1, str(exc)) from exc
+            try:
+                expr = exprdsl.parse(value)
+            except exprdsl.ParseError as exc:
+                raise SpecFileError(line_no, value_col + exc.offset - 1, str(exc)) from exc
             if what == "g":
                 if j < i:
                     raise SpecFileError(line_no, 1, "metric entries use the upper triangle (i <= j)")
@@ -254,33 +254,27 @@ def spec_sha256(text: str) -> str:
 def _expr_matrix_field(name: str, n: int, entries: dict, symmetric: bool) -> TensorField:
     """The matrix field of `entries`, (row, column) -> Expr.
 
-    Entries whose parsed trees are equal form one group, in the file order of
-    their first entry: a call evaluates each group once and writes its value
-    to every slot of the group (both triangles of an off-diagonal metric
-    entry), so the first entry that fails to evaluate is still the first in
-    file order.
+    The entries, in file order, make one `exprdsl.Program`. A call runs it
+    once, so every distinct sub-expression of the field is evaluated once
+    and the first entry that fails to evaluate is the first in file order.
+    Each entry's value goes to its slot, and to the mirror slot of an
+    off-diagonal metric entry.
 
     A field none of whose entries references a coordinate is marked constant
     (`TensorField.constant`), so that the engine evaluates it at the points
     alone; it is evaluated like any other field, at every point it is called at.
     """
-    groups = {}  # tree -> (expr, slots)
-    for (i, j), expr in entries.items():
-        slots = groups.setdefault(expr.root, (expr, []))[1]
-        slots.append((i, j))
-        if symmetric and i != j:
-            slots.append((j, i))
+    program = exprdsl.Program(expr.root for expr in entries.values())
+    slots = [((i, j), (j, i)) if symmetric and i != j else ((i, j),) for i, j in entries]
 
     def fn(pts):
         out = np.zeros((len(pts), n, n))
-        for expr, slots in groups.values():
-            v = expr.eval(pts)
-            for i, j in slots:
+        for entry_slots, v in zip(slots, program.run(pts)):
+            for i, j in entry_slots:
                 out[:, i, j] = v
         return out
 
-    constant = all(expr.max_coord() < 0 for expr, _ in groups.values())
-    return TensorField(name=name, fn=fn, constant=constant)
+    return TensorField(name=name, fn=fn, constant=program.max_coord < 0)
 
 
 def build_bundle(spec: ManifoldSpec, *, q: float | None = None, seed: int | None = None,

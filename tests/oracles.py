@@ -14,9 +14,11 @@ every float, then the standard library's indenting encoder) is the
 reference for `cli.report_json`, the dense jet weight tables the engine
 replaced (one row per ordered multi-index) are the reference for its
 tables over distinct multi-indices, the meshgrid and `np.unique` sampler the reference
-for `Chart.sample_points`, and the character-class tokenizer the reference
-for `exprdsl`'s on ASCII text. `flat_skew_text` reads the flat-skew spec of
-`tools/report_identity.py`, a constant pair whose g^-1 has entries of both signs.
+for `Chart.sample_points`, the character-class tokenizer the reference
+for `exprdsl`'s on ASCII text, and the tree walk `exprdsl` evaluated and
+rendered each expression with the reference for its straight-line programs.
+`flat_skew_text` reads the flat-skew spec of `tools/report_identity.py`, a
+constant pair whose g^-1 has entries of both signs.
 """
 
 import dataclasses
@@ -388,7 +390,64 @@ def _s2_cubed_spec() -> str:
 S2_CUBED_SPEC = _s2_cubed_spec()
 
 
-# --- per-point tree-walking expression evaluator -------------------------------
+# --- tree-walking expression evaluators --------------------------------------------
+
+
+def reference_render(node) -> str:
+    """The fully parenthesized text of a parsed tree, by recursion."""
+    if isinstance(node, exprdsl.Lit):
+        return repr(float(node.value))
+    if isinstance(node, exprdsl.Const):
+        return node.name
+    if isinstance(node, exprdsl.Coord):
+        return f"x{node.index}"
+    if isinstance(node, exprdsl.Neg):
+        return f"(-{reference_render(node.operand)})"
+    if isinstance(node, exprdsl.Bin):
+        return f"({reference_render(node.left)} {node.op} {reference_render(node.right)})"
+    return f"{node.func}({reference_render(node.arg)})"
+
+
+def reference_eval(node, points: np.ndarray):
+    """The values of a parsed tree at a stack of points (m, n), one numpy ufunc per node
+    and by recursion, as `exprdsl` evaluated each tree before its programs: an array (m,), or
+    a scalar if the tree is constant. A value that is not finite at some point raises the
+    EvalDomainError of the first such point, with the reason the node gives there."""
+    def finite(value, *operands):
+        ok = np.isfinite(value)
+        if not ok.all():
+            row = int(np.argmin(np.broadcast_to(ok, (len(points),))))
+            at_row = [float(v if np.ndim(v) == 0 else v[row]) for v in operands]
+            raise exprdsl.EvalDomainError(node.domain_reason(*at_row), reference_render(node),
+                                          points[row])
+        return value
+
+    if isinstance(node, exprdsl.Lit):
+        return node.value
+    if isinstance(node, exprdsl.Const):
+        return exprdsl.CONSTANTS[node.name]
+    if isinstance(node, exprdsl.Coord):
+        return points[:, node.index]
+    if isinstance(node, exprdsl.Neg):
+        return np.negative(reference_eval(node.operand, points))
+    with np.errstate(all="ignore"):
+        if isinstance(node, exprdsl.Bin):
+            a, b = reference_eval(node.left, points), reference_eval(node.right, points)
+            return finite(exprdsl._BINARY[node.op](a, b), a, b)
+        x = reference_eval(node.arg, points)
+        return finite(exprdsl._UNARY[node.func](x), x)
+
+
+def count_op_steps(monkeypatch, counts: dict, key: str = "ops") -> None:
+    """Count in counts[key] every step a program applies that is not a leaf: a unary minus,
+    an operator or a call. A program binds its steps when it is built, so this counts the
+    programs built after it is called."""
+    for cls in (exprdsl.Neg, exprdsl.Bin, exprdsl.Call):
+        def counted(self, *args, _apply=cls.apply):
+            counts[key] += 1
+            return _apply(self, *args)
+
+        monkeypatch.setattr(cls, "apply", counted)
 
 
 def eval_per_point(expr, point) -> float:
@@ -416,26 +475,29 @@ def eval_per_point(expr, point) -> float:
                 return a * b
             if node.op == "/":
                 if b == 0.0:
-                    raise exprdsl.EvalDomainError("division by zero", node.render())
+                    raise exprdsl.EvalDomainError("division by zero", reference_render(node))
                 return a / b
             if a < 0.0 and b != math.floor(b):
-                raise exprdsl.EvalDomainError("non-integer power of a negative base", node.render())
+                raise exprdsl.EvalDomainError("non-integer power of a negative base",
+                                              reference_render(node))
             if a == 0.0 and b < 0.0:
-                raise exprdsl.EvalDomainError("negative power of zero", node.render())
+                raise exprdsl.EvalDomainError("negative power of zero", reference_render(node))
             return math.pow(a, b)
         x = walk(node.arg)
         if node.func == "ln":
             if x <= 0.0:
-                raise exprdsl.EvalDomainError("logarithm of a non-positive number", node.render())
+                raise exprdsl.EvalDomainError("logarithm of a non-positive number",
+                                              reference_render(node))
             return math.log(x)
         if node.func == "sqrt":
             if x < 0.0:
-                raise exprdsl.EvalDomainError("square root of a negative number", node.render())
+                raise exprdsl.EvalDomainError("square root of a negative number",
+                                              reference_render(node))
             return math.sqrt(x)
         try:
             return getattr(math, node.func)(x)
         except (ValueError, OverflowError) as exc:
-            raise exprdsl.EvalDomainError(str(exc), node.render()) from exc
+            raise exprdsl.EvalDomainError(str(exc), reference_render(node)) from exc
 
     return float(walk(expr.root))
 

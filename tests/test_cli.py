@@ -236,6 +236,10 @@ DISK = (
     "structure = J\nsign = +\ng[0][0] = 1 + sqrt(1 - x0^2)\ng[1][1] = 1 + sqrt(1 - x0^2)\n"
     "j[0][1] = -1\nj[1][0] = 1\n"
 )
+NESTED_TOO_DEEP = "line 5, offset {}: parse error at offset {}: expected nesting at most 100 deep"
+# 2998 x0 then 1e308 + 1e308: the last + overflows, and its sub-expression is the whole chain
+LONG_CHAIN = "+".join(["x0"] * 2998 + ["1e308"] * 2)
+LONG_CHAIN_TEXT = "(" * 2999 + "x0 + x0)" + " + x0)" * 2996 + " + 1e+308)" * 2
 S2_TIMES_1E307 = re.sub(r"^(g\[\d\]\[\d\] = )", r"\g<1>1e307*", zoo.get("s2").spec_text,
                         flags=re.M)
 
@@ -342,6 +346,12 @@ S2_TIMES_1E307 = re.sub(r"^(g\[\d\]\[\d\] = )", r"\g<1>1e307*", zoo.get("s2").sp
     # the checked fixture's bundle at q, self-checked with the negative control's margin
     (None, ["classify", "--zoo", "negative", "--q", "1e-6"], 3,
      "negative fixture at q = 1e-06 is not negative enough"),
+    # each of these ended in a RecursionError traceback, exit 1
+    (dict(GOOD, g00="(" * 3000 + "1" + ")" * 3000), [], 2, NESTED_TOO_DEEP.format(111, 101)),
+    (dict(GOOD, g00="-" * 3000 + "1"), [], 2, NESTED_TOO_DEEP.format(111, 101)),
+    (dict(GOOD, g00="^".join(["1"] * 3000)), [], 2, NESTED_TOO_DEEP.format(212, 202)),
+    (dict(GOOD, g00=LONG_CHAIN), [], 3, f"numerical failure: non-finite value in sub-expression"
+                                        f" '{LONG_CHAIN_TEXT}' at point [-0.95, -0.95]\n"),
 ], ids=["ln-domain", "odd-dimension", "negative-q-spec", "negative-q-zoo", "step-too-big",
         "jet-too-big", "power-overflow", "product-overflow", "constant-domain", "literal-overflow",
         "superscript-digit", "non-ascii-digit",
@@ -356,7 +366,8 @@ S2_TIMES_1E307 = re.sub(r"^(g\[\d\]\[\d\] = )", r"\g<1>1e307*", zoo.get("s2").sp
         "own-step-overridden", "own-step-too-big", "metric-overflow", "no-equals-sign",
         "missing-value", "extra-bounds-pair", "structure-key-mismatch", "no-structure-entries",
         "index-outside-dimension", "two-operands", "function-without-call", "zero-to-negative-power",
-        "negative-not-negative-enough"])
+        "negative-not-negative-enough", "deep-parentheses", "deep-unary-minus", "deep-power",
+        "long-chain-overflow"])
 def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_path, capsys):
     if spec is not None:
         path = tmp_path / "bad.spec"
@@ -373,6 +384,24 @@ def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_pa
     assert [str(w.message) for w in caught] == []
     if code == 3:
         assert err.startswith("numerical failure:")
+
+
+def test_an_entry_of_600_terms_classifies(tmp_path, capsys):
+    """A polynomial entry of 600 terms, sum of (x0/2)^k for k < 600, is a chain of 599 +
+    steps: it evaluates to its closed form (1 - (x0/2)^600) / (1 - x0/2) and classifies with
+    exit 0. The tree walk recursed once per + and ended in a RecursionError, exit 1."""
+    poly = "+".join(["1"] + [f"x0^{k}/2^{k}" for k in range(1, 600)])
+    text = SPEC_2D.format(**dict(GOOD, g00=poly)).replace("g[1][1] = 1", f"g[1][1] = {poly}")
+    x0 = np.linspace(-0.95, 0.95, 21)
+    g = parse_spec(text).g_field(np.stack([x0, np.zeros_like(x0)], axis=1))
+    closed = (1 - (x0 / 2) ** 600) / (1 - x0 / 2)
+    assert g[:, 0, 0] == pytest.approx(closed, rel=1e-14, abs=0)
+    assert np.array_equal(g[:, 1, 1], g[:, 0, 0])
+    path = tmp_path / "poly.spec"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["classification"]["verdict"] == metallic.VERDICT_KAHLER
 
 
 def scaled_metric(name: str, factor: str, tmp_path) -> str:

@@ -30,8 +30,10 @@ from metallicgeo.metallic import Identity
 S2XS2 = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "s2xs2.spec"
 SPECS = {name: zoo.get(name).spec_text for name in zoo.names() if zoo.get(name).spec_text}
 SPECS["s2xs2"] = S2XS2.read_text(encoding="utf-8")
+# the last two: nesting past the parser's limit, and a chain of 1500 + whose value is 1
 HOSTILE = ("nan", "inf", "-inf", "1e400", "1/0", "ln(0)", "sqrt(-1)", "exp(1000)", "1e5",
-           "1e-320", "-1", "0", "(", "x9", "1e-14")
+           "1e-320", "-1", "0", "(", "x9", "1e-14", "(" * 3000 + "1" + ")" * 3000,
+           "+".join(["0*x0"] * 1500 + ["1"]))
 FLAGS = ("--h", "--q", "--tol-d1")
 
 # The gate of every row an asserted result can come from: the rows of the `identities`

@@ -12,7 +12,7 @@ points where a dimension-6 jet would otherwise hold more node values at
 once than `diffcalc.CHUNK_BYTES` (order 3 of g, and J_M at the order-2
 nodes). Runs on spec files parse their text afresh (the CLI's spec cache is
 cleared) and are counted from the moment the fields are built, with the
-expression evaluations (`Expr.eval` calls) behind each field call.
+steps that the fields' programs apply behind each field call.
 Tighten a bound when the engine gets cheaper; never raise one.
 
 The same runs count the multiply-adds with which the jet applies its
@@ -34,9 +34,9 @@ import numpy as np
 import numpy.random  # noqa: F401  (not first imported inside the traced run)
 import pytest
 
-from metallicgeo import cli, connections, diffcalc, exprdsl, identities, metallic, specfile, zoo
+from metallicgeo import cli, connections, diffcalc, identities, metallic, specfile, zoo
 from metallicgeo.geometry import contract, max_abs_per_point
-from oracles import S2_CUBED_SPEC, max_abs, observed
+from oracles import S2_CUBED_SPEC, count_op_steps, max_abs, observed
 
 S2XS2 = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "s2xs2.spec"
 
@@ -64,11 +64,14 @@ BUDGET = {
     ("classify", "negative"): (16, 272, 1, 1),
 }
 
-# (command, spec file) -> (g points, J_M points, g calls, J_M calls, Expr.eval calls) of a run on
-# a spec file, counted from the moment the bundle is built: a field is evaluated only where the
-# command reads it, and each group of entries with equal trees once per call (a constant field
-# is called at the points alone). s2xs2 has 4 g entries (2 distinct) and 4 J entries (2 distinct), the
-# s2 spec text 2 g entries (1 distinct) and 2 J entries (2 distinct). curvature: the order-1
+# (command, spec file) -> (g points, J_M points, g calls, J_M calls, op steps) of a run on a spec
+# file, counted from the moment the bundle is built: a field is evaluated only where the command
+# reads it (a constant field is called at the points alone), and each call runs the field's
+# program, which applies each distinct unary minus, operator and call of its entries once. s2xs2
+# has 4 g entries (2 distinct, of 6 steps each, sharing only leaves) and 4 J entries (-1 and 1:
+# 1 step), the s2 spec text 2 equal g entries (6 steps) and 2 J entries (-1 and 1). The op
+# steps are the node applications of the tree walk each entry had before its program, counted
+# one per node other than a leaf (Expr.eval calls: 6, 3, 12 and 38). curvature: the order-1
 # stencil (17 points) and the order-2 nodes (64) of g, and J_M, a constant field, at the point
 # alone. A sweep of the spec's own sample points when the bundle is built would add 9 g points,
 # 1 g call and 4 evaluations. The constant J_M of each spec took a full stencil before constant
@@ -76,10 +79,10 @@ BUDGET = {
 # (`oracles.S2_CUBED_SPEC`) builds every jet order of g in dimension 6 at its 10 points: one
 # call for order 1, one for the order-2 nodes and one per chunk of one point at order 3.
 SPEC_BUDGET = {
-    ("curvature", "s2xs2"): (81, 1, 2, 1, 6),
-    ("classify", "s2"): (117, 13, 1, 1, 3),
-    ("verify", "s2xs2"): (1377, 9, 4, 1, 12),
-    ("verify", "s2xs2xs2"): (5010, 10, 12, 1, 38),
+    ("curvature", "s2xs2"): (81, 1, 2, 1, 25),
+    ("classify", "s2"): (117, 13, 1, 1, 7),
+    ("verify", "s2xs2"): (1377, 9, 4, 1, 49),
+    ("verify", "s2xs2xs2"): (5010, 10, 12, 1, 217),
 }
 
 # (command, fixture) -> multiply-adds of the jet's weight tables, weights.size x value.size per
@@ -156,7 +159,7 @@ def test_spec_field_evaluations_within_budget(command, name, tmp_path, monkeypat
     else:
         path = tmp_path / f"{name}.spec"
         path.write_text(zoo.get(name).spec_text, encoding="utf-8")
-    counts = {"g": 0, "jm": 0, "g_calls": 0, "jm_calls": 0, "eval": 0}
+    counts = {"g": 0, "jm": 0, "g_calls": 0, "jm_calls": 0, "ops": 0}
     field = specfile._expr_matrix_field
 
     def counted_field(fname, *args, **kwargs):
@@ -170,14 +173,8 @@ def test_spec_field_evaluations_within_budget(command, name, tmp_path, monkeypat
 
         return dataclasses.replace(fld, fn=fn)
 
-    expr_eval = exprdsl.Expr.eval
-
-    def counted_eval(self, *args):
-        counts["eval"] += 1
-        return expr_eval(self, *args)
-
     monkeypatch.setattr(specfile, "_expr_matrix_field", counted_field)
-    monkeypatch.setattr(exprdsl.Expr, "eval", counted_eval)
+    count_op_steps(monkeypatch, counts)
     argv = {"classify": [], "verify": ["--suite", "all"],
             "curvature": ["--point=0.1,0.2,-0.3,0.4"]}[command]
     # the CLI keeps the spec of a text it has run, with its fields: parse the text afresh so
@@ -189,12 +186,12 @@ def test_spec_field_evaluations_within_budget(command, name, tmp_path, monkeypat
     finally:
         cli._parsed_spec.cache_clear()
     assert min(counts.values()) > 0, counts  # a bound on a count of 0 would test nothing
-    g_max, jm_max, g_calls_max, jm_calls_max, eval_max = SPEC_BUDGET[(command, name)]
+    g_max, jm_max, g_calls_max, jm_calls_max, ops_max = SPEC_BUDGET[(command, name)]
     assert counts["g"] <= g_max, counts
     assert counts["jm"] <= jm_max, counts
     assert counts["g_calls"] <= g_calls_max, counts
     assert counts["jm_calls"] <= jm_calls_max, counts
-    assert counts["eval"] <= eval_max, counts
+    assert counts["ops"] <= ops_max, counts
 
 
 def test_divergence_of_w_computed_once_per_verify(monkeypatch):

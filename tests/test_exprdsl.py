@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from metallicgeo import exprdsl
 from metallicgeo.exprdsl import EvalDomainError, ParseError, parse
-from oracles import eval_per_point, reference_tokenize
+from oracles import eval_per_point, reference_eval, reference_tokenize
 
 
 def test_literal():
@@ -91,18 +91,30 @@ def test_missing_point_coordinate():
 
 
 def test_eval_does_not_walk_the_tree_for_its_coordinates(monkeypatch):
-    """The largest coordinate index is found once, when the Expr is made."""
+    """The largest coordinate index is the one-root program's, built once, when the Expr is
+    made; evaluating the Expr builds nothing more."""
+    built = []
+    program = exprdsl.Program
+    monkeypatch.setattr(exprdsl, "Program", lambda roots: built.append(roots) or program(roots))
     expr = parse("sin(x0) * (x2 + 1)")
-
-    def walked(_node):
-        raise AssertionError("max_coord walked the tree")
-
-    for node in (exprdsl.Coord, exprdsl.Bin, exprdsl.Call, exprdsl.Neg):
-        monkeypatch.setattr(node, "max_coord", walked)
     assert expr.max_coord() == 2
     assert expr.eval((0.0, 5.0, 1.0)) == 0.0
     with pytest.raises(ValueError, match="references x2"):
         expr.eval((1.0, 2.0))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("opening,closing,offset", [
+    ("(", ")", 101), ("-", "", 101), ("1^", "", 202), ("sin(", ")", 404),
+], ids=["parentheses", "unary-minus", "power", "call"])
+def test_nesting_deeper_than_the_limit_is_a_located_parse_error(opening, closing, offset):
+    """Parentheses, unary minuses, "^" exponents and calls nest at most 100 deep; the token
+    that opens level 101 is named. Deeper text ended in a RecursionError."""
+    assert math.isfinite(parse(opening * 100 + "1" + closing * 100).eval(()))
+    for depth in (101, 3000):
+        with pytest.raises(ParseError) as err:
+            parse(opening * depth + "1" + closing * depth)
+        assert (err.value.offset, err.value.expected) == (offset, "nesting at most 100 deep")
 
 
 def test_functions_match_math_module():
@@ -215,6 +227,58 @@ def test_domain_error_names_the_failing_row_of_a_stack(src, bad, subexpr):
     assert err.value.subexpr == subexpr
     assert err.value.point.tolist() == [bad]
     assert f"at point [{bad!r}]" in str(err.value)
+
+
+# --- programs against the tree walk ---------------------------------------------------
+
+_LEAVES = st.sampled_from(["x0", "x1", "pi", "2.5", "0", "1e300"])
+_EXPRS = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.builds("({} {} {})".format, children, st.sampled_from("+-*/^"), children),
+    st.builds("{}({})".format, st.sampled_from(exprdsl.FUNCTIONS), children),
+    st.builds("-{}".format, children),
+), max_leaves=10)
+
+
+@st.composite
+def _entries(draw) -> list:
+    """1 to 4 expression texts that share sub-expressions, as the entries of a field do."""
+    pool = draw(st.lists(_EXPRS, min_size=1, max_size=3))
+    part = st.sampled_from(pool)
+    combined = st.builds("({}) {} ({})".format, part, st.sampled_from("+*/"), part)
+    return draw(st.lists(part | combined, min_size=1, max_size=4))
+
+
+def _values_or_message(evaluate):
+    try:
+        return [np.asarray(v, dtype=float) for v in evaluate()]
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+@given(_entries())
+@settings(max_examples=300, deadline=None)
+def test_program_matches_the_tree_walk_bit_for_bit(entries):
+    """One program over several trees gives each tree's values of the tree walk, bit for bit,
+    or the EvalDomainError of the first tree, in order, whose walk meets a value that is not
+    finite: the same sub-expression, reason and point."""
+    pts = np.array([[0.5, -1.0], [0.0, 2.0], [-1.5, 0.25], [3.0, 0.0]])
+    roots = [parse(src).root for src in entries]
+    got = _values_or_message(lambda: exprdsl.Program(roots).run(pts))
+    want = _values_or_message(lambda: [reference_eval(root, pts) for root in roots])
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert [(v.shape, v.tobytes()) for v in got] == [(v.shape, v.tobytes()) for v in want]
+
+
+def test_program_steps_are_the_distinct_sub_trees():
+    """Equal sub-trees of the entries are one step, in the order a left-to-right walk of the
+    entries completes them; each root names its step."""
+    program = exprdsl.Program(parse(src).root for src in ("-cos(0.3*x0)", "sin(0.3*x0)",
+                                                          "cos(0.3*x0)", "-cos(0.3*x0)"))
+    assert [program.render(k) for k in range(len(program.steps))] == [
+        "0.3", "x0", "(0.3 * x0)", "cos((0.3 * x0))", "(-cos((0.3 * x0)))", "sin((0.3 * x0))"]
+    assert program.roots == (4, 5, 3, 4)
 
 
 def _tokens_or_error(tokenize, src):

@@ -1,9 +1,10 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metallicgeo import exprdsl
+from metallicgeo import exprdsl, zoo
 from metallicgeo.diffcalc import DiffScheme
 from metallicgeo.metallic import VERDICT_KAHLER, Tolerances
 from metallicgeo.specfile import (
@@ -12,7 +13,7 @@ from metallicgeo.specfile import (
     parse_spec,
     spec_sha256,
 )
-from oracles import jm_from_j_matrix
+from oracles import S2_CUBED_SPEC, count_op_steps, jm_from_j_matrix, reference_eval
 
 GOOD = """
 # a 2-sphere chart
@@ -142,39 +143,56 @@ j[1][1] = 0 * sqrt(x1) - 0
 """
 
 
-def test_equal_entries_share_one_parse_and_one_evaluation(monkeypatch):
-    """Entries with the same text share one Expr, and entries with the same tree one
-    evaluation per field call; the value lands in every slot."""
-    counts = {"parse": 0, "eval": 0}
-    parse, expr_eval = exprdsl.parse, exprdsl.Expr.eval
-
-    def counted_parse(src):
-        counts["parse"] += 1
-        return parse(src)
-
-    def counted_eval(self, *args):
-        counts["eval"] += 1
-        return expr_eval(self, *args)
-
-    monkeypatch.setattr(exprdsl, "parse", counted_parse)
+def test_equal_sub_expressions_share_one_evaluation(monkeypatch):
+    """A field call runs one program over the field's entries: each distinct sub-expression
+    is applied once, and each entry's value lands in its slots. SHARED's entries share no
+    sub-tree but a leaf, so its fields apply what a walk of each distinct entry did; the J
+    of `negative` shares 0.3*x0 and both cos(0.3*x0) and sin(0.3*x0), and applies 5 steps
+    where one walk per distinct entry applied 10."""
+    counts = {"ops": 0}
+    count_op_steps(monkeypatch, counts)
     spec = parse_spec(SHARED)
-    assert counts["parse"] == 6  # 7 entries; j[0][0] and j[1][1] have the same text
-    assert spec.s_entries[(0, 0)] is spec.s_entries[(1, 1)]
-    monkeypatch.setattr(exprdsl.Expr, "eval", counted_eval)
     bundle = build_bundle(spec)
     pts = np.array([[0.25, 0.64], [0.5, 0.09]])
     g = bundle.g(pts)
-    assert counts["eval"] == 2  # 1 + sqrt(x0), and sqrt(x1) + 1 in two spellings
-    counts["eval"] = 0
+    assert counts["ops"] == 4  # sqrt(x1) + 1 in two spellings, and 1 + sqrt(x0)
+    counts["ops"] = 0
     jm = bundle.jm(pts)
-    assert counts["eval"] == 3  # -1, 1 and 0 * sqrt(x1) - 0
+    assert counts["ops"] == 4  # -1, and 0 * sqrt(x1) - 0
     J = np.zeros((2, 2, 2))
     for (a, b), expr in spec.g_entries.items():
-        assert np.array_equal(g[:, a, b], expr_eval(expr, pts))
-        assert np.array_equal(g[:, b, a], expr_eval(expr, pts))
+        assert np.array_equal(g[:, a, b], expr.eval(pts))
+        assert np.array_equal(g[:, b, a], expr.eval(pts))
     for (a, b), expr in spec.s_entries.items():
-        J[:, a, b] = expr_eval(expr, pts)
+        J[:, a, b] = expr.eval(pts)
     assert np.array_equal(jm, jm_from_j_matrix(J, bundle.params))
+    negative = parse_spec(zoo.get("negative").spec_text)
+    counts["ops"] = 0
+    negative.s_field(np.zeros((3, 4)))
+    assert counts["ops"] == 5
+
+
+SPEC_TEXTS = {**{name: zoo.get(name).spec_text for name in zoo.names() if zoo.get(name).spec_text},
+              "s2xs2": (Path(__file__).resolve().parents[1] / "perfbench" / "specs"
+                        / "s2xs2.spec").read_text(encoding="utf-8"),
+              "s2xs2xs2": S2_CUBED_SPEC}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_TEXTS))
+def test_fields_match_the_tree_walk_bit_for_bit(name):
+    """Each field of a spec text holds, slot by slot, the values the tree walk gives its
+    entries, bit for bit, at points across the chart."""
+    spec = parse_spec(SPEC_TEXTS[name])
+    lo, hi = np.array(spec.bounds).T
+    pts = np.random.default_rng(7).uniform(lo, hi, (40, spec.dimension))
+    for fld, entries, symmetric in ((spec.g_field, spec.g_entries, True),
+                                    (spec.s_field, spec.s_entries, False)):
+        want = np.zeros((len(pts), spec.dimension, spec.dimension))
+        for (i, j), expr in entries.items():
+            want[:, i, j] = reference_eval(expr.root, pts)
+            if symmetric:
+                want[:, j, i] = want[:, i, j]
+        assert fld(pts).tobytes() == want.tobytes()
 
 
 def test_first_failing_entry_in_file_order_is_named():
@@ -202,27 +220,21 @@ jm[1][0] = 1
 
 def test_constant_field_is_marked_and_evaluated_like_any_other(monkeypatch):
     """A field none of whose entries references a coordinate is marked constant. Like any
-    field, each call evaluates every distinct entry once and returns a fresh array holding
-    the value at every point of its stack. One entry that references a coordinate leaves
-    the field unmarked."""
-    counts = {"eval": 0}
-    expr_eval = exprdsl.Expr.eval
-
-    def counted_eval(self, *args):
-        counts["eval"] += 1
-        return expr_eval(self, *args)
-
-    monkeypatch.setattr(exprdsl.Expr, "eval", counted_eval)
+    field, each call runs its program, applying every step once, and returns a fresh array
+    holding the value at every point of its stack. One entry that references a coordinate
+    leaves the field unmarked."""
+    counts = {"ops": 0}
+    count_op_steps(monkeypatch, counts)
     bundle = build_bundle(parse_spec(CONSTANT))
     assert bundle.g.constant and bundle.jm.constant
     pts = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6]])
-    for field, want, evals in ((bundle.g, [[2.0, 0.5], [0.5, 1.0]], 3),
-                               (bundle.jm, [[0.0, -1.0], [1.0, 0.0]], 2)):
-        counts["eval"] = 0
+    for field, want, ops in ((bundle.g, [[2.0, 0.5], [0.5, 1.0]], 1),
+                             (bundle.jm, [[0.0, -1.0], [1.0, 0.0]], 1)):
+        counts["ops"] = 0
         for stack in (pts, pts[1:], pts[0]):
             value = field(stack)
             assert np.array_equal(value, np.broadcast_to(want, np.shape(stack)[:-1] + (2, 2)))
             value[...] = np.nan  # no later call shares it
-        assert counts["eval"] == 3 * evals  # one per distinct entry and call
+        assert counts["ops"] == 3 * ops  # 1/2 and -1, once per call
     curved = CONSTANT.replace("g[1][1] = 1\n", "g[1][1] = 1 + x0^2\n")
     assert not build_bundle(parse_spec(curved)).g.constant

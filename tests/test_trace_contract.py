@@ -6,8 +6,10 @@ package (`metallic.PointContext`, `StructureBundle.context`,
 leaves such a patch on a name that nothing calls, and the traced benchmark
 then reads zeros. This runs the tracer, imported from its file and left
 unchanged, around one `verify` and one `curvature` job, each on a fresh s2
-fixture, so that no cached context hides the work. Each job asks its bundle
-for a context exactly as many times as it builds one.
+fixture, and around the same two jobs on the s2xs2 spec file, each parsed
+afresh, so that no cached context hides the work. Each job asks its bundle
+for a context exactly as many times as it builds one, and evaluates g at as
+many points as `test_eval_budget` counts for it.
 """
 
 import importlib.util
@@ -16,7 +18,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from metallicgeo import cli, zoo
-from test_eval_budget import BUDGET, BUILDERS
+from test_eval_budget import BUDGET, BUILDERS, S2XS2, SPEC_BUDGET
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,17 +30,16 @@ def load_tracing():
     return module
 
 
-def test_tracer_counts_the_engine_at_work(monkeypatch):
+def traced_jobs(jobs: dict, fresh) -> tuple:
+    """Run each job (kind -> argv) under the tracer, each after fresh(), and check the
+    contract every job keeps. Returns the trace, and per kind the job's counts and its
+    diffcalc.riemann calls."""
     tracing = load_tracing()
     trace = tracing.Trace()
-    current = {}
-    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: current["fx"])
-    jobs = {"verify": ["verify", "--zoo", "s2", "--suite", "all", "--format", "json"],
-            "curvature": ["curvature", "--zoo", "s2", "--point=0.1,-0.2", "--format", "json"]}
     seen = {}
     with tracing.installed(trace):
         for job_id, (kind, argv) in enumerate(jobs.items()):
-            current["fx"] = BUILDERS["s2"]()  # built inside, so that the tracer sees its fields
+            fresh()  # inside, so that the tracer sees the fields built for the job
             counts, riemann = dict(trace.counts), trace.calls("diffcalc.riemann")
             with redirect_stdout(io.StringIO()):
                 assert trace.job(job_id, cli.main, argv) == 0
@@ -50,4 +51,27 @@ def test_tracer_counts_the_engine_at_work(monkeypatch):
         assert counts["g_evals"] > 0, (kind, counts)
         # a job asks for the one context it builds once: no look-up by points comes back
         assert counts["context_lookups"] == counts["contexts_built"], (kind, counts)
+    return trace, seen
+
+
+def test_tracer_counts_the_engine_at_work(monkeypatch):
+    current = {}
+    monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: current["fx"])
+    jobs = {"verify": ["verify", "--zoo", "s2", "--suite", "all", "--format", "json"],
+            "curvature": ["curvature", "--zoo", "s2", "--point=0.1,-0.2", "--format", "json"]}
+    _, seen = traced_jobs(jobs, lambda: current.update(fx=BUILDERS["s2"]()))
     assert seen["verify"]["g_evals"] == BUDGET[("verify", "s2")][0], seen
+
+
+def test_tracer_sees_spec_field_work():
+    jobs = {"verify": ["verify", str(S2XS2), "--suite", "all", "--format", "json"],
+            "curvature": ["curvature", str(S2XS2), "--point=0.1,0.2,-0.3,0.4", "--format", "json"]}
+    try:
+        trace, seen = traced_jobs(jobs, cli._parsed_spec.cache_clear)
+    finally:
+        cli._parsed_spec.cache_clear()
+    for kind, counts in seen.items():
+        assert counts["g_evals"] == SPEC_BUDGET[(kind, "s2xs2")][0], (kind, counts)
+    # spec fields run programs and never call Expr.eval, so the tracer's exprdsl.eval layer
+    # reads 0 and their time is geometry.field's: ROADMAP item 1a gives the programs a counter
+    assert trace.calls("exprdsl.eval") == 0
