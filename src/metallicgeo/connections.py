@@ -35,20 +35,25 @@ flag saying whether it is Levi-Civita (`_levi`).
 the report reads from a context: S, the pairing, nabla~ w and the
 kind-specific terms. The bundle keeps them as one dict per kind of arrays
 stacked over the sample points, built once from the bundle's
-`sample_context`; the identity records of
-`connection_identity_results` and the JSON block of `connection_report` both
-read those dicts and reduce them straight to their largest |entry| with
-`geometry.largest_abs`, so every array either reads, the -1/3 ratio of the
-two kinds' S included, is formed once. The block holds the two numbers no
-row reports, the first type's deformation and torsion norms: the second
-type's are 0 where S = 0 and 3 x the first type's where S_second = -3
-S_first, and a gated kind's reason is the suite's skip record. A connection
-is Levi-Civita plus its deformation, so `first_type` and `second_type`
-return S alone, and torsion and the symmetry checks are exact algebra over
-the computed nabla J_M.
+`sample_context` when a formed row first reads them; the identity records
+of `connection_identity_results` and the JSON block of `connection_report`
+both read those dicts through `evaluate` and reduce them straight to their
+largest |entry| with `geometry.largest_abs`, so every array either reads,
+the -1/3 ratio of the two kinds' S included, is formed once. The block holds
+the two numbers no row reports, the first type's deformation and torsion
+norms, as the residuals of two rows (`CONNECTION_BLOCK`): the second type's
+are 0 where S = 0 and 3 x the first type's where S_second = -3 S_first, and
+a gated kind's reason is the suite's skip record. Every row and the block
+are built from nabla J_M, so on a pair whose g and J_M are both constant
+`evaluate` records them as 0 and no term is formed. A connection is
+Levi-Civita plus its deformation, so `first_type` and `second_type` return S
+alone, and torsion and the symmetry checks are exact algebra over the
+computed nabla J_M.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -126,15 +131,27 @@ def _terms(bundle: StructureBundle, kind: str) -> dict:
     return bundle._connections[kind]
 
 
+def _norms(bundle: StructureBundle) -> dict:
+    """The first type's deformation and torsion norms, each reduced under its block name."""
+    terms = _terms(bundle, "first")
+    return {key: largest_abs(bundle.sample_points, f"first-type connection {key}", terms[term])
+            for key, term in (("deformation_norm", "S"), ("torsion_norm", "torsion"))}
+
+
+# The connections block as rows whose residuals are its two norms, so that `evaluate`
+# decides whether they are formed.
+CONNECTION_BLOCK = tuple(
+    Identity(key, None, "d1", lambda norms, key=key: (norms[key],), degree=0)
+    for key in ("deformation_norm", "torsion_norm"))
+
+
 def connection_report(bundle: StructureBundle) -> dict:
     """The first-type connection's deformation and torsion norms on a bundle `not_hermitian`
     admits, which no identity row reports; {} otherwise."""
     if not_hermitian(bundle):
         return {}
-    terms = _terms(bundle, "first")
-    return {"first": {key: largest_abs(bundle.sample_points, f"first-type connection {key}",
-                                       terms[term])
-                      for key, term in (("deformation_norm", "S"), ("torsion_norm", "torsion"))}}
+    rows = evaluate(bundle, CONNECTION_BLOCK, partial(_norms, bundle))
+    return {"first": {row.id: row.max_residual for row in rows}}
 
 
 def _preserves_omega(t: dict) -> tuple:
@@ -158,7 +175,7 @@ SECOND_TYPE_SKEW = (
 )
 SECOND_TYPE_LEVI = (
     Identity("second-type-equals-levi-civita", None, "alg",
-             lambda t: (t["S"], np.ones(len(t["S"]))), degree=0),
+             lambda t: (t["S"], np.ones(len(t["S"]))), degree=0, constant_scale=1.0),
     Identity("second-type-preserves-omega", None, "d1", _preserves_omega, degree=1),
 )
 SECOND_TYPE_NEARLY = (
@@ -175,14 +192,15 @@ def connection_identity_results(bundle: StructureBundle) -> list:
     """The connection suite as IdentityResult records (shared gating rules)."""
     reason = not_hermitian(bundle)
     results = ([_skip("first-type-preserves-omega", reason)] if reason
-               else evaluate(bundle, FIRST_TYPE_IDENTITIES, values=_terms(bundle, "first")))
+               else evaluate(bundle, FIRST_TYPE_IDENTITIES, partial(_terms, bundle, "first")))
     reason = no_second_type(bundle)
     if reason:
         return results + [_skip("second-type-connection", reason)]
-    second = _terms(bundle, "second")
-    results += evaluate(bundle, SECOND_TYPE_SKEW, values=second)
+    second = partial(_terms, bundle, "second")
+    results += evaluate(bundle, SECOND_TYPE_SKEW, second)
     if _levi(bundle):
-        return results + evaluate(bundle, SECOND_TYPE_LEVI, values=second)
-    ratio = _result("second-type-deformation-ratio", (second["ratio"], second["S"]),
+        return results + evaluate(bundle, SECOND_TYPE_LEVI, second)
+    terms = second()
+    ratio = _result("second-type-deformation-ratio", (terms["ratio"], terms["S"]),
                     bundle.sample_points, 1e-10, note="second deformation = -3 x first")
-    return results + [ratio] + evaluate(bundle, SECOND_TYPE_NEARLY, values=second)
+    return results + [ratio] + evaluate(bundle, SECOND_TYPE_NEARLY, second)

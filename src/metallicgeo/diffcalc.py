@@ -55,9 +55,10 @@ bits, after reading g^-1. Every term of the Nijenhuis tensor carries d J,
 so a constant J_M has N = 0, with no g^-1 read, as its general form
 makes none. When g and J_M are both constant, so is w
 (`PointContext.w_constant`): |nabla J|^2 is an exact zero (`flat_zeros`),
-and every identity row of tier d1, d2 or d3 is recorded as 0 unformed
-(`metallic.evaluate`), so dw, sym nabla J, F and nabla nabla w, which only
-those rows read, keep their general forms.
+and every identity row but the two of algebra on g and J_M alone is
+recorded unformed (`metallic.evaluate`), and with them the connection
+terms and the Ricci-w trace, so dw, sym nabla J, F and nabla nabla w, which
+only those rows read, keep their general forms.
 
 A jet serves one point (n,) or a stack of points (m, n): every member
 carries the stack's point axis first, written with leading `...` axes, so

@@ -398,15 +398,23 @@ def check_scalar_star(bundle: StructureBundle) -> list:
     right sides from independent pipelines. The mixed trace S_jt w^jt pairs
     a symmetric with an antisymmetric tensor and must vanish on any bundle;
     it is asserted as a sub-check whose raw residual, that of the metallic
-    w_M = c w, must stay below a fixed 1e-10.
+    w_M = c w, must stay below a fixed 1e-10. The trace is formed with the
+    relation's row, so it is 0 on a constant pair, where `evaluate` forms no row.
     """
+    kept = {"trace": (0.0, 0.0, 0.0)}  # the trace arrays of the row's evaluation, if any
+
+    def relation_and_trace(ctx):
+        arrays = _scalar_star_relation(ctx)
+        kept["trace"] = _ricci_omega_trace(ctx)
+        return arrays
+
     relation = evaluate(bundle, [Identity("scalar-star-relation", not_nearly, "d3",
-                                          _scalar_star_relation, degree=2)])[0]
+                                          relation_and_trace, degree=2)])[0]
     id_ = "ricci-omega-trace-zero"
     if relation.skipped:
         return [relation, _skip(id_, relation.note)]
     points, c = bundle.sample_points, bundle.params.coeff
-    raw, trace, ricci_sym = _ricci_omega_trace(bundle.sample_context)
+    raw, trace, ricci_sym = kept["trace"]
     raw_obs = c * largest_abs(points, "raw (unsymmetrized) trace S_jt w^jt", raw)
     return [relation, _result(id_, (c * trace, ricci_sym), points, 1e-10, absolute=True,
                               note=f"raw (unsymmetrized) trace observation: {raw_obs:.3g}")]

@@ -85,7 +85,8 @@ def jm_from_j(j_field: TensorField, params: MetallicParams, sign: int = +1) -> T
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Residual tiers by derivative depth; d1-d3 rows are known zeros on a constant pair."""
+    """Residual tiers by derivative depth. On a constant pair every row but the algebra on g
+    and J_M alone is a known zero, whatever its tier (`Identity.constant_scale`)."""
 
     alg: float = 1e-8     # no derivatives
     d1: float = 1e-5      # first-derivative identities
@@ -111,10 +112,11 @@ class StructureBundle:
     setting like the others the bundle owns: the seed of the sample points
     (which the chart draws), the differencing scheme and the tolerances; one
     chart and one structure serve bundles of every q and seed. No field can
-    be assigned. The sample points, their context (`sample_context`), the
-    classification and the connection terms (one dict of arrays stacked over
-    the sample points per kind) are computed on first use and kept;
-    `context(point)` builds a context for its caller and keeps none.
+    be assigned. The sample points, their context (`sample_context`) and the
+    classification are computed on first use and kept, and so are the
+    connection terms of a kind (one dict of arrays stacked over the sample
+    points) once a formed row reads them, which no row on a constant pair
+    does; `context(point)` builds a context for its caller and keeps none.
     """
 
     chart: Chart
@@ -175,11 +177,15 @@ class Identity:
 
     gate returns why the bundle is outside the identity's hypothesis class
     ("" when it is inside; None means no gate); tier names the Tolerances
-    field that holds the tolerance; every array of a d1, d2 or d3 row is
-    built from a derivative of g or J_M (`evaluate`). fn states the identity on the unit
+    field that holds the tolerance. fn states the identity on the unit
     structure J = J_M / c, c = sqrt(3q/2), with no q in it; degree is the
     power of c that turns its arrays into those of the metallic form, so
     that both numbers are reported, and judged, as the metallic form's.
+    constant_scale is the row's scale on a pair whose g and J_M are both
+    constant, where its residual and every term but a constant one are built
+    from a derivative of g or J_M and are exactly 0, so `evaluate` records
+    it unformed; None for a row of algebra on g and J_M alone, formed on
+    every pair.
     """
 
     id: str
@@ -189,6 +195,7 @@ class Identity:
     asserted: bool = True
     note: str = ""
     degree: int = field(kw_only=True)
+    constant_scale: Optional[float] = field(default=0.0, kw_only=True)
 
 
 @dataclass(frozen=True, slots=True)  # built for every row of every run
@@ -272,29 +279,33 @@ def evaluate(bundle: StructureBundle, identities, values=None) -> list:
     """Gate, evaluate and aggregate identity records in table order.
 
     Each row function is called once, with the PointContext of the sample
-    points, or with the `values` stacked over them when the caller supplies
-    them; rows of one call that name the same function share its arrays.
-    Both numbers of a row are c^degree times those of its arrays, which are
-    the unit structure's. When g and J_M are constant (`w_constant`), a d1-d3
-    row, built from their derivatives, is recorded unformed: 0.0 and 0.0,
-    passed, after g^-1 is read, as `flat_zeros` reads it. Alg rows are formed.
+    points, or with what `values()` gives, the values stacked over them that
+    the caller reads; `values` is called once, at the first row formed, so a
+    call that forms no row forms none of them. Rows of one call that name
+    the same function share its arrays. Both numbers of a row are c^degree
+    times those of its arrays, which are the unit structure's. When g and
+    J_M are constant (`w_constant`), a row with a `constant_scale` is
+    recorded unformed: residual 0.0 and that scale, passed, after g^-1 is
+    read, as `flat_zeros` reads it. Only the algebra on g and J_M is formed.
     """
     out, arrays = [], {}  # row function -> its arrays, for this call only
     c, ctx = bundle.params.coeff, bundle.sample_context
-    values = ctx if values is None else values
+    source = None  # what the rows read, taken at the first row formed
     for ident in identities:
         reason = ident.gate(bundle) if ident.gate else ""
         if reason:
             out.append(_skip(ident.id, reason))
             continue
         tol = getattr(bundle.tolerances, ident.tier)
-        if ident.tier != "alg" and ctx.w_constant:
+        if ident.constant_scale is not None and ctx.w_constant:
             ctx.ginv  # read first, as `flat_zeros` reads it
-            out.append(IdentityResult(ident.id, tolerance=tol, passed=True,
-                                      asserted=ident.asserted, note=ident.note))
+            out.append(IdentityResult(ident.id, scale=ident.constant_scale, tolerance=tol,
+                                      passed=True, asserted=ident.asserted, note=ident.note))
             continue
         if ident.fn not in arrays:
-            arrays[ident.fn] = ident.fn(values)
+            if source is None:
+                source = values() if values else ctx
+            arrays[ident.fn] = ident.fn(source)
         out.append(_result(ident.id, arrays[ident.fn], bundle.sample_points, tol,
                            ident.asserted, ident.note, factor=c ** ident.degree))
     return out
@@ -343,8 +354,8 @@ def _skew_residual(ctx) -> tuple:
 # The classification residuals: ungated rows with no terms, so each row's scale is 0, its
 # relative residual is its (metallic-form) residual and it passes when that is below its tier.
 CLASSIFICATION = (
-    Identity("polynomial", None, "alg", _polynomial, degree=2),
-    Identity("hyperbolic_direct", None, "alg", _skew_residual, degree=1),
+    Identity("polynomial", None, "alg", _polynomial, degree=2, constant_scale=None),
+    Identity("hyperbolic_direct", None, "alg", _skew_residual, degree=1, constant_scale=None),
     Identity("max_domega", None, "d1", lambda ctx: (ctx.domega,), degree=1),
     Identity("max_nijenhuis", None, "d1", lambda ctx: (ctx.N,), degree=2),
     Identity("max_cov_jm", None, "d1", lambda ctx: (ctx.covJ,), degree=1),

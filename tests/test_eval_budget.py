@@ -294,12 +294,15 @@ def test_one_first_derivative_stencil_per_point(monkeypatch):
 # fixture. A constant metric is flat: it forms no Christoffel symbol, its curvature is the
 # zeros `riemann` returns with no algebra, and it inverts g at one point per context; verify
 # on negative reads no curvature at all, since its Kähler rows are gated and H and Ricci-star
-# are zeros of their own. Before the flat rule, verify took (1, 1, 4, 10, 1) on flat-k3 and
-# (1, 1, 4, 16, 1) on negative, one row per sample point, and curvature (1, 1, 5, 1, 1) on
-# both. s2 is curved: one stack of Christoffel symbols and one Riemann tensor (which forms
-# d Gamma, and in curvature Gamma too, on its first read), and every point inverted, as before.
+# are zeros of their own, and neither does verify on flat-k3, whose g and J_M are both
+# constant, so that every row reading curvature, the ricci-omega trace included, is recorded
+# unformed (before that, its trace read the zeros `riemann` returns: (0, 1, 0, 1, 1)). Before
+# the flat rule, verify took (1, 1, 4, 10, 1) on flat-k3 and (1, 1, 4, 16, 1) on negative, one
+# row per sample point, and curvature (1, 1, 5, 1, 1) on both. s2 is curved: one stack of
+# Christoffel symbols and one Riemann tensor (which forms d Gamma, and in curvature Gamma
+# too, on its first read), and every point inverted, as before.
 CONNECTION_WORK = {
-    ("verify", "flat-k3"): (0, 1, 0, 1, 1),
+    ("verify", "flat-k3"): (0, 0, 0, 1, 1),
     ("curvature", "flat-k3"): (0, 1, 0, 1, 1),
     ("verify", "negative"): (0, 0, 0, 1, 1),
     ("curvature", "negative"): (0, 1, 0, 1, 1),
@@ -470,19 +473,23 @@ def test_ricci_omega_trace_formed_once(monkeypatch):
     assert len(calls) == 1
 
 
-# (command, fixture) -> (contract calls in any module, np.einsum calls, covariant_derivative
-# calls, nijenhuis calls) in one job with its own --seed. A flat jet takes nabla J_M and nabla w
-# as their partials plus 0.0 and a constant J_M has N = 0, each formed with no algebra; when
-# both fields are constant, every row of tier d1, d2 or d3 is recorded as 0 without being
-# formed (`metallic.evaluate`): classify then does no algebra, and verify only its alg rows,
-# the connection terms and the ricci-omega trace. Before these rules, classify took
-# (4, 3, 1, 1) on flat-k1/2/3 and torus, (4, 5, 1, 1) on negative and (5, 5, 1, 1) on s2, and
-# verify --suite all (57, 18, 2, 1) on flat-k3 ((48, 14, 0, 0) with the known zeros of the
-# PointContext members alone), (22, 14, 2, 1) on negative and (80, 32, 4, 1) on s2. s6 has
-# neither field constant.
+# (command, fixture or spec file holding a fixture's text) -> (contract calls in any module,
+# np.einsum calls, covariant_derivative calls, nijenhuis calls) in one job with its own --seed.
+# A flat jet takes nabla J_M and nabla w as their partials plus 0.0 and a constant J_M has
+# N = 0, each formed with no algebra; when both fields are constant, every row but the
+# algebra on g and J_M alone is recorded as 0 without being formed (`metallic.evaluate`), and
+# so are the ricci-omega trace and the connections block: no connection term is formed, and
+# classify and verify do no algebra, on the zoo fixtures and on the flat-k1 and torus texts
+# that verify-spec runs. Before these rules, classify took (4, 3, 1, 1) on flat-k1/2/3 and
+# torus, (4, 5, 1, 1) on negative and (5, 5, 1, 1) on s2, and verify --suite all
+# (57, 18, 2, 1) on flat-k3 ((48, 14, 0, 0) with the known zeros of the PointContext members
+# alone, (14, 3, 0, 0) with those of the d1-d3 rows: the connection terms, the alg rows that
+# read them, star-conjugate-contraction and the ricci-omega trace), (22, 14, 2, 1) on negative
+# and (80, 32, 4, 1) on s2. s6 has neither field constant.
 KNOWN_ZERO_WORK = {
     **{("classify", name): (0, 0, 0, 0) for name in ("flat-k1", "flat-k2", "flat-k3", "torus")},
-    **{("verify", name): (14, 3, 0, 0) for name in ("flat-k1", "flat-k2", "flat-k3", "torus")},
+    **{("verify", name): (0, 0, 0, 0) for name in ("flat-k1", "flat-k2", "flat-k3", "torus",
+                                                   "flat-k1.spec", "torus.spec")},
     ("classify", "negative"): (2, 5, 0, 1),
     ("classify", "s2"): (3, 5, 1, 0),
     ("classify", "s6"): (5, 11, 1, 1),
@@ -492,9 +499,15 @@ KNOWN_ZERO_WORK = {
 
 
 @pytest.mark.parametrize("command,name", sorted(KNOWN_ZERO_WORK))
-def test_constant_fields_skip_known_algebra(command, name, monkeypatch):
+def test_constant_fields_skip_known_algebra(command, name, monkeypatch, tmp_path):
     """The contractions, einsums, covariant derivatives and Nijenhuis tensors of one job."""
-    zoo.get(name)  # the fixture checks its classification when it is first built
+    fixture, _, spec = name.partition(".")
+    source = ["--zoo", name]
+    if spec:
+        path = tmp_path / name
+        path.write_text(zoo.get(fixture).spec_text, encoding="utf-8")
+        source = [str(path)]
+    zoo.get(fixture)  # the fixture checks its classification when it is first built
     counts = dict.fromkeys(("contract", "einsum", "covariant_derivative", "nijenhuis"), 0)
 
     def counted(module, fn_name, key):
@@ -512,7 +525,7 @@ def test_constant_fields_skip_known_algebra(command, name, monkeypatch):
     counted(np, "einsum", "einsum")
     counted(diffcalc, "covariant_derivative", "covariant_derivative")
     counted(diffcalc, "nijenhuis", "nijenhuis")
-    argv = [command, "--zoo", name, "--seed", "3", "--format", "json"]
+    argv = [command, *source, "--seed", "3", "--format", "json"]
     if command == "verify":
         argv += ["--suite", "all"]
     with redirect_stdout(io.StringIO()):

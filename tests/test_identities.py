@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from metallicgeo import connections, identities, metallic, zoo
+from metallicgeo.connections import connection_terms
 from metallicgeo.geometry import Chart, TensorField
 from metallicgeo.identities import (
     COVDERIV,
@@ -352,9 +353,10 @@ def test_row_order_is_the_benchmarks(name):
 # --- known zeros of a constant (g, J_M) pair ---------------------------------------
 
 
-def identity_tables(module) -> list:
-    return [table for table in vars(module).values() if isinstance(table, tuple) and table
-            and all(isinstance(row, Identity) for row in table)]
+def identity_tables(module) -> dict:
+    """name -> table of every module-level tuple of `Identity` rows."""
+    return {name: table for name, table in vars(module).items() if isinstance(table, tuple)
+            and table and all(isinstance(row, Identity) for row in table)}
 
 
 CONSTANT_PAIRS = {
@@ -362,19 +364,23 @@ CONSTANT_PAIRS = {
        for name in ("flat-k1", "flat-k2", "flat-k3", "torus") for q in (2.0 / 3.0, 1.5)},
     "flat-skew": lambda: build_bundle(parse_spec(flat_skew_text())),
 }
+FIELD_ALGEBRA = ["polynomial", "hyperbolic_direct"]
 
 
 def every_row(bundle, monkeypatch) -> list:
     """(row, values it reads) for every row of every table: the classification, the tables
-    of `identities` and the connection tables on the bundle's terms of their kind, plus the
-    rows that `check_divergence_ricci_chain` and `check_scalar_star` build, caught on their
-    way to `evaluate`."""
+    of `identities` and the connection tables on their kind's terms, formed directly with
+    `connection_terms`, plus the rows that `check_divergence_ricci_chain` and
+    `check_scalar_star` build, caught on their way to `evaluate`. The connections block reads
+    the norms of the first kind's terms, not the terms: its rows are not here."""
     ctx = bundle.sample_context
-    rows = [(row, ctx) for table in (metallic.CLASSIFICATION, *identity_tables(identities))
-            for row in table]
-    for table in identity_tables(connections):
-        kind = "first" if table is connections.FIRST_TYPE_IDENTITIES else "second"
-        rows += [(row, connections._terms(bundle, kind)) for row in table]
+    rows = [(row, ctx) for table in (metallic.CLASSIFICATION,
+                                     *identity_tables(identities).values()) for row in table]
+    levi = connections._levi(bundle)
+    for name, table in identity_tables(connections).items():
+        if table is not connections.CONNECTION_BLOCK:
+            kind = "first" if name == "FIRST_TYPE_IDENTITIES" else "second"
+            rows += [(row, connection_terms(ctx, kind, levi)) for row in table]
     built = []
     with monkeypatch.context() as patch:
         patch.setattr(identities, "evaluate",
@@ -387,44 +393,74 @@ def every_row(bundle, monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", CONSTANT_PAIRS)
 def test_every_derivative_tier_array_is_zero_on_a_constant_pair(name, monkeypatch):
-    """The premise of the known-zero rule of `evaluate`: every array a d1, d2 or d3 row
-    returns is built from a derivative of g or J_M, so on a pair whose two fields are constant
-    each one is exactly 0. Algebraic rows are not: second-type-equals-levi-civita has
-    scale 1 there."""
+    """The premise of the known-zero rule of `evaluate`: on a pair whose two fields are
+    constant, every row but the two of algebra on g and J_M alone is built from a derivative
+    of g or J_M, so its residual and every term but a constant one are exactly 0, and its
+    scale is the `constant_scale` it declares (1 for second-type-equals-levi-civita, whose
+    scale is the constant 1, 0 for every other). So is every connection term of both kinds
+    and each array of the ricci-omega trace."""
     bundle = CONSTANT_PAIRS[name]()
-    assert bundle.sample_context.w_constant
+    ctx, c = bundle.sample_context, bundle.params.coeff
+    assert ctx.w_constant
     rows = every_row(bundle, monkeypatch)
     assert len(rows) == 39
+    assert [row.id for row, _ in rows if row.constant_scale is None] == FIELD_ALGEBRA
     for row, values in rows:
-        if row.tier != "alg":
-            assert all(not np.any(array) for array in row.fn(values)), row.id
-    assert any(np.any(array) for row, values in rows if row.tier == "alg"
-               for array in row.fn(values))
+        if row.constant_scale is not None:
+            residual, *terms = row.fn(values)
+            assert not np.any(residual), row.id
+            scale = max((max_abs(term) for term in terms), default=0.0)
+            assert c ** row.degree * scale == row.constant_scale, row.id
+    assert {row.id for row, _ in rows if row.constant_scale} == {
+        "second-type-equals-levi-civita"}
+    for kind, levi in (("first", False), ("second", False), ("second", True)):
+        for key, term in connection_terms(ctx, kind, levi).items():
+            assert not np.any(term), (kind, levi, key)
+    assert not any(np.any(array) for array in identities._ricci_omega_trace(ctx))
 
 
 @pytest.mark.parametrize("name", CONSTANT_PAIRS)
 def test_a_constant_pair_records_derivative_tier_rows_unformed(name, monkeypatch):
-    """`evaluate` on a constant pair calls no row of tier d1, d2 or d3: each is recorded as
-    residual and scale 0.0, passed, with its own tolerance, note and assertion. Alg rows are
-    formed as before."""
+    """`evaluate` on a constant pair calls the function of no row but the two of algebra on
+    g and J_M alone: each is recorded as residual 0.0 and its `constant_scale`, passed, with
+    its own tolerance, note and assertion. The classification, `run_suite(bundle, "all")` and
+    `connection_report` on a fresh bundle then call no such row function, form no connection
+    term and no ricci-omega trace, and report the same records."""
     bundle = CONSTANT_PAIRS[name]()
 
-    def raises(values):
+    def raises(*args):
         raise AssertionError("a known-zero row was formed")
 
     for row, values in every_row(bundle, monkeypatch):
-        known = row.tier != "alg"
+        known = row.constant_scale is not None
         probe = dataclasses.replace(row, fn=raises) if known else row
-        result = evaluate(bundle, [probe], None if values is bundle.sample_context else values)[0]
+        read = None if values is bundle.sample_context else lambda values=values: values
+        result = evaluate(bundle, [probe], read)[0]
         tol = getattr(bundle.tolerances, row.tier)
         assert (result.id, result.tolerance, result.asserted, result.note) == (
             row.id, tol, row.asserted, row.note)
         if known:
-            assert (result.max_residual, result.scale, result.passed) == (0.0, 0.0, True)
-    monkeypatch.setattr(identities, "_divergence_omega", raises)
-    monkeypatch.setattr(identities, "_scalar_star_relation", raises)
-    results = by_id(run_suite(bundle, "all"))
+            assert (result.max_residual, result.scale, result.passed) == (
+                0.0, row.constant_scale, True)
+    expected = [r.as_dict() for r in run_suite(bundle, "all")]
+    fresh = dataclasses.replace(bundle)  # nothing classified, no term kept
+    for module in (metallic, identities, connections):
+        for table_name, table in identity_tables(module).items():
+            monkeypatch.setattr(module, table_name, tuple(
+                row if row.constant_scale is None else dataclasses.replace(row, fn=raises)
+                for row in table))
+    for fn_name in ("_terms", "connection_terms"):
+        monkeypatch.setattr(connections, fn_name, raises)
+    for fn_name in ("_divergence_omega", "_scalar_star_relation", "_ricci_omega_trace"):
+        monkeypatch.setattr(identities, fn_name, raises)
+    assert fresh.classification().verdict == metallic.VERDICT_KAHLER
+    results = run_suite(fresh, "all")
+    assert [r.as_dict() for r in results] == expected
+    results = by_id(results)
     assert results["divergence-ricci-chain"].note == (
         "observed |nabla^m nabla_j w_im| = 0 (reported, not asserted)")
     assert results["scalar-star-relation"].passed
+    assert results["ricci-omega-trace-zero"].note == "raw (unsymmetrized) trace observation: 0"
     assert results["second-type-equals-levi-civita"].scale == 1.0
+    assert connections.connection_report(fresh) == {
+        "first": {"deformation_norm": 0.0, "torsion_norm": 0.0}}

@@ -36,15 +36,16 @@ def per_point(arrays) -> tuple:
 
 
 def identity_rows(bundle, monkeypatch) -> list:
-    """(identity, values) of every row the classification and `run_suite(bundle, "all")`
-    evaluate."""
+    """(identity, kind) of every row the classification and `run_suite(bundle, "all")`
+    evaluate: the connection kind whose terms it reads, None for a row on the context."""
     rows = []
     evaluate = metallic.evaluate
+    first = set(connections.FIRST_TYPE_IDENTITIES)
 
     def recording(b, table, values=None):
         table = list(table)
-        rows.extend((ident, values) for ident in table
-                    if not (ident.gate and ident.gate(b)))
+        rows.extend((ident, None if values is None else "first" if ident in first else "second")
+                    for ident in table if not (ident.gate and ident.gate(b)))
         return evaluate(b, table, values)
 
     for module in (metallic, identities, connections):
@@ -62,19 +63,18 @@ def test_each_row_of_the_stack_is_its_own_point(name, monkeypatch):
     rows = identity_rows(bundle, monkeypatch)
     levi = connections._levi(bundle)
     assert {row.id for row in metallic.CLASSIFICATION} <= {ident.id for ident, _ in rows}
-    kinds = {kind: connections._terms(bundle, kind) for kind, gate in
+    kinds = {kind: connection_terms(stack, kind, levi) for kind, gate in
              (("first", connections.not_hermitian), ("second", connections.no_second_type))
              if not gate(bundle)}
     for k, point in enumerate(points):
         alone = bundle.context(points[k:k + 1])  # the point as a stack of one
         single = bundle.context(point)           # the point as one point
-        for ident, values in rows:
-            if values is None:
-                one = per_point(ident.fn(alone))
+        for ident, kind in rows:
+            if kind is None:
+                one, many = per_point(ident.fn(alone)), per_point(ident.fn(stack))
             else:
-                kind = next(kd for kd, terms in kinds.items() if terms is values)
                 one = per_point(ident.fn(connection_terms(alone, kind, levi)))
-            many = per_point(ident.fn(stack if values is None else values))
+                many = per_point(ident.fn(kinds[kind]))
             scale = max(1.0, one[1][0])
             for got, want in zip(many, one):
                 assert abs(got[k] - want[0]) <= SHIFT * getattr(tol, ident.tier) * scale, \
