@@ -7,7 +7,7 @@ tensor identities as quantified residual checks.
 
 __version__ = "0.3.0"
 
-from . import diffcalc, exprdsl, geometry, metallic, octonions  # noqa: F401
+from . import diffcalc, exprdsl, geometry, metallic  # noqa: F401
 from .diffcalc import DiffScheme  # noqa: F401
 from .geometry import Chart, TensorField  # noqa: F401
 from .metallic import MetallicParams, StructureBundle, Tolerances, classify  # noqa: F401

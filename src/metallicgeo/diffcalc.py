@@ -44,14 +44,15 @@ constant field are exactly 0.0 too, so marking a field changes no value.
 
 A constant g makes the jet flat (`MetricJet.flat`): its connection
 vanishes, and so does everything built from it. Such a jet inverts g at
-its first point and broadcasts that row (read-only) to the stack.
-Gamma, d Gamma, the curvature pack (`riemann` returns it so), H,
-Ricci-star and nabla Ricci are exact zeros (+0.0) formed with no algebra
+its first point and broadcasts that row (read-only) to the stack. The
+curvature pack (`riemann` returns it so), H and Ricci-star, which runs
+read, are exact zeros (+0.0) formed with no algebra
 (`MetricJet.flat_zeros`), which reads g^-1 first, as the curved members
-do, so a singular constant metric fails at the same point. Every Gamma
-term of a covariant derivative is +0.0 there, so a PointContext forms
-nabla J and nabla w as their plain partials plus 0.0, the curved path's
-bits, after reading g^-1. Every term of the Nijenhuis tensor carries d J,
+do, so a singular constant metric fails at the same point; Gamma, d Gamma
+and nabla Ricci, which no run reads there, keep their general forms.
+Every Gamma term of a covariant derivative is +0.0 on a flat jet, so a
+PointContext forms nabla J and nabla w as their plain partials plus 0.0,
+the curved path's bits, after reading g^-1. Every term of the Nijenhuis tensor carries d J,
 so a constant J_M has N = 0, with no g^-1 read, as its general form
 makes none. When g and J_M are both constant, so is w
 (`PointContext.w_constant`): |nabla J|^2 is an exact zero (`flat_zeros`),
@@ -449,7 +450,7 @@ class MetricJet:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return self.flat_zeros(3) if self.flat else christoffel(self.ginv, self.dg)
+        return christoffel(self.ginv, self.dg)
 
     @cached_property
     def g_nodes2(self) -> np.ndarray:
@@ -471,8 +472,6 @@ class MetricJet:
     @cached_property
     def dgamma(self) -> np.ndarray:
         """dgamma[..., a, h, i, j] = d_a Gamma^h_ij, from g d_a Gamma = d_a L / 2 - d_a g Gamma."""
-        if self.flat:
-            return self.flat_zeros(4)
         rhs = (0.5 * np.einsum("...aitj->...atij", _first_kind(self.ddg))
                - contract("...ats,...sij->...atij", self.dg, self.gamma))
         return contract("...ht,...atij->...ahij", self.ginv, rhs)
@@ -496,8 +495,6 @@ class MetricJet:
     def cov_ricci(self) -> np.ndarray:
         """cov_ricci[..., a, j, i] = (nabla_a S)_ji, with d_a S_ji = d_a R_hji^h from the order-3
         jet, one chunk of points at a time."""
-        if self.flat:
-            return self.flat_zeros(3)
         return _join(self._cov_ricci(rows) for rows in self._chunks(3))
 
     def _cov_ricci(self, rows) -> np.ndarray:

@@ -17,9 +17,9 @@ manifold spec text (see `specfile`) with their whole sampling policy:
 bounds, grid, seed, margin and named points. The text is the fixture's
 `spec_text`, at every q: a report hashes it into `source.sha256`, and a
 spec file holding it gives the same report as `--zoo`, with the same
-flags, `--q` included. s6 needs
-the octonion cross product, which the expression DSL cannot write, so it
-is the one fixture given as Python fields; it keeps that path under test.
+flags, `--q` included. s6 is the one fixture given as Python fields, and
+keeps that path under test, until ROADMAP item 37 writes its J, whose
+every entry is rational in the stereographic chart, as text.
 Like every field, each maps a stack of points (m, n) to a stack of
 component arrays (m, ...).
 """
@@ -40,7 +40,6 @@ from .metallic import (
     VERDICT_KAHLER,
     VERDICT_NEARLY,
 )
-from .octonions import cross7_matrix
 from .specfile import build_bundle, parse_spec
 
 __all__ = ["Fixture", "names", "get", "fixture_flat", "fixture_torus",
@@ -159,12 +158,25 @@ j[1][0] = 1
 """, VERDICT_KAHLER, True)
 
 
-def _sphere6_embedding(pts: np.ndarray):
+def _fano_cross() -> np.ndarray:
+    """The cross product of R^7, the imaginary octonions: e_a x e_b = sum_c C[a, b, c] e_c.
+    On each oriented line (i, j, k) of the Fano plane, 0-based, e_i x e_j = e_k cyclically and
+    e_j x e_i = -e_k (Baez, "The Octonions", Bull. AMS 39, 2002)."""
+    cross = np.zeros((7, 7, 7))
+    for i, j, k in ((0, 1, 2), (0, 3, 4), (0, 6, 5), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 5, 4)):
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            cross[a, b, c], cross[b, a, c] = 1.0, -1.0
+    return cross
+
+
+_CROSS = _fano_cross()
+
+
+def _sphere6_embedding(x: np.ndarray):
     """Inverse stereographic map into the unit sphere in R^7 and its Jacobian.
 
-    pts is a stack (m, 6); returns u (m, 7) and D (m, 7, 6).
+    x is a stack (m, 6) of floats; returns u (m, 7) and D (m, 7, 6).
     """
-    x = np.asarray(pts, dtype=float)
     r2 = np.einsum("mi,mi->m", x, x)
     s = (1.0 + r2)[:, None]
     u = np.concatenate([2.0 * x / s, (1.0 - r2)[:, None] / s], axis=1)
@@ -184,7 +196,8 @@ def _sphere6_structure() -> TensorField:
 
     def fn(pts):
         u, D = _sphere6_embedding(pts)
-        return (np.swapaxes(D, 1, 2) @ cross7_matrix(u) @ D) / _conformal_factor(pts)[:, None, None]
+        cross = np.einsum("abc,...a->...cb", _CROSS, u)  # cross[m] @ w = u[m] x w
+        return (np.swapaxes(D, 1, 2) @ cross @ D) / _conformal_factor(pts)[:, None, None]
 
     return TensorField(name="J-cross-product", fn=fn)
 

@@ -18,7 +18,9 @@ for `Chart.sample_points`, the character-class tokenizer the reference
 for `exprdsl`'s on ASCII text, and the tree walk `exprdsl` evaluated and
 rendered each expression with the reference for its straight-line programs.
 `flat_skew_text` reads the flat-skew spec of `tools/report_identity.py`, a
-constant pair whose g^-1 has entries of both signs.
+constant pair whose g^-1 has entries of both signs. The octonion algebra,
+built by Cayley-Dickson doubling of the quaternions, is the reference for
+the Fano-plane table of `zoo`'s cross product.
 """
 
 import dataclasses
@@ -36,7 +38,6 @@ from metallicgeo.diffcalc import (WEIGHTS_1D, DiffScheme, JetTable, MetricJet, c
                                   covariant_derivative)
 from metallicgeo.geometry import Chart, TensorField, inverse_metric
 from metallicgeo.metallic import MetallicParams, StructureBundle, jm_from_j
-from metallicgeo.octonions import cross7_matrix
 
 
 def flat_skew_text() -> str:
@@ -265,6 +266,47 @@ def round_metric(pt) -> np.ndarray:
     """4/(1+r^2)^2 delta, the stereographic round metric at one point."""
     r2 = float(np.dot(pt, pt))
     return (4.0 / (1.0 + r2) ** 2) * np.eye(len(pt))
+
+
+def _quaternion_table() -> np.ndarray:
+    # t[a, b, c]: e_a e_b = sum_c t[a, b, c] e_c for quaternion units 1, i, j, k
+    t = np.zeros((4, 4, 4))
+    for a in range(4):
+        t[0, a, a] = 1.0
+        if a:
+            t[a, 0, a], t[a, a, 0] = 1.0, -1.0
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        t[a, b, c], t[b, a, c] = 1.0, -1.0
+    return t
+
+
+def _octonion_table() -> np.ndarray:
+    """Structure constants T[a, b, c] with e_a e_b = sum_c T[a, b, c] e_c, by Cayley-Dickson
+    doubling of the quaternions: (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c))."""
+    qt = _quaternion_table()
+    conj = np.diag([1.0, -1.0, -1.0, -1.0])
+    T = np.zeros((8, 8, 8))
+    basis = np.eye(4)
+    for ia in range(8):
+        a, b = (basis[ia], np.zeros(4)) if ia < 4 else (np.zeros(4), basis[ia - 4])
+        for ic in range(8):
+            c, d = (basis[ic], np.zeros(4)) if ic < 4 else (np.zeros(4), basis[ic - 4])
+            first = np.einsum("abc,a,b->c", qt, a, c) - np.einsum("abc,a,b->c", qt, conj @ d, b)
+            second = np.einsum("abc,a,b->c", qt, d, a) + np.einsum("abc,a,b->c", qt, b, conj @ c)
+            T[ia, ic, :4] = first
+            T[ia, ic, 4:] = second
+    return T
+
+
+OCTONION_TABLE = _octonion_table()
+# the cross product of imaginary octonions u, v in R^7 is the imaginary part of their
+# product: its structure constants on the imaginary units e_1..e_7
+CROSS7 = OCTONION_TABLE[1:, 1:, 1:].copy()
+
+
+def cross7_matrix(u) -> np.ndarray:
+    """M with M @ v = u x v, from the octonion table; u is (7,) or a stack (..., 7)."""
+    return np.einsum("abc,...a->...cb", CROSS7, np.asarray(u, float))
 
 
 def sphere6_embedding(pt):

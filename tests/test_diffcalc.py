@@ -322,8 +322,10 @@ def test_christoffel_stack_names_the_singular_point():
                                     "covJ", "cov_omega", "covcov_omega", "sym_covJ", "F",
                                     "norm_covJ_sq"])
 def test_flat_member_names_the_singular_point(member):
-    """A constant metric is flat: none of these members forms Christoffel symbols, yet each
-    inverts g first and fails as a curved one would, at the first point of its stack."""
+    """A constant metric is flat. Gamma, d Gamma, nabla Ricci and nabla nabla w keep their
+    general forms, which invert g for Gamma; the others form no Christoffel symbols, yet each
+    inverts g first. Every member fails as a curved one would, at the first point of its
+    stack."""
     g = TensorField("g", const_field(np.diag([0.0, 1.0])), constant=True)
     jm = TensorField("jm", const_field([[0.0, -1.0], [1.0, 0.0]]), constant=True)
     points = np.array([[0.5, 0.1], [0.0, 0.2]])

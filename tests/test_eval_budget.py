@@ -292,7 +292,9 @@ def test_one_first_derivative_stencil_per_point(monkeypatch):
 # rows inverted, contexts built) in one `verify --suite all` (the context of the sample
 # points) or `curvature` (the context of a point 40 % of the way across each axis) on a fresh
 # fixture. A constant metric is flat: it forms no Christoffel symbol, its curvature is the
-# zeros `riemann` returns with no algebra, and it inverts g at one point per context; verify
+# zeros `riemann` returns with no algebra, and it inverts g at one point per context. A flat
+# jet's Gamma, d Gamma and nabla Ricci take their general forms, so the christoffel column's
+# 0 on flat-k3 and negative also pins that no run reads them on a flat bundle; verify
 # on negative reads no curvature at all, since its Kähler rows are gated and H and Ricci-star
 # are zeros of their own, and neither does verify on flat-k3, whose g and J_M are both
 # constant, so that every row reading curvature, the ricci-omega trace included, is recorded
