@@ -59,10 +59,36 @@ class InputError(Exception):
 
 def _bundle_from_args(args, draw_samples: bool = True) -> tuple[StructureBundle, dict]:
     """The run's bundle and source; a setting the engine rejects is an InputError (exit 2).
-    classify and verify read the sample points, so they are drawn here, where a policy
-    with fewer than 8 distinct points is rejected too; curvature draws none."""
+    --q, --seed, --h and --tol-* replace the source's own settings before the bundle checks
+    its chart against its step. A spec file is read on every run and its text parsed once
+    per process (`_parsed_spec`); the run's bundle is built by `build_bundle` with the
+    overrides, on the chart and fields the spec built once. A zoo fixture is checked with
+    its own settings, at --q when it is given (`zoo.get`: the checked fixture's bundle at
+    that q), and the run's bundle is always its own: one `replace` of the checked bundle, on
+    its chart, with the overrides and empty caches, so that nothing the run computes stays
+    on the fixture. Either way `source.sha256` is the hash of the one text of the source,
+    whatever the flags. classify and verify read the sample points, so they are drawn here,
+    where a policy with fewer than 8 distinct points is rejected too; curvature draws none."""
+    seed, h = args.seed, args.h
+    tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
+    tol = {k: v for k, v in tol.items() if v is not None}
     try:
-        bundle, source = _build_bundle(args)
+        if args.zoo:
+            fx = zoo.get(args.zoo, zoo.DEFAULT_Q if args.q is None else args.q)
+            checked = fx.bundle
+            bundle = replace(
+                checked, seed=checked.seed if seed is None else seed,
+                scheme=checked.scheme if h is None else DiffScheme(h),
+                tolerances=replace(checked.tolerances, **tol) if tol else checked.tolerances)
+            source = {"kind": "zoo", "name": fx.name,
+                      "sha256": spec_sha256(fx.spec_text or fx.name)}
+        else:
+            try:
+                text = Path(args.spec).read_text(encoding="utf-8")
+            except OSError as exc:  # missing, a directory, unreadable
+                raise InputError(str(exc)) from exc
+            bundle = build_bundle(_parsed_spec(text), q=args.q, seed=seed, h=h, tol=tol)
+            source = {"kind": "file", "name": args.spec, "sha256": spec_sha256(text)}
         if draw_samples:
             bundle.sample_points
         return bundle, source
@@ -70,34 +96,6 @@ def _bundle_from_args(args, draw_samples: bool = True) -> tuple[StructureBundle,
         raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _build_bundle(args) -> tuple[StructureBundle, dict]:
-    """The run's bundle: --q, --seed, --h and --tol-* replace the source's own settings
-    before the bundle checks its chart against its step. A spec file is read on every run
-    and its text parsed once per process (`_parsed_spec`); the run's bundle is built by
-    `build_bundle` with the overrides, on the chart and fields the spec built once. A zoo
-    fixture is checked with its own settings, at --q when it is given (`zoo.get`: the
-    checked fixture's bundle at that q), and the run's bundle is always its own: one
-    `replace` of the checked bundle, on its chart, with the overrides and empty caches, so
-    that nothing the run computes stays on the fixture. Either way `source.sha256` is the
-    hash of the one text of the source, whatever the flags."""
-    seed, h = args.seed, args.h
-    tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
-    tol = {k: v for k, v in tol.items() if v is not None}
-    if not args.zoo:
-        try:
-            text = Path(args.spec).read_text(encoding="utf-8")
-        except OSError as exc:  # missing, a directory, unreadable
-            raise InputError(str(exc)) from exc
-        bundle = build_bundle(_parsed_spec(text), q=args.q, seed=seed, h=h, tol=tol)
-        return bundle, {"kind": "file", "name": args.spec, "sha256": spec_sha256(text)}
-    fx = zoo.get(args.zoo, zoo.DEFAULT_Q if args.q is None else args.q)
-    checked = fx.bundle
-    bundle = replace(checked, seed=checked.seed if seed is None else seed,
-                     scheme=checked.scheme if h is None else DiffScheme(h),
-                     tolerances=replace(checked.tolerances, **tol) if tol else checked.tolerances)
-    return bundle, {"kind": "zoo", "name": fx.name, "sha256": spec_sha256(fx.spec_text or fx.name)}
 
 
 @functools.lru_cache(maxsize=16)
@@ -119,8 +117,7 @@ def _base_report(bundle: StructureBundle, source: dict) -> dict:
         "seed": bundle.seed,
         "scheme": {"h1": bundle.scheme.h1, "order1": ORDER1,
                    "h2": bundle.scheme.h2, "order2": ORDER2, "richardson2": True},
-        "tolerances": {"alg": bundle.tolerances.alg, "d1": bundle.tolerances.d1,
-                       "d2": bundle.tolerances.d2, "d3": bundle.tolerances.d3},
+        "tolerances": dict(vars(bundle.tolerances)),
     }
 
 

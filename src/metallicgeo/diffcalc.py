@@ -51,10 +51,11 @@ read, are exact zeros (+0.0) formed with no algebra
 do, so a singular constant metric fails at the same point; Gamma, d Gamma
 and nabla Ricci, which no run reads there, keep their general forms.
 Every Gamma term of a covariant derivative is +0.0 on a flat jet, so a
-PointContext forms nabla J and nabla w as their plain partials plus 0.0,
-the curved path's bits, after reading g^-1. Every term of the Nijenhuis tensor carries d J,
-so a constant J_M has N = 0, with no g^-1 read, as its general form
-makes none. When g and J_M are both constant, so is w
+PointContext forms nabla J and nabla w as their plain partials plus
+`flat_zeros`: the curved path's bits, with g^-1 read as it is there.
+Every term of the Nijenhuis tensor carries d J, so a constant J_M has
+N = 0, with no g^-1 read, as neither its general form nor dw reads it.
+When g and J_M are both constant, so is w
 (`PointContext.w_constant`): |nabla J|^2 is an exact zero (`flat_zeros`),
 and every identity row but the two of algebra on g and J_M alone is
 recorded unformed (`metallic.evaluate`), and with them the connection
@@ -372,18 +373,13 @@ class MetricJet:
         out = np.einsum("rk,rk...->r...", table.weights, diff[table.cols])[table.expand]
         return np.moveaxis(out, range(order), range(1, order + 1)) if self.point.ndim > 1 else out
 
-    def _zeros(self, order: int, value: np.ndarray) -> np.ndarray:
-        """The jet of `order` of a constant field whose value at the points is `value`, laid
-        out as `_jet`'s: exact zeros."""
-        lead = value.shape[:self.point.ndim - 1]
-        return np.zeros(lead + (self.n,) * order + value.shape[len(lead):])
-
     def _derivative(self, order: int, value: np.ndarray, *node_values) -> np.ndarray:
-        """One jet order of a field (`_jet`), or exact zeros when its node values hold at most
-        one row: a constant field's value at the points, which `_stencil` and `_at_nodes` give
-        for nodes and which broadcasts against another field's nodes."""
+        """One jet order of a field (`_jet`), or exact zeros laid out as `_jet`'s when its node
+        values hold at most one row: a constant field's value at the points, which `_stencil`
+        and `_at_nodes` give for nodes and which broadcasts against another field's nodes."""
         if all(len(nodes) <= 1 for nodes in node_values):
-            return self._zeros(order, value)
+            lead = value.shape[:self.point.ndim - 1]
+            return np.zeros(lead + (self.n,) * order + value.shape[len(lead):])
         return self._jet(order, value, *node_values)
 
     def _nodes(self, disp: np.ndarray, rows=...) -> np.ndarray:
@@ -535,13 +531,6 @@ class PointContext(MetricJet):
             "omega": w[0].copy(), "dw": self._derivative(1, w[0], w[1:]),
         }
 
-    def _flat_partials(self, d: np.ndarray) -> np.ndarray:
-        """The covariant derivative on a flat jet of a tensor whose plain partials are d:
-        d + 0.0, to the bit what `covariant_derivative` gives on the zero connection, whose
-        every Gamma term is +0.0. g^-1 is read first, as `flat_zeros` reads it."""
-        self.ginv
-        return d + 0.0
-
     # --- algebra at the points ---
 
     J = _from_order1("J")
@@ -562,9 +551,9 @@ class PointContext(MetricJet):
 
     @cached_property
     def covJ(self) -> np.ndarray:
-        """covJ[..., a, h, i] = (nabla_a J)_i^h; on a flat jet d J + 0.0 (`_flat_partials`)."""
+        """covJ[..., a, h, i] = (nabla_a J)_i^h; on a flat jet d J plus `flat_zeros`."""
         if self.flat:
-            return self._flat_partials(self.dJ)
+            return self.dJ + self.flat_zeros(3)
         return covariant_derivative(self.dJ, self.J, "ud", self.gamma)
 
     @cached_property
@@ -580,9 +569,9 @@ class PointContext(MetricJet):
     @cached_property
     def cov_omega(self) -> np.ndarray:
         """(nabla_a w)_im computed directly from w at the nodes (independent of F); on a flat
-        jet d w + 0.0 (`_flat_partials`)."""
+        jet d w plus `flat_zeros`."""
         if self.flat:
-            return self._flat_partials(self.dw)
+            return self.dw + self.flat_zeros(3)
         return covariant_derivative(self.dw, self.omega, "dd", self.gamma)
 
     @cached_property

@@ -235,22 +235,16 @@ class Chart:
         earlier one when both are rounded to 12 decimals (a named point on a grid node) is
         dropped; rows are compared by value, so -0.0 equals 0.0."""
         lo, hi = self._interior
-        n, k = self.dimension, self.grid
-        axes = np.linspace(lo, hi, k, axis=1)  # row i: the k nodes of axis i
-        grid = np.empty((k,) * n + (n,))
-        for i in range(n):
-            grid[..., i] = axes[i].reshape((k,) + (1,) * (n - 1 - i))
-        rows = grid.reshape(k**n, n)
+        n = self.dimension
+        axes = np.linspace(lo, hi, self.grid, axis=1)  # row i: the grid nodes of axis i
+        rows = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
         if self.named_points:
             named = np.array([self.named_points[name] for name in sorted(self.named_points)],
                              dtype=float)
             rows = np.concatenate([rows, named], axis=0)
-        rounded = rows.round(decimals=12)
-        order = np.lexsort(rounded.T)  # stable: equal rows stay in their order
-        ordered = rounded[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        points = rows[np.sort(order[first])]
+        # + 0.0 makes -0.0 the 0.0 it equals; return_index gives each row's first occurrence
+        _, first = np.unique(rows.round(decimals=12) + 0.0, axis=0, return_index=True)
+        points = rows[np.sort(first)]
         points.flags.writeable = False
         return points
 

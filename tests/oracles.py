@@ -14,7 +14,8 @@ every float, then the standard library's indenting encoder) is the
 reference for `cli.report_json`, the dense jet weight tables the engine
 replaced (one row per ordered multi-index) are the reference for its
 tables over distinct multi-indices, the meshgrid and `np.unique` sampler the reference
-for `Chart.sample_points`, the character-class tokenizer the reference
+for `Chart.sample_points`, the per-axis grid loop and `np.lexsort` dedupe the chart
+once ran the reference for its fixed rows, the character-class tokenizer the reference
 for `exprdsl`'s on ASCII text, and the tree walk `exprdsl` evaluated and
 rendered each expression with the reference for its straight-line programs.
 `flat_skew_text` reads the flat-skew spec of `tools/report_identity.py`, a
@@ -583,6 +584,31 @@ def reference_sample_points(chart: Chart, seed: int) -> np.ndarray:
     # drop exact duplicates (a named point may coincide with a grid node)
     _, keep = np.unique(out.round(decimals=12), axis=0, return_index=True)
     return out[np.sort(keep)]
+
+
+def reference_fixed_points(chart: Chart) -> np.ndarray:
+    """`Chart._fixed_points` as the chart once formed them: the grid filled one axis at a
+    time, then the first of each group of rows equal to 12 decimals, found by a stable
+    `np.lexsort` of the rounded rows and a compare of each sorted row with the one before
+    (by value, so -0.0 equals 0.0)."""
+    b = chart.bounds_array
+    lo, hi = b[:, 0] + chart.margin, b[:, 1] - chart.margin
+    n, k = chart.dimension, chart.grid
+    axes = np.linspace(lo, hi, k, axis=1)  # row i: the k nodes of axis i
+    grid = np.empty((k,) * n + (n,))
+    for i in range(n):
+        grid[..., i] = axes[i].reshape((k,) + (1,) * (n - 1 - i))
+    rows = grid.reshape(k**n, n)
+    if chart.named_points:
+        named = np.array([chart.named_points[name] for name in sorted(chart.named_points)],
+                         dtype=float)
+        rows = np.concatenate([rows, named], axis=0)
+    rounded = rows.round(decimals=12)
+    order = np.lexsort(rounded.T)  # stable: equal rows stay in their order
+    ordered = rounded[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return rows[np.sort(order[first])]
 
 
 # --- reference tokenizer ----------------------------------------------------------------

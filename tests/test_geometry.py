@@ -20,7 +20,7 @@ from metallicgeo.geometry import (
 )
 from metallicgeo import cli, metallic, zoo
 from metallicgeo.specfile import SpecFileError, parse_spec
-from oracles import reference_sample_points
+from oracles import reference_fixed_points, reference_sample_points
 
 
 def test_chart_grid_3x3_gives_9_points():
@@ -84,6 +84,50 @@ def test_zoo_sample_points_match_the_reference_sampler(name):
         drawn.append(got)
     assert not chart._fixed_points.flags.writeable
     assert all((got is drawn[0]) == (chart.n_random == 0) for got in drawn[1:])
+
+
+def _random_charts(seed: int, count: int) -> list:
+    """Charts of dimension 2, 4 and 6 with grids 0 to 3 and up to four named points each: a
+    grid node, or a point 1e-13 or 5e-12 off one, the origin with -0.0 coordinates, a point
+    named twice or a point off the grid, drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    charts = []
+    while len(charts) < count:
+        n, grid = int(rng.choice([2, 4, 6])), int(rng.integers(0, 4))
+        lo = rng.uniform(-3.0, -0.5, n)
+        hi = rng.uniform(0.5, 3.0, n)
+        margin = 0.2
+        a, b = lo + margin, hi - margin
+        named = {}
+        for j in range(int(rng.integers(0, 5))):
+            kind = int(rng.integers(0, 4))
+            if kind == 0 and grid:
+                pt = [np.linspace(a[i], b[i], grid)[rng.integers(grid)] for i in range(n)]
+                inward = np.where(np.less(pt, (a + b) / 2), 1.0, -1.0)
+                pt = pt + rng.choice([0.0, 1e-13, 5e-12]) * inward
+            elif kind == 1:
+                pt = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            elif kind == 2 and named:
+                pt = next(iter(named.values()))
+            else:
+                pt = rng.uniform(a, b)
+            named[f"p{j}"] = tuple(float(v) for v in pt)
+        n_random = 8 if grid**n + len(named) < 8 else int(rng.integers(0, 3))
+        charts.append(Chart(dimension=n, bounds=tuple(zip(lo, hi)), grid=grid,
+                            n_random=n_random, margin=margin, named_points=named))
+    return charts
+
+
+def test_fixed_points_match_the_reference_rows():
+    """The chart's distinct fixed rows, from numpy's meshgrid and first-occurrence unique,
+    are the bytes of the per-axis loop and lexsort dedupe they replaced, read-only, on every
+    zoo chart and on seeded random charts whose named points sit on or next to grid nodes,
+    at -0.0, twice or off the grid."""
+    charts = [zoo.get(name).bundle.chart for name in zoo.names()] + _random_charts(57, 200)
+    for chart in charts:
+        got, want = chart._fixed_points, reference_fixed_points(chart)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), chart
+        assert not got.flags.writeable, chart
 
 
 def test_chart_rejects_odd_dimension():

@@ -9,7 +9,10 @@ unchanged, around one `verify` and one `curvature` job, each on a fresh s2
 fixture, and around the same two jobs on the s2xs2 spec file, each parsed
 afresh, so that no cached context hides the work. Each job asks its bundle
 for a context exactly as many times as it builds one, and evaluates g at as
-many points as `test_eval_budget` counts for it.
+many points as `test_eval_budget` counts for it. Together the zoo and the spec
+jobs enter every layer the tracer wraps but the two that read 0 by design, and
+raise every counter it keeps, so that a change that routes the engine around a
+patched name fails here instead of leaving a benchmark layer at 0.
 """
 
 import importlib.util
@@ -54,6 +57,11 @@ def traced_jobs(jobs: dict, fresh) -> tuple:
     return trace, seen
 
 
+# layers no job enters by design: spec fields run programs, not `Expr.eval`, and the jet
+# takes every partial from its own table, not from `diffcalc.partial` (ROADMAP item 1a)
+NEVER_ENTERED = {"exprdsl.eval", "diffcalc.partial"}
+
+
 def test_tracer_counts_the_engine_at_work(monkeypatch):
     current = {}
     monkeypatch.setattr(zoo, "get", lambda *args, **kwargs: current["fx"])
@@ -75,3 +83,24 @@ def test_tracer_sees_spec_field_work():
     # spec fields run programs and never call Expr.eval, so the tracer's exprdsl.eval layer
     # reads 0 and their time is geometry.field's: ROADMAP item 1a gives the programs a counter
     assert trace.calls("exprdsl.eval") == 0
+
+
+def test_zoo_and_spec_jobs_enter_every_traced_layer(monkeypatch):
+    monkeypatch.setattr(zoo, "get", lambda name, *args, **kwargs: BUILDERS[name]())
+    zoo_jobs = {
+        "verify-s2": ["verify", "--zoo", "s2", "--suite", "all", "--format", "json"],
+        "verify-s6": ["verify", "--zoo", "s6", "--suite", "all", "--format", "json"],
+        "curvature-s2": ["curvature", "--zoo", "s2", "--point=0.1,-0.2", "--format", "json"]}
+    spec_jobs = {
+        "verify": ["verify", str(S2XS2), "--suite", "all", "--format", "json"],
+        "curvature": ["curvature", str(S2XS2), "--point=0.1,0.2,-0.3,0.4", "--format", "json"]}
+    try:
+        traces = [traced_jobs(zoo_jobs, lambda: None)[0],
+                  traced_jobs(spec_jobs, cli._parsed_spec.cache_clear)[0]]
+    finally:
+        cli._parsed_spec.cache_clear()
+    layers = set(traces[0].stats)  # every wrapped layer has an entry from the start
+    entered = {name for trace in traces for name, (calls, _, _) in trace.stats.items() if calls}
+    assert layers - entered == NEVER_ENTERED, sorted(layers - entered)
+    for key in traces[0].counts:
+        assert sum(trace.counts[key] for trace in traces) > 0, key
