@@ -1,8 +1,10 @@
 """Command-line front end.
 
     metallicgeo classify  (SPEC | --zoo NAME) [options]
-    metallicgeo verify    (SPEC | --zoo NAME) --suite all|metallic|nearly|connections
-    metallicgeo curvature (SPEC | --zoo NAME) --point x0,x1,...
+    metallicgeo verify    (SPEC | --zoo NAME) --suite all|SUITE [options]
+    metallicgeo curvature (SPEC | --zoo NAME) --point x0,x1,... [options]
+
+SUITE is a key of `identities.SUITES`, and each --tol-TIER flag a `Tolerances` field.
 
 Exit codes: 0 successful run (for verify: every asserted, non-skipped check
 passed), 1 at least one asserted identity failed, 2 invalid input (a spec
@@ -31,7 +33,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +42,9 @@ from . import __version__, zoo
 from .diffcalc import ORDER1, ORDER2, DiffScheme
 from .exprdsl import EvalDomainError
 from .geometry import ChartBoundsError, NumericalError, SingularMetricError, largest_abs
-from .identities import run_suite
+from .identities import SUITES, run_suite
 from .connections import connection_report
-from .metallic import StructureBundle
+from .metallic import StructureBundle, Tolerances
 from .specfile import ManifoldSpec, SpecFileError, build_bundle, parse_spec, spec_sha256
 
 EXIT_OK = 0
@@ -70,8 +72,8 @@ def _bundle_from_args(args, draw_samples: bool = True) -> tuple[StructureBundle,
     whatever the flags. classify and verify read the sample points, so they are drawn here,
     where a policy with fewer than 8 distinct points is rejected too; curvature draws none."""
     seed, h = args.seed, args.h
-    tol = {k: getattr(args, f"tol_{k}") for k in ("alg", "d1", "d2")}
-    tol = {k: v for k, v in tol.items() if v is not None}
+    tol = {tier.name: value for tier in fields(Tolerances)
+           if (value := getattr(args, f"tol_{tier.name}")) is not None}
     try:
         if args.zoo:
             fx = zoo.get(args.zoo, zoo.DEFAULT_Q if args.q is None else args.q)
@@ -338,9 +340,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=None, help="sample-point seed override")
         p.add_argument("--h", type=float, default=None, help="first-derivative step override")
-        p.add_argument("--tol-alg", type=float, default=None)
-        p.add_argument("--tol-d1", type=float, default=None)
-        p.add_argument("--tol-d2", type=float, default=None)
+        for tier in fields(Tolerances):
+            p.add_argument(f"--tol-{tier.name}", type=float, default=None)
 
     p_classify = sub.add_parser("classify", help="classification verdict and residuals")
     common(p_classify)
@@ -348,15 +349,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run gated identity suites")
     common(p_verify)
-    p_verify.add_argument("--suite", choices=("all", "metallic", "nearly", "connections"),
-                          default="all")
+    p_verify.add_argument("--suite", choices=("all", *SUITES), default="all")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_curv = sub.add_parser("curvature", help="curvature pack at one point")
     common(p_curv)
     p_curv.add_argument("--point", required=True, help="comma-separated coordinates")
     p_curv.set_defaults(fn=cmd_curvature)
-    parser.commands = {"classify": p_classify, "verify": p_verify, "curvature": p_curv}
+    parser.commands = sub.choices
     return parser
 
 

@@ -453,12 +453,9 @@ SUITES: dict[str, Callable] = {
 
 
 def run_suite(bundle: StructureBundle, suite: str) -> list:
-    """Run one named suite, or all of them in a fixed order."""
+    """Run one named suite, or all of them in `SUITES` order."""
     if suite == "all":
-        out = []
-        for name in ("metallic", "nearly", "connections"):
-            out.extend(SUITES[name](bundle))
-        return out
+        return [result for run in SUITES.values() for result in run(bundle)]
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; available: all, " + ", ".join(sorted(SUITES)))
     return SUITES[suite](bundle)

@@ -204,21 +204,24 @@ class IdentityResult:
     max_residual: float = 0.0
     scale: float = 0.0
     tolerance: float = 0.0
-    passed: bool = False
+    passed: bool = field(init=False)  # set once, in __post_init__, from the numbers
     skipped: bool = False
     asserted: bool = True
     note: str = ""
     absolute: bool = False  # judged on max_residual itself, not on the relative residual
 
+    def __post_init__(self):
+        object.__setattr__(self, "passed", not self.skipped and self.judged < self.tolerance)
+
     @property
     def relative(self) -> float:
-        return _relative(self.max_residual, self.scale)
+        return self.max_residual / max(1.0, self.scale)
 
     @property
     def judged(self) -> float:
         """The number the record passes on (below its tolerance): `relative`, or the residual
         itself when the record is `absolute`."""
-        return _judged(self.max_residual, self.scale, self.absolute)
+        return self.max_residual if self.absolute else self.relative
 
     @property
     def status(self) -> str:
@@ -249,29 +252,19 @@ class IdentityResult:
 
 
 def _skip(id_: str, note: str) -> IdentityResult:
-    return IdentityResult(id=id_, skipped=True, passed=False, note=note)
-
-
-def _relative(residual: float, scale: float) -> float:
-    return residual / max(1.0, scale)
-
-
-def _judged(residual: float, scale: float, absolute: bool) -> float:
-    return residual if absolute else _relative(residual, scale)
+    return IdentityResult(id=id_, skipped=True, note=note)
 
 
 def _result(id_: str, arrays: tuple, points, tol: float, asserted: bool = True,
             note: str = "", absolute: bool = False, factor: float = 1.0) -> IdentityResult:
     """Reduce a row's arrays (residual, *terms), stacked over `points`, with
     `geometry.largest_abs`: the residual first, then the scale over all the terms, each
-    times `factor`. The row passes when its relative residual (its residual itself, if
-    `absolute`) is below tol. A value that is not finite is a NumericalError naming the
-    identity and point, not a failed check."""
+    times `factor`. A value that is not finite is a NumericalError naming the identity
+    and point, not a failed check."""
     residual, *terms = arrays
     max_residual = factor * largest_abs(points, f"residual of {id_}", residual)
     scale = factor * largest_abs(points, f"scale of {id_}", *terms)
     return IdentityResult(id=id_, max_residual=max_residual, scale=scale, tolerance=tol,
-                          passed=_judged(max_residual, scale, absolute) < tol,
                           asserted=asserted, note=note, absolute=absolute)
 
 
@@ -300,7 +293,7 @@ def evaluate(bundle: StructureBundle, identities, values=None) -> list:
         if ident.constant_scale is not None and ctx.w_constant:
             ctx.ginv  # read first, as `flat_zeros` reads it
             out.append(IdentityResult(ident.id, scale=ident.constant_scale, tolerance=tol,
-                                      passed=True, asserted=ident.asserted, note=ident.note))
+                                      asserted=ident.asserted, note=ident.note))
             continue
         if ident.fn not in arrays:
             if source is None:

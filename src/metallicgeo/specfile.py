@@ -19,7 +19,7 @@ One `key = value` assignment per line; `#` starts a comment. Keys:
     jm[a][b] = <expression>             components of J_M when structure = JM
     point NAME = 0.1 -0.2               named sample point (repeatable, one per NAME)
     h = 0.001                           optional differencing step override
-    tol_alg | tol_d1 | tol_d2 | tol_d3  optional tolerance overrides
+    tol_TIER = 1e-5                     optional; TIER is a field of `Tolerances`
 
 The structure parameter p must be 0: a skew fundamental form needs
 tr J_M = 0, and the polynomial identity gives tr J_M = p * dimension/2.
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -74,7 +74,7 @@ _INDEXED = re.compile(r"^(g|j|jm)\[(\d+)\]\[(\d+)\]$")
 _POINT = re.compile(r"^point\s+(\S+)$")
 
 _SCALARS = {"dimension", "p", "q", "grid", "random_points", "seed", "margin", "h",
-            "tol_alg", "tol_d1", "tol_d2", "tol_d3", "structure", "sign", "name"}
+            "structure", "sign", "name", *(f"tol_{tier.name}" for tier in fields(Tolerances))}
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tomllib
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 import metallicgeo
 from metallicgeo import cli, connections, diffcalc, identities, metallic, zoo
 from metallicgeo.cli import main, make_parser, report_json
+from metallicgeo.metallic import Tolerances
 from metallicgeo.specfile import build_bundle, parse_spec, spec_sha256
 
 S2XS2 = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "s2xs2.spec"
@@ -386,6 +388,30 @@ def test_bad_input_exit_code_without_traceback(spec, argv, code, message, tmp_pa
         assert err.startswith("numerical failure:")
 
 
+@pytest.mark.parametrize("tier", [tier.name for tier in fields(Tolerances)])
+def test_every_tier_is_a_flag_and_a_spec_key(tier, tmp_path, capsys):
+    """Each field of `Tolerances` is a --tol-TIER flag and a tol_TIER spec key, and both
+    reach the same check."""
+    path = tmp_path / "bad.spec"
+    path.write_text(GOOD_SPEC + f"tol_{tier} = -1\n", encoding="utf-8")
+    for argv in (["verify", "--zoo", "s2", f"--tol-{tier}", "-1"], ["verify", str(path)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"tolerance {tier} must be positive and finite, got -1" in err
+
+
+def test_tol_d3_judges_the_scalar_star_relation(capsys):
+    """The paper's nearly-Kähler relation S* = S - |nabla J|^2 is the one asserted d3 row of
+    the nearly suite on s6: a d3 tier below its residual fails it and nothing else."""
+    code, out, err = run(capsys, "verify", "--zoo", "s6", "--suite", "nearly", "--tol-d3",
+                         "1e-18", "--format", "json")
+    assert (code, err) == (1, "")
+    rows = json.loads(out)["identities"]
+    assert [r["id"] for r in rows if r["asserted"] and not r["passed"] and not r["skipped"]] == [
+        "scalar-star-relation"]
+    assert [r["tolerance"] for r in rows if r["id"] == "scalar-star-relation"] == [1e-18]
+
+
 def test_an_entry_of_600_terms_classifies(tmp_path, capsys):
     """A polynomial entry of 600 terms, sum of (x0/2)^k for k < 600, is a chain of 599 +
     steps: it evaluates to its closed form (1 - (x0/2)^600) / (1 - x0/2) and classifies with
@@ -474,19 +500,20 @@ def test_command_line_settings_replace_the_spec_settings_before_the_chart_check(
     give: the spec's own step, which does not fit the chart, is never checked."""
     flags, in_file = tmp_path / "flags.spec", tmp_path / "in-file.spec"
     flags.write_text(TINY)
-    in_file.write_text(TINY + "h = 1e-4\nseed = 5\ntol_d1 = 2e-5\n")
+    in_file.write_text(TINY + "h = 1e-4\nseed = 5\ntol_d1 = 2e-5\ntol_d3 = 2e-3\n")
     code, _, err = run(capsys, "classify", str(flags))
     assert code == 2 and "must stay below half the chart margin" in err
     reports = []
-    for argv in ([str(flags), "--h", "1e-4", "--seed", "5", "--tol-d1", "2e-5"], [str(in_file)]):
+    for argv in ([str(flags), "--h", "1e-4", "--seed", "5", "--tol-d1", "2e-5", "--tol-d3", "2e-3"],
+                 [str(in_file)]):
         code, out, err = run(capsys, "verify", *argv, "--suite", "all", "--format", "json")
         assert (code, err) == (0, "")
         report = json.loads(out)
         del report["timing_s"], report["source"]
         reports.append(report)
     assert reports[0] == reports[1]
-    assert (reports[0]["seed"], reports[0]["scheme"]["h1"], reports[0]["tolerances"]["d1"]) == (
-        5, 1e-4, 2e-5)
+    assert (reports[0]["seed"], reports[0]["scheme"]["h1"], reports[0]["tolerances"]["d1"],
+            reports[0]["tolerances"]["d3"]) == (5, 1e-4, 2e-5, 2e-3)
 
 
 # g is defined for x0 >= -0.6710630390134659 only: the spec's seed, 42, samples a point with

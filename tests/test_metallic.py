@@ -14,6 +14,7 @@ from metallicgeo.metallic import (
     VERDICT_KAHLER,
     VERDICT_NEARLY,
     VERDICT_NONE,
+    IdentityResult,
     StructureBundle,
     _result,
 )
@@ -241,3 +242,32 @@ def test_near_boundary_reads_the_number_the_row_is_judged_on(residual, near):
     relative = _result("rel", (np.array([residual, 0.0]), np.array([20.0, 1.0])), points, 1e-10)
     assert (relative.judged, relative.near_boundary) == (relative.relative, not near)
     assert record.as_dict() == dict(relative.as_dict(), id="raw", passed=record.passed)
+
+
+@pytest.mark.parametrize("numbers,passed", [
+    (dict(max_residual=2e-6, scale=3.0, tolerance=1e-6), True),  # relative 6.7e-7
+    (dict(max_residual=4e-6, scale=3.0, tolerance=1e-6), False),  # relative 1.3e-6
+    (dict(max_residual=1e-6, scale=0.5, tolerance=1e-6), False),  # relative 1e-6, not below
+    (dict(max_residual=2e-6, scale=3.0, tolerance=1e-6, absolute=True), False),
+    (dict(max_residual=5e-7, scale=3.0, tolerance=1e-6, absolute=True), True),
+    (dict(tolerance=1.0, skipped=True, note="needs a metallic Kähler bundle"), False),
+    (dict(scale=1.0, tolerance=1e-5), True),  # a constant pair's row: residual 0, unformed
+], ids=["relative-below", "relative-above", "relative-at", "absolute-above", "absolute-below",
+        "skipped", "constant-pair"])
+def test_a_record_passes_on_its_numbers(numbers, passed):
+    """`passed` is not an argument: a record passes exactly when it is evaluated and the
+    number it is judged on is below its tolerance."""
+    record = IdentityResult("row", **numbers)
+    assert record.passed is passed
+    assert record.as_dict()["passed"] is passed
+    assert record.status == ("SKIP" if record.skipped else "pass" if passed else "FAIL")
+    with pytest.raises(TypeError):
+        IdentityResult("row", passed=not passed, **numbers)
+
+
+def test_constant_pair_rows_pass_unformed():
+    """On flat-k1 every classification row of a derivative is recorded without being formed:
+    residual 0 and the row's constant scale, and it passes on those numbers."""
+    rows = zoo.get("flat-k1").bundle.classification().rows
+    for name in ("max_domega", "max_nijenhuis", "max_cov_jm", "max_sym_cov_jm"):
+        assert (rows[name].max_residual, rows[name].passed) == (0.0, True), name
